@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .errors import PipelineError
+
+if TYPE_CHECKING:  # annotation only: numpy stays off the CLI import path
+    import numpy as np
 
 _NUM_RE = re.compile(r"(\d+)")
 

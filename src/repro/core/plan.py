@@ -33,12 +33,13 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Tuple
 
 from .errors import PipelineError
 from .pipeline import PipelinePlan
+
+if TYPE_CHECKING:  # annotation only: numpy stays off the CLI import path
+    import numpy as np
 
 __all__ = ["StripePlan", "ChainPlan", "coerce_stripe_plan"]
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
+import queue
 import threading
 import time
 from typing import Callable, List, Optional, Tuple
@@ -511,7 +512,34 @@ def _run_failover_capable(
             crash_gate=_progress_gate(progress_send, progress_every),
             tracer=tracer,
         )
-    node.start()
+    # One queue carries everything this loop reacts to, in arrival
+    # order: control messages and the exit of the node it is running.
+    # Both producers block (on the socket, on the thread), so neither a
+    # failover nor a finished transfer waits out a poll interval.
+    events: "queue.Queue[Tuple[str, object]]" = queue.Queue()
+
+    def read_control() -> None:
+        while True:
+            try:
+                ctl = msg_channel.recv(timeout=None)
+            except DeployError:
+                continue  # one poisoned control line must not kill the agent
+            events.put(("control", ctl))
+            if ctl is None:
+                return
+
+    def run_node(started: "HeadNode | ReceiverNode") -> None:
+        def watch() -> None:
+            started.join()
+            events.put(("exit", started))
+
+        started.start()
+        threading.Thread(target=watch, name=f"agent-watch-{name}",
+                         daemon=True).start()
+
+    threading.Thread(target=read_control, name=f"agent-control-{name}",
+                     daemon=True).start()
+    run_node(node)
 
     deadline = time.monotonic() + run_timeout
     awaiting_resume = False
@@ -520,20 +548,22 @@ def _run_failover_capable(
     prefix_bytes = 0  # bytes already in this node's sink at detach time
 
     while True:
-        if not node.thread.is_alive() and not awaiting_resume:
-            break
-        if time.monotonic() > deadline:
+        try:
+            kind, item = events.get(
+                timeout=max(0.0, deadline - time.monotonic()))
+        except queue.Empty:
             node.outcome.error = node.outcome.error or (
                 f"agent run exceeded {run_timeout}s")
             node.shutdown()
             node.join(2.0)
             break
-        try:
-            ctl = msg_channel.recv(timeout=0.25)
-        except TimeoutError:
+        if kind == "exit":
+            # The exit of a node detached for failover is expected; the
+            # transfer is over when the *current* node's thread ends.
+            if item is node and not awaiting_resume:
+                break
             continue
-        except DeployError:
-            continue  # one poisoned control line must not kill the agent
+        ctl = item
         if ctl is None:
             # Coordinator gone.  Mid-failover there is nothing left to
             # resume against; otherwise let the transfer run out.
@@ -564,6 +594,10 @@ def _run_failover_capable(
                       for n, ps in ctl["ports"].items()}
             rregistry = Registry({n: Address(rhosts[n], rports[n][0])
                                   for n in rhosts})
+            # Every survivor has detached by now (the coordinator waits
+            # for all of them before it elects), so nobody is still
+            # writing to the old node's connections.
+            node.close_connections()
             if name == ctl["head"]:
                 promoted = True
                 resume_at = int(ctl["resume_offset"])
@@ -581,7 +615,7 @@ def _run_failover_capable(
                     tracer=tracer, resume_offset=prefix_bytes,
                 )
             awaiting_resume = False
-            node.start()
+            run_node(node)
         elif op in ("cancel", "quit"):
             node.shutdown()
             node.join(2.0)

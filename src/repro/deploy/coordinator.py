@@ -246,16 +246,23 @@ class Coordinator:
         agent = self.agent(name)
         return agent is not None and agent.channel.send(message)
 
-    def wait_statuses(self, names: Sequence[str], deadline: float) -> List[str]:
+    def wait_statuses(self, names: Sequence[str], deadline: float,
+                      *, or_dead: Optional[str] = None) -> List[str]:
         """Block until every name is resolved (status or declared dead);
-        returns the names still unresolved when ``deadline`` passes."""
+        returns the names still unresolved when ``deadline`` passes —
+        or, with ``or_dead``, as soon as that agent is declared dead, so
+        a caller with something to do about the death does it at once."""
         def _unresolved() -> List[str]:
             return [n for n in names
                     if n not in self._agents or not self._agents[n].resolved]
 
+        def _died() -> bool:
+            agent = self._agents.get(or_dead)
+            return agent is not None and bool(agent.dead_reason)
+
         with self._cond:
             self._cond.wait_for(
-                lambda: not _unresolved(),
+                lambda: not _unresolved() or _died(),
                 timeout=max(0.0, deadline - time.monotonic()),
             )
             return _unresolved()
@@ -714,10 +721,13 @@ class ProcBroadcast:
 
             deadline = started + timeout
             current_chain = final_chain
-            failover_done = False
+            can_failover = self._failover_enabled and quorum is not None
             while True:
+                # The head's death ends the wait (the reaper's mark_dead
+                # notifies): the re-root starts then, not a tick later.
                 unresolved = coordinator.wait_statuses(
-                    final_plan.chain, min(deadline, time.monotonic() + 0.25))
+                    final_plan.chain, deadline,
+                    or_dead=final_plan.head if can_failover else None)
                 if not unresolved:
                     break
                 if time.monotonic() >= deadline:
@@ -726,12 +736,11 @@ class ProcBroadcast:
                             name,
                             f"no status within the {timeout}s run deadline")
                     break
-                if (self._failover_enabled and not failover_done
-                        and quorum is not None):
-                    head_agent = coordinator.agent(final_plan.head)
-                    if (head_agent is not None and head_agent.dead_reason
-                            and head_agent.status is None):
-                        failover_done = True
+                head_agent = coordinator.agent(final_plan.head)
+                if (can_failover and head_agent is not None
+                        and head_agent.dead_reason):
+                    can_failover = False  # one re-root per run
+                    if head_agent.status is None:
                         new_chain = self._orchestrate_failover(
                             coordinator, current_chain, source_path, quorum)
                         if new_chain is not None:

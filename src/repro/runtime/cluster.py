@@ -351,8 +351,7 @@ class LocalBroadcast:
         deadline = started + timeout
         promotion = None
         current = list(receivers)
-        while time.monotonic() < deadline and head.thread.is_alive():
-            time.sleep(0.05)
+        head.join(max(0.0, deadline - time.monotonic()))
         if old_head.outcome.crashed:
             self.tracer.emit(
                 tracing.FAILOVER, "coordinator", peer=old_head.name,
@@ -364,9 +363,7 @@ class LocalBroadcast:
             if promotion is not None:
                 head, current = promotion["head"], promotion["receivers"]
                 self.nodes.update({n.name: n for n in (head, *current)})
-                while time.monotonic() < deadline \
-                        and head.thread.is_alive():
-                    time.sleep(0.05)
+                head.join(max(0.0, deadline - time.monotonic()))
         grace = deadline + 1.0
         for node in current:
             node.join(max(0.0, grace - time.monotonic()))
@@ -435,17 +432,22 @@ class LocalBroadcast:
         sink + prefix so the caller can complete its own copy.
         """
         survivors, finished, lost = [], [], []
+        # Chain order, one at a time: a node is detached only after its
+        # upstream has stopped relaying, so no survivor is still writing
+        # to a neighbour that has already let go.  Each join is the time
+        # a woken loop takes to unwind, not a timeout.
         for node in receivers:
             if node.thread.is_alive():
                 node.begin_failover()
+                node.join(5.0)
                 survivors.append(node)
             elif node.outcome.ok:
                 finished.append(node)
             else:
                 lost.append(node)
-        for node in survivors:
-            node.join(5.0)
         ready = [n for n in survivors if not n.thread.is_alive()]
+        for node in ready:
+            node.close_connections()
         if not ready:
             return None
 

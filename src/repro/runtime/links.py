@@ -17,10 +17,12 @@ messy part of the protocol behind three operations:
 from __future__ import annotations
 
 import logging
+import threading
+import time
 from typing import Optional, Set
 
 from ..core.config import KascadeConfig
-from ..core.errors import NodeFailedError, ProtocolError
+from ..core.errors import NodeFailedError, ProtocolError, TransferAborted
 from ..core.messages import Data, End, Get, Passed, Pong, Ping, Quit, Report, Forget
 from ..core.node_state import NodeTransferState
 from ..core.pipeline import PipelinePlan
@@ -44,6 +46,7 @@ class DownstreamLink:
         config: KascadeConfig,
         state: NodeTransferState,
         tracer=NULL_TRACER,
+        detaching: Optional[threading.Event] = None,
     ) -> None:
         self.owner = owner
         self.plan = plan
@@ -51,10 +54,17 @@ class DownstreamLink:
         self.config = config
         self.state = state
         self.tracer = tracer
+        #: Set by the owner's ``begin_failover()``: from then on a link
+        #: error is the detach itself, not a death to report.
+        self.detaching = detaching if detaching is not None else threading.Event()
         self.stream: Optional[SocketStream] = None
         self.target: Optional[str] = None
         self.dead: Set[str] = set()
         self.sent_offset = 0
+        #: A GET handshake has completed on this link at least once:
+        #: start-up is over, a refused connect now means a dead node.
+        self._handshaken = False
+        self._startup_deadline: Optional[float] = None
         #: Downstream deliberately quit (unrecoverable data loss after
         #: FORGET): stop forwarding, do NOT treat as a failure.
         self.downstream_aborted = False
@@ -74,6 +84,12 @@ class DownstreamLink:
                           self.config.max_connect_attempts) is None
 
     def _mark_dead(self, node: str, reason: str) -> None:
+        if self.detaching.is_set():
+            # The owner is being detached for a head re-root, and so are
+            # its neighbours: whatever went wrong on this link is them
+            # letting go.  No verdict, no reroute — unwind the main loop.
+            raise TransferAborted(
+                f"{self.owner}: detached for failover ({node}: {reason})")
         if node not in self.dead:
             self.dead.add(node)
             self.state.record_failure(node, reason)
@@ -91,6 +107,35 @@ class DownstreamLink:
     def close(self) -> None:
         self._drop()
 
+    def _connect_downstream(self, target: str) -> SocketStream:
+        """Open the DATA connection to ``target``.
+
+        Start-up is not mid-transfer failure detection (§III-B: data
+        flows only once every node is launched).  Until this link has
+        completed its first handshake or sent its first byte, a
+        *refused* connect means the peer's listener is not up yet, and
+        is retried until the link's start-up window — one
+        ``connect_timeout`` from its first attempt, shared by every
+        target it tries — has passed.  Afterwards, and for any other
+        connect error, the first failure is the verdict.
+        """
+        addr = self.registry.address_of(target)
+        if self._startup_deadline is None:
+            self._startup_deadline = (time.monotonic()
+                                      + self.config.connect_timeout)
+        starting_up = self.sent_offset == 0 and not self._handshaken
+        backoff = 0.005
+        while True:
+            try:
+                return connect(addr, DATA_CONN, self.config.connect_timeout)
+            except NodeFailedError as exc:
+                if (not starting_up
+                        or not isinstance(exc.__cause__, ConnectionRefusedError)
+                        or time.monotonic() + backoff > self._startup_deadline):
+                    raise
+            time.sleep(backoff)
+            backoff = min(backoff * 2, 0.1)
+
     def _ensure_connected(self) -> bool:
         """Connect to the next alive downstream and complete its GET
         handshake (replaying buffered bytes).  Returns False when this
@@ -103,8 +148,7 @@ class DownstreamLink:
             if target is None:
                 return False
             try:
-                stream = connect(self.registry.address_of(target), DATA_CONN,
-                                 self.config.connect_timeout)
+                stream = self._connect_downstream(target)
             except NodeFailedError as exc:
                 self._mark_dead(target, f"connect-failed: {exc.reason}")
                 continue
@@ -127,6 +171,7 @@ class DownstreamLink:
                 self._mark_dead(target, f"bad-handshake: {type(msg).__name__}")
                 continue
             self.stream, self.target = stream, target
+            self._handshaken = True
             self.tracer.emit(tracing.CONNECT, self.owner, peer=target,
                              offset=msg.offset, detail="downstream")
             if self._serve_handshake(msg.offset):

@@ -151,7 +151,7 @@ class _Acceptor:
                 pass
             stream.close()
         elif kind == DATA_CONN:
-            node.data_inbox.put(stream)
+            node.adopt_data_connection(stream)
         elif kind == PGET_CONN and node.serves_pget:
             t = threading.Thread(
                 target=node.serve_pget, args=(stream,),
@@ -184,7 +184,9 @@ class _BaseNode:
         self.listener = listener
         self.config = config
         self.tracer = tracer
-        self.data_inbox: "queue.Queue[SocketStream]" = queue.Queue()
+        #: Inbound DATA connections, oldest first; ``None`` is the wake-up
+        #: :meth:`shutdown` posts for a main loop idle on the queue.
+        self.data_inbox: "queue.Queue[Optional[SocketStream]]" = queue.Queue()
         self.stop_event = threading.Event()
         self.failover_requested = threading.Event()
         self.silent = False
@@ -202,10 +204,21 @@ class _BaseNode:
     def join(self, timeout: Optional[float] = None) -> None:
         self.thread.join(timeout)
 
+    def adopt_data_connection(self, stream: SocketStream) -> None:
+        """Acceptor hand-off: queue an inbound DATA connection."""
+        self.data_inbox.put(stream)
+
     def shutdown(self) -> None:
+        """Stop the node; safe from any thread, any number of times.
+
+        A main loop blocked on its upstream or idle on the inbox is
+        woken rather than left to run out a timeout.  A silently
+        crashed node keeps every socket as it was — that is the crash.
+        """
         self.stop_event.set()
         if not self.silent:
             self.listener.close()
+            self._wake_main_loop()
 
     def begin_failover(self) -> None:
         """Interrupt this node for a head re-root, preserving its sink.
@@ -216,11 +229,19 @@ class _BaseNode:
         (:meth:`detach_sink`), notes the node's stream offset, and builds
         a replacement node that resumes from both.  Must be followed by
         :meth:`join` before the listener port or sink are reused.
+
+        From here on the node issues no death verdicts and reroutes
+        nothing: its neighbours are being detached too, so a socket
+        error it sees *is* the detach, not a failure to report.  Its
+        connections stay open (peers may still be writing to them) until
+        :meth:`close_connections`, which the caller invokes once every
+        survivor has been detached.
         """
         self.failover_requested.set()
-        self.stop_event.set()
-        if not self.silent:
-            self.listener.close()
+        self.shutdown()
+
+    def _wake_main_loop(self) -> None:
+        """Cross-thread: end whatever blocking wait the main loop is in."""
 
     # -- crash injection ------------------------------------------------
 
@@ -237,9 +258,10 @@ class _BaseNode:
             # Abrupt process death: the OS closes everything (RST).
             self.stop_event.set()
             self.listener.close()
-            self._close_everything()
+            self.close_connections()
 
-    def _close_everything(self) -> None:
+    def close_connections(self) -> None:
+        """Close every data connection; main loop must have exited."""
         raise NotImplementedError
 
     def _run_wrapper(self) -> None:
@@ -248,9 +270,10 @@ class _BaseNode:
         except InjectedCrash as crash:
             self._die(crash.mode)
         except TransferAborted as exc:
-            # Deliberate interruption (idle timeout or failover detach):
-            # record quietly — the sink is left exactly as it was.
-            self.outcome.error = str(exc)
+            # Deliberate interruption (idle timeout, shutdown or failover
+            # detach): record quietly — the sink is left exactly as it
+            # was.  Whoever interrupted may have said why already.
+            self.outcome.error = self.outcome.error or str(exc)
             self.shutdown()
         except Exception as exc:  # noqa: BLE001 - node must record, not raise
             logger.exception("%s: node failed", self.name)
@@ -297,7 +320,8 @@ class HeadNode(_BaseNode):
             # the seekable resumed source serves by random access.
             self.state.buffer.note_advance(resume_offset)
         self.link = DownstreamLink(name, self.plan, registry, config,
-                                   self.state, tracer)
+                                   self.state, tracer,
+                                   detaching=self.failover_requested)
         self.quit_requested = threading.Event()
         self.final_report: Optional[TransferReport] = None
         self._ring_event = threading.Event()
@@ -428,7 +452,7 @@ class HeadNode(_BaseNode):
         state.on_passed() if state.phase in (Phase.ENDED, Phase.ABORTED) else None
         self.shutdown()
 
-    def _close_everything(self) -> None:
+    def close_connections(self) -> None:
         if self._readahead is not None:
             self._readahead.stop()
         self.link.close()
@@ -474,8 +498,12 @@ class ReceiverNode(_BaseNode):
             self.state.buffer.note_advance(resume_offset)
             self.outcome.bytes_received = resume_offset
         self.link = DownstreamLink(name, self.plan, registry, config,
-                                   self.state, tracer)
+                                   self.state, tracer,
+                                   detaching=self.failover_requested)
         self.upstream: Optional[SocketStream] = None
+        #: When the current upstream last delivered a frame, or was
+        #: adopted (main loop writes, acceptor reads).
+        self._last_progress = time.monotonic()
 
     def detach_sink(self) -> Sink:
         """Recover the raw sink after ``begin_failover()`` + ``join()``.
@@ -490,29 +518,66 @@ class ReceiverNode(_BaseNode):
 
     # -- upstream management ----------------------------------------------
 
+    def adopt_data_connection(self, stream: SocketStream) -> None:
+        """Queue a new upstream; end the read on a quiet one it replaces.
+
+        A DATA connection arriving while the upstream has been quiet for
+        ``io_timeout`` means the node before a dead one routed around it
+        (§III-D): the old connection will never carry another byte, so
+        its reader is woken instead of left to find the replacement at
+        its next read timeout.  An upstream that is still delivering is
+        left alone — a stray connection must not displace it; the
+        newcomer waits for the next read timeout, if there ever is one.
+        """
+        # Read before queueing: the main loop may adopt `stream` the
+        # moment it is queued, and must not then be the one woken.
+        replaced = self.upstream
+        quiet_for = time.monotonic() - self._last_progress
+        self.data_inbox.put(stream)
+        if replaced is not None and quiet_for >= self.config.io_timeout:
+            replaced.wake_reader()
+
+    def _wake_main_loop(self) -> None:
+        # The flags are set before this runs, and the main loop checks
+        # ``failover_requested`` before every upstream read and
+        # ``stop_event`` before every inbox wait it enters afterwards:
+        # a detach cannot slip between the check and the wait.
+        self.data_inbox.put(None)
+        upstream = self.upstream
+        if upstream is not None:
+            upstream.wake_reader()
+
+    def _adopt_upstream(self, stream: SocketStream, detail: str) -> bool:
+        """GET on a queued connection and make it the upstream."""
+        try:
+            stream.send_message(Get(self.state.offset),
+                                timeout=self.config.io_timeout)
+        except (WriteStalled, ConnectionError):
+            stream.close()
+            return False
+        # Stamped before the stream is published, so the acceptor never
+        # pairs the new upstream with the old one's quietness.
+        self._last_progress = time.monotonic()
+        self.upstream = stream
+        self.tracer.emit(tracing.CONNECT, self.name,
+                         offset=self.state.offset, detail=detail)
+        return True
+
     def _acquire_upstream(self) -> None:
         """Block until an inbound data connection exists, then GET on it."""
         deadline = time.monotonic() + self.config.report_timeout
         while self.upstream is None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
+            if self.stop_event.is_set():
+                raise TransferAborted(f"{self.name}: shut down while idle")
+            try:
+                stream = self.data_inbox.get(
+                    timeout=max(0.0, deadline - time.monotonic()))
+            except queue.Empty:
                 raise TransferAborted(
                     f"{self.name}: no upstream connection arrived"
-                )
-            try:
-                stream = self.data_inbox.get(timeout=min(remaining, 0.2))
-            except queue.Empty:
-                if self.stop_event.is_set():
-                    raise TransferAborted(f"{self.name}: shut down while idle")
-                continue
-            try:
-                stream.send_message(Get(self.state.offset),
-                                    timeout=self.config.io_timeout)
-                self.upstream = stream
-                self.tracer.emit(tracing.CONNECT, self.name,
-                                 offset=self.state.offset, detail="upstream")
-            except (WriteStalled, ConnectionError):
-                stream.close()
+                ) from None
+            if stream is not None:  # None: shutdown()'s wake-up
+                self._adopt_upstream(stream, "upstream")
 
     def _switch_upstream_if_replaced(self) -> bool:
         """If a newer inbound connection was queued, adopt it (the previous
@@ -521,19 +586,10 @@ class ReceiverNode(_BaseNode):
             stream = self.data_inbox.get_nowait()
         except queue.Empty:
             return False
-        if self.upstream is not None:
-            self.upstream.close()
-        self.upstream = None
-        try:
-            stream.send_message(Get(self.state.offset),
-                                timeout=self.config.io_timeout)
-            self.upstream = stream
-            self.tracer.emit(tracing.CONNECT, self.name,
-                             offset=self.state.offset, detail="upstream-replaced")
-            return True
-        except (WriteStalled, ConnectionError):
-            stream.close()
-            return False
+        if stream is None:
+            return False  # shutdown()'s wake-up; stop_event says the rest
+        self._drop_upstream()
+        return self._adopt_upstream(stream, "upstream-replaced")
 
     def _drop_upstream(self) -> None:
         if self.upstream is not None:
@@ -687,7 +743,6 @@ class ReceiverNode(_BaseNode):
         upstream_report: Optional[bytes] = None
         #: Non-DATA frame decoded while draining a batch; handled next turn.
         carried: Optional[tuple] = None
-        last_progress = time.monotonic()
 
         while True:
             if self.failover_requested.is_set():
@@ -699,7 +754,6 @@ class ReceiverNode(_BaseNode):
             if self.upstream is None:
                 carried = None
                 self._acquire_upstream()
-                last_progress = time.monotonic()
                 continue
             try:
                 if carried is not None:
@@ -707,15 +761,6 @@ class ReceiverNode(_BaseNode):
                     carried = None
                 else:
                     msg, payload = self.upstream.recv_message(cfg.io_timeout)
-            except TimeoutError:
-                if self._switch_upstream_if_replaced():
-                    last_progress = time.monotonic()
-                elif self.failover_requested.is_set():
-                    pass  # loop top raises TransferAborted, sink untouched
-                elif time.monotonic() - last_progress > cfg.report_timeout:
-                    self._hard_abort("upstream silent beyond deadline")
-                    return None
-                continue
             except FramingError as exc:
                 # A poisoned byte stream cannot be resynchronised: drop
                 # the connection and wait for a clean reconnect, exactly
@@ -725,10 +770,22 @@ class ReceiverNode(_BaseNode):
                             self.name, exc)
                 self._drop_upstream()
                 continue
-            except ConnectionError:
-                self._drop_upstream()
+            except (TimeoutError, ConnectionError) as exc:
+                # The read ended without a frame: the peer went silent or
+                # away, or this node's own reader was woken — by the
+                # acceptor queueing a replacement, or by a detach.
+                if self.failover_requested.is_set():
+                    continue  # loop top detaches; sink and sockets as-is
+                if self._switch_upstream_if_replaced():
+                    continue
+                if isinstance(exc, ConnectionError):
+                    self._drop_upstream()
+                elif (time.monotonic() - self._last_progress
+                        > cfg.report_timeout):
+                    self._hard_abort("upstream silent beyond deadline")
+                    return None
                 continue
-            last_progress = time.monotonic()
+            self._last_progress = time.monotonic()
 
             if isinstance(msg, Data):
                 # Batch the burst: every frame the last socket read
@@ -814,6 +871,6 @@ class ReceiverNode(_BaseNode):
         finally:
             stream.close()
 
-    def _close_everything(self) -> None:
+    def close_connections(self) -> None:
         self._drop_upstream()
         self.link.close()

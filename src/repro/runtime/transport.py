@@ -152,6 +152,21 @@ class SocketStream:
         """Non-blocking poll for an already-buffered frame."""
         return self._decoder.try_pop()
 
+    def wake_reader(self) -> None:
+        """Make a ``recv_message`` blocked in another thread return now.
+
+        Shuts the receive direction down: the reader is handed whatever
+        the kernel already buffered and then ``ConnectionError``, as if
+        the peer had closed.  Nothing is sent to the peer, the send
+        direction stays usable, and the per-frame path pays nothing for
+        it.  Sticky (a wake before the read ends that read at once) and
+        harmless on a stream already closed.
+        """
+        try:
+            self._sock.shutdown(socket.SHUT_RD)
+        except OSError:
+            pass  # already closed, or the peer reset the connection
+
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
@@ -365,7 +380,8 @@ def connect(
     try:
         sock = socket.create_connection(addr.as_tuple(), timeout=timeout)
     except OSError as exc:
-        raise NodeFailedError(f"{addr.host}:{addr.port}", f"connect failed: {exc}")
+        raise NodeFailedError(f"{addr.host}:{addr.port}",
+                              f"connect failed: {exc}") from exc
     stream = SocketStream(sock)
     try:
         stream.send_raw(kind, timeout=timeout)
@@ -413,9 +429,12 @@ class Listener:
         Returns ``(kind, stream)``.  Raises ``TimeoutError`` if nothing
         arrives, ``ConnectionError`` once closed.
         """
-        self._sock.settimeout(timeout)
         while True:
             try:
+                # Inside the try: close() from another thread (a node
+                # shutting down under its acceptor) must read as
+                # "listener closed", whichever call notices first.
+                self._sock.settimeout(timeout)
                 conn, _peer = self._sock.accept()
                 break
             except socket.timeout:

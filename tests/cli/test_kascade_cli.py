@@ -1,6 +1,8 @@
 """Tests for the ``kascade`` command-line interface."""
 
+import socket
 import threading
+import time
 
 import pytest
 
@@ -116,22 +118,21 @@ class TestDemo:
         assert (tmp_path / "n2.copy").read_bytes() == b"piped-data"
 
 
+def free_registry(count):
+    """A ``--nodes`` spec of ``count`` nodes on currently-free ports."""
+    ports = []
+    for _ in range(count):
+        s = socket.socket()
+        s.bind(("127.0.0.1", 0))
+        ports.append(s.getsockname()[1])
+        s.close()
+    return ",".join(f"n{i + 1}=127.0.0.1:{p}" for i, p in enumerate(ports))
+
+
 class TestSendRecv:
     def test_multi_process_style_pipeline(self, tmp_path):
         """send + two recv mains, each in its own thread, real TCP."""
-        import socket
-
-        def free_port():
-            s = socket.socket()
-            s.bind(("127.0.0.1", 0))
-            port = s.getsockname()[1]
-            s.close()
-            return port
-
-        ports = [free_port() for _ in range(3)]
-        nodes = ",".join(
-            f"n{i + 1}=127.0.0.1:{p}" for i, p in enumerate(ports)
-        )
+        nodes = free_registry(3)
         src = tmp_path / "in.bin"
         src.write_bytes(bytes(range(256)) * 200)
 
@@ -159,6 +160,39 @@ class TestSendRecv:
         assert results == {"n2": 0, "n3": 0}
         for out in outs.values():
             assert out.read_bytes() == src.read_bytes()
+
+    def test_recv_started_after_send_is_waited_for(self, tmp_path, capsys):
+        """Start-up is not failure detection: a receiver whose listener
+        comes up 0.3 s after the sender began is connected to, not
+        routed around, and the report names no failure."""
+        nodes = free_registry(3)
+        src = tmp_path / "in.bin"
+        src.write_bytes(bytes(range(256)) * 200)
+        results = {}
+
+        def send():
+            results["n1"] = main(["send", "--name", "n1", "--nodes", nodes,
+                                  "-i", str(src)])
+
+        def recv(name, out):
+            results[name] = main(["recv", "--name", name, "--nodes", nodes,
+                                  "-o", str(out)])
+
+        outs = {n: tmp_path / f"{n}.out" for n in ("n2", "n3")}
+        sender = threading.Thread(target=send)
+        sender.start()
+        time.sleep(0.3)
+        receivers = [
+            threading.Thread(target=recv, args=(n, outs[n])) for n in outs
+        ]
+        for t in receivers:
+            t.start()
+        for t in (sender, *receivers):
+            t.join(timeout=60)
+        assert results == {"n1": 0, "n2": 0, "n3": 0}
+        for out in outs.values():
+            assert out.read_bytes() == src.read_bytes()
+        assert "transfer complete, no failures" in capsys.readouterr().out
 
     def test_striped_send_recv(self, tmp_path):
         """--stripes 2 end-to-end: stripe j listens on registry port + j
@@ -291,6 +325,18 @@ class TestCompare:
             "--order", "random", "--methods", "Kascade", "--no-startup",
         ])
         assert rc == 0
+
+
+class TestImportCost:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        """numpy is half the CLI's import time and nothing on the
+        transfer path uses it: every agent process would pay for it."""
+        import subprocess
+        import sys
+
+        probe = ("import sys, repro.cli.kascade; "
+                 "sys.exit(1 if 'numpy' in sys.modules else 0)")
+        assert subprocess.run([sys.executable, "-c", probe]).returncode == 0
 
 
 class TestHelpSurfaces:

@@ -37,8 +37,8 @@ CFG = KascadeConfig(
 class ScriptedPeer:
     """A listener whose handler runs in a thread; records what it saw."""
 
-    def __init__(self, handler):
-        self.listener = Listener()
+    def __init__(self, handler, listener=None):
+        self.listener = listener or Listener()
         self.handler = handler
         self.seen = []
         self.thread = threading.Thread(target=self._run, daemon=True)
@@ -198,6 +198,82 @@ class TestReplay:
             alive.close()
         assert link.target is None or link.target == "n3"
         assert "n2" in {r.node for r in state.report.failures}
+
+
+class TestStartupConnectGrace:
+    """A refused connect before the link ever carried anything means the
+    peer is not listening *yet*; it gets ``connect_timeout`` to appear."""
+
+    @staticmethod
+    def reserved_address():
+        probe = Listener()
+        addr = probe.address
+        probe.close()
+        return addr
+
+    def test_late_listener_is_waited_for_not_declared_dead(self):
+        addr = self.reserved_address()
+        late = {}
+
+        def appear():
+            late["peer"] = ScriptedPeer(normal_receiver(),
+                                        Listener(port=addr.port))
+
+        plan = PipelinePlan(head="n1", receivers=("n2",))
+        registry = Registry({"n1": Address("127.0.0.1", 1), "n2": addr})
+        state = NodeTransferState("n1", CFG, source_kind=SourceKind.SEEKABLE_FILE)
+        link = DownstreamLink("n1", plan, registry, CFG, state)
+        timer = threading.Timer(0.3, appear)
+        timer.start()
+        try:
+            state.on_data(0, b"a" * 10)
+            assert link.send_data(0, b"a" * 10)
+            state.on_end(10)
+            assert link.finish(total=10, quit_first=False) == "passed"
+        finally:
+            timer.join()
+            late["peer"].close()
+        assert link.dead == set()
+        assert state.report.failures == []
+
+    def test_a_node_that_never_appears_is_dead_within_the_window(self):
+        import time
+
+        plan = PipelinePlan(head="n1", receivers=("n2",))
+        registry = Registry({"n1": Address("127.0.0.1", 1),
+                             "n2": self.reserved_address()})
+        state = NodeTransferState("n1", CFG, source_kind=SourceKind.SEEKABLE_FILE)
+        link = DownstreamLink("n1", plan, registry, CFG, state)
+        state.on_data(0, b"a" * 10)
+        began = time.monotonic()
+        assert link.send_data(0, b"a" * 10) is False
+        waited = time.monotonic() - began
+        assert link.dead == {"n2"}
+        assert CFG.connect_timeout * 0.8 <= waited < CFG.connect_timeout + 0.5
+
+    def test_no_grace_once_the_link_has_carried_the_stream(self):
+        """Mid-transfer a refused connect is a death, at once."""
+        import time
+
+        alive = ScriptedPeer(lambda peer, kind, stream: (
+            stream.send_message(Get(0), timeout=1.0), stream.close(), True)[-1])
+        plan = PipelinePlan(head="n1", receivers=("n2", "n3"))
+        registry = Registry({"n1": Address("127.0.0.1", 1),
+                             "n2": alive.address,
+                             "n3": self.reserved_address()})
+        state = NodeTransferState("n1", CFG, source_kind=SourceKind.SEEKABLE_FILE)
+        link = DownstreamLink("n1", plan, registry, CFG, state)
+        try:
+            state.on_data(0, b"a" * 10)
+            assert link.send_data(0, b"a" * 10)  # handshake with n2 done
+            alive.thread.join(timeout=5.0)       # n2 hung up
+            state.on_end(10)
+            began = time.monotonic()
+            assert link.finish(total=10, quit_first=False) == "tail"
+            assert time.monotonic() - began < CFG.connect_timeout * 0.5
+        finally:
+            alive.close()
+        assert link.dead == {"n2", "n3"}
 
 
 class TestEffectiveTail:

@@ -3,6 +3,7 @@ timeout behaviour, and stall resumption."""
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -142,3 +143,69 @@ class TestMessageExchange:
         t.join()
         client.close()
         server.close()
+
+
+class TestWakeReader:
+    """``wake_reader()``: the cross-thread interrupt a detach relies on."""
+
+    _pair = TestMessageExchange._pair
+
+    def test_blocked_reader_returns_within_50ms_of_the_wake(self, listener):
+        client, server = self._pair(listener)
+        seen = {}
+
+        def read():
+            try:
+                server.recv_message(timeout=30.0)
+            except ConnectionError:
+                seen["woke_at"] = time.monotonic()
+
+        t = threading.Thread(target=read)
+        t.start()
+        time.sleep(0.2)  # let the reader block in recv_into
+        assert t.is_alive()
+        woken = time.monotonic()
+        server.wake_reader()
+        t.join(timeout=5.0)
+        assert not t.is_alive()
+        assert seen["woke_at"] - woken < 0.05
+        client.close()
+        server.close()
+
+    def test_buffered_frames_are_delivered_before_the_wake_shows(self, listener):
+        client, server = self._pair(listener)
+        client.send_message(Get(7), timeout=1.0)
+        time.sleep(0.05)  # frame reaches the server's kernel buffer
+        server.wake_reader()
+        msg, _ = server.recv_message(timeout=30.0)
+        assert msg == Get(7)
+        with pytest.raises(ConnectionError):
+            server.recv_message(timeout=30.0)
+        client.close()
+        server.close()
+
+    def test_wake_before_read_ends_that_read_at_once(self, listener):
+        client, server = self._pair(listener)
+        server.wake_reader()
+        began = time.monotonic()
+        with pytest.raises(ConnectionError):
+            server.recv_message(timeout=30.0)
+        assert time.monotonic() - began < 0.05
+        client.close()
+        server.close()
+
+    def test_send_direction_survives_the_wake(self, listener):
+        client, server = self._pair(listener)
+        server.wake_reader()
+        server.send_message(Pong(3), timeout=1.0)
+        msg, _ = client.recv_message(timeout=1.0)
+        assert msg == Pong(3)
+        client.close()
+        server.close()
+
+    def test_wake_after_close_is_harmless(self, listener):
+        client, server = self._pair(listener)
+        server.close()
+        server.wake_reader()
+        server.wake_reader()
+        client.close()

@@ -30,17 +30,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import Dict, List, Tuple
 
 from ..core import DEFAULT_CONFIG, KascadeConfig
 from ..core.plan import ChainPlan
 from ..core.recovery import SourceKind
-from ..core.report import TransferReport
 from ..core.sinks import open_sink
 from ..core.sources import open_source
-from ..core.stripes import StripeMergeSink, StripeSource
 from ..core.tracing import NULL_TRACER, TraceCollector
-from ..runtime import HeadNode, Listener, ReceiverNode, Registry
+from ..runtime import HostChains, Listener, Registry
 from ..runtime.transport import Address
 
 
@@ -168,14 +167,23 @@ def cmd_demo(args: argparse.Namespace) -> int:
     result = run_broadcast(source, receivers, sink_factory=sink_factory,
                            config=config, trace=args.trace,
                            timeout=args.run_timeout)
+    return print_result(result, args)
+
+
+def print_result(result, args: argparse.Namespace) -> int:
+    """Render a ``demo``/``deploy`` result; returns the exit code."""
     delivered = [n for n in result.completed_nodes if n != "n1"]
     print(f"{result.total_bytes} bytes to {len(delivered)} node(s) "
           f"in {result.duration:.2f}s "
           f"({result.throughput / 1e6:.1f} MB/s)")
+    if result.launch is not None:
+        print(f"launch: {result.launch.summary()}")
+        print(result.launch.compare().render())
     print(result.report.summary())
     for name, outcome in sorted(result.outcomes.items()):
         status = "ok" if outcome.ok else f"FAILED ({outcome.error})"
-        print(f"  {name}: {outcome.bytes_received} bytes, {status}")
+        digest = f", sha256={outcome.digest[:12]}…" if outcome.digest else ""
+        print(f"  {name}: {outcome.bytes_received} bytes, {status}{digest}")
     if args.trace and result.trace is not None:
         print(result.trace.failure_chronology())
         print(f"trace: {result.trace.summary()} -> {args.trace}")
@@ -239,22 +247,7 @@ def cmd_deploy(args: argparse.Namespace) -> int:
         coordinator_replicas=args.coordinator_replicas,
         allow_head_chaos=args.allow_head_chaos,
     )
-    delivered = [n for n in result.completed_nodes if n != "n1"]
-    print(f"{result.total_bytes} bytes to {len(delivered)} node(s) "
-          f"in {result.duration:.2f}s "
-          f"({result.throughput / 1e6:.1f} MB/s)")
-    if result.launch is not None:
-        print(f"launch: {result.launch.summary()}")
-        print(result.launch.compare().render())
-    print(result.report.summary())
-    for name, outcome in sorted(result.outcomes.items()):
-        status = "ok" if outcome.ok else f"FAILED ({outcome.error})"
-        digest = f", sha256={outcome.digest[:12]}…" if outcome.digest else ""
-        print(f"  {name}: {outcome.bytes_received} bytes, {status}{digest}")
-    if args.trace and result.trace is not None:
-        print(result.trace.failure_chronology())
-        print(f"trace: {result.trace.summary()} -> {args.trace}")
-    return 0 if result.ok else 1
+    return print_result(result, args)
 
 
 def cmd_replica(args: argparse.Namespace) -> int:
@@ -268,12 +261,7 @@ def cmd_replica(args: argparse.Namespace) -> int:
 
 def cmd_agent(args: argparse.Namespace) -> int:
     """One deployed node process (normally spawned by ``deploy``)."""
-    try:
-        host, port = args.coordinator.rsplit(":", 1)
-        coordinator = (host, int(port))
-    except ValueError:
-        raise SystemExit(f"bad --coordinator {args.coordinator!r} "
-                         f"(expected HOST:PORT)")
+    coordinator = _parse_hostport(args.coordinator, "--coordinator")
     if args.fleet:
         from ..daemon.agent import run_fleet_agent
 
@@ -390,15 +378,60 @@ def cmd_submit(args: argparse.Namespace) -> int:
     return 0 if reply.get("ok") else 1
 
 
-def _stripe_registries(addrs: Dict[str, Address], stripes: int):
-    """One registry per stripe: stripe ``j`` of every node listens on
-    its registry port + ``j`` (the consecutive-port convention, so one
-    ``--nodes`` spec describes all k chains)."""
-    return [
-        Registry({name: Address(a.host, a.port + j)
-                  for name, a in addrs.items()})
-        for j in range(stripes)
-    ]
+def _run_host(args: argparse.Namespace, config: KascadeConfig, **role):
+    """Run this process's host of the ``--nodes`` schedule to the end.
+
+    One :class:`~repro.runtime.host.HostChains`: one chain instance per
+    stripe, stripe ``j`` of every node on its registry port + ``j`` (the
+    consecutive-port convention, so one ``--nodes`` spec describes all
+    the chains).  ``role`` is the head's ``source`` or a receiver's
+    ``sink``.  Returns the finished host.
+    """
+    names, addrs = parse_registry(args.nodes)
+    if args.name not in addrs:
+        raise SystemExit(f"--name {args.name!r} not present in --nodes")
+    if "source" in role and args.name != names[0]:
+        raise SystemExit("the sending node must be first in --nodes")
+    chain_plan = ChainPlan.build(names[0], tuple(names[1:]),
+                                 stripes=config.stripes, order="given")
+    me = addrs[args.name]
+    stripes = range(config.stripes)
+    listeners = [Listener(host=me.host, port=me.port + j) for j in stripes]
+    registries = [Registry({name: Address(a.host, a.port + j)
+                            for name, a in addrs.items()})
+                  for j in stripes]
+    tracer, finish_trace = make_tracer(args)
+    host = HostChains(args.name, chain_plan, registries, listeners, config,
+                      tracer=tracer, **role)
+    nodes = list(host.nodes.values())
+    if config.data_plane == "evloop":
+        from ..runtime.evloop import Reactor
+
+        # This thread *is* the event loop, for every stripe.
+        reactor = Reactor()
+        for node in nodes:
+            node.attach(reactor)
+            node.start()
+
+        def wait(deadline=None):
+            reactor.run(stop_when=lambda: all(n.finished for n in nodes),
+                        deadline=deadline)
+    else:
+        host.start()
+        wait = host.join
+    try:
+        wait()
+    except KeyboardInterrupt:
+        if not host.is_head:
+            raise
+        # ^C on the sender → QUIT path: keep driving the same nodes so
+        # the report exchange can still complete (bounded by
+        # report_timeout).
+        host.request_quit()
+        wait(time.monotonic() + config.report_timeout * 2)
+    finish_trace()
+    host.close()
+    return host
 
 
 def cmd_recv(args: argparse.Namespace) -> int:
@@ -408,48 +441,14 @@ def cmd_recv(args: argparse.Namespace) -> int:
     listening on registry port + stripe index, and merges the stripes
     back into the single output in order.
     """
-    names, addrs = parse_registry(args.nodes)
-    if args.name not in addrs:
-        raise SystemExit(f"--name {args.name!r} not present in --nodes")
-    config = build_config(args)
-    k = config.stripes
-    chain_plan = ChainPlan.build(names[0], tuple(names[1:]),
-                                 stripes=k, order="given")
-    me = addrs[args.name]
-    listeners = [Listener(host=me.host, port=me.port + j) for j in range(k)]
-    registries = _stripe_registries(addrs, k)
-    sink = open_sink(args.output, args.output_command)
-    if k == 1:
-        stripe_sinks = [sink]
-    else:
-        merger = StripeMergeSink(sink, k, config.chunk_size)
-        stripe_sinks = [merger.port(j) for j in range(k)]
-    tracer, finish_trace = make_tracer(args)
-    if config.data_plane == "evloop":
-        from ..runtime.evloop import EvReceiverNode, run_nodes
-        nodes = [EvReceiverNode(args.name, chain_plan.stripe(j),
-                                registries[j], listeners[j], config,
-                                stripe_sinks[j], tracer=tracer)
-                 for j in range(k)]
-        run_nodes(nodes)
-    else:
-        nodes = [ReceiverNode(args.name, chain_plan.stripe(j),
-                              registries[j], listeners[j], config,
-                              stripe_sinks[j], tracer=tracer)
-                 for j in range(k)]
-        for node in nodes:
-            node.start()
-        for node in nodes:
-            node.join()
-    finish_trace()
-    ok = all(node.outcome.ok for node in nodes)
-    if ok:
-        total = sum(node.outcome.bytes_received for node in nodes)
-        print(f"{args.name}: received {total} bytes")
+    host = _run_host(args, build_config(args),
+                     sink=open_sink(args.output, args.output_command))
+    outcome = host.outcome
+    if outcome.ok:
+        print(f"{args.name}: received {outcome.bytes_received} bytes")
         return 0
-    error = next((n.outcome.error for n in nodes if n.outcome.error),
-                 "unknown error")
-    print(f"{args.name}: FAILED: {error}", file=sys.stderr)
+    print(f"{args.name}: FAILED: {outcome.error or 'unknown error'}",
+          file=sys.stderr)
     return 1
 
 
@@ -461,69 +460,16 @@ def cmd_send(args: argparse.Namespace) -> int:
     is its registry port + ``j``.  Striping needs random access to the
     input, so stdin cannot be striped.
     """
-    names, addrs = parse_registry(args.nodes)
-    if args.name != names[0]:
-        raise SystemExit("the sending node must be first in --nodes")
     config = build_config(args)
-    k = config.stripes
-    chain_plan = ChainPlan.build(names[0], tuple(names[1:]),
-                                 stripes=k, order="given")
-    me = addrs[args.name]
     source = open_source(args.input)
-    if k > 1 and source.kind is not SourceKind.SEEKABLE_FILE:
+    if config.stripes > 1 and source.kind is not SourceKind.SEEKABLE_FILE:
         raise SystemExit("--stripes needs a seekable input file; "
                          "stdin cannot be striped (give -i FILE)")
-    sources = ([source] if k == 1 else
-               [StripeSource(source, j, k, config.chunk_size)
-                for j in range(k)])
-    listeners = [Listener(host=me.host, port=me.port + j) for j in range(k)]
-    registries = _stripe_registries(addrs, k)
-    tracer, finish_trace = make_tracer(args)
-    if config.data_plane == "evloop":
-        from ..runtime.evloop import EvHeadNode, Reactor
-        nodes = [EvHeadNode(args.name, chain_plan.stripe(j), registries[j],
-                            listeners[j], config, sources[j], tracer=tracer)
-                 for j in range(k)]
-        reactor = Reactor()
-        for node in nodes:
-            node.attach(reactor)
-            node.start()
-        try:
-            reactor.run(stop_when=lambda: all(n.finished for n in nodes))
-        except KeyboardInterrupt:
-            # ^C → QUIT path: resume the same reactor so the report
-            # exchange can still complete (bounded by report_timeout).
-            import time as _time
-            for node in nodes:
-                node.request_quit()
-            reactor.run(stop_when=lambda: all(n.finished for n in nodes),
-                        deadline=_time.monotonic() + config.report_timeout * 2)
-    else:
-        nodes = [HeadNode(args.name, chain_plan.stripe(j), registries[j],
-                          listeners[j], config, sources[j], tracer=tracer)
-                 for j in range(k)]
-        for node in nodes:
-            node.start()
-        try:
-            for node in nodes:
-                node.join()
-        except KeyboardInterrupt:
-            for node in nodes:
-                node.request_quit()
-            for node in nodes:
-                node.join()
-    finish_trace()
-    if k == 1:
-        report = nodes[0].final_report
-    else:
-        # Pool the per-stripe ring-closure reports for the summary.
-        report = TransferReport()
-        for node in nodes:
-            if node.final_report is not None:
-                report.extend(node.final_report.failures)
+    host = _run_host(args, config, source=source)
+    report = host.report
     if report is not None:
         print(report.summary())
-    return 0 if all(node.outcome.ok for node in nodes) else 1
+    return 0 if host.outcome.ok else 1
 
 
 def main(argv: List[str] | None = None) -> int:

@@ -215,13 +215,26 @@ def spawn_replicas(count: int, *, python: str, bind_host: str = "127.0.0.1",
                 )
             addrs.append((bind_host, int(line.rsplit("PORT=", 1)[1])))
     except BaseException:
-        for proc in procs:
-            try:
-                proc.kill()
-            except OSError:
-                pass
+        kill_replicas(procs)
         raise
     return procs, addrs
+
+
+def kill_replicas(procs) -> None:
+    """SIGKILL and reap replica subprocesses: none outlives its
+    supervisor (the procs coordinator, the daemon server)."""
+    import subprocess
+
+    for proc in procs:
+        try:
+            proc.kill()
+        except OSError:
+            pass
+    for proc in procs:
+        try:
+            proc.wait(timeout=5.0)
+        except subprocess.TimeoutExpired:  # pragma: no cover
+            pass
 
 
 def main(argv: Optional[List[str]] = None) -> int:

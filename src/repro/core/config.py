@@ -71,8 +71,8 @@ class KascadeConfig:
         prefetching.
     stripes:
         How many interleaved chains carry the stream.  ``1`` (default)
-        is the classic single pipeline, byte-identical to the legacy
-        path.  With ``k > 1`` the stream is split round-robin over the
+        is the classic single pipeline — the one-stripe case of the
+        same run path, not a separate one.  With ``k > 1`` the stream is split round-robin over the
         chunk index into ``k`` stripes, each broadcast down its own
         chain (see :mod:`repro.core.plan`), with per-stripe ring
         buffers and recovery and an in-order merge at every sink.
@@ -108,7 +108,7 @@ class KascadeConfig:
     sink_writeback_depth: int = 8  # 0 = synchronous sink writes
     sink_writeback_budget: int = 32 * MiB
     readahead_chunks: int = 2  # 0 = no head-node prefetch
-    stripes: int = 1  # 1 = single chain (legacy path)
+    stripes: int = 1  # 1 = single chain (the one-stripe case)
     cache_bytes: int = 256 * MiB  # 0 = no cross-session chunk cache
     data_plane: str = "threaded"  # "threaded" | "evloop"
 

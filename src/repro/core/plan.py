@@ -31,11 +31,10 @@ topology-friendly chain.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Tuple
 
-from .errors import PipelineError
+from .errors import KascadeError, PipelineError
 from .pipeline import PipelinePlan
 
 if TYPE_CHECKING:  # annotation only: numpy stays off the CLI import path
@@ -50,8 +49,8 @@ class StripePlan(PipelinePlan):
 
     ``stripe`` is this chain's stripe index, ``of`` the total stripe
     count of the schedule it belongs to.  The defaults (``0 of 1``)
-    describe the classic single-chain broadcast, which is why a
-    single-stripe plan behaves byte-identically to the legacy path.
+    describe the classic single-chain broadcast: a single-stripe plan
+    *is* the paper's one pipeline.
     """
 
     stripe: int = 0
@@ -143,6 +142,34 @@ class ChainPlan:
         )
 
     @classmethod
+    def resolve(
+        cls,
+        plan: Optional["ChainPlan"],
+        head: str,
+        receivers: Sequence[str],
+        *,
+        stripes: int,
+        order: str = "given",
+    ) -> "ChainPlan":
+        """The schedule a backend runs: ``plan`` when the caller brought
+        one (its head and per-stripe orders win; it must cover exactly
+        ``receivers`` and agree with ``stripes``, the configured count),
+        else one built from ``head``/``order``/``stripes``."""
+        if plan is None:
+            return cls.build(head, receivers, stripes=stripes, order=order)
+        if set(plan.receivers) != set(receivers):
+            raise KascadeError(
+                "chain plan covers different receivers than requested: "
+                f"{sorted(plan.receivers)} vs {sorted(receivers)}"
+            )
+        if stripes not in (1, plan.stripe_count):
+            raise KascadeError(
+                f"config.stripes={stripes} conflicts with a "
+                f"{plan.stripe_count}-stripe plan"
+            )
+        return plan
+
+    @classmethod
     def from_orders(
         cls, head: str, orders: Sequence[Sequence[str]]
     ) -> "ChainPlan":
@@ -160,7 +187,7 @@ class ChainPlan:
 
     @classmethod
     def from_pipeline(cls, plan: PipelinePlan) -> "ChainPlan":
-        """Lift a legacy single-chain plan into a schedule."""
+        """Lift a plain single-chain plan into a schedule."""
         return cls.single(plan.head, plan.receivers)
 
     # ------------------------------------------------------------------
@@ -298,10 +325,11 @@ def coerce_stripe_plan(plan, *, owner: str) -> StripePlan:
 
     * a :class:`StripePlan` — passed through;
     * a single-stripe :class:`ChainPlan` — unwrapped (a multi-stripe one
-      is ambiguous: pass ``plan.stripe(j)`` instead);
-    * a bare :class:`PipelinePlan` — **deprecated**: the implicit
-      positional predecessor/successor wiring it encodes is superseded
-      by the explicit plan objects.  Warns and adapts for one release.
+      is ambiguous: pass ``plan.stripe(j)`` instead).
+
+    A bare :class:`PipelinePlan` is refused: the implicit positional
+    predecessor/successor wiring it encodes was superseded by the
+    explicit plan objects (deprecated in PR 7, removed since).
     """
     if isinstance(plan, ChainPlan):
         if plan.stripe_count != 1:
@@ -312,17 +340,9 @@ def coerce_stripe_plan(plan, *, owner: str) -> StripePlan:
         return plan.stripe(0)
     if isinstance(plan, StripePlan):
         return plan
-    if isinstance(plan, PipelinePlan):
-        warnings.warn(
-            f"passing a bare PipelinePlan to {owner} is deprecated; its "
-            "implicit predecessor/successor wiring is superseded by "
-            "repro.core.plan.StripePlan / ChainPlan — pass "
-            "ChainPlan.from_pipeline(plan).stripe(0) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return StripePlan.from_pipeline(plan)
+    hint = (": pass ChainPlan.from_pipeline(plan).stripe(0)"
+            if isinstance(plan, PipelinePlan) else "")
     raise TypeError(
-        f"{owner} needs a StripePlan/ChainPlan/PipelinePlan, "
-        f"got {type(plan).__name__}"
+        f"{owner} needs a StripePlan or a 1-stripe ChainPlan, "
+        f"got {type(plan).__name__}{hint}"
     )

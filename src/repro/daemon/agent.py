@@ -39,7 +39,7 @@ import os
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import tracing
 from ..core.cache import ArtifactMeta, ChunkCache
@@ -385,9 +385,8 @@ def run_fleet_agent(
         "host": advertise_host,
         "fleet": True,
         # The fleet agent has no boot-time data port: sessions bind
-        # their own.  The registered "port" is the pull server, which
+        # their own.  The registered port is the pull server, which
         # *is* this agent's one stable, always-on data endpoint.
-        "port": pull_server.port,
         "ports": [pull_server.port],
         "pull_port": pull_server.port,
     })
@@ -396,6 +395,10 @@ def run_fleet_agent(
     sessions: Dict[str, _SessionState] = {}
     lock = threading.Lock()
     exit_code = EXIT_OK
+
+    def session_progress(sid: str) -> Callable[[int], None]:
+        return lambda total: channel.send(
+            {"op": "progress", "session": sid, "bytes": total})
 
     def finish_session(state: _SessionState, status: dict) -> None:
         channel.send({"op": "session_status", "session": state.session,
@@ -410,15 +413,14 @@ def run_fleet_agent(
         def run() -> None:
             try:
                 status = fn()
-            except TransferSetupError as exc:
-                status = {"name": name, "ok": False, "bytes": 0,
-                          "crashed": False, "error": str(exc),
-                          "digest": None, "report": None, "failures": [],
-                          "from_cache": 0, "perfstats": {}, "trace": "",
-                          "trace_epoch": time.time()}
             except Exception as exc:  # a session must never kill the fleet
+                # A start message this agent cannot honour is a refusal,
+                # not a crash.
+                refused = isinstance(exc, TransferSetupError)
                 status = {"name": name, "ok": False, "bytes": 0,
-                          "crashed": True, "error": f"{type(exc).__name__}: {exc}",
+                          "crashed": not refused,
+                          "error": (str(exc) if refused
+                                    else f"{type(exc).__name__}: {exc}"),
                           "digest": None, "report": None, "failures": [],
                           "from_cache": 0, "perfstats": {}, "trace": "",
                           "trace_epoch": time.time()}
@@ -483,12 +485,8 @@ def run_fleet_agent(
                 run_msg = dict(msg)
                 listeners = state.listeners
 
-                def progress_send(total: int, _sid=session) -> None:
-                    channel.send({"op": "progress", "session": _sid,
-                                  "bytes": total})
-
                 start_worker(state, lambda m=run_msg, l=listeners,
-                             p=progress_send: {
+                             p=session_progress(session): {
                                  **execute_transfer(m, l, name,
                                                     progress_send=p,
                                                     cache=cache),
@@ -518,12 +516,9 @@ def run_fleet_agent(
                 run_deadline = time.monotonic() + float(
                     msg.get("run_timeout", 600.0))
 
-                def join_progress(total: int, _sid=session) -> None:
-                    channel.send({"op": "progress", "session": _sid,
-                                  "bytes": total})
-
                 start_worker(state, lambda a=artifact, pe=peers, o=output,
-                             ev=every, dl=run_deadline, pr=join_progress:
+                             ev=every, dl=run_deadline,
+                             pr=session_progress(session):
                              pull_catch_up(name, cache, a, pe, o,
                                            progress_send=pr,
                                            progress_every=ev, deadline=dl))

@@ -35,7 +35,6 @@ import hashlib
 import os
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -48,16 +47,22 @@ from ..core.errors import KascadeError
 from ..core.perfstats import get_stats
 from ..core.plan import ChainPlan
 from ..core.report import TransferReport
-from ..core.sources import FileSource, Source
+from ..core.sources import Source
 from ..core.tracing import NULL_TRACER, TraceCollector
-from ..deploy.agent import config_to_wire
+from ..deploy.agent import wiring_to_wire
 from ..deploy.chaos import ChaosEngine, ChaosPlan
 from ..deploy.coordinator import (
     Coordinator,
-    describe_exit,
+    materialize_source,
     rebase_events,
+    supervise,
 )
-from ..deploy.launcher import LaunchReport, WindowedLauncher
+from ..deploy.launcher import (
+    LaunchReport,
+    WindowedLauncher,
+    agent_spawner,
+    spawn_env,
+)
 from ..runtime.cluster import BroadcastResult
 from ..runtime.node import NodeOutcome
 
@@ -134,26 +139,6 @@ class FleetCoordinator(Coordinator):
             if msg.get("op") == "heartbeat":
                 continue
             self._router(agent, msg)
-
-
-def _materialize_source(source: Source) -> Tuple[str, Callable[[], None]]:
-    """A filesystem path agents can open, plus its cleanup (same rules
-    as the procs backend: file sources by path, everything else spooled
-    once — the head needs a seekable file for PGET recovery anyway)."""
-    if isinstance(source, FileSource):
-        return source.path, lambda: None
-    fd, path = tempfile.mkstemp(prefix="kascade-src-")
-    try:
-        with os.fdopen(fd, "wb") as spool:
-            while True:
-                chunk = source.read_chunk(1 << 20)
-                if not chunk:
-                    break
-                spool.write(chunk)
-    except BaseException:
-        os.unlink(path)
-        raise
-    return path, lambda: os.unlink(path)
 
 
 def _sha256_file(path: str) -> Tuple[str, int]:
@@ -265,7 +250,7 @@ class DaemonServer:
 
             self._replica_procs, addrs = spawn_replicas(
                 self.coordinator_replicas, python=self.python,
-                bind_host=self.bind_host, env=self._spawn_base_env(),
+                bind_host=self.bind_host, env=spawn_env(),
             )
             self._quorum = QuorumClient(addrs, proposer_id=os.getpid())
         self._coordinator = FleetCoordinator(router=self._route,
@@ -348,16 +333,10 @@ class DaemonServer:
                 self._quorum.shutdown_replicas()
             finally:
                 self._quorum.close()
-        for proc in self._replica_procs:
-            try:
-                proc.kill()
-            except OSError:
-                pass
-        for proc in self._replica_procs:
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                pass
+        if self._replica_procs:
+            from ..control.replica import kill_replicas
+
+            kill_replicas(self._replica_procs)
 
     def shutdown(self, grace: float = 5.0) -> None:
         """Graceful fleet teardown: quit, drain, kill only stragglers."""
@@ -409,74 +388,31 @@ class DaemonServer:
 
     # -- fleet spawning --------------------------------------------------
 
-    def _spawn_base_env(self) -> dict:
-        src_root = os.path.dirname(os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__))))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        return env
-
     def _make_spawn(self, control) -> Callable[[str, int], subprocess.Popen]:
-        env = self._spawn_base_env()
-        base = [
+        argv = [
             self.python, "-m", "repro.cli.kascade", "agent", "--fleet",
             "--coordinator", f"{control.host}:{control.port}",
             "--bind", self.bind_host,
             "--cache-bytes", str(self.cache_bytes),
             "--start-timeout", str(max(60.0, self.startup_timeout * 4)),
         ]
-
-        def spawn(name: str, attempt: int) -> subprocess.Popen:
-            cmd = base + ["--name", name]
-            if self.stderr_dir is not None:
-                stderr_path = os.path.join(self.stderr_dir,
-                                           f"{name}.stderr.log")
-                with open(stderr_path, "ab") as err:
-                    return subprocess.Popen(cmd, stdin=subprocess.DEVNULL,
-                                            stdout=subprocess.DEVNULL,
-                                            stderr=err, env=env)
-            return subprocess.Popen(cmd, stdin=subprocess.DEVNULL,
-                                    stdout=subprocess.DEVNULL,
-                                    stderr=subprocess.DEVNULL, env=env)
-
-        return spawn
+        return agent_spawner(argv, stderr_dir=self.stderr_dir)
 
     # -- supervision -----------------------------------------------------
 
     def _reaper_loop(self) -> None:
-        """waitpid + heartbeat supervision over the whole fleet.
+        """waitpid + heartbeat supervision over the whole fleet — the
+        procs backend's loop (:func:`repro.deploy.coordinator.supervise`).
 
         A dead fleet agent resolves every session it owed a status to —
         sessions must never hang on a process that no longer exists.
         """
         assert self._coordinator is not None
-        reaped: set = set()
-        self._coordinator.forgive_silence(self.fleet)
-        while not self._stop_reaper.wait(0.05):
-            for name, proc in self._procs.items():
-                if proc is None or name in reaped:
-                    continue
-                rc = proc.poll()
-                if rc is None:
-                    continue
-                reaped.add(name)
-                reason = describe_exit(rc)
-                if self._coordinator.mark_dead(name, reason):
-                    self.tracer.emit(
-                        tracing.FAILOVER, "server", peer=name,
-                        detail=reason,
-                        detector=tracing.DETECTOR_PROC_EXIT)
-                self._fail_open_sessions(name, reason)
-            for name in self._coordinator.silent_agents(
-                    self.fleet, self.heartbeat_timeout):
-                if name in reaped:
-                    continue
-                reason = (f"control-heartbeat silent > "
-                          f"{self.heartbeat_timeout}s")
-                if self._coordinator.mark_dead(name, reason):
-                    self._fail_open_sessions(name, reason)
+        supervise(self._coordinator, self._procs, self.fleet,
+                  self._stop_reaper,
+                  heartbeat_timeout=self.heartbeat_timeout,
+                  tracer=self.tracer, emitter="server",
+                  on_dead=self._fail_open_sessions)
 
     def _fail_open_sessions(self, name: str, reason: str) -> None:
         with self._lock:
@@ -654,7 +590,7 @@ class DaemonServer:
             if sid in self._sessions:
                 raise KascadeError(f"session {sid!r} already running")
 
-        path, cleanup_source = _materialize_source(source)
+        path, cleanup_source = materialize_source(source)
         started = time.monotonic()
         wall0 = time.time()
         try:
@@ -794,23 +730,17 @@ class DaemonServer:
                              source_path: str, deadline: float) -> None:
         assert self._coordinator is not None
         base_plan = plan.base
-        nodes_wire = []
-        ports_wire = {}
-        for name in base_plan.chain:
-            agent = self._coordinator.agent(name)
-            ack = sess.acks.get(name) or {}
-            ports = [int(p) for p in ack.get("ports") or []]
-            assert agent is not None and ports
-            nodes_wire.append([name, agent.address.host, ports[0]])
-            ports_wire[name] = ports
+        # Session listeners are per-session: the ports come from each
+        # agent's session_ack, the host from its registration.
+        endpoints = {
+            name: (self._coordinator.agent(name).address.host,
+                   [int(p) for p in sess.acks[name]["ports"]])
+            for name in base_plan.chain
+        }
         base = {
             "op": "session_start",
             "session": sess.id,
-            "nodes": nodes_wire,
-            "head": base_plan.head,
-            "plan": plan.to_dict(),
-            "ports": ports_wire,
-            "config": config_to_wire(self.config),
+            **wiring_to_wire(plan, endpoints, self.config),
             "artifact": sess.artifact.to_wire(),
             "run_timeout": max(1.0, deadline - time.monotonic()),
             "progress_every": self.progress_every,

@@ -32,14 +32,13 @@ import time
 from typing import Callable, List, Optional, Tuple
 
 from ..core.config import KascadeConfig
+from ..core.errors import KascadeError
 from ..core.perfstats import get_stats
 from ..core.plan import ChainPlan
-from ..core.report import TransferReport
 from ..core.sinks import FileSink, NullSink, Sink
-from ..core.sources import FileSource, ResumeView
-from ..core.stripes import StripeMergeSink, StripeSource
+from ..core.sources import FileSource
 from ..core.tracing import TraceCollector
-from ..runtime.node import HeadNode, ReceiverNode
+from ..runtime.host import HostChains, check_head_failover
 from ..runtime.registry import Registry
 from ..runtime.transport import Address, Listener
 from .protocol import ControlChannel, DeployError, connect_control
@@ -112,11 +111,13 @@ class _Heartbeat:
 
 
 def _progress_gate(send: Callable[[int], None], every: int):
-    """A :data:`~repro.runtime.node.CrashGate` that never crashes.
+    """A host-level :data:`~repro.runtime.node.CrashGate` that never
+    crashes.
 
     Reuses the receiver's per-chunk gate slot to stream throttled
-    progress (via ``send(total_bytes)``) to the coordinator — the
-    signal the chaos engine keys on.
+    progress (via ``send(total_bytes)``, the host's *aggregate* count
+    across stripes) to the coordinator — the signal the chaos engine
+    keys on, and chaos thresholds are host-level.
     """
     last = [0]
 
@@ -127,32 +128,6 @@ def _progress_gate(send: Callable[[int], None], every: int):
         return None
 
     return gate
-
-
-def _progress_gates(send: Callable[[int], None], every: int, stripes: int):
-    """Per-stripe gates reporting the host's *aggregate* byte count.
-
-    Chaos thresholds are host-level on a striped run, so the progress
-    stream the chaos engine keys on must be too.
-    """
-    lock = threading.Lock()
-    seen = [0] * stripes
-    last = [0]
-
-    def for_stripe(stripe: int):
-        def gate(received: int) -> Optional[str]:
-            with lock:
-                seen[stripe] = received
-                total = sum(seen)
-                if total - last[0] < every:
-                    return None
-                last[0] = total
-            send(total)
-            return None
-
-        return gate
-
-    return for_stripe
 
 
 def run_agent(
@@ -167,8 +142,8 @@ def run_agent(
 ) -> int:
     """Run one agent to completion; returns the process exit code.
 
-    ``stripes > 1`` binds one data-plane listener per stripe; the hello
-    advertises every port and the start message carries the
+    One data-plane listener is bound per stripe; the hello advertises
+    every port and the start message carries the
     :class:`~repro.core.plan.ChainPlan` naming this node's feeder and
     successor per stripe.
     """
@@ -207,8 +182,6 @@ def _run_registered(
         "name": name,
         "pid": os.getpid(),
         "host": advertise_host,
-        # "port" stays for pre-stripe readers; "ports" is the full set.
-        "port": listeners[0].address.port,
         "ports": [ln.address.port for ln in listeners],
     })
     try:
@@ -225,16 +198,13 @@ def _run_registered(
     progress_send = lambda total: channel.send(  # noqa: E731
         {"op": "progress", "bytes": total})
     try:
-        if msg.get("failover"):
-            # The coordinator runs a replicated control plane and may
-            # re-root the chain mid-transfer: stay on the control
-            # channel while the node runs.
-            status = _run_failover_capable(channel, listeners, name, msg,
-                                           progress_send=progress_send)
-        else:
-            status = execute_transfer(
-                msg, listeners, name, progress_send=progress_send,
-            )
+        # A coordinator with a replicated control plane may re-root the
+        # chain mid-transfer ("failover"): the transfer then stays on
+        # the control channel while the host runs.
+        status = execute_transfer(
+            msg, listeners, name, progress_send=progress_send,
+            control=channel if msg.get("failover") else None,
+        )
     except TransferSetupError:
         return EXIT_USAGE
     finally:
@@ -245,7 +215,33 @@ def _run_registered(
 
 class TransferSetupError(Exception):
     """The start message and this agent's bound resources disagree
-    (e.g. stripe-count mismatch) — a usage error, not a transfer failure."""
+    (no plan/ports, stripe-count mismatch, a failover this agent cannot
+    survive) — a usage error, not a transfer failure."""
+
+
+def _wiring(msg: dict, listeners: List[Listener]):
+    """``(config, chain_plan, registries)`` from a start-shaped message.
+
+    ``plan`` and ``ports`` are mandatory (``start``, ``resume`` and
+    ``session_start`` all carry them): stripe ``j`` of every node
+    listens on the ``j``-th port the node advertised in its hello.
+    """
+    if not msg.get("plan") or not msg.get("ports"):
+        raise TransferSetupError(
+            f"{msg.get('op', 'start')} message carries no plan/ports")
+    config = KascadeConfig(**msg["config"])
+    chain_plan = ChainPlan.from_dict(msg["plan"])
+    if chain_plan.stripe_count != len(listeners):
+        raise TransferSetupError(
+            f"{chain_plan.stripe_count}-stripe plan vs "
+            f"{len(listeners)} bound listeners")
+    hosts = {n: h for n, h, _port in msg["nodes"]}
+    registries = [
+        Registry({n: Address(hosts[n], int(msg["ports"][n][j]))
+                  for n in hosts})
+        for j in range(len(listeners))
+    ]
+    return config, chain_plan, registries
 
 
 def execute_transfer(
@@ -255,13 +251,16 @@ def execute_transfer(
     *,
     progress_send: Callable[[int], None],
     cache=None,
+    control: Optional[ControlChannel] = None,
 ) -> dict:
     """Run the transfer one ``start``-shaped message describes.
 
     The reusable heart of an agent: the one-shot ``kascade agent``
     process calls this exactly once; a persistent daemon fleet agent
     (:mod:`repro.daemon.agent`) calls it once *per session*, from an
-    already-registered process, with per-session listeners.
+    already-registered process, with per-session listeners.  Either way
+    this process is one host of the schedule: one
+    :class:`~repro.runtime.host.HostChains`.
 
     Returns the status payload (everything but the ``op`` field).  The
     trace collector — and therefore ``trace_epoch`` — is created *here*,
@@ -274,31 +273,19 @@ def execute_transfer(
     agent taps the merged stream into it chunk-by-chunk, becoming
     cache-warm for repeat broadcasts and pull-phase peers while this
     push is still running.
+
+    ``control`` makes the transfer failover-capable: the coordinator
+    runs a replicated control plane and may re-root the chain
+    mid-transfer, so this thread stays on the channel while the host
+    runs (:func:`_follow_control`).
     """
-    config = KascadeConfig(**msg["config"])
-    nodes = [(n, Address(h, p)) for n, h, p in msg["nodes"]]
-    head = msg["head"]
-    if msg.get("plan"):
-        chain_plan = ChainPlan.from_dict(msg["plan"])
-    else:
-        chain_plan = ChainPlan.single(
-            head, tuple(n for n, _ in nodes if n != head))
-    k = chain_plan.stripe_count
-    if k != len(listeners):
-        raise TransferSetupError(
-            f"{k}-stripe plan vs {len(listeners)} bound listeners")
-    # Stripe j of every node listens on its j-th advertised port; the
-    # legacy single-port start message is the k == 1 degenerate case.
-    ports = {n: [a.port] for n, a in nodes}
-    for node_name, node_ports in (msg.get("ports") or {}).items():
-        ports[node_name] = [int(p) for p in node_ports]
-    hosts = {n: a.host for n, a in nodes}
-    registries = [
-        Registry({n: Address(hosts[n], ports[n][j]) for n in hosts})
-        for j in range(k)
-    ]
+    config, chain_plan, registries = _wiring(msg, listeners)
+    if control is not None:
+        try:
+            check_head_failover(chain_plan.stripe_count, config.data_plane)
+        except KascadeError as exc:
+            raise TransferSetupError(str(exc)) from None
     run_timeout = float(msg.get("run_timeout", 600.0))
-    artifact = msg.get("artifact")
 
     tracer = TraceCollector()
     trace_epoch = time.time()
@@ -309,26 +296,10 @@ def execute_transfer(
     # wrap their sink in DigestSink (the coordinator's byte-exactness
     # proof), which is not a bare NullSink — so evloop agents take the
     # userspace relay path and digests stay comparable across planes.
-    evloop_plane = config.data_plane == "evloop"
-    if evloop_plane:
-        from ..runtime.evloop import EvHeadNode, EvReceiverNode, run_nodes
-        head_cls, recv_cls = EvHeadNode, EvReceiverNode
-    else:
-        head_cls, recv_cls = HeadNode, ReceiverNode
-
     digest_sink: Optional[DigestSink] = None
-    source: Optional[FileSource] = None
-    progress_every = int(msg.get("progress_every", 1 << 18))
-    agent_nodes = []
-    if name == head:
-        source = FileSource(msg["source"])
-        for j in range(k):
-            src = (source if k == 1
-                   else StripeSource(source, j, k, config.chunk_size))
-            agent_nodes.append(head_cls(
-                name, chain_plan.stripe(j), registries[j], listeners[j],
-                config, src, tracer=tracer,
-            ))
+    role: dict = {}
+    if name == chain_plan.head:
+        role["source"] = FileSource(msg["source"])
     else:
         inner: Sink = (FileSink(msg["output"]) if msg.get("output")
                        else NullSink())
@@ -336,78 +307,65 @@ def execute_transfer(
         # across any stripe count (and with the head's source digest).
         digest_sink = DigestSink(inner)
         top: Sink = digest_sink
-        if cache is not None and artifact:
+        if cache is not None and msg.get("artifact"):
             from ..core.cache import ArtifactMeta, CacheTapSink
             top = CacheTapSink(digest_sink, cache,
-                               ArtifactMeta.from_wire(artifact))
-        if k == 1:
-            stripe_sinks: List[Sink] = [top]
-            gate_for = lambda j: _progress_gate(progress_send, progress_every)
-        else:
-            merger = StripeMergeSink(top, k, config.chunk_size)
-            stripe_sinks = [merger.port(j) for j in range(k)]
-            gates = _progress_gates(progress_send, progress_every, k)
-            gate_for = gates
-        for j in range(k):
-            agent_nodes.append(recv_cls(
-                name, chain_plan.stripe(j), registries[j], listeners[j],
-                config, stripe_sinks[j], crash_gate=gate_for(j),
-                tracer=tracer,
-            ))
+                               ArtifactMeta.from_wire(msg["artifact"]))
+        role["sink"] = _FinishGuard(top) if control is not None else top
+        role["gate"] = _progress_gate(
+            progress_send, int(msg.get("progress_every", 1 << 18)))
+    host = HostChains(name, chain_plan, registries, listeners, config,
+                      tracer=tracer, **role)
 
-    if evloop_plane:
-        # This thread *is* the event loop (heartbeat stays threaded).
-        run_nodes(agent_nodes, duration=run_timeout)
-        for node in agent_nodes:
-            if not node.finished:
-                node.outcome.error = node.outcome.error or (
-                    f"agent run exceeded {run_timeout}s"
-                )
+    stranded = False
+    if config.data_plane == "evloop":
+        from ..runtime.evloop import run_nodes
+
+        # This thread drives the event loops (heartbeat stays threaded).
+        run_nodes(list(host.nodes.values()), duration=run_timeout)
     else:
         deadline = time.monotonic() + run_timeout
-        for node in agent_nodes:
-            node.start()
-        for node in agent_nodes:
-            node.join(max(0.0, deadline - time.monotonic()))
-            if node.thread.is_alive():
-                node.outcome.error = node.outcome.error or (
-                    f"agent run exceeded {run_timeout}s"
-                )
-                node.shutdown()
-                node.join(2.0)
-    if source is not None:
-        source.close()
+        host.start()
+        if control is None:
+            host.join(deadline)
+        else:
+            host, stranded = _follow_control(
+                host, control, listeners, deadline,
+                tracer=tracer, gate=role.get("gate"))
+        host.expire(f"agent run exceeded {run_timeout}s")
+    host.close()
 
-    outcomes = [node.outcome for node in agent_nodes]
-    ok = all(o.ok for o in outcomes)
-    total = sum(o.bytes_received for o in outcomes)
-    error = next((o.error for o in outcomes if o.error), None)
-    crashed = any(o.crashed for o in outcomes)
+    outcome = host.outcome
+    ok = outcome.ok and not stranded
+    error = outcome.error
+    if stranded:
+        error = error or "failover interrupted"
+    promoted = host.is_head and host.resume_offset is not None
+    if promoted:
+        if ok:
+            host.complete_own_copy()
+        else:
+            host.sink.abort()
+    if host.source is not None:
+        host.source.close()
+
     report_hex: Optional[str] = None
     failures: List[str] = []
-    if name == head:
-        if k == 1:
-            final_report = agent_nodes[0].final_report
-        else:
-            # Pool the per-stripe ring reports (no single source digest
-            # spans a striped stream, so the merged report carries none).
-            final_report = TransferReport()
-            for node in agent_nodes:
-                if node.final_report is not None:
-                    final_report.extend(node.final_report.failures)
-        if final_report is not None:
-            report_hex = final_report.encode().hex()
-            failures = final_report.failed_nodes
+    final_report = host.report if host.is_head else None
+    if final_report is not None:
+        report_hex = final_report.encode().hex()
+        failures = final_report.failed_nodes
     stats_after = get_stats().snapshot()
     return {
         "name": name,
         "ok": bool(ok),
-        "bytes": int(total),
-        "crashed": bool(crashed),
+        "bytes": int(outcome.bytes_received),
+        "crashed": bool(outcome.crashed),
         "error": error,
         "digest": digest_sink.hexdigest() if digest_sink is not None else None,
         "report": report_hex,
         "failures": failures,
+        "promoted": promoted,
         "perfstats": {k_: stats_after[k_] - stats_before.get(k_, 0)
                       for k_ in stats_after},
         "trace": tracer.to_jsonl(),
@@ -446,229 +404,132 @@ class _FinishGuard(Sink):
             self.inner.abort()
 
 
-def _run_failover_capable(
-    msg_channel: ControlChannel,
+def _follow_control(
+    host: HostChains,
+    control: ControlChannel,
     listeners: List[Listener],
-    name: str,
-    msg: dict,
+    deadline: float,
     *,
-    progress_send: Callable[[int], None],
-) -> dict:
-    """Run the transfer while serving ``failover``/``resume`` ops.
+    tracer,
+    gate,
+) -> Tuple[HostChains, bool]:
+    """Wait out ``host``'s run while serving ``failover``/``resume`` ops.
 
-    The head-failover variant of :func:`execute_transfer`: the node runs
+    The head-failover episode of :func:`execute_transfer`: the host runs
     on its own threads while *this* thread stays on the control channel.
-    When the coordinator announces head death (``failover``), the node
+    When the coordinator announces head death (``failover``), the host
     is detached — loops interrupted, writeback drained, sink preserved,
     stream offset captured — a fresh listener is bound, and the offset +
     new port go back as ``failover_ready``.  The quorum's ``resume``
-    then rebuilds the node under the re-rooted plan: the promoted
+    then rebuilds the host under the re-rooted plan: the promoted
     survivor becomes a head streaming the source from the election
     watermark (serving PGET below it), everyone else becomes a receiver
     that keeps its sink and asks for bytes from where it stopped.
 
-    Single-stripe, threaded data plane only — the coordinator enforces
-    both before opting a run into failover.
+    Returns the host that ended the run — the one given, or the one
+    rebuilt on the re-rooted plan — and whether the transfer was left
+    stranded between ``failover`` and a ``resume`` that never came.
     """
-    config = KascadeConfig(**msg["config"])
-    nodes = [(n, Address(h, p)) for n, h, p in msg["nodes"]]
-    head = msg["head"]
-    if msg.get("plan"):
-        chain_plan = ChainPlan.from_dict(msg["plan"])
-    else:
-        chain_plan = ChainPlan.single(
-            head, tuple(n for n, _ in nodes if n != head))
-    if chain_plan.stripe_count != 1 or len(listeners) != 1:
-        raise TransferSetupError("head failover requires a 1-stripe plan")
-    if config.data_plane == "evloop":
-        raise TransferSetupError(
-            "head failover is not survivable on data_plane='evloop'")
-    ports = {n: [a.port] for n, a in nodes}
-    for node_name, node_ports in (msg.get("ports") or {}).items():
-        ports[node_name] = [int(p) for p in node_ports]
-    hosts = {n: a.host for n, a in nodes}
-    registry = Registry({n: Address(hosts[n], ports[n][0]) for n in hosts})
-    run_timeout = float(msg.get("run_timeout", 600.0))
-    progress_every = int(msg.get("progress_every", 1 << 18))
-
-    tracer = TraceCollector()
-    trace_epoch = time.time()
-    stats_before = get_stats().snapshot()
-
-    digest_sink: Optional[DigestSink] = None
-    guard: Optional[_FinishGuard] = None
-    source: Optional[FileSource] = None
-    if name == head:
-        source = FileSource(msg["source"])
-        node = HeadNode(name, chain_plan.stripe(0), registry, listeners[0],
-                        config, source, tracer=tracer)
-    else:
-        inner: Sink = (FileSink(msg["output"]) if msg.get("output")
-                       else NullSink())
-        digest_sink = DigestSink(inner)
-        guard = _FinishGuard(digest_sink)
-        node = ReceiverNode(
-            name, chain_plan.stripe(0), registry, listeners[0], config, guard,
-            crash_gate=_progress_gate(progress_send, progress_every),
-            tracer=tracer,
-        )
     # One queue carries everything this loop reacts to, in arrival
-    # order: control messages and the exit of the node it is running.
-    # Both producers block (on the socket, on the thread), so neither a
+    # order: control messages and the exit of the host it is running.
+    # Both producers block (on the socket, on the threads), so neither a
     # failover nor a finished transfer waits out a poll interval.
     events: "queue.Queue[Tuple[str, object]]" = queue.Queue()
 
     def read_control() -> None:
         while True:
             try:
-                ctl = msg_channel.recv(timeout=None)
+                ctl = control.recv(timeout=None)
             except DeployError:
                 continue  # one poisoned control line must not kill the agent
             events.put(("control", ctl))
             if ctl is None:
                 return
 
-    def run_node(started: "HeadNode | ReceiverNode") -> None:
-        def watch() -> None:
-            started.join()
-            events.put(("exit", started))
+    def watch(running: HostChains) -> None:
+        def wait() -> None:
+            running.join()
+            events.put(("exit", running))
 
-        started.start()
-        threading.Thread(target=watch, name=f"agent-watch-{name}",
+        threading.Thread(target=wait, name=f"agent-watch-{host.name}",
                          daemon=True).start()
 
-    threading.Thread(target=read_control, name=f"agent-control-{name}",
+    threading.Thread(target=read_control, name=f"agent-control-{host.name}",
                      daemon=True).start()
-    run_node(node)
+    watch(host)
 
-    deadline = time.monotonic() + run_timeout
     awaiting_resume = False
-    promoted = False
-    promoted_source: Optional[FileSource] = None
-    prefix_bytes = 0  # bytes already in this node's sink at detach time
-
     while True:
         try:
             kind, item = events.get(
                 timeout=max(0.0, deadline - time.monotonic()))
         except queue.Empty:
-            node.outcome.error = node.outcome.error or (
-                f"agent run exceeded {run_timeout}s")
-            node.shutdown()
-            node.join(2.0)
-            break
+            break  # out of time: the caller blames and stops what is left
         if kind == "exit":
-            # The exit of a node detached for failover is expected; the
-            # transfer is over when the *current* node's thread ends.
-            if item is node and not awaiting_resume:
+            # The exit of a host detached for failover is expected; the
+            # transfer is over when the *current* host's threads end.
+            if item is host and not awaiting_resume:
                 break
             continue
         ctl = item
         if ctl is None:
             # Coordinator gone.  Mid-failover there is nothing left to
             # resume against; otherwise let the transfer run out.
-            if awaiting_resume:
-                break
-            node.join(max(0.0, deadline - time.monotonic()))
+            if not awaiting_resume:
+                host.join(deadline)
             break
         op = ctl.get("op")
-        if op == "failover" and name != head and not promoted:
-            node.begin_failover()
-            node.join(5.0)
-            prefix_bytes = node.state.offset
-            node.detach_sink()
+        if op == "failover" and not host.is_head:
+            host.detach()
+            host.retained_sink()
             bind_host = listeners[0].address.host
             listeners[0].close()
             listeners[0] = Listener(host=bind_host, port=0)
             awaiting_resume = True
-            msg_channel.send({
+            control.send({
                 "op": "failover_ready",
-                "offset": prefix_bytes,
+                "offset": host.offset,
                 "ports": [listeners[0].address.port],
             })
         elif op == "resume" and awaiting_resume:
-            rconfig = KascadeConfig(**ctl["config"])
-            rplan = ChainPlan.from_dict(ctl["plan"])
-            rhosts = {n: h for n, h, _ in ctl["nodes"]}
-            rports = {n: [int(p) for p in ps]
-                      for n, ps in ctl["ports"].items()}
-            rregistry = Registry({n: Address(rhosts[n], rports[n][0])
-                                  for n in rhosts})
+            config, chain_plan, registries = _wiring(ctl, listeners)
             # Every survivor has detached by now (the coordinator waits
             # for all of them before it elects), so nobody is still
-            # writing to the old node's connections.
-            node.close_connections()
-            if name == ctl["head"]:
-                promoted = True
-                resume_at = int(ctl["resume_offset"])
-                promoted_source = FileSource(ctl["source"])
-                node = HeadNode(
-                    name, rplan.stripe(0), rregistry, listeners[0], rconfig,
-                    ResumeView(promoted_source, resume_at), tracer=tracer,
-                    resume_offset=resume_at,
-                )
+            # writing to the old host's connections.
+            host.close_connections()
+            if host.name == chain_plan.head:
+                role = {"source": FileSource(ctl["source"]),
+                        "resume_offset": int(ctl["resume_offset"])}
             else:
-                node = ReceiverNode(
-                    name, rplan.stripe(0), rregistry, listeners[0], rconfig,
-                    guard,
-                    crash_gate=_progress_gate(progress_send, progress_every),
-                    tracer=tracer, resume_offset=prefix_bytes,
-                )
+                role = {"gate": gate, "resume_offset": host.offset}
+            host = HostChains(host.name, chain_plan, registries, listeners,
+                              config, sink=host.sink, tracer=tracer, **role)
             awaiting_resume = False
-            run_node(node)
+            host.start()
+            watch(host)
         elif op in ("cancel", "quit"):
-            node.shutdown()
-            node.join(2.0)
+            host.shutdown()
+            host.join(time.monotonic() + 2.0)
             break
-
-    outcome = node.outcome
-    ok = outcome.ok and not awaiting_resume
-    total = outcome.bytes_received
-    if promoted and promoted_source is not None:
-        # The promoted head streamed [watermark, size) to the chain but
-        # its *own* copy ends at its receiver-phase prefix.  Complete it
-        # straight from the source so this node, too, holds (and can
-        # prove, via the digest) the full payload.
-        if ok:
-            size = promoted_source.size
-            pos = prefix_bytes
-            while pos < size:
-                piece = promoted_source.read_range(
-                    pos, min(config.chunk_size, size - pos))
-                guard.write_chunk(piece)
-                pos += len(piece)
-            guard.finish()
-            total = size
-        else:
-            guard.abort()
-        promoted_source.close()
-    if source is not None:
-        source.close()
-
-    report_hex: Optional[str] = None
-    failures: List[str] = []
-    final_report = getattr(node, "final_report", None)
-    if final_report is not None:
-        report_hex = final_report.encode().hex()
-        failures = final_report.failed_nodes
-    stats_after = get_stats().snapshot()
-    return {
-        "name": name,
-        "ok": bool(ok),
-        "bytes": int(total),
-        "crashed": bool(outcome.crashed),
-        "error": None if ok else (outcome.error or "failover interrupted"),
-        "digest": digest_sink.hexdigest() if digest_sink is not None else None,
-        "report": report_hex,
-        "failures": failures,
-        "promoted": promoted,
-        "perfstats": {k_: stats_after[k_] - stats_before.get(k_, 0)
-                      for k_ in stats_after},
-        "trace": tracer.to_jsonl(),
-        "trace_epoch": trace_epoch,
-    }
+    return host, awaiting_resume
 
 
 def config_to_wire(config: KascadeConfig) -> dict:
     """JSON-safe dict for the ``start`` message (coordinator side)."""
     return dataclasses.asdict(config)
+
+
+def wiring_to_wire(chain_plan: ChainPlan, endpoints: dict,
+                   config: KascadeConfig) -> dict:
+    """The fields every start-shaped message carries (coordinator
+    side) — exactly what :func:`_wiring` reads back.  ``endpoints``
+    maps each node of the plan to ``(host, ports)``, one port per
+    stripe."""
+    return {
+        "nodes": [[n, endpoints[n][0], endpoints[n][1][0]]
+                  for n in chain_plan.nodes],
+        "head": chain_plan.head,
+        "plan": chain_plan.to_dict(),
+        "ports": {n: list(endpoints[n][1]) for n in chain_plan.nodes},
+        "config": config_to_wire(config),
+    }

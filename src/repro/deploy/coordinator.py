@@ -17,6 +17,7 @@ lets :func:`repro.run_broadcast` offer it as ``backend="procs"``.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import signal
 import socket
@@ -31,17 +32,22 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..core import tracing
 from ..core.config import DEFAULT_CONFIG, KascadeConfig
 from ..core.errors import KascadeError
-from ..core.pipeline import PipelinePlan
 from ..core.plan import ChainPlan
 from ..core.report import FailureRecord, TransferReport
 from ..core.sources import FileSource, Source
 from ..core.tracing import NULL_TRACER, TraceCollector
 from ..runtime.cluster import BroadcastResult
+from ..runtime.host import check_head_failover
 from ..runtime.node import NodeOutcome
 from ..runtime.transport import Address
-from .agent import config_to_wire
+from .agent import wiring_to_wire
 from .chaos import ChaosEngine, ChaosPlan
-from .launcher import LaunchReport, WindowedLauncher
+from .launcher import (
+    LaunchReport,
+    WindowedLauncher,
+    agent_spawner,
+    spawn_env,
+)
 from .protocol import ControlChannel, DeployError
 
 def rebase_events(status: dict, wall0: float) -> list:
@@ -79,6 +85,110 @@ def describe_exit(code: int) -> str:
             name = str(-code)
         return f"proc-exit: signal {name}"
     return f"proc-exit: code {code}"
+
+
+def materialize_source(source: Source) -> Tuple[str, Callable[[], None]]:
+    """A filesystem path agents can open, plus its cleanup.
+
+    A :class:`FileSource` is passed by path; anything else (bytes,
+    pattern, stdin) is spooled to a temp file once — the head agent
+    needs a seekable file anyway so PGET recovery works (§III-D2).
+    """
+    if isinstance(source, FileSource):
+        return source.path, lambda: None
+    fd, path = tempfile.mkstemp(prefix="kascade-src-")
+    try:
+        with os.fdopen(fd, "wb") as spool:
+            while True:
+                chunk = source.read_chunk(1 << 20)
+                if not chunk:
+                    break
+                spool.write(chunk)
+    except BaseException:
+        os.unlink(path)
+        raise
+    return path, lambda: os.unlink(path)
+
+
+def supervise(
+    coordinator: "Coordinator",
+    procs: Dict[str, subprocess.Popen],
+    supervised: Sequence[str],
+    stop: threading.Event,
+    *,
+    heartbeat_timeout: float,
+    tracer=NULL_TRACER,
+    emitter: str = "coordinator",
+    on_dead: Optional[Callable[[str, str], None]] = None,
+) -> None:
+    """waitpid + heartbeat supervision (the §III-D coordinator view).
+
+    The one reaper loop both supervisors run — the one-shot procs
+    coordinator and the daemon's fleet server — until ``stop`` is set.
+    Process death yields a FAILOVER with the ``proc-exit`` detector —
+    categorically different from the peers' timeout+ping detection,
+    and only available because nodes are real processes now.  Every
+    declared death is also reported to ``on_dead(name, reason)``.
+    """
+    reaped: set = set()
+    exit_seen: Dict[str, float] = {}
+    # An agent that exits normally sends its status *first*, but the
+    # reader thread may not have parsed it yet when waitpid fires —
+    # give plain exits a grace window before declaring death.  Signal
+    # deaths (rc < 0) never produce a status, so they are immediate.
+    status_grace = 1.0
+    # Heartbeat silence is only evidence when this loop actually ran
+    # to observe it.  On a saturated host the coordinator can lose
+    # the CPU for longer than heartbeat_timeout; declaring the whole
+    # fleet dead on wake-up would be a false positive, so a stalled
+    # pass voids the silence clocks instead of reading them.
+    stall_limit = heartbeat_timeout / 2
+
+    def declare_dead(name: str, reason: str, **event) -> None:
+        if coordinator.mark_dead(name, reason):
+            tracer.emit(tracing.FAILOVER, emitter, peer=name, **event)
+            if on_dead is not None:
+                on_dead(name, reason)
+
+    # Launch storms starve everyone: interpreters starting up soak
+    # the CPU, so ``last_heard`` stamps from before this loop began
+    # reflect the launcher's contention, not agent health.  Void
+    # them — death is only declared after a silence window this
+    # loop was actually awake to observe.
+    coordinator.forgive_silence(supervised)
+    last_pass = time.monotonic()
+    while not stop.wait(0.05):
+        now = time.monotonic()
+        stalled = now - last_pass > stall_limit
+        last_pass = now
+        for name in supervised:
+            proc = procs.get(name)
+            if proc is None or name in reaped:
+                continue
+            rc = proc.poll()
+            if rc is None:
+                continue
+            agent = coordinator.agent(name)
+            if agent is not None and agent.resolved:
+                reaped.add(name)
+                continue
+            if rc >= 0:
+                first = exit_seen.setdefault(name, time.monotonic())
+                if time.monotonic() - first < status_grace:
+                    continue
+            reaped.add(name)
+            reason = describe_exit(rc)
+            declare_dead(name, reason,
+                         offset=agent.bytes_received if agent else None,
+                         detail=reason, detector=tracing.DETECTOR_PROC_EXIT)
+        if stalled:
+            coordinator.forgive_silence(supervised)
+            continue
+        for name in coordinator.silent_agents(supervised, heartbeat_timeout):
+            declare_dead(
+                name, f"control-heartbeat silent > {heartbeat_timeout}s",
+                detail="control-heartbeat lost",
+                detector=tracing.DETECTOR_PING)
 
 
 @dataclass
@@ -159,12 +269,12 @@ class Coordinator:
         except (TimeoutError, DeployError):
             channel.close()
             return
-        if hello is None or hello.get("op") != "hello":
+        if (hello is None or hello.get("op") != "hello"
+                or not hello.get("ports")):
             channel.close()
             return
         name = str(hello["name"])
-        ports = tuple(int(p) for p in
-                      hello.get("ports") or [hello["port"]])
+        ports = tuple(int(p) for p in hello["ports"])
         agent = _Agent(
             name=name,
             channel=channel,
@@ -386,21 +496,8 @@ class ProcBroadcast:
         self.source = source
         self.config = config
         self.tracer = tracer
-        if plan is not None:
-            if set(plan.receivers) != set(receivers):
-                raise KascadeError(
-                    "chain plan covers different receivers than requested: "
-                    f"{sorted(plan.receivers)} vs {sorted(receivers)}"
-                )
-            if config.stripes not in (1, plan.stripe_count):
-                raise KascadeError(
-                    f"config.stripes={config.stripes} conflicts with a "
-                    f"{plan.stripe_count}-stripe plan"
-                )
-            self.chain_plan = plan
-        else:
-            self.chain_plan = ChainPlan.build(
-                head, receivers, stripes=config.stripes, order=order)
+        self.chain_plan = ChainPlan.resolve(
+            plan, head, receivers, stripes=config.stripes, order=order)
         self.stripes = self.chain_plan.stripe_count
         self.plan = self.chain_plan.base
         self.coordinator_replicas = coordinator_replicas
@@ -422,18 +519,7 @@ class ProcBroadcast:
                     "elect from: set coordinator_replicas >= 1 "
                     "(3 recommended for minority-failure tolerance)"
                 )
-            if config.data_plane == "evloop":
-                raise KascadeError(
-                    "head failover is not survivable on "
-                    "data_plane='evloop': the event-loop agent cannot "
-                    "detach its nodes mid-run; use data_plane='threaded'"
-                )
-            if self.stripes != 1:
-                raise KascadeError(
-                    "head failover currently requires a 1-stripe plan: "
-                    "per-stripe watermark re-rooting of a striped merge "
-                    "is not supported"
-                )
+            check_head_failover(self.stripes, config.data_plane)
         stray_replicas = {t for t in chaos_targets
                          if t.startswith("replica:")} - replica_names
         if stray_replicas:
@@ -471,40 +557,7 @@ class ProcBroadcast:
         #: Filled by :meth:`run`.
         self.launch_report: Optional[LaunchReport] = None
 
-    # -- source materialisation -----------------------------------------
-
-    def _materialize_source(self) -> Tuple[str, Callable[[], None]]:
-        """A filesystem path agents can open, plus its cleanup.
-
-        A :class:`FileSource` is passed by path; anything else (bytes,
-        pattern, stdin) is spooled to a temp file once — the head agent
-        needs a seekable file anyway so PGET recovery works (§III-D2).
-        """
-        if isinstance(self.source, FileSource):
-            return self.source.path, lambda: None
-        fd, path = tempfile.mkstemp(prefix="kascade-src-")
-        try:
-            with os.fdopen(fd, "wb") as spool:
-                while True:
-                    chunk = self.source.read_chunk(1 << 20)
-                    if not chunk:
-                        break
-                    spool.write(chunk)
-        except BaseException:
-            os.unlink(path)
-            raise
-        return path, lambda: os.unlink(path)
-
     # -- agent spawning --------------------------------------------------
-
-    def _spawn_env(self) -> dict:
-        src_root = os.path.dirname(os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__))))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        return env
 
     def _spawn_replicas(self) -> Tuple[List[subprocess.Popen],
                                        List[Tuple[str, int]]]:
@@ -515,117 +568,22 @@ class ProcBroadcast:
 
         procs, addrs = spawn_replicas(
             self.coordinator_replicas, python=self.python,
-            bind_host=self.bind_host, env=self._spawn_env(),
+            bind_host=self.bind_host, env=spawn_env(),
         )
         for i, proc in enumerate(procs):
             self.chaos.register_external(f"replica:{i}", proc.pid)
         return procs, addrs
 
     def _make_spawn(self, control: Address):
-        env = self._spawn_env()
-        base = [
+        argv = [
             self.python, "-m", "repro.cli.kascade", "agent",
             "--coordinator", f"{control.host}:{control.port}",
             "--bind", self.bind_host,
             "--start-timeout", str(max(60.0, self.startup_timeout * 4)),
+            "--stripes", str(self.stripes),
         ]
-        if self.stripes > 1:
-            base += ["--stripes", str(self.stripes)]
-
-        def spawn(name: str, attempt: int) -> subprocess.Popen:
-            cmd = base + ["--name", name]
-            if self.agent_args is not None:
-                cmd += [str(a) for a in self.agent_args(name, attempt)]
-            if self.stderr_dir is not None:
-                stderr_path = os.path.join(self.stderr_dir,
-                                           f"{name}.stderr.log")
-                with open(stderr_path, "ab") as err:
-                    return subprocess.Popen(cmd, stdin=subprocess.DEVNULL,
-                                            stdout=subprocess.DEVNULL,
-                                            stderr=err, env=env)
-            return subprocess.Popen(cmd, stdin=subprocess.DEVNULL,
-                                    stdout=subprocess.DEVNULL,
-                                    stderr=subprocess.DEVNULL, env=env)
-
-        return spawn
-
-    # -- supervision -----------------------------------------------------
-
-    def _reaper_loop(
-        self,
-        coordinator: Coordinator,
-        procs: Dict[str, subprocess.Popen],
-        supervised: Sequence[str],
-        stop: threading.Event,
-    ) -> None:
-        """waitpid + heartbeat supervision (the §III-D coordinator view).
-
-        Process death yields a FAILOVER with the ``proc-exit`` detector —
-        categorically different from the peers' timeout+ping detection,
-        and only available because nodes are real processes now.
-        """
-        reaped: set = set()
-        exit_seen: Dict[str, float] = {}
-        # An agent that exits normally sends its status *first*, but the
-        # reader thread may not have parsed it yet when waitpid fires —
-        # give plain exits a grace window before declaring death.  Signal
-        # deaths (rc < 0) never produce a status, so they are immediate.
-        status_grace = 1.0
-        # Heartbeat silence is only evidence when this loop actually ran
-        # to observe it.  On a saturated host the coordinator can lose
-        # the CPU for longer than heartbeat_timeout; declaring the whole
-        # fleet dead on wake-up would be a false positive, so a stalled
-        # pass voids the silence clocks instead of reading them.
-        stall_limit = self.heartbeat_timeout / 2
-        # Launch storms starve everyone: interpreters starting up soak
-        # the CPU, so ``last_heard`` stamps from before this loop began
-        # reflect the launcher's contention, not agent health.  Void
-        # them — death is only declared after a silence window this
-        # loop was actually awake to observe.
-        coordinator.forgive_silence(supervised)
-        last_pass = time.monotonic()
-        while not stop.wait(0.05):
-            now = time.monotonic()
-            stalled = now - last_pass > stall_limit
-            last_pass = now
-            for name in supervised:
-                proc = procs.get(name)
-                if proc is None or name in reaped:
-                    continue
-                rc = proc.poll()
-                if rc is None:
-                    continue
-                agent = coordinator.agent(name)
-                if agent is not None and agent.resolved:
-                    reaped.add(name)
-                    continue
-                if rc >= 0:
-                    first = exit_seen.setdefault(name, time.monotonic())
-                    if time.monotonic() - first < status_grace:
-                        continue
-                reaped.add(name)
-                reason = describe_exit(rc)
-                if coordinator.mark_dead(name, reason):
-                    agent = coordinator.agent(name)
-                    offset = agent.bytes_received if agent else None
-                    self.tracer.emit(
-                        tracing.FAILOVER, "coordinator", peer=name,
-                        offset=offset, detail=reason,
-                        detector=tracing.DETECTOR_PROC_EXIT,
-                    )
-            if stalled:
-                coordinator.forgive_silence(supervised)
-                continue
-            for name in coordinator.silent_agents(supervised,
-                                                  self.heartbeat_timeout):
-                if coordinator.mark_dead(
-                    name, f"control-heartbeat silent > {self.heartbeat_timeout}s"
-                ):
-                    self.tracer.emit(
-                        tracing.FAILOVER, "coordinator", peer=name,
-                        detail="control-heartbeat lost",
-                        detector=tracing.DETECTOR_PING,
-                    )
+        return agent_spawner(argv, stderr_dir=self.stderr_dir,
+                             agent_args=self.agent_args)
 
     # -- the run ---------------------------------------------------------
 
@@ -633,7 +591,7 @@ class ProcBroadcast:
         """Launch, transfer, supervise, collect, tear down."""
         started = time.monotonic()
         wall0 = time.time()
-        source_path, cleanup_source = self._materialize_source()
+        source_path, cleanup_source = materialize_source(self.source)
         crashed_by_chaos: Dict[str, str] = {}
 
         def on_progress(name: str, received: int, pid: int) -> None:
@@ -687,8 +645,10 @@ class ProcBroadcast:
             final_chain = self.chain_plan.replan_without(dead)
             final_plan = final_chain.base
             reaper = threading.Thread(
-                target=self._reaper_loop,
+                target=supervise,
                 args=(coordinator, procs, final_plan.chain, stop_reaper),
+                kwargs={"heartbeat_timeout": self.heartbeat_timeout,
+                        "tracer": self.tracer},
                 name="coord-reaper", daemon=True,
             )
             reaper.start()
@@ -758,16 +718,10 @@ class ProcBroadcast:
             coordinator.close()
             if quorum is not None:
                 quorum.close()
-            for proc in replica_procs:
-                try:
-                    proc.kill()
-                except OSError:
-                    pass
-            for proc in replica_procs:
-                try:
-                    proc.wait(timeout=5.0)
-                except subprocess.TimeoutExpired:  # pragma: no cover
-                    pass
+            if replica_procs:
+                from ..control.replica import kill_replicas
+
+                kill_replicas(replica_procs)
             cleanup_source()
 
     # -- the replicated control plane ------------------------------------
@@ -909,34 +863,25 @@ class ProcBroadcast:
         except QuorumError:
             return None
 
-        new_plan = new_chain.base
-        nodes_wire = []
-        ports_wire = {}
-        for name in new_plan.chain:
-            agent = coordinator.agent(name)
-            if agent is None:
-                return None
-            nodes_wire.append([name, agent.address.host, agent.address.port])
-            ports_wire[name] = list(agent.ports)
-        config = config_to_wire(self.config)
+        agents = {name: coordinator.agent(name) for name in new_chain.nodes}
+        if None in agents.values():
+            return None
         # Resumed nodes only hash the bytes they stream after the
         # re-root, so an in-protocol end-to-end digest check would be a
         # false alarm; byte-exactness is still proven by the per-node
         # digests in the collected statuses (the sinks — and their
         # hashes — survived the hand-off intact).
-        config["verify_digest"] = False
         base = {
             "op": "resume",
-            "nodes": nodes_wire,
-            "head": new_plan.head,
-            "plan": new_chain.to_dict(),
-            "ports": ports_wire,
-            "config": config,
+            **wiring_to_wire(
+                new_chain,
+                {n: (a.address.host, a.ports) for n, a in agents.items()},
+                dataclasses.replace(self.config, verify_digest=False)),
             "resume_offset": resume_offset,
         }
-        for name in new_plan.chain:
+        for name in new_chain.nodes:
             msg = dict(base)
-            if name == new_plan.head:
+            if name == new_chain.head:
                 msg["source"] = source_path
             coordinator.send(name, msg)
         return new_chain
@@ -963,20 +908,14 @@ class ProcBroadcast:
     def _send_starts(self, coordinator: Coordinator, final_chain: ChainPlan,
                      source_path: str, timeout: float) -> None:
         final_plan = final_chain.base
-        nodes_wire = []
-        ports_wire = {}
-        for name in final_plan.chain:
-            agent = coordinator.agent(name)
-            assert agent is not None  # launched => registered
-            nodes_wire.append([name, agent.address.host, agent.address.port])
-            ports_wire[name] = list(agent.ports)
+        # launched => registered, so every agent of the chain is known
+        agents = {name: coordinator.agent(name) for name in final_plan.chain}
         base = {
             "op": "start",
-            "nodes": nodes_wire,
-            "head": final_plan.head,
-            "plan": final_chain.to_dict(),
-            "ports": ports_wire,
-            "config": config_to_wire(self.config),
+            **wiring_to_wire(
+                final_chain,
+                {n: (a.address.host, a.ports) for n, a in agents.items()},
+                self.config),
             "run_timeout": timeout,
             "heartbeat_interval": self.heartbeat_interval,
             "progress_every": self.progress_every,

@@ -25,6 +25,8 @@ of :mod:`repro.launch.models` (see
 
 from __future__ import annotations
 
+import os
+import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -38,6 +40,52 @@ SpawnFn = Callable[[str, int], "ProcessHandle"]
 
 #: ``wait_registered(name, timeout)`` → True once the agent said hello.
 WaitFn = Callable[[str, float], bool]
+
+
+def spawn_env() -> dict:
+    """The environment agents and replicas are spawned with: this
+    checkout's ``src/`` leads ``PYTHONPATH``, so ``-m repro...`` runs
+    the code that is supervising it."""
+    src_root = os.path.dirname(os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
+
+
+def agent_spawner(
+    argv: Sequence[str],
+    *,
+    stderr_dir: Optional[str] = None,
+    agent_args: Optional[Callable[[str, int], Sequence[str]]] = None,
+) -> "SpawnFn":
+    """``spawn(name, attempt)`` running ``argv --name <name>``.
+
+    What differs between supervisors (``--stripes`` vs ``--fleet
+    --cache-bytes``) is data in ``argv``; ``agent_args(name, attempt)``
+    appends per-spawn extras (how tests make specific attempts fail).
+    With ``stderr_dir`` each agent's stderr goes to
+    ``<dir>/<name>.stderr.log`` instead of ``/dev/null``.
+    """
+    env = spawn_env()
+
+    def spawn(name: str, attempt: int) -> subprocess.Popen:
+        cmd = [*argv, "--name", name]
+        if agent_args is not None:
+            cmd += [str(a) for a in agent_args(name, attempt)]
+        if stderr_dir is None:
+            return subprocess.Popen(cmd, stdin=subprocess.DEVNULL,
+                                    stdout=subprocess.DEVNULL,
+                                    stderr=subprocess.DEVNULL, env=env)
+        with open(os.path.join(stderr_dir, f"{name}.stderr.log"),
+                  "ab") as err:
+            return subprocess.Popen(cmd, stdin=subprocess.DEVNULL,
+                                    stdout=subprocess.DEVNULL,
+                                    stderr=err, env=env)
+
+    return spawn
 
 
 class ProcessHandle:

@@ -115,22 +115,8 @@ class ProtoBroadcast:
     ) -> None:
         self.source = source
         self.config = config
-        if plan is not None:
-            if set(plan.receivers) != set(receivers):
-                raise KascadeError(
-                    "chain plan covers different receivers than requested: "
-                    f"{sorted(plan.receivers)} vs {sorted(receivers)}"
-                )
-            if config.stripes not in (1, plan.stripe_count):
-                raise KascadeError(
-                    f"config.stripes={config.stripes} conflicts with a "
-                    f"{plan.stripe_count}-stripe plan"
-                )
-            self.chain_plan = plan
-        else:
-            self.chain_plan = ChainPlan.build(
-                head, receivers, stripes=config.stripes, order="given"
-            )
+        self.chain_plan = ChainPlan.resolve(
+            plan, head, receivers, stripes=config.stripes)
         self.stripes = self.chain_plan.stripe_count
         self.plan = self.chain_plan.stripe(0)
         self.sink_factory = sink_factory or (lambda name: NullSink())

@@ -244,32 +244,19 @@ class BroadcastSession:
     })
 
     def _run_procs(self, timeout: float) -> BroadcastResult:
-        from .deploy.chaos import MODE_TO_SIGNAL, ChaosPlan
         from .deploy.coordinator import ProcBroadcast
 
-        if self.sink_factory is not None:
-            raise KascadeError(
-                "procs backend cannot ship a sink_factory across process "
-                "boundaries; use output_template='/path/{node}.out' "
-                "(digests are computed agent-side either way)"
-            )
+        self._refuse_sink_factory()
         unknown = set(self.backend_opts) - self._PROCS_OPTS
         if unknown:
             raise KascadeError(f"unknown procs options: {sorted(unknown)}")
-
-        def as_chaos(crash) -> ChaosPlan:
-            if isinstance(crash, ChaosPlan):
-                return crash
-            plan = self._as_crash_plan(crash)  # normalizes tuples too
-            return ChaosPlan(plan.node, after_bytes=plan.after_bytes,
-                             sig=MODE_TO_SIGNAL[plan.mode])
 
         cluster = ProcBroadcast(
             self.source, self.receivers,
             config=self.config,
             head=self.head,
             order=self.order,
-            chaos=[as_chaos(c) for c in self.crashes],
+            chaos=[self._as_chaos_plan(c) for c in self.crashes],
             tracer=self.tracer,
             plan=self.plan,
             **self.backend_opts,
@@ -291,14 +278,8 @@ class BroadcastSession:
 
     def _run_daemon(self, timeout: float) -> BroadcastResult:
         from .daemon.server import DaemonServer, LateJoin
-        from .deploy.chaos import MODE_TO_SIGNAL, ChaosPlan
 
-        if self.sink_factory is not None:
-            raise KascadeError(
-                "daemon backend cannot ship a sink_factory across process "
-                "boundaries; use output_template='/path/{node}.out' "
-                "(digests are computed agent-side either way)"
-            )
+        self._refuse_sink_factory()
         if self.order != "given":
             raise KascadeError("daemon backend supports order='given' only")
         if self.plan is not None:
@@ -310,13 +291,6 @@ class BroadcastSession:
         if unknown:
             raise KascadeError(f"unknown daemon options: {sorted(unknown)}")
 
-        def as_chaos(crash) -> ChaosPlan:
-            if isinstance(crash, ChaosPlan):
-                return crash
-            plan = self._as_crash_plan(crash)
-            return ChaosPlan(plan.node, after_bytes=plan.after_bytes,
-                             sig=MODE_TO_SIGNAL[plan.mode])
-
         opts = dict(self.backend_opts)
         server = opts.pop("server", None)
         late_join = tuple(
@@ -326,7 +300,7 @@ class BroadcastSession:
         submit_kwargs = dict(
             head=self.head,
             output_template=opts.pop("output_template", None),
-            chaos=[as_chaos(c) for c in self.crashes],
+            chaos=[self._as_chaos_plan(c) for c in self.crashes],
             late_join=late_join,
             session=opts.pop("session_name", None),
             trace=self.tracer,
@@ -408,6 +382,24 @@ class BroadcastSession:
         node, after_bytes, *rest = crash
         return CrashPlan(node, after_bytes, *(rest or ["close"]))
 
+    def _as_chaos_plan(self, crash):
+        """Process backends (procs, daemon) inject crashes as real signals."""
+        from .deploy.chaos import MODE_TO_SIGNAL, ChaosPlan
+
+        if isinstance(crash, ChaosPlan):
+            return crash
+        plan = self._as_crash_plan(crash)  # normalizes tuples too
+        return ChaosPlan(plan.node, after_bytes=plan.after_bytes,
+                         sig=MODE_TO_SIGNAL[plan.mode])
+
+    def _refuse_sink_factory(self) -> None:
+        if self.sink_factory is not None:
+            raise KascadeError(
+                f"{self.backend} backend cannot ship a sink_factory across "
+                "process boundaries; use output_template='/path/{node}.out' "
+                "(digests are computed agent-side either way)"
+            )
+
     @staticmethod
     def _as_proto_crash(crash):
         from .protosim.broadcast import ProtoCrash
@@ -434,7 +426,7 @@ def run_broadcast(
     """Run one broadcast and return its :class:`BroadcastResult`.
 
     The one-call form of :class:`BroadcastSession` — the blessed entry
-    point replacing direct use of ``LocalBroadcast``/``broadcast()`` and
+    point replacing direct use of ``LocalBroadcast`` and
     ``ProtoBroadcast`` (see module docs for the ``trace`` forms and the
     per-backend options).
     """

@@ -191,11 +191,14 @@ class TestCoercionShim:
         with pytest.raises(PipelineError, match="single stripe"):
             coerce_stripe_plan(plan, owner="X")
 
-    def test_bare_pipeline_plan_warns_and_adapts(self):
+    def test_bare_pipeline_plan_is_refused(self):
+        """The warn-and-adapt release is over: the error names the fix."""
         base = PipelinePlan(head="n1", receivers=RECEIVERS)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            sp = coerce_stripe_plan(base, owner="X")
-        assert isinstance(sp, StripePlan)
+        with pytest.raises(TypeError,
+                           match=r"from_pipeline\(plan\)\.stripe\(0\)"):
+            coerce_stripe_plan(base, owner="X")
+        sp = coerce_stripe_plan(ChainPlan.from_pipeline(base).stripe(0),
+                                owner="X")
         assert sp.receivers == base.receivers
         assert (sp.stripe, sp.of) == (0, 1)
 

@@ -1,7 +1,6 @@
 """Tests for the unified session API (repro.session) — one facade, two
 backends, one result-and-trace shape."""
 
-import warnings
 
 import pytest
 
@@ -200,13 +199,12 @@ class TestStripeValidation:
 
 
 class TestDeprecationShim:
-    def test_runtime_broadcast_warns_but_works(self):
-        from repro.runtime import broadcast
+    def test_runtime_broadcast_is_gone(self):
+        """The pre-facade ``repro.runtime.broadcast()`` shim served its
+        one deprecation release; ``run_broadcast`` is the entry point."""
+        import repro.runtime
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = broadcast(BytesSource(PAYLOAD), ["n2"], config=FAST,
-                               timeout=60.0)
-        assert result.ok
-        assert any(issubclass(w.category, DeprecationWarning) and
-                   "run_broadcast" in str(w.message) for w in caught)
+        assert not hasattr(repro.runtime, "broadcast")
+        assert "broadcast" not in repro.runtime.__all__
+        with pytest.raises(ImportError):
+            from repro.runtime import broadcast  # noqa: F401

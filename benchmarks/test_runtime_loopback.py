@@ -5,51 +5,44 @@ framing), not the simulator — useful to track protocol-path regressions
 and to show what a pure-Python Kascade moves on one machine.  Numbers
 are loopback numbers; they say nothing about a 200-node fat tree (that
 is the simulator's job) but everything about per-byte protocol cost.
+
+The scenarios are ``scripts/bench_loopback.py``'s: one catalogue, run
+here under pytest-benchmark and there as the recorded CI gate.
 """
 
-import pytest
+import importlib.util
+import sys
+from pathlib import Path
 
-from repro.core import KascadeConfig, NullSink, PatternSource
-from repro.runtime import LocalBroadcast
+import pytest
 
 SIZE = 32 * 1024 * 1024  # 32 MiB per run keeps rounds short
 
 
-def _run(config, receivers=3):
-    result = LocalBroadcast(
-        PatternSource(SIZE, seed=1),
-        [f"n{i}" for i in range(2, 2 + receivers)],
-        config=config,
-    ).run(timeout=120)
-    assert result.ok
-    return result
+def _load_bench_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench_loopback.py"
+    spec = importlib.util.spec_from_file_location("bench_loopback", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
-def test_loopback_pipeline_3_nodes(benchmark):
-    config = KascadeConfig(chunk_size=1 << 20, buffer_chunks=8)
-    result = benchmark.pedantic(
-        lambda: _run(config), rounds=3, iterations=1,
+BENCH = _load_bench_script()
+CATALOGUE = BENCH.build_catalogue()
+
+
+@pytest.mark.parametrize("name, rounds", [
+    ("pipeline_1mib_3nodes", 3),
+    # 4 KiB chunks: framing overhead dominates — the protocol-cost probe.
+    ("small_chunks_4k", 1),
+    # Integrity mode adds one SHA-256 pass per node.
+    ("digest_1mib_3nodes", 3),
+])
+def test_loopback(benchmark, name, rounds):
+    entry = benchmark.pedantic(
+        lambda: BENCH.run_scenario(name, CATALOGUE[name], size=SIZE, rounds=1),
+        rounds=rounds, iterations=1,
     )
-    rate = SIZE / result.duration / 2**20
-    print(f"\n3-node loopback pipeline: {rate:.0f} MiB/s per node")
-
-
-def test_loopback_small_chunks(benchmark):
-    """4 KiB chunks: framing overhead dominates — the protocol-cost probe."""
-    config = KascadeConfig(chunk_size=4096, buffer_chunks=64)
-    result = benchmark.pedantic(
-        lambda: _run(config, receivers=2), rounds=1, iterations=1,
-    )
-    rate = SIZE / result.duration / 2**20
-    print(f"\n4 KiB-chunk loopback pipeline: {rate:.0f} MiB/s per node")
-
-
-def test_loopback_with_digest(benchmark):
-    """Integrity mode adds one SHA-256 pass per node."""
-    config = KascadeConfig(chunk_size=1 << 20, buffer_chunks=8,
-                           verify_digest=True)
-    result = benchmark.pedantic(
-        lambda: _run(config), rounds=3, iterations=1,
-    )
-    rate = SIZE / result.duration / 2**20
-    print(f"\n3-node loopback with verify_digest: {rate:.0f} MiB/s per node")
+    print(f"\n{name}: {entry['mib_per_s']:.0f} MiB/s per node "
+          f"({CATALOGUE[name].description})")

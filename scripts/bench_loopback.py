@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Run the loopback data-plane benchmarks and record a perf trajectory.
 
-Runs the same scenarios as ``benchmarks/test_runtime_loopback.py`` without
-pytest, printing per-scenario MiB/s and writing ``BENCH_loopback.json`` so
-future PRs can compare against the numbers this PR measured.
+Runs the scenario catalogue below (``benchmarks/test_runtime_loopback.py``
+runs three of the same entries under pytest-benchmark), printing
+per-scenario MiB/s and writing ``BENCH_loopback.json`` so future PRs can
+compare against the numbers this PR measured.
 
 Usage::
 

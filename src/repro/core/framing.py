@@ -27,14 +27,15 @@ The decoder's buffers are append-only while live: bytes land once (via
 ``feed`` or ``recv_into``) and are parsed in place.  When a buffer's tail
 cannot hold the next frame the decoder *rotates* to a fresh buffer from
 its :class:`~repro.core.buffers.BufferPool`, carrying over at most one
-partial frame; in the drained steady state of a backpressured pipeline the
-carry-over is empty and rotation copies nothing.
+partial frame.  :meth:`FrameDecoder.writable` ends a read window short of
+bytes that would certainly be carried, so once the frame size is known a
+stream of large frames rotates between frames and copies nothing.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import BinaryIO, Iterator, Optional, Tuple, Union
+from typing import BinaryIO, Iterator, List, Optional, Tuple, Union
 
 from .buffers import BufferPool
 from .errors import FramingError
@@ -89,6 +90,13 @@ MAX_FRAME_PAYLOAD = 1 << 34  # 16 GiB; sanity bound against corrupt headers
 MAX_RECEIVE_ALLOC = 1 << 30  # 1 GiB
 
 _MAX_HEADER = 1 + 8 * 2  # largest header on the wire (DATA/PGET)
+_DATA_OP = int(Op.DATA)
+_DATA_HEADER = _HEADER_STRUCTS[Op.DATA].size
+
+#: What :meth:`FrameDecoder.try_pop_run` returns: the stream offset of
+#: the run's first chunk, one payload view per chunk, and one view over
+#: the run's wire bytes (headers included).
+DataRun = Tuple[int, List[memoryview], memoryview]
 
 #: Buffer payloads handed out by the decoder: zero-copy views.
 Payload = Union[bytes, memoryview]
@@ -195,8 +203,9 @@ class FrameDecoder:
         self._pos = 0   # parse position
         self._fill = 0  # one past the last valid byte
         self._pending: Optional[Message] = None  # header seen, payload pending
-        #: Payload size of the most recent payload-bearing header — used
-        #: to rotate *before* the next frame would straddle the buffer end.
+        #: Payload size of the most recent payload-bearing header: what
+        #: :meth:`writable` expects of the next frame when it decides
+        #: where a read must stop.
         self._last_need = 0
 
     # ------------------------------------------------------------------
@@ -219,8 +228,8 @@ class FrameDecoder:
     def _rotate(self, min_free: int) -> None:
         """Switch to a fresh buffer, carrying over the unparsed tail.
 
-        In the drained steady state the tail is empty and nothing is
-        copied.  A non-empty tail is either a partial header (not payload,
+        Between frames the tail is empty and nothing is copied.  A
+        non-empty tail is either a partial header (not payload,
         not counted) or — when a payload-bearing frame straddles the old
         buffer's end — partial payload bytes, which are the one counted
         copy of this data plane.
@@ -259,16 +268,6 @@ class FrameDecoder:
         if self._pos + need > self._cap:
             self._rotate(need + _MAX_HEADER)
 
-    def _maybe_turn_page(self) -> None:
-        """Between frames, rotate copy-free once the buffer is drained and
-        too full to hold another frame of the recently seen size."""
-        if (
-            self._buf is not None
-            and self._pos == self._fill
-            and self._cap - self._pos < self._last_need + _MAX_HEADER
-        ):
-            self._rotate(self._last_need + _MAX_HEADER)
-
     # ------------------------------------------------------------------
     # Byte ingestion
     # ------------------------------------------------------------------
@@ -293,11 +292,33 @@ class FrameDecoder:
         Call :meth:`bytes_written` with the receive count afterwards.  The
         returned view is only valid until the next decoder call; callers
         should release (or drop) it promptly.
+
+        The view is at least ``min_size`` long but may end before the
+        buffer does: the decoder offers no room for bytes it would be
+        certain to carry into the next buffer.  Past the end of the
+        frame in progress (between frames: of one like the last) a read
+        only goes on if a further frame of that size fits behind it; and
+        when not even that one fits, the window ends after the header,
+        which says whether the page must turn (the payload then lands in
+        the next buffer whole) or the frame is a short one that fits
+        where it is.
         """
         self._ensure_room(min_size)
         if self._mv is None:
             self._mv = memoryview(self._buf)
-        return self._mv[self._fill: self._cap]
+        pos, limit = self._pos, self._cap
+        if self._pending is not None:
+            need = self._pending.size
+            end = pos + need
+        else:
+            need = self._last_need
+            end = pos + _MAX_HEADER + need
+            if end > limit:
+                end = pos + _MAX_HEADER
+        if (self._fill + min_size <= end < limit
+                and limit - end < need + _MAX_HEADER):
+            limit = end
+        return self._mv[self._fill: limit]
 
     def bytes_written(self, n: int) -> None:
         """Commit ``n`` bytes written into :meth:`writable`'s view."""
@@ -347,7 +368,6 @@ class FrameDecoder:
             self._pos += need
             msg, self._pending = self._pending, None
             self._stats.frames_decoded += 1
-            self._maybe_turn_page()
             return msg, payload
 
         avail = self._fill - self._pos
@@ -371,7 +391,6 @@ class FrameDecoder:
         need = payload_size(msg)
         if need == 0:
             self._stats.frames_decoded += 1
-            self._maybe_turn_page()
             return msg, b""
         if need > MAX_RECEIVE_ALLOC:
             raise FramingError(
@@ -382,6 +401,55 @@ class FrameDecoder:
         self._pending = msg
         self._ensure_payload_room(need)
         return self.try_pop()
+
+    def try_pop_run(self) -> Optional[DataRun]:
+        """Pop every complete ``DATA`` frame that continues the stream.
+
+        A *run* is the longest sequence of complete, non-empty ``DATA``
+        frames at the parse position whose offsets follow one another
+        (the first one's is unconstrained).  It is walked in place — one
+        opcode compare and one ``unpack_from`` per frame, no
+        :class:`Message` objects — and returned as ``(first_offset,
+        payloads, raw)``: ``payloads`` holds one view per frame, exactly
+        what :meth:`try_pop` would have yielded, and ``raw`` is a single
+        view over the same frames' wire bytes, headers included, which a
+        relay can queue downstream as they are.  All of them pin the
+        receive buffer like any payload view, and a run never crosses a
+        buffer rotation.
+
+        Returns ``None`` when the next frame is anything else — another
+        opcode, an incomplete, empty or oversized frame, a corrupt byte
+        — and leaves it to :meth:`try_pop`, which returns or raises as
+        it always did; the two calls can be mixed freely.
+        """
+        if self._pending is not None or self._buf is None:
+            return None
+        buf = self._buf
+        fill = self._fill
+        start = pos = self._pos
+        if self._mv is None:
+            self._mv = memoryview(buf)
+        mv = self._mv
+        payloads: List[memoryview] = []
+        first = expected = -1
+        while fill - pos >= _DATA_HEADER and buf[pos] == _DATA_OP:
+            offset, need = _2U64.unpack_from(buf, pos + 1)
+            end = pos + _DATA_HEADER + need
+            if need == 0 or end > fill or need > MAX_RECEIVE_ALLOC:
+                break
+            if offset != expected:
+                if payloads:
+                    break
+                first = expected = offset
+            payloads.append(mv[pos + _DATA_HEADER: end])
+            pos = end
+            expected += need
+        if not payloads:
+            return None
+        self._pos = pos
+        self._last_need = len(payloads[-1])
+        self._stats.frames_decoded += len(payloads)
+        return first, payloads, mv[start:pos]
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,30 @@ class DownstreamLink:
                 self._mark_dead(self.target, reason)
                 self._drop()
 
+    def send_run(self, first_offset: int, payloads, raw) -> bool:
+        """Forward a run of chunks, corked; True unless no downstream remains.
+
+        ``payloads`` are consecutive chunks starting at ``first_offset``
+        and ``raw`` the wire bytes they arrived in, headers included.
+        When the link stands exactly at the run's start those bytes are
+        queued as they are — a relayed frame is the received frame.
+        Otherwise (no stream yet, or a replacement's GET replay already
+        covered part of the run) each chunk takes :meth:`send_data`,
+        which connects, skips what was delivered and reroutes.  Like any
+        corked chunk, the run is covered by the replay if the
+        :meth:`flush` that must follow fails.
+        """
+        if self.stream is not None and self.sent_offset == first_offset:
+            self.stream.cork_frames(raw, len(payloads))
+            self.sent_offset = first_offset + sum(map(len, payloads))
+            return True
+        offset = first_offset
+        for payload in payloads:
+            if not self.send_data(offset, payload, flush=False):
+                return False
+            offset += len(payload)
+        return True
+
     @property
     def pending_bytes(self) -> int:
         """Bytes corked in the send queue, awaiting :meth:`flush`."""

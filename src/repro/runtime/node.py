@@ -632,6 +632,21 @@ class ReceiverNode(_BaseNode):
 
     # -- data plane ---------------------------------------------------------
 
+    def _store_chunk(self, offset: int, payload) -> None:
+        """Account for, trace and store one received chunk."""
+        self.state.on_data(offset, payload)
+        if self.tracer.enabled:
+            self.tracer.emit(tracing.CHUNK, self.name, offset=offset,
+                             detail=f"recv {len(payload)}")
+        self.sink.write_chunk(payload)
+        self.outcome.bytes_received = self.state.offset
+
+    def _check_crash_gate(self) -> None:
+        if self.crash_gate is not None:
+            mode = self.crash_gate(self.state.offset)
+            if mode is not None:
+                raise InjectedCrash(mode)
+
     def _consume_chunk(self, offset: int, payload, *, flush: bool = True) -> None:
         """Store and forward one chunk — the zero-copy relay step.
 
@@ -642,21 +657,29 @@ class ReceiverNode(_BaseNode):
         view pins its pool buffer until the ring evicts it and the send
         queue drains, at which point the pool may recycle it.
 
-        ``flush=False`` corks the downstream frame: the main loop batches
-        every chunk already decoded from one upstream read into a single
-        vectored send before blocking again.
+        ``flush=False`` corks the downstream frame: the main loop pushes
+        the whole burst one upstream read delivered in a single vectored
+        send before blocking again.
         """
-        self.state.on_data(offset, payload)
-        if self.tracer.enabled:
-            self.tracer.emit(tracing.CHUNK, self.name, offset=offset,
-                             detail=f"recv {len(payload)}")
-        self.sink.write_chunk(payload)
-        self.outcome.bytes_received = self.state.offset
+        self._store_chunk(offset, payload)
         self.link.send_data(offset, payload, flush=flush)
-        if self.crash_gate is not None:
-            mode = self.crash_gate(self.state.offset)
-            if mode is not None:
-                raise InjectedCrash(mode)
+        self._check_crash_gate()
+
+    def _consume_run(self, first_offset: int, payloads, raw) -> None:
+        """Store a run of chunks one by one, then forward it in one piece.
+
+        Every chunk gets what :meth:`_consume_chunk` gives it — offset
+        check, ring retention, hasher, CHUNK event, sink, crash gate —
+        but the link is handed the run once, corked, as the wire bytes
+        it arrived in: the relay neither re-encodes the headers it has
+        just parsed nor queues the frames one at a time.
+        """
+        offset = first_offset
+        for payload in payloads:
+            self._store_chunk(offset, payload)
+            self._check_crash_gate()
+            offset += len(payload)
+        self.link.send_run(first_offset, payloads, raw)
 
     def _hard_abort(self, reason: str) -> None:
         """Unrecoverable data loss: QUIT both neighbours and die failed."""
@@ -741,8 +764,6 @@ class ReceiverNode(_BaseNode):
         cfg = self.config
         state = self.state
         upstream_report: Optional[bytes] = None
-        #: Non-DATA frame decoded while draining a batch; handled next turn.
-        carried: Optional[tuple] = None
 
         while True:
             if self.failover_requested.is_set():
@@ -752,15 +773,10 @@ class ReceiverNode(_BaseNode):
             if state.phase is Phase.ENDED and upstream_report is not None:
                 return upstream_report
             if self.upstream is None:
-                carried = None
                 self._acquire_upstream()
                 continue
             try:
-                if carried is not None:
-                    msg, payload = carried
-                    carried = None
-                else:
-                    msg, payload = self.upstream.recv_message(cfg.io_timeout)
+                msg, payload = self.upstream.recv_message(cfg.io_timeout)
             except FramingError as exc:
                 # A poisoned byte stream cannot be resynchronised: drop
                 # the connection and wait for a clean reconnect, exactly
@@ -788,22 +804,17 @@ class ReceiverNode(_BaseNode):
             self._last_progress = time.monotonic()
 
             if isinstance(msg, Data):
-                # Batch the burst: every frame the last socket read
-                # already decoded is stored + corked, then the whole run
-                # leaves in one vectored send.  At small chunk sizes this
-                # divides the per-chunk syscall and flush overhead by the
-                # number of frames per read.
+                # Batch the burst: the read that completed this frame
+                # usually delivered dozens more.  They are taken as one
+                # run — stored chunk by chunk, forwarded as the bytes
+                # they came in — and everything corked leaves in one
+                # vectored send.  Whatever ended the run (another
+                # opcode, an offset gap, a bad byte, a partial frame) is
+                # still buffered: the next ``recv_message`` meets it.
                 self._consume_chunk(msg.offset, payload, flush=False)
-                try:
-                    nxt = self.upstream.try_recv_message()
-                    while nxt is not None and isinstance(nxt[0], Data):
-                        self._consume_chunk(nxt[0].offset, nxt[1], flush=False)
-                        nxt = self.upstream.try_recv_message()
-                    carried = nxt
-                except FramingError as exc:
-                    logger.info("%s: dropping upstream on bad frame: %s",
-                                self.name, exc)
-                    self._drop_upstream()
+                run = self.upstream.try_recv_run()
+                if run is not None:
+                    self._consume_run(*run)
                 self.link.flush()
             elif isinstance(msg, End):
                 if state.phase is Phase.STREAMING:

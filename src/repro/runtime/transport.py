@@ -44,7 +44,13 @@ from typing import BinaryIO, Deque, Optional, Tuple
 
 from ..core.buffers import BufferPool
 from ..core.errors import NodeFailedError, ProtocolError
-from ..core.framing import FrameDecoder, Payload, encode_header, payload_size
+from ..core.framing import (
+    DataRun,
+    FrameDecoder,
+    Payload,
+    encode_header,
+    payload_size,
+)
 from ..core.messages import Message
 from ..core.perfstats import PerfStats, get_stats
 
@@ -101,12 +107,20 @@ class SocketStream:
         self._pending_bytes = 0
         self._sendmsg = getattr(sock, "sendmsg", None)
         self._closed = False
+        #: Timeout the socket is currently set to: re-arming it costs a
+        #: syscall, so reads and flushes only do so when it changes.
+        self._timeout = sock.gettimeout()
         # Disable Nagle: control messages (GET, PING, PASSED) are tiny and
         # latency-critical; bulk DATA frames are large enough not to care.
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:  # pragma: no cover - non-TCP sockets in tests
             pass
+
+    def _set_timeout(self, timeout: Optional[float]) -> None:
+        if timeout != self._timeout:
+            self._sock.settimeout(timeout)
+            self._timeout = timeout
 
     # ------------------------------------------------------------------
     # Receiving
@@ -128,7 +142,7 @@ class SocketStream:
             if item is not None:
                 return item
             view = self._decoder.writable()
-            self._sock.settimeout(timeout)
+            self._set_timeout(timeout)
             try:
                 n = self._sock.recv_into(view)
             except socket.timeout:
@@ -148,9 +162,11 @@ class SocketStream:
             self._stats.recv_syscall(n)
             self._decoder.bytes_written(n)
 
-    def try_recv_message(self) -> Optional[Tuple[Message, Payload]]:
-        """Non-blocking poll for an already-buffered frame."""
-        return self._decoder.try_pop()
+    def try_recv_run(self) -> Optional[DataRun]:
+        """Non-blocking poll for the already-buffered ``DATA`` frames that
+        continue the stream, as one run (see
+        :meth:`~repro.core.framing.FrameDecoder.try_pop_run`)."""
+        return self._decoder.try_pop_run()
 
     def wake_reader(self) -> None:
         """Make a ``recv_message`` blocked in another thread return now.
@@ -211,6 +227,16 @@ class SocketStream:
         if flush:
             self.flush_pending(timeout=timeout)
 
+    def cork_frames(self, raw, frames: int) -> None:
+        """Queue ``frames`` already-encoded frames — a run's wire bytes as
+        :meth:`try_recv_run` returned them — as one send-queue entry.
+
+        Queued by reference like any payload; nothing is sent until the
+        next :meth:`flush_pending` or flushed :meth:`send_message`.
+        """
+        self._enqueue(raw)
+        self._stats.frames_sent += frames
+
     def send_raw(self, data: bytes, *, timeout: Optional[float] = None) -> None:
         """Queue and send raw bytes (used for the connection preamble)."""
         self._enqueue(data)
@@ -225,7 +251,7 @@ class SocketStream:
         """
         queue = self._send_queue
         while queue:
-            self._sock.settimeout(timeout)
+            self._set_timeout(timeout)
             try:
                 if self._sendmsg is not None:
                     sent = self._sendmsg(list(islice(queue, _SENDMSG_BATCH)))

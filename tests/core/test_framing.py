@@ -262,6 +262,64 @@ class TestZeroCopyDecode:
             dec.try_pop()
 
 
+class TestBoundedReads:
+    """``writable()`` never offers space for bytes the decoder is certain
+    to carry.  With frames more than half a buffer long — bulk chunks in
+    the segments the pool ratchets to — a sender that always has more to
+    give (every view is filled to the brim: the gated bulk path, never
+    drained) costs no payload copy once the frame size is known."""
+
+    @staticmethod
+    def _blast(dec, wire):
+        """Fill every ``writable()`` window completely; pop as we go."""
+        out, sent = [], 0
+        while sent < len(wire):
+            view = dec.writable()
+            take = min(len(view), len(wire) - sent)
+            view[:take] = wire[sent:sent + take]
+            view.release()
+            dec.bytes_written(take)
+            sent += take
+            out.extend((m, bytes(p)) for m, p in iter(dec))
+        return out
+
+    @pytest.mark.parametrize("size", [520, 600, 1000, 3000])
+    def test_undrained_stream_carries_no_payload(self, size):
+        from repro.core import BufferPool, PerfStats
+
+        stats = PerfStats()
+        dec = FrameDecoder(pool=BufferPool(1024, stats=stats), stats=stats)
+        items = [(Data(i * size, size), bytes((i + j) % 251 for j in range(size)))
+                 for i in range(50)]
+        wire = b"".join(encode_header(m) + p for m, p in items)
+        assert self._blast(dec, wire + encode_header(End(50 * size))) == (
+            items + [(End(50 * size), b"")])
+        # The first frame is met with no idea of its size: that one may
+        # straddle the buffer end.  None after it does.
+        assert stats.payload_copy_events <= 1
+        assert stats.payload_bytes_copied < size
+
+    def test_page_turns_only_for_a_frame_that_needs_it(self):
+        """After a frame that leaves no room for another like it, only
+        the next header is read — and a short control frame is decoded
+        where it is, without a fresh buffer."""
+        from repro.core import BufferPool, PerfStats
+
+        stats = PerfStats()
+        dec = FrameDecoder(pool=BufferPool(256, stats=stats), stats=stats)
+        payload = bytes(range(150))
+        wire = encode_header(Data(0, 150)) + payload
+        assert self._blast(dec, wire) == [(Data(0, 150), payload)]
+        assert len(dec.writable()) == header_size(Op.DATA)
+        assert self._blast(dec, encode_header(End(150))) == [(End(150), b"")]
+        assert stats.pool_allocations == 1
+        # A second data frame does turn the page, carrying nothing.
+        wire = encode_header(Data(150, 150)) + payload
+        assert self._blast(dec, wire) == [(Data(150, 150), payload)]
+        assert stats.pool_allocations + stats.pool_reuses == 2
+        assert stats.payload_copy_events == 0
+
+
 class TestBlockingHelpers:
     def test_write_read_roundtrip(self):
         buf = io.BytesIO()

@@ -326,3 +326,268 @@ class TestEffectiveTail:
         finally:
             quitter.close()
             never.close()
+
+
+def decoded_run(first_offset, sizes, fill=0):
+    """A run as a relay holds it: ``(first_offset, payloads, raw)`` popped
+    from a decoder that was fed the frames' wire bytes."""
+    from repro.core import FrameDecoder, encode_header
+
+    wire, offset = bytearray(), first_offset
+    for i, size in enumerate(sizes):
+        wire += encode_header(Data(offset, size)) + bytes([fill + i]) * size
+        offset += size
+    dec = FrameDecoder()
+    dec.feed(bytes(wire))
+    run = dec.try_pop_run()
+    assert run is not None and len(run[1]) == len(sizes)
+    return run
+
+
+def store_run(state, run):
+    first_offset, payloads, _raw = run
+    offset = first_offset
+    for payload in payloads:
+        state.on_data(offset, payload)
+        offset += len(payload)
+
+
+def stream_bytes(seen):
+    """The DATA frames a scripted peer saw, as (first offset, bytes)."""
+    datas = [(m, bytes(p)) for m, p in seen if isinstance(m, Data)]
+    offset = datas[0][0].offset
+    for msg, _payload in datas:
+        assert msg.offset == offset, "gap or repeat on the wire"
+        offset += msg.size
+    return datas[0][0].offset, b"".join(p for _m, p in datas)
+
+
+class TestSendRun:
+    """A run leaves as the bytes it came in when the link stands at its
+    start, and frame by frame — skipping what a replay delivered —
+    when it does not."""
+
+    def test_run_at_the_live_edge_is_forwarded_as_received(self, monkeypatch):
+        from repro.runtime import transport
+
+        encoded = []
+        real = transport.encode_header
+        monkeypatch.setattr(
+            transport, "encode_header",
+            lambda msg: (encoded.append(msg), real(msg))[1])
+        seen = []
+        peer = ScriptedPeer(normal_receiver(collect=seen))
+        link, state = make_link([peer])
+        try:
+            state.on_data(0, b"\xaa" * 100)
+            assert link.send_data(0, b"\xaa" * 100)
+            run = decoded_run(100, [100] * 6, fill=1)
+            store_run(state, run)
+            assert link.send_run(*run)
+            assert link.sent_offset == 700
+            assert link.pending_bytes == len(run[2])  # corked, one piece
+            assert link.flush()
+            state.on_end(700)
+            assert link.finish(total=700, quit_first=False) == "passed"
+        finally:
+            peer.close()
+        first, data = stream_bytes(seen)
+        assert first == 0
+        assert data == b"\xaa" * 100 + b"".join(
+            bytes([1 + i]) * 100 for i in range(6))
+        # Only the frame sent on its own had its header made here.
+        assert [m for m in encoded if isinstance(m, Data)] == [Data(0, 100)]
+        assert state.buffer.end_offset == 700
+
+    def test_prefix_already_delivered_is_not_sent_twice(self):
+        """``sent_offset`` strictly inside the run: exactly the frames
+        beyond it go out."""
+        seen = []
+        peer = ScriptedPeer(normal_receiver(collect=seen))
+        link, state = make_link([peer])
+        try:
+            run = decoded_run(0, [100] * 7)
+            _first_offset, payloads, _raw = run
+            for i in range(3):  # [0, 300) leaves the ordinary way
+                state.on_data(i * 100, payloads[i])
+                assert link.send_data(i * 100, payloads[i])
+            assert link.sent_offset == 300
+            for i in range(3, 7):
+                state.on_data(i * 100, payloads[i])
+            assert link.send_run(*run)
+            assert link.sent_offset == 700
+            assert link.flush()
+            state.on_end(700)
+            assert link.finish(total=700, quit_first=False) == "passed"
+        finally:
+            peer.close()
+        first, data = stream_bytes(seen)
+        assert (first, data) == (0, b"".join(bytes([i]) * 100
+                                             for i in range(7)))
+
+    def test_a_real_gap_is_still_a_desync(self):
+        from repro.core import ProtocolError
+
+        peer = ScriptedPeer(normal_receiver())
+        link, state = make_link([peer])
+        try:
+            state.on_data(0, b"a" * 100)
+            assert link.send_data(0, b"a" * 100)
+            run = decoded_run(200, [100] * 3)  # [100, 200) never sent
+            with pytest.raises(ProtocolError, match="forward desync"):
+                link.send_run(*run)
+        finally:
+            link.close()
+            peer.close()
+
+    def test_no_downstream_left(self):
+        dead = Listener()
+        addr = dead.address
+        dead.close()
+        plan = PipelinePlan(head="n1", receivers=("n2",))
+        state = NodeTransferState("n1", CFG, source_kind=SourceKind.SEEKABLE_FILE)
+        link = DownstreamLink(
+            "n1", plan, Registry({"n1": Address("127.0.0.1", 1), "n2": addr}),
+            CFG.with_(connect_timeout=0.1), state)
+        run = decoded_run(0, [100] * 3)
+        store_run(state, run)
+        assert link.send_run(*run) is False
+        assert link.is_effective_tail
+
+    def test_downstream_killed_under_a_corked_run(self):
+        """The peer dies with a run corked on its connection.  Nothing of
+        it may have arrived; the replacement says what it has, the ring
+        replays the rest, and the runs that follow are skipped or sent
+        as the replay left them — every byte once, in order."""
+        def dies_after_handshake(peer, kind, stream):
+            if kind != b"D":
+                stream.close()
+                return False
+            stream.send_message(Get(0), timeout=1.0)
+            peer.seen.append(stream.recv_message(5.0))  # the first frame
+            stream.close()
+            return True
+
+        seen = []
+        peer1 = ScriptedPeer(dies_after_handshake)
+        peer2 = ScriptedPeer(normal_receiver(offset=100, collect=seen))
+        link, state = make_link([peer1, peer2])
+        runs = [decoded_run(100 + 600 * k, [100] * 6, fill=10 * k)
+                for k in range(4)]
+        try:
+            state.on_data(0, b"\xee" * 100)
+            assert link.send_data(0, b"\xee" * 100)
+            peer1.thread.join(timeout=5.0)      # n2 is gone
+            for run in runs:
+                store_run(state, run)
+                assert link.send_run(*run)      # corked, or replayed
+                link.flush()                    # may be where n2's death shows
+            total = 100 + 4 * 600
+            assert link.sent_offset == total
+            state.on_end(total)
+            assert link.finish(total=total, quit_first=False) == "passed"
+        finally:
+            peer1.close()
+            peer2.close()
+        assert link.target == "n3"
+        assert "n2" in {r.node for r in state.report.failures}
+        first, data = stream_bytes(seen)
+        assert first == 100
+        assert data == b"".join(
+            bytes([10 * k + i]) * 100 for k in range(4) for i in range(6))
+
+
+class TestRelayBurst:
+    """A real relay node between a scripted upstream (this test) and a
+    scripted downstream: what one burst of frames holds decides which
+    frames go down as a run and which are met one at a time."""
+
+    CHUNK = 512
+
+    def _relay(self, downstream):
+        from repro.core.plan import ChainPlan
+        from repro.core.sinks import BufferSink
+        from repro.runtime.node import ReceiverNode
+
+        listener = Listener()
+        plan = ChainPlan.single("n1", ("n2", "n3")).stripe(0)
+        registry = Registry({"n1": Address("127.0.0.1", 1),
+                             "n2": listener.address,
+                             "n3": downstream.address})
+        sink = BufferSink()
+        node = ReceiverNode("n2", plan, registry, listener,
+                            CFG.with_(chunk_size=self.CHUNK, buffer_chunks=64),
+                            sink)
+        node.start()
+        return node, sink
+
+    def _frames(self, first, count):
+        from repro.core import encode_header
+
+        return b"".join(
+            encode_header(Data(i * self.CHUNK, self.CHUNK))
+            + bytes([i]) * self.CHUNK for i in range(first, first + count))
+
+    def _upstream(self, node, expect_get):
+        from repro.runtime.transport import DATA_CONN, connect
+
+        stream = connect(node.listener.address, DATA_CONN, timeout=2.0)
+        msg, _ = stream.recv_message(2.0)
+        assert msg == Get(expect_get)
+        return stream
+
+    def test_bad_byte_in_a_burst_drops_upstream_after_flushing_the_run(self):
+        from repro.core import encode_header
+
+        seen = []
+        downstream = ScriptedPeer(normal_receiver(collect=seen))
+        node, sink = self._relay(downstream)
+        try:
+            up = self._upstream(node, 0)
+            up.send_raw(self._frames(0, 10) + b"\xee" * 32, timeout=2.0)
+            # The relay cannot resynchronise: it hangs up on us …
+            with pytest.raises(ConnectionError):
+                up.recv_message(5.0)
+            up.close()
+            # … keeps what was good, and asks the next upstream for the rest.
+            up = self._upstream(node, 10 * self.CHUNK)
+            total = 16 * self.CHUNK
+            report = node.state.report.encode()
+            up.send_raw(self._frames(10, 6) + encode_header(End(total))
+                        + encode_header(Report(len(report))) + report,
+                        timeout=2.0)
+            msg, _ = up.recv_message(5.0)
+            assert msg == Passed()
+            up.close()
+            node.join(timeout=5.0)
+            assert not node.thread.is_alive()
+        finally:
+            node.shutdown()
+            downstream.close()
+        assert node.outcome.ok, node.outcome.error
+        want = b"".join(bytes([i]) * self.CHUNK for i in range(16))
+        assert sink.getvalue() == want
+        assert stream_bytes(seen) == (0, want)
+
+    def test_offset_gap_in_a_burst_is_still_a_protocol_error(self):
+        from repro.core import encode_header
+
+        seen = []
+        downstream = ScriptedPeer(normal_receiver(collect=seen))
+        node, sink = self._relay(downstream)
+        try:
+            up = self._upstream(node, 0)
+            gap = (encode_header(Data(9 * self.CHUNK, self.CHUNK))
+                   + b"\x09" * self.CHUNK)
+            up.send_raw(self._frames(0, 6) + gap, timeout=2.0)
+            node.join(timeout=5.0)
+            assert not node.thread.is_alive()
+            up.close()
+        finally:
+            node.shutdown()
+            downstream.close()
+        assert not node.outcome.ok
+        assert "ProtocolError" in node.outcome.error
+        assert f"DATA at offset {9 * self.CHUNK}" in node.outcome.error
+        # The sink saw the six chunks before the gap and nothing after.
+        assert node.outcome.bytes_received == 6 * self.CHUNK

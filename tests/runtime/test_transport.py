@@ -209,3 +209,56 @@ class TestWakeReader:
         server.wake_reader()
         server.wake_reader()
         client.close()
+
+
+class _RecordingSocket:
+    """A real socket that notes every ``settimeout`` made on it."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.timeouts_set = []
+
+    def settimeout(self, value):
+        self.timeouts_set.append(value)
+        self._sock.settimeout(value)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestTimeoutArming:
+    """The socket timeout is a syscall to set: a stream sets it when the
+    value changes, not on every read and flush."""
+
+    def test_one_value_is_set_once_and_a_change_before_the_next_read(self):
+        a, b = socket.socketpair()
+        sock = _RecordingSocket(a)
+        stream = SocketStream(sock)
+        peer = SocketStream(b)
+        try:
+            for i in range(20):
+                peer.send_message(Data(i * 8, 8), b"x" * 8, timeout=2.0)
+            for i in range(20):
+                # Several reads: each frame is its own segment on the wire
+                # or not, the timeout is armed for the first read only.
+                msg, _ = stream.recv_message(2.0)
+                assert msg == Data(i * 8, 8)
+            assert sock.timeouts_set == [2.0]
+            # Same value on the send side: nothing to re-arm.
+            stream.send_message(Get(0), timeout=2.0)
+            assert sock.timeouts_set == [2.0]
+            # A new value reaches the socket before the read it governs.
+            began = time.monotonic()
+            with pytest.raises(TimeoutError):
+                stream.recv_message(0.05)
+            assert time.monotonic() - began < 1.0
+            assert sock.timeouts_set == [2.0, 0.05]
+            with pytest.raises(TimeoutError):
+                stream.recv_message(0.05)
+            stream.flush_pending(timeout=None)  # empty queue: no syscall
+            assert sock.timeouts_set == [2.0, 0.05]
+            stream.send_message(Get(1), timeout=None)
+            assert sock.timeouts_set == [2.0, 0.05, None]
+        finally:
+            stream.close()
+            peer.close()

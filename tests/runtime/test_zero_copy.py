@@ -13,6 +13,7 @@ Three invariants of the rebuilt runtime data path:
 
 import os
 import socket
+import threading
 
 import pytest
 
@@ -84,6 +85,122 @@ class TestSteadyStateRelay:
         # only by the runtime which never mutates received buffers).
         backing[0] ^= 0xFF
         assert piece[0] == backing[0]
+
+
+class _ChokedSocket:
+    """A real socket whose ``sendmsg`` lets ``budget`` bytes through and
+    then times out, so a test decides where a send is cut."""
+
+    def __init__(self, sock, budget):
+        self._sock = sock
+        self.budget = budget
+
+    def sendmsg(self, buffers):
+        if self.budget <= 0:
+            raise socket.timeout("choked")
+        sent = self._sock.send(b"".join(buffers)[:self.budget])
+        self.budget -= sent
+        return sent
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestRunRelay:
+    """Frames taken off one stream as a run and corked onto the next as
+    the bytes they came in are the same frames at the far end."""
+
+    N = 30
+
+    def _burst(self):
+        frames = [(Data(i * CHUNK, CHUNK), _pattern(i)) for i in range(self.N)]
+        return frames, b"".join(encode_header(m) + p for m, p in frames)
+
+    def test_relayed_run_is_the_identical_frame_sequence(self, monkeypatch):
+        from repro.runtime import transport
+
+        encoded = []
+        real = transport.encode_header
+        monkeypatch.setattr(
+            transport, "encode_header",
+            lambda msg: (encoded.append(msg), real(msg))[1])
+        frames, wire = self._burst()
+        up_w, up_r = socket.socketpair()
+        down_w, down_r = socket.socketpair()
+        stats = PerfStats()
+        upstream = SocketStream(up_r, stats=stats)
+        # The first send is cut seven bytes into a header inside the run.
+        frame = header_size(Op.DATA) + CHUNK
+        choke = _ChokedSocket(down_w, 5 * frame + 7)
+        downstream = SocketStream(choke, stats=stats)
+        far_end = SocketStream(down_r)
+        got = []
+        reader = threading.Thread(target=lambda: got.extend(
+            far_end.recv_message(timeout=5) for _ in range(self.N)))
+        reader.start()
+        try:
+            up_w.sendall(wire)
+            relayed = 0
+            while relayed < self.N:
+                # One relay turn, as ReceiverNode._stream_loop makes it.
+                msg, payload = upstream.recv_message(timeout=5)
+                downstream.send_message(msg, payload, flush=False)
+                relayed += 1
+                run = upstream.try_recv_run()
+                if run is not None:
+                    first, payloads, raw = run
+                    assert first == relayed * CHUNK
+                    downstream.cork_frames(raw, len(payloads))
+                    relayed += len(payloads)
+            with pytest.raises(WriteStalled):
+                downstream.flush_pending(timeout=0.05)
+            assert downstream.pending_bytes == len(wire) - (5 * frame + 7)
+            choke.budget = len(wire)
+            downstream.flush_pending(timeout=5)
+            assert downstream.pending_bytes == 0
+            reader.join(timeout=10)
+            assert not reader.is_alive()
+            assert [(m, bytes(p)) for m, p in got] == frames
+            # The relay decoded and sent the same frames, copied no
+            # payload byte, and made no header for a frame of a run.
+            assert stats.frames_decoded == stats.frames_sent == self.N
+            assert stats.payload_copy_events == 0
+            data_headers = [m for m in encoded if isinstance(m, Data)]
+            assert len(data_headers) < self.N / 2
+        finally:
+            upstream.close()
+            downstream.close()
+            reader.join(timeout=10)
+            far_end.close()
+            up_w.close()
+
+    def test_a_corked_run_pins_its_segment_until_flushed(self):
+        """``raw`` is a view like any payload: the pool may not hand the
+        segment out again while the send queue still holds it."""
+        frames, wire = self._burst()
+        up_w, up_r = socket.socketpair()
+        down_w, down_r = socket.socketpair()
+        stats = PerfStats()
+        pool = BufferPool(stats=stats)
+        upstream = SocketStream(up_r, pool=pool, stats=stats)
+        downstream = SocketStream(down_w, stats=stats)
+        try:
+            up_w.sendall(wire)
+            upstream.recv_message(timeout=5)
+            _first, payloads, raw = upstream.try_recv_run()
+            downstream.cork_frames(raw, len(payloads))
+            segment = raw.obj
+            del payloads, raw
+            upstream.close()  # the decoder lets go: only the queue holds on
+            assert pool.idle_buffers == 1
+            assert pool.acquire() is not segment
+            downstream.flush_pending(timeout=5)
+            assert pool.acquire() is segment
+        finally:
+            upstream.close()
+            downstream.close()
+            up_w.close()
+            down_r.close()
 
 
 class TestStallResume:

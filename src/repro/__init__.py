@@ -20,36 +20,18 @@ The package provides:
   of the evaluation section.
 """
 
-from .core import (
-    DEFAULT_CONFIG,
-    ChunkRingBuffer,
-    FailureRecord,
-    KascadeConfig,
-    KascadeError,
-    PipelinePlan,
-    TraceCollector,
-    TraceEvent,
-    TransferReport,
-)
-from .runtime.cluster import BroadcastResult, CrashPlan
-from .session import BACKENDS, BroadcastSession, run_broadcast
+from ._lazy import lazy_exports
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BACKENDS",
-    "DEFAULT_CONFIG",
-    "KascadeConfig",
-    "ChunkRingBuffer",
-    "PipelinePlan",
-    "TransferReport",
-    "FailureRecord",
-    "KascadeError",
-    "TraceCollector",
-    "TraceEvent",
-    "BroadcastResult",
-    "CrashPlan",
-    "BroadcastSession",
-    "run_broadcast",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "core.config": ("DEFAULT_CONFIG", "KascadeConfig"),
+    "core.chunkstore": ("ChunkRingBuffer",),
+    "core.pipeline": ("PipelinePlan",),
+    "core.report": ("TransferReport", "FailureRecord"),
+    "core.errors": ("KascadeError",),
+    "core.tracing": ("TraceCollector", "TraceEvent"),
+    "runtime.result": ("BroadcastResult", "CrashPlan"),
+    "session": ("BACKENDS", "BroadcastSession", "run_broadcast"),
+})
+__all__.append("__version__")

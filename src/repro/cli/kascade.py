@@ -31,21 +31,21 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from ..core import DEFAULT_CONFIG, KascadeConfig
-from ..core.plan import ChainPlan
-from ..core.recovery import SourceKind
-from ..core.sinks import open_sink
-from ..core.sources import open_source
-from ..core.tracing import NULL_TRACER, TraceCollector
-from ..runtime import HostChains, Listener, Registry
-from ..runtime.transport import Address
+# Module top is what ``--help`` and every spawned agent pay for: the
+# parser's defaults and nothing else.  Each command imports what it runs.
+from ..core.config import DATA_PLANES, DEFAULT_CONFIG, KascadeConfig
+
+if TYPE_CHECKING:
+    from ..runtime.registry import Address
 
 
 def make_tracer(args: argparse.Namespace):
     """``(tracer, finish)`` pair for ``--trace PATH``: a collector when
     tracing is on (``finish()`` writes the JSONL file), else the no-op."""
+    from ..core.tracing import NULL_TRACER, TraceCollector
+
     if not args.trace:
         return NULL_TRACER, lambda: None
     tracer = TraceCollector()
@@ -58,6 +58,8 @@ def make_tracer(args: argparse.Namespace):
 
 def parse_registry(spec: str) -> Tuple[List[str], Dict[str, Address]]:
     """Parse ``name=host:port,...`` into (ordered names, address map)."""
+    from ..runtime.registry import Address
+
     names: List[str] = []
     addrs: Dict[str, Address] = {}
     for item in spec.split(","):
@@ -134,7 +136,6 @@ def add_common(parser: argparse.ArgumentParser) -> None:
                              "(default 1 = classic single chain); for "
                              "send/recv, stripe j listens on the registry "
                              "port + j")
-    from ..core.config import DATA_PLANES
     parser.add_argument("--data-plane", choices=DATA_PLANES,
                         default=DEFAULT_CONFIG.data_plane,
                         help="I/O engine: 'threaded' (two threads per node, "
@@ -145,6 +146,9 @@ def add_common(parser: argparse.ArgumentParser) -> None:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     """Whole pipeline in one process: threads + loopback TCP."""
+    from ..core.sources import open_source
+    from ..session import run_broadcast
+
     config = build_config(args)
     receivers = [f"n{i}" for i in range(2, args.nodes + 2)]
     source = open_source(args.input)
@@ -161,8 +165,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
                             expected_size=getattr(source, "size", None))
         from ..core.sinks import NullSink
         return NullSink()
-
-    from ..session import run_broadcast
 
     result = run_broadcast(source, receivers, sink_factory=sink_factory,
                            config=config, trace=args.trace,
@@ -225,12 +227,12 @@ def parse_chaos(specs: List[str], head: str | None = None):
 
 def cmd_deploy(args: argparse.Namespace) -> int:
     """Windowed multi-process deployment: real processes, real signals."""
+    from ..core.sources import open_source
+    from ..session import run_broadcast
+
     config = build_config(args)
     receivers = [f"n{i}" for i in range(2, args.nodes + 2)]
     source = open_source(args.input)
-
-    from ..session import run_broadcast
-
     result = run_broadcast(
         source, receivers,
         backend="procs",
@@ -387,6 +389,11 @@ def _run_host(args: argparse.Namespace, config: KascadeConfig, **role):
     the chains).  ``role`` is the head's ``source`` or a receiver's
     ``sink``.  Returns the finished host.
     """
+    from ..core.plan import ChainPlan
+    from ..runtime.host import HostChains
+    from ..runtime.registry import Address, Registry
+    from ..runtime.transport import Listener
+
     names, addrs = parse_registry(args.nodes)
     if args.name not in addrs:
         raise SystemExit(f"--name {args.name!r} not present in --nodes")
@@ -441,6 +448,8 @@ def cmd_recv(args: argparse.Namespace) -> int:
     listening on registry port + stripe index, and merges the stripes
     back into the single output in order.
     """
+    from ..core.sinks import open_sink
+
     host = _run_host(args, build_config(args),
                      sink=open_sink(args.output, args.output_command))
     outcome = host.outcome
@@ -460,6 +469,9 @@ def cmd_send(args: argparse.Namespace) -> int:
     is its registry port + ``j``.  Striping needs random access to the
     input, so stdin cannot be striped.
     """
+    from ..core.recovery import SourceKind
+    from ..core.sources import open_source
+
     config = build_config(args)
     source = open_source(args.input)
     if config.stripes > 1 and source.kind is not SourceKind.SEEKABLE_FILE:
@@ -472,19 +484,7 @@ def cmd_send(args: argparse.Namespace) -> int:
     return 0 if host.outcome.ok else 1
 
 
-def main(argv: List[str] | None = None) -> int:
-    from .. import __version__
-
-    parser = argparse.ArgumentParser(
-        prog="kascade",
-        description="Scalable and reliable pipelined data broadcast "
-                    "(reproduction of Martin et al., IPDPS workshops 2014)",
-    )
-    parser.add_argument("--version", action="version",
-                        version=f"kascade {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    demo = sub.add_parser("demo", help="run a full pipeline locally (threads)")
+def _demo_args(demo: argparse.ArgumentParser) -> None:
     demo.add_argument("-n", "--nodes", type=int, default=3,
                       help="number of receiving nodes")
     demo.add_argument("-i", "--input", required=True,
@@ -495,11 +495,9 @@ def main(argv: List[str] | None = None) -> int:
                       help="pipe output into this shell command")
     demo.add_argument("--run-timeout", type=float, default=3600.0)
     add_common(demo)
-    demo.set_defaults(fn=cmd_demo)
 
-    deploy = sub.add_parser(
-        "deploy",
-        help="run a pipeline as one OS process per node (windowed launch)")
+
+def _deploy_args(deploy: argparse.ArgumentParser) -> None:
     deploy.add_argument("-n", "--nodes", type=int, default=3,
                         help="number of receiving nodes")
     deploy.add_argument("-i", "--input", required=True,
@@ -537,21 +535,18 @@ def main(argv: List[str] | None = None) -> int:
                              "receiver and re-roots the chain onto it "
                              "(needs --coordinator-replicas >= 1)")
     add_common(deploy)
-    deploy.set_defaults(fn=cmd_deploy)
 
-    replica = sub.add_parser(
-        "replica",
-        help="run one control-plane quorum replica (spawned by deploy)")
+
+def _replica_args(replica: argparse.ArgumentParser) -> None:
     replica.add_argument("--bind", default="127.0.0.1",
                          help="address to listen on")
     replica.add_argument("--port", type=int, default=0,
                          help="port to listen on (default: ephemeral, "
                               "announced on stdout)")
     replica.add_argument("--name", default="replica")
-    replica.set_defaults(fn=cmd_replica)
 
-    agent = sub.add_parser(
-        "agent", help="run one deployed node process (spawned by deploy)")
+
+def _agent_args(agent: argparse.ArgumentParser) -> None:
     agent.add_argument("--coordinator", required=True, metavar="HOST:PORT",
                        help="control socket of the deploy coordinator")
     agent.add_argument("--name", required=True)
@@ -572,11 +567,9 @@ def main(argv: List[str] | None = None) -> int:
     agent.add_argument("--cache-bytes", type=int, default=0,
                        help="fleet mode: byte budget for the cross-session "
                             "chunk cache (0 = no cache)")
-    agent.set_defaults(fn=cmd_agent)
 
-    serve = sub.add_parser(
-        "serve",
-        help="launch a persistent agent fleet and serve broadcast sessions")
+
+def _serve_args(serve: argparse.ArgumentParser) -> None:
     serve.add_argument("-n", "--fleet", type=int, default=4,
                        help="fleet size (names n1..nN) when --names is "
                             "not given")
@@ -605,10 +598,9 @@ def main(argv: List[str] | None = None) -> int:
                             "open sessions ride out a minority of replica "
                             "deaths (0 = no replication)")
     add_common(serve)
-    serve.set_defaults(fn=cmd_serve)
 
-    submit = sub.add_parser(
-        "submit", help="submit one broadcast session to a running serve")
+
+def _submit_args(submit: argparse.ArgumentParser) -> None:
     submit.add_argument("--server", required=True, metavar="HOST:PORT",
                         help="submit socket of the kascade serve")
     submit.add_argument("-i", "--input", default=None,
@@ -634,26 +626,67 @@ def main(argv: List[str] | None = None) -> int:
                         help="just check the server is alive")
     submit.add_argument("--shutdown", action="store_true",
                         help="ask the server to drain and exit")
-    submit.set_defaults(fn=cmd_submit)
 
-    recv = sub.add_parser("recv", help="run one receiving node")
+
+def _recv_args(recv: argparse.ArgumentParser) -> None:
     recv.add_argument("--name", required=True)
     recv.add_argument("--nodes", required=True,
                       help="registry: name=host:port,... (head first)")
     recv.add_argument("-o", "--output", default=None)
     recv.add_argument("-O", "--output-command", default=None)
     add_common(recv)
-    recv.set_defaults(fn=cmd_recv)
 
-    send = sub.add_parser("send", help="run the sending (head) node")
+
+def _send_args(send: argparse.ArgumentParser) -> None:
     send.add_argument("--name", required=True)
     send.add_argument("--nodes", required=True,
                       help="registry: name=host:port,... (head first)")
     send.add_argument("-i", "--input", default="-",
                       help="input file, or '-' for stdin (default)")
     add_common(send)
-    send.set_defaults(fn=cmd_send)
 
+
+#: sub-command -> (one-line help, what adds its options, what runs it).
+COMMANDS = {
+    "demo": ("run a full pipeline locally (threads)",
+             _demo_args, cmd_demo),
+    "deploy": ("run a pipeline as one OS process per node (windowed launch)",
+               _deploy_args, cmd_deploy),
+    "replica": ("run one control-plane quorum replica (spawned by deploy)",
+                _replica_args, cmd_replica),
+    "agent": ("run one deployed node process (spawned by deploy)",
+              _agent_args, cmd_agent),
+    "serve": ("launch a persistent agent fleet and serve broadcast sessions",
+              _serve_args, cmd_serve),
+    "submit": ("submit one broadcast session to a running serve",
+               _submit_args, cmd_submit),
+    "recv": ("run one receiving node",
+             _recv_args, cmd_recv),
+    "send": ("run the sending (head) node",
+             _send_args, cmd_send),
+}
+
+
+def main(argv: List[str] | None = None) -> int:
+    from .. import __version__
+
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = argparse.ArgumentParser(
+        prog="kascade",
+        description="Scalable and reliable pipelined data broadcast "
+                    "(reproduction of Martin et al., IPDPS workshops 2014)",
+    )
+    parser.add_argument("--version", action="version",
+                        version=f"kascade {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    # Every command is listed (``kascade --help``); only the one being
+    # run gets its options built — an agent is not eight parsers.
+    chosen = next((arg for arg in argv if arg in COMMANDS), None)
+    for name, (summary, add_args, fn) in COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        if name == chosen:
+            add_args(command)
+        command.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     return args.fn(args)
 

@@ -20,12 +20,11 @@ second:
   commands by majority and keeps working while a minority is down.
 """
 
-from .paxos import Acceptor, Ballot, Learner, Proposal  # noqa: F401
-from .state import ControlState  # noqa: F401
-from .replica import ReplicaServer  # noqa: F401
-from .client import QuorumClient, QuorumError  # noqa: F401
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Acceptor", "Ballot", "Learner", "Proposal",
-    "ControlState", "ReplicaServer", "QuorumClient", "QuorumError",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "paxos": ("Acceptor", "Ballot", "Learner", "Proposal"),
+    "state": ("ControlState",),
+    "replica": ("ReplicaServer",),
+    "client": ("QuorumClient", "QuorumError"),
+})

@@ -2,156 +2,35 @@
 and the failure-recovery decision logic shared by the real TCP runtime and
 the network simulator."""
 
-from .buffers import DEFAULT_SEGMENT, BufferPool
-from .cache import ArtifactMeta, CacheTapSink, ChunkCache
-from .config import DEFAULT_CONFIG, KascadeConfig
-from .chunkstore import ChunkRingBuffer
-from .errors import (
-    ChunkStoreError,
-    ConfigError,
-    DataLossError,
-    FramingError,
-    KascadeError,
-    NodeFailedError,
-    PipelineError,
-    ProtocolError,
-    SimulationError,
-    SinkError,
-    TransferAborted,
-)
-from .framing import (
-    MAX_RECEIVE_ALLOC,
-    FrameDecoder,
-    encode_header,
-    read_message,
-    write_message,
-)
-from .perfstats import PerfStats, get_stats, reset_stats
-from .messages import (
-    Data,
-    End,
-    Forget,
-    Get,
-    Message,
-    Op,
-    Passed,
-    PGet,
-    Ping,
-    Pong,
-    Quit,
-    Report,
-)
-from .pipeline import PipelinePlan, hostname_sort_key, order_by_hostname, order_randomly
-from .plan import ChainPlan, StripePlan, coerce_stripe_plan
-from .stripes import StripeMergeSink, StripeSource, stripe_extent
-from .recovery import (
-    Offer,
-    OfferKind,
-    SourceKind,
-    negotiate_offset,
-    next_alive,
-    report_route,
-)
-from .report import FailureRecord, TransferReport
-from .tracing import (
-    EVENT_TYPES,
-    NULL_TRACER,
-    NullRecorder,
-    TraceCollector,
-    TraceEvent,
-    classify_detector,
-)
-from .sinks import (
-    BufferSink,
-    CommandSink,
-    FileSink,
-    HashingSink,
-    NullSink,
-    Sink,
-    ThrottledSink,
-    open_sink,
-)
-from .sources import BytesSource, FileSource, PatternSource, Source, StreamSource, open_source
-from .stages import ReadAheadSource, SinkWriter
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_CONFIG",
-    "DEFAULT_SEGMENT",
-    "KascadeConfig",
-    "BufferPool",
-    "ArtifactMeta",
-    "CacheTapSink",
-    "ChunkCache",
-    "ChunkRingBuffer",
-    "PerfStats",
-    "get_stats",
-    "reset_stats",
-    "MAX_RECEIVE_ALLOC",
-    "KascadeError",
-    "ProtocolError",
-    "FramingError",
-    "ChunkStoreError",
-    "DataLossError",
-    "PipelineError",
-    "TransferAborted",
-    "NodeFailedError",
-    "SimulationError",
-    "SinkError",
-    "ConfigError",
-    "FrameDecoder",
-    "encode_header",
-    "read_message",
-    "write_message",
-    "Op",
-    "Message",
-    "Get",
-    "PGet",
-    "Forget",
-    "Data",
-    "End",
-    "Quit",
-    "Report",
-    "Passed",
-    "Ping",
-    "Pong",
-    "PipelinePlan",
-    "ChainPlan",
-    "StripePlan",
-    "coerce_stripe_plan",
-    "StripeMergeSink",
-    "StripeSource",
-    "stripe_extent",
-    "hostname_sort_key",
-    "order_by_hostname",
-    "order_randomly",
-    "SourceKind",
-    "OfferKind",
-    "Offer",
-    "negotiate_offset",
-    "next_alive",
-    "report_route",
-    "FailureRecord",
-    "TransferReport",
-    "EVENT_TYPES",
-    "NULL_TRACER",
-    "NullRecorder",
-    "TraceCollector",
-    "TraceEvent",
-    "classify_detector",
-    "Sink",
-    "NullSink",
-    "FileSink",
-    "CommandSink",
-    "HashingSink",
-    "BufferSink",
-    "ThrottledSink",
-    "open_sink",
-    "SinkWriter",
-    "ReadAheadSource",
-    "Source",
-    "FileSource",
-    "StreamSource",
-    "BytesSource",
-    "PatternSource",
-    "open_source",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "config": ("DEFAULT_CONFIG", "KascadeConfig"),
+    "buffers": ("DEFAULT_SEGMENT", "BufferPool"),
+    "cache": ("ArtifactMeta", "CacheTapSink", "ChunkCache"),
+    "chunkstore": ("ChunkRingBuffer",),
+    "perfstats": ("PerfStats", "get_stats", "reset_stats"),
+    "errors": (
+        "KascadeError", "ProtocolError", "FramingError", "ChunkStoreError",
+        "DataLossError", "PipelineError", "TransferAborted",
+        "NodeFailedError", "SimulationError", "SinkError", "ConfigError",
+    ),
+    "framing": ("MAX_RECEIVE_ALLOC", "FrameDecoder", "encode_header",
+                "read_message", "write_message"),
+    "messages": ("Op", "Message", "Get", "PGet", "Forget", "Data", "End",
+                 "Quit", "Report", "Passed", "Ping", "Pong"),
+    "pipeline": ("PipelinePlan", "hostname_sort_key", "order_by_hostname",
+                 "order_randomly"),
+    "plan": ("ChainPlan", "StripePlan", "coerce_stripe_plan"),
+    "stripes": ("StripeMergeSink", "StripeSource", "stripe_extent"),
+    "recovery": ("SourceKind", "OfferKind", "Offer", "negotiate_offset",
+                 "next_alive", "report_route"),
+    "report": ("FailureRecord", "TransferReport"),
+    "tracing": ("EVENT_TYPES", "NULL_TRACER", "NullRecorder",
+                "TraceCollector", "TraceEvent", "classify_detector"),
+    "sinks": ("Sink", "NullSink", "FileSink", "CommandSink", "HashingSink",
+              "BufferSink", "ThrottledSink", "open_sink"),
+    "stages": ("SinkWriter", "ReadAheadSource"),
+    "sources": ("Source", "FileSource", "StreamSource", "BytesSource",
+                "PatternSource", "open_source"),
+})

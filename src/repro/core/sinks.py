@@ -12,7 +12,6 @@ from __future__ import annotations
 import errno
 import hashlib
 import os
-import subprocess
 import time
 from typing import BinaryIO, Callable, Optional
 
@@ -53,6 +52,11 @@ class Sink:
     def abort(self) -> None:
         """Tear down after a failed/interrupted transfer."""
         self.finish()
+
+    def close(self) -> None:
+        """Let go of OS resources the way a dying process does: nothing
+        more is flushed, completed or removed (an injected node crash —
+        neither ``finish`` nor ``abort`` will ever be called)."""
 
     def __enter__(self) -> "Sink":
         return self
@@ -135,6 +139,11 @@ class FileSink(Sink):
         except FileNotFoundError:
             pass
 
+    def close(self) -> None:
+        if self._file is not None:
+            self._file.close()
+            self._file = None
+
 
 class CommandSink(Sink):
     """Pipe the stream into a shell command's stdin (the ``-O`` option).
@@ -147,6 +156,10 @@ class CommandSink(Sink):
     """
 
     def __init__(self, command: str) -> None:
+        # Imported here: only a node piping into a command needs it, and
+        # an agent's start-up should not pay for it.
+        import subprocess
+
         self._command = command
         self._proc = subprocess.Popen(
             command, shell=True, stdin=subprocess.PIPE
@@ -271,6 +284,9 @@ class ThrottledSink(Sink):
 
     def abort(self) -> None:
         self._inner.abort()
+
+    def close(self) -> None:
+        self._inner.close()
 
 
 def open_sink(

@@ -184,6 +184,15 @@ class SinkWriter(Sink):
         runs even if the worker is stuck in a blocking write — closing
         the underlying file/pipe is what unblocks it.
         """
+        self._discard_and_stop(self._inner.abort)
+
+    def close(self) -> None:
+        """The owner died mid-stream: queued chunks are lost like a dead
+        process's unwritten buffers, the worker stops, and the inner
+        sink is closed as it stands (:meth:`Sink.close`)."""
+        self._discard_and_stop(self._inner.close)
+
+    def _discard_and_stop(self, settle_inner) -> None:
         with self._lock:
             self._aborting = True
             while self._queue:
@@ -194,7 +203,7 @@ class SinkWriter(Sink):
             self._readable.notify_all()
             self._writable.notify_all()
         self._worker.join(timeout=1.0)
-        self._inner.abort()
+        settle_inner()
         self._worker.join(timeout=1.0)
 
     def preallocate(self, size: int) -> None:

@@ -17,13 +17,9 @@ Or across processes::
     kascade submit --server 127.0.0.1:7641 -i artifact.tgz
 """
 
-from .client import DaemonClient, serve_clients
-from .server import DaemonServer, FleetCoordinator, LateJoin
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DaemonClient",
-    "DaemonServer",
-    "FleetCoordinator",
-    "LateJoin",
-    "serve_clients",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "client": ("DaemonClient", "serve_clients"),
+    "server": ("DaemonServer", "FleetCoordinator", "LateJoin"),
+})

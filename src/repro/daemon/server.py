@@ -38,10 +38,17 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..core import tracing
-from ..core.cache import ArtifactMeta
 from ..core.config import DEFAULT_CONFIG, KascadeConfig
 from ..core.errors import KascadeError
 from ..core.perfstats import get_stats
@@ -49,7 +56,6 @@ from ..core.plan import ChainPlan
 from ..core.report import TransferReport
 from ..core.sources import Source
 from ..core.tracing import NULL_TRACER, TraceCollector
-from ..deploy.agent import wiring_to_wire
 from ..deploy.chaos import ChaosEngine, ChaosPlan
 from ..deploy.coordinator import (
     Coordinator,
@@ -63,8 +69,11 @@ from ..deploy.launcher import (
     agent_spawner,
     spawn_env,
 )
-from ..runtime.cluster import BroadcastResult
-from ..runtime.node import NodeOutcome
+from ..deploy.protocol import wiring_to_wire
+from ..runtime.result import BroadcastResult, NodeOutcome
+
+if TYPE_CHECKING:
+    from ..core.cache import ArtifactMeta
 
 
 @dataclass(frozen=True)
@@ -514,6 +523,8 @@ class DaemonServer:
         """Content identity of the file at ``path`` (sha256 + size),
         memoized on (path, size, mtime) so repeat submits of the same
         artifact skip the hash pass."""
+        from ..core.cache import ArtifactMeta
+
         stat = os.stat(path)
         key = (os.path.abspath(path), stat.st_size, stat.st_mtime_ns)
         with self._lock:

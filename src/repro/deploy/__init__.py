@@ -25,18 +25,11 @@ process (§III-B):
 The blessed entry point is ``repro.run_broadcast(..., backend="procs")``.
 """
 
-from .chaos import ChaosEngine, ChaosPlan
-from .coordinator import ProcBroadcast
-from .launcher import LaunchReport, NodeLaunch, WindowedLauncher
-from .protocol import ControlChannel, DeployError
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ChaosEngine",
-    "ChaosPlan",
-    "ControlChannel",
-    "DeployError",
-    "LaunchReport",
-    "NodeLaunch",
-    "ProcBroadcast",
-    "WindowedLauncher",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "chaos": ("ChaosEngine", "ChaosPlan"),
+    "protocol": ("ControlChannel", "DeployError"),
+    "launcher": ("LaunchReport", "NodeLaunch", "WindowedLauncher"),
+    "coordinator": ("ProcBroadcast",),
+})

@@ -23,7 +23,6 @@ Exit codes: 0 ok, 1 transfer failed, 2 usage/registration error,
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import os
 import queue
@@ -38,10 +37,17 @@ from ..core.plan import ChainPlan
 from ..core.sinks import FileSink, NullSink, Sink
 from ..core.sources import FileSource
 from ..core.tracing import TraceCollector
-from ..runtime.host import HostChains, check_head_failover
-from ..runtime.registry import Registry
-from ..runtime.transport import Address, Listener
-from .protocol import ControlChannel, DeployError, connect_control
+from ..runtime.host import HostChains
+from ..runtime.registry import Address, Registry
+from ..runtime.result import check_head_failover
+from ..runtime.transport import Listener
+from .protocol import (  # noqa: F401 - config_to_wire/wiring_to_wire re-exported
+    ControlChannel,
+    DeployError,
+    config_to_wire,
+    connect_control,
+    wiring_to_wire,
+)
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -512,24 +518,3 @@ def _follow_control(
             host.join(time.monotonic() + 2.0)
             break
     return host, awaiting_resume
-
-
-def config_to_wire(config: KascadeConfig) -> dict:
-    """JSON-safe dict for the ``start`` message (coordinator side)."""
-    return dataclasses.asdict(config)
-
-
-def wiring_to_wire(chain_plan: ChainPlan, endpoints: dict,
-                   config: KascadeConfig) -> dict:
-    """The fields every start-shaped message carries (coordinator
-    side) — exactly what :func:`_wiring` reads back.  ``endpoints``
-    maps each node of the plan to ``(host, ports)``, one port per
-    stripe."""
-    return {
-        "nodes": [[n, endpoints[n][0], endpoints[n][1][0]]
-                  for n in chain_plan.nodes],
-        "head": chain_plan.head,
-        "plan": chain_plan.to_dict(),
-        "ports": {n: list(endpoints[n][1]) for n in chain_plan.nodes},
-        "config": config_to_wire(config),
-    }

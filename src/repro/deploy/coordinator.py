@@ -23,7 +23,6 @@ import signal
 import socket
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -36,11 +35,8 @@ from ..core.plan import ChainPlan
 from ..core.report import FailureRecord, TransferReport
 from ..core.sources import FileSource, Source
 from ..core.tracing import NULL_TRACER, TraceCollector
-from ..runtime.cluster import BroadcastResult
-from ..runtime.host import check_head_failover
-from ..runtime.node import NodeOutcome
-from ..runtime.transport import Address
-from .agent import wiring_to_wire
+from ..runtime.registry import Address
+from ..runtime.result import BroadcastResult, NodeOutcome, check_head_failover
 from .chaos import ChaosEngine, ChaosPlan
 from .launcher import (
     LaunchReport,
@@ -48,7 +44,7 @@ from .launcher import (
     agent_spawner,
     spawn_env,
 )
-from .protocol import ControlChannel, DeployError
+from .protocol import ControlChannel, DeployError, wiring_to_wire
 
 def rebase_events(status: dict, wall0: float) -> list:
     """Agent trace events shifted onto the caller's time base.
@@ -96,6 +92,8 @@ def materialize_source(source: Source) -> Tuple[str, Callable[[], None]]:
     """
     if isinstance(source, FileSource):
         return source.path, lambda: None
+    import tempfile  # only a non-file source is spooled
+
     fd, path = tempfile.mkstemp(prefix="kascade-src-")
     try:
         with os.fdopen(fd, "wb") as spool:

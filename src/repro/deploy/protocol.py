@@ -30,12 +30,17 @@ protocol violation, not an allocation.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import socket
 import threading
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..core.errors import KascadeError
+
+if TYPE_CHECKING:
+    from ..core.config import KascadeConfig
+    from ..core.plan import ChainPlan
 
 #: Ceiling for one control message.  Status messages carry a JSONL trace
 #: dump, so this is generous; anything larger is a bug, not a payload.
@@ -151,3 +156,24 @@ def connect_control(host: str, port: int, timeout: float) -> ControlChannel:
     except OSError as exc:
         raise DeployError(f"coordinator {host}:{port} unreachable: {exc}")
     return ControlChannel(sock)
+
+
+def config_to_wire(config: KascadeConfig) -> dict:
+    """JSON-safe dict for the ``start`` message (coordinator side)."""
+    return dataclasses.asdict(config)
+
+
+def wiring_to_wire(chain_plan: ChainPlan, endpoints: dict,
+                   config: KascadeConfig) -> dict:
+    """The fields every start-shaped message carries (coordinator
+    side) — exactly what the agent's ``_wiring`` reads back.  ``endpoints``
+    maps each node of the plan to ``(host, ports)``, one port per
+    stripe."""
+    return {
+        "nodes": [[n, endpoints[n][0], endpoints[n][1][0]]
+                  for n in chain_plan.nodes],
+        "head": chain_plan.head,
+        "plan": chain_plan.to_dict(),
+        "ports": {n: list(endpoints[n][1]) for n in chain_plan.nodes},
+        "config": config_to_wire(config),
+    }

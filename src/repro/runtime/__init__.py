@@ -10,25 +10,14 @@ runs, one per stripe (:class:`HostChains`, :mod:`.host`); a *broadcast*
 is every host of one schedule on localhost (:class:`LocalBroadcast`).
 """
 
-from .cluster import BroadcastResult, CrashPlan, LocalBroadcast
-from .host import HostChains, check_head_failover
-from .node import HeadNode, NodeOutcome, ReceiverNode
-from .registry import Registry
-from .transport import Address, Listener, SocketStream, WriteStalled, connect
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BroadcastResult",
-    "CrashPlan",
-    "LocalBroadcast",
-    "HostChains",
-    "check_head_failover",
-    "HeadNode",
-    "ReceiverNode",
-    "NodeOutcome",
-    "Registry",
-    "Address",
-    "Listener",
-    "SocketStream",
-    "WriteStalled",
-    "connect",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "result": ("BroadcastResult", "CrashPlan", "NodeOutcome",
+               "check_head_failover"),
+    "cluster": ("LocalBroadcast",),
+    "host": ("HostChains",),
+    "node": ("HeadNode", "ReceiverNode"),
+    "registry": ("Registry", "Address"),
+    "transport": ("Listener", "SocketStream", "WriteStalled", "connect"),
+})

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from ..core import tracing
 from ..core.config import DEFAULT_CONFIG, KascadeConfig
@@ -31,65 +30,10 @@ from ..core.report import TransferReport
 from ..core.sinks import NullSink, Sink
 from ..core.sources import Source
 from ..core.tracing import NULL_TRACER, TraceCollector
-from .host import HostChains, check_head_failover
-from .node import NodeOutcome
+from .host import HostChains
 from .registry import Registry
+from .result import BroadcastResult, CrashPlan, check_head_failover
 from .transport import Listener
-
-
-@dataclass(frozen=True)
-class CrashPlan:
-    """Kill ``node`` once it has received ``after_bytes`` of the stream."""
-
-    node: str
-    after_bytes: int
-    mode: str = "close"  # "close" | "silent"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("close", "silent"):
-            raise ValueError(f"unknown crash mode {self.mode!r}")
-        if self.after_bytes < 0:
-            raise ValueError("after_bytes must be >= 0")
-
-
-@dataclass
-class BroadcastResult:
-    """Outcome of one broadcast — the shape every backend returns.
-
-    ``duration`` is wall-clock seconds for the local backend and
-    simulated seconds for ``backend="simnet"``; ``trace`` carries the
-    :class:`~repro.core.tracing.TraceCollector` when tracing was on, and
-    ``perfstats`` the delta of the process-wide I/O counters across the
-    run (empty for the simulator, which does no real I/O).
-    """
-
-    ok: bool
-    duration: float
-    total_bytes: int
-    report: TransferReport
-    outcomes: Dict[str, NodeOutcome] = field(default_factory=dict)
-    trace: Optional[TraceCollector] = None
-    perfstats: Dict[str, int] = field(default_factory=dict)
-    backend: str = "local"
-    #: ``backend="procs"`` only: the measured windowed-startup timings
-    #: (a :class:`repro.deploy.LaunchReport`), ``None`` elsewhere.
-    launch: Optional[object] = None
-    #: The schedule the broadcast executed: which chain carried each
-    #: stripe (a :class:`~repro.core.plan.ChainPlan`).
-    plan: Optional[ChainPlan] = None
-
-    @property
-    def completed_nodes(self) -> List[str]:
-        return [n for n, o in self.outcomes.items() if o.ok]
-
-    @property
-    def failed_nodes(self) -> List[str]:
-        return [n for n, o in self.outcomes.items() if not o.ok]
-
-    @property
-    def throughput(self) -> float:
-        """Bytes per second, the paper's metric (size / transfer time)."""
-        return self.total_bytes / self.duration if self.duration > 0 else 0.0
 
 
 class LocalBroadcast:

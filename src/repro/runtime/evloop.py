@@ -1519,6 +1519,10 @@ class EvReceiverNode(_EvBaseNode):
             SplicePipe(config.chunk_size) if self._splice else None
         )
 
+    def _die(self, mode: str) -> None:
+        super()._die(mode)
+        self.sink.close()  # as ReceiverNode._die: no parked writeback worker
+
     # -- upstream management ---------------------------------------------
 
     def _acquire_upstream(self):

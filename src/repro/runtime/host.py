@@ -26,48 +26,17 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from ..core.config import KascadeConfig
-from ..core.errors import KascadeError
 from ..core.plan import ChainPlan
-from ..core.recovery import SourceKind
 from ..core.report import TransferReport
 from ..core.sinks import NullSink, Sink
 from ..core.sources import ResumeView, Source
-from ..core.stripes import StripeMergeSink, StripeSource
 from ..core.tracing import NULL_TRACER
-from .node import CrashGate, HeadNode, NodeOutcome, ReceiverNode
+from .node import CrashGate, HeadNode, ReceiverNode
 from .registry import Registry
+from .result import NodeOutcome, check_head_failover
 from .transport import Listener
 
 __all__ = ["HostChains", "check_head_failover"]
-
-
-def check_head_failover(stripes: int, data_plane: str,
-                        source_kind: Optional[SourceKind] = None) -> None:
-    """Refuse a run that cannot survive its head being re-rooted.
-
-    The one statement of what head failover needs — 1 stripe, the
-    threaded plane, and (where the caller holds the source) random
-    access to it — raised as :class:`KascadeError` with one message per
-    reason, whichever backend asks.
-    """
-    if stripes != 1:
-        raise KascadeError(
-            "head failover currently requires a 1-stripe plan: "
-            "per-stripe watermark re-rooting of a striped merge "
-            "is not supported"
-        )
-    if data_plane == "evloop":
-        raise KascadeError(
-            "head failover is not survivable on data_plane='evloop': "
-            "the reactor cannot detach its nodes mid-run; use "
-            "data_plane='threaded'"
-        )
-    if source_kind is not None and source_kind is not SourceKind.SEEKABLE_FILE:
-        raise KascadeError(
-            "head failover needs a seekable source: the promoted "
-            "head must serve PGET below the election watermark "
-            "by random access"
-        )
 
 
 def _stripe_gates(gate: CrashGate, k: int) -> List[CrashGate]:
@@ -171,7 +140,7 @@ class HostChains:
         else:
             head_cls, recv_cls = HeadNode, ReceiverNode
         #: Stripe views of the source this host opened (see :meth:`close`).
-        self._views: List[StripeSource] = []
+        self._views: List[Source] = []
 
         if k == 1:
             # The one-stripe case: the caller's own objects, untouched —
@@ -181,6 +150,9 @@ class HostChains:
             if self.is_head and resume_offset is not None:
                 ends = [ResumeView(source, resume_offset)]
         else:
+            # Only a striped host pays for the stripe machinery.
+            from ..core.stripes import StripeMergeSink, StripeSource
+
             labels = [f"{name}@s{j}" for j in range(k)]
             tracers = [_StripeTracer(tracer, j) for j in range(k)]
             gates = (_stripe_gates(gate, k) if gate is not None

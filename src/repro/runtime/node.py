@@ -26,7 +26,6 @@ import logging
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from ..core.config import KascadeConfig
@@ -61,6 +60,7 @@ from ..core import tracing
 from ..core.tracing import NULL_TRACER
 from .links import DownstreamLink
 from .registry import Registry
+from .result import NodeOutcome
 from .transport import (
     DATA_CONN,
     HAS_SENDFILE,
@@ -91,22 +91,6 @@ CrashGate = Callable[[int], Optional[str]]
 #: Head-side cork threshold: DATA frames accumulate in the send queue
 #: until this many bytes are pending, then leave in one vectored send.
 _HEAD_FLUSH_BYTES = 1 << 16
-
-
-@dataclass
-class NodeOutcome:
-    """What one node reports after the broadcast (or its own death)."""
-
-    name: str
-    ok: bool = False
-    bytes_received: int = 0
-    crashed: bool = False
-    error: Optional[str] = None
-    failures_detected: List = field(default_factory=list)
-    #: SHA-256 of the payload as stored, when the backend computed one
-    #: (the process backend always does; the thread backend only via a
-    #: hashing sink the caller supplied).
-    digest: Optional[str] = None
 
 
 class _Acceptor:
@@ -504,6 +488,13 @@ class ReceiverNode(_BaseNode):
         #: When the current upstream last delivered a frame, or was
         #: adopted (main loop writes, acceptor reads).
         self._last_progress = time.monotonic()
+
+    def _die(self, mode: str) -> None:
+        super()._die(mode)
+        # Either way this node stores nothing more: without this the
+        # writeback worker would sit on its queue, the sink's descriptor
+        # and this node for the life of the process.
+        self.sink.close()
 
     def detach_sink(self) -> Sink:
         """Recover the raw sink after ``begin_failover()`` + ``join()``.

@@ -9,10 +9,23 @@ to all targets before the transfer, §III-B).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Dict, Iterable, Mapping, Tuple
 
 from ..core.errors import PipelineError
-from .transport import Address
+
+
+@dataclass(frozen=True)
+class Address:
+    """A listen endpoint.  Defined here rather than beside the sockets
+    (:mod:`.transport` re-exports it) so the control side can name one
+    without importing the data plane."""
+
+    host: str
+    port: int
+
+    def as_tuple(self) -> Tuple[str, int]:
+        return (self.host, self.port)
 
 
 class Registry:

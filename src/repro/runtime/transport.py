@@ -38,7 +38,6 @@ import os
 import select
 import socket
 from collections import deque
-from dataclasses import dataclass
 from itertools import islice
 from typing import BinaryIO, Deque, Optional, Tuple
 
@@ -53,6 +52,7 @@ from ..core.framing import (
 )
 from ..core.messages import Message
 from ..core.perfstats import PerfStats, get_stats
+from .registry import Address
 
 #: Connection preamble bytes.
 DATA_CONN = b"D"
@@ -76,15 +76,6 @@ class WriteStalled(Exception):
     if need be — so a false-positive stall (congestion, not death) loses
     no data.
     """
-
-
-@dataclass(frozen=True)
-class Address:
-    host: str
-    port: int
-
-    def as_tuple(self) -> Tuple[str, int]:
-        return (self.host, self.port)
 
 
 class SocketStream:

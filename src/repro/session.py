@@ -32,17 +32,18 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from .core.config import DEFAULT_CONFIG, KascadeConfig
 from .core.errors import KascadeError
 from .core.plan import ChainPlan
 from .core.recovery import SourceKind
-from .core.sinks import Sink
 from .core.sources import Source
 from .core.tracing import NULL_TRACER, TraceCollector
-from .runtime.cluster import BroadcastResult, CrashPlan, LocalBroadcast
-from .runtime.node import NodeOutcome
+from .runtime.result import BroadcastResult, CrashPlan, NodeOutcome
+
+if TYPE_CHECKING:
+    from .core.sinks import Sink
 
 __all__ = ["BACKENDS", "BACKEND_CATALOGUE", "STRIPE_CATALOGUE",
            "BroadcastSession", "TraceSpec", "run_broadcast"]
@@ -221,6 +222,8 @@ class BroadcastSession:
             raise KascadeError(
                 f"local backend takes no extra options: {sorted(opts)}"
             )
+        from .runtime.cluster import LocalBroadcast
+
         cluster = LocalBroadcast(
             self.source, self.receivers,
             sink_factory=self.sink_factory,

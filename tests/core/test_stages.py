@@ -13,6 +13,7 @@ import pytest
 from repro.core import (
     BufferSink,
     BytesSource,
+    FileSink,
     FileSource,
     PatternSource,
     PerfStats,
@@ -144,6 +145,35 @@ class TestSinkWriter:
         writer.abort()
         t.join(5.0)
         assert not t.is_alive(), "producer stayed blocked across abort()"
+
+    def test_close_is_a_dead_owner_not_an_abort(self, tmp_path):
+        """close(): queued chunks are lost, the worker is gone, the file
+        is closed where it stands — neither finished nor unlinked."""
+        gate = threading.Event()
+
+        class GatedFile(FileSink):
+            def write_chunk(self, data):
+                gate.wait(5.0)
+                super().write_chunk(data)
+
+        path = tmp_path / "partial.bin"
+        inner = GatedFile(path)
+        segment = bytearray(b"abc")
+        writer = SinkWriter(inner, depth=4, owner="victim")
+        writer.write_chunk(b"head")
+        while writer.queue_depth:            # the worker took it, and blocks
+            time.sleep(0.001)
+        writer.write_chunk(memoryview(segment))
+        writer.write_chunk(b"tail")
+        threading.Timer(0.05, gate.set).start()
+        writer.close()
+        assert not writer._worker.is_alive()
+        assert writer.queue_depth == 0 and writer.pinned_bytes == 0
+        segment.extend(b"!")                 # the pinned export was released
+        assert inner._file is None
+        assert path.read_bytes() == b"head"
+        writer.write_chunk(b"late")          # a dead node's write: dropped
+        assert path.read_bytes() == b"head"
 
     def test_pinning_defers_pool_reuse(self):
         # A queued chunk pins its backing buffer: while it waits in the

@@ -8,10 +8,20 @@ with a stream source) aborts cleanly instead of deadlocking.
 
 import hashlib
 import io
+import threading
+import time
 
 import pytest
 
-from repro.core import HashingSink, KascadeConfig, PatternSource, StreamSource
+from repro import run_broadcast
+from repro.core import (
+    FileSink,
+    FileSource,
+    HashingSink,
+    KascadeConfig,
+    PatternSource,
+    StreamSource,
+)
 from repro.core import tracing
 from repro.core.tracing import TraceCollector
 from repro.runtime import CrashPlan, LocalBroadcast
@@ -400,3 +410,61 @@ class TestRecoveryAcrossRuns:
             assert self._recv_offsets(result, name) == list(
                 range(0, size, chunk))
         assert sorted(result.report.failed_nodes) == ["n3", "n4"]
+
+
+class TestCrashLeavesNoThread:
+    """A node that dies takes its writeback worker with it: a daemon or
+    a test session is a loop of broadcasts, and one parked
+    ``sink-writer-<node>`` per injected crash pins its queue, the file
+    descriptor and the node for the life of the process."""
+
+    CONFIG = KascadeConfig(chunk_size=16 * 1024, buffer_chunks=8,
+                           io_timeout=0.5, ping_timeout=0.3,
+                           connect_timeout=0.5, report_timeout=10.0)
+    SIZE = 2 << 20
+    RECEIVERS = ["n2", "n3", "n4"]
+
+    def _run(self, tmp_path, crashes, **opts):
+        source_path = tmp_path / "in.bin"
+        source_path.write_bytes(
+            PatternSource(self.SIZE).expected_bytes(0, self.SIZE))
+        before = set(threading.enumerate())
+        result = run_broadcast(
+            FileSource(source_path), self.RECEIVERS, config=self.CONFIG,
+            sink_factory=lambda name: FileSink(tmp_path / f"{name}.out"),
+            crashes=crashes, timeout=60.0, **opts)
+        deadline = time.monotonic() + 0.5
+        while set(threading.enumerate()) - before \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        left = [t.name for t in set(threading.enumerate()) - before]
+        assert not left, f"threads outlived the run: {left}"
+        assert threading.active_count() <= len(before)
+        return result
+
+    def _digest(self, tmp_path, name):
+        return hashlib.sha256((tmp_path / f"{name}.out").read_bytes()).hexdigest()
+
+    def test_mid_chain_crash(self, tmp_path):
+        result = self._run(tmp_path, [CrashPlan("n3", self.SIZE // 4)])
+        assert result.ok, result.outcomes
+        for name in ("n2", "n4"):
+            assert self._digest(tmp_path, name) == expected_digest(self.SIZE)
+        # The victim's output is what a dead process leaves: a partial
+        # file, not unlinked (no abort()), no longer than what it took.
+        partial = (tmp_path / "n3.out").stat().st_size
+        assert partial <= result.outcomes["n3"].bytes_received < self.SIZE
+
+    def test_silent_crash(self, tmp_path):
+        result = self._run(
+            tmp_path, [CrashPlan("n3", self.SIZE // 4, "silent")])
+        assert result.ok, result.outcomes
+        for name in ("n2", "n4"):
+            assert self._digest(tmp_path, name) == expected_digest(self.SIZE)
+
+    def test_head_kill(self, tmp_path):
+        result = self._run(tmp_path, [CrashPlan("n1", self.SIZE // 4)],
+                           allow_head_chaos=True)
+        assert result.ok, result.outcomes
+        for name in self.RECEIVERS:
+            assert self._digest(tmp_path, name) == expected_digest(self.SIZE)

@@ -1,0 +1,86 @@
+"""What a process imports follows the role it plays (DESIGN.md §6).
+
+Counts, not seconds: each probe runs in a fresh interpreter and reports
+its ``sys.modules``, so a stray top-level import fails here with the
+offending module named instead of showing up as a slower ``deploy_cli``.
+"""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+#: role -> what the process does before its first byte of real work.
+PROBES = {
+    "help": """
+from repro.cli.kascade import main
+try:
+    main(["--help"])
+except SystemExit:
+    pass
+""",
+    # ``cmd_agent`` itself, stopped by the test hook before it dials out.
+    "agent": """
+from repro.cli.kascade import main
+assert main(["agent", "--die-on-start", "--coordinator", "127.0.0.1:1",
+             "--name", "n2"]) == 3
+""",
+    "fleet_agent": "import repro.cli.kascade, repro.daemon.agent",
+    "supervisor": """
+import repro.cli.kascade, repro.session, repro.deploy.coordinator
+""",
+    "daemon_server": "import repro.session, repro.daemon.server",
+}
+
+CONTROL_SIDE = ("repro.deploy.coordinator", "repro.deploy.launcher",
+                "repro.deploy.chaos", "repro.session", "repro.daemon.server",
+                "repro.daemon.client", "repro.control", "repro.simnet",
+                "repro.runtime.cluster", "repro.runtime.evloop", "subprocess")
+DATA_PLANE = ("repro.runtime.node", "repro.runtime.links",
+              "repro.runtime.transport", "repro.runtime.host",
+              "repro.runtime.cluster", "repro.runtime.evloop",
+              "repro.core.framing", "repro.core.stages", "repro.core.stripes",
+              "repro.core.cache")
+
+#: role -> (prefixes that must be absent, most ``repro`` modules allowed).
+BUDGET = {
+    "help": (("repro.runtime", "repro.deploy", "repro.session",
+              "repro.simnet", "repro.daemon", "repro.control",
+              "repro.baselines"), 8),
+    "agent": (CONTROL_SIDE + ("repro.daemon",), 33),
+    "fleet_agent": (CONTROL_SIDE, 36),
+    "supervisor": (DATA_PLANE + ("repro.deploy.agent",), 24),
+    "daemon_server": (DATA_PLANE + ("repro.deploy.agent",), 24),
+}
+
+
+@pytest.fixture(scope="module")
+def loaded():
+    """role -> the module names a fresh interpreter ends up with."""
+    def probe(code):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             code + "\nimport sys, json\n"
+             "print('\\n' + json.dumps(sorted(sys.modules)))"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    return {role: probe(code) for role, code in PROBES.items()}
+
+
+@pytest.mark.parametrize("role", sorted(BUDGET))
+def test_role_loads_only_its_side(loaded, role):
+    forbidden, _ = BUDGET[role]
+    strays = [m for m in loaded[role]
+              if any(m == p or m.startswith(p + ".") for p in forbidden)]
+    assert not strays, f"{role} loaded {strays}"
+
+
+@pytest.mark.parametrize("role", sorted(BUDGET))
+def test_role_module_count(loaded, role):
+    _, ceiling = BUDGET[role]
+    ours = [m for m in loaded[role] if m.split(".")[0] == "repro"]
+    assert len(ours) <= ceiling, (
+        f"{role} loads {len(ours)} repro modules, budget {ceiling}: {ours}")

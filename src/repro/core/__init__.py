@@ -16,7 +16,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "NodeFailedError", "SimulationError", "SinkError", "ConfigError",
     ),
     "framing": ("MAX_RECEIVE_ALLOC", "FrameDecoder", "encode_header",
-                "read_message", "write_message"),
+                "encode_run", "read_message", "write_message"),
     "messages": ("Op", "Message", "Get", "PGet", "Forget", "Data", "End",
                  "Quit", "Report", "Passed", "Ping", "Pong"),
     "pipeline": ("PipelinePlan", "hostname_sort_key", "order_by_hostname",

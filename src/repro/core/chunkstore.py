@@ -22,7 +22,7 @@ long as they sit inside the window.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from .errors import ChunkStoreError
 
@@ -92,44 +92,56 @@ class ChunkRingBuffer:
     # ------------------------------------------------------------------
 
     def append(self, data: Chunk) -> None:
-        """Append the next stream chunk, evicting old chunks if needed.
+        """Append the next stream chunk: :meth:`extend` with a run of one."""
+        self.extend((data,))
 
-        The chunk is retained **by reference** (no copy): callers handing
+    def extend(self, chunks: Iterable[Chunk]) -> None:
+        """Append consecutive stream chunks, then evict old ones once.
+
+        Chunks are retained **by reference** (no copy): callers handing
         in a memoryview of a pooled buffer must not recycle the underlying
         bytes while the chunk remains in the window — the runtime's buffer
         pool guarantees this by probing for live views before reuse.
 
-        Chunks larger than the whole capacity are rejected — a node that
-        cannot hold even one chunk cannot participate in recovery, and this
-        is a configuration error (chunk_size > buffer_bytes).
+        Empty chunks are skipped.  A chunk larger than the whole capacity
+        is rejected (chunk_size > buffer_bytes, a configuration error: such
+        a node cannot take part in recovery), those before it stay stored.
         """
-        size = len(data)
         capacity = self._capacity
-        if size > capacity:
-            raise ChunkStoreError(
-                f"chunk of {size} bytes exceeds buffer capacity {capacity}"
-            )
-        if size == 0:
-            return
+        offsets, data = self._offsets, self._data
         end = self.end_offset
-        self._offsets.append(end)
-        self._data.append(data)
-        self.end_offset = end = end + size
-        if end - self.min_offset > capacity:
-            chunks = self._data
-            first = self._first
-            low = self.min_offset
-            while end - low > capacity:
-                old = chunks[first]
-                chunks[first] = None  # drop the ref *now*
-                first += 1
-                low += len(old)
-            self._first = first
-            self.min_offset = low
-            if first >= _COMPACT_THRESHOLD and first * 2 >= len(chunks):
-                del self._offsets[:first]
-                del chunks[:first]
-                self._first = 0
+        try:
+            for chunk in chunks:
+                size = len(chunk)
+                if size > capacity:
+                    raise ChunkStoreError(f"chunk of {size} bytes exceeds "
+                                          f"buffer capacity {capacity}")
+                if size:
+                    offsets.append(end)
+                    data.append(chunk)
+                    end += size
+        finally:
+            self.end_offset = end
+            if end - self.min_offset > capacity:
+                self._evict()
+
+    def _evict(self) -> None:
+        """Drop the oldest chunks until the window fits the capacity."""
+        chunks = self._data
+        first = self._first
+        low = self.min_offset
+        overflow = self.end_offset - self._capacity
+        while low < overflow:
+            old = chunks[first]
+            chunks[first] = None  # drop the ref *now*
+            first += 1
+            low += len(old)
+        self._first = first
+        self.min_offset = low
+        if first >= _COMPACT_THRESHOLD and first * 2 >= len(chunks):
+            del self._offsets[:first]
+            del chunks[:first]
+            self._first = 0
 
     def _start_index(self, offset: int) -> int:
         """Index of the chunk containing ``offset`` (binary search)."""

@@ -127,6 +127,32 @@ def encode_header(msg: Message) -> bytes:
         raise FramingError(f"field out of u64 range in {msg!r}") from None
 
 
+def encode_run(first_offset: int, chunks) -> List[Payload]:
+    """The wire form of a run — consecutive ``DATA`` frames from
+    ``first_offset`` — as ``[h0, c0, h1, c1, ...]``: every header packed
+    in one pass into one buffer, views of it alternating with the chunks
+    as given (no payload copy).  Joined, it is byte for byte
+    ``encode_header(Data(offset, len(c))) + c`` per chunk; the receiving
+    side is :meth:`FrameDecoder.try_pop_run`.
+    """
+    headers = memoryview(bytearray(len(chunks) * _DATA_HEADER))
+    pack_into = _HEADER_STRUCTS[Op.DATA].pack_into
+    wire: List[Payload] = []
+    offset, pos = first_offset, 0
+    try:
+        for chunk in chunks:
+            size = len(chunk)
+            pack_into(headers, pos, _DATA_OP, offset, size)
+            wire.append(headers[pos: pos + _DATA_HEADER])
+            wire.append(chunk)
+            offset += size
+            pos += _DATA_HEADER
+    except struct.error:
+        raise FramingError(
+            f"DATA frame at offset {offset} leaves the u64 range") from None
+    return wire
+
+
 def _decode_fields(op: Op, raw, offset: int) -> Message:
     """Decode the fixed fields following the opcode, reading ``raw`` in
     place from ``offset`` (no intermediate slice copies)."""

@@ -81,11 +81,17 @@ class NodeTransferState:
     # ------------------------------------------------------------------
 
     def on_data(self, offset: int, payload) -> None:
-        """Account for a received (or head-read) chunk at ``offset``.
+        """Account for one received (or head-read) chunk at ``offset``:
+        :meth:`on_run` with a run of one."""
+        self.on_run(offset, (payload,))
 
-        ``payload`` is any bytes-like buffer and is retained by reference
-        in the ring buffer (zero-copy); the runtime's buffer-pool
-        discipline guarantees the bytes stay valid while buffered.
+    def on_run(self, offset: int, payloads) -> None:
+        """Account for a run: consecutive chunks, the first at ``offset``.
+
+        ``payloads`` is a sequence of bytes-like buffers, retained by
+        reference in the ring buffer (zero-copy); the runtime's
+        buffer-pool discipline guarantees the bytes stay valid while
+        buffered.  Phase and offset are checked once, the ring evicts once.
 
         Raises :class:`ProtocolError` on out-of-order data: a relay that
         tolerated gaps would corrupt every node downstream of it.
@@ -99,9 +105,10 @@ class NodeTransferState:
             raise ProtocolError(
                 f"{self.name}: DATA at offset {offset}, expected {self.offset}"
             )
-        buffer.append(payload)
+        buffer.extend(payloads)
         if self._hasher is not None:
-            self._hasher.update(payload)
+            for payload in payloads:
+                self._hasher.update(payload)
 
     def on_data_spliced(self, offset: int, size: int) -> None:
         """Account for a chunk that was relayed entirely in the kernel.

@@ -349,11 +349,12 @@ class DownstreamLink:
                 self._mark_dead(self.target, reason)
                 self._drop()
 
-    def send_run(self, first_offset: int, payloads, raw) -> bool:
+    def send_run(self, first_offset: int, payloads, wire) -> bool:
         """Forward a run of chunks, corked; True unless no downstream remains.
 
         ``payloads`` are consecutive chunks starting at ``first_offset``
-        and ``raw`` the wire bytes they arrived in, headers included.
+        and ``wire`` their wire bytes, headers included: the one view a
+        relay received them in, or the head's ``encode_run`` buffer list.
         When the link stands exactly at the run's start those bytes are
         queued as they are — a relayed frame is the received frame.
         Otherwise (no stream yet, or a replacement's GET replay already
@@ -363,7 +364,7 @@ class DownstreamLink:
         :meth:`flush` that must follow fails.
         """
         if self.stream is not None and self.sent_offset == first_offset:
-            self.stream.cork_frames(raw, len(payloads))
+            self.stream.cork_frames(wire, len(payloads))
             self.sent_offset = first_offset + sum(map(len, payloads))
             return True
         offset = first_offset

@@ -36,6 +36,7 @@ from ..core.errors import (
     SinkError,
     TransferAborted,
 )
+from ..core.framing import encode_run
 from ..core.messages import (
     Data,
     End,
@@ -88,8 +89,9 @@ class InjectedCrash(Exception):
 #: (``"close"`` or ``"silent"``) to kill the node now, or ``None``.
 CrashGate = Callable[[int], Optional[str]]
 
-#: Head-side cork threshold: DATA frames accumulate in the send queue
-#: until this many bytes are pending, then leave in one vectored send.
+#: The head's run: it reads, frames and corks this many source bytes at
+#: once (fewer when the ring holds less: a run must not evict its own
+#: start before the first GET) and flushes once this many are pending.
 _HEAD_FLUSH_BYTES = 1 << 16
 
 
@@ -107,20 +109,25 @@ class _Acceptor:
 
     def _run(self) -> None:
         node = self.node
-        while not node.stop_event.is_set():
-            try:
-                kind, stream = node.listener.accept(timeout=0.1)
-            except TimeoutError:
-                continue
-            except ConnectionError:
-                return
-            if node.silent:  # crashed "silently": swallow, never answer
-                node._orphans.append(stream)
-                continue
-            try:
-                self._dispatch(kind, stream)
-            except Exception:  # noqa: BLE001 - acceptor must survive anything
-                stream.close()
+        try:
+            while not node.stop_event.is_set():
+                try:
+                    kind, stream = node.listener.accept(timeout=0.1)
+                except TimeoutError:
+                    continue
+                except ConnectionError:
+                    return
+                if node.silent:  # crashed "silently": swallow, never answer
+                    node._orphans.append(stream)
+                    continue
+                try:
+                    self._dispatch(kind, stream)
+                except Exception:  # noqa: BLE001 - acceptor must survive anything
+                    stream.close()
+        finally:
+            # The one cycle that would keep a finished node's ring and
+            # buffers alive until the cyclic collector runs.
+            self.node = None
 
     def _dispatch(self, kind: bytes, stream: SocketStream) -> None:
         node = self.node
@@ -152,6 +159,7 @@ class _BaseNode:
     """State and helpers shared by head and receivers."""
 
     serves_pget = False
+    _chunk_verb = "recv"  # how CHUNK events say this role got its chunk
 
     def __init__(
         self,
@@ -227,6 +235,37 @@ class _BaseNode:
     def _wake_main_loop(self) -> None:
         """Cross-thread: end whatever blocking wait the main loop is in."""
 
+    # -- data plane: the run is the unit --------------------------------
+
+    def _store_run(self, first_offset: int, payloads) -> None:
+        """Account for a run at once, trace its chunks, keep them.
+
+        A node with a crash gate (a planned victim, a deploy agent
+        reporting progress) walks its run as runs of one: the gate is asked
+        after every chunk, a crash leaves exactly those chunks stored.
+        """
+        if self.crash_gate is not None and len(payloads) > 1:
+            for payload in payloads:
+                self._store_run(first_offset, (payload,))
+                first_offset += len(payload)
+            return
+        self.state.on_run(first_offset, payloads)
+        if self.tracer.enabled:
+            offset = first_offset
+            for payload in payloads:
+                self.tracer.emit(tracing.CHUNK, self.name, offset=offset,
+                                 detail=f"{self._chunk_verb} {len(payload)}")
+                offset += len(payload)
+        self._keep(payloads)
+        self.outcome.bytes_received = self.state.offset
+        if self.crash_gate is not None:
+            mode = self.crash_gate(self.state.offset)
+            if mode is not None:
+                raise InjectedCrash(mode)
+
+    def _keep(self, payloads) -> None:
+        """Role hook: what a node does with stored chunks (a sink write)."""
+
     # -- crash injection ------------------------------------------------
 
     def _die(self, mode: str) -> None:
@@ -272,6 +311,7 @@ class HeadNode(_BaseNode):
     """The sending node: streams the source, serves PGET, owns the ring."""
 
     serves_pget = True
+    _chunk_verb = "read"
 
     def __init__(
         self,
@@ -312,7 +352,7 @@ class HeadNode(_BaseNode):
         self._ring_report: Optional[TransferReport] = None
 
     def request_quit(self) -> None:
-        """User interruption: stop after the current chunk (QUIT path)."""
+        """User interruption: stop after the current run (QUIT path)."""
         self.quit_requested.set()
 
     # -- PGET and ring service (acceptor-driven) ------------------------
@@ -379,27 +419,26 @@ class HeadNode(_BaseNode):
         if cfg.bandwidth_limit is not None:
             from ..core.pacing import TokenBucket
             bucket = TokenBucket(cfg.bandwidth_limit)
+        chunk_size = cfg.chunk_size
+        run_bytes = chunk_size * max(
+            1, min(_HEAD_FLUSH_BYTES, cfg.buffer_bytes) // chunk_size)
         while not self.quit_requested.is_set():
-            chunk = self.source.read_chunk(cfg.chunk_size)
-            if not chunk:
+            segment = self.source.read_chunk(run_bytes)
+            if not segment:
                 break
             if bucket is not None:
-                delay = bucket.reserve(len(chunk), time.monotonic())
+                delay = bucket.reserve(len(segment), time.monotonic())
                 if delay > 0 and self.quit_requested.wait(delay):
                     break
+            # One segment is one run: sliced into chunk views, stored,
+            # framed and corked at once.  A large chunk is a run of one and
+            # leaves at once: chunk-by-chunk backpressure, as ever.
             off = state.offset
-            state.on_data(off, chunk)
-            if self.tracer.enabled:
-                self.tracer.emit(tracing.CHUNK, self.name, offset=off,
-                                 detail=f"read {len(chunk)}")
-            if self.crash_gate is not None:
-                mode = self.crash_gate(state.offset)
-                if mode is not None:
-                    raise InjectedCrash(mode)
-            # Cork small chunks and push them in vectored batches; large
-            # chunks cross the threshold immediately, keeping the
-            # pipeline's chunk-by-chunk backpressure behaviour.
-            if not self.link.send_data(off, chunk, flush=False):
+            view = memoryview(segment)
+            chunks = [view[i: i + chunk_size]
+                      for i in range(0, len(view), chunk_size)]
+            self._store_run(off, chunks)
+            if not self.link.send_run(off, chunks, encode_run(off, chunks)):
                 # Every receiver is dead or aborted: stop streaming.
                 break
             if self.link.pending_bytes >= _HEAD_FLUSH_BYTES:
@@ -427,13 +466,13 @@ class HeadNode(_BaseNode):
         else:
             self.final_report = state.report
         self.outcome.ok = outcome == "passed" and not aborting
-        self.outcome.bytes_received = total
         self.outcome.failures_detected = list(state.report.failures)
         if outcome != "passed":
             self.outcome.error = "no downstream completed the transfer"
         self.tracer.emit(tracing.DONE, self.name, offset=total,
                          detail="ok" if self.outcome.ok else "failed")
-        state.on_passed() if state.phase in (Phase.ENDED, Phase.ABORTED) else None
+        if state.phase in (Phase.ENDED, Phase.ABORTED):
+            state.on_passed()
         self.shutdown()
 
     def close_connections(self) -> None:
@@ -614,7 +653,8 @@ class ReceiverNode(_BaseNode):
                     return False
                 if not isinstance(msg, Data):
                     raise ProtocolError(f"expected DATA from PGET, got {msg!r}")
-                self._consume_chunk(msg.offset, payload)
+                self._store_run(msg.offset, (payload,))
+                self.link.send_data(msg.offset, payload)
             return True
         except (TimeoutError, ConnectionError, WriteStalled, ProtocolError):
             return False
@@ -623,53 +663,21 @@ class ReceiverNode(_BaseNode):
 
     # -- data plane ---------------------------------------------------------
 
-    def _store_chunk(self, offset: int, payload) -> None:
-        """Account for, trace and store one received chunk."""
-        self.state.on_data(offset, payload)
-        if self.tracer.enabled:
-            self.tracer.emit(tracing.CHUNK, self.name, offset=offset,
-                             detail=f"recv {len(payload)}")
-        self.sink.write_chunk(payload)
-        self.outcome.bytes_received = self.state.offset
-
-    def _check_crash_gate(self) -> None:
-        if self.crash_gate is not None:
-            mode = self.crash_gate(self.state.offset)
-            if mode is not None:
-                raise InjectedCrash(mode)
-
-    def _consume_chunk(self, offset: int, payload, *, flush: bool = True) -> None:
-        """Store and forward one chunk — the zero-copy relay step.
-
-        ``payload`` is a memoryview into the upstream stream's pooled
-        receive buffer.  The *same* view is retained by the ring buffer
-        (recovery replay), passed to the sink, and queued on the
-        downstream socket: no byte of it is copied in userspace.  The
-        view pins its pool buffer until the ring evicts it and the send
-        queue drains, at which point the pool may recycle it.
-
-        ``flush=False`` corks the downstream frame: the main loop pushes
-        the whole burst one upstream read delivered in a single vectored
-        send before blocking again.
-        """
-        self._store_chunk(offset, payload)
-        self.link.send_data(offset, payload, flush=flush)
-        self._check_crash_gate()
+    def _keep(self, payloads) -> None:
+        write = self.sink.write_chunk
+        for payload in payloads:
+            write(payload)
 
     def _consume_run(self, first_offset: int, payloads, raw) -> None:
-        """Store a run of chunks one by one, then forward it in one piece.
+        """Store a run at once, then forward it in one piece.
 
-        Every chunk gets what :meth:`_consume_chunk` gives it — offset
-        check, ring retention, hasher, CHUNK event, sink, crash gate —
-        but the link is handed the run once, corked, as the wire bytes
-        it arrived in: the relay neither re-encodes the headers it has
-        just parsed nor queues the frames one at a time.
+        The payloads are views into the upstream's pooled receive buffer;
+        the *same* views go to the ring (recovery replay) and the sink,
+        and the link corks the run as the wire bytes it arrived in: no
+        byte copied in userspace, no header re-encoded.  The views pin
+        their pool buffer until the ring evicts them and the queue drains.
         """
-        offset = first_offset
-        for payload in payloads:
-            self._store_chunk(offset, payload)
-            self._check_crash_gate()
-            offset += len(payload)
+        self._store_run(first_offset, payloads)
         self.link.send_run(first_offset, payloads, raw)
 
     def _hard_abort(self, reason: str) -> None:
@@ -797,12 +805,13 @@ class ReceiverNode(_BaseNode):
             if isinstance(msg, Data):
                 # Batch the burst: the read that completed this frame
                 # usually delivered dozens more.  They are taken as one
-                # run — stored chunk by chunk, forwarded as the bytes
-                # they came in — and everything corked leaves in one
+                # run — stored at once, forwarded as the bytes they
+                # came in — and everything corked leaves in one
                 # vectored send.  Whatever ended the run (another
                 # opcode, an offset gap, a bad byte, a partial frame) is
                 # still buffered: the next ``recv_message`` meets it.
-                self._consume_chunk(msg.offset, payload, flush=False)
+                self._store_run(msg.offset, (payload,))
+                self.link.send_data(msg.offset, payload, flush=False)
                 run = self.upstream.try_recv_run()
                 if run is not None:
                     self._consume_run(*run)

@@ -218,14 +218,19 @@ class SocketStream:
         if flush:
             self.flush_pending(timeout=timeout)
 
-    def cork_frames(self, raw, frames: int) -> None:
-        """Queue ``frames`` already-encoded frames — a run's wire bytes as
-        :meth:`try_recv_run` returned them — as one send-queue entry.
+    def cork_frames(self, wire, frames: int) -> None:
+        """Queue ``frames`` already-encoded frames — a run's wire bytes:
+        the one view :meth:`try_recv_run` returned, or the head's
+        :func:`~repro.core.framing.encode_run` list — an entry per buffer.
 
         Queued by reference like any payload; nothing is sent until the
         next :meth:`flush_pending` or flushed :meth:`send_message`.
         """
-        self._enqueue(raw)
+        if not isinstance(wire, (list, tuple)):
+            wire = (wire,)
+        views = [memoryview(buf) for buf in wire if len(buf)]  # as _enqueue
+        self._send_queue.extend(views)
+        self._pending_bytes += sum(map(len, views))
         self._stats.frames_sent += frames
 
     def send_raw(self, data: bytes, *, timeout: Optional[float] = None) -> None:

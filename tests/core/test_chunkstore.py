@@ -164,3 +164,80 @@ class TestProperties:
         else:
             with pytest.raises(ChunkStoreError):
                 buf.read_from(offset)
+
+
+def _window(buf):
+    """Everything a caller can observe of a ring buffer."""
+    low = buf.min_offset
+    return (
+        low, buf.end_offset, buf.buffered_bytes,
+        buf.read_from(low),
+        [(off, bytes(piece)) for off, piece in buf.iter_chunks_from(low)],
+    )
+
+
+class TestExtendIsAppends:
+    """``extend`` is a run of ``append``s with one eviction pass: no
+    observer of the window can tell the two apart."""
+
+    @given(
+        st.lists(st.binary(min_size=0, max_size=24), min_size=0, max_size=200),
+        st.integers(min_value=16, max_value=120),
+        st.lists(st.integers(min_value=0, max_value=40), max_size=12),
+        st.integers(min_value=0, max_value=1000),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_window_however_the_chunks_are_grouped(
+            self, chunks, capacity, run_lengths, start, data):
+        one_by_one = ChunkRingBuffer(capacity, start_offset=start)
+        by_runs = ChunkRingBuffer(capacity, start_offset=start)
+        pos, runs = 0, iter(run_lengths)
+        while pos < len(chunks):
+            run = chunks[pos: pos + next(runs, len(chunks))]
+            pos += len(run)
+            failed = None
+            for chunk in run:
+                try:
+                    one_by_one.append(chunk)
+                except ChunkStoreError as exc:
+                    failed = str(exc)
+                    break
+            if failed is None:
+                by_runs.extend(run)
+            else:
+                # Same error, the chunks before the offender stored and
+                # none of the ones behind it.
+                with pytest.raises(ChunkStoreError) as caught:
+                    by_runs.extend(run)
+                assert str(caught.value) == failed
+            assert _window(by_runs) == _window(one_by_one)
+            # Any offset inside the window reads and replays the same.
+            offset = data.draw(st.integers(by_runs.min_offset,
+                                           by_runs.end_offset))
+            assert by_runs.read_from(offset) == one_by_one.read_from(offset)
+            assert ([(o, bytes(p)) for o, p in by_runs.iter_chunks_from(offset)]
+                    == [(o, bytes(p))
+                        for o, p in one_by_one.iter_chunks_from(offset)])
+
+    def test_a_run_longer_than_the_window_keeps_its_tail(self):
+        """Eviction runs once, after the whole run: a run that is larger
+        than the ring leaves what its last appends would have left."""
+        buf = ChunkRingBuffer(capacity=10)
+        buf.extend([bytes([i]) * 4 for i in range(200)])  # crosses compaction
+        assert (buf.min_offset, buf.end_offset) == (792, 800)
+        assert buf.read_from(792) == b"\xc6" * 4 + b"\xc7" * 4
+
+    def test_views_are_kept_by_reference(self):
+        backing = bytearray(b"abcdefgh")
+        view = memoryview(backing)
+        buf = ChunkRingBuffer(capacity=16)
+        buf.extend([view[:4], view[4:]])
+        backing[0] = ord("X")
+        assert buf.read_from(0) == b"Xbcdefgh"
+
+    def test_accepts_any_iterable_once(self):
+        buf = ChunkRingBuffer(capacity=16)
+        buf.extend(c for c in (b"ab", b"", b"cd"))
+        assert [(o, bytes(p)) for o, p in buf.iter_chunks_from(0)] == [
+            (0, b"ab"), (2, b"cd")]

@@ -241,3 +241,73 @@ def test_run_stops_where_try_pop_must_decide():
     dec.feed(chunk[4:])
     msg, payload = dec.try_pop()   # the header was already consumed
     assert msg == Data(60, 10) and bytes(payload) == chunk
+
+
+# ---------------------------------------------------------------------------
+# The sending side: ``encode_run`` frames a run in one pass.
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(
+    first=st.integers(0, 1 << 48),
+    sizes=st.lists(st.integers(0, 2 * SEGMENT), min_size=0, max_size=40),
+)
+def test_an_encoded_run_is_the_per_frame_encoding(first, sizes):
+    from repro.core.framing import encode_run
+
+    chunks = [bytes((7 * i + j) % 251 for j in range(size))
+              for i, size in enumerate(sizes)]
+    wire = encode_run(first, chunks)
+    offsets = [first + sum(sizes[:i]) for i in range(len(sizes))]
+    assert b"".join(wire) == b"".join(
+        encode_header(Data(o, len(c))) + c for o, c in zip(offsets, chunks))
+    # Headers and chunks alternate; the chunks are the objects handed in.
+    assert len(wire) == 2 * len(chunks)
+    assert all(given is sent for given, sent in zip(chunks, wire[1::2]))
+
+    # ...and it is what a receiver takes off the stream as runs again
+    # (an empty DATA frame ends a run and comes out of ``try_pop``).
+    dec = FrameDecoder(stats=PerfStats())
+    dec.feed(b"".join(wire))
+    got = []
+    while True:
+        run = dec.try_pop_run()
+        if run is not None:
+            offset, payloads, raw = run
+            assert offset == first + sum(len(c) for _o, c in got)
+            got.extend((None, bytes(p)) for p in payloads)
+            continue
+        item = dec.try_pop()
+        if item is None:
+            break
+        got.append(item[0:1] + (bytes(item[1]),))
+    assert [c for _m, c in got] == chunks
+    assert [m for m, _c in got if m is not None] == [
+        Data(o, 0) for o, c in zip(offsets, chunks) if not c]
+
+
+def test_encoded_run_keeps_views_and_one_header_buffer():
+    from repro.core.framing import encode_run
+
+    segment = memoryview(bytes(range(200)) * 3)
+    chunks = [segment[i: i + 256] for i in range(0, len(segment), 256)]
+    wire = encode_run(4096, chunks)
+    assert [len(b) for b in wire] == [17, 256, 17, 256, 17, 88]
+    assert all(sent is chunk for sent, chunk in zip(wire[1::2], chunks))
+    assert len({id(h.obj) for h in wire[0::2]}) == 1   # packed in one buffer
+
+
+def test_encoded_run_past_u64_is_a_framing_error():
+    import pytest
+
+    from repro.core.framing import encode_run
+
+    top = (1 << 64) - 10
+    assert b"".join(encode_run(top, [b"x" * 9])) == (
+        encode_header(Data(top, 9)) + b"x" * 9)
+    with pytest.raises(FramingError):
+        encode_run(top, [b"x" * 9, b"y" * 9, b"z"])   # third offset: 2**64 + 8
+    with pytest.raises(FramingError):
+        encode_run(1 << 64, [b"x"])
+    with pytest.raises(FramingError):
+        encode_header(Data(1 << 64, 1))               # as per frame

@@ -222,3 +222,67 @@ class TestProperties:
         else:
             assert offer.resume_at == s.buffer.min_offset
             assert req < offer.resume_at
+
+
+class TestRunIsItsChunks:
+    """``on_run`` is ``on_data`` per chunk, checked and evicted once."""
+
+    @staticmethod
+    def _pair():
+        cfg = KascadeConfig(chunk_size=40, buffer_chunks=3, verify_digest=True)
+        return NodeTransferState("n2", cfg), NodeTransferState("n2", cfg)
+
+    @given(
+        st.lists(st.binary(min_size=1, max_size=40), min_size=1, max_size=40),
+        st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_same_digest_offset_and_window(self, chunks, run_lengths):
+        by_chunk, by_run = self._pair()
+        pos, i = 0, 0
+        while i < len(chunks):
+            run = chunks[i: i + run_lengths[i % len(run_lengths)]]
+            i += len(run)
+            by_run.on_run(pos, run)
+            for chunk in run:
+                by_chunk.on_data(pos, chunk)
+                pos += len(chunk)
+            assert by_run.offset == by_chunk.offset == pos
+            assert by_run.digest == by_chunk.digest
+            assert by_run.buffer.min_offset == by_chunk.buffer.min_offset
+            assert (by_run.buffer.read_from(by_run.buffer.min_offset)
+                    == by_chunk.buffer.read_from(by_chunk.buffer.min_offset))
+        by_run.on_end(pos)
+        assert by_run.complete
+
+    def test_on_data_is_a_run_of_one(self):
+        by_chunk, by_run = self._pair()
+        by_chunk.on_data(0, b"abc")
+        by_run.on_run(0, [b"abc"])
+        assert by_chunk.digest == by_run.digest
+        assert by_chunk.offset == by_run.offset == 3
+
+    @pytest.mark.parametrize("offset", [90, 110])
+    def test_gap_or_overlap_rejected_with_nothing_stored(self, offset):
+        by_chunk, by_run = self._pair()
+        for state in (by_chunk, by_run):
+            state.on_data(0, b"a" * 100)
+        with pytest.raises(ProtocolError) as single:
+            by_chunk.on_data(offset, b"b" * 10)
+        with pytest.raises(ProtocolError) as run:
+            by_run.on_run(offset, [b"b" * 10, b"c" * 10])
+        assert str(run.value) == str(single.value)
+        assert by_run.offset == 100 and by_run.digest == by_chunk.digest
+
+    @pytest.mark.parametrize("ender", ["on_quit", "end"])
+    def test_run_after_stream_end_rejected(self, ender):
+        by_chunk, by_run = self._pair()
+        for state in (by_chunk, by_run):
+            state.on_data(0, b"a" * 10)
+            state.on_end(10) if ender == "end" else state.on_quit()
+        with pytest.raises(ProtocolError) as single:
+            by_chunk.on_data(10, b"b")
+        with pytest.raises(ProtocolError) as run:
+            by_run.on_run(10, [b"b", b"c"])
+        assert str(run.value) == str(single.value)
+        assert by_run.offset == 10

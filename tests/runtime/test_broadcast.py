@@ -113,3 +113,38 @@ class TestPipeline:
         assert result.ok
         assert result.throughput > 0
         assert result.duration > 0
+
+
+class TestFinishedNodesAreFreed:
+    def test_no_node_waits_for_the_cyclic_collector(self, fast_config):
+        """A finished node owns its ring, its streams' pool segments and
+        its writeback queue.  Once the run has returned and its objects
+        are dropped, reference counting alone must free every node: the
+        acceptor lets go of its node when its thread exits."""
+        import gc
+        import time
+        import weakref
+
+        gc.collect()
+        gc.disable()
+        try:
+            sinks = {}
+            bc = LocalBroadcast(
+                PatternSource(fast_config.chunk_size * 64),
+                ["n2", "n3", "n4"],
+                sink_factory=hashing_factory(sinks), config=fast_config,
+            )
+            result = bc.run(timeout=30)
+            assert result.ok, result.outcomes
+            nodes = {name: weakref.ref(node) for name, node in bc.nodes.items()}
+            assert len(nodes) == 4
+            del bc, result, sinks
+            # Acceptors poll their listener every 0.1 s; give them that.
+            deadline = time.monotonic() + 5.0
+            while (any(ref() is not None for ref in nodes.values())
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            alive = [name for name, ref in nodes.items() if ref() is not None]
+            assert not alive, f"kept alive by a reference cycle: {alive}"
+        finally:
+            gc.enable()

@@ -468,3 +468,86 @@ class TestCrashLeavesNoThread:
         assert result.ok, result.outcomes
         for name in self.RECEIVERS:
             assert self._digest(tmp_path, name) == expected_digest(self.SIZE)
+
+
+class TestHeadRuns:
+    """The head frames a segment at a time.  The ring bound, the crash
+    gate and the CHUNK events must be what they were chunk by chunk."""
+
+    RECEIVERS = ["n2", "n3", "n4"]
+
+    def _config(self, fast_config, **kwargs):
+        # 64 chunks of ring: a full 16-chunk run per segment.
+        import dataclasses
+        return dataclasses.replace(fast_config, buffer_chunks=64, **kwargs)
+
+    def _read_offsets(self, result, node="n1"):
+        return [e.offset for e in result.trace.of_type(tracing.CHUNK)
+                if e.node == node and e.detail.startswith("read")]
+
+    @pytest.mark.parametrize("buffer_chunks", [1, 3])
+    def test_tiny_ring_still_covers_the_first_get(self, fast_config,
+                                                  buffer_chunks):
+        """The run is bounded by ``buffer_bytes``: a head that framed a
+        whole segment into a one-chunk ring would have evicted offset 0
+        before anyone connected, and started every broadcast with
+        FORGET -> PGET against itself."""
+        import dataclasses
+        config = dataclasses.replace(fast_config, buffer_chunks=buffer_chunks)
+        size = config.chunk_size * 40 + 17
+        result, sinks = run_with_crashes(config, size, self.RECEIVERS, [])
+        assert result.ok, result.outcomes
+        assert result.trace.of_type(tracing.FORGET) == []
+        assert result.trace.of_type(tracing.PGET) == []
+        for name in self.RECEIVERS:
+            assert sinks[name].hexdigest() == expected_digest(size)
+
+    @pytest.mark.parametrize("extra, stored_chunks", [(0, 21), (100, 22)])
+    def test_head_dies_mid_run(self, fast_config, extra, stored_chunks):
+        """Chunk 21 is the sixth of the second run.  The gate is asked
+        after every chunk, the head stops exactly there, and nothing of
+        the run it was storing reaches the wire."""
+        config = self._config(fast_config)
+        chunk = config.chunk_size
+        size = chunk * 100 + 5
+        sinks = {}
+        bc = LocalBroadcast(
+            PatternSource(size), self.RECEIVERS,
+            sink_factory=hashing_factory(sinks), config=config,
+            crashes=[CrashPlan("n1", after_bytes=21 * chunk + extra)],
+            allow_head_chaos=True, tracer=TraceCollector(),
+        )
+        result = bc.run(timeout=60)
+        assert result.ok, {n: (o.ok, o.error) for n, o in result.outcomes.items()}
+        dead = result.outcomes["n1"]
+        assert dead.crashed
+        assert dead.bytes_received == stored_chunks * chunk
+        assert self._read_offsets(result) == list(
+            range(0, stored_chunks * chunk, chunk))
+        (election,) = result.trace.of_type(tracing.ELECTION)
+        assert election.offset <= 16 * chunk   # the first run, at most
+        for name in self.RECEIVERS:
+            assert sinks[name].hexdigest() == expected_digest(size), name
+
+    def test_gate_that_never_fires_changes_nothing(self, fast_config):
+        """A gated head (every deploy agent is one) stores its runs one
+        chunk at a time and still sends them as runs."""
+        config = self._config(fast_config)
+        chunk = config.chunk_size
+        size = chunk * 50 + 9
+        asked = []
+        bc = LocalBroadcast(
+            PatternSource(size), self.RECEIVERS, config=config,
+            tracer=TraceCollector(),
+        )
+        bc._crash_gate = lambda name: (
+            (lambda received: asked.append(received)) if name == "n1" else None)
+        result = bc.run(timeout=60)
+        assert result.ok, result.outcomes
+        offsets = list(range(0, size, chunk))
+        assert asked == offsets[1:] + [size]
+        assert self._read_offsets(result) == offsets
+        assert result.outcomes["n1"].bytes_received == size
+        # 51 chunks left in 4 corked runs, not 51 frames.
+        assert result.perfstats["frames_sent"] >= 3 * 51
+        assert result.perfstats["syscalls_send"] < 3 * 51

@@ -591,3 +591,170 @@ class TestRelayBurst:
         assert f"DATA at offset {9 * self.CHUNK}" in node.outcome.error
         # The sink saw the six chunks before the gap and nothing after.
         assert node.outcome.bytes_received == 6 * self.CHUNK
+
+
+def framed_run(first_offset, sizes, fill=0):
+    """A run as the head holds it: chunk views of one source segment and
+    the ``encode_run`` buffer list that is their wire form."""
+    from repro.core.framing import encode_run
+
+    segment = memoryview(b"".join(
+        bytes([fill + i]) * size for i, size in enumerate(sizes)))
+    chunks, pos = [], 0
+    for size in sizes:
+        chunks.append(segment[pos: pos + size])
+        pos += size
+    return first_offset, chunks, encode_run(first_offset, chunks)
+
+
+class TestHeadSendsRuns:
+    """The head's run reaches the link as a list of buffers — headers
+    packed in one pass, chunks as views of the source segment — and is
+    corked, skipped or replayed exactly like a relayed one."""
+
+    def test_buffer_list_is_corked_as_it_is(self, monkeypatch):
+        from repro.runtime import transport
+
+        encoded = []
+        real = transport.encode_header
+        monkeypatch.setattr(
+            transport, "encode_header",
+            lambda msg: (encoded.append(msg), real(msg))[1])
+        seen = []
+        peer = ScriptedPeer(normal_receiver(collect=seen))
+        link, state = make_link([peer])
+        try:
+            # The first run meets no stream yet: it connects and goes
+            # frame by frame.  The second is corked in one piece.
+            first = framed_run(0, [100, 100, 40])
+            state.on_run(first[0], first[1])
+            assert link.send_run(*first)
+            assert link.flush()
+            encoded.clear()
+            run = framed_run(240, [100] * 5 + [7], fill=10)
+            state.on_run(run[0], run[1])
+            assert link.send_run(*run)
+            assert link.sent_offset == 747
+            assert link.pending_bytes == 507 + 6 * 17
+            assert link.flush()
+            assert link.pending_bytes == 0
+            state.on_end(747)
+            assert link.finish(total=747, quit_first=False) == "passed"
+        finally:
+            peer.close()
+        datas = [m for m, _p in seen if isinstance(m, Data)]
+        assert datas == (
+            [Data(0, 100), Data(100, 100), Data(200, 40)]
+            + [Data(240 + 100 * i, 100) for i in range(5)] + [Data(740, 7)])
+        first_offset, data = stream_bytes(seen)
+        assert first_offset == 0
+        assert data == (b"\x00" * 100 + b"\x01" * 100 + b"\x02" * 40
+                        + b"".join(bytes([10 + i]) * 100 for i in range(5))
+                        + b"\x0f" * 7)
+        assert not [m for m in encoded if isinstance(m, Data)]
+
+    def test_replacement_replay_covers_part_of_a_head_run(self):
+        """n2 dies with a run corked; n3 says what it has; the rest of
+        that run and the next leave once, in order."""
+        def dies_after_handshake(peer, kind, stream):
+            if kind != b"D":
+                stream.close()
+                return False
+            stream.send_message(Get(0), timeout=1.0)
+            peer.seen.append(stream.recv_message(5.0))
+            stream.close()
+            return True
+
+        seen = []
+        peer1 = ScriptedPeer(dies_after_handshake)
+        peer2 = ScriptedPeer(normal_receiver(offset=100, collect=seen))
+        link, state = make_link([peer1, peer2])
+        runs = [framed_run(0, [100] * 4),
+                framed_run(400, [100] * 4, fill=4),
+                framed_run(800, [100] * 3 + [1], fill=8)]
+        try:
+            for run in runs:
+                state.on_run(run[0], run[1])
+                assert link.send_run(*run)
+                link.flush()
+                peer1.thread.join(timeout=5.0)
+            assert link.sent_offset == 1101
+            state.on_end(1101)
+            assert link.finish(total=1101, quit_first=False) == "passed"
+        finally:
+            peer1.close()
+            peer2.close()
+        assert link.target == "n3"
+        first_offset, data = stream_bytes(seen)
+        assert first_offset == 100
+        assert data == (b"".join(bytes([i]) * 100 for i in range(1, 11))
+                        + b"\x0b")
+
+
+class TestPacedHeadAtSmallChunks:
+    """The token bucket reserves a run at a time; the rate it enforces
+    and the QUIT path are those of the per-chunk head."""
+
+    CONFIG = KascadeConfig(chunk_size=4096, buffer_chunks=64,
+                           io_timeout=0.5, ping_timeout=0.3,
+                           connect_timeout=1.0, report_timeout=10.0)
+
+    def test_rate_is_held_with_64k_reservations(self):
+        import time
+
+        from repro.core import PatternSource
+        from repro.runtime import LocalBroadcast
+
+        limit = 4 * 1024 * 1024
+        size = 3 * 1024 * 1024   # burst credit forgives 1 MiB of it
+        started = time.monotonic()
+        result = LocalBroadcast(
+            PatternSource(size), ["n2", "n3"],
+            config=self.CONFIG.with_(bandwidth_limit=limit),
+        ).run(timeout=60)
+        elapsed = time.monotonic() - started
+        assert result.ok
+        assert result.total_bytes == size
+        paced = (size - limit * 0.25) / limit          # 0.5 s
+        assert paced * 0.9 <= elapsed < paced + 2.0
+
+    def test_quit_lands_between_runs(self):
+        import time
+
+        from repro.core import BufferSink, PatternSource
+        from repro.runtime import LocalBroadcast
+
+        config = self.CONFIG.with_(bandwidth_limit=1024 * 1024)
+        size = 8 * 1024 * 1024
+        sinks = {}
+
+        def factory(name):
+            sinks[name] = BufferSink()
+            return sinks[name]
+
+        source = PatternSource(size)
+        bc = LocalBroadcast(source, ["n2", "n3"], sink_factory=factory,
+                            config=config)
+
+        def interrupter():
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                head = bc.nodes.get("n1")
+                if head is not None and head.state.offset >= 5 * 65536:
+                    head.request_quit()
+                    return
+                time.sleep(0.002)
+
+        watcher = threading.Thread(target=interrupter)
+        watcher.start()
+        started = time.monotonic()
+        result = bc.run(timeout=60)
+        watcher.join()
+        assert time.monotonic() - started < 5.0   # not the 8 s of a full run
+        assert not result.ok
+        sent = result.total_bytes
+        assert 5 * 65536 <= sent < size and sent % 65536 == 0
+        for name in ("n2", "n3"):
+            assert sinks[name].getvalue() == source.expected_bytes(
+                0, len(sinks[name].getvalue()))
+            assert not bc.nodes[name].thread.is_alive()

@@ -293,3 +293,152 @@ class TestSendfilePath:
             sender.close()
             receiver.close()
             src.close()
+
+
+class TestHeadRun:
+    """The head reads a segment, frames it in one pass and corks it as
+    one run.  On the wire that is the per-frame encoding of the same
+    source, byte for byte."""
+
+    @staticmethod
+    def _broadcast(monkeypatch, source, config, receivers=("n2", "n3", "n4")):
+        """Run a local broadcast; returns ``(result, nodes, wire, runs)``:
+        every byte n2 read from its upstream, and the ``(first_offset,
+        chunk sizes)`` of every run the head handed its link."""
+        from repro.core import HashingSink
+        from repro.runtime import LocalBroadcast
+        from repro.runtime.links import DownstreamLink
+        from repro.runtime.node import ReceiverNode
+
+        decoders, wire, runs = [], bytearray(), []
+        adopt = ReceiverNode._adopt_upstream
+        written = FrameDecoder.bytes_written
+        send_run = DownstreamLink.send_run
+
+        def spy_adopt(node, stream, detail):
+            if node.name == "n2":
+                decoders.append(stream._decoder)
+            return adopt(node, stream, detail)
+
+        def spy_written(dec, n):
+            if any(dec is d for d in decoders):
+                wire.extend(dec._buf[dec._fill: dec._fill + n])
+            written(dec, n)
+
+        def spy_send_run(link, first_offset, payloads, raw):
+            if link.owner == "n1":
+                runs.append((first_offset, [len(p) for p in payloads]))
+            return send_run(link, first_offset, payloads, raw)
+
+        monkeypatch.setattr(ReceiverNode, "_adopt_upstream", spy_adopt)
+        monkeypatch.setattr(FrameDecoder, "bytes_written", spy_written)
+        monkeypatch.setattr(DownstreamLink, "send_run", spy_send_run)
+        sinks = {}
+
+        def factory(name):
+            sinks[name] = HashingSink()
+            return sinks[name]
+
+        bc = LocalBroadcast(source, list(receivers), sink_factory=factory,
+                            config=config)
+        result = bc.run(timeout=60)
+        return result, bc.nodes, bytes(wire), runs, sinks
+
+    @staticmethod
+    def _per_frame_wire(payload, chunk_size, report):
+        import hashlib
+
+        from repro.core.messages import End, Report
+
+        out = hashlib.sha256()
+        for off in range(0, len(payload), chunk_size):
+            chunk = payload[off: off + chunk_size]
+            out.update(encode_header(Data(off, len(chunk))) + chunk)
+        out.update(encode_header(End(len(payload))))
+        out.update(encode_header(Report(len(report))) + report)
+        return out.hexdigest()
+
+    # 16 chunks make a run at 4 KiB: whole runs; a short last run with a
+    # short last chunk; less than one run; exactly one chunk over.
+    @pytest.mark.parametrize("size", [
+        32 * CHUNK, 41 * CHUNK + 123, 5 * CHUNK + 1, 16 * CHUNK + CHUNK])
+    def test_wire_is_the_per_frame_encoding(self, monkeypatch, size):
+        import hashlib
+
+        from repro.core import KascadeConfig, PatternSource
+
+        config = KascadeConfig(chunk_size=CHUNK, buffer_chunks=64)
+        source = PatternSource(size, seed=5)
+        result, nodes, wire, runs, sinks = self._broadcast(
+            monkeypatch, source, config)
+        assert result.ok, result.outcomes
+        payload = source.expected_bytes(0, size)
+        want = self._per_frame_wire(
+            payload, CHUNK, nodes["n1"].state.report.encode())
+        assert hashlib.sha256(wire).hexdigest() == want
+        for sink in sinks.values():
+            assert sink.hexdigest() == hashlib.sha256(payload).hexdigest()
+        # ...and it left the head as runs of a segment's worth of chunks.
+        assert [first for first, _sizes in runs] == list(
+            range(0, size, 16 * CHUNK))
+        assert all(len(sizes) == 16 for _first, sizes in runs[:-1])
+        assert sum(sum(sizes) for _first, sizes in runs) == size
+
+    @pytest.mark.parametrize("chunk_size", [64 * 1024, 256 * 1024])
+    def test_big_chunks_are_runs_of_one(self, monkeypatch, chunk_size):
+        from repro.core import KascadeConfig, PatternSource
+
+        size = 5 * chunk_size + 1000
+        result, _nodes, _wire, runs, _sinks = self._broadcast(
+            monkeypatch, PatternSource(size),
+            KascadeConfig(chunk_size=chunk_size))
+        assert result.ok
+        assert [sizes for _first, sizes in runs] == (
+            [[chunk_size]] * 5 + [[1000]])
+
+    def test_run_never_outgrows_the_ring(self, monkeypatch):
+        """A run is bounded by ``buffer_bytes``: whatever the head has
+        framed before its first GET is still in its window."""
+        from repro.core import KascadeConfig, PatternSource
+
+        config = KascadeConfig(chunk_size=CHUNK, buffer_chunks=3)
+        result, _nodes, _wire, runs, _sinks = self._broadcast(
+            monkeypatch, PatternSource(10 * CHUNK + 5), config)
+        assert result.ok
+        assert [sizes for _first, sizes in runs] == (
+            [[CHUNK] * 3] * 3 + [[CHUNK, 5]])
+
+    def test_short_reads_mid_stream_are_frames_of_their_own(self, monkeypatch):
+        """A pipe hands over what it has: each short read is framed as
+        it came (never padded, never held back for a full chunk) and the
+        stream goes on — only an empty read ends it."""
+        import hashlib
+
+        from repro.core import KascadeConfig, StreamSource
+
+        reads = [100, CHUNK + 7, 3 * CHUNK, 1, 16 * CHUNK, 5]
+        payload = bytes(i % 253 for i in range(sum(reads)))
+
+        class Pipe:
+            def __init__(self):
+                self.pos, self.reads = 0, iter(reads)
+
+            def read(self, size):
+                take = min(size, next(self.reads, 0))
+                piece = payload[self.pos: self.pos + take]
+                self.pos += take
+                return piece
+
+            def close(self):
+                pass
+
+        config = KascadeConfig(chunk_size=CHUNK, buffer_chunks=64,
+                               readahead_chunks=0)
+        result, nodes, wire, runs, sinks = self._broadcast(
+            monkeypatch, StreamSource(Pipe()), config)
+        assert result.ok, result.outcomes
+        assert [sizes for _first, sizes in runs] == [
+            [100], [CHUNK, 7], [CHUNK] * 3, [1], [CHUNK] * 16, [5]]
+        assert nodes["n1"].state.offset == len(payload)
+        for sink in sinks.values():
+            assert sink.hexdigest() == hashlib.sha256(payload).hexdigest()

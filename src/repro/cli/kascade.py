@@ -262,28 +262,27 @@ def cmd_replica(args: argparse.Namespace) -> int:
 
 
 def cmd_agent(args: argparse.Namespace) -> int:
-    """One deployed node process (normally spawned by ``deploy``)."""
-    coordinator = _parse_hostport(args.coordinator, "--coordinator")
-    if args.fleet:
-        from ..daemon.agent import run_fleet_agent
+    """One deployed node process (normally spawned by ``deploy``/``serve``)."""
+    import os
 
-        return run_fleet_agent(
-            coordinator, args.name,
-            bind=args.bind,
-            advertise=args.advertise,
-            start_timeout=args.start_timeout,
-            cache_bytes=args.cache_bytes,
-        )
-    from ..deploy.agent import run_agent
+    from ..deploy.agent import EXIT_OK, serve_sessions
 
-    return run_agent(
-        coordinator, args.name,
+    code = serve_sessions(
+        _parse_hostport(args.coordinator, "--coordinator"), args.name,
         bind=args.bind,
         advertise=args.advertise,
         start_timeout=args.start_timeout,
+        cache_bytes=args.cache_bytes,
         die_on_start=args.die_on_start,
-        stripes=args.stripes,
     )
+    if code == EXIT_OK:
+        # Drained: every session's sink is finished and the control
+        # socket is closed, and the supervisor is now waiting for this
+        # process to be gone.  Interpreter tear-down would only free
+        # what the kernel frees anyway — four of them at once cost a
+        # one-shot ~25 ms of its wall time — so leave directly.
+        os._exit(EXIT_OK)
+    return code
 
 
 def _parse_hostport(spec: str, what: str) -> Tuple[str, int]:
@@ -315,7 +314,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         coordinator_replicas=args.coordinator_replicas,
     )
     server.start()
-    assert server.launch_report is not None
+    if not server.registered:
+        server.shutdown()
+        raise SystemExit("no fleet agent launched")
     print(f"fleet up: {len(server.registered)}/{len(names)} agents in "
           f"{server.launch_report.total_s:.2f}s "
           f"(cache {args.cache_bytes} bytes/agent)", flush=True)
@@ -555,18 +556,12 @@ def _agent_args(agent: argparse.ArgumentParser) -> None:
     agent.add_argument("--advertise", default=None,
                        help="host peers should dial (default: bind address)")
     agent.add_argument("--start-timeout", type=float, default=60.0,
-                       help="seconds to wait for the coordinator's start")
-    agent.add_argument("--stripes", type=int, default=1, metavar="N",
-                       help="data-plane listeners to bind (one per stripe; "
-                            "set by deploy to match its --stripes)")
+                       help="seconds to wait for the coordinator to answer")
     agent.add_argument("--die-on-start", action="store_true",
                        help=argparse.SUPPRESS)  # test hook: exit before registering
-    agent.add_argument("--fleet", action="store_true",
-                       help="run as a persistent fleet agent (spawned by "
-                            "serve): many sessions, one process")
     agent.add_argument("--cache-bytes", type=int, default=0,
-                       help="fleet mode: byte budget for the cross-session "
-                            "chunk cache (0 = no cache)")
+                       help="byte budget for the cross-session chunk cache "
+                            "(0 = no cache, no pull server)")
 
 
 def _serve_args(serve: argparse.ArgumentParser) -> None:

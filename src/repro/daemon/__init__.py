@@ -13,7 +13,7 @@ socket; :class:`LateJoin` names a node that enters a session mid-flight.
 
 Or across processes::
 
-    kascade serve --fleet 4 --listen 127.0.0.1:7641
+    kascade serve -n 4 --listen 127.0.0.1:7641
     kascade submit --server 127.0.0.1:7641 -i artifact.tgz
 """
 
@@ -21,5 +21,5 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "client": ("DaemonClient", "serve_clients"),
-    "server": ("DaemonServer", "FleetCoordinator", "LateJoin"),
+    "server": ("DaemonServer", "LateJoin"),
 })

@@ -1,27 +1,38 @@
-"""The ``kascade serve`` coordinator: one warm fleet, many sessions.
+"""The supervisor: one fleet of agents, any number of sessions.
 
-:class:`DaemonServer` owns a persistent agent fleet (launched once,
-windowed, exactly like the procs backend) and multiplexes *named
-broadcast sessions* over it.  The per-broadcast cost model changes
-shape: the one-shot procs backend pays interpreter start + import +
-register per broadcast; here that is paid once at :meth:`start` and
-amortised over every :meth:`submit` — a warm-session submit carries
-``launch=None`` on its :class:`~repro.runtime.BroadcastResult` because
-no process was launched for it.
+:class:`DaemonServer` owns an agent fleet (launched once, windowed) and
+runs *named broadcast sessions* on it.  ``kascade serve`` keeps one up
+for many submits, so interpreter start + import + register is paid once
+at :meth:`DaemonServer.start` and amortised over every
+:meth:`~DaemonServer.submit`; a one-shot ``backend="procs"`` broadcast
+(:class:`repro.deploy.ProcBroadcast`) is the same thing with a lifetime
+of one session.  A submit into a warm fleet carries ``launch=None`` on
+its :class:`~repro.runtime.BroadcastResult` because no process was
+launched for it.
 
 A session runs in three phases, any of which may be empty:
 
-1. **Warm partition** — the ``session_open`` acks carry each agent's
-   content-addressed cache state for the artifact; receivers that
-   already hold every chunk are told ``session_serve_cached`` and never
-   touch upstream (local replay + digest proof, zero wire bytes).
-2. **Push** — the remaining cold receivers get a fresh
-   :class:`~repro.core.plan.ChainPlan` and run the ordinary pipelined
-   chain via ``session_start``.
+1. **Warm partition** — on a fleet with a chunk cache, the
+   ``session_open`` acks carry each agent's content-addressed cache
+   state for the artifact; receivers that already hold every chunk are
+   told ``session_serve_cached`` and never touch upstream (local replay
+   + digest proof, zero wire bytes).
+2. **Push** — the remaining receivers run the ordinary pipelined chain
+   via ``session_start``, on the session's :class:`~repro.core.plan.
+   ChainPlan` (the caller's, or one built from ``order``) re-planned
+   without the members that never launched, have died since, or were
+   served from cache.  When the session opted in (``allow_head_chaos``
+   on a fleet with control replicas), a head that dies mid-push is
+   re-rooted instead of fatal.
 3. **Pull** — late joiners (registered mid-session via
    :class:`LateJoin`) catch up on the already-broadcast prefix by
    PGETting chunks from cache-warm peers' pull servers while the push
    continues undisturbed.
+
+What a fleet does follows from what it was given: with
+``cache_bytes == 0`` there is no artifact identity (no hash pass over
+the source), no cache tap and no pull server — so no warm partition and
+no pull phase either.
 
 Per-session chaos plans are validated against the *session's*
 participants: naming a fleet member that is not in the session is its
@@ -31,7 +42,7 @@ own, clearer error than naming an unknown node (see
 
 from __future__ import annotations
 
-import hashlib
+import dataclasses
 import os
 import subprocess
 import sys
@@ -51,14 +62,14 @@ from typing import (
 from ..core import tracing
 from ..core.config import DEFAULT_CONFIG, KascadeConfig
 from ..core.errors import KascadeError
-from ..core.perfstats import get_stats
 from ..core.plan import ChainPlan
-from ..core.report import TransferReport
+from ..core.report import FailureRecord, TransferReport
 from ..core.sources import Source
-from ..core.tracing import NULL_TRACER, TraceCollector
+from ..core.tracing import NULL_TRACER, NullRecorder, TraceCollector
 from ..deploy.chaos import ChaosEngine, ChaosPlan
 from ..deploy.coordinator import (
     Coordinator,
+    drain,
     materialize_source,
     rebase_events,
     supervise,
@@ -70,7 +81,7 @@ from ..deploy.launcher import (
     spawn_env,
 )
 from ..deploy.protocol import wiring_to_wire
-from ..runtime.result import BroadcastResult, NodeOutcome
+from ..runtime.result import BroadcastResult, NodeOutcome, check_head_failover
 
 if TYPE_CHECKING:
     from ..core.cache import ArtifactMeta
@@ -88,69 +99,71 @@ class LateJoin:
 
 @dataclass
 class _Session:
-    """Server-side record of one in-flight session."""
+    """Supervisor-side record of one in-flight session: who takes part,
+    and everything they have said so far."""
 
     id: str
-    artifact: ArtifactMeta
-    head: str
-    receivers: Tuple[str, ...]
+    #: The schedule as asked for, every participant included.
+    plan: ChainPlan
+    #: Content identity of the payload; ``None`` on a cache-less fleet.
+    artifact: Optional[ArtifactMeta]
     chaos: ChaosEngine
     output_template: Optional[str]
+    tracer: object
     wall0: float
     deadline: float
+    #: A dead head is re-rooted (once) instead of failing the session.
+    failover: bool
+    pending_joins: List[LateJoin]
     cond: threading.Condition = field(default_factory=threading.Condition)
     acks: Dict[str, dict] = field(default_factory=dict)
+    #: node -> its per-session data ports, one per stripe (from the ack;
+    #: re-bound by a ``failover_ready``).
+    ports: Dict[str, List[int]] = field(default_factory=dict)
     statuses: Dict[str, dict] = field(default_factory=dict)
     dead: Dict[str, str] = field(default_factory=dict)
     progress: Dict[str, int] = field(default_factory=dict)
+    #: node -> its ``failover_ready`` reply while a re-root is in flight.
+    failover_ready: Dict[str, dict] = field(default_factory=dict)
     #: Names a final status is expected from (grows as joiners trigger).
     expected: set = field(default_factory=set)
     #: The push participants (head + cold receivers) — "push done" means
     #: all of these resolved, which force-triggers any remaining joins.
     push_nodes: set = field(default_factory=set)
-    pending_joins: List[LateJoin] = field(default_factory=list)
     joined: List[str] = field(default_factory=list)
-    crashed_by_chaos: Dict[str, str] = field(default_factory=dict)
-    #: (t_relative, detail) server-side session milestones, emitted into
-    #: the merged trace at collect time.
-    events: List[Tuple[float, str]] = field(default_factory=list)
+    #: Members asked for that could not take part (never launched, dead
+    #: since, or left without a head to feed them), with the outcome
+    #: that says why; ``lost`` holds the failure records of the first two.
+    absent: Dict[str, NodeOutcome] = field(default_factory=dict)
+    lost: List[FailureRecord] = field(default_factory=list)
     active_hwm: int = 1
 
     def resolved(self, name: str) -> bool:
         return name in self.statuses or name in self.dead
 
+    def settled(self) -> bool:
+        """Every expected status is in (or its node dead) and the join
+        queue is drained.  Call with ``cond`` held."""
+        return (not self.pending_joins
+                and all(self.resolved(n) for n in self.expected))
+
+    def emit(self, type_: str, detail: str = "", **fields) -> None:
+        """One supervisor-side event on this session's time line — the
+        same zero the agents' events are rebased to."""
+        self.tracer.emit(type_, "coordinator", t=time.time() - self.wall0,
+                         detail=detail, **fields)
+
     def note(self, detail: str) -> None:
-        self.events.append((time.time() - self.wall0, detail))
+        self.emit(tracing.SESSION, f"{self.id}: {detail}")
 
-
-class FleetCoordinator(Coordinator):
-    """A :class:`~repro.deploy.coordinator.Coordinator` whose read loop
-    routes session-scoped messages to the server instead of assuming the
-    one-broadcast-per-process shape."""
-
-    def __init__(self, *, router: Callable[[object, dict], None],
-                 **kwargs) -> None:
-        self._router = router
-        super().__init__(**kwargs)
-
-    def _read_loop(self, agent) -> None:
-        while not self._closed:
-            try:
-                msg = agent.channel.recv(timeout=0.5)
-            except TimeoutError:
-                continue
-            except Exception:
-                break
-            if msg is None:
-                break
-            with self._cond:
-                agent.last_heard = time.monotonic()
-            if msg.get("op") == "heartbeat":
-                continue
-            self._router(agent, msg)
+    def output_for(self, name: str) -> Optional[str]:
+        return (self.output_template.replace("{node}", name)
+                if self.output_template else None)
 
 
 def _sha256_file(path: str) -> Tuple[str, int]:
+    import hashlib  # only a fleet with a cache hashes its sources
+
     digest = hashlib.sha256()
     size = 0
     with open(path, "rb") as handle:
@@ -173,12 +186,16 @@ class DaemonServer:
         receivers, and late joiners must come from this set.
     config:
         Protocol tunables shared by every session (``config.cache_bytes``
-        sizes each agent's chunk cache unless ``cache_bytes`` overrides).
+        sizes each agent's chunk cache unless ``cache_bytes`` overrides;
+        0 means the fleet has no cache at all).
     window / spawn_retries / startup_timeout / backoff:
         Windowed-launcher knobs, paid once at :meth:`start`.
     heartbeat_interval / heartbeat_timeout / progress_every / python /
-    bind_host / stderr_dir:
+    bind_host / agent_args / stderr_dir:
         As on :class:`~repro.deploy.ProcBroadcast`.
+    coordinator_replicas:
+        Replicate registrations, plans, watermarks and elections over
+        this many quorum replicas (0 = none; head failover needs >= 1).
 
     Usage::
 
@@ -202,6 +219,7 @@ class DaemonServer:
         progress_every: int = 1 << 18,
         python: Optional[str] = None,
         bind_host: str = "127.0.0.1",
+        agent_args: Optional[Callable[[str, int], Sequence[str]]] = None,
         stderr_dir: Optional[str] = None,
         coordinator_replicas: int = 0,
         tracer=NULL_TRACER,
@@ -225,14 +243,15 @@ class DaemonServer:
         self.progress_every = progress_every
         self.python = python or sys.executable
         self.bind_host = bind_host
+        self.agent_args = agent_args
         self.stderr_dir = stderr_dir
         self.coordinator_replicas = coordinator_replicas
         self.tracer = tracer
         #: Filled by :meth:`start` — the one windowed launch the whole
-        #: server lifetime amortises.
+        #: fleet lifetime amortises.
         self.launch_report: Optional[LaunchReport] = None
 
-        self._coordinator: Optional[FleetCoordinator] = None
+        self._coordinator: Optional[Coordinator] = None
         self._quorum = None
         self._replica_procs: List[subprocess.Popen] = []
         self._procs: Dict[str, subprocess.Popen] = {}
@@ -241,6 +260,9 @@ class DaemonServer:
         self._session_seq = 0
         self._sessions_completed = 0
         self._artifact_memo: Dict[Tuple[str, int, int], Tuple[str, int]] = {}
+        #: Members a session's chaos hit or that left one waiting: they
+        #: are killed, not drained, at shutdown.
+        self._suspect: set = set()
         self._stop_reaper = threading.Event()
         self._reaper: Optional[threading.Thread] = None
         self._pump: Optional[threading.Thread] = None
@@ -250,9 +272,15 @@ class DaemonServer:
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> "DaemonServer":
-        """Launch the fleet (windowed) and start supervision."""
+        """Launch the fleet (windowed) and start supervision.
+
+        A member that never comes up does not fail the start: sessions
+        are re-planned around it (§III-B: launcher failures are handled
+        before the transfer) and name it in their results.
+        """
         if self._started:
             return self
+        self._started = True
         if self.coordinator_replicas >= 1:
             from ..control.client import QuorumClient
             from ..control.replica import spawn_replicas
@@ -262,10 +290,17 @@ class DaemonServer:
                 bind_host=self.bind_host, env=spawn_env(),
             )
             self._quorum = QuorumClient(addrs, proposer_id=os.getpid())
-        self._coordinator = FleetCoordinator(router=self._route,
-                                             tracer=self.tracer)
+        self._coordinator = Coordinator(router=self._route,
+                                        tracer=self.tracer)
+        control = self._coordinator.address
         launcher = WindowedLauncher(
-            self._make_spawn(self._coordinator.address),
+            agent_spawner(
+                [self.python, "-m", "repro.cli.kascade", "agent",
+                 "--coordinator", f"{control.host}:{control.port}",
+                 "--bind", self.bind_host,
+                 "--cache-bytes", str(self.cache_bytes),
+                 "--start-timeout", str(max(60.0, self.startup_timeout * 4))],
+                stderr_dir=self.stderr_dir, agent_args=self.agent_args),
             window=self.window,
             retries=self.spawn_retries,
             backoff=self.backoff,
@@ -275,17 +310,19 @@ class DaemonServer:
         self.launch_report = report
         self._procs = {name: nl.proc for name, nl in report.nodes.items()
                        if nl.ok}
-        if not report.launched:
-            self._coordinator.close()
-            self._stop_replicas()
-            raise KascadeError("no fleet agent launched")
-        for name in self._coordinator.registered_names():
+        for name in report.failed:
+            record = self._launch_failure(name)
+            detector = (tracing.DETECTOR_PROC_EXIT
+                        if "exited before registering" in record.reason
+                        else tracing.DETECTOR_CONNECT)
+            self.tracer.emit(tracing.FAILOVER, "launcher", peer=name,
+                             offset=0, detail=record.reason,
+                             detector=detector)
+        for name in report.launched:
             agent = self._coordinator.agent(name)
-            if agent is not None and agent.address is not None:
-                self._commit({"kind": "register", "node": name,
-                              "host": agent.address.host,
-                              "port": agent.address.port,
-                              "pid": agent.pid})
+            self._commit({"kind": "register", "node": name,
+                          "host": agent.address.host,
+                          "port": agent.address.port, "pid": agent.pid})
         self._reaper = threading.Thread(target=self._reaper_loop,
                                         name="fleet-reaper", daemon=True)
         self._reaper.start()
@@ -294,8 +331,13 @@ class DaemonServer:
                                           name="fleet-watermarks",
                                           daemon=True)
             self._pump.start()
-        self._started = True
         return self
+
+    def _launch_failure(self, name: str) -> FailureRecord:
+        nl = self.launch_report.nodes[name]
+        return FailureRecord(
+            node=name, detected_by="launcher", at_offset=0,
+            reason=f"launch-failed: {nl.error} after {nl.attempts} attempt(s)")
 
     # -- the replicated control plane ------------------------------------
 
@@ -319,8 +361,15 @@ class DaemonServer:
     def _watermark_pump(self) -> None:
         """Replicate per-session progress high-water marks (0.25s tick).
 
-        Watermark keys are ``<session>/<node>`` — the fleet multiplexes
-        sessions, so progress is per (session, node), not per node.
+        Runs beside the hot progress path, not on it: agents report
+        every ``progress_every`` bytes, but a quorum commit costs three
+        round trips, so the pump snapshots the latest counters on a
+        fixed tick and commits only what grew.  The watermarks are what
+        an election reads — they only need to be *recent*, not exact;
+        the failover handshake re-commits each survivor's precise
+        detach offset before anyone is elected.  Keys are
+        ``<session>/<node>`` — the fleet multiplexes sessions, so
+        progress is per (session, node), not per node.
         """
         last: Dict[str, int] = {}
         while not self._stop_reaper.wait(0.25):
@@ -348,7 +397,9 @@ class DaemonServer:
             kill_replicas(self._replica_procs)
 
     def shutdown(self, grace: float = 5.0) -> None:
-        """Graceful fleet teardown: quit, drain, kill only stragglers."""
+        """Fleet teardown: quit and drain the healthy, kill the rest
+        (:func:`repro.deploy.coordinator.drain`); no agent or replica
+        process outlives this call."""
         if self._closed:
             return
         self._closed = True
@@ -358,24 +409,11 @@ class DaemonServer:
         if self._pump is not None:
             self._pump.join(timeout=2.0)
         if self._coordinator is not None:
-            for name in self._coordinator.registered_names():
-                self._coordinator.send(name, {"op": "quit"})
-        deadline = time.monotonic() + grace
-        for proc in self._procs.values():
-            if proc is None:
-                continue
-            try:
-                proc.wait(timeout=max(0.0, deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                try:
-                    proc.kill()
-                except (OSError, ProcessLookupError):
-                    pass
-                try:
-                    proc.wait(timeout=5.0)
-                except subprocess.TimeoutExpired:  # pragma: no cover
-                    pass
-        if self._coordinator is not None:
+            healthy = [
+                name for name in self._procs
+                if name not in self._suspect
+                and self._coordinator.agent(name).dead_reason is None]
+            drain(self._coordinator, self._procs, healthy, grace)
             self._coordinator.close()
         self._stop_replicas()
 
@@ -395,75 +433,70 @@ class DaemonServer:
         with self._lock:
             return self._sessions_completed
 
-    # -- fleet spawning --------------------------------------------------
-
-    def _make_spawn(self, control) -> Callable[[str, int], subprocess.Popen]:
-        argv = [
-            self.python, "-m", "repro.cli.kascade", "agent", "--fleet",
-            "--coordinator", f"{control.host}:{control.port}",
-            "--bind", self.bind_host,
-            "--cache-bytes", str(self.cache_bytes),
-            "--start-timeout", str(max(60.0, self.startup_timeout * 4)),
-        ]
-        return agent_spawner(argv, stderr_dir=self.stderr_dir)
-
     # -- supervision -----------------------------------------------------
 
     def _reaper_loop(self) -> None:
-        """waitpid + heartbeat supervision over the whole fleet — the
-        procs backend's loop (:func:`repro.deploy.coordinator.supervise`).
-
-        A dead fleet agent resolves every session it owed a status to —
-        sessions must never hang on a process that no longer exists.
-        """
-        assert self._coordinator is not None
+        """waitpid + heartbeat supervision over the whole fleet
+        (:func:`repro.deploy.coordinator.supervise`)."""
         supervise(self._coordinator, self._procs, self.fleet,
                   self._stop_reaper,
                   heartbeat_timeout=self.heartbeat_timeout,
-                  tracer=self.tracer, emitter="server",
                   on_dead=self._fail_open_sessions)
 
-    def _fail_open_sessions(self, name: str, reason: str) -> None:
+    def _fail_open_sessions(self, name: str, reason: str, detector: str,
+                            detail: str) -> None:
+        """A dead fleet agent resolves every session it owed a status
+        to — sessions must never hang on a process that no longer
+        exists — and the FAILOVER lands on those sessions' time lines
+        (on the fleet's own when no session was waiting on it)."""
         with self._lock:
             sessions = list(self._sessions.values())
+        owed = False
         for sess in sessions:
             with sess.cond:
-                if name in sess.expected and not sess.resolved(name):
-                    sess.dead[name] = reason
-                    sess.note(f"{name} died: {reason}")
-                    sess.cond.notify_all()
+                if name not in sess.expected or sess.resolved(name):
+                    continue
+                owed = True
+                sess.dead[name] = reason
+                sess.emit(tracing.FAILOVER, detail, peer=name,
+                          offset=sess.progress.get(name), detector=detector)
+                sess.cond.notify_all()
             self._maybe_trigger_joins(sess)
+        if not owed:
+            self.tracer.emit(tracing.FAILOVER, "coordinator", peer=name,
+                             detail=detail, detector=detector)
 
     # -- message routing -------------------------------------------------
 
     def _route(self, agent, msg: dict) -> None:
-        op = msg.get("op")
-        sid = msg.get("session")
-        if sid is None:
-            return
+        op = msg["op"]
         with self._lock:
-            sess = self._sessions.get(str(sid))
+            sess = self._sessions.get(str(msg.get("session")))
         if sess is None:
             return
-        if op == "session_ack":
-            with sess.cond:
-                sess.acks[agent.name] = msg
-                sess.cond.notify_all()
-        elif op == "progress":
+        if op == "progress":
             received = int(msg.get("bytes", 0))
             with sess.cond:
                 sess.progress[agent.name] = max(
                     sess.progress.get(agent.name, 0), received)
             fired = sess.chaos.on_progress(agent.name, received, agent.pid)
             if fired is not None:
-                with sess.cond:
-                    sess.crashed_by_chaos[agent.name] = fired
-                    sess.note(f"chaos fired {fired} at {agent.name}")
+                sess.note(f"chaos fired {fired} at {agent.name}")
             self._maybe_trigger_joins(sess)
-        elif op == "session_status":
-            with sess.cond:
+            return
+        with sess.cond:
+            if op == "session_ack":
+                sess.acks[agent.name] = msg
+                sess.ports[agent.name] = [int(p) for p in msg["ports"]]
+            elif op == "session_status":
                 sess.statuses[agent.name] = msg
-                sess.cond.notify_all()
+            elif op == "failover_ready":
+                # The agent detached its node and rebound: adopt the new
+                # data-plane port so the resume wiring is correct.
+                sess.failover_ready[agent.name] = msg
+                sess.ports[agent.name] = [int(p) for p in msg["ports"]]
+            sess.cond.notify_all()
+        if op == "session_status":
             self._maybe_trigger_joins(sess)
 
     # -- late-joiner triggering ------------------------------------------
@@ -484,23 +517,19 @@ class DaemonServer:
             self._send_join(sess, lj)
 
     def _send_join(self, sess: _Session, lj: LateJoin) -> None:
-        assert self._coordinator is not None
         # Nearest-cache-warm-first: peers ordered by how much of the
         # artifact they had at ack time (receivers keep caching as the
         # push runs, so even a cold-at-ack peer fills in behind us).
         def warmth(name: str) -> int:
-            ack = sess.acks.get(name, {})
-            return int(ack.get("cached", 0))
+            return int(sess.acks.get(name, {}).get("cached", 0))
 
-        candidates = [n for n in (*sess.receivers, *sess.joined)
+        candidates = [n for n in (*sess.plan.receivers, *sess.joined)
                       if n not in sess.dead and n != lj.node]
         peers = []
         for name in sorted(candidates, key=warmth, reverse=True):
             agent = self._coordinator.agent(name)
             if agent is not None:
                 peers.append([agent.address.host, agent.address.port])
-        output = (sess.output_template.replace("{node}", lj.node)
-                  if sess.output_template else None)
         with sess.cond:
             sess.expected.add(lj.node)
             sess.joined.append(lj.node)
@@ -512,7 +541,7 @@ class DaemonServer:
             "session": sess.id,
             "artifact": sess.artifact.to_wire(),
             "peers": peers,
-            "output": output,
+            "output": sess.output_for(lj.node),
             "progress_every": self.progress_every,
             "run_timeout": max(1.0, sess.deadline - time.monotonic()),
         })
@@ -538,57 +567,117 @@ class DaemonServer:
 
     # -- session orchestration -------------------------------------------
 
+    def admit(
+        self,
+        plan: ChainPlan,
+        *,
+        chaos: Sequence[ChaosPlan] = (),
+        late_join: Sequence[LateJoin] = (),
+        output_template: Optional[str] = None,
+        allow_head_chaos: bool = False,
+    ) -> ChaosEngine:
+        """The one validation of what a session asks of this fleet:
+        raises :class:`KascadeError` with one message per reason,
+        returns the session's chaos engine.  Needs no running fleet, so
+        a one-shot checks before it launches anything."""
+        joiners = tuple(lj.node for lj in late_join)
+        for name in (*plan.nodes, *joiners):
+            if name not in self.fleet:
+                raise KascadeError(
+                    f"{name!r} is not a fleet member "
+                    f"(fleet: {sorted(self.fleet)})")
+        overlap = set(joiners) & set(plan.nodes)
+        if overlap:
+            raise KascadeError(
+                f"late joiners must not be in the session already: "
+                f"{sorted(overlap)}")
+        if joiners and not self.cache_bytes:
+            raise KascadeError(
+                "late joiners pull from their peers' chunk caches: the "
+                "fleet needs cache_bytes > 0")
+        engine = ChaosEngine(chaos)
+        targets = engine.targets()
+        if plan.head in targets and not allow_head_chaos:
+            raise KascadeError(
+                f"chaos targets the head {plan.head!r}: killing the "
+                "head interrupts the stream for every receiver; opt in "
+                "with allow_head_chaos=True (requires coordinator "
+                "replicas for quorum-backed head failover)"
+            )
+        if allow_head_chaos:
+            if self.coordinator_replicas < 1:
+                raise KascadeError(
+                    "head failover needs a replicated control plane to "
+                    "elect from: set coordinator_replicas >= 1 "
+                    "(3 recommended for minority-failure tolerance)"
+                )
+            check_head_failover(plan.stripe_count, self.config.data_plane)
+        replicas = {f"replica:{i}" for i in range(self.coordinator_replicas)}
+        stray = {t for t in targets if t.startswith("replica:")} - replicas
+        if stray:
+            raise KascadeError(
+                f"chaos targets control replicas that will not exist: "
+                f"{sorted(stray)} (coordinator_replicas="
+                f"{self.coordinator_replicas})"
+            )
+        engine.validate(
+            (*plan.receivers, *joiners), known=self.fleet, what="session",
+            allow=replicas | ({plan.head} if allow_head_chaos else set()))
+        if (output_template is not None and "{node}" not in output_template
+                and len(plan.receivers) + len(joiners) > 1):
+            raise KascadeError(
+                "output_template needs a {node} placeholder for >1 receiver"
+            )
+        return engine
+
     def submit(
         self,
         source: Source,
         receivers: Optional[Sequence[str]] = None,
         *,
         head: Optional[str] = None,
+        order: str = "given",
+        plan: Optional[ChainPlan] = None,
         output_template: Optional[str] = None,
         chaos: Sequence[ChaosPlan] = (),
         late_join: Sequence[LateJoin] = (),
+        allow_head_chaos: bool = False,
         session: Optional[str] = None,
         trace=None,
         timeout: float = 120.0,
+        wall0: Optional[float] = None,
     ) -> BroadcastResult:
-        """Run one named session on the warm fleet; blocks until done.
+        """Run one named session on the fleet; blocks until done.
 
         Thread-safe: concurrent ``submit`` calls multiplex over the same
         fleet (that is the point).  Returns the same
         :class:`~repro.runtime.BroadcastResult` shape as every other
         backend, with ``backend="daemon"`` and ``launch=None`` — the
         fleet launch happened once, at :meth:`start`, not here.
+
+        The session runs ``plan`` when given (its head and receivers
+        win), else a chain over ``receivers`` (default: the whole fleet
+        minus ``head``) in ``order``.  Members that never launched or
+        have died since are planned around and fail the result by name.
+        ``allow_head_chaos`` lets ``chaos`` target the head and has the
+        quorum re-root the chain when it dies.  ``wall0`` is the trace's
+        wall-clock zero (default: now).
         """
         if not self._started or self._closed:
             raise KascadeError("DaemonServer is not running (call start())")
-        assert self._coordinator is not None
-        registered = set(self._coordinator.registered_names())
-        head = head or self.fleet[0]
-        if receivers is None:
-            receivers = tuple(n for n in self.fleet
-                              if n != head and n in registered)
-        receivers = tuple(receivers)
-        joiners = tuple(lj.node for lj in late_join)
-        for name in (head, *receivers, *joiners):
-            if name not in self.fleet:
-                raise KascadeError(
-                    f"{name!r} is not a fleet member "
-                    f"(fleet: {sorted(self.fleet)})")
-            if name not in registered:
-                raise KascadeError(f"fleet member {name!r} is not registered "
-                                   f"(died or never launched)")
-        if head in receivers:
-            raise KascadeError(f"head {head!r} cannot also be a receiver")
-        overlap = set(joiners) & ({head} | set(receivers))
-        if overlap:
-            raise KascadeError(
-                f"late joiners must not be in the session already: "
-                f"{sorted(overlap)}")
-        engine = ChaosEngine(chaos)
-        engine.validate((*receivers, *joiners), known=self.fleet,
-                        what="session")
+        if plan is None:
+            head = head or self.fleet[0]
+            if receivers is None:
+                receivers = tuple(n for n in self.launch_report.launched
+                                  if n != head)
+        else:
+            head, receivers = plan.head, plan.receivers
+        plan = ChainPlan.resolve(plan, head, receivers,
+                                 stripes=self.config.stripes, order=order)
+        engine = self.admit(plan, chaos=chaos, late_join=late_join,
+                            output_template=output_template,
+                            allow_head_chaos=allow_head_chaos)
 
-        from ..core.tracing import NullRecorder
         from ..session import _resolve_trace
         if isinstance(trace, NullRecorder):
             tracer, trace_path = trace, None  # explicitly disabled
@@ -603,23 +692,26 @@ class DaemonServer:
 
         path, cleanup_source = materialize_source(source)
         started = time.monotonic()
-        wall0 = time.time()
         try:
-            artifact = self._artifact_for(path, self.config.chunk_size)
             sess = _Session(
-                id=sid, artifact=artifact, head=head, receivers=receivers,
-                chaos=engine, output_template=output_template, wall0=wall0,
-                deadline=started + timeout,
+                id=sid, plan=plan, chaos=engine, tracer=tracer,
+                artifact=(self._artifact_for(path, self.config.chunk_size)
+                          if self.cache_bytes else None),
+                output_template=output_template,
+                wall0=wall0 if wall0 is not None else time.time(),
+                deadline=started + timeout, failover=allow_head_chaos,
                 pending_joins=list(late_join),
             )
+            for i, proc in enumerate(self._replica_procs):
+                engine.register_external(f"replica:{i}", proc.pid)
             self._register(sess)
             try:
-                result = self._run_session(sess, path, tracer,
-                                           started, timeout)
+                result = self._run_session(sess, path, started, timeout)
             finally:
                 with self._lock:
                     self._sessions.pop(sid, None)
                     self._sessions_completed += 1
+                    self._suspect |= set(engine.fired) | set(sess.dead)
         finally:
             cleanup_source()
         if trace_path is not None and isinstance(tracer, TraceCollector):
@@ -632,99 +724,144 @@ class DaemonServer:
             active = len(self._sessions)
             for other in self._sessions.values():
                 other.active_hwm = max(other.active_hwm, active)
+        from ..core.perfstats import get_stats  # not worth a start-up import
+
         get_stats().note_sessions_active(active)
+
+    def _plan_around_absent(self, sess: _Session) -> Optional[ChainPlan]:
+        """§III-B: the chain is re-planned around launch failures (and
+        members lost since) before a single payload byte flows — every
+        stripe drops the dead node while keeping its surviving order.
+        Returns ``None`` when no chain is left to run."""
+        joiners = [lj.node for lj in sess.pending_joins]
+        for name in (*sess.plan.nodes, *joiners):
+            nl = self.launch_report.nodes[name]
+            if not nl.ok:
+                sess.absent[name] = NodeOutcome(
+                    name=name, ok=False, error=f"launch failed: {nl.error}")
+                sess.lost.append(self._launch_failure(name))
+                continue
+            reason = self._coordinator.agent(name).dead_reason
+            if reason is not None:
+                sess.absent[name] = NodeOutcome(
+                    name=name, ok=False, crashed=True, error=reason)
+                sess.lost.append(FailureRecord(
+                    node=name, detected_by="coordinator", at_offset=0,
+                    reason=reason))
+        sess.pending_joins = [lj for lj in sess.pending_joins
+                              if lj.node not in sess.absent]
+        present = [r for r in sess.plan.receivers if r not in sess.absent]
+        if sess.plan.head not in sess.absent and present:
+            return sess.plan.replan_without(
+                [r for r in sess.plan.receivers if r in sess.absent])
+        why = ("head agent failed to launch" if sess.plan.head in sess.absent
+               else "no receiver agent launched")
+        for name in (sess.plan.head, *present):
+            sess.absent.setdefault(name, NodeOutcome(
+                name=name, ok=False, error=f"not started: {why}"))
+        sess.pending_joins = []
+        return None
 
     def _run_session(
         self,
         sess: _Session,
         source_path: str,
-        tracer,
         started: float,
         timeout: float,
     ) -> BroadcastResult:
-        assert self._coordinator is not None
         coordinator = self._coordinator
-        deadline = started + timeout
+        deadline = sess.deadline
         artifact = sess.artifact
-        sess.note(f"open artifact={artifact.digest[:12]} "
-                  f"size={artifact.size} nodes={len(sess.receivers) + 1}")
+        sess.note("open " + (f"artifact={artifact.digest[:12]} "
+                             f"size={artifact.size} " if artifact else "")
+                  + f"nodes={len(sess.plan.nodes)}")
 
-        open_targets = [sess.head, *sess.receivers]
-        for name in open_targets:
-            coordinator.send(name, {
-                "op": "session_open",
-                "session": sess.id,
-                "stripes": self.config.stripes,
-                "artifact": artifact.to_wire(),
-            })
-        ack_deadline = min(deadline, time.monotonic() + 15.0)
+        plan = self._plan_around_absent(sess)
+        if plan is None:
+            return self._collect(sess, None, started)
+
+        open_msg = {"op": "session_open", "session": sess.id,
+                    "stripes": plan.stripe_count,
+                    "heartbeat_interval": self.heartbeat_interval}
+        if artifact is not None:
+            open_msg["artifact"] = artifact.to_wire()
+        for name in plan.nodes:
+            coordinator.send(name, open_msg)
         with sess.cond:
             sess.cond.wait_for(
                 lambda: all(n in sess.acks or n in sess.dead
-                            for n in open_targets),
-                timeout=max(0.0, ack_deadline - time.monotonic()))
-            missing = [n for n in open_targets
-                       if n not in sess.acks and n not in sess.dead]
-            for name in missing:
-                sess.dead[name] = "no session_ack"
-            warm = tuple(r for r in sess.receivers
-                         if r in sess.acks and sess.acks[r].get("has_all"))
-            cold = tuple(r for r in sess.receivers
+                            for n in plan.nodes),
+                timeout=max(0.0, min(deadline - time.monotonic(), 15.0)))
+            for name in plan.nodes:
+                if name not in sess.acks:
+                    sess.dead.setdefault(name, "no session_ack")
+            warm = tuple(r for r in plan.receivers
+                         if sess.acks.get(r, {}).get("has_all"))
+            cold = tuple(r for r in plan.receivers
                          if r not in warm and r not in sess.dead)
 
-        plan: Optional[ChainPlan] = None
-        head_runs = bool(cold) and sess.head in sess.acks
-        if head_runs:
-            plan = ChainPlan.build(sess.head, cold,
-                                   stripes=self.config.stripes,
-                                   order="given")
+        if cold and plan.head in sess.acks:
+            plan = plan.replan_without([r for r in plan.receivers
+                                        if r not in cold])
             self._commit({"kind": "plan", "plan": plan.to_dict()})
-            self._send_session_starts(sess, plan, source_path, deadline)
+            if sess.failover:
+                sess.chaos.register_external(
+                    plan.head, coordinator.agent(plan.head).pid)
             with sess.cond:
-                sess.push_nodes = set(plan.base.chain)
+                sess.push_nodes = set(plan.nodes)
                 sess.expected |= sess.push_nodes
             sess.note(f"push chain over {len(cold)} cold receiver(s)")
+            extra = {"run_timeout": max(1.0, deadline - time.monotonic()),
+                     "progress_every": self.progress_every}
+            if sess.failover:
+                # Agents follow the control channel while the node runs
+                # so a mid-transfer re-root can reach them.
+                extra["failover"] = True
+            self._send_starts(sess, "session_start", plan, source_path,
+                              self.config, **extra)
         else:
-            # Nothing to push: the head never runs, so its listeners —
-            # bound at open — are released right away.
-            coordinator.send(sess.head, {"op": "session_cancel",
-                                         "session": sess.id})
+            # Nothing to push: whoever opened but will not run releases
+            # the listeners it bound right away.
+            for name in (plan.head, *cold):
+                coordinator.send(name, {"op": "session_cancel",
+                                        "session": sess.id})
+            plan = None
         for name in warm:
-            output = (sess.output_template.replace("{node}", name)
-                      if sess.output_template else None)
+            with sess.cond:
+                sess.expected.add(name)
             coordinator.send(name, {
                 "op": "session_serve_cached",
                 "session": sess.id,
-                "artifact": artifact.to_wire(),
-                "output": output,
+                "output": sess.output_for(name),
             })
-            with sess.cond:
-                sess.expected.add(name)
         if warm:
             sess.note(f"{len(warm)} receiver(s) fully cached: "
                       f"serving locally, zero upstream")
         self._maybe_trigger_joins(sess)
 
-        # Wait for every expected status; ``expected`` grows as joins
-        # trigger, and a drained join queue is part of "done".
+        # Wait for every expected status (``expected`` grows as joins
+        # trigger; a drained join queue is part of "done") — or, in a
+        # session that may re-root, for the head's death: the reaper's
+        # verdict notifies, so the re-root starts then, not a tick later.
+        can_reroot = sess.failover and plan is not None
+
+        def head_lost() -> bool:
+            return can_reroot and plan.head in sess.dead
+
         while True:
             with sess.cond:
-                unresolved = [n for n in sess.expected
-                              if not sess.resolved(n)]
-                pending = list(sess.pending_joins)
-                if not unresolved and not pending:
-                    break
-                if time.monotonic() >= deadline:
-                    for name in unresolved:
-                        sess.dead[name] = (f"no status within the "
-                                           f"{timeout}s session deadline")
+                sess.cond.wait_for(
+                    lambda: sess.settled() or head_lost(),
+                    timeout=max(0.0, deadline - time.monotonic()))
+                if sess.settled() or not head_lost():
+                    for name in sess.expected:
+                        if not sess.resolved(name):
+                            sess.dead[name] = (f"no status within the "
+                                               f"{timeout}s session deadline")
                     sess.pending_joins = []
                     break
-                sess.cond.wait(timeout=0.2)
-            if pending and not unresolved:
-                # Push finished with joins still queued (e.g. trigger
-                # threshold above the artifact size): fire them now.
-                self._maybe_trigger_joins(sess)
+            can_reroot = False  # one re-root per session
+            plan = self._orchestrate_failover(sess, plan, source_path) or plan
         # Final watermarks: a short session can finish between pump
         # ticks, so replicate the settled per-node byte counts here.
         with sess.cond:
@@ -735,40 +872,131 @@ class DaemonServer:
         for name, received in sorted(marks.items()):
             self._commit({"kind": "watermark", "node": f"{sess.id}/{name}",
                           "bytes": received})
-        return self._collect(sess, plan, head_runs, tracer, started)
+        return self._collect(sess, plan, started)
 
-    def _send_session_starts(self, sess: _Session, plan: ChainPlan,
-                             source_path: str, deadline: float) -> None:
-        assert self._coordinator is not None
-        base_plan = plan.base
+    def _send_starts(self, sess: _Session, op: str, plan: ChainPlan,
+                     source_path: str, config: KascadeConfig,
+                     **fields) -> None:
+        """Send every node of ``plan`` its start-shaped message
+        (``session_start``, or the ``resume`` of a re-root): the wiring,
+        plus the source path for the head and the output path for a
+        receiver (a resumed one keeps the sink it has)."""
         # Session listeners are per-session: the ports come from each
         # agent's session_ack, the host from its registration.
         endpoints = {
             name: (self._coordinator.agent(name).address.host,
-                   [int(p) for p in sess.acks[name]["ports"]])
-            for name in base_plan.chain
+                   sess.ports[name])
+            for name in plan.nodes
         }
-        base = {
-            "op": "session_start",
-            "session": sess.id,
-            **wiring_to_wire(plan, endpoints, self.config),
-            "artifact": sess.artifact.to_wire(),
-            "run_timeout": max(1.0, deadline - time.monotonic()),
-            "progress_every": self.progress_every,
-        }
-        for name in base_plan.chain:
+        base = {"op": op, "session": sess.id,
+                **wiring_to_wire(plan, endpoints, config), **fields}
+        for name in plan.nodes:
             msg = dict(base)
-            if name == base_plan.head:
+            if name == plan.head:
                 msg["source"] = source_path
             elif sess.output_template is not None:
-                msg["output"] = sess.output_template.replace("{node}", name)
+                msg["output"] = sess.output_for(name)
             self._coordinator.send(name, msg)
 
+    def _orchestrate_failover(self, sess: _Session, chain: ChainPlan,
+                              source_path: str) -> Optional[ChainPlan]:
+        """Re-root the chain around its dead head; returns the new plan.
+
+        Two-phase: every surviving receiver is detached first (it
+        interrupts its transfer loops, drains writeback, keeps its sink,
+        rebinds a fresh data port, and replies ``failover_ready`` with
+        its exact stream offset), *then* the quorum decides — authoritative
+        watermarks are committed, the most-complete survivor is elected
+        and recorded as a replicated decree, and everyone resumes under
+        the re-rooted plan.  The promoted node serves PGET below the
+        election watermark from the source file, so survivors behind it
+        recover their gap exactly like a §III-D2 hole.
+
+        Returns ``None`` when nothing survives to resume (no live
+        receivers, or the control quorum itself is gone) — the session
+        then fails through the normal unresolved-agent path.
+        """
+        from ..control.client import QuorumError
+
+        old_head = chain.head
+        with sess.cond:
+            survivors = [n for n in chain.receivers if not sess.resolved(n)]
+        if not survivors:
+            return None
+        for name in survivors:
+            self._coordinator.send(name, {"op": "failover",
+                                          "session": sess.id,
+                                          "dead": [old_head]})
+        with sess.cond:
+            sess.cond.wait_for(
+                lambda: all(n in sess.failover_ready or sess.resolved(n)
+                            for n in survivors), timeout=10.0)
+            # Whoever neither finished nor detached cannot be re-wired.
+            ready = {n: int(sess.failover_ready[n].get("offset", 0))
+                     for n in survivors
+                     if n in sess.failover_ready and not sess.resolved(n)}
+            finished = {n: int(sess.statuses[n].get("bytes", 0))
+                        for n in chain.receivers if n in sess.statuses}
+        if not ready:
+            return None
+
+        def key(name: str) -> str:
+            return f"{sess.id}/{name}"
+
+        try:
+            # Authoritative watermarks: the detach offsets are exact,
+            # unlike the throttled progress feed the pump replicates.
+            for name, mark in (*ready.items(), *finished.items()):
+                self._quorum.commit({"kind": "watermark", "node": key(name),
+                                     "bytes": mark})
+            state = self._quorum.read_state()
+            new_head = state.most_complete(
+                exclude=[k for k in state.watermarks
+                         if k not in map(key, ready)])
+            if new_head is None:
+                # Replicated view is behind our local one (a replica
+                # minority answered the read); fall back to what we
+                # just measured directly.
+                new_head = key(max(ready, key=lambda n: (ready[n], n)))
+            new_head = new_head.split("/", 1)[1]
+            resume_offset = ready[new_head]
+            self._quorum.commit({"kind": "election", "head": new_head,
+                                 "dead": [old_head]})
+        except QuorumError:
+            return None
+
+        sess.emit(tracing.ELECTION,
+                  f"quorum elected {new_head} to replace {old_head} "
+                  f"at watermark {resume_offset}",
+                  peer=new_head, offset=resume_offset)
+        try:
+            new_chain = chain.reroot(
+                new_head, dead=[n for n in chain.receivers if n not in ready])
+            self._quorum.commit({"kind": "plan",
+                                 "plan": new_chain.to_dict()})
+        except (KascadeError, QuorumError):
+            return None
+        # Resumed nodes only hash the bytes they stream after the
+        # re-root, so an in-protocol end-to-end digest check would be a
+        # false alarm; byte-exactness is still proven by the per-node
+        # digests in the collected statuses (the sinks — and their
+        # hashes — survived the hand-off intact).
+        self._send_starts(
+            sess, "resume", new_chain, source_path,
+            dataclasses.replace(self.config, verify_digest=False),
+            resume_offset=resume_offset)
+        return new_chain
+
     def _collect(self, sess: _Session, plan: Optional[ChainPlan],
-                 head_runs: bool, tracer, started: float) -> BroadcastResult:
+                 started: float) -> BroadcastResult:
+        """Fold what the session's nodes said into one result.  ``plan``
+        is the chain the push ended on (re-rooted after a head failover:
+        the promoted node is then the head whose report and byte count
+        matter) or ``None`` when nothing was pushed."""
         duration = time.monotonic() - started
-        outcomes: Dict[str, NodeOutcome] = {}
+        outcomes: Dict[str, NodeOutcome] = dict(sess.absent)
         perfstats: Dict[str, int] = {}
+        head = plan.head if plan is not None else sess.plan.head
         head_report: Optional[TransferReport] = None
         merged_events: list = []
         from_cache = 0
@@ -776,10 +1004,9 @@ class DaemonServer:
         with sess.cond:
             statuses = dict(sess.statuses)
             dead = dict(sess.dead)
-            participants = [sess.head, *sess.receivers, *sess.joined]
-            session_events = list(sess.events)
-
-        for name in participants:
+        for name in (*sess.plan.nodes, *sess.joined):
+            if name in sess.absent:
+                continue
             status = statuses.get(name)
             if status is not None:
                 outcomes[name] = NodeOutcome(
@@ -794,17 +1021,18 @@ class DaemonServer:
                 for key, value in (status.get("perfstats") or {}).items():
                     perfstats[key] = perfstats.get(key, 0) + int(value)
                 merged_events.extend(rebase_events(status, sess.wall0))
-                if name == sess.head and status.get("report"):
+                if name == head and status.get("report"):
                     head_report = TransferReport.decode(
                         bytes.fromhex(status["report"]))
                     outcomes[name].failures_detected = list(
                         head_report.failures)
+                    sess.emit(tracing.REPORT, "ring-closure via head status")
             elif name in dead:
                 outcomes[name] = NodeOutcome(
                     name=name, ok=False, crashed=True, error=dead[name],
                     bytes_received=sess.progress.get(name, 0),
                 )
-            elif name == sess.head and not head_runs:
+            elif name == head and plan is None:
                 # All-warm session: the head never ran, by design.
                 outcomes[name] = NodeOutcome(name=name, ok=True)
             else:
@@ -812,15 +1040,15 @@ class DaemonServer:
                     name=name, ok=False, crashed=True,
                     error="agent never resolved")
 
-        for t_rel, detail in session_events:
-            tracer.emit(tracing.SESSION, "server", t=t_rel,
-                        detail=f"{sess.id}: {detail}")
         for event in sorted(merged_events, key=lambda e: e.t):
-            tracer.emit(event.type, event.node, t=event.t,
-                        offset=event.offset, peer=event.peer,
-                        detail=event.detail, detector=event.detector)
+            sess.tracer.emit(event.type, event.node, t=event.t,
+                             offset=event.offset, peer=event.peer,
+                             detail=event.detail, detector=event.detector)
 
         report = head_report if head_report is not None else TransferReport()
+        # Members lost before the protocol's own report existed; surface
+        # them to the caller alongside transfer failures.
+        report.failures[:0] = sess.lost
         # Per-session cache accounting: the agents' perfstats deltas
         # overlap under concurrent sessions in one process, so the
         # worker-counted ``from_cache`` in each status is authoritative.
@@ -829,26 +1057,30 @@ class DaemonServer:
         with self._lock:
             completed = self._sessions_completed + 1
         perfstats["sessions_active"] = sess.active_hwm
-        if self.launch_report is not None:
-            perfstats["launch_amortized_s"] = (
-                self.launch_report.total_s / completed)
+        perfstats["launch_amortized_s"] = (
+            self.launch_report.total_s / completed)
 
-        excused = set(sess.chaos.targets())
-        intended = [n for n in (*sess.receivers, *sess.joined)
-                    if n not in excused]
-        head_ok = outcomes[sess.head].ok
-        ok = head_ok and all(outcomes[n].ok for n in intended)
-        if head_runs:
-            total_bytes = outcomes[sess.head].bytes_received
-        else:
-            total_bytes = sess.artifact.size
+        # Only *planned* deaths are excused, so an unexpected launch
+        # failure (or a member lost before the session) fails it even
+        # though the survivors were served around it.  A head that was
+        # re-rooted away from is judged by its successor.
+        excused = sess.chaos.targets() | {sess.plan.head}
+        ok = outcomes[head].ok and all(
+            outcome.ok for name, outcome in outcomes.items()
+            if name not in excused)
+        if plan is not None:
+            total_bytes = outcomes[head].bytes_received
+        else:  # every receiver served from cache, or nothing ran at all
+            total_bytes = (sess.artifact.size
+                           if sess.artifact and outcomes[head].ok else 0)
         return BroadcastResult(
             ok=ok,
             duration=duration,
             total_bytes=total_bytes,
             report=report,
             outcomes=outcomes,
-            trace=(tracer if isinstance(tracer, TraceCollector) else None),
+            trace=(sess.tracer if isinstance(sess.tracer, TraceCollector)
+                   else None),
             perfstats=perfstats,
             backend="daemon",
             launch=None,

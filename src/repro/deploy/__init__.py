@@ -5,19 +5,21 @@ process, so crash injection could only *simulate* process death by
 closing sockets.  This package runs each pipeline node as its own OS
 process (§III-B):
 
-* :mod:`repro.deploy.agent` — the ``kascade agent`` entrypoint: one
-  process per node that binds its data port, registers with the
-  coordinator over a control socket, runs the existing
-  :mod:`repro.runtime` node logic, and exits with a structured status;
+* :mod:`repro.deploy.agent` — the ``kascade agent`` entrypoint, the one
+  node program: a process that registers with the supervisor over a
+  control socket, serves sessions (per session: bind data ports, run the
+  existing :mod:`repro.runtime` node logic, report a structured status)
+  and exits when told to ``quit``;
 * :mod:`repro.deploy.launcher` — windowed parallel spawn (TakTuk's
   windowed mode) with per-node retry/backoff and startup-timeout
   detection; nodes that never register are re-planned around *before*
   data flows, mirroring §III-B's "launcher failures are handled before
   the transfer";
-* :mod:`repro.deploy.coordinator` — collects registrations, distributes
-  the ordered node list, supervises liveness (``waitpid`` + control
-  heartbeats), gathers the ring-closure report, and tears everything
-  down;
+* :mod:`repro.deploy.coordinator` — the supervisor's control endpoint
+  (registrations, liveness by ``waitpid`` + control heartbeats, the
+  tear-down that leaves no process behind) and :class:`ProcBroadcast`,
+  the one-shot broadcast: a fleet launched for one session
+  (:mod:`repro.daemon.server` runs the sessions);
 * :mod:`repro.deploy.chaos` — kills agents with real ``SIGKILL`` /
   ``SIGSTOP`` mid-transfer, so §III-D failover is exercised against
   genuine RSTs and silent hangs across process boundaries.

@@ -1,24 +1,31 @@
-"""The ``kascade agent`` process: one pipeline node, one OS process.
+"""The ``kascade agent`` process: one node program, started everywhere.
 
 An agent is what the launcher starts on every node (locally today; the
-command line is ssh-able by construction).  Its life cycle mirrors the
-paper's startup phase (§III-B):
+command line is ssh-able by construction) — the paper's one node
+program (§III-B).  It registers once and then serves *sessions* until
+the supervisor says ``quit``:
 
-1. bind the data-plane listen socket on an ephemeral port;
-2. dial the coordinator's control socket and register (``hello`` with
-   name, pid, and the bound address);
-3. wait for ``start`` — the final node list (re-planned around launch
-   failures), the config, and this node's source/sink assignment;
-4. run the unmodified :mod:`repro.runtime` node logic (head or
-   receiver) over real TCP, heartbeating on the control socket and
-   reporting throttled progress (which drives the chaos hook);
-5. send a structured ``status`` — outcome, payload digest, the encoded
-   ring report (head only), perfstats, and the agent's trace events —
-   then exit with a structured code.
+1. dial the supervisor's control socket and register (``hello`` with
+   name, pid, host — and, when it was given a cache, its pull port);
+2. per ``session_open`` bind one data-plane listener per stripe and ack
+   with the ports (plus the cache state for the artifact, if any);
+3. per ``session_start`` run the unmodified :mod:`repro.runtime` node
+   logic (head or receiver) over real TCP on a worker thread —
+   :func:`execute_transfer`, the one transfer function — reporting
+   throttled progress (which drives the chaos hook) and heartbeating on
+   the control socket throughout;
+4. send a structured ``session_status`` — outcome, payload digest, the
+   encoded ring report (head only), perfstats, and the trace events —
+   and go back to waiting;
+5. on ``quit`` (or control EOF) let in-flight sessions finish, exit 0.
 
-Exit codes: 0 ok, 1 transfer failed, 2 usage/registration error,
-3 deliberate startup death (the ``--die-on-start`` test hook),
-4 cancelled by the coordinator.
+A one-shot ``kascade deploy`` is a fleet that serves one session.  What
+an agent does follows from what it was given: with ``--cache-bytes 0``
+there is no chunk cache, no pull server and no cache code loaded
+(:mod:`repro.daemon.pull` holds all of it).
+
+Exit codes: 0 drained, 2 usage/registration error, 3 deliberate startup
+death (the ``--die-on-start`` test hook).
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ import os
 import queue
 import threading
 import time
-from typing import Callable, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.config import KascadeConfig
 from ..core.errors import KascadeError
@@ -50,10 +58,8 @@ from .protocol import (  # noqa: F401 - config_to_wire/wiring_to_wire re-exporte
 )
 
 EXIT_OK = 0
-EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DIED_ON_START = 3
-EXIT_CANCELLED = 4
 
 
 class DigestSink(Sink):
@@ -98,7 +104,9 @@ class _Heartbeat:
 
     def __init__(self, channel: ControlChannel, interval: float) -> None:
         self._channel = channel
-        self._interval = interval
+        #: Seconds between ticks; a ``session_open`` carries the
+        #: supervisor's choice.
+        self.interval = interval
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._run, name="agent-heartbeat", daemon=True
@@ -111,7 +119,7 @@ class _Heartbeat:
         self._stop.set()
 
     def _run(self) -> None:
-        while not self._stop.wait(self._interval):
+        while not self._stop.wait(self.interval):
             if not self._channel.send({"op": "heartbeat"}):
                 return
 
@@ -136,105 +144,54 @@ def _progress_gate(send: Callable[[int], None], every: int):
     return gate
 
 
-def run_agent(
-    coordinator: Tuple[str, int],
-    name: str,
-    *,
-    bind: str = "127.0.0.1",
-    advertise: Optional[str] = None,
-    start_timeout: float = 60.0,
-    die_on_start: bool = False,
-    stripes: int = 1,
-) -> int:
-    """Run one agent to completion; returns the process exit code.
-
-    One data-plane listener is bound per stripe; the hello advertises
-    every port and the start message carries the
-    :class:`~repro.core.plan.ChainPlan` naming this node's feeder and
-    successor per stripe.
-    """
-    if die_on_start:
-        # Test hook: a node whose process dies before it can register,
-        # exercising the launcher's retry + re-plan path for real.
-        return EXIT_DIED_ON_START
-
-    listeners = [Listener(host=bind, port=0) for _ in range(max(1, stripes))]
-    try:
-        channel = connect_control(coordinator[0], coordinator[1],
-                                  timeout=start_timeout)
-    except DeployError:
-        for listener in listeners:
-            listener.close()
-        return EXIT_USAGE
-    try:
-        return _run_registered(channel, listeners, name,
-                               advertise or listeners[0].address.host,
-                               start_timeout)
-    finally:
-        channel.close()
-        for listener in listeners:
-            listener.close()
-
-
-def _run_registered(
-    channel: ControlChannel,
-    listeners: List[Listener],
-    name: str,
-    advertise_host: str,
-    start_timeout: float,
-) -> int:
-    channel.send({
-        "op": "hello",
-        "name": name,
-        "pid": os.getpid(),
-        "host": advertise_host,
-        "ports": [ln.address.port for ln in listeners],
-    })
-    try:
-        msg = channel.recv(timeout=start_timeout)
-    except (TimeoutError, DeployError):
-        return EXIT_USAGE
-    if msg is None or msg.get("op") == "cancel":
-        return EXIT_CANCELLED
-    if msg.get("op") != "start":
-        return EXIT_USAGE
-
-    heartbeat = _Heartbeat(channel, float(msg.get("heartbeat_interval", 0.5)))
-    heartbeat.start()
-    progress_send = lambda total: channel.send(  # noqa: E731
-        {"op": "progress", "bytes": total})
-    try:
-        # A coordinator with a replicated control plane may re-root the
-        # chain mid-transfer ("failover"): the transfer then stays on
-        # the control channel while the host runs.
-        status = execute_transfer(
-            msg, listeners, name, progress_send=progress_send,
-            control=channel if msg.get("failover") else None,
-        )
-    except TransferSetupError:
-        return EXIT_USAGE
-    finally:
-        heartbeat.stop()
-    channel.send({"op": "status", **status})
-    return EXIT_OK if status["ok"] else EXIT_FAILED
-
-
 class TransferSetupError(Exception):
     """The start message and this agent's bound resources disagree
     (no plan/ports, stripe-count mismatch, a failover this agent cannot
-    survive) — a usage error, not a transfer failure."""
+    survive) — a refused session, not a transfer failure."""
+
+
+class _SessionState:
+    """Agent-side record of one open session."""
+
+    def __init__(self, session: str, channel: ControlChannel,
+                 listeners: List[Listener], artifact=None) -> None:
+        self.session = session
+        self.listeners = listeners
+        #: :class:`~repro.core.cache.ArtifactMeta`, pinned in the cache
+        #: for the session's lifetime; ``None`` on an agent without one.
+        self.artifact = artifact
+        self.worker: Optional[threading.Thread] = None
+        #: What a failover-capable transfer reacts to, in arrival order:
+        #: ``("control", msg)`` routed here by the agent's one control
+        #: loop, ``("exit", host)`` when a host it is running ends.
+        self.events: "queue.Queue[Tuple[str, object]]" = queue.Queue()
+        self._channel = channel
+
+    def send(self, op: str, **fields) -> bool:
+        return self._channel.send(
+            {"op": op, "session": self.session, **fields})
+
+    def progress(self, total: int) -> None:
+        """Report ``total`` bytes received so far (throttled by the
+        caller) — the signal the chaos engine keys on."""
+        self.send("progress", bytes=total)
+
+    def close_listeners(self) -> None:
+        for listener in self.listeners:
+            listener.close()
+        self.listeners = []
 
 
 def _wiring(msg: dict, listeners: List[Listener]):
     """``(config, chain_plan, registries)`` from a start-shaped message.
 
-    ``plan`` and ``ports`` are mandatory (``start``, ``resume`` and
-    ``session_start`` all carry them): stripe ``j`` of every node
-    listens on the ``j``-th port the node advertised in its hello.
+    ``plan`` and ``ports`` are mandatory (``session_start`` and
+    ``resume`` both carry them): stripe ``j`` of every node listens on
+    the ``j``-th port the node acked at ``session_open``.
     """
     if not msg.get("plan") or not msg.get("ports"):
         raise TransferSetupError(
-            f"{msg.get('op', 'start')} message carries no plan/ports")
+            f"{msg.get('op', 'session_start')} message carries no plan/ports")
     config = KascadeConfig(**msg["config"])
     chain_plan = ChainPlan.from_dict(msg["plan"])
     if chain_plan.stripe_count != len(listeners):
@@ -250,43 +207,36 @@ def _wiring(msg: dict, listeners: List[Listener]):
     return config, chain_plan, registries
 
 
-def execute_transfer(
-    msg: dict,
-    listeners: List[Listener],
-    name: str,
-    *,
-    progress_send: Callable[[int], None],
-    cache=None,
-    control: Optional[ControlChannel] = None,
-) -> dict:
-    """Run the transfer one ``start``-shaped message describes.
+def execute_transfer(msg: dict, state: _SessionState, name: str, *,
+                     cache=None) -> dict:
+    """Run the transfer one ``session_start`` message describes.
 
-    The reusable heart of an agent: the one-shot ``kascade agent``
-    process calls this exactly once; a persistent daemon fleet agent
-    (:mod:`repro.daemon.agent`) calls it once *per session*, from an
-    already-registered process, with per-session listeners.  Either way
-    this process is one host of the schedule: one
+    The one transfer function: an agent calls it once *per session*, on
+    that session's listeners, and this process is one host of the
+    schedule for its duration — one
     :class:`~repro.runtime.host.HostChains`.
 
-    Returns the status payload (everything but the ``op`` field).  The
+    Returns the status payload (everything but ``op``/``session``).  The
     trace collector — and therefore ``trace_epoch`` — is created *here*,
     at transfer start, so a long-lived agent running many sessions gets
-    per-session time bases and the coordinator's merge rebases each
+    per-session time bases and the supervisor's merge rebases each
     session independently (not against the agent's process start).
 
-    ``cache`` is an optional :class:`~repro.core.cache.ChunkCache`;
-    when the message carries an ``artifact`` identity, a receiving
-    agent taps the merged stream into it chunk-by-chunk, becoming
-    cache-warm for repeat broadcasts and pull-phase peers while this
-    push is still running.
+    ``cache`` is the agent's :class:`~repro.core.cache.ChunkCache`, if
+    it has one; when the message also carries an ``artifact`` identity,
+    a receiving agent taps the merged stream into it chunk-by-chunk,
+    becoming cache-warm for repeat broadcasts and pull-phase peers while
+    this push is still running.
 
-    ``control`` makes the transfer failover-capable: the coordinator
-    runs a replicated control plane and may re-root the chain
-    mid-transfer, so this thread stays on the channel while the host
-    runs (:func:`_follow_control`).
+    A message flagged ``failover`` makes the transfer failover-capable:
+    the supervisor runs a replicated control plane and may re-root the
+    chain mid-transfer, so this thread follows the session's control
+    events while the host runs (:func:`_follow_control`).
     """
+    listeners = state.listeners
     config, chain_plan, registries = _wiring(msg, listeners)
-    if control is not None:
+    failover = bool(msg.get("failover"))
+    if failover:
         try:
             check_head_failover(chain_plan.stripe_count, config.data_plane)
         except KascadeError as exc:
@@ -297,9 +247,9 @@ def execute_transfer(
     trace_epoch = time.time()
     stats_before = get_stats().snapshot()
 
-    # data_plane travels inside the config: the coordinator's choice
+    # data_plane travels inside the config: the supervisor's choice
     # reaches every agent without a new wire field.  Receivers always
-    # wrap their sink in DigestSink (the coordinator's byte-exactness
+    # wrap their sink in DigestSink (the supervisor's byte-exactness
     # proof), which is not a bare NullSink — so evloop agents take the
     # userspace relay path and digests stay comparable across planes.
     digest_sink: Optional[DigestSink] = None
@@ -313,13 +263,12 @@ def execute_transfer(
         # across any stripe count (and with the head's source digest).
         digest_sink = DigestSink(inner)
         top: Sink = digest_sink
-        if cache is not None and msg.get("artifact"):
-            from ..core.cache import ArtifactMeta, CacheTapSink
-            top = CacheTapSink(digest_sink, cache,
-                               ArtifactMeta.from_wire(msg["artifact"]))
-        role["sink"] = _FinishGuard(top) if control is not None else top
+        if state.artifact is not None:
+            from ..core.cache import CacheTapSink
+            top = CacheTapSink(digest_sink, cache, state.artifact)
+        role["sink"] = _FinishGuard(top) if failover else top
         role["gate"] = _progress_gate(
-            progress_send, int(msg.get("progress_every", 1 << 18)))
+            state.progress, int(msg.get("progress_every", 1 << 18)))
     host = HostChains(name, chain_plan, registries, listeners, config,
                       tracer=tracer, **role)
 
@@ -332,12 +281,11 @@ def execute_transfer(
     else:
         deadline = time.monotonic() + run_timeout
         host.start()
-        if control is None:
+        if not failover:
             host.join(deadline)
         else:
             host, stranded = _follow_control(
-                host, control, listeners, deadline,
-                tracer=tracer, gate=role.get("gate"))
+                host, state, deadline, tracer=tracer, gate=role.get("gate"))
         host.expire(f"agent run exceeded {run_timeout}s")
     host.close()
 
@@ -412,8 +360,7 @@ class _FinishGuard(Sink):
 
 def _follow_control(
     host: HostChains,
-    control: ControlChannel,
-    listeners: List[Listener],
+    state: _SessionState,
     deadline: float,
     *,
     tracer,
@@ -422,35 +369,28 @@ def _follow_control(
     """Wait out ``host``'s run while serving ``failover``/``resume`` ops.
 
     The head-failover episode of :func:`execute_transfer`: the host runs
-    on its own threads while *this* thread stays on the control channel.
-    When the coordinator announces head death (``failover``), the host
-    is detached — loops interrupted, writeback drained, sink preserved,
-    stream offset captured — a fresh listener is bound, and the offset +
-    new port go back as ``failover_ready``.  The quorum's ``resume``
-    then rebuilds the host under the re-rooted plan: the promoted
-    survivor becomes a head streaming the source from the election
-    watermark (serving PGET below it), everyone else becomes a receiver
-    that keeps its sink and asks for bytes from where it stopped.
+    on its own threads while *this* thread follows the session's event
+    queue.  When the supervisor announces head death (``failover``), the
+    host is detached — loops interrupted, writeback drained, sink
+    preserved, stream offset captured — a fresh listener is bound, and
+    the offset + new port go back as ``failover_ready``.  The quorum's
+    ``resume`` then rebuilds the host under the re-rooted plan: the
+    promoted survivor becomes a head streaming the source from the
+    election watermark (serving PGET below it), everyone else becomes a
+    receiver that keeps its sink and asks for bytes from where it
+    stopped.
 
     Returns the host that ended the run — the one given, or the one
     rebuilt on the re-rooted plan — and whether the transfer was left
     stranded between ``failover`` and a ``resume`` that never came.
     """
     # One queue carries everything this loop reacts to, in arrival
-    # order: control messages and the exit of the host it is running.
-    # Both producers block (on the socket, on the threads), so neither a
+    # order: the session's control messages (put there by the agent's
+    # control loop, which blocks on the socket) and the exit of the host
+    # it is running (a watcher blocks on the threads) — so neither a
     # failover nor a finished transfer waits out a poll interval.
-    events: "queue.Queue[Tuple[str, object]]" = queue.Queue()
-
-    def read_control() -> None:
-        while True:
-            try:
-                ctl = control.recv(timeout=None)
-            except DeployError:
-                continue  # one poisoned control line must not kill the agent
-            events.put(("control", ctl))
-            if ctl is None:
-                return
+    events = state.events
+    listeners = state.listeners
 
     def watch(running: HostChains) -> None:
         def wait() -> None:
@@ -460,8 +400,6 @@ def _follow_control(
         threading.Thread(target=wait, name=f"agent-watch-{host.name}",
                          daemon=True).start()
 
-    threading.Thread(target=read_control, name=f"agent-control-{host.name}",
-                     daemon=True).start()
     watch(host)
 
     awaiting_resume = False
@@ -479,8 +417,9 @@ def _follow_control(
             continue
         ctl = item
         if ctl is None:
-            # Coordinator gone.  Mid-failover there is nothing left to
-            # resume against; otherwise let the transfer run out.
+            # Supervisor gone (or draining us).  Mid-failover there is
+            # nothing left to resume against; otherwise let the
+            # transfer run out.
             if not awaiting_resume:
                 host.join(deadline)
             break
@@ -492,14 +431,11 @@ def _follow_control(
             listeners[0].close()
             listeners[0] = Listener(host=bind_host, port=0)
             awaiting_resume = True
-            control.send({
-                "op": "failover_ready",
-                "offset": host.offset,
-                "ports": [listeners[0].address.port],
-            })
+            state.send("failover_ready", offset=host.offset,
+                       ports=[listeners[0].address.port])
         elif op == "resume" and awaiting_resume:
             config, chain_plan, registries = _wiring(ctl, listeners)
-            # Every survivor has detached by now (the coordinator waits
+            # Every survivor has detached by now (the supervisor waits
             # for all of them before it elects), so nobody is still
             # writing to the old host's connections.
             host.close_connections()
@@ -513,8 +449,176 @@ def _follow_control(
             awaiting_resume = False
             host.start()
             watch(host)
-        elif op in ("cancel", "quit"):
-            host.shutdown()
-            host.join(time.monotonic() + 2.0)
-            break
     return host, awaiting_resume
+
+
+def serve_sessions(
+    coordinator: Tuple[str, int],
+    name: str,
+    *,
+    bind: str = "127.0.0.1",
+    advertise: Optional[str] = None,
+    start_timeout: float = 60.0,
+    cache_bytes: int = 0,
+    die_on_start: bool = False,
+    heartbeat_interval: float = 0.5,
+) -> int:
+    """Run one agent until the supervisor says ``quit``; returns the
+    process exit code.
+
+    Registers once, then serves sessions: per ``session_open`` it binds
+    fresh per-session data-plane listeners (one per stripe) and acks
+    with their ports; ``session_start`` / ``session_serve_cached`` /
+    ``session_join`` each run on their own worker thread, so many
+    sessions overlap inside one process, while this thread stays on the
+    control socket and routes a running session's ``failover`` /
+    ``resume`` to it.  ``quit`` drains: active workers finish, then the
+    process exits 0 — ``SIGKILL`` stays the supervisor's abort path, not
+    its happy path.
+
+    ``cache_bytes > 0`` gives the agent a cross-session chunk cache and
+    the pull server late joiners dial; with 0 it has neither, and none
+    of that code is imported.
+    """
+    if die_on_start:
+        # Test hook: a node whose process dies before it can register,
+        # exercising the launcher's retry + re-plan path for real.
+        return EXIT_DIED_ON_START
+
+    cache = pull_server = None
+    if cache_bytes > 0:
+        from ..core.cache import ArtifactMeta, ChunkCache
+        from ..daemon.pull import PullServer, pull_catch_up, serve_from_cache
+
+        cache = ChunkCache(cache_bytes, stats=get_stats())
+        pull_server = PullServer(cache, host=bind)
+    try:
+        channel = connect_control(coordinator[0], coordinator[1],
+                                  timeout=start_timeout)
+    except DeployError:
+        if pull_server is not None:
+            pull_server.close()
+        return EXIT_USAGE
+    channel.send({
+        "op": "hello",
+        "name": name,
+        "pid": os.getpid(),
+        "host": advertise or bind,
+        # Sessions bind their own data ports; the one stable endpoint
+        # an agent can have is its pull server (0: it has no cache).
+        "pull_port": pull_server.port if pull_server is not None else 0,
+    })
+    heartbeat = _Heartbeat(channel, heartbeat_interval)
+    heartbeat.start()
+    sessions: Dict[str, _SessionState] = {}
+    lock = threading.Lock()
+    exit_code = EXIT_OK
+
+    def release(state: _SessionState) -> None:
+        state.close_listeners()
+        if state.artifact is not None:
+            cache.unpin_artifact(state.artifact.digest)
+        with lock:
+            sessions.pop(state.session, None)
+
+    def start_worker(state: _SessionState, fn: Callable[[], dict]) -> None:
+        def run() -> None:
+            try:
+                status = fn()
+            except Exception as exc:  # a session must never kill the agent
+                # A start message this agent cannot honour is a refusal,
+                # not a crash.
+                refused = isinstance(exc, TransferSetupError)
+                status = {"name": name, "ok": False, "bytes": 0,
+                          "crashed": not refused,
+                          "error": (str(exc) if refused
+                                    else f"{type(exc).__name__}: {exc}"),
+                          "digest": None, "report": None, "failures": [],
+                          "perfstats": {}, "trace": "",
+                          "trace_epoch": time.time()}
+            state.send("session_status", **status)
+            release(state)
+
+        state.worker = threading.Thread(
+            target=run, name=f"session-{state.session}", daemon=True)
+        state.worker.start()
+
+    try:
+        while True:
+            try:
+                msg = channel.recv(timeout=0.5)
+            except TimeoutError:
+                continue
+            except DeployError:
+                exit_code = EXIT_USAGE  # the supervisor broke the protocol
+                break
+            if msg is None or msg["op"] == "quit":
+                break  # told to go, or the supervisor is gone: drain
+            op = msg["op"]
+            session = str(msg.get("session", ""))
+            with lock:
+                state = sessions.get(session)
+
+            if op == "session_open":
+                heartbeat.interval = float(
+                    msg.get("heartbeat_interval", heartbeat.interval))
+                listeners = [Listener(host=bind, port=0)
+                             for _ in range(max(1, int(msg.get("stripes", 1))))]
+                state = _SessionState(session, channel, listeners)
+                ack = {"name": name,
+                       "ports": [ln.address.port for ln in listeners]}
+                if cache is not None and msg.get("artifact"):
+                    artifact = ArtifactMeta.from_wire(msg["artifact"])
+                    # Pin for the session's lifetime: a serve-cached or
+                    # pull peer must not lose chunks to LRU mid-session.
+                    cache.pin_artifact(artifact.digest)
+                    state.artifact = artifact
+                    ack["cached"] = cache.contiguous_chunks(artifact.digest)
+                    ack["has_all"] = cache.has_artifact(artifact.digest,
+                                                        artifact.chunks)
+                with lock:
+                    sessions[session] = state
+                state.send("session_ack", **ack)
+            elif op == "session_join" and cache is not None:
+                artifact = ArtifactMeta.from_wire(msg["artifact"])
+                if state is None:
+                    # A joiner needs no data-plane listeners, so join is
+                    # self-contained: open-on-arrival.
+                    cache.pin_artifact(artifact.digest)
+                    state = _SessionState(session, channel, [], artifact)
+                    with lock:
+                        sessions[session] = state
+                start_worker(state, partial(
+                    pull_catch_up, name, cache, artifact,
+                    [(str(h), int(p)) for h, p in msg.get("peers", [])],
+                    msg.get("output"), progress_send=state.progress,
+                    progress_every=int(msg.get("progress_every", 1 << 18)),
+                    deadline=time.monotonic() + float(
+                        msg.get("run_timeout", 600.0))))
+            elif state is None:
+                continue  # opened elsewhere, cancelled, or already over
+            elif op == "session_start":
+                start_worker(state, partial(execute_transfer, msg, state,
+                                            name, cache=cache))
+            elif op == "session_serve_cached" and state.artifact is not None:
+                start_worker(state, partial(serve_from_cache, name, cache,
+                                            state.artifact, msg.get("output")))
+            elif op in ("failover", "resume"):
+                state.events.put(("control", msg))
+            elif op == "session_cancel" and state.worker is None:
+                release(state)
+            # anything else: ignore — forward compatibility
+    finally:
+        # Drain: let in-flight sessions finish before exiting cleanly
+        # (one waiting on a ``resume`` learns that none will come).
+        with lock:
+            running = [s for s in sessions.values() if s.worker is not None]
+        for state in running:
+            state.events.put(("control", None))
+        for state in running:
+            state.worker.join(timeout=10.0)
+        heartbeat.stop()
+        if pull_server is not None:
+            pull_server.close()
+        channel.close()
+    return exit_code

@@ -63,9 +63,9 @@ def agent_spawner(
 ) -> "SpawnFn":
     """``spawn(name, attempt)`` running ``argv --name <name>``.
 
-    What differs between supervisors (``--stripes`` vs ``--fleet
-    --cache-bytes``) is data in ``argv``; ``agent_args(name, attempt)``
-    appends per-spawn extras (how tests make specific attempts fail).
+    The one function that starts an agent process.
+    ``agent_args(name, attempt)`` appends per-spawn extras (how tests
+    make specific attempts fail).
     With ``stderr_dir`` each agent's stderr goes to
     ``<dir>/<name>.stderr.log`` instead of ``/dev/null``.
     """

@@ -3,25 +3,44 @@
 The data plane speaks the binary Kascade wire protocol
 (:mod:`repro.core.framing`); the *control* plane is deliberately boring:
 newline-delimited JSON objects over one TCP connection per agent, alive
-from registration to exit.  Volume is tiny (a handshake, throttled
-progress updates, one final status), so readability and debuggability
+from registration to exit.  Volume is tiny (a handshake, then per
+session an open/ack, throttled progress updates and one final status), so readability and debuggability
 win over compactness — ``nc`` against the coordinator port shows the
 whole conversation.
 
-Message vocabulary (``op`` field):
+Message vocabulary (``op`` field; every message but ``hello``,
+``heartbeat`` and ``quit`` names its ``session``):
 
-=============  =========  ==================================================
-``hello``      agent →    registration: name, pid, and the agent's bound
-                          data-plane address
-``start``      → agent    the final (re-planned) node list, the config,
-                          the head name, and this agent's source/sink spec
-``cancel``     → agent    the agent is not part of the final chain; exit
-``heartbeat``  agent →    liveness tick (a stopped process goes silent)
-``progress``   agent →    bytes received so far (drives the chaos hook)
-``status``     agent →    structured final outcome: ok/bytes/digest/error,
-                          the encoded ring report (head only), perfstats,
-                          and the agent's trace events
-=============  =========  ==================================================
+========================  =========  =======================================
+``hello``                 agent →    registration: name, pid, host, and the
+                                     pull-server port (0: no cache)
+``heartbeat``             agent →    liveness tick (a stopped process goes
+                                     silent)
+``session_open``          → agent    bind one data port per stripe for this
+                                     session (+ the artifact identity, on a
+                                     fleet with a cache)
+``session_ack``           agent →    the bound ports (+ how much of the
+                                     artifact the cache holds)
+``session_start``         → agent    the (re-planned) chain plan, every
+                                     node's ports, the config, and this
+                                     agent's source/sink spec
+``progress``              agent →    bytes received so far (drives the chaos
+                                     hook and late-join triggers)
+``session_status``        agent →    structured final outcome: ok/bytes/
+                                     digest/error, the encoded ring report
+                                     (head only), perfstats, trace events
+``failover``              → agent    the head died: detach, keep the sink,
+                                     rebind
+``failover_ready``        agent →    exact stream offset + the fresh port
+``resume``                → agent    the re-rooted plan and the election
+                                     watermark to resume from
+``session_cancel``        → agent    release a session that will not start
+``session_serve_cached``  → agent    replay the artifact from the local
+                                     cache (cache only)
+``session_join``          → agent    pull the artifact from peers' caches
+                                     (cache only)
+``quit``                  → agent    finish what is running, then exit 0
+========================  =========  =======================================
 
 Every message is one JSON object terminated by ``\\n``.  A reader that
 sees EOF returns ``None``; oversized lines (> :data:`MAX_LINE`) are a
@@ -159,14 +178,14 @@ def connect_control(host: str, port: int, timeout: float) -> ControlChannel:
 
 
 def config_to_wire(config: KascadeConfig) -> dict:
-    """JSON-safe dict for the ``start`` message (coordinator side)."""
+    """JSON-safe dict for a start-shaped message (supervisor side)."""
     return dataclasses.asdict(config)
 
 
 def wiring_to_wire(chain_plan: ChainPlan, endpoints: dict,
                    config: KascadeConfig) -> dict:
-    """The fields every start-shaped message carries (coordinator
-    side) — exactly what the agent's ``_wiring`` reads back.  ``endpoints``
+    """The fields every start-shaped message (``session_start``,
+    ``resume``) carries — exactly what the agent's ``_wiring`` reads back.  ``endpoints``
     maps each node of the plan to ``(host, ports)``, one port per
     stripe."""
     return {

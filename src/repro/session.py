@@ -112,7 +112,8 @@ class BroadcastSession:
 
     Parameters mirror :class:`~repro.runtime.LocalBroadcast`; ``backend``
     selects execution on localhost TCP threads (``"local"``), on one OS
-    process per node with real crash signals (``"procs"``), or on the
+    process per node with real crash signals (``"procs"``, or
+    ``"daemon"`` for a fleet with a chunk cache), or on the
     protocol-exact discrete-event simulator (``"simnet"``); ``trace``
     enables the structured event timeline (see module docs).
 
@@ -133,14 +134,20 @@ class BroadcastSession:
     Backend-specific keyword options:
 
     * ``local``: none beyond the common set;
-    * ``procs``: ``window``, ``spawn_retries``, ``startup_timeout``,
-      ``backoff``, ``heartbeat_interval``, ``heartbeat_timeout``,
-      ``progress_every``, ``output_template``, ``python``,
-      ``bind_host``, ``agent_args``, ``stderr_dir`` — see
-      :class:`repro.deploy.ProcBroadcast`.  ``crashes`` become real
-      signals (``"close"`` → SIGKILL, ``"silent"`` → SIGSTOP) and
-      ``sink_factory`` is rejected (sinks cannot cross process
-      boundaries; use ``output_template``);
+    * ``procs`` and ``daemon`` (one session on a fleet of agent
+      processes; the same options, the same code): the fleet launch —
+      ``window``, ``spawn_retries``, ``startup_timeout``, ``backoff``,
+      ``heartbeat_interval``, ``heartbeat_timeout``, ``progress_every``,
+      ``python``, ``bind_host``, ``agent_args``, ``stderr_dir``,
+      ``coordinator_replicas``, ``cache_bytes`` (``procs`` defaults to
+      0: no cache, nothing of it loaded; ``daemon`` to
+      ``config.cache_bytes``) — and the session: ``output_template``,
+      ``allow_head_chaos``, ``late_join``, ``session_name``; see
+      :class:`repro.deploy.ProcBroadcast`.  ``server=`` submits into a
+      started :class:`repro.daemon.DaemonServer` instead of launching.
+      ``crashes`` become real signals (``"close"`` → SIGKILL,
+      ``"silent"`` → SIGSTOP) and ``sink_factory`` is rejected (sinks
+      cannot cross process boundaries; use ``output_template``);
     * ``simnet``: ``bandwidth`` (bytes/s per link, default 125e6),
       ``latency`` (seconds per hop, default 1e-4), ``sim_horizon``
       (simulated-seconds cap, default 3600).
@@ -204,10 +211,8 @@ class BroadcastSession:
         wall clock (the simnet backend is bounded by ``sim_horizon``)."""
         if self.backend == "local":
             result = self._run_local(timeout)
-        elif self.backend == "procs":
-            result = self._run_procs(timeout)
-        elif self.backend == "daemon":
-            result = self._run_daemon(timeout)
+        elif self.backend in ("procs", "daemon"):
+            result = self._run_fleet(timeout)
         else:
             result = self._run_simnet()
         if self.trace_path is not None and isinstance(self.tracer,
@@ -237,77 +242,45 @@ class BroadcastSession:
         )
         return cluster.run(timeout=timeout)
 
-    #: Keyword options the procs backend forwards to
-    #: :class:`repro.deploy.ProcBroadcast` (everything else is rejected).
-    _PROCS_OPTS = frozenset({
+    #: Keyword options of the process backends: what configures the
+    #: fleet launch (see :class:`repro.daemon.DaemonServer`), what
+    #: describes the session, and ``server`` — the interesting one: a started ``DaemonServer`` to submit this
+    #: broadcast into as one more session on its warm fleet (skipping
+    #: launch entirely); without it a fleet is launched for this one
+    #: session and torn down after.
+    _FLEET_OPTS = frozenset({
         "window", "spawn_retries", "startup_timeout", "backoff",
         "heartbeat_interval", "heartbeat_timeout", "progress_every",
-        "output_template", "python", "bind_host", "agent_args",
-        "stderr_dir", "coordinator_replicas", "allow_head_chaos",
+        "python", "bind_host", "agent_args", "stderr_dir",
+        "coordinator_replicas", "cache_bytes",
+        "output_template", "allow_head_chaos", "late_join", "session_name",
+        "server",
     })
 
-    def _run_procs(self, timeout: float) -> BroadcastResult:
-        from .deploy.coordinator import ProcBroadcast
+    def _run_fleet(self, timeout: float) -> BroadcastResult:
+        """``procs`` and ``daemon``: one session on a fleet of agent
+        processes.  The two differ in what the fleet is given — ``procs``
+        launches it without a chunk cache unless asked, ``daemon`` with
+        ``config.cache_bytes`` — and in nothing else."""
+        from .daemon.server import LateJoin
 
         self._refuse_sink_factory()
-        unknown = set(self.backend_opts) - self._PROCS_OPTS
+        unknown = set(self.backend_opts) - self._FLEET_OPTS
         if unknown:
-            raise KascadeError(f"unknown procs options: {sorted(unknown)}")
-
-        cluster = ProcBroadcast(
-            self.source, self.receivers,
-            config=self.config,
-            head=self.head,
-            order=self.order,
-            chaos=[self._as_chaos_plan(c) for c in self.crashes],
-            tracer=self.tracer,
-            plan=self.plan,
-            **self.backend_opts,
-        )
-        return cluster.run(timeout=timeout)
-
-    #: Keyword options the daemon backend understands.  ``server`` is
-    #: the interesting one: a started :class:`repro.daemon.DaemonServer`
-    #: to submit this broadcast into as one more session on its warm
-    #: fleet (skipping launch entirely); without it an ephemeral fleet
-    #: is launched for this one session and torn down after.
-    _DAEMON_OPTS = frozenset({
-        "window", "spawn_retries", "startup_timeout", "backoff",
-        "heartbeat_interval", "heartbeat_timeout", "progress_every",
-        "output_template", "python", "bind_host", "stderr_dir",
-        "cache_bytes", "server", "late_join", "session_name",
-        "coordinator_replicas",
-    })
-
-    def _run_daemon(self, timeout: float) -> BroadcastResult:
-        from .daemon.server import DaemonServer, LateJoin
-
-        self._refuse_sink_factory()
-        if self.order != "given":
-            raise KascadeError("daemon backend supports order='given' only")
-        if self.plan is not None:
             raise KascadeError(
-                "daemon backend plans per session (the warm partition is "
-                "not knowable up front); pre-built plans are not supported"
-            )
-        unknown = set(self.backend_opts) - self._DAEMON_OPTS
-        if unknown:
-            raise KascadeError(f"unknown daemon options: {sorted(unknown)}")
-
+                f"unknown {self.backend} options: {sorted(unknown)}")
         opts = dict(self.backend_opts)
         server = opts.pop("server", None)
-        late_join = tuple(
-            lj if isinstance(lj, LateJoin) else LateJoin(lj[0], int(lj[1]))
-            for lj in opts.pop("late_join", ())
-        )
-        submit_kwargs = dict(
-            head=self.head,
+        session = dict(
+            order=self.order,
+            plan=self.plan,
             output_template=opts.pop("output_template", None),
             chaos=[self._as_chaos_plan(c) for c in self.crashes],
-            late_join=late_join,
+            late_join=tuple(
+                lj if isinstance(lj, LateJoin) else LateJoin(lj[0], int(lj[1]))
+                for lj in opts.pop("late_join", ())),
+            allow_head_chaos=bool(opts.pop("allow_head_chaos", False)),
             session=opts.pop("session_name", None),
-            trace=self.tracer,
-            timeout=timeout,
         )
         if server is not None:
             if opts:
@@ -315,13 +288,17 @@ class BroadcastSession:
                     f"options {sorted(opts)} configure a fleet launch and "
                     f"do not apply when submitting to an existing server"
                 )
-            return server.submit(self.source, self.receivers,
-                                 **submit_kwargs)
-        fleet = (self.head, *self.receivers,
-                 *(lj.node for lj in late_join))
-        with DaemonServer(fleet, config=self.config, **opts) as ephemeral:
-            return ephemeral.submit(self.source, self.receivers,
-                                    **submit_kwargs)
+            return server.submit(self.source, self.receivers, head=self.head,
+                                 trace=self.tracer, timeout=timeout,
+                                 **session)
+        from .deploy.coordinator import ProcBroadcast
+
+        opts.setdefault("cache_bytes",
+                        0 if self.backend == "procs" else None)
+        return ProcBroadcast(
+            self.source, self.receivers, config=self.config, head=self.head,
+            tracer=self.tracer, backend=self.backend, **session, **opts,
+        ).run(timeout=timeout)
 
     def _run_simnet(self) -> BroadcastResult:
         from .protosim.broadcast import ProtoBroadcast, ProtoCrash

@@ -1,10 +1,15 @@
-"""The daemon's fleet reaper is the procs backend's loop
-(`repro.deploy.coordinator.supervise`), hardening included."""
+"""The one supervisor's reaper loop
+(`repro.deploy.coordinator.supervise`): heartbeat silence with the
+stall-forgiveness rule, and a fleet that does not wait on members it
+already knows are gone."""
 
+import os
+import signal
 import time
 
+from repro.core.sources import PatternSource
 from repro.daemon.server import DaemonServer
-from repro.deploy.coordinator import Coordinator, _Agent
+from repro.deploy.coordinator import Coordinator, _Agent, drain
 from repro.runtime.transport import Address
 
 HEARTBEAT_TIMEOUT = 0.3
@@ -19,6 +24,9 @@ class Running:
 
 class Quiet:
     """A control channel nobody talks on."""
+
+    def send(self, message):
+        return True
 
     def close(self):
         pass
@@ -51,13 +59,13 @@ def test_a_stalled_reaper_pass_voids_the_clocks():
         for name in fleet:
             coordinator._agents[name] = _Agent(
                 name=name, channel=Quiet(), address=Address("127.0.0.1", 1),
-                pid=0, registered_at=now, last_heard=now, ports=(1,))
+                pid=0, registered_at=now, last_heard=now)
         server._coordinator = coordinator
         server._procs = {name: Running() for name in fleet}
         server._stop_reaper = OversleepingStop(stall=2 * HEARTBEAT_TIMEOUT)
         failed = []
-        server._fail_open_sessions = lambda name, reason: failed.append(
-            (name, reason))
+        server._fail_open_sessions = lambda name, *why: failed.append(
+            (name, *why))
 
         server._reaper_loop()
 
@@ -79,11 +87,11 @@ def test_real_silence_still_fails_the_open_sessions():
         for name in fleet:
             coordinator._agents[name] = _Agent(
                 name=name, channel=Quiet(), address=Address("127.0.0.1", 1),
-                pid=0, registered_at=now, last_heard=now, ports=(1,))
+                pid=0, registered_at=now, last_heard=now)
         server._coordinator = coordinator
         server._procs = {name: Running() for name in fleet}
         failed = []
-        server._fail_open_sessions = lambda name, reason: failed.append(name)
+        server._fail_open_sessions = lambda name, *why: failed.append(name)
 
         def keep_n1_talking_until_n2_is_dead(_timeout):
             coordinator._agents["n1"].last_heard = time.monotonic()
@@ -96,5 +104,100 @@ def test_real_silence_still_fails_the_open_sessions():
         assert failed == ["n2"]
         assert time.monotonic() - began >= HEARTBEAT_TIMEOUT
         assert coordinator.agent("n1").dead_reason is None
+    finally:
+        coordinator.close()
+
+
+def test_shutdown_does_not_wait_out_its_grace_on_a_stopped_member():
+    """A ``SIGSTOP``ped member cannot answer ``quit``.  A session's
+    chaos stopped it, so the fleet knows: it is ``SIGKILL``ed at once
+    (the one signal that works on a stopped child) and only the healthy
+    members are drained — the whole grace is never sat out."""
+    from repro.deploy.chaos import ChaosPlan
+
+    grace = 5.0
+    server = DaemonServer(["n1", "n2", "n3"], cache_bytes=0,
+                          startup_timeout=20.0, progress_every=64 * 1024,
+                          heartbeat_timeout=1.0)
+    server.start()
+    procs = dict(server._procs)
+    try:
+        result = server.submit(
+            PatternSource(2 << 20), ["n2", "n3"],
+            chaos=[ChaosPlan("n3", after_bytes=256 * 1024, sig="stop")],
+            timeout=60.0)
+        assert result.ok and not result.outcomes["n3"].ok
+    finally:
+        began = time.monotonic()
+        server.shutdown(grace=grace)
+        took = time.monotonic() - began
+    assert took < grace / 2, f"shutdown took {took:.2f}s of a {grace}s grace"
+    assert procs["n3"].returncode == -signal.SIGKILL
+    assert {procs[n].returncode for n in ("n1", "n2")} == {0}
+
+
+def test_shutdown_kills_a_member_stopped_behind_its_back():
+    """Nobody told the fleet this one was stopped, and supervision has
+    not noticed yet: it gets its ``quit``, never closes its control
+    socket, and is killed when the one fleet-wide deadline passes."""
+    grace = 0.5
+    server = DaemonServer(["n1", "n2"], cache_bytes=0, startup_timeout=20.0,
+                          heartbeat_timeout=30.0)
+    server.start()
+    procs = dict(server._procs)
+    os.kill(procs["n2"].pid, signal.SIGSTOP)
+    began = time.monotonic()
+    server.shutdown(grace=grace)
+    took = time.monotonic() - began
+    assert grace <= took < grace + 2.0
+    assert procs["n2"].returncode == -signal.SIGKILL
+    assert procs["n1"].returncode == 0
+
+
+def test_drain_waits_on_the_control_eof_not_on_a_poll():
+    """The reader thread sees an exiting agent's control socket close
+    the instant it does; the drain waits on exactly that — one
+    condition, one deadline for the whole fleet — and then reaps with a
+    plain ``wait()``: no ``wait(timeout)`` whose doubling sleeps end
+    every tear-down up to 50 ms late."""
+    import threading
+
+    class Exiting:
+        """A process that is gone once its control socket closed."""
+
+        def __init__(self, agent):
+            self.agent, self.calls = agent, []
+
+        def poll(self):
+            return 0 if self.agent.gone else None
+
+        def kill(self):
+            self.calls.append("kill")
+
+        def wait(self, timeout=None):
+            self.calls.append(("wait", timeout))
+            assert self.agent.gone
+            return 0
+
+    coordinator = Coordinator()
+    try:
+        now = time.monotonic()
+        for name in ("n1", "n2"):
+            coordinator._agents[name] = _Agent(
+                name=name, channel=Quiet(), address=Address("127.0.0.1", 0),
+                pid=0, registered_at=now, last_heard=now)
+        procs = {n: Exiting(a) for n, a in coordinator._agents.items()}
+
+        def close_sockets():
+            for agent in coordinator._agents.values():
+                with coordinator._cond:
+                    agent.gone = True
+                    coordinator._cond.notify_all()
+
+        threading.Timer(0.1, close_sockets).start()
+        began = time.monotonic()
+        drain(coordinator, procs, ["n1", "n2"], grace=5.0)
+        assert 0.1 <= time.monotonic() - began < 1.0
+        assert [p.calls for p in procs.values()] == [[("wait", None)]] * 2
     finally:
         coordinator.close()

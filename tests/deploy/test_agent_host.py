@@ -1,6 +1,6 @@
-"""The deploy agent is one host of the schedule (`HostChains`): its
-trace names match the local backend's, and a start message that does
-not say which chains to run is a usage error."""
+"""The agent is one host of the schedule (`HostChains`): its trace
+names match the local backend's, and a start message that does not say
+which chains to run is a refused session — the agent lives on."""
 
 import socket
 import threading
@@ -8,7 +8,7 @@ import threading
 from repro import run_broadcast
 from repro.core import KascadeConfig
 from repro.core.sources import PatternSource
-from repro.deploy.agent import EXIT_USAGE, config_to_wire, run_agent
+from repro.deploy.agent import EXIT_OK, config_to_wire, serve_sessions
 from repro.deploy.protocol import ControlChannel
 
 FAST = KascadeConfig(
@@ -47,41 +47,60 @@ class TestStripeTaggedNames:
 
 
 class TestStartMessageMustCarryTheSchedule:
-    def serve_one_start(self, start):
-        """A one-connection coordinator: take the hello, answer ``start``."""
+    def serve_one_session(self, start):
+        """A one-connection supervisor: take the hello, open a session,
+        answer the ack with ``start(ack)``, keep the status, say quit."""
         server = socket.socket()
         server.bind(("127.0.0.1", 0))
         server.listen(1)
-        hellos = []
+        seen = {}
 
         def serve():
             conn, _peer = server.accept()
             channel = ControlChannel(conn)
-            hello = channel.recv(timeout=10.0)
-            hellos.append(hello)
-            channel.send(start(hello))
-            channel.recv(timeout=10.0)   # EOF (or a status) ends the visit
+            seen["hello"] = channel.recv(timeout=10.0)
+            channel.send({"op": "session_open", "session": "s1",
+                          "stripes": 1})
+            for key in ("ack", "status"):
+                msg = channel.recv(timeout=10.0)
+                while msg is not None and msg["op"] == "heartbeat":
+                    msg = channel.recv(timeout=10.0)
+                seen[key] = msg
+                if key == "ack":
+                    channel.send(start(msg))
+            channel.send({"op": "quit"})
+            channel.recv(timeout=10.0)   # EOF ends the visit
             channel.close()
 
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
-        return server, thread, hellos
+        return server, thread, seen
 
-    def test_no_plan_or_ports_exits_with_usage(self):
-        """The single-port start message is gone: ``hello.ports`` carries
-        the ports, ``start.plan`` + ``start.ports`` the schedule."""
-        def start(hello):
-            port = hello["ports"][0]
-            return {"op": "start", "head": "n1",
+    def test_no_plan_or_ports_exits_with_a_refused_status(self):
+        """``session_ack.ports`` carries the ports, ``session_start.plan``
+        + ``.ports`` the schedule; a start without them is answered with
+        a refusal (not a crash, not an exit) and the agent drains on
+        ``quit`` like any other."""
+        def start(ack):
+            port = ack["ports"][0]
+            return {"op": "session_start", "session": "s1", "head": "n1",
                     "nodes": [["n1", "127.0.0.1", port],
                               ["n2", "127.0.0.1", port]],
                     "config": config_to_wire(FAST)}
 
-        server, thread, hellos = self.serve_one_start(start)
+        server, thread, seen = self.serve_one_session(start)
         try:
-            code = run_agent(server.getsockname(), "n2", start_timeout=10.0)
+            code = serve_sessions(server.getsockname(), "n2",
+                                  start_timeout=10.0)
         finally:
             thread.join(timeout=10.0)
             server.close()
-        assert code == EXIT_USAGE
-        assert "port" not in hellos[0] and len(hellos[0]["ports"]) == 1
+        assert code == EXIT_OK
+        # No cache was given: the hello offers no pull port, and the
+        # ack neither knows nor says anything about an artifact.
+        assert seen["hello"]["pull_port"] == 0
+        assert len(seen["ack"]["ports"]) == 1 and "cached" not in seen["ack"]
+        status = seen["status"]
+        assert status["op"] == "session_status" and status["session"] == "s1"
+        assert not status["ok"] and not status["crashed"]
+        assert "no plan/ports" in status["error"]

@@ -21,6 +21,9 @@ SLOW_TIMERS = KascadeConfig(
     ping_timeout=0.4,
     connect_timeout=1.0,
     report_timeout=20.0,
+    # Paced (4 MiB in 0.25 s), so the 1 MiB kill lands mid-stream and
+    # not on a head that already handed everything to socket buffers.
+    bandwidth_limit=16 << 20,
 )
 
 

@@ -20,13 +20,19 @@ try:
 except SystemExit:
     pass
 """,
-    # ``cmd_agent`` itself, stopped by the test hook before it dials out.
+    # The one agent, run until it would dial out: nobody listens on
+    # port 1, so registration fails (exit 2) after everything a session
+    # on this agent can use is loaded.
     "agent": """
 from repro.cli.kascade import main
-assert main(["agent", "--die-on-start", "--coordinator", "127.0.0.1:1",
-             "--name", "n2"]) == 3
+assert main(["agent", "--coordinator", "127.0.0.1:1", "--name", "n2"]) == 2
 """,
-    "fleet_agent": "import repro.cli.kascade, repro.daemon.agent",
+    # What the agent adds when it was given a cache.
+    "cached_agent": """
+from repro.cli.kascade import main
+assert main(["agent", "--coordinator", "127.0.0.1:1", "--name", "n2",
+             "--cache-bytes", "1"]) == 2
+""",
     "supervisor": """
 import repro.cli.kascade, repro.session, repro.deploy.coordinator
 """,
@@ -48,8 +54,8 @@ BUDGET = {
     "help": (("repro.runtime", "repro.deploy", "repro.session",
               "repro.simnet", "repro.daemon", "repro.control",
               "repro.baselines"), 8),
-    "agent": (CONTROL_SIDE + ("repro.daemon",), 33),
-    "fleet_agent": (CONTROL_SIDE, 36),
+    "agent": (CONTROL_SIDE + ("repro.daemon", "repro.core.cache"), 33),
+    "cached_agent": (CONTROL_SIDE, 36),
     "supervisor": (DATA_PLANE + ("repro.deploy.agent",), 24),
     "daemon_server": (DATA_PLANE + ("repro.deploy.agent",), 24),
 }

@@ -146,12 +146,21 @@ def add_common(parser: argparse.ArgumentParser) -> None:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     """Whole pipeline in one process: threads + loopback TCP."""
+    from ..core.errors import KascadeError
     from ..core.sources import open_source
     from ..session import run_broadcast
 
+    def refuse(why) -> "NoReturn":
+        # As argparse refuses what it can check itself: one line, status 2.
+        print(f"kascade demo: error: {why}", file=sys.stderr)
+        raise SystemExit(2)
+
     config = build_config(args)
     receivers = [f"n{i}" for i in range(2, args.nodes + 2)]
-    source = open_source(args.input)
+    try:
+        source = open_source(args.input)
+    except OSError as exc:
+        refuse(exc)
 
     def sink_factory(name: str):
         if args.output_command:
@@ -166,9 +175,12 @@ def cmd_demo(args: argparse.Namespace) -> int:
         from ..core.sinks import NullSink
         return NullSink()
 
-    result = run_broadcast(source, receivers, sink_factory=sink_factory,
-                           config=config, trace=args.trace,
-                           timeout=args.run_timeout)
+    try:
+        result = run_broadcast(source, receivers, sink_factory=sink_factory,
+                               config=config, trace=args.trace,
+                               timeout=args.run_timeout)
+    except KascadeError as exc:  # a plan or option the run refuses up front
+        refuse(exc)
     return print_result(result, args)
 
 
@@ -227,12 +239,21 @@ def parse_chaos(specs: List[str], head: str | None = None):
 
 def cmd_deploy(args: argparse.Namespace) -> int:
     """Windowed multi-process deployment: real processes, real signals."""
+    from ..core.errors import KascadeError
     from ..core.sources import open_source
     from ..session import run_broadcast
 
+    def refuse(why) -> "NoReturn":
+        # As argparse refuses what it can check itself: one line, status 2.
+        print(f"kascade demo: error: {why}", file=sys.stderr)
+        raise SystemExit(2)
+
     config = build_config(args)
     receivers = [f"n{i}" for i in range(2, args.nodes + 2)]
-    source = open_source(args.input)
+    try:
+        source = open_source(args.input)
+    except OSError as exc:
+        refuse(exc)
     result = run_broadcast(
         source, receivers,
         backend="procs",

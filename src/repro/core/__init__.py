@@ -1,6 +1,7 @@
 """Kascade protocol core: wire format, chunk buffering, pipeline planning,
-and the failure-recovery decision logic shared by the real TCP runtime and
-the network simulator."""
+the failure-recovery decision logic, and the node itself
+(:mod:`.engine`) — one text shared by the real TCP runtime and the
+protocol simulator."""
 
 from .._lazy import lazy_exports
 
@@ -25,7 +26,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "stripes": ("StripeMergeSink", "StripeSource", "stripe_extent"),
     "recovery": ("SourceKind", "OfferKind", "Offer", "negotiate_offset",
                  "next_alive", "report_route"),
-    "report": ("FailureRecord", "TransferReport"),
+    "report": ("FailureRecord", "NodeOutcome", "TransferReport"),
+    "engine": ("Link", "Head", "Receiver", "InjectedCrash"),
     "tracing": ("EVENT_TYPES", "NULL_TRACER", "NullRecorder",
                 "TraceCollector", "TraceEvent", "classify_detector"),
     "sinks": ("Sink", "NullSink", "FileSink", "CommandSink", "HashingSink",

@@ -175,3 +175,19 @@ class TransferReport:
             return "transfer complete, no failures"
         nodes = ", ".join(self.failed_nodes)
         return f"transfer complete with {len(self.failed_nodes)} failed node(s): {nodes}"
+
+
+@dataclass
+class NodeOutcome:
+    """What one node reports after the broadcast (or its own death)."""
+
+    name: str
+    ok: bool = False
+    bytes_received: int = 0
+    crashed: bool = False
+    error: Optional[str] = None
+    failures_detected: List = field(default_factory=list)
+    #: SHA-256 of the payload as stored, when the backend computed one
+    #: (the process backend always does; the thread backend only via a
+    #: hashing sink the caller supplied).
+    digest: Optional[str] = None

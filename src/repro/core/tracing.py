@@ -77,10 +77,10 @@ DETECTOR_PROC_EXIT = "proc-exit"
 def classify_detector(reason: str) -> str:
     """Map a failure-record reason string onto the detector taxonomy.
 
-    Both the runtime and the protocol simulator phrase their reasons the
-    same way (``"... ping unanswered"`` for timeout+ping detections,
-    ``"connect-failed: ..."`` for refused connections), so one
-    classifier keeps the two backends' FAILOVER events comparable.  The
+    Reasons are phrased in one place, the protocol engine
+    (``"... ping unanswered"`` for timeout+ping detections,
+    ``"connect-failed: ..."`` for refused connections), whichever
+    driver runs it, so every backend's FAILOVER events compare.  The
     process backend's coordinator prefixes its waitpid-based detections
     with ``"proc-exit"`` to keep them distinguishable from both.
     """

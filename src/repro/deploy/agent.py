@@ -427,9 +427,10 @@ def _follow_control(
         if op == "failover" and not host.is_head:
             host.detach()
             host.retained_sink()
-            bind_host = listeners[0].address.host
-            listeners[0].close()
-            listeners[0] = Listener(host=bind_host, port=0)
+            # The old listener stays open with the old connections (see
+            # ``begin_failover``): a predecessor not yet told of the
+            # failover may be dialling it.
+            listeners[0] = Listener(host=listeners[0].address.host, port=0)
             awaiting_resume = True
             state.send("failover_ready", offset=host.offset,
                        ports=[listeners[0].address.port])
@@ -449,6 +450,8 @@ def _follow_control(
             awaiting_resume = False
             host.start()
             watch(host)
+    if awaiting_resume:
+        host.close_connections()  # stranded: no resume will come to do it
     return host, awaiting_resume
 
 

@@ -1,15 +1,16 @@
-"""Protocol-exact simulation: the complete Kascade protocol — the real
-:class:`~repro.core.node_state.NodeTransferState`, the real message set,
-the real recovery handshakes — executed as deterministic DES processes
-over simulated channels.
+"""Protocol-exact simulation: the Kascade node of
+:mod:`repro.core.engine` — the generators the threaded runtime drives,
+not a port of them — run as deterministic DES processes on a simulated
+network (:mod:`.node`: the DES port; :mod:`.broadcast`: orchestration
+and crash injection).
 
-Three implementations of one protocol now cross-check each other:
+One node on two ports, and a fluid model beside them:
 
 ========================  ==========================  ====================
 tier                      substrate                   what it is for
 ========================  ==========================  ====================
-``repro.runtime``         threads + real TCP          the actual tool
-``repro.protosim``        DES + message channels      deterministic
+``repro.runtime``         engine + threads, real TCP  the actual tool
+``repro.protosim``        engine + DES channels       deterministic
                                                       protocol testing at
                                                       exact failure timing
 ``repro.baselines``       DES + fluid flows           200-node performance

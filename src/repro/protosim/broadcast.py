@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.config import DEFAULT_CONFIG, KascadeConfig
+from ..core.engine import Head, InjectedCrash, Receiver
 from ..core.errors import KascadeError
 from ..core.perfstats import get_stats
 from ..core.plan import ChainPlan, StripePlan
@@ -31,7 +32,7 @@ from ..core.stripes import StripeMergeSink, StripeSource
 from ..core.tracing import NULL_TRACER, TraceCollector
 from ..simnet.channels import SimNetHub
 from ..simnet.engine import Engine
-from .node import CrashNow, ProtoHead, ProtoReceiver
+from .node import SimPort, SimTracer
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,8 @@ class ProtoBroadcast:
             if crash.after_bytes is not None
         } if k > 1 else {}
 
-        heads: List[ProtoHead] = []
+        sim_tracer = SimTracer(engine)
+        heads: List[Head] = []
         by_host: Dict[str, List] = {}
         for j in range(k):
             sp = self.chain_plan.stripe(j)
@@ -197,8 +199,8 @@ class ProtoBroadcast:
                                 for r in sp.receivers),
                 stripe=sp.stripe, of=sp.of,
             )
-            head = ProtoHead(plan_j.head, plan_j, hub, self.config,
-                             engine, sources[j])
+            head = Head(plan_j.head, plan_j, SimPort(plan_j.head, hub, engine),
+                        self.config, sources[j], tracer=sim_tracer)
             heads.append(head)
             by_host.setdefault(sp.head, []).append(head)
             for host, name in zip(sp.receivers, plan_j.receivers):
@@ -207,60 +209,52 @@ class ProtoBroadcast:
                 else:
                     agg = gates.get(host)
                     gate = agg.for_stripe(j) if agg else None
-                recv = ProtoReceiver(name, plan_j, hub, self.config, engine,
-                                     instance_sinks[host][j],
-                                     crash_gate=gate)
+                recv = Receiver(name, plan_j, SimPort(name, hub, engine),
+                                self.config, instance_sinks[host][j],
+                                crash_gate=gate, tracer=sim_tracer)
                 by_host.setdefault(host, []).append(recv)
         self.nodes = {n.name: n
                       for nodes in by_host.values() for n in nodes}
         crashed: List[str] = []
 
-        def supervisor_of(node, acceptor):
+        def die(node, mode):
+            """The node's host is gone: nothing of it runs again."""
+            for proc in node.port.procs:
+                proc.kill()
+            node.outcome.crashed = True
+            node.outcome.error = f"injected crash ({mode})"
+            crashed.append(node.name)
+            if mode == "silent":
+                hub.kill_silent(node.name)
+            else:
+                hub.kill(node.name)
+
+        def supervisor_of(node):
             # Installed as ``Process.on_error`` instead of wrapping
             # ``node.run()`` in a try/except generator: a wrapper would
             # cost a delegation hop on every resume of every node.
             def absorb(exc: BaseException) -> bool:
-                if isinstance(exc, CrashNow):
-                    node.crashed = exc.mode
-                    node.error = f"injected crash ({exc.mode})"
-                    crashed.append(node.name)
-                    acceptor.kill()
-                    if exc.mode == "silent":
-                        hub.kill_silent(node.name)
-                    else:
-                        hub.kill(node.name)
-                    node.done = True
+                if isinstance(exc, InjectedCrash):
+                    die(node, exc.mode)
                     return True
                 if isinstance(exc, KascadeError):
-                    node.error = f"{type(exc).__name__}: {exc}"
-                    node.done = True
+                    # As on threads: the node records why and stops
+                    # listening; its connections are left as they are.
+                    node.outcome.error = f"{type(exc).__name__}: {exc}"
+                    node.port.close()
                     return True
                 return False
 
             return absorb
 
+        mains = {}
         for node in self.nodes.values():
-            acceptor = engine.spawn(node.acceptor(),
-                                    name=f"accept:{node.name}")
-            main = engine.spawn(node.run(), name=f"node:{node.name}")
-            main.on_error = supervisor_of(node, acceptor)
-            node.procs = [acceptor, main]
+            node.port.spawn(node.port.acceptor(node), name="accept")
+            mains[node.name] = main = node.port.spawn(node.run(), name="node")
+            main.on_error = supervisor_of(node)
 
         def kill_at(node, mode):
-            def do_kill():
-                if node.done:
-                    return
-                for proc in node.procs:
-                    proc.kill()
-                node.crashed = mode
-                node.error = f"injected crash ({mode})"
-                crashed.append(node.name)
-                if mode == "silent":
-                    hub.kill_silent(node.name)
-                else:
-                    hub.kill(node.name)
-                node.done = True
-            return do_kill
+            return lambda: mains[node.name].done or die(node, mode)
 
         for crash in self.crashes.values():
             if crash.at_time is not None:
@@ -299,7 +293,7 @@ class ProtoBroadcast:
                         for rec in head.final_report.failures
                     )
 
-        host_ok = {host: all(n.ok for n in nodes)
+        host_ok = {host: all(n.outcome.ok for n in nodes)
                    for host, nodes in by_host.items()}
         intended = [r for r in self.plan.receivers if r not in self.crashes]
         head_host = self.plan.head
@@ -312,12 +306,13 @@ class ProtoBroadcast:
         return ProtoResult(
             ok=ok,
             sim_time=engine.now,
-            total_bytes=sum(h.bytes_received for h in heads),
+            total_bytes=sum(h.outcome.bytes_received for h in heads),
             report=report,
             node_ok=host_ok,
-            node_bytes={host: sum(n.bytes_received for n in nodes)
+            node_bytes={host: sum(n.outcome.bytes_received for n in nodes)
                         for host, nodes in by_host.items()},
-            node_errors={host: next((n.error for n in nodes if n.error), None)
+            node_errors={host: next((n.outcome.error for n in nodes
+                                     if n.outcome.error), None)
                          for host, nodes in by_host.items()},
             crashed=crashed_hosts,
             message_log=message_log,

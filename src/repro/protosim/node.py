@@ -1,14 +1,20 @@
-"""Protocol-exact Kascade nodes as DES processes.
+"""The simulator's port: the engine's waits as DES events.
 
-A faithful port of :mod:`repro.runtime.node` onto simulated message
-channels: the same per-node state machine
-(:class:`~repro.core.node_state.NodeTransferState`), the same message
-set, the same recovery handshakes — with blocking socket calls replaced
-by ``yield from`` channel operations.  Where the runtime catches
-``TimeoutError``/``ConnectionError``, this catches
-:class:`~repro.simnet.channels.ChannelTimeout` /
-:class:`~repro.simnet.channels.ChannelClosed`; everything else is the
-protocol, unchanged.
+The simulated node *is* the runtime's node — :mod:`repro.core.engine`,
+the same generators the socket port drives.  Here every primitive that
+has to wait yields an :class:`~repro.simnet.engine.Event` (a message
+arrival, a window draining, a timer) and the DES resumes the node when
+it fires, so a broadcast costs no wall-clock time and failures land at
+exact simulated instants.  :class:`~repro.simnet.channels.ChannelTimeout`
+*is* a ``TimeoutError`` and :class:`~repro.simnet.channels.ChannelClosed`
+a ``ConnectionError``: the engine's one vocabulary.
+
+What is about the DES stays here: :class:`~repro.simnet.channels.
+SimNetHub` endpoints behind the stream primitives, the inbox and nap
+events, the acceptor process.  There is no start-up race to be patient
+about (every listener is registered before the clock starts) and no
+cross-thread stop: a simulated node is stopped by killing its
+processes (:mod:`repro.protosim.broadcast`).
 """
 
 from __future__ import annotations
@@ -16,741 +22,177 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional
 
-from ..core.config import KascadeConfig
-from ..core.messages import (
-    Data,
-    End,
-    Forget,
-    Get,
-    Passed,
-    PGet,
-    Ping,
-    Pong,
-    Quit,
-    Report,
-)
-from ..core.node_state import NodeTransferState, Phase
-from ..core.pipeline import PipelinePlan
-from ..core.plan import coerce_stripe_plan
-from ..core.recovery import OfferKind, next_alive
-from ..core.report import TransferReport
-from ..core.sinks import Sink
-from ..core.sources import Source
-from ..core import tracing
-from ..core.tracing import classify_detector
+from ..core.messages import Data
 from ..simnet.channels import (
     _HEADER_BYTES, ChannelClosed, ChannelTimeout, SimNetHub,
 )
 from ..simnet.engine import Engine, Event
 
-DATA_CONN = b"D"
-PING_CONN = b"P"
-PGET_CONN = b"G"
-RING_CONN = b"R"
+
+class SimTracer:
+    """The run's trace recorder, stamping events with simulated time."""
+
+    def __init__(self, engine: Engine) -> None:
+        self.enabled = engine.tracer.enabled
+        self.emit = engine.trace
 
 
-class CrashNow(Exception):
-    """Raised by a crash gate inside a node process."""
+class SimStream:
+    """One channel endpoint behind the engine's stream primitives.
 
-    def __init__(self, mode: str) -> None:
-        super().__init__(mode)
-        self.mode = mode
+    Corked frames wait in a queue; :meth:`flush` sends them through the
+    channel's flow-control window, blocking (as a TCP send against a
+    non-reading peer would) while it is full.
+    """
+
+    def __init__(self, end) -> None:
+        self.end = end
+        self._corked: Deque = deque()
+        self.pending_bytes = 0
+        self._woken = False
+
+    def recv(self, timeout: float):
+        end = self.end
+        inbox = end.inbox
+        item = end.recv_nowait()
+        while item is None:
+            if self._woken:
+                raise ChannelClosed("reader woken")
+            arrival = end.recv_begin(timeout)
+            try:
+                yield arrival
+            finally:
+                end.recv_finish()
+            if inbox:  # the arrival; taken as ``recv_nowait`` would
+                item = inbox.popleft()
+                end.inbox_bytes -= _HEADER_BYTES + len(item[1])
+                if end._drain_waiter is not None:
+                    end._wake_drainer()
+            else:      # woken for nothing, or by the channel's end
+                item = end.recv_nowait()
+        return item
+
+    def try_recv_run(self):
+        """The DATA messages already delivered that continue the stream,
+        as one run; whatever ends it stays queued."""
+        inbox = self.end.inbox
+        if not inbox or inbox[0][0].__class__ is not Data:
+            return None
+        first = offset = inbox[0][0].offset
+        payloads = []
+        while (inbox and inbox[0][0].__class__ is Data
+               and inbox[0][0].offset == offset):
+            payloads.append(self.end.recv_nowait()[1])
+            offset += len(payloads[-1])
+        return first, payloads, None
+
+    def cork(self, msg, payload=b"") -> None:
+        # Simulated time stands still between a cork and its flush, so a
+        # frame the window has room for may as well leave now; only what
+        # must wait (or meets a dead channel: the flush will say) queues.
+        if not self._corked:
+            try:
+                if self.end.try_send(msg, payload):
+                    return
+            except ChannelClosed:
+                pass
+        self._corked.append((msg, payload))
+        self.pending_bytes += _HEADER_BYTES + len(payload)
+
+    def cork_run(self, first_offset: int, payloads, wire) -> None:
+        for payload in payloads:
+            self.cork(Data(first_offset, len(payload)), payload)
+            first_offset += len(payload)
+
+    def flush(self, timeout: float):
+        end, corked = self.end, self._corked
+        while corked:
+            msg, payload = corked[0]
+            if not end.try_send(msg, payload):
+                yield from end.send_wait(msg, payload, timeout=timeout)
+            corked.popleft()
+            self.pending_bytes -= _HEADER_BYTES + len(payload)
+
+    def wake_reader(self) -> None:
+        self._woken = True
+        self.end._notify()
+
+    def close(self) -> None:
+        self._corked.clear()
+        self.pending_bytes = 0
+        self.end.close()
 
 
-class ProtoNode:
-    """Shared state of one protocol-sim node."""
+class SimPort:
+    """One node's port onto the simulated network."""
 
-    def __init__(self, name: str, plan: PipelinePlan, hub: SimNetHub,
-                 config: KascadeConfig, engine: Engine) -> None:
+    def __init__(self, name: str, hub: SimNetHub, engine: Engine) -> None:
         self.name = name
-        self.plan = coerce_stripe_plan(plan, owner=type(self).__name__)
         self.hub = hub
-        self.config = config
         self.engine = engine
         self.listener = hub.register(name)
-        self.data_inbox: Deque = deque()
-        self._inbox_event: Optional[Event] = None
+        self.inbox: Deque[SimStream] = deque()
+        #: The event the main loop is parked on (inbox wait or sleep).
+        self._parked: Optional[Event] = None
+        #: Acceptor, main loop and side services: what a crash kills.
         self.procs: list = []
-        self.done = False
-        self.crashed: Optional[str] = None
-        self.error: Optional[str] = None
-        self.ok = False
-        self.bytes_received = 0
 
-    # -- acceptor ---------------------------------------------------------
+    def now(self) -> float:
+        return self.engine.now
 
-    def acceptor(self):
+    def connect(self, target: str, kind: bytes, timeout: float,
+                patient: bool = False):
+        end = yield from self.hub.connect(self.name, target, kind)
+        return SimStream(end)
+
+    def _park(self, seconds: float):
+        """Wait until :meth:`nudge` (or an :meth:`offer`), or ``seconds``."""
+        engine = self.engine
+        self._parked = ev = engine.event(name=f"park:{self.name}")
+        token = engine.call_after(
+            seconds, lambda: ev.triggered or ev.succeed(None))
+        try:
+            yield ev
+        finally:
+            self._parked = None
+            engine._cancel_timeout(token)
+
+    def nudge(self) -> None:
+        ev, self._parked = self._parked, None
+        if ev is not None and not ev.triggered:
+            ev.succeed(None)
+
+    sleep = _park
+
+    def offer(self, stream: SimStream) -> None:
+        self.inbox.append(stream)
+        self.nudge()
+
+    def next_connection(self, timeout: float):
+        deadline = self.engine.now + timeout
+        while not self.inbox:
+            remaining = deadline - self.engine.now
+            if remaining <= 0:
+                raise ChannelTimeout("no connection arrived")
+            yield from self._park(remaining)
+        return self.inbox.popleft()
+
+    def poll_connection(self) -> Optional[SimStream]:
+        return self.inbox.popleft() if self.inbox else None
+
+    def spawn(self, gen, name: str = "side"):
+        proc = self.engine.spawn(gen, name=f"{name}:{self.name}")
+        self.procs.append(proc)
+        return proc
+
+    def close(self) -> None:
+        self.listener.close()
+
+    def acceptor(self, node):
+        """Process: hand every inbound connection to the engine."""
         while True:
             try:
                 kind, end = yield from self.listener.accept()
             except ChannelClosed:
                 return
-            if kind == PING_CONN:
-                self.engine.spawn(self._answer_ping(end))
-            elif kind == DATA_CONN:
-                self.data_inbox.append(end)
-                self._wake_inbox()
-            elif kind in (PGET_CONN, RING_CONN) and hasattr(self, "serve_special"):
-                self.engine.spawn(self.serve_special(kind, end))
-            else:
-                end.close()
-
-    def _answer_ping(self, end):
-        try:
-            msg, _ = yield from end.recv(timeout=self.config.ping_timeout)
-            if isinstance(msg, Ping):
-                end.send(Pong(msg.nonce))
-        except (ChannelClosed, ChannelTimeout):
-            pass
-        end.close()
-
-    def _wake_inbox(self) -> None:
-        ev, self._inbox_event = self._inbox_event, None
-        if ev is not None and not ev.triggered:
-            ev.succeed(None)
-
-    def await_data_conn(self, timeout: float):
-        """Sub-generator: next inbound data connection endpoint."""
-        deadline = self.engine.now + timeout
-        while True:
-            if self.data_inbox:
-                return self.data_inbox.popleft()
-            remaining = deadline - self.engine.now
-            if remaining <= 0:
-                raise ChannelTimeout("no upstream connection arrived")
-            ev = self.engine.event(name=f"inbox:{self.name}")
-            self._inbox_event = ev
-            token = self.engine.call_after(
-                remaining,
-                lambda e=ev: e.fail(ChannelTimeout("inbox wait timed out"))
-                if not e.triggered else None,
-            )
-            try:
-                yield ev
-            except ChannelTimeout:
-                raise
-            finally:
-                self._inbox_event = None
-                self.engine._cancel_timeout(token)
-
-    def poll_data_conn(self):
-        return self.data_inbox.popleft() if self.data_inbox else None
-
-    # -- liveness probe (the sender side's §III-D1 ping) -------------------
-
-    def ping(self, target: str):
-        """Sub-generator: True if ``target`` answers a liveness ping."""
-        answered = yield from self._ping_attempt(target)
-        self.engine.trace(tracing.PING, self.name, peer=target,
-                          detail="answered" if answered else "unanswered")
-        return answered
-
-    def _ping_attempt(self, target: str):
-        cfg = self.config
-        try:
-            probe = yield from self.hub.connect(self.name, target, PING_CONN)
-        except ChannelClosed:
-            return False
-        try:
-            probe.send(Ping(1))
-            msg, _ = yield from probe.recv(timeout=cfg.ping_timeout)
-            return isinstance(msg, Pong)
-        except (ChannelClosed, ChannelTimeout):
-            return False
-        finally:
-            probe.close()
-
-
-class ProtoLink:
-    """Generator-style port of the runtime's DownstreamLink."""
-
-    def __init__(self, node: ProtoNode, state: NodeTransferState) -> None:
-        self.node = node
-        self.state = state
-        self.end = None
-        self.target: Optional[str] = None
-        self.dead: set[str] = set()
-        self.sent_offset = 0
-        self.downstream_aborted = False
-
-    # -- plumbing ---------------------------------------------------------
-
-    def _mark_dead(self, node: str, reason: str) -> None:
-        if node not in self.dead:
-            self.dead.add(node)
-            self.state.record_failure(node, reason)
-            self.node.engine.trace(
-                tracing.FAILOVER, self.node.name, peer=node,
-                offset=self.sent_offset, detail=reason,
-                detector=classify_detector(reason))
-
-    def _drop(self) -> None:
-        if self.end is not None:
-            self.end.close()
-        self.end = None
-        self.target = None
-
-    def _send_frame(self, msg, payload: bytes = b""):
-        """Windowed send with stall detection + ping, like the runtime."""
-        cfg = self.node.config
-        while True:
-            try:
-                if not self.end.try_send(msg, payload):
-                    yield from self.end.send_wait(msg, payload,
-                                                  timeout=cfg.io_timeout)
-                return
-            except ChannelTimeout:
-                self.node.engine.trace(tracing.STALL, self.node.name,
-                                       peer=self.target,
-                                       offset=self.sent_offset, detail="write")
-                alive = yield from self.node.ping(self.target)
-                if not alive:
-                    raise ChannelClosed(
-                        f"{self.target}: write stalled, ping unanswered"
-                    )
-
-    def _recv_gated(self, reason: str):
-        cfg = self.node.config
-        while True:
-            try:
-                item = self.end.recv_nowait()
-                if item is not None:
-                    return item
-                return (yield from self.end.recv(timeout=cfg.io_timeout))
-            except ChannelTimeout:
-                self.node.engine.trace(tracing.STALL, self.node.name,
-                                       peer=self.target,
-                                       detail=f"read: {reason}")
-                alive = yield from self.node.ping(self.target)
-                if not alive:
-                    raise ChannelClosed(
-                        f"{self.target}: {reason}: silent, ping unanswered"
-                    )
-
-    # -- connection / handshake -------------------------------------------
-
-    def _ensure_connected(self):
-        cfg = self.node.config
-        while not self.downstream_aborted:
-            if self.end is not None:
-                return True
-            target = next_alive(self.node.plan, self.node.name, self.dead,
-                                cfg.max_connect_attempts)
-            if target is None:
-                return False
-            try:
-                end = yield from self.node.hub.connect(
-                    self.node.name, target, DATA_CONN)
-            except ChannelClosed as exc:
-                self._mark_dead(target, f"connect-failed: {exc}")
-                continue
-            try:
-                msg, _ = yield from end.recv(
-                    timeout=cfg.connect_timeout + cfg.io_timeout)
-            except (ChannelTimeout, ChannelClosed) as exc:
-                end.close()
-                self._mark_dead(target, f"no-handshake: {exc}")
-                continue
-            if isinstance(msg, Quit):
-                end.close()
-                self.downstream_aborted = True
-                return False
-            if not isinstance(msg, Get):
-                end.close()
-                self._mark_dead(target, f"bad-handshake: {type(msg).__name__}")
-                continue
-            self.end, self.target = end, target
-            self.node.engine.trace(tracing.CONNECT, self.node.name,
-                                   peer=target, offset=msg.offset,
-                                   detail="downstream")
-            ok = yield from self._serve_handshake(msg.offset)
-            if ok:
-                return True
-        return False
-
-    def _serve_handshake(self, requested: int):
-        try:
-            offer = self.state.answer_get(requested)
-        except ValueError as exc:
-            self._mark_dead(self.target, f"bad-get: {exc}")
-            self._drop()
-            return False
-        try:
-            if offer.kind is OfferKind.SERVE_FROM_BUFFER:
-                self.sent_offset = offer.resume_at
-                for off, piece in self.state.buffer.iter_chunks_from(
-                        offer.resume_at):
-                    yield from self._send_frame(Data(off, len(piece)), piece)
-                    self.sent_offset = off + len(piece)
-                return True
-            self.node.engine.trace(tracing.FORGET, self.node.name,
-                                   peer=self.target,
-                                   offset=offer.resume_at, detail="sent")
-            yield from self._send_frame(Forget(offer.resume_at))
-            msg, _ = yield from self._recv_gated("awaiting GET after FORGET")
-            if isinstance(msg, Quit):
-                self.downstream_aborted = True
-                self._drop()
-                return False
-            if isinstance(msg, Get):
-                return (yield from self._serve_handshake(msg.offset))
-            raise ChannelClosed(f"expected GET/QUIT after FORGET, got {msg!r}")
-        except (ChannelTimeout, ChannelClosed) as exc:
-            self._mark_dead(self.target, f"handshake-lost: {exc}")
-            self._drop()
-            return False
-
-    # -- public ops ---------------------------------------------------------
-
-    def try_send_data(self, offset: int, payload: bytes) -> bool:
-        """Synchronous fast path for :meth:`send_data`.
-
-        Covers the steady state — connected, in order, window open —
-        without allocating the sub-generator chain.  Returns False when
-        the caller must fall back to ``yield from send_data(...)``
-        (reconnect, replayed data, stalled window); a dead channel is
-        marked/dropped here so the slow path starts at failover, exactly
-        where the generator's own exception handler would land.
-        """
-        if self.end is None or self.downstream_aborted:
-            return False
-        n = len(payload)
-        end_off = offset + n
-        if self.sent_offset >= end_off:
-            return True
-        try:
-            if self.end.try_send(Data(offset, n), payload):
-                self.sent_offset = end_off
-                return True
-        except ChannelClosed as exc:
-            self._mark_dead(self.target, str(exc))
-            self._drop()
-        return False
-
-    def send_data(self, offset: int, payload: bytes):
-        while True:
-            if self.end is not None and not self.downstream_aborted:
-                ok = True      # connected: skip the sub-generator
-            else:
-                ok = yield from self._ensure_connected()
-            if not ok:
-                return False
-            if self.sent_offset >= offset + len(payload):
-                return True
-            try:
-                yield from self._send_frame(Data(offset, len(payload)),
-                                            payload)
-                self.sent_offset = offset + len(payload)
-                return True
-            except ChannelClosed as exc:
-                self._mark_dead(self.target, str(exc))
-                self._drop()
-
-    def finish(self, *, total: int, quit_first: bool):
-        while True:
-            ok = yield from self._ensure_connected()
-            if not ok:
-                return "tail"
-            try:
-                report_bytes = self.state.report.encode()
-                yield from self._send_frame(Quit() if quit_first
-                                            else End(total))
-                yield from self._send_frame(Report(len(report_bytes)),
-                                            report_bytes)
-                msg, _ = yield from self._recv_gated("awaiting PASSED")
-                if isinstance(msg, Passed):
-                    return "passed"
-                if isinstance(msg, Quit):
-                    self.downstream_aborted = True
-                    self._drop()
-                    return "tail"
-                raise ChannelClosed(f"expected PASSED, got {msg!r}")
-            except (ChannelTimeout, ChannelClosed) as exc:
-                self._mark_dead(self.target, str(exc))
-                self._drop()
-
-    def send_quit_best_effort(self) -> None:
-        if self.end is not None:
-            try:
-                self.end.send(Quit())
-            except ChannelClosed:
-                pass
-        self._drop()
-
-
-class ProtoHead(ProtoNode):
-    """The sending node."""
-
-    def __init__(self, name, plan, hub, config, engine, source: Source):
-        super().__init__(name, plan, hub, config, engine)
-        self.source = source
-        self.state = NodeTransferState(name, config,
-                                       source_kind=source.kind)
-        self.link = ProtoLink(self, self.state)
-        self.final_report: Optional[TransferReport] = None
-        self._ring_event = engine.event(name=f"ring:{name}")
-
-    def serve_special(self, kind: bytes, end):
-        if kind == PGET_CONN:
-            yield from self._serve_pget(end)
-        else:
-            yield from self._handle_ring(end)
-
-    def _serve_pget(self, end):
-        cfg = self.config
-        try:
-            msg, _ = yield from end.recv(
-                timeout=cfg.io_timeout + cfg.connect_timeout)
-            if not isinstance(msg, PGet):
-                raise ChannelClosed(f"expected PGET, got {msg!r}")
-            self.engine.trace(tracing.PGET, self.name, offset=msg.offset,
-                              detail=f"serve until={msg.until}")
-            offer = self.state.answer_pget(msg.offset, msg.until)
-            if offer.kind is OfferKind.FORGET:
-                end.send(Forget(offer.resume_at))
-                return
-            pos = msg.offset
-            while pos < msg.until:
-                size = min(cfg.chunk_size, msg.until - pos)
-                piece = self.source.read_range(pos, size)
-                yield from end.send_wait(Data(pos, len(piece)), piece,
-                                         timeout=cfg.report_timeout)
-                pos += len(piece)
-        except (ChannelTimeout, ChannelClosed):
-            pass
-        finally:
-            end.close()
-
-    def _handle_ring(self, end):
-        cfg = self.config
-        try:
-            msg, payload = yield from end.recv(
-                timeout=cfg.io_timeout + cfg.connect_timeout)
-            if isinstance(msg, Report):
-                self.final_report = TransferReport.decode(payload)
-                self.engine.trace(tracing.REPORT, self.name,
-                                  detail="ring-closure")
-                end.send(Passed())
-                if not self._ring_event.triggered:
-                    self._ring_event.succeed(None)
-        except (ChannelTimeout, ChannelClosed):
-            pass
-        finally:
-            end.close()
-
-    def run(self):
-        cfg = self.config
-        state = self.state
-        while True:
-            chunk = self.source.read_chunk(cfg.chunk_size)
-            if not chunk:
-                break
-            off = state.offset
-            state.on_data(off, chunk)
-            if self.engine.tracer.enabled:
-                self.engine.trace(tracing.CHUNK, self.name, offset=off,
-                                  detail=f"read {len(chunk)}")
-            if self.link.try_send_data(off, chunk):
-                delivered = True
-            else:
-                delivered = yield from self.link.send_data(off, chunk)
-            if not delivered:
-                break
-        total = state.offset
-        state.on_end(total)
-        state.attach_source_digest()
-        outcome = yield from self.link.finish(total=total, quit_first=False)
-        if outcome == "passed" and not self._ring_event.triggered:
-            # Bounded wait for the tail's ring connection.
-            token = self.engine.call_after(
-                cfg.report_timeout,
-                lambda: self._ring_event.succeed(None)
-                if not self._ring_event.triggered else None,
-            )
-            yield self._ring_event
-            self.engine._cancel_timeout(token)
-        if self.final_report is None:
-            self.final_report = state.report
-        self.link._drop()       # process exit closes the data connection
-        self.ok = outcome == "passed"
-        self.bytes_received = total
-        self.engine.trace(tracing.DONE, self.name, offset=total,
-                          detail="ok" if self.ok else "failed")
-        self.done = True
-
-
-class ProtoReceiver(ProtoNode):
-    """A receiving node: stores and forwards."""
-
-    def __init__(self, name, plan, hub, config, engine, sink: Sink,
-                 crash_gate=None):
-        super().__init__(name, plan, hub, config, engine)
-        self.sink = sink
-        self.crash_gate = crash_gate
-        self.state = NodeTransferState(name, config)
-        self.link = ProtoLink(self, self.state)
-        self.upstream = None
-
-    # -- helpers ------------------------------------------------------------
-
-    def _consume_chunk_fast(self, offset: int, payload: bytes) -> bool:
-        """Store + forward one chunk without touching the engine.
-
-        The synchronous twin of :meth:`_consume_chunk`: does everything
-        except the blocking downstream send, and returns False when that
-        slow path is needed (caller falls back to
-        ``yield from _forward_slow(...)``).  In the pipelined steady
-        state this is the entire per-chunk receiver path — no generator
-        is allocated at all.
-        """
-        state = self.state
-        state.on_data(offset, payload)
-        engine = self.engine
-        if engine.tracer.enabled:
-            engine.trace(tracing.CHUNK, self.name, offset=offset,
-                         detail=f"recv {len(payload)}")
-        self.sink.write_chunk(payload)
-        self.bytes_received = state.buffer.end_offset
-        if not self.link.try_send_data(offset, payload):
-            return False
-        gate = self.crash_gate
-        if gate is not None:
-            mode = gate(state.offset)
-            if mode is not None:
-                raise CrashNow(mode)
-        return True
-
-    def _forward_slow(self, offset: int, payload: bytes):
-        """The blocking tail of chunk consumption (send stalled/failover)."""
-        yield from self.link.send_data(offset, payload)
-        if self.crash_gate is not None:
-            mode = self.crash_gate(self.state.offset)
-            if mode is not None:
-                raise CrashNow(mode)
-
-    def _consume_chunk(self, offset: int, payload: bytes):
-        if not self._consume_chunk_fast(offset, payload):
-            yield from self._forward_slow(offset, payload)
-
-    def _fetch_hole(self, until: int):
-        cfg = self.config
-        self.engine.trace(tracing.PGET, self.name, peer=self.plan.head,
-                          offset=self.state.offset, detail=f"until={until}")
-        try:
-            end = yield from self.hub.connect(
-                self.name, self.plan.head, PGET_CONN)
-        except ChannelClosed:
-            return False
-        try:
-            end.send(PGet(self.state.offset, until))
-            while self.state.offset < until:
-                msg, payload = yield from end.recv(timeout=cfg.report_timeout)
-                if isinstance(msg, Forget):
-                    return False
-                if not isinstance(msg, Data):
-                    return False
-                yield from self._consume_chunk(msg.offset, payload)
-            return True
-        except (ChannelTimeout, ChannelClosed):
-            return False
-        finally:
-            end.close()
-
-    def _hard_abort(self, reason: str):
-        self.engine.trace(tracing.QUIT, self.name,
-                          offset=self.state.offset, detail=reason)
-        if self.upstream is not None:
-            try:
-                self.upstream.send(Quit())
-            except ChannelClosed:
-                pass
-        self.link.send_quit_best_effort()
-        self.sink.abort()
-        self.error = reason
-        if self.upstream is not None:
-            self.upstream.close()
-        self.done = True
-
-    # -- main loop ------------------------------------------------------------
-
-    def run(self):
-        cfg = self.config
-        state = self.state
-        engine = self.engine
-        io_timeout = cfg.io_timeout
-        upstream_report: Optional[bytes] = None
-        last_progress = engine.now
-
-        while True:
-            if upstream_report is not None and state.phase is Phase.ENDED:
-                break
-            if self.upstream is None:
-                try:
-                    self.upstream = yield from self.await_data_conn(
-                        cfg.report_timeout)
-                except ChannelTimeout:
-                    self._hard_abort("no upstream connection arrived")
-                    return
-                try:
-                    self.upstream.send(Get(state.offset))
-                    self.engine.trace(tracing.CONNECT, self.name,
-                                      offset=state.offset, detail="upstream")
-                except ChannelClosed:
-                    self.upstream = None
-                last_progress = self.engine.now
-                continue
-            try:
-                # Inlined recv: poll, then yield the endpoint's armed
-                # arrival event directly — no sub-generator per blocked
-                # receive on the hottest loop in the simulator.  The
-                # post-wake inbox pop is inlined too (recv_nowait stays
-                # for the empty/closed cases, where it raises or loops).
-                upstream = self.upstream
-                inbox = upstream.inbox
-                item = upstream.recv_nowait()
-                while item is None:
-                    arrival = upstream.recv_begin(io_timeout)
-                    try:
-                        yield arrival
-                    finally:
-                        upstream.recv_finish()
-                    if inbox:
-                        msg, payload = inbox.popleft()
-                        upstream.inbox_bytes -= _HEADER_BYTES + len(payload)
-                        if upstream._drain_waiter is not None:
-                            upstream._wake_drainer()
-                        break
-                    item = upstream.recv_nowait()
-                else:
-                    msg, payload = item
-            except ChannelTimeout:
-                replacement = self.poll_data_conn()
-                if replacement is not None:
-                    self.upstream.close()
-                    self.upstream = replacement
-                    try:
-                        self.upstream.send(Get(state.offset))
-                        self.engine.trace(tracing.CONNECT, self.name,
-                                          offset=state.offset,
-                                          detail="upstream-replaced")
-                    except ChannelClosed:
-                        self.upstream = None
-                    last_progress = self.engine.now
-                elif self.engine.now - last_progress > cfg.report_timeout:
-                    self._hard_abort("upstream silent beyond deadline")
-                    return
-                continue
-            except ChannelClosed:
-                self.upstream.close()
-                self.upstream = None
-                continue
-            last_progress = engine.now
-
-            if msg.__class__ is Data:
-                # Fully inlined _consume_chunk_fast: store + forward one
-                # chunk without a single avoidable call.  The guarded
-                # ``buffer.append`` IS ``state.on_data`` for the in-order
-                # streaming case; anything unusual (gap, ended stream,
-                # digest mode) takes the full protocol-checked path.
-                offset = msg.offset
-                buffer = state.buffer
-                if (offset == buffer.end_offset
-                        and state.phase is Phase.STREAMING
-                        and state._hasher is None):
-                    buffer.append(payload)
-                else:
-                    state.on_data(offset, payload)
-                if engine.tracer.enabled:
-                    engine.trace(tracing.CHUNK, self.name, offset=offset,
-                                 detail=f"recv {len(payload)}")
-                self.sink.write_chunk(payload)
-                self.bytes_received = buffer.end_offset
-                if not self.link.try_send_data(offset, payload):
-                    yield from self._forward_slow(offset, payload)
-                else:
-                    gate = self.crash_gate
-                    if gate is not None:
-                        mode = gate(buffer.end_offset)
-                        if mode is not None:
-                            raise CrashNow(mode)
-            elif isinstance(msg, End):
-                if state.phase is Phase.STREAMING:
-                    state.on_end(msg.total)
-                # duplicate END from a rerouted upstream: ignore
-            elif isinstance(msg, Report):
-                upstream_report = payload
-                self.engine.trace(tracing.REPORT, self.name, detail="upstream")
-            elif isinstance(msg, Forget):
-                self.engine.trace(tracing.FORGET, self.name,
-                                  offset=msg.min_offset, detail="received")
-                recovered = yield from self._fetch_hole(msg.min_offset)
-                if not recovered:
-                    self._hard_abort("data lost beyond recovery (FORGET)")
-                    return
-                try:
-                    self.upstream.send(Get(state.offset))
-                except ChannelClosed:
-                    self.upstream.close()
-                    self.upstream = None
-            elif isinstance(msg, Quit):
-                self.engine.trace(tracing.QUIT, self.name,
-                                  offset=state.offset, detail="received")
-                state.on_quit()
-                try:
-                    rmsg, rpayload = yield from self.upstream.recv(
-                        timeout=cfg.io_timeout)
-                except (ChannelTimeout, ChannelClosed):
-                    self._hard_abort("upstream quit without report")
-                    return
-                if isinstance(rmsg, Report):
-                    upstream_report = rpayload
-                    break
-                self._hard_abort("upstream quit without report")
-                return
-            else:
-                self._hard_abort(f"unexpected {msg!r} from upstream")
-                return
-
-        aborted = state.phase is Phase.ABORTED
-        state.merge_upstream_report(upstream_report)
-        digest_ok = state.verify_against_report()
-        if digest_ok is False:
-            state.record_failure(self.name, "digest-mismatch")
-            self.error = "stored data failed digest verification"
-        outcome = yield from self.link.finish(
-            total=state.offset, quit_first=aborted)
-        if outcome == "tail":
-            yield from self._ring_deliver(state.report.encode())
-        self.ok = not aborted and state.complete and digest_ok is not False
-        # DONE before acknowledging upstream, mirroring the runtime: the
-        # PASSED wave orders DONE events causally tail -> head.
-        self.engine.trace(tracing.DONE, self.name, offset=state.offset,
-                          detail="ok" if self.ok else "failed")
-        if self.upstream is not None:
-            try:
-                self.upstream.send(Passed())
-            except ChannelClosed:
-                pass
-            self.upstream.close()
-        self.link._drop()       # process exit closes the data connection
-        state.on_passed()
-        if aborted:
-            self.sink.abort()
-        else:
-            self.sink.finish()
-        self.done = True
-
-    def _ring_deliver(self, report_bytes: bytes):
-        cfg = self.config
-        try:
-            end = yield from self.hub.connect(
-                self.name, self.plan.head, RING_CONN)
-        except ChannelClosed:
-            return
-        try:
-            end.send(Report(len(report_bytes)), report_bytes)
-            yield from end.recv(timeout=cfg.report_timeout)
-        except (ChannelTimeout, ChannelClosed):
-            pass
-        finally:
-            end.close()
+            node.on_connection(kind, SimStream(end))

@@ -14,27 +14,11 @@ from typing import Dict, List, Optional
 from ..core.errors import KascadeError
 from ..core.plan import ChainPlan
 from ..core.recovery import SourceKind
-from ..core.report import TransferReport
+from ..core.report import NodeOutcome, TransferReport
 from ..core.tracing import TraceCollector
 
 __all__ = ["BroadcastResult", "CrashPlan", "NodeOutcome",
            "check_head_failover"]
-
-
-@dataclass
-class NodeOutcome:
-    """What one node reports after the broadcast (or its own death)."""
-
-    name: str
-    ok: bool = False
-    bytes_received: int = 0
-    crashed: bool = False
-    error: Optional[str] = None
-    failures_detected: List = field(default_factory=list)
-    #: SHA-256 of the payload as stored, when the backend computed one
-    #: (the process backend always does; the thread backend only via a
-    #: hashing sink the caller supplied).
-    digest: Optional[str] = None
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,11 @@ from .engine import _CALL, Engine, Event, Timeout
 _HEADER_BYTES = 32  # generous per-message framing cost
 
 
-class ChannelClosed(KascadeError):
+class ChannelClosed(KascadeError, ConnectionError):
     """The peer closed the connection or its host died (TCP reset)."""
 
 
-class ChannelTimeout(KascadeError):
+class ChannelTimeout(KascadeError, TimeoutError):
     """No message arrived within the receive timeout."""
 
 

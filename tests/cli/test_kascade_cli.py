@@ -94,6 +94,25 @@ class TestDemo:
         rc = main(["demo", "-n", "2", "-i", str(src)])
         assert rc == 0
 
+    @pytest.mark.parametrize("argv, why", [
+        (["-n", "2", "-i", "{missing}"], "No such file"),
+        (["-n", "0", "-i", "{present}"], "at least one receiver"),
+    ])
+    def test_demo_refuses_in_one_line_with_status_2(self, tmp_path, capsys,
+                                                    argv, why):
+        """A missing input or an empty pipeline is refused the way
+        argparse refuses a bad option, not by a traceback."""
+        present = tmp_path / "x.bin"
+        present.write_bytes(b"z" * 100)
+        argv = [a.format(missing=tmp_path / "absent.bin", present=present)
+                for a in argv]
+        with pytest.raises(SystemExit) as exit_:
+            main(["demo", *argv])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("kascade demo: error: ") and why in err[0]
+
     def test_demo_striped_to_files(self, tmp_path, capsys):
         src = tmp_path / "payload.bin"
         src.write_bytes(bytes((i * 31) % 256 for i in range(300_000)))

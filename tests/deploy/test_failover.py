@@ -28,8 +28,12 @@ FAST = KascadeConfig(
     report_timeout=6.0,
 )
 
-PROCS = dict(backend="procs", config=FAST, timeout=90.0,
-             progress_every=128 * 1024, startup_timeout=20.0)
+#: Real processes get a paced head (8 MiB in 0.5 s), as in
+#: ``test_detach_latency.py``: unpaced, the whole stream can sit in
+#: socket buffers before the SIGKILL for "2 MiB in" is even sent, and
+#: the head then dies *after* streaming — a different scenario.
+PROCS = dict(backend="procs", config=FAST.with_(bandwidth_limit=16 << 20),
+             timeout=90.0, progress_every=128 * 1024, startup_timeout=20.0)
 
 #: Shared topology for the failover runs: head n1 + five receivers,
 #: head killed a quarter of the way through an 8 MiB transfer.

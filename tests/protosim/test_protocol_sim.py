@@ -212,39 +212,18 @@ class TestFuzz:
 
 class TestTierEquivalence:
     def test_same_scenario_as_real_runtime(self):
-        """The protocol sim and the real TCP runtime agree on outcomes
-        for a fixed failure scenario (who fails, who completes, bytes)."""
-        from repro.runtime import CrashPlan, LocalBroadcast
+        """The protocol sim and the real TCP runtime agree on a fixed
+        failure scenario — who fails, who completes, every byte and
+        every milestone: one row of the driver-conformance table
+        (``tests/test_driver_conformance.py``), where the other
+        scenarios of this file are held to the same."""
+        from tests.test_driver_conformance import SCENARIOS, check
 
-        size = 512 * 1024
-        runtime_cfg = KascadeConfig(
-            chunk_size=16 * 1024, buffer_chunks=8,
-            io_timeout=0.25, ping_timeout=0.2, connect_timeout=0.5,
-            report_timeout=6.0, verify_digest=True,
-        )
-        receivers = ["n2", "n3", "n4", "n5"]
-        crash_at = size // 4
-
-        rt_sinks = {}
-        rt = LocalBroadcast(
-            PatternSource(size, seed=9), receivers,
-            sink_factory=lambda n: rt_sinks.setdefault(n, HashingSink()),
-            config=runtime_cfg,
-            crashes=[CrashPlan("n4", after_bytes=crash_at)],
-        ).run(timeout=60)
-
-        ps_sinks = {}
-        ps = ProtoBroadcast(
-            PatternSource(size, seed=9), receivers,
-            sink_factory=lambda n: ps_sinks.setdefault(n, HashingSink()),
-            config=runtime_cfg,
-            crashes=[ProtoCrash("n4", after_bytes=crash_at)],
-        ).run()
-
-        assert rt.ok and ps.ok
-        assert set(rt.report.failed_nodes) == set(ps.report.failed_nodes) == {"n4"}
-        for name in ("n2", "n3", "n5"):
-            assert rt_sinks[name].hexdigest() == ps_sinks[name].hexdigest()
+        stories = check(SCENARIOS["mid_chain_close_crash"])
+        for story in stories.values():
+            assert story.failures == [("n4", "n3")]
+            assert story.milestones["n3"][0] == "failover"
+            assert story.milestones["n3"][-1] == "done"
 
 
 class TestTimeBasedCrashes:

@@ -9,13 +9,24 @@ stays exactly one FAILOVER and one ELECTION.
 
 import hashlib
 import queue
+import socket
 import threading
 import time
 
 import pytest
 
 from repro import run_broadcast
-from repro.core import KascadeConfig, PatternSource, SourceKind, TransferAborted
+from repro.core import (
+    Data,
+    End,
+    Get,
+    KascadeConfig,
+    PatternSource,
+    Report,
+    SourceKind,
+    TransferAborted,
+    encode_header,
+)
 from repro.core import tracing
 from repro.core.node_state import NodeTransferState
 from repro.core.pipeline import PipelinePlan
@@ -26,7 +37,9 @@ from repro.runtime import CrashPlan, LocalBroadcast
 from repro.runtime.links import DownstreamLink
 from repro.runtime.node import ReceiverNode
 from repro.runtime.registry import Registry
-from repro.runtime.transport import DATA_CONN, Listener, connect
+from repro.runtime.transport import DATA_CONN, Listener, WriteStalled, connect
+
+from .test_links import ScriptedPeer
 
 
 def buffer_sinks():
@@ -208,3 +221,162 @@ class TestReplacementUpstream:
         assert len(n3_upstreams) == 1
         payload = source.expected_bytes(0, size)
         assert sinks["n3"].getvalue() == payload
+
+
+class _WatchedSink(BufferSink):
+    """Records what was done *to* the sink besides writing."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def finish(self):
+        self.calls.append("finish")
+
+    def abort(self):
+        self.calls.append("abort")
+
+    def close(self):
+        self.calls.append("close")
+
+
+class TestDetachWakesEveryWait:
+    """``begin_failover()`` ends whichever wait the main loop is in —
+    not only the upstream read and the inbox, but a read on the
+    *downstream* link, a flush against a full window and the start-up
+    dial — without a verdict and without touching the sink.  Timeouts
+    are 5 s throughout: a node that sat one out fails the 0.3 s bound."""
+
+    CONFIG = KascadeConfig(chunk_size=64 * 1024, buffer_chunks=8,
+                           io_timeout=5.0, ping_timeout=0.4,
+                           connect_timeout=5.0, report_timeout=20.0,
+                           sink_writeback_depth=0)
+
+    def _survivor(self, successor_address):
+        """n2 of n1 -> n2 -> n3, started, with this test as its upstream."""
+        listener = Listener()
+        plan = ChainPlan.single("n1", ("n2", "n3")).stripe(0)
+        registry = Registry({"n1": listener.address, "n2": listener.address,
+                             "n3": successor_address})
+        sink, tracer = _WatchedSink(), TraceCollector()
+        node = ReceiverNode("n2", plan, registry, listener, self.CONFIG,
+                            sink, tracer=tracer)
+        node.start()
+        upstream = connect(listener.address, DATA_CONN, timeout=2.0)
+        msg, _ = upstream.recv_message(2.0)
+        assert msg.offset == 0
+        return node, sink, tracer, upstream
+
+    @staticmethod
+    def _frames(first, count, size):
+        return b"".join(
+            encode_header(Data(i * size, size)) + bytes([i % 251]) * size
+            for i in range(first, first + count))
+
+    @staticmethod
+    def _parked(node, where, deadline=5.0):
+        """Wait until the main loop is blocked on its downstream stream,
+        in the direction ``where`` (reading or writing)."""
+        until = time.monotonic() + deadline
+        while time.monotonic() < until:
+            stream = node.link.stream
+            if stream is not None and node.port._blocked == (stream.raw, where):
+                time.sleep(0.05)  # inside the system call, not just before it
+                return
+            time.sleep(0.005)
+        raise AssertionError("the node never reached the wait under test")
+
+    def _detach(self, node, sink, tracer, *, sink_calls):
+        began = time.monotonic()
+        node.begin_failover()
+        node.join(timeout=5.0)
+        waited = time.monotonic() - began
+        assert not node.thread.is_alive()
+        assert waited < 0.3, f"detach took {waited:.2f}s"
+        assert "detached for failover" in node.outcome.error
+        assert tracer.of_type(FAILOVER) == []
+        assert node.state.report.failures == []
+        assert node.link.dead == set()
+        assert sink.calls == sink_calls
+        node.close_connections()
+
+    def test_parked_awaiting_passed_on_its_downstream(self):
+        """The whole stream is stored and forwarded; the successor never
+        says PASSED."""
+        def mute(peer, kind, stream):
+            stream.send_message(Get(0), timeout=1.0)
+            while True:
+                msg, _payload = stream.recv_message(10.0)
+                if isinstance(msg, Report):
+                    peer.parked = stream  # kept open, never answered
+                    return True
+
+        successor = ScriptedPeer(mute)
+        node, sink, tracer, upstream = self._survivor(successor.address)
+        try:
+            size = self.CONFIG.chunk_size
+            report = node.state.report.encode()
+            upstream.send_raw(
+                self._frames(0, 4, size) + encode_header(End(4 * size))
+                + encode_header(Report(len(report))) + report, timeout=2.0)
+            self._parked(node, socket.SHUT_RD)
+            # Storage was settled before the report went down; a detach
+            # must not undo that.
+            self._detach(node, sink, tracer, sink_calls=["finish"])
+            assert sink.bytes_written == 4 * size
+        finally:
+            node.shutdown()
+            upstream.close()
+            successor.close()
+
+    def test_parked_in_a_flush_against_a_full_window(self):
+        """The successor handshakes and then reads nothing: the relay's
+        flush blocks on a full socket."""
+        def deaf(peer, kind, stream):
+            stream._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            stream.send_message(Get(0), timeout=1.0)
+            peer.parked = stream
+            return True
+
+        successor = ScriptedPeer(deaf)
+        node, sink, tracer, upstream = self._survivor(successor.address)
+        size = self.CONFIG.chunk_size
+
+        def feed():
+            try:
+                for first in range(0, 512, 4):  # up to 32 MiB
+                    upstream.send_raw(self._frames(first, 4, size), timeout=0.5)
+            except (WriteStalled, ConnectionError):
+                pass
+
+        feeder = threading.Thread(target=feed, daemon=True)
+        feeder.start()
+        try:
+            self._parked(node, socket.SHUT_WR, 15.0)
+            self._detach(node, sink, tracer, sink_calls=[])
+        finally:
+            node.shutdown()
+            feeder.join(timeout=5.0)
+            upstream.close()
+            successor.close()
+
+    def test_parked_dialling_a_successor_that_is_not_up_yet(self):
+        """Nobody listens at n3's address yet: the link is inside its
+        start-up window, between two refused connects."""
+        reserved = Listener()
+        address = reserved.address
+        reserved.close()
+        node, sink, tracer, upstream = self._survivor(address)
+        try:
+            upstream.send_raw(self._frames(0, 1, self.CONFIG.chunk_size),
+                              timeout=2.0)
+            until = time.monotonic() + 5.0
+            while node.state.offset == 0 and time.monotonic() < until:
+                time.sleep(0.005)
+            time.sleep(0.3)  # several back-offs in: naps are 0.1 s by now
+            assert node.thread.is_alive() and node.link.stream is None
+            self._detach(node, sink, tracer, sink_calls=[])
+            assert sink.bytes_written == self.CONFIG.chunk_size
+        finally:
+            node.shutdown()
+            upstream.close()

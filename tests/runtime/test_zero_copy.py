@@ -306,18 +306,18 @@ class TestHeadRun:
         every byte n2 read from its upstream, and the ``(first_offset,
         chunk sizes)`` of every run the head handed its link."""
         from repro.core import HashingSink
+        from repro.core.engine import Link
         from repro.runtime import LocalBroadcast
-        from repro.runtime.links import DownstreamLink
         from repro.runtime.node import ReceiverNode
 
         decoders, wire, runs = [], bytearray(), []
         adopt = ReceiverNode._adopt_upstream
         written = FrameDecoder.bytes_written
-        send_run = DownstreamLink.send_run
+        send_run = Link.send_run
 
         def spy_adopt(node, stream, detail):
             if node.name == "n2":
-                decoders.append(stream._decoder)
+                decoders.append(stream.raw._decoder)
             return adopt(node, stream, detail)
 
         def spy_written(dec, n):
@@ -332,7 +332,7 @@ class TestHeadRun:
 
         monkeypatch.setattr(ReceiverNode, "_adopt_upstream", spy_adopt)
         monkeypatch.setattr(FrameDecoder, "bytes_written", spy_written)
-        monkeypatch.setattr(DownstreamLink, "send_run", spy_send_run)
+        monkeypatch.setattr(Link, "send_run", spy_send_run)
         sinks = {}
 
         def factory(name):

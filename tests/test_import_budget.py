@@ -37,6 +37,13 @@ assert main(["agent", "--coordinator", "127.0.0.1:1", "--name", "n2",
 import repro.cli.kascade, repro.session, repro.deploy.coordinator
 """,
     "daemon_server": "import repro.session, repro.daemon.server",
+    # A whole threaded broadcast in this process: every node runs the
+    # protocol engine, none of them needs a simulator to do it.
+    "local_run": """
+from repro import run_broadcast
+from repro.core.sources import BytesSource
+assert run_broadcast(BytesSource(b"x" * 5000), ["n2", "n3"]).ok
+""",
 }
 
 CONTROL_SIDE = ("repro.deploy.coordinator", "repro.deploy.launcher",
@@ -46,8 +53,8 @@ CONTROL_SIDE = ("repro.deploy.coordinator", "repro.deploy.launcher",
 DATA_PLANE = ("repro.runtime.node", "repro.runtime.links",
               "repro.runtime.transport", "repro.runtime.host",
               "repro.runtime.cluster", "repro.runtime.evloop",
-              "repro.core.framing", "repro.core.stages", "repro.core.stripes",
-              "repro.core.cache")
+              "repro.core.engine", "repro.core.framing", "repro.core.stages",
+              "repro.core.stripes", "repro.core.cache")
 
 #: role -> (prefixes that must be absent, most ``repro`` modules allowed).
 BUDGET = {
@@ -90,3 +97,15 @@ def test_role_module_count(loaded, role):
     ours = [m for m in loaded[role] if m.split(".")[0] == "repro"]
     assert len(ours) <= ceiling, (
         f"{role} loads {len(ours)} repro modules, budget {ceiling}: {ours}")
+
+
+@pytest.mark.parametrize("role", sorted(PROBES))
+def test_only_the_simulator_loads_a_simulator(loaded, role):
+    """The protocol engine lives in ``repro.core`` so that running it
+    on sockets compiles no DES: ``repro.simnet`` and ``repro.protosim``
+    load for ``kascade-sim`` and ``backend="simnet"`` and nobody else."""
+    strays = [m for m in loaded[role]
+              if m.startswith(("repro.simnet", "repro.protosim"))]
+    assert not strays, f"{role} loaded {strays}"
+    if role in ("agent", "cached_agent", "local_run"):
+        assert "repro.core.engine" in loaded[role]

@@ -494,6 +494,12 @@ class Node:
         else:
             stream.close()
 
+    def close_connections(self) -> None:
+        """Owner's call, once the main loop has exited: stop listening
+        and close every data connection."""
+        self.port.close()
+        self.link.close()
+
     def answer_ping(self, stream):
         """Liveness probe: answer and close (§III-D1)."""
         timeout = self.config.ping_timeout
@@ -696,6 +702,10 @@ class Head(Node):
     def _source_drained(self) -> None:
         """Driver hook: streaming is over, only PGET service reads on."""
 
+    def close_connections(self) -> None:
+        self._source_drained()
+        super().close_connections()
+
 
 class Receiver(Node):
     """A receiving node: stores the stream and forwards it downstream."""
@@ -780,6 +790,10 @@ class Receiver(Node):
         if self.upstream is not None:
             self.upstream.close()
             self.upstream = None
+
+    def close_connections(self) -> None:
+        self._drop_upstream()
+        super().close_connections()
 
     # -- recovery: PGET hole fetch ----------------------------------------
 

@@ -1,10 +1,10 @@
 """Protocol-exact simulation: the Kascade node of
 :mod:`repro.core.engine` — the generators the threaded runtime drives,
 not a port of them — run as deterministic DES processes on a simulated
-network (:mod:`.node`: the DES port; :mod:`.broadcast`: orchestration
-and crash injection).
+network (:mod:`.node`: the DES port; :mod:`.broadcast`: the shared run,
+:class:`repro.runtime.cluster.Broadcast`, driven on the DES).
 
-One node on two ports, and a fluid model beside them:
+One node on two ports, one run on two drivers, and a fluid model beside:
 
 ========================  ==========================  ====================
 tier                      substrate                   what it is for

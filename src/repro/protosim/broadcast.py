@@ -1,35 +1,39 @@
-"""Orchestration of protocol-exact simulated broadcasts.
+"""The broadcast, driven on the DES: protocol-exact simulated runs.
 
-:class:`ProtoBroadcast` mirrors :class:`repro.runtime.LocalBroadcast`:
-build a pipeline, run it, inject crashes — but on the DES, so failure
-timing is *exact* (down to the simulated microsecond and byte offset)
-and every run is perfectly reproducible.
+:class:`ProtoBroadcast` is :class:`repro.runtime.cluster.Broadcast` —
+the run :class:`~repro.runtime.LocalBroadcast` also is: same plan, same
+fault validation, same hosts, same head re-root, same result fold — on
+one :class:`~repro.simnet.engine.Engine` and one
+:class:`~repro.simnet.channels.SimNetHub`, so failure timing is *exact*
+(down to the simulated microsecond and byte offset) and every run is
+perfectly reproducible.  What is about the DES is here: a node is an
+engine ``Head``/``Receiver`` on a :class:`~.node.SimPort`, started by
+spawning its acceptor and main loop, waited for by running the engine,
+detached or crashed by killing its processes; ``at_time`` kills, the raw
+message log and the ``sim_*`` counters are this driver's extras.
 
-Striping (``config.stripes > 1`` or a multi-stripe ``plan``) runs one
-chain instance per (host, stripe) on a single shared hub and engine.
-Instances are registered under suffixed names (``n2@s1``); results are
-aggregated back to host names.  Because every :class:`~repro.simnet.
-channels.SimChannel` models its own link bandwidth, ``k`` interleaved
-chains really do move ``k`` links' worth of bytes per simulated second —
-this backend is where the predicted k-way speedup is validated before
-trusting TCP numbers.
+A striped run has one chain instance per (host, stripe), all on the one
+hub under suffixed names (``n2@s1``, what the message log shows).
+Because every :class:`~repro.simnet.channels.SimChannel` models its own
+link bandwidth, ``k`` interleaved chains really do move ``k`` links'
+worth of bytes per simulated second — this backend is where the
+predicted k-way speedup is validated before trusting TCP numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import List, Optional, Sequence
 
-from ..core.config import DEFAULT_CONFIG, KascadeConfig
 from ..core.engine import Head, InjectedCrash, Receiver
 from ..core.errors import KascadeError
 from ..core.perfstats import get_stats
 from ..core.plan import ChainPlan, StripePlan
-from ..core.report import FailureRecord, TransferReport
-from ..core.sinks import NullSink, Sink
-from ..core.sources import Source
-from ..core.stripes import StripeMergeSink, StripeSource
 from ..core.tracing import NULL_TRACER, TraceCollector
+from ..runtime.cluster import Broadcast
+from ..runtime.host import Host
+from ..runtime.result import BroadcastResult
 from ..simnet.channels import SimNetHub
 from ..simnet.engine import Engine
 from .node import SimPort, SimTracer
@@ -39,11 +43,8 @@ from .node import SimPort, SimTracer
 class ProtoCrash:
     """Kill ``node`` either when it has stored ``after_bytes``
     (byte-exact, triggered from inside its receive path) or at simulated
-    time ``at_time`` (wall-clock-exact, triggered externally).
-
-    On a striped run the crash is host-level: ``after_bytes`` counts the
-    host's aggregate across stripes and the death takes every one of
-    its chain instances down, like one OS process dying."""
+    time ``at_time`` (wall-clock-exact, triggered externally) — the
+    host, as every crash plan: on a striped run all its chain instances."""
 
     node: str
     after_bytes: Optional[int] = None
@@ -58,95 +59,137 @@ class ProtoCrash:
 
 
 @dataclass
-class ProtoResult:
-    """Outcome of one protocol-exact broadcast (host-level keys)."""
+class ProtoResult(BroadcastResult):
+    """The shared fold (what ``run_broadcast`` returns for
+    ``backend="simnet"``), read in the simulator's terms as well:
+    ``perfstats`` is the counter deltas over the run — what a simulation
+    moves is the kernel's own (``sim_events_processed``,
+    ``sim_cancelled_skips``, ``solver_rounds``, ``solver_full_rebuilds``)
+    — bar ``sim_heap_peak``, the process high-water mark."""
 
-    ok: bool
-    sim_time: float
-    total_bytes: int
-    report: TransferReport
-    node_ok: Dict[str, bool] = field(default_factory=dict)
-    node_bytes: Dict[str, int] = field(default_factory=dict)
-    node_errors: Dict[str, Optional[str]] = field(default_factory=dict)
-    crashed: List[str] = field(default_factory=list)
     #: Raw message trace when run with ``trace=True``:
     #: ``(time, src, dst, message, payload_len)`` tuples.
     message_log: Optional[List] = None
-    #: Structured event trace when a collector was passed to ``run``.
-    trace: Optional[TraceCollector] = None
-    #: Simulation-kernel counters for this run (``sim_events_processed``,
-    #: ``sim_cancelled_skips``, ``solver_rounds``, ``solver_full_rebuilds``
-    #: as per-run deltas; ``sim_heap_peak`` as the process high-water mark).
-    perfstats: Dict[str, int] = field(default_factory=dict)
+
+    sim_time = property(lambda self: self.duration)
+    node_ok = property(lambda self: {
+        name: o.ok for name, o in self.outcomes.items()})
+    node_bytes = property(lambda self: {
+        name: o.bytes_received for name, o in self.outcomes.items()})
+    node_errors = property(lambda self: {
+        name: o.error for name, o in self.outcomes.items()})
+    crashed = property(lambda self: [
+        name for name, o in self.outcomes.items() if o.crashed])
 
 
-class _AggregateGate:
-    """Host crash threshold over the sum of its stripes' bytes."""
-
-    def __init__(self, crash: ProtoCrash, stripes: int) -> None:
-        self._crash = crash
-        self._seen = [0] * stripes
-        self._fired = False
-
-    def for_stripe(self, stripe: int):
-        def gate(received: int) -> Optional[str]:
-            self._seen[stripe] = received
-            if self._fired or sum(self._seen) >= self._crash.after_bytes:
-                self._fired = True
-                return self._crash.mode
-            return None
-        return gate
+class HeadDown(Exception):
+    """Unwinds ``Engine.run`` at the instant a head instance dies: what
+    becomes of a headless chain is the run's decision, not the kernel's."""
 
 
-class ProtoBroadcast:
-    """One protocol-exact broadcast on the DES."""
+class SimHost(Host):
+    """A host on the DES: each chain instance is an acceptor process and
+    a main-loop process on its own :class:`SimPort`."""
 
-    def __init__(
-        self,
-        source: Source,
-        receivers: Sequence[str],
-        *,
-        sink_factory: Optional[Callable[[str], Sink]] = None,
-        config: KascadeConfig = DEFAULT_CONFIG,
-        head: str = "n1",
-        crashes: Sequence[ProtoCrash] = (),
-        plan: Optional[ChainPlan] = None,
-        bandwidth: float = 125e6,
-        latency: float = 1e-4,
-    ) -> None:
-        self.source = source
-        self.config = config
-        self.chain_plan = ChainPlan.resolve(
-            plan, head, receivers, stripes=config.stripes)
-        self.stripes = self.chain_plan.stripe_count
-        self.plan = self.chain_plan.stripe(0)
-        self.sink_factory = sink_factory or (lambda name: NullSink())
-        self.crashes = {c.node: c for c in crashes}
-        unknown = set(self.crashes) - set(self.plan.receivers)
-        if unknown:
-            raise KascadeError(f"crash plans for unknown nodes: {sorted(unknown)}")
+    def __init__(self, name: str, chain_plan: ChainPlan, hub: SimNetHub,
+                 config, **host) -> None:
+        self._hub = hub
+        super().__init__(name, chain_plan, config, **host)
+
+    def _make_node(self, label: str, plan: StripePlan, end, **kwargs):
+        port = SimPort(label, self._hub, suffix=label[len(self.name):])
+        return (Head if self.is_head else Receiver)(
+            self.name, plan, port, self.config, end, **kwargs)
+
+    def start(self) -> None:
+        for node in self.nodes.values():
+            node.port.spawn(node.port.acceptor(node), name="accept")
+            node.main = node.port.spawn(node.run(), name="node")
+            # A supervisor hook, not a try/except generator around
+            # ``node.run()``: a wrapper would cost a delegation hop on
+            # every resume of every node.
+            node.main.on_error = partial(self._absorb, node)
+
+    def _absorb(self, node, exc: BaseException) -> bool:
+        if isinstance(exc, InjectedCrash):
+            self.die(node, exc.mode)
+        elif isinstance(exc, KascadeError):
+            # As on threads: the node records why and stops listening;
+            # its connections are left as they are.
+            node.outcome.error = f"{type(exc).__name__}: {exc}"
+            node.port.close()
+        else:
+            return False
+        return True
+
+    def die(self, node, mode: str) -> None:
+        """``node``'s host is gone: nothing of it runs again."""
+        node.port.kill()
+        node.outcome.crashed = True
+        node.outcome.error = f"injected crash ({mode})"
+        if mode == "silent":
+            self._hub.kill_silent(node.port.name)
+        else:
+            self._hub.kill(node.port.name)
+        if self.is_head:
+            raise HeadDown
+
+    @property
+    def done(self) -> bool:
+        return all(node.main.done for node in self.nodes.values())
+
+    def detach(self) -> bool:
+        """Stop every instance where it stands, sink untouched — a head
+        re-root's detach and the end-of-run stop alike."""
+        for node in self.nodes.values():
+            node.port.kill()
+        return True
+
+    shutdown = detach
+
+    def retained_sink(self):
+        return self.sink
+
+
+class ProtoBroadcast(Broadcast):
+    """The broadcast on the DES (parameters: :class:`Broadcast`'s, with
+    ``crashes`` of :class:`ProtoCrash` or ``CrashPlan``, plus the link
+    model: ``bandwidth`` in bytes/s and ``latency`` in seconds per hop)."""
+
+    backend, result_type = "simnet", ProtoResult
+
+    def __init__(self, source, receivers: Sequence[str], *,
+                 bandwidth: float = 125e6, latency: float = 1e-4,
+                 **broadcast) -> None:
+        super().__init__(source, receivers, **broadcast)
         self.bandwidth = bandwidth
         self.latency = latency
-        self.nodes: Dict[str, object] = {}
 
-    def _gate(self, name: str):
-        plan = self.crashes.get(name)
-        if plan is None or plan.after_bytes is None:
-            return None
+    def _now(self) -> float:
+        return self._hub.engine.now
 
-        def gate(received: int, _p=plan):
-            return _p.mode if received >= _p.after_bytes else None
+    def _wire(self, chain: ChainPlan):
+        # Nothing to lay: each port registers itself (afresh on a re-root).
+        return lambda name, config, **role: SimHost(
+            name, chain, self._hub, config, tracer=self.tracer, **role)
 
-        return gate
+    def _start(self, hosts: Sequence[SimHost], deadline: float) -> None:
+        for host in hosts:
+            host.start()
+        for host in hosts:
+            crash = self.crashes.get(host.name)
+            if getattr(crash, "at_time", None) is not None:
+                # Host death: every stripe instance dies at that instant.
+                for node in host.nodes.values():
+                    self._hub.engine.call_at(
+                        crash.at_time, lambda h=host, n=node, m=crash.mode:
+                        n.main.done or h.die(n, m))
 
-    @staticmethod
-    def _instance_name(host: str, stripe: int, stripes: int) -> str:
-        return host if stripes == 1 else f"{host}@s{stripe}"
-
-    @staticmethod
-    def _host_of(instance: str) -> str:
-        base, sep, tail = instance.rpartition("@s")
-        return base if sep and tail.isdigit() else instance
+    def _wait(self, waited: Sequence[SimHost], deadline: float) -> None:
+        try:
+            self._hub.engine.run(until=deadline)
+        except HeadDown:
+            pass
 
     def run(self, sim_horizon: float = 3600.0,
             trace: bool = False, tracer=NULL_TRACER) -> ProtoResult:
@@ -158,164 +201,12 @@ class ProtoBroadcast:
         with simulated seconds).
         """
         engine = Engine(tracer=tracer)
-        hub = SimNetHub(engine, bandwidth=self.bandwidth,
-                        latency=self.latency)
-        message_log = hub.start_tracing() if trace else None
-        k = self.stripes
-
-        if k == 1:
-            sources: List[Source] = [self.source]
-            instance_sinks = {
-                name: [self.sink_factory(name)]
-                for name in self.plan.receivers
-            }
-        else:
-            sources = [
-                StripeSource(self.source, j, k, self.config.chunk_size)
-                for j in range(k)
-            ]
-            instance_sinks = {}
-            for name in self.plan.receivers:
-                sink = self.sink_factory(name)
-                if type(sink) is NullSink:
-                    instance_sinks[name] = [NullSink() for _ in range(k)]
-                else:
-                    merger = StripeMergeSink(sink, k, self.config.chunk_size)
-                    instance_sinks[name] = [merger.port(j) for j in range(k)]
-        gates = {
-            name: _AggregateGate(crash, k)
-            for name, crash in self.crashes.items()
-            if crash.after_bytes is not None
-        } if k > 1 else {}
-
-        sim_tracer = SimTracer(engine)
-        heads: List[Head] = []
-        by_host: Dict[str, List] = {}
-        for j in range(k):
-            sp = self.chain_plan.stripe(j)
-            plan_j = StripePlan(
-                head=self._instance_name(sp.head, j, k),
-                receivers=tuple(self._instance_name(r, j, k)
-                                for r in sp.receivers),
-                stripe=sp.stripe, of=sp.of,
-            )
-            head = Head(plan_j.head, plan_j, SimPort(plan_j.head, hub, engine),
-                        self.config, sources[j], tracer=sim_tracer)
-            heads.append(head)
-            by_host.setdefault(sp.head, []).append(head)
-            for host, name in zip(sp.receivers, plan_j.receivers):
-                if k == 1:
-                    gate = self._gate(host)
-                else:
-                    agg = gates.get(host)
-                    gate = agg.for_stripe(j) if agg else None
-                recv = Receiver(name, plan_j, SimPort(name, hub, engine),
-                                self.config, instance_sinks[host][j],
-                                crash_gate=gate, tracer=sim_tracer)
-                by_host.setdefault(host, []).append(recv)
-        self.nodes = {n.name: n
-                      for nodes in by_host.values() for n in nodes}
-        crashed: List[str] = []
-
-        def die(node, mode):
-            """The node's host is gone: nothing of it runs again."""
-            for proc in node.port.procs:
-                proc.kill()
-            node.outcome.crashed = True
-            node.outcome.error = f"injected crash ({mode})"
-            crashed.append(node.name)
-            if mode == "silent":
-                hub.kill_silent(node.name)
-            else:
-                hub.kill(node.name)
-
-        def supervisor_of(node):
-            # Installed as ``Process.on_error`` instead of wrapping
-            # ``node.run()`` in a try/except generator: a wrapper would
-            # cost a delegation hop on every resume of every node.
-            def absorb(exc: BaseException) -> bool:
-                if isinstance(exc, InjectedCrash):
-                    die(node, exc.mode)
-                    return True
-                if isinstance(exc, KascadeError):
-                    # As on threads: the node records why and stops
-                    # listening; its connections are left as they are.
-                    node.outcome.error = f"{type(exc).__name__}: {exc}"
-                    node.port.close()
-                    return True
-                return False
-
-            return absorb
-
-        mains = {}
-        for node in self.nodes.values():
-            node.port.spawn(node.port.acceptor(node), name="accept")
-            mains[node.name] = main = node.port.spawn(node.run(), name="node")
-            main.on_error = supervisor_of(node)
-
-        def kill_at(node, mode):
-            return lambda: mains[node.name].done or die(node, mode)
-
-        for crash in self.crashes.values():
-            if crash.at_time is not None:
-                # Host death: every stripe instance dies at that instant.
-                for node in by_host[crash.node]:
-                    engine.call_at(crash.at_time, kill_at(node, crash.mode))
-
-        stats = get_stats()
-        before = stats.snapshot()
-        engine.run(until=sim_horizon)
-        after = stats.snapshot()
-        perf = {
-            key: after[key] - before[key]
-            for key in ("sim_events_processed", "sim_cancelled_skips",
-                        "solver_rounds", "solver_full_rebuilds")
-        }
-        perf["sim_heap_peak"] = after["sim_heap_peak"]
-
-        # Pool the per-stripe head reports, projecting instance names
-        # back to hosts.  Identity check: an all-clear TransferReport is
-        # falsy.  A merged stream carries no single source digest (each
-        # stripe ships its own), so only the single-chain report keeps
-        # one.
-        if k == 1:
-            report = (heads[0].final_report
-                      if heads[0].final_report is not None
-                      else TransferReport())
-        else:
-            report = TransferReport()
-            for head in heads:
-                if head.final_report is not None:
-                    report.extend(
-                        FailureRecord(self._host_of(rec.node),
-                                      self._host_of(rec.detected_by),
-                                      rec.at_offset, rec.reason)
-                        for rec in head.final_report.failures
-                    )
-
-        host_ok = {host: all(n.outcome.ok for n in nodes)
-                   for host, nodes in by_host.items()}
-        intended = [r for r in self.plan.receivers if r not in self.crashes]
-        head_host = self.plan.head
-        ok = host_ok[head_host] and all(host_ok[r] for r in intended)
-        crashed_hosts: List[str] = []
-        for name in crashed:
-            host = self._host_of(name)
-            if host not in crashed_hosts:
-                crashed_hosts.append(host)
-        return ProtoResult(
-            ok=ok,
-            sim_time=engine.now,
-            total_bytes=sum(h.outcome.bytes_received for h in heads),
-            report=report,
-            node_ok=host_ok,
-            node_bytes={host: sum(n.outcome.bytes_received for n in nodes)
-                        for host, nodes in by_host.items()},
-            node_errors={host: next((n.outcome.error for n in nodes
-                                     if n.outcome.error), None)
-                         for host, nodes in by_host.items()},
-            crashed=crashed_hosts,
-            message_log=message_log,
-            trace=tracer if isinstance(tracer, TraceCollector) else None,
-            perfstats=perf,
-        )
+        self._hub = SimNetHub(engine, bandwidth=self.bandwidth,
+                              latency=self.latency)
+        self.tracer = SimTracer(engine)
+        message_log = self._hub.start_tracing() if trace else None
+        result = super().run(sim_horizon)
+        result.message_log = message_log
+        result.trace = tracer if isinstance(tracer, TraceCollector) else None
+        result.perfstats["sim_heap_peak"] = get_stats().sim_heap_peak
+        return result

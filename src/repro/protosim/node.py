@@ -124,12 +124,19 @@ class SimStream:
 
 
 class SimPort:
-    """One node's port onto the simulated network."""
+    """One node's port onto the simulated network.
 
-    def __init__(self, name: str, hub: SimNetHub, engine: Engine) -> None:
+    ``name`` is what the hub knows this chain instance as.  Every stripe
+    shares one hub, so a striped instance's ``name`` carries a
+    ``suffix`` (``n2@s1``) that the node's own name and plan do not:
+    the port adds it to whoever the node dials.
+    """
+
+    def __init__(self, name: str, hub: SimNetHub, suffix: str = "") -> None:
         self.name = name
         self.hub = hub
-        self.engine = engine
+        self.engine = hub.engine
+        self._suffix = suffix
         self.listener = hub.register(name)
         self.inbox: Deque[SimStream] = deque()
         #: The event the main loop is parked on (inbox wait or sleep).
@@ -142,7 +149,8 @@ class SimPort:
 
     def connect(self, target: str, kind: bytes, timeout: float,
                 patient: bool = False):
-        end = yield from self.hub.connect(self.name, target, kind)
+        end = yield from self.hub.connect(self.name, target + self._suffix,
+                                          kind)
         return SimStream(end)
 
     def _park(self, seconds: float):
@@ -184,6 +192,10 @@ class SimPort:
         proc = self.engine.spawn(gen, name=f"{name}:{self.name}")
         self.procs.append(proc)
         return proc
+
+    def kill(self) -> None:
+        for proc in self.procs:
+            proc.kill()
 
     def close(self) -> None:
         self.listener.close()

@@ -1,11 +1,19 @@
-"""Local broadcast orchestration: run a real Kascade pipeline on localhost.
+"""A broadcast from plan to result, and the driver that runs it on localhost.
 
-Each pipeline node is a thread with its own listening TCP socket, so the
-full wire protocol — framing, GET handshakes, ping probes, PGET recovery,
-ring-closure report — is exercised byte-for-byte.  This is the runtime
-behind the ``kascade`` CLI and the integration test suite; the paper's
-*performance* experiments use :mod:`repro.simnet` instead (a laptop
-loopback device says nothing about a 200-node fat tree).
+:class:`Broadcast` is the run every in-process backend shares: resolve
+the plan, validate the faults, build one host per node name, start,
+wait, re-root around a head that died as planned, stop, fold into one
+:class:`~repro.runtime.result.BroadcastResult`.  A driver supplies only
+what is about its world (DESIGN.md §6, "One cluster, two drivers").
+
+:class:`LocalBroadcast` drives it on threads: each pipeline node has its
+own listening TCP socket, so the full wire protocol — framing, GET
+handshakes, ping probes, PGET recovery, ring-closure report — is
+exercised byte-for-byte.  This is the runtime behind the ``kascade`` CLI
+and the integration test suite; the paper's *performance* experiments
+use :mod:`repro.simnet` instead (a laptop loopback device says nothing
+about a 200-node fat tree), where :class:`repro.protosim.ProtoBroadcast`
+drives the same run.
 
 Crash injection reproduces the Distem experiments' failure modes:
 
@@ -30,14 +38,14 @@ from ..core.report import TransferReport
 from ..core.sinks import NullSink, Sink
 from ..core.sources import Source
 from ..core.tracing import NULL_TRACER, TraceCollector
-from .host import HostChains
+from .host import Host, HostChains
 from .registry import Registry
 from .result import BroadcastResult, CrashPlan, check_head_failover
 from .transport import Listener
 
 
-class LocalBroadcast:
-    """One Kascade broadcast over localhost TCP.
+class Broadcast:
+    """One Kascade broadcast: every host of one :class:`ChainPlan`.
 
     Parameters
     ----------
@@ -54,23 +62,29 @@ class LocalBroadcast:
     order:
         Node ordering strategy passed to :meth:`ChainPlan.build`.
     crashes:
-        Failure injection plans (see :class:`CrashPlan`).  On a striped
-        run a crash is *host*-level: the threshold counts
-        the host's bytes across every stripe and firing kills all of
-        the host's chain instances, as a real process death would.
+        Failure injection plans (see :class:`CrashPlan`: ``node``,
+        ``after_bytes``, ``mode``).  On a striped run a crash is
+        *host*-level: the threshold counts the host's bytes across every
+        stripe and firing kills all of the host's chain instances, as a
+        real process death would.
     plan:
-        Optional pre-built :class:`~repro.core.plan.ChainPlan`.  When
-        given it is the schedule (its head and per-stripe orders win);
-        its receiver set must match ``receivers``.  Otherwise a plan is
+        Optional pre-built :class:`~repro.core.plan.ChainPlan`: the
+        schedule when given (see :meth:`ChainPlan.resolve`), else one is
         built from ``head``/``order``/``config.stripes``.
     tracer:
         A :class:`~repro.core.tracing.TraceCollector` every node emits
         structured events into, or the default no-op recorder.  On a
         striped run event node names carry an ``@s<j>`` stripe suffix.
+    allow_head_chaos:
+        Accept a crash plan for the head: when it dies the most complete
+        survivor is promoted and the run goes on (:meth:`_reroot`).
 
-    Prefer :func:`repro.run_broadcast` for new code — it fronts this
-    class and the simulator behind one backend-selectable entry point.
+    Prefer :func:`repro.run_broadcast` for new code — it fronts the
+    drivers behind one backend-selectable entry point.
     """
+
+    #: What this driver's runs fold into, and say their backend was.
+    backend, result_type = "local", BroadcastResult
 
     def __init__(
         self,
@@ -91,15 +105,14 @@ class LocalBroadcast:
         self.tracer = tracer
         self.chain_plan = ChainPlan.resolve(
             plan, head, receivers, stripes=config.stripes, order=order)
-        self.stripes = self.chain_plan.stripe_count
         #: Canonical (stripe-0) order, kept for single-chain callers.
         self.plan = self.chain_plan.stripe(0)
         self.sink_factory = sink_factory or (lambda name: NullSink())
         self.crashes = {c.node: c for c in crashes}
-        #: Injected head death + in-process promotion (the thread-level
+        #: Injected head death + in-process promotion (the in-process
         #: twin of the procs backend's quorum-backed head failover).
-        self._head_crash: Optional[CrashPlan] = None
-        if self.plan.head in self.crashes:
+        self._head_crash = self.crashes.get(self.plan.head)
+        if self._head_crash is not None:
             if not allow_head_chaos:
                 raise KascadeError(
                     f"crash plan targets the head {self.plan.head!r}: "
@@ -107,103 +120,74 @@ class LocalBroadcast:
                     "receiver; opt in with allow_head_chaos=True to "
                     "promote the most-complete survivor instead"
                 )
-            check_head_failover(self.stripes, config.data_plane, source.kind)
-            self._head_crash = self.crashes.pop(self.plan.head)
-        unknown = set(self.crashes) - set(self.plan.receivers)
+            check_head_failover(self.chain_plan.stripe_count,
+                                config.data_plane, source.kind)
+        unknown = set(self.crashes) - set(self.plan.chain)
         if unknown:
             raise KascadeError(f"crash plans for unknown nodes: {sorted(unknown)}")
-        self.sinks: Dict[str, Sink] = {}
+        #: ``label -> node`` of the run in progress (see :attr:`Host.nodes`).
         self.nodes: Dict[str, object] = {}
-        #: The chain the run actually finished on (rerooted after a head
-        #: failover); also returned as ``result.plan``.
-        self.effective_plan: Optional[ChainPlan] = None
 
     def _crash_gate(self, node: str) -> Optional[Callable[[int], Optional[str]]]:
-        """The host-level gate realising ``node``'s crash plan, if any.
+        """The host-level gate realising ``node``'s byte-triggered crash
+        plan, if any.
 
-        It runs on the node's own streaming thread — for the head too: a
-        cross-thread kill would race the send loop, which treats a
+        It runs inside the node's own main loop — for the head too: a
+        kill from outside would race the send loop, which treats a
         failing socket as a *downstream* death and routes around it
         instead of dying.
         """
-        crash = (self._head_crash if node == self.plan.head
-                 else self.crashes.get(node))
-        if crash is None:
+        crash = self.crashes.get(node)
+        if crash is None or crash.after_bytes is None:
             return None
+        return lambda received: (
+            crash.mode if received >= crash.after_bytes else None)
 
-        def gate(received: int, _plan: CrashPlan = crash) -> Optional[str]:
-            return _plan.mode if received >= _plan.after_bytes else None
-
-        return gate
-
-    def _wire(self, chain: ChainPlan):
-        """Fresh listeners and registries: one per host and stripe."""
-        listeners = {name: [Listener() for _ in range(chain.stripe_count)]
-                     for name in chain.nodes}
-        registries = [
-            Registry({name: ls[j].address for name, ls in listeners.items()})
-            for j in range(chain.stripe_count)
-        ]
-        return listeners, registries
+    # What a driver supplies (LocalBroadcast below, ProtoBroadcast):
+    #
+    # ``_now()``: its clock — ``duration`` and the deadline are read off it;
+    # ``_wire(chain)``: lets the chain's hosts find each other, afresh, and
+    #     returns how one is built on that: ``(name, config, **role) -> Host``;
+    # ``_start(hosts, deadline)``: set a chain's hosts, head first, running;
+    # ``_wait(waited, deadline)``: return once each is done, or at the deadline.
 
     def run(self, timeout: float = 120.0) -> BroadcastResult:
         """Execute the broadcast and gather every host's outcome.
 
-        Every host is one :class:`~repro.runtime.host.HostChains` (one
-        chain instance per stripe).  ``config.data_plane`` selects the execution engine: ``"threaded"``
-        runs each node as a thread pair (the conformance reference),
-        ``"evloop"`` hosts the nodes on reactors driven from the calling
-        thread (:mod:`repro.runtime.evloop`).
-
-        A planned head death (``allow_head_chaos``) is an episode of the
-        same run: when the head exits crashed the survivors are detached,
-        the most complete one is promoted (:meth:`_reroot`), and the run
-        keeps joining on the re-rooted chain.
+        ``timeout`` is one deadline on the driver's clock for the *whole*
+        run: every wait consumes the shared remaining budget, so a wedged
+        head cannot double the effective bound.  A planned head death
+        (``allow_head_chaos``) is an episode of the same run: when the
+        head exits crashed the survivors are detached, the most complete
+        one is promoted (:meth:`_reroot`), and the run keeps waiting on
+        the re-rooted chain.
         """
         chain = self.chain_plan
-        listeners, registries = self._wire(chain)
-        hosts: Dict[str, HostChains] = {}
+        make_host = self._wire(chain)
+        hosts: Dict[str, Host] = {}
         for name in chain.nodes:
-            if name == chain.head:
-                role = {"source": self.source}
-            else:
-                self.sinks[name] = self.sink_factory(name)
-                role = {"sink": self.sinks[name]}
-            hosts[name] = HostChains(
-                name, chain, registries, listeners[name], self.config,
-                gate=self._crash_gate(name), tracer=self.tracer, **role)
+            role = ({"source": self.source} if name == chain.head
+                    else {"sink": self.sink_factory(name)})
+            hosts[name] = make_host(name, self.config,
+                                    gate=self._crash_gate(name), **role)
         self.nodes = {label: node for host in hosts.values()
                       for label, node in host.nodes.items()}
 
         stats_before = get_stats().snapshot()
-        started = time.monotonic()
-        if self.config.data_plane == "evloop":
-            from .evloop import run_nodes
-
-            # The calling thread drives the event loops; run_nodes returns
-            # once every node finished (or the shared deadline expired).
-            run_nodes(list(self.nodes.values()), duration=timeout)
-        else:
-            for name in chain.receivers:
-                hosts[name].start()
-            hosts[chain.head].start()
-
-            # One deadline bounds the *whole* run: joins consume the shared
-            # remaining budget (plus a single one-second grace for teardown),
-            # so a wedged head cannot double the effective wall-clock bound.
-            deadline = started + timeout
-            hosts[chain.head].join(deadline)
-            if (self._head_crash is not None
-                    and hosts[chain.head].outcome.crashed):
-                chain = self._reroot(hosts) or chain
-                hosts[chain.head].join(deadline)
-            for name in chain.receivers:
-                hosts[name].join(deadline + 1.0)
-        duration = time.monotonic() - started
+        started = self._now()
+        deadline = started + timeout
+        self._start(list(hosts.values()), deadline)
+        self._wait([hosts[chain.head]], deadline)
+        if self._head_crash is not None and hosts[chain.head].outcome.crashed:
+            chain = self._reroot(hosts, deadline) or chain
+            self._wait([hosts[chain.head]], deadline)
+        self._wait([hosts[name] for name in chain.receivers], deadline)
+        duration = self._now() - started
         head = hosts[chain.head]
         head_done = head.done
 
-        # Force shutdown of anything still alive (e.g. silent crash remains).
+        # Stop anything still alive (e.g. silent crash remains) and let
+        # every host close what it opened.
         for host in hosts.values():
             host.shutdown()
             host.close()
@@ -218,17 +202,13 @@ class LocalBroadcast:
         if report is None:
             report = TransferReport()
         # A planned death is excused — the head's too; every intended
-        # receiver (including a promoted one) must have completed.
+        # receiver (including a promoted one) must have completed, and
+        # the head must have run to its end.
         intended = [r for r in self.plan.receivers if r not in self.crashes]
-        ok = (
-            outcomes[chain.head].ok
-            and all(outcomes[name].ok for name in intended)
-            and head_done
-        )
         stats_after = get_stats().snapshot()
-        self.effective_plan = chain
-        return BroadcastResult(
-            ok=ok,
+        return self.result_type(
+            ok=(outcomes[chain.head].ok and head_done
+                and all(outcomes[name].ok for name in intended)),
             duration=duration,
             total_bytes=outcomes[chain.head].bytes_received,
             report=report,
@@ -236,15 +216,16 @@ class LocalBroadcast:
             trace=self.tracer if isinstance(self.tracer, TraceCollector) else None,
             perfstats={k: stats_after[k] - stats_before.get(k, 0)
                        for k in stats_after},
-            backend="local",
+            backend=self.backend,
             plan=chain,
         )
 
-    def _reroot(self, hosts: Dict[str, HostChains]) -> Optional[ChainPlan]:
+    def _reroot(self, hosts: Dict[str, Host],
+                deadline: float) -> Optional[ChainPlan]:
         """The head died as planned: promote a survivor, resume the rest.
 
         The in-process twin of the procs backend's quorum failover, with
-        the coordinator role played by this thread: the survivors are
+        the coordinator role played by the run itself: the survivors are
         detached, the most complete one is promoted via
         :meth:`ChainPlan.reroot`, and the others resume from their ring
         offsets against it (it serves PGET below the election watermark
@@ -285,7 +266,7 @@ class LocalBroadcast:
         )
         chain = self.chain_plan.reroot(
             elect, dead=[r for r in self.plan.receivers if r not in ready])
-        listeners, registries = self._wire(chain)
+        make_host = self._wire(chain)
         # The promoted head only streams [watermark, size), so its digest
         # would cover a suffix — integrity mode cannot span a re-root
         # (the procs backend disables it on resume too).
@@ -293,12 +274,52 @@ class LocalBroadcast:
         for name in chain.nodes:
             role = {"source": self.source} if name == elect else {
                 "gate": self._crash_gate(name)}
-            hosts[name] = HostChains(
-                name, chain, registries, listeners[name], config,
-                sink=hosts[name].retained_sink(), tracer=self.tracer,
+            hosts[name] = make_host(
+                name, config, sink=hosts[name].retained_sink(),
                 resume_offset=hosts[name].offset, **role)
             self.nodes.update(hosts[name].nodes)
-        for name in chain.receivers:
-            hosts[name].start()
-        hosts[elect].start()
+        self._start([hosts[name] for name in chain.nodes], deadline)
         return chain
+
+
+class LocalBroadcast(Broadcast):
+    """The broadcast on loopback TCP: every host a
+    :class:`~repro.runtime.host.HostChains`, whose nodes
+    ``config.data_plane`` puts on a thread pair each (``"threaded"``,
+    the conformance reference) or on reactors driven from the calling
+    thread (``"evloop"``, :mod:`repro.runtime.evloop`: ``_start`` *is*
+    the run there, until ROADMAP item 2 retires it).
+    """
+
+    _now = staticmethod(time.monotonic)
+
+    def _wire(self, chain: ChainPlan):
+        """Fresh listeners and registries: one per host and stripe."""
+        listeners = {name: [Listener() for _ in range(chain.stripe_count)]
+                     for name in chain.nodes}
+        registries = [
+            Registry({name: ls[j].address for name, ls in listeners.items()})
+            for j in range(chain.stripe_count)
+        ]
+        return lambda name, config, **role: HostChains(
+            name, chain, registries, listeners[name], config,
+            tracer=self.tracer, **role)
+
+    def _start(self, hosts: Sequence[HostChains], deadline: float) -> None:
+        if self.config.data_plane == "evloop":
+            from .evloop import run_nodes
+
+            # The calling thread drives the event loops; run_nodes returns
+            # once every node finished (or the shared deadline expired).
+            run_nodes([node for host in hosts for node in host.nodes.values()],
+                      duration=deadline - time.monotonic())
+            return
+        for host in (*hosts[1:], hosts[0]):
+            host.start()
+
+    def _wait(self, waited: Sequence[HostChains], deadline: float) -> None:
+        if self.config.data_plane == "evloop":
+            return
+        for host in waited:
+            # Receivers get a single one-second grace for teardown.
+            host.join(deadline if host.is_head else deadline + 1.0)

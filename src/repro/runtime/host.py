@@ -2,21 +2,21 @@
 
 The paper's node is one program (§III-A/B); a striped broadcast runs it
 ``k`` times per host, one chain instance per stripe.  What follows from
-that lives here, once: per-stripe :class:`~repro.core.stripes.
-StripeSource` views and :class:`~repro.core.stripes.StripeMergeSink`
-ports (or ``k`` exact ``NullSink``s, so the evloop splice relay stays
-eligible), host-level gates judging the *aggregate* byte count,
-``@s<j>`` trace names, node class by ``config.data_plane``,
-start/join/shutdown, one merged outcome, one pooled report, and the
-head re-root seam (:meth:`HostChains.detach`, then a rebuild with
-``resume_offset``).
+that is :class:`Host`, once, whoever schedules the nodes: per-stripe
+:class:`~repro.core.stripes.StripeSource` views and
+:class:`~repro.core.stripes.StripeMergeSink` ports (or ``k`` exact
+``NullSink``s, so the evloop splice relay stays eligible), host-level
+gates judging the *aggregate* byte count, ``@s<j>`` names, one merged
+outcome, one pooled report, the election watermark, who closes the
+views.  A driver adds what a node is and how it is run:
+:class:`HostChains` here (threads on sockets; what
+:class:`~repro.runtime.LocalBroadcast`, the deploy agent and ``kascade
+send``/``recv`` build), ``SimHost`` in :mod:`repro.protosim.broadcast`.
 
 ``k = 1`` is the one-stripe case, not a second path: the node is handed
 the *same* source, sink, tracer and gate the caller gave — no wrapper on
 the per-chunk path, ``sendfile``/``splice`` eligibility and trace names
 unchanged.  That is decided in this module and nowhere else.
-:class:`~repro.runtime.LocalBroadcast` builds one :class:`HostChains`
-per node name; the deploy agent and ``kascade send``/``recv`` build one.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from ..core.config import KascadeConfig
-from ..core.plan import ChainPlan
+from ..core.plan import ChainPlan, StripePlan
 from ..core.report import TransferReport
 from ..core.sinks import NullSink, Sink
 from ..core.sources import ResumeView, Source
@@ -36,7 +36,7 @@ from .registry import Registry
 from .result import NodeOutcome, check_head_failover
 from .transport import Listener
 
-__all__ = ["HostChains", "check_head_failover"]
+__all__ = ["Host", "HostChains", "check_head_failover"]
 
 
 def _stripe_gates(gate: CrashGate, k: int) -> List[CrashGate]:
@@ -66,9 +66,9 @@ def _stripe_gates(gate: CrashGate, k: int) -> List[CrashGate]:
 class _StripeTracer:
     """Tag trace events with the stripe their chain instance ran."""
 
-    def __init__(self, inner, stripe: int) -> None:
+    def __init__(self, inner, suffix: str) -> None:
         self._inner = inner
-        self._suffix = f"@s{stripe}"
+        self._suffix = suffix
         self.enabled = inner.enabled
 
     def emit(self, type_: str, node: str, **kwargs) -> None:
@@ -78,7 +78,7 @@ class _StripeTracer:
         self._inner.emit(type_, node + self._suffix, **kwargs)
 
 
-class HostChains:
+class Host:
     """The chain instances one host runs: one node per stripe.
 
     Parameters
@@ -86,32 +86,33 @@ class HostChains:
     name, chain_plan:
         Which host this is in which schedule; it is a head when
         ``name == chain_plan.head``.
-    registries, listeners:
-        One per stripe: stripe ``j``'s peers and this host's bound
-        listener for it.
     source / sink:
         The head's stream / a receiver's output, unstriped.  The caller
         keeps ownership of both (:meth:`close` only closes the stripe
         views this host opened).  A *promoted* head carries both: its
         retained sink is completed by :meth:`complete_own_copy`.
     gate:
-        Host-level :data:`~repro.runtime.node.CrashGate`, asked about
+        Host-level :data:`~repro.core.engine.CrashGate`, asked about
         the aggregate byte count across stripes.
     resume_offset:
-        Rebuild after a head re-root (1 stripe, threaded plane): the
-        stream position this host resumes from.  ``0`` is a legal
-        watermark — the dead head's RST can discard everything it sent —
-        so "resumed" is ``is not None``, never truthiness: a promoted
-        head reads through :class:`ResumeView` even at 0, because the
-        old head moved the shared source's cursor.
+        Rebuild after a head re-root (1 stripe): the stream position
+        this host resumes from.  ``0`` is a legal watermark — the dead
+        head's RST can discard everything it sent — so "resumed" is
+        ``is not None``, never truthiness: a promoted head reads through
+        :class:`ResumeView` even at 0, because the old head moved the
+        shared source's cursor.
+
+    A driver subclass says what a node is — ``_make_node(label, plan,
+    end, **kwargs)``: stripe ``plan.stripe``'s head over the source
+    (view) ``end`` or receiver into the sink (port) ``end``, named
+    ``name`` and reachable as ``label`` — and how it is started, waited
+    for, detached (``detach``, ``retained_sink``) and stopped.
     """
 
     def __init__(
         self,
         name: str,
         chain_plan: ChainPlan,
-        registries: Sequence[Registry],
-        listeners: Sequence[Listener],
         config: KascadeConfig,
         *,
         source: Optional[Source] = None,
@@ -121,10 +122,6 @@ class HostChains:
         resume_offset: Optional[int] = None,
     ) -> None:
         k = chain_plan.stripe_count
-        if not len(registries) == len(listeners) == k:
-            raise ValueError(
-                f"{k}-stripe plan needs {k} registries and listeners, got "
-                f"{len(registries)} and {len(listeners)}")
         if resume_offset is not None and k != 1:
             raise ValueError("a striped host cannot resume from one offset")
         self.name = name
@@ -133,12 +130,6 @@ class HostChains:
         self.sink = sink
         self.resume_offset = resume_offset
         self.is_head = name == chain_plan.head
-        self._evloop = config.data_plane == "evloop"
-        if self._evloop:
-            from .evloop import EvHeadNode as head_cls
-            from .evloop import EvReceiverNode as recv_cls
-        else:
-            head_cls, recv_cls = HeadNode, ReceiverNode
         #: Stripe views of the source this host opened (see :meth:`close`).
         self._views: List[Source] = []
 
@@ -153,8 +144,9 @@ class HostChains:
             # Only a striped host pays for the stripe machinery.
             from ..core.stripes import StripeMergeSink, StripeSource
 
-            labels = [f"{name}@s{j}" for j in range(k)]
-            tracers = [_StripeTracer(tracer, j) for j in range(k)]
+            suffixes = [f"@s{j}" for j in range(k)]
+            labels = [name + suffix for suffix in suffixes]
+            tracers = [_StripeTracer(tracer, suffix) for suffix in suffixes]
             gates = (_stripe_gates(gate, k) if gate is not None
                      else [None] * k)
             if self.is_head:
@@ -178,10 +170,110 @@ class HostChains:
             kwargs = dict(extra, tracer=tracers[j])
             if gates[j] is not None:  # evloop heads take no gate at all
                 kwargs["crash_gate"] = gates[j]
-            cls = head_cls if self.is_head else recv_cls
-            self.nodes[label] = cls(
-                name, chain_plan.stripe(j), registries[j], listeners[j],
-                config, ends[j], **kwargs)
+            self.nodes[label] = self._make_node(
+                label, chain_plan.stripe(j), ends[j], **kwargs)
+
+    def close(self) -> None:
+        """Release the stripe views this host opened (not the source)."""
+        for view in self._views:
+            view.close()
+
+    def close_connections(self) -> None:
+        """Once every survivor of a re-root has been detached."""
+        for node in self.nodes.values():
+            node.close_connections()
+
+    # -- results ----------------------------------------------------------
+
+    @property
+    def outcome(self) -> NodeOutcome:
+        """The host's outcome: its node's own, or the stripes' folded."""
+        outcomes = [node.outcome for node in self.nodes.values()]
+        if len(outcomes) == 1:
+            return outcomes[0]
+        return NodeOutcome(
+            name=self.name,
+            ok=all(o.ok for o in outcomes),
+            bytes_received=sum(o.bytes_received for o in outcomes),
+            crashed=any(o.crashed for o in outcomes),
+            error=next((o.error for o in outcomes if o.error), None),
+            failures_detected=[rec for o in outcomes
+                               for rec in o.failures_detected],
+        )
+
+    @property
+    def report(self) -> Optional[TransferReport]:
+        """The head's ring report (``None`` until it has one).
+
+        One report per stripe head; ``k > 1`` pools the failure records.
+        A merged stream has no single source digest (each stripe ships
+        its own), so the pooled report carries none.
+        """
+        nodes = list(self.nodes.values())
+        if len(nodes) == 1:
+            return nodes[0].final_report
+        pooled = TransferReport()
+        for node in nodes:
+            if node.final_report is not None:
+                pooled.extend(node.final_report.failures)
+        return pooled
+
+    @property
+    def offset(self) -> int:
+        """Stream bytes this host has consumed (its election watermark)."""
+        return sum(n.state.offset for n in self.nodes.values())
+
+    def complete_own_copy(self) -> None:
+        """Promoted head: finish this host's *own* output.
+
+        It streamed ``[watermark, size)`` to the chain, but its retained
+        sink ends at its receiver-phase prefix — complete it straight
+        from the source, so the promoted head holds (and can prove) the
+        full payload too.
+        """
+        pos, size = self.resume_offset, self.source.size
+        while pos < size:
+            piece = self.source.read_range(
+                pos, min(self.config.chunk_size, size - pos))
+            self.sink.write_chunk(piece)
+            pos += len(piece)
+        self.sink.finish()
+
+
+class HostChains(Host):
+    """A host on threads and real sockets: :class:`Host`'s parameters
+    plus, one per stripe, ``registries`` (stripe ``j``'s peers) and
+    ``listeners`` (this host's bound listener for it).  The node class
+    follows ``config.data_plane``; ``resume_offset`` needs ``threaded``.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        chain_plan: ChainPlan,
+        registries: Sequence[Registry],
+        listeners: Sequence[Listener],
+        config: KascadeConfig,
+        **host,
+    ) -> None:
+        k = chain_plan.stripe_count
+        if not len(registries) == len(listeners) == k:
+            raise ValueError(
+                f"{k}-stripe plan needs {k} registries and listeners, got "
+                f"{len(registries)} and {len(listeners)}")
+        self._wiring = list(zip(registries, listeners))
+        self._evloop = config.data_plane == "evloop"
+        super().__init__(name, chain_plan, config, **host)
+
+    def _make_node(self, label: str, plan: StripePlan, end, **kwargs):
+        if self._evloop:
+            from .evloop import EvHeadNode as head_cls
+            from .evloop import EvReceiverNode as recv_cls
+        else:
+            head_cls, recv_cls = HeadNode, ReceiverNode
+        return (head_cls if self.is_head else recv_cls)(
+            self.name, plan, *self._wiring[plan.stripe], self.config, end,
+            **kwargs)
 
     # -- lifecycle (threaded plane; evloop nodes go to ``run_nodes``) ----
 
@@ -221,69 +313,28 @@ class HostChains:
         self.join(time.monotonic() + 2.0)
 
     def close(self) -> None:
-        """Release the stripe views this host opened (not the source)."""
-        for view in self._views:
-            view.close()
-
-    # -- results ----------------------------------------------------------
-
-    @property
-    def outcome(self) -> NodeOutcome:
-        """The host's outcome: its node's own, or the stripes' folded."""
-        nodes = list(self.nodes.values())
-        if len(nodes) == 1:
-            return nodes[0].outcome
-        merged = NodeOutcome(name=self.name)
-        merged.ok = all(n.outcome.ok for n in nodes)
-        merged.bytes_received = sum(n.outcome.bytes_received for n in nodes)
-        merged.crashed = any(n.outcome.crashed for n in nodes)
-        merged.error = next(
-            (n.outcome.error for n in nodes if n.outcome.error), None)
-        for n in nodes:
-            merged.failures_detected.extend(n.outcome.failures_detected)
-        return merged
-
-    @property
-    def report(self) -> Optional[TransferReport]:
-        """The head's ring report (``None`` until it has one).
-
-        One report per stripe head; ``k > 1`` pools the failure records.
-        A merged stream has no single source digest (each stripe ships
-        its own), so the pooled report carries none.
-        """
-        nodes = list(self.nodes.values())
-        if len(nodes) == 1:
-            return nodes[0].final_report
-        pooled = TransferReport()
-        for node in nodes:
-            if node.final_report is not None:
-                pooled.extend(node.final_report.failures)
-        return pooled
+        """The run is over, and so is the hang a silent crash staged:
+        its sockets, kept open for the peers to time out on, go too."""
+        super().close()
+        if not self._evloop:
+            for node in self.nodes.values():
+                if node.silent:
+                    node.close_connections()
 
     # -- head re-root -------------------------------------------------------
 
-    @property
-    def offset(self) -> int:
-        """Stream bytes this host has consumed (its election watermark)."""
-        return sum(n.state.offset for n in self.nodes.values())
-
     def detach(self) -> bool:
         """Interrupt for a head re-root, sink untouched; whether the host
-        let go (:attr:`offset` is then where it stopped).
-
-        Each join is the time a woken loop takes to unwind, not a
-        timeout.  Connections stay open (neighbours may still be writing
-        to them) until :meth:`close_connections`, once every survivor
-        has been detached.
+        let go (:attr:`offset` is then where it stopped).  Each join is
+        the time a woken loop takes to unwind, not a timeout.
+        Connections stay open (neighbours may still be writing to them)
+        until :meth:`close_connections`, once every survivor has been
+        detached.
         """
         for node in self.nodes.values():
             node.begin_failover()
         self.join(time.monotonic() + 5.0)
         return self.done
-
-    def close_connections(self) -> None:
-        for node in self.nodes.values():
-            node.close_connections()
 
     def retained_sink(self) -> Sink:
         """After :meth:`detach`: drain writeback and hand back the sink,
@@ -291,19 +342,3 @@ class HostChains:
         for node in self.nodes.values():
             node.detach_sink()
         return self.sink
-
-    def complete_own_copy(self) -> None:
-        """Promoted head: finish this host's *own* output.
-
-        It streamed ``[watermark, size)`` to the chain, but its retained
-        sink ends at its receiver-phase prefix — complete it straight
-        from the source, so the promoted head holds (and can prove) the
-        full payload too.
-        """
-        pos, size = self.resume_offset, self.source.size
-        while pos < size:
-            piece = self.source.read_range(
-                pos, min(self.config.chunk_size, size - pos))
-            self.sink.write_chunk(piece)
-            pos += len(piece)
-        self.sink.finish()

@@ -5,16 +5,17 @@ This one performs each wait where it stands — ``recv_message`` under a
 socket timeout, a vectored ``sendmsg``, a ``queue.get`` — and returns,
 so none of its primitives ever yields and a thread runs an engine
 generator to its ``return`` with a single ``send`` (:func:`drive`).
-Failures are translated into the engine's vocabulary:
-:class:`~repro.runtime.transport.WriteStalled` is a ``TimeoutError``, a
-connect that :func:`~repro.runtime.transport.connect` gave up on is a
-``ConnectionError``.
+The engine's stream is the :class:`~repro.runtime.transport.SocketStream`
+itself, and failures arrive in the engine's vocabulary: a
+:class:`~repro.runtime.transport.WriteStalled` *is* a ``TimeoutError``,
+a connect that :func:`~repro.runtime.transport.connect` gave up on is
+turned into a ``ConnectionError`` here.
 
-What is about sockets and threads stays here: the start-up dial window,
-``sendfile`` for recovery ranges, and *waking* — every wait of a node's
-main loop is entered through :meth:`SocketPort.check` and ended by
-:meth:`SocketPort.wake`, so stopping a node is an event, not a timeout,
-whichever socket it happens to be waiting on.
+What is about sockets and threads stays here: the start-up dial window
+and *waking* — every wait of a node's main loop is entered through
+:meth:`SocketPort.check` and ended by :meth:`SocketPort.wake`, so
+stopping a node is an event, not a timeout, whichever socket it happens
+to be waiting on.
 
 :class:`DownstreamLink` is the engine's :class:`~repro.core.engine.Link`
 with blocking methods, on a port of its own: what a caller without a
@@ -24,7 +25,6 @@ node (a test, a tool) drives.
 from __future__ import annotations
 
 import queue
-import socket
 import threading
 import time
 from typing import Optional
@@ -36,7 +36,7 @@ from ..core.node_state import NodeTransferState
 from ..core.pipeline import PipelinePlan
 from ..core.tracing import NULL_TRACER
 from .registry import Registry
-from .transport import HAS_SENDFILE, Listener, SocketStream, WriteStalled, connect
+from .transport import Listener, SocketStream, connect
 
 
 def drive(gen):
@@ -46,77 +46,6 @@ def drive(gen):
     except StopIteration as stop:
         return stop.value
     raise RuntimeError(f"{gen!r} yielded: not running on a socket port")
-
-
-class _Stream:
-    """A :class:`SocketStream` behind the engine's stream primitives.
-
-    ``port`` is set on the streams a node's main loop waits on: their
-    waits can be woken.  Side services (ping, PGET, ring) pass ``None``.
-    """
-
-    def __init__(self, raw: SocketStream,
-                 port: "Optional[SocketPort]" = None) -> None:
-        self.raw = raw
-        self._port = port
-        self.try_recv_run = raw.try_recv_run
-        self.wake_reader = raw.wake_reader
-        self.close = raw.close
-
-    @property
-    def pending_bytes(self) -> int:
-        return self.raw.pending_bytes
-
-    def cork(self, msg, payload=b"") -> None:
-        self.raw.send_message(msg, payload, flush=False)
-
-    def cork_run(self, first_offset: int, payloads, wire) -> None:
-        self.raw.cork_frames(wire, len(payloads))
-
-    def recv(self, timeout: float):
-        port = self._port  # (see SocketPort.check for the shape of a wait)
-        if port is None:
-            return self.raw.recv_message(timeout)
-        port._blocked = (self.raw, socket.SHUT_RD)
-        try:
-            if port.stopping is None:
-                return self.raw.recv_message(timeout)
-        except (TimeoutError, ConnectionError):
-            if port.stopping is None:
-                raise
-        finally:
-            port._blocked = None
-        raise TransferAborted(port.stopping)
-        yield  # never reached: a socket primitive returns without yielding
-
-    def flush(self, timeout: float):
-        port = self._port
-        if port is not None:
-            port._blocked = (self.raw, socket.SHUT_WR)
-        try:
-            if port is None or port.stopping is None:
-                return self.raw.flush_pending(timeout=timeout)
-        except (ConnectionError, WriteStalled) as exc:
-            if port is None or port.stopping is None:
-                if isinstance(exc, WriteStalled):
-                    raise TimeoutError(f"write stalled: {exc}") from None
-                raise
-        finally:
-            if port is not None:
-                port._blocked = None
-        raise TransferAborted(port.stopping)
-        yield  # never reached
-
-    if HAS_SENDFILE:
-        def send_file(self, msg, source, offset: int, timeout: float):
-            """Payload from the page cache to the socket, never entering
-            this process (``os.sendfile``)."""
-            try:
-                return self.raw.send_frame_from_file(msg, source, offset,
-                                                     timeout=timeout)
-            except WriteStalled as exc:
-                raise TimeoutError(f"write stalled: {exc}") from None
-            yield  # never reached
 
 
 class SocketPort:
@@ -135,7 +64,7 @@ class SocketPort:
         self.stopping: Optional[str] = None
         #: Inbound DATA connections, oldest first; ``None`` is the token
         #: :meth:`wake` posts for a main loop idle on the queue.
-        self.inbox: "queue.Queue[Optional[_Stream]]" = queue.Queue()
+        self.inbox: "queue.Queue[Optional[SocketStream]]" = queue.Queue()
         self._nudged = threading.Event()
         #: The socket wait the main loop is in, if it is in one:
         #: ``(SocketStream, direction it is blocked in)``.
@@ -169,23 +98,17 @@ class SocketPort:
         self.inbox.put(None)
         blocked = self._blocked
         if blocked is not None:
-            raw, direction = blocked
-            try:
-                raw._sock.shutdown(direction)
-            except OSError:
-                pass  # already closed, or the peer reset the connection
+            blocked[0].wake_reader(blocked[1])
 
     def nudge(self) -> None:
         self._nudged.set()
 
-    def _nap(self, seconds: float) -> None:
+    def sleep(self, seconds: float):
         self.check()
         self._nudged.wait(seconds)
         self._nudged.clear()
         self.check()
-
-    def sleep(self, seconds: float):
-        return self._nap(seconds)
+        return
         yield  # never reached
 
     # -- connections -------------------------------------------------------
@@ -211,18 +134,20 @@ class SocketPort:
         while True:
             self.check()
             try:
-                return _Stream(connect(addr, kind, timeout, **traced), self)
+                stream = connect(addr, kind, timeout, **traced)
+                stream.port = self
+                return stream
             except NodeFailedError as exc:
                 if not (patient
                         and isinstance(exc.__cause__, ConnectionRefusedError)
                         and time.monotonic() + backoff
                         <= self._startup_deadline):
                     raise ConnectionError(exc.reason) from exc
-            self._nap(backoff)
+            yield from self.sleep(backoff)
             backoff = min(backoff * 2, 0.1)
         yield  # never reached
 
-    def offer(self, stream: _Stream) -> None:
+    def offer(self, stream: SocketStream) -> None:
         self.inbox.put(stream)
 
     def next_connection(self, timeout: float):
@@ -238,7 +163,7 @@ class SocketPort:
                 return stream
         yield  # never reached
 
-    def poll_connection(self) -> Optional[_Stream]:
+    def poll_connection(self) -> Optional[SocketStream]:
         while True:
             try:
                 stream = self.inbox.get_nowait()

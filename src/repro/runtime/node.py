@@ -27,7 +27,7 @@ from ..core.sinks import NullSink, Sink
 from ..core.sources import Source
 from ..core.stages import ReadAheadSource, SinkWriter
 from ..core.tracing import NULL_TRACER
-from .links import SocketPort, _Stream, drive
+from .links import SocketPort, drive
 from .registry import Registry
 from .result import NodeOutcome  # noqa: F401  (re-exported: evloop.py)
 from .transport import Listener, SocketStream
@@ -61,9 +61,9 @@ class _Acceptor:
                     node._orphans.append(raw)
                     continue
                 try:
-                    # Only a data connection is read by the main loop.
-                    node.on_connection(kind, _Stream(
-                        raw, node.port if kind == DATA_CONN else None))
+                    if kind == DATA_CONN:  # the one kind the main loop reads
+                        raw.port = node.port
+                    node.on_connection(kind, raw)
                 except Exception:  # noqa: BLE001 - acceptor must survive anything
                     raw.close()
         finally:
@@ -155,10 +155,9 @@ class _ThreadNode:
             self.close_connections()
 
     def close_connections(self) -> None:
-        """Close the listener and every data connection; the main loop
-        must have exited."""
-        self.listener.close()
-        self.link.close()
+        super().close_connections()
+        while self._orphans:  # what a silently crashed node swallowed
+            self._orphans.pop().close()
 
     def _run_wrapper(self) -> None:
         try:
@@ -202,10 +201,6 @@ class HeadNode(_ThreadNode, Head):
         if self._readahead is not None:
             self._readahead.stop()
 
-    def close_connections(self) -> None:
-        self._source_drained()
-        super().close_connections()
-
 
 class ReceiverNode(_ThreadNode, Receiver):
     """A receiving node: stores the stream and forwards it downstream."""
@@ -245,7 +240,3 @@ class ReceiverNode(_ThreadNode, Receiver):
         if isinstance(self.sink, SinkWriter):
             self.sink.detach()
         return self.raw_sink
-
-    def close_connections(self) -> None:
-        self._drop_upstream()
-        super().close_connections()

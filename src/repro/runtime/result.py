@@ -43,8 +43,8 @@ class BroadcastResult:
     ``duration`` is wall-clock seconds for the local backend and
     simulated seconds for ``backend="simnet"``; ``trace`` carries the
     :class:`~repro.core.tracing.TraceCollector` when tracing was on, and
-    ``perfstats`` the delta of the process-wide I/O counters across the
-    run (empty for the simulator, which does no real I/O).
+    ``perfstats`` the delta of the process-wide counters across the run
+    (the simulator does no real I/O: what moves there is ``sim_*``).
     """
 
     ok: bool

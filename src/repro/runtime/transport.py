@@ -42,7 +42,9 @@ from itertools import islice
 from typing import BinaryIO, Deque, Optional, Tuple
 
 from ..core.buffers import BufferPool
-from ..core.errors import NodeFailedError, ProtocolError
+# The preamble bytes are the engine's connection kinds (table above).
+from ..core.engine import DATA_CONN, PGET_CONN, PING_CONN, RING_CONN
+from ..core.errors import NodeFailedError, ProtocolError, TransferAborted
 from ..core.framing import (
     DataRun,
     FrameDecoder,
@@ -54,12 +56,6 @@ from ..core.messages import Message
 from ..core.perfstats import PerfStats, get_stats
 from .registry import Address
 
-#: Connection preamble bytes.
-DATA_CONN = b"D"
-PING_CONN = b"P"
-PGET_CONN = b"G"
-RING_CONN = b"R"
-
 #: Max buffers handed to one ``sendmsg`` call — comfortably below any
 #: platform IOV_MAX (1024 on Linux).
 _SENDMSG_BATCH = 64
@@ -68,8 +64,9 @@ _SENDMSG_BATCH = 64
 HAS_SENDFILE = hasattr(os, "sendfile")
 
 
-class WriteStalled(Exception):
-    """A send did not complete within the I/O timeout.
+class WriteStalled(TimeoutError):
+    """A send did not complete within the I/O timeout (a
+    ``TimeoutError``: the engine's word for a wait that ran out).
 
     The pending buffers stay queued in the :class:`SocketStream`; calling
     ``flush_pending`` resumes exactly where the send stopped — mid-buffer
@@ -79,7 +76,15 @@ class WriteStalled(Exception):
 
 
 class SocketStream:
-    """Framed, timeout-aware wrapper around a connected TCP socket."""
+    """Framed, timeout-aware wrapper around a connected TCP socket, and
+    the engine's *stream* on the socket port (:mod:`repro.core.engine`:
+    ``recv``, ``flush``, ``cork``, ``cork_run``, ``send_file``).
+
+    ``port`` is set — by the :class:`~repro.runtime.links.SocketPort`
+    that dialled or the acceptor that adopted it — on a stream a node's
+    main loop waits on: those waits can be woken.  Side services (ping,
+    PGET, ring) leave it ``None``.
+    """
 
     def __init__(
         self,
@@ -95,12 +100,13 @@ class SocketStream:
         #: Scatter/gather send queue: memoryviews awaiting the wire, in
         #: order.  Partial sends slice the head view (zero-copy).
         self._send_queue: Deque[memoryview] = deque()
-        self._pending_bytes = 0
+        self.pending_bytes = 0
         self._sendmsg = getattr(sock, "sendmsg", None)
         self._closed = False
         #: Timeout the socket is currently set to: re-arming it costs a
         #: syscall, so reads and flushes only do so when it changes.
         self._timeout = sock.gettimeout()
+        self.port = None
         # Disable Nagle: control messages (GET, PING, PASSED) are tiny and
         # latency-critical; bulk DATA frames are large enough not to care.
         try:
@@ -159,7 +165,7 @@ class SocketStream:
         :meth:`~repro.core.framing.FrameDecoder.try_pop_run`)."""
         return self._decoder.try_pop_run()
 
-    def wake_reader(self) -> None:
+    def wake_reader(self, direction: int = socket.SHUT_RD) -> None:
         """Make a ``recv_message`` blocked in another thread return now.
 
         Shuts the receive direction down: the reader is handed whatever
@@ -167,10 +173,11 @@ class SocketStream:
         the peer had closed.  Nothing is sent to the peer, the send
         direction stays usable, and the per-frame path pays nothing for
         it.  Sticky (a wake before the read ends that read at once) and
-        harmless on a stream already closed.
+        harmless on a stream already closed.  (``SHUT_WR`` ends a flush
+        blocked on a full window the same way, with ``EPIPE``.)
         """
         try:
-            self._sock.shutdown(socket.SHUT_RD)
+            self._sock.shutdown(direction)
         except OSError:
             pass  # already closed, or the peer reset the connection
 
@@ -186,7 +193,7 @@ class SocketStream:
         # must never release a view the caller still holds — e.g. the ring
         # buffer's retained chunk that the relay path passes straight in.
         self._send_queue.append(memoryview(data))
-        self._pending_bytes += len(data)
+        self.pending_bytes += len(data)
 
     def send_message(
         self,
@@ -218,21 +225,6 @@ class SocketStream:
         if flush:
             self.flush_pending(timeout=timeout)
 
-    def cork_frames(self, wire, frames: int) -> None:
-        """Queue ``frames`` already-encoded frames — a run's wire bytes:
-        the one view :meth:`try_recv_run` returned, or the head's
-        :func:`~repro.core.framing.encode_run` list — an entry per buffer.
-
-        Queued by reference like any payload; nothing is sent until the
-        next :meth:`flush_pending` or flushed :meth:`send_message`.
-        """
-        if not isinstance(wire, (list, tuple)):
-            wire = (wire,)
-        views = [memoryview(buf) for buf in wire if len(buf)]  # as _enqueue
-        self._send_queue.extend(views)
-        self._pending_bytes += sum(map(len, views))
-        self._stats.frames_sent += frames
-
     def send_raw(self, data: bytes, *, timeout: Optional[float] = None) -> None:
         """Queue and send raw bytes (used for the connection preamble)."""
         self._enqueue(data)
@@ -255,7 +247,7 @@ class SocketStream:
                     sent = self._sock.send(queue[0])
             except socket.timeout:
                 raise WriteStalled(
-                    f"{self._pending_bytes} bytes still pending"
+                    f"write stalled: {self.pending_bytes} bytes pending"
                 ) from None
             except (BlockingIOError, InterruptedError):
                 # Transient EAGAIN/EINTR: nothing was sent, the queue is
@@ -265,7 +257,7 @@ class SocketStream:
             except OSError as exc:
                 raise ConnectionError(f"send failed: {exc}") from exc
             self._stats.send_syscall(sent)
-            self._pending_bytes -= sent
+            self.pending_bytes -= sent
             while sent > 0:
                 head = queue[0]
                 if sent >= len(head):
@@ -337,9 +329,67 @@ class SocketStream:
             self._stats.sendfile_syscall(n)
             sent_total += n
 
-    @property
-    def pending_bytes(self) -> int:
-        return self._pending_bytes
+    # ------------------------------------------------------------------
+    # The engine's stream primitives: generators that never yield
+    # ------------------------------------------------------------------
+
+    def cork(self, msg: Message, payload: Payload = b"") -> None:
+        self.send_message(msg, payload, flush=False)
+
+    def cork_run(self, first_offset: int, payloads, wire) -> None:
+        """Queue a run of already-encoded frames by its ``wire`` bytes:
+        the one view :meth:`try_recv_run` returned, or the head's
+        :func:`~repro.core.framing.encode_run` list — an entry per buffer.
+
+        Queued by reference like any payload; nothing is sent until the
+        next :meth:`flush_pending` or flushed :meth:`send_message`.
+        """
+        if not isinstance(wire, (list, tuple)):
+            wire = (wire,)
+        views = [memoryview(buf) for buf in wire if len(buf)]  # as _enqueue
+        self._send_queue.extend(views)
+        self.pending_bytes += sum(map(len, views))
+        self._stats.frames_sent += len(payloads)
+
+    def recv(self, timeout: float):
+        port = self.port  # (see SocketPort.check for the shape of a wait)
+        if port is None:
+            return self.recv_message(timeout)
+        port._blocked = (self, socket.SHUT_RD)
+        try:
+            if port.stopping is None:
+                return self.recv_message(timeout)
+        except (TimeoutError, ConnectionError):
+            if port.stopping is None:
+                raise
+        finally:
+            port._blocked = None
+        raise TransferAborted(port.stopping)
+        yield  # never reached: the blocking call was the wait
+
+    def flush(self, timeout: float):
+        port = self.port
+        if port is None:
+            return self.flush_pending(timeout=timeout)
+        port._blocked = (self, socket.SHUT_WR)
+        try:
+            if port.stopping is None:
+                return self.flush_pending(timeout=timeout)
+        except (TimeoutError, ConnectionError):
+            if port.stopping is None:
+                raise
+        finally:
+            port._blocked = None
+        raise TransferAborted(port.stopping)
+        yield  # never reached
+
+    if HAS_SENDFILE:
+        def send_file(self, msg: Message, source, offset: int, timeout: float):
+            """Payload from the page cache to the socket, never entering
+            this process (``os.sendfile``)."""
+            return self.send_frame_from_file(msg, source, offset,
+                                             timeout=timeout)
+            yield  # never reached
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -357,12 +407,8 @@ class SocketStream:
             # segments stop being pinned by this stream.
             while self._send_queue:
                 self._send_queue.popleft().release()
-            self._pending_bytes = 0
+            self.pending_bytes = 0
             self._decoder.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def __enter__(self) -> "SocketStream":
         return self
@@ -407,7 +453,7 @@ def connect(
     stream = SocketStream(sock)
     try:
         stream.send_raw(kind, timeout=timeout)
-    except (ConnectionError, WriteStalled) as exc:
+    except (ConnectionError, TimeoutError) as exc:
         stream.close()
         raise NodeFailedError(f"{addr.host}:{addr.port}", f"preamble failed: {exc}")
     if tracer is not None and tracer.enabled:
@@ -484,7 +530,3 @@ class Listener:
         if not self._closed:
             self._closed = True
             self._sock.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed

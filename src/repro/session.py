@@ -1,11 +1,11 @@
 """One entry point for every Kascade backend.
 
-The repo grew three ways to run a broadcast — the real TCP runtime
-(:class:`repro.runtime.LocalBroadcast`), the protocol-exact simulator
-(:class:`repro.protosim.ProtoBroadcast`), and the fluid-flow evaluation
-harness — each with its own constructor shape and result type.  This
-module is the blessed facade over the first two, the ones that execute
-the actual protocol:
+A broadcast is one run (:class:`repro.runtime.cluster.Broadcast`: plan,
+faults, hosts, head re-root, result) on one of two in-process drivers —
+threads on loopback TCP (:class:`repro.runtime.LocalBroadcast`) or the
+protocol-exact simulator (:class:`repro.protosim.ProtoBroadcast`) — or
+one session on a fleet of agent processes.  This module is the facade
+over all of them; it builds a driver and returns what the run folded:
 
     result = repro.run_broadcast(
         BytesSource(payload), ["n2", "n3", "n4"],
@@ -13,10 +13,11 @@ the actual protocol:
     )
     print(result.trace.failure_chronology())
 
-Both backends return the *same* :class:`~repro.runtime.BroadcastResult`
-shape (ok / duration / total_bytes / report / per-node outcomes /
-trace / perfstats), so a crash-injection scenario and its simulated twin
-are compared field-for-field — and event-for-event via the trace.
+Every backend returns the *same* :class:`~repro.runtime.BroadcastResult`
+(ok / duration / total_bytes / report / per-node outcomes / trace /
+perfstats) — for the two drivers literally the same fold — so a
+crash-injection scenario and its simulated twin are compared
+field-for-field, and event-for-event via the trace.
 
 ``trace`` accepts:
 
@@ -40,7 +41,7 @@ from .core.plan import ChainPlan
 from .core.recovery import SourceKind
 from .core.sources import Source
 from .core.tracing import NULL_TRACER, TraceCollector
-from .runtime.result import BroadcastResult, CrashPlan, NodeOutcome
+from .runtime.result import BroadcastResult, CrashPlan, NodeOutcome  # noqa: F401
 
 if TYPE_CHECKING:
     from .core.sinks import Sink
@@ -133,7 +134,13 @@ class BroadcastSession:
 
     Backend-specific keyword options:
 
-    * ``local``: none beyond the common set;
+    * ``local`` and ``simnet`` (one run, two drivers):
+      ``allow_head_chaos`` (accept a crash plan for the head: the most
+      complete survivor is promoted); ``simnet`` also takes ``bandwidth``
+      (bytes/s per link, default 125e6), ``latency`` (seconds per hop,
+      default 1e-4), ``sim_horizon`` (simulated-seconds cap, default
+      3600) and :class:`~repro.protosim.ProtoCrash` among ``crashes``
+      (``at_time`` kills);
     * ``procs`` and ``daemon`` (one session on a fleet of agent
       processes; the same options, the same code): the fleet launch —
       ``window``, ``spawn_retries``, ``startup_timeout``, ``backoff``,
@@ -147,10 +154,7 @@ class BroadcastSession:
       started :class:`repro.daemon.DaemonServer` instead of launching.
       ``crashes`` become real signals (``"close"`` → SIGKILL,
       ``"silent"`` → SIGSTOP) and ``sink_factory`` is rejected (sinks
-      cannot cross process boundaries; use ``output_template``);
-    * ``simnet``: ``bandwidth`` (bytes/s per link, default 125e6),
-      ``latency`` (seconds per hop, default 1e-4), ``sim_horizon``
-      (simulated-seconds cap, default 3600).
+      cannot cross process boundaries; use ``output_template``).
     """
 
     def __init__(
@@ -209,38 +213,45 @@ class BroadcastSession:
     def run(self, timeout: float = 120.0) -> BroadcastResult:
         """Execute the broadcast; ``timeout`` bounds the local backend's
         wall clock (the simnet backend is bounded by ``sim_horizon``)."""
-        if self.backend == "local":
-            result = self._run_local(timeout)
-        elif self.backend in ("procs", "daemon"):
+        if self.backend in ("procs", "daemon"):
             result = self._run_fleet(timeout)
         else:
-            result = self._run_simnet()
+            result = self._run_driver(timeout)
         if self.trace_path is not None and isinstance(self.tracer,
                                                       TraceCollector):
             self.tracer.to_jsonl(self.trace_path)
         return result
 
-    def _run_local(self, timeout: float) -> BroadcastResult:
+    def _run_driver(self, timeout: float) -> BroadcastResult:
+        """``local`` and ``simnet``: the one run, on threads or on the DES."""
         opts = dict(self.backend_opts)
-        allow_head_chaos = bool(opts.pop("allow_head_chaos", False))
-        if opts:
-            raise KascadeError(
-                f"local backend takes no extra options: {sorted(opts)}"
-            )
-        from .runtime.cluster import LocalBroadcast
-
-        cluster = LocalBroadcast(
-            self.source, self.receivers,
-            sink_factory=self.sink_factory,
-            config=self.config,
-            head=self.head,
-            order=self.order,
-            crashes=[self._as_crash_plan(c) for c in self.crashes],
-            tracer=self.tracer,
-            plan=self.plan,
-            allow_head_chaos=allow_head_chaos,
+        run = dict(
+            sink_factory=self.sink_factory, config=self.config,
+            head=self.head, order=self.order, plan=self.plan,
+            allow_head_chaos=bool(opts.pop("allow_head_chaos", False)),
         )
-        return cluster.run(timeout=timeout)
+        if self.backend == "local":
+            if opts:
+                raise KascadeError(
+                    f"local backend takes no extra options: {sorted(opts)}"
+                )
+            from .runtime.cluster import LocalBroadcast
+
+            return LocalBroadcast(
+                self.source, self.receivers, tracer=self.tracer,
+                crashes=[self._as_crash_plan(c) for c in self.crashes], **run,
+            ).run(timeout=timeout)
+        from .protosim.broadcast import ProtoBroadcast, ProtoCrash
+
+        sim_horizon = opts.pop("sim_horizon", 3600.0)
+        unknown = set(opts) - {"bandwidth", "latency"}
+        if unknown:
+            raise KascadeError(f"unknown simnet options: {sorted(unknown)}")
+        return ProtoBroadcast(
+            self.source, self.receivers,
+            crashes=[c if isinstance(c, ProtoCrash) else self._as_crash_plan(c)
+                     for c in self.crashes], **run, **opts,
+        ).run(sim_horizon=sim_horizon, tracer=self.tracer)
 
     #: Keyword options of the process backends: what configures the
     #: fleet launch (see :class:`repro.daemon.DaemonServer`), what
@@ -300,52 +311,6 @@ class BroadcastSession:
             tracer=self.tracer, backend=self.backend, **session, **opts,
         ).run(timeout=timeout)
 
-    def _run_simnet(self) -> BroadcastResult:
-        from .protosim.broadcast import ProtoBroadcast, ProtoCrash
-
-        if self.order != "given":
-            raise KascadeError("simnet backend supports order='given' only")
-        opts = dict(self.backend_opts)
-        sim_horizon = opts.pop("sim_horizon", 3600.0)
-        unknown = set(opts) - {"bandwidth", "latency"}
-        if unknown:
-            raise KascadeError(f"unknown simnet options: {sorted(unknown)}")
-        sim = ProtoBroadcast(
-            self.source, self.receivers,
-            sink_factory=self.sink_factory,
-            config=self.config,
-            head=self.head,
-            crashes=[self._as_proto_crash(c) for c in self.crashes],
-            plan=self.plan,
-            **opts,
-        )
-        proto = sim.run(sim_horizon=sim_horizon, tracer=self.tracer)
-        outcomes = {
-            name: NodeOutcome(
-                name=name,
-                ok=proto.node_ok.get(name, False),
-                bytes_received=proto.node_bytes.get(name, 0),
-                crashed=name in proto.crashed,
-                error=proto.node_errors.get(name),
-                failures_detected=list(proto.report.failures),
-            )
-            for name in (self.head, *self.receivers)
-        }
-        return BroadcastResult(
-            ok=proto.ok,
-            duration=proto.sim_time,
-            total_bytes=proto.total_bytes,
-            report=proto.report,
-            outcomes=outcomes,
-            trace=proto.trace,
-            # No real I/O happens in the simulator; what matters is the
-            # kernel's own work: events dispatched, dead heap entries
-            # skipped, solver rounds vs full rebuilds.
-            perfstats=proto.perfstats,
-            backend="simnet",
-            plan=sim.chain_plan,
-        )
-
     # -- crash-plan coercion --------------------------------------------
 
     @staticmethod
@@ -379,19 +344,6 @@ class BroadcastSession:
                 "process boundaries; use output_template='/path/{node}.out' "
                 "(digests are computed agent-side either way)"
             )
-
-    @staticmethod
-    def _as_proto_crash(crash):
-        from .protosim.broadcast import ProtoCrash
-
-        if isinstance(crash, ProtoCrash):
-            return crash
-        if isinstance(crash, CrashPlan):
-            return ProtoCrash(crash.node, after_bytes=crash.after_bytes,
-                              mode=crash.mode)
-        node, after_bytes, *rest = crash
-        return ProtoCrash(node, after_bytes=after_bytes,
-                          mode=(rest[0] if rest else "close"))
 
 
 def run_broadcast(

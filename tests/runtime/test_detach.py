@@ -280,7 +280,7 @@ class TestDetachWakesEveryWait:
         until = time.monotonic() + deadline
         while time.monotonic() < until:
             stream = node.link.stream
-            if stream is not None and node.port._blocked == (stream.raw, where):
+            if stream is not None and node.port._blocked == (stream, where):
                 time.sleep(0.05)  # inside the system call, not just before it
                 return
             time.sleep(0.005)

@@ -462,6 +462,29 @@ class TestCrashLeavesNoThread:
         for name in ("n2", "n4"):
             assert self._digest(tmp_path, name) == expected_digest(self.SIZE)
 
+    def test_a_staged_hang_ends_with_the_run(self):
+        """A silently crashed node keeps its sockets open *for the run*
+        (that is the crash: peers must time out on them).  Once the run
+        is over its host closes them, not the garbage collector — here
+        the broadcast, and so every node, is still referenced."""
+        import gc
+        import os
+
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        bc = LocalBroadcast(
+            PatternSource(self.SIZE), self.RECEIVERS, config=self.CONFIG,
+            crashes=[CrashPlan("n3", self.SIZE // 4, "silent")])
+        gc.collect()  # what earlier tests left to the collector is not ours
+        before = open_fds()
+        assert bc.run(timeout=60.0).ok
+        assert bc.nodes["n3"].silent
+        deadline = time.monotonic() + 2.0  # acceptors let go within 0.1 s
+        while open_fds() > before and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert open_fds() <= before
+
     def test_head_kill(self, tmp_path):
         result = self._run(tmp_path, [CrashPlan("n1", self.SIZE // 4)],
                            allow_head_chaos=True)

@@ -150,7 +150,7 @@ class TestRunRelay:
                 if run is not None:
                     first, payloads, raw = run
                     assert first == relayed * CHUNK
-                    downstream.cork_frames(raw, len(payloads))
+                    downstream.cork_run(first, payloads, raw)
                     relayed += len(payloads)
             with pytest.raises(WriteStalled):
                 downstream.flush_pending(timeout=0.05)
@@ -188,7 +188,7 @@ class TestRunRelay:
             up_w.sendall(wire)
             upstream.recv_message(timeout=5)
             _first, payloads, raw = upstream.try_recv_run()
-            downstream.cork_frames(raw, len(payloads))
+            downstream.cork_run(_first, payloads, raw)
             segment = raw.obj
             del payloads, raw
             upstream.close()  # the decoder lets go: only the queue holds on
@@ -317,7 +317,7 @@ class TestHeadRun:
 
         def spy_adopt(node, stream, detail):
             if node.name == "n2":
-                decoders.append(stream.raw._decoder)
+                decoders.append(stream._decoder)
             return adopt(node, stream, detail)
 
         def spy_written(dec, n):

@@ -1,24 +1,33 @@
-"""Driver conformance: one node, two ports, the same story.
+"""Driver conformance: one node, one cluster, two drivers, the same story.
 
-The protocol is written once (:mod:`repro.core.engine`); what differs
-between ``backend="local"`` (threads on loopback TCP) and
-``backend="simnet"`` (:class:`~repro.protosim.ProtoBroadcast` on the
-DES) is only who performs the waits.  So every scenario of one table
-must tell the same story on both: the same bytes at every survivor, the
-same failure report (who died, who noticed), and at every node the same
-sequence of milestones (FAILOVER, FORGET, QUIT, DONE) — whose order the
-protocol dictates, whatever the clocks did.
+The protocol is written once (:mod:`repro.core.engine`) and so is the
+run around it (:class:`repro.runtime.cluster.Broadcast`: plan, hosts,
+crash gates, head re-root, result fold); what differs between
+``backend="local"`` (threads on loopback TCP) and ``backend="simnet"``
+(:class:`~repro.protosim.ProtoBroadcast` on the DES) is only who
+performs the waits.  So every scenario of one table must tell the same
+story on both: the same bytes at every survivor, the same failure report
+(who died, who noticed — in the ring report and in each node's own
+account), the same chain at the end, and at every node the same sequence
+of milestones (FAILOVER, FORGET, QUIT, DONE) — whose order the protocol
+dictates, whatever the clocks did.
 """
 
+import gc
 import hashlib
 import io
+import os
+import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import pytest
 
 from repro import run_broadcast
-from repro.core import BufferSink, KascadeConfig, PatternSource, StreamSource
+from repro.core import (BufferSink, FileSource, KascadeConfig, KascadeError,
+                        PatternSource, StreamSource)
+from repro.core.tracing import ELECTION, FAILOVER, FORGET
 
 CFG = KascadeConfig(
     chunk_size=16 * 1024, buffer_chunks=8,
@@ -48,6 +57,14 @@ class Scenario:
     #: Receivers that need not complete (besides the crashed ones).
     lost: Tuple[str, ...] = ()
     ok: bool = True
+    order: str = "given"
+    #: Extra ``run_broadcast`` options (the same on both drivers).
+    options: Tuple[Tuple[str, object], ...] = ()
+    #: Milestone types a thread's timing decides, so not compared — e.g.
+    #: FORGET after a head re-root: whether a survivor sits below the
+    #: election watermark (and needs PGET) is how far it had got when
+    #: the head died, which only the DES fixes.
+    timing_decides: Tuple[str, ...] = ()
 
 
 def chain(n):
@@ -77,6 +94,23 @@ SCENARIOS = {
         config=CFG.with_(buffer_chunks=1, verify_digest=False),
         lost=("n4",), ok=False),
     "two_stripes": Scenario(chain(4), config=CFG.with_(stripes=2)),
+    "hostname_order": Scenario(["n4", "n2", "n5", "n3"], order="hostname"),
+    # The host-level gate: n4 dies once its *two* stripes hold SIZE // 4
+    # between them, and takes both chain instances down.  (The ring holds
+    # a whole stripe, so no replay can need PGET whatever the bursts were.)
+    "two_stripes_mid_chain_crash": Scenario(
+        chain(4), crashes=(("n4", SIZE // 4, "close"),),
+        config=CFG.with_(stripes=2, buffer_chunks=32)),
+    # The head dies past the link's window (512 KiB on the DES), so the
+    # election is mid-stream on both drivers.
+    "head_close_crash": Scenario(
+        chain(3), source=pattern(4 * SIZE),
+        crashes=(("n1", 2 * SIZE, "close"),),
+        options=(("allow_head_chaos", True),), timing_decides=(FORGET,)),
+    "head_silent_crash": Scenario(
+        chain(3), source=pattern(4 * SIZE),
+        crashes=(("n1", 2 * SIZE, "silent"),),
+        options=(("allow_head_chaos", True),), timing_decides=(FORGET,)),
 }
 
 
@@ -89,6 +123,10 @@ class Story:
     complete: dict          # receiver -> outcome.ok
     failures: list          # (dead node, who noticed), report order
     milestones: dict        # node -> [milestone type, ...] in its order
+    noticed: dict           # node -> its own [(dead node, who noticed)]
+    crashed: set            # nodes whose outcome says they crashed
+    chain: tuple            # the plan the run finished on, head first
+    elections: tuple        # (coordinator FAILOVERs, ELECTIONs) traced
 
 
 def tell(scenario: Scenario, driver: str) -> Story:
@@ -101,10 +139,12 @@ def tell(scenario: Scenario, driver: str) -> Story:
     result = run_broadcast(
         scenario.source(), list(scenario.receivers), backend=driver,
         config=scenario.config, crashes=list(scenario.crashes),
-        sink_factory=sink_factory, trace=True, timeout=60.0)
+        order=scenario.order, sink_factory=sink_factory, trace=True,
+        timeout=60.0, **dict(scenario.options))
     milestones = {}
     for type_, node in result.trace.milestones():
-        milestones.setdefault(node, []).append(type_)
+        if type_ not in scenario.timing_decides:
+            milestones.setdefault(node, []).append(type_)
     return Story(
         ok=result.ok,
         digests={name: hashlib.sha256(sink.getvalue()).hexdigest()
@@ -112,6 +152,15 @@ def tell(scenario: Scenario, driver: str) -> Story:
         complete={name: result.outcomes[name].ok for name in sinks},
         failures=[(rec.node, rec.detected_by) for rec in result.report.failures],
         milestones=milestones,
+        noticed={name: [(rec.node, rec.detected_by)
+                        for rec in outcome.failures_detected]
+                 for name, outcome in result.outcomes.items()},
+        crashed={name for name, outcome in result.outcomes.items()
+                 if outcome.crashed},
+        chain=result.plan.nodes,
+        elections=(sum(e.node == "coordinator"
+                       for e in result.trace.of_type(FAILOVER)),
+                   len(result.trace.of_type(ELECTION))),
     )
 
 
@@ -137,7 +186,15 @@ def check(scenario: Scenario, stories: Optional[dict] = None) -> dict:
     assert {n: local.digests[n] for n in survivors} == \
         {n: sim.digests[n] for n in survivors}
     assert local.failures == sim.failures
-    assert {dead for dead, _by in sim.failures} == crashed
+    # A head that died as planned is not in the ring report: the chain
+    # that closed the ring is the re-rooted one, which never had it.
+    head_died = "n1" in crashed
+    assert {dead for dead, _by in sim.failures} == crashed - {"n1"}
+    assert local.noticed == sim.noticed
+    assert local.crashed == sim.crashed == crashed
+    assert local.chain == sim.chain
+    assert (local.chain[0] == "n1") is not head_died
+    assert local.elections == sim.elections == (head_died, head_died)
     assert local.milestones == sim.milestones
     return stories
 
@@ -145,6 +202,54 @@ def check(scenario: Scenario, stories: Optional[dict] = None) -> dict:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_both_drivers_tell_the_same_story(name):
     check(SCENARIOS[name])
+
+
+def test_a_head_crash_is_refused_in_one_sentence():
+    """Without ``allow_head_chaos``, and where a re-root cannot work,
+    both drivers refuse through the one validation — never as an
+    "unknown node" or an "unknown option"."""
+    def refusal(driver, **kwargs):
+        with pytest.raises(KascadeError) as refused:
+            run_broadcast(PatternSource(SIZE), chain(2), backend=driver,
+                          config=kwargs.pop("config", CFG),
+                          crashes=[("n1", SIZE // 2, "close")], **kwargs)
+        return str(refused.value)
+
+    striped = CFG.with_(stripes=2)
+    for kwargs in ({}, {"allow_head_chaos": True, "config": striped}):
+        local, sim = (refusal(driver, **kwargs) for driver in DRIVERS)
+        assert local == sim
+        assert "unknown" not in sim
+    assert "allow_head_chaos=True" in refusal("simnet")
+    assert "1-stripe" in refusal("simnet", allow_head_chaos=True,
+                                 config=striped)
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_a_striped_file_broadcast_closes_what_it_opened(driver, tmp_path):
+    """Each stripe view of a ``FileSource`` holds its own descriptor; the
+    host that opened the views closes them, whoever drove it."""
+    path = tmp_path / "payload.bin"
+    path.write_bytes(bytes(range(256)) * (SIZE // 256))
+
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        gc.collect()  # what earlier tests left to the collector is not ours
+        before = open_fds()
+        for _ in range(2):
+            with FileSource(path) as source:
+                assert run_broadcast(source, chain(2), backend=driver,
+                                     config=CFG.with_(stripes=2),
+                                     timeout=60.0).ok
+        gc.collect()  # an unclosed file would warn here, not at exit
+        # (The acceptor threads let go of their sockets within 0.1 s.)
+        deadline = time.monotonic() + 2.0
+        while open_fds() > before and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert open_fds() <= before
 
 
 def test_the_simulated_story_is_reproducible():

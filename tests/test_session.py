@@ -148,10 +148,22 @@ class TestBothBackends:
             assert result.ok
             assert result.outcomes["n2"].crashed
 
-    def test_simnet_requires_given_order(self):
-        with pytest.raises(KascadeError, match="order='given'"):
-            run_broadcast(BytesSource(PAYLOAD), ["n2"], backend="simnet",
-                          config=FAST, order="random")
+    def test_order_is_the_plans_whoever_runs_it(self):
+        """``order=`` is ``ChainPlan.resolve``'s argument on every
+        backend: honoured alike, and refused alike."""
+        said = {}
+        for backend in ("local", "simnet"):
+            result = run_broadcast(BytesSource(PAYLOAD), ["n3", "n2"],
+                                   backend=backend, config=FAST,
+                                   order="hostname", timeout=60.0)
+            assert result.ok
+            assert result.plan.receivers == ("n2", "n3")
+            with pytest.raises(KascadeError) as refusal:
+                run_broadcast(BytesSource(PAYLOAD), ["n2"], backend=backend,
+                              config=FAST, order="random")
+            said[backend] = str(refusal.value)
+        assert said["local"] == said["simnet"]
+        assert "rng" in said["local"]
 
 
 class TestStripeValidation:

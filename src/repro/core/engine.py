@@ -193,6 +193,9 @@ class Link:
                 stream.close()
                 self._mark_dead(target, f"no-handshake: {exc}")
                 continue
+            except TransferAborted:
+                stream.close()  # stopped mid-handshake: still only ours
+                raise
             if isinstance(msg, Quit):
                 stream.close()
                 self.downstream_aborted = True
@@ -752,8 +755,13 @@ class Receiver(Node):
 
     def _adopt_upstream(self, stream, detail: str):
         """GET on a queued connection and make it the upstream."""
-        if not (yield from _say(stream, Get(self.state.offset),
-                                self.config.io_timeout)):
+        try:
+            said = yield from _say(stream, Get(self.state.offset),
+                                   self.config.io_timeout)
+        except TransferAborted:
+            stream.close()  # stopped mid-handshake: still only ours
+            raise
+        if not said:
             stream.close()
             return False
         # Stamped before the stream is published, so the acceptor never

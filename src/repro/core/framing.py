@@ -37,7 +37,7 @@ from __future__ import annotations
 import struct
 from typing import BinaryIO, Iterator, List, Optional, Tuple, Union
 
-from .buffers import BufferPool
+from .buffers import BufferPool, Segment
 from .errors import FramingError
 from .messages import (
     Data,
@@ -223,7 +223,7 @@ class FrameDecoder:
         self._pool = pool
         self._stats = stats if stats is not None else get_stats()
         self._segment = pool.segment_size if pool is not None else 256 * 1024
-        self._buf: Optional[bytearray] = None
+        self._buf: Optional[Segment] = None
         self._mv: Optional[memoryview] = None  # cached full-buffer view
         self._cap = 0
         self._pos = 0   # parse position
@@ -238,7 +238,7 @@ class FrameDecoder:
     # Buffer management
     # ------------------------------------------------------------------
 
-    def _acquire(self, min_size: int) -> bytearray:
+    def _acquire(self, min_size: int) -> Segment:
         if self._pool is not None:
             return self._pool.acquire(min_size)
         return bytearray(max(self._segment, min_size))
@@ -251,8 +251,9 @@ class FrameDecoder:
             self._pool.recycle(self._buf)
         self._buf = None
 
-    def _rotate(self, min_free: int) -> None:
-        """Switch to a fresh buffer, carrying over the unparsed tail.
+    def _rotate(self, min_size: int) -> None:
+        """Switch to a fresh buffer of at least ``min_size`` bytes — the
+        unparsed tail included, which is carried over.
 
         Between frames the tail is empty and nothing is copied.  A
         non-empty tail is either a partial header (not payload,
@@ -262,7 +263,7 @@ class FrameDecoder:
         """
         old_buf, tail_lo, tail_hi = self._buf, self._pos, self._fill
         tail = tail_hi - tail_lo
-        new = self._acquire(tail + min_free)
+        new = self._acquire(min_size)
         if tail:
             new[:tail] = old_buf[tail_lo:tail_hi]
             if self._pending is not None:
@@ -282,7 +283,7 @@ class FrameDecoder:
             self._cap = len(self._buf)
             self._pos = self._fill = 0
         elif self._cap - self._fill < nbytes:
-            self._rotate(nbytes)
+            self._rotate(self._fill - self._pos + nbytes)
 
     def _ensure_payload_room(self, need: int) -> None:
         """Guarantee the pending payload ``[pos, pos+need)`` fits in the
@@ -292,6 +293,9 @@ class FrameDecoder:
         the rotation is payload prefix of that frame and must be counted.
         """
         if self._pos + need > self._cap:
+            # The frame and the next one's header: a pool sizes its
+            # segments to exactly this (what is already here is part of
+            # ``need``).
             self._rotate(need + _MAX_HEADER)
 
     # ------------------------------------------------------------------

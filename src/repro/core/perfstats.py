@@ -14,7 +14,9 @@ path (socket streams, frame decoder, buffer pool) increments a
 * ``syscalls_*`` — socket system calls issued, split by kind.
 * ``frames_decoded`` / ``frames_sent`` — wire frames through the decoder
   and the vectored send queue.
-* ``pool_*`` — buffer-pool allocations vs. reuses.
+* ``pool_*`` — segments the buffer pools mapped afresh
+  (``pool_allocations``, ``pool_bytes_mapped`` bytes of them) vs. took
+  warm from an idle list or the process-wide reserve (``pool_reuses``).
 * ``sink_stall_s`` / ``writeback_queue_hwm`` — time the relay spent
   blocked on a full sink-writeback queue (seconds, a float), and the
   queue's high-water mark in chunks (a maximum, not a sum — deltas
@@ -75,6 +77,7 @@ _COUNTERS = (
     "bytes_sent",
     "pool_allocations",
     "pool_reuses",
+    "pool_bytes_mapped",
     "sink_stall_s",
     "writeback_queue_hwm",
     "readahead_hits",

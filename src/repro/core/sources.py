@@ -10,10 +10,14 @@ used to answer PGET requests when the source is a seekable file.
 from __future__ import annotations
 
 import os
-from typing import BinaryIO
+from typing import TYPE_CHECKING, BinaryIO, Optional
 
 from .errors import DataLossError
 from .recovery import SourceKind
+
+if TYPE_CHECKING:
+    from .buffers import BufferPool
+    from .framing import Payload
 
 
 class Source:
@@ -27,11 +31,17 @@ class Source:
     #: in-memory source gains nothing from a prefetch thread.
     blocking_io: bool = True
 
-    def read_chunk(self, size: int) -> bytes:
-        """Return up to ``size`` next bytes; ``b""`` signals end of stream."""
+    def read_chunk(self, size: int) -> Payload:
+        """Return up to ``size`` next bytes; ``b""`` signals end of stream.
+
+        What comes back is the caller's to hold as long as it likes and
+        never to write to: ``bytes``, or a view into a pooled segment
+        under the ownership rule of received payloads (docs/PROTOCOL.md
+        §10) — the segment is reused once every view of it is gone.
+        """
         raise NotImplementedError
 
-    def read_range(self, offset: int, size: int) -> bytes:
+    def read_range(self, offset: int, size: int) -> Payload:
         """Random access for PGET; only valid on seekable sources."""
         raise DataLossError("source is not seekable; range re-read impossible")
 
@@ -46,7 +56,14 @@ class Source:
 
 
 class FileSource(Source):
-    """Seekable file on disk — supports PGET recovery."""
+    """Seekable file on disk — supports PGET recovery.
+
+    Every read is served off the one descriptor opened here, so the
+    bytes are the file's as it was opened whatever has happened to the
+    path since, and lands in a pooled segment (:mod:`repro.core.buffers`)
+    handed out as a view: a broadcast's blocks are the previous one's,
+    already mapped and warm, not a fresh heap allocation each.
+    """
 
     kind = SourceKind.SEEKABLE_FILE
 
@@ -54,6 +71,7 @@ class FileSource(Source):
         self._path = os.fspath(path)
         self._file: BinaryIO = open(self._path, "rb")
         self._size = os.fstat(self._file.fileno()).st_size
+        self._pool: Optional[BufferPool] = None
 
     @property
     def size(self) -> int:
@@ -74,15 +92,44 @@ class FileSource(Source):
         """
         return self._file.fileno()
 
-    def read_chunk(self, size: int) -> bytes:
-        return self._file.read(size)
+    def _read_block(self, size: int, fill) -> Payload:
+        """``fill(view) -> n`` reads into a segment of ``size`` bytes;
+        the ``n`` bytes come back as a view pinning it."""
+        pool = self._pool
+        if pool is None:
+            # A source nobody reads (a supervisor hands its agents the
+            # path) loads and maps nothing.  The pool keeps no segment
+            # of its own — each goes back to the process-wide reserve
+            # as soon as it is filled, pinned by the view handed out —
+            # so the read-ahead thread and any number of PGET services
+            # share no unlocked list, and nothing is left to close.
+            from .buffers import PAGE, BufferPool
 
-    def read_range(self, offset: int, size: int) -> bytes:
-        # A second handle keeps the sequential read position undisturbed:
-        # PGET service must not corrupt the main streaming cursor.
-        with open(self._path, "rb") as f:
-            f.seek(offset)
-            data = f.read(size)
+            pool = self._pool = BufferPool(PAGE, max_idle=0)
+        segment = pool.acquire(size)
+        view = memoryview(segment)[:size]
+        got = fill(view)
+        pool.recycle(segment)
+        return view[:got] if got else b""
+
+    def read_chunk(self, size: int) -> Payload:
+        return self._read_block(size, self._file.readinto)
+
+    def read_range(self, offset: int, size: int) -> Payload:
+        # Positional reads leave the sequential cursor undisturbed: PGET
+        # service must not corrupt the main streaming position.
+        fd = self._file.fileno()
+
+        def fill(view: memoryview) -> int:
+            got = 0
+            while got < size:
+                n = os.preadv(fd, [view[got:]], offset + got)
+                if n == 0:
+                    break
+                got += n
+            return got
+
+        data = self._read_block(size, fill)
         if len(data) != size:
             raise DataLossError(
                 f"file shrank: wanted [{offset}, {offset + size}), got {len(data)} bytes"

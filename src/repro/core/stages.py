@@ -37,12 +37,15 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Optional, Tuple
 
 from .perfstats import PerfStats, get_stats
 from .sinks import Sink
 from .sources import Source
 from .tracing import NULL_TRACER, STALL
+
+if TYPE_CHECKING:
+    from .framing import Payload
 
 __all__ = ["SinkWriter", "ReadAheadSource"]
 
@@ -289,7 +292,9 @@ class ReadAheadSource(Source):
         self.kind = inner.kind
         self.blocking_io = getattr(inner, "blocking_io", True)
 
-        self._queue: Deque[bytes] = deque()
+        # Blocks are whatever the inner source hands out — ``bytes`` or
+        # views pinning a pooled segment — and are only ever sliced.
+        self._queue: Deque[Payload] = deque()
         self._lock = threading.Lock()
         self._readable = threading.Condition(self._lock)
         self._writable = threading.Condition(self._lock)
@@ -297,15 +302,16 @@ class ReadAheadSource(Source):
         self._eof = False
         self._stopped = False
         self._error: Optional[BaseException] = None
-        self._pending = b""  # leftover when a caller changes chunk size
+        #: Read but not yet served: what is left of a block when a caller
+        #: shrinks its chunk size, and what ``stop()`` found queued.
+        self._pending: Deque[Payload] = deque()
         self._worker: Optional[threading.Thread] = None
 
     # -- consumer side ---------------------------------------------------
 
-    def read_chunk(self, size: int) -> bytes:
+    def read_chunk(self, size: int) -> Payload:
         if self._pending:
-            piece, self._pending = self._pending[:size], self._pending[size:]
-            return piece
+            return self._serve(self._pending.popleft(), size)
         if self._worker is None:
             if self._stopped:
                 return self._inner.read_chunk(size)
@@ -328,13 +334,16 @@ class ReadAheadSource(Source):
                     self._readable.wait()
             block = self._queue.popleft()
             self._writable.notify()
+        return self._serve(block, size)
+
+    def _serve(self, block: Payload, size: int) -> Payload:
         if len(block) <= size:
             return block
         # Caller shrank its chunk size mid-stream: serve from the block.
-        self._pending = block[size:]
+        self._pending.appendleft(block[size:])
         return block[:size]
 
-    def read_range(self, offset: int, size: int) -> bytes:
+    def read_range(self, offset: int, size: int) -> Payload:
         return self._inner.read_range(offset, size)
 
     def stop(self) -> None:
@@ -349,9 +358,8 @@ class ReadAheadSource(Source):
             # Queued-but-unread chunks become _pending so a re-started
             # consumer (or passthrough reads) never lose bytes.
             with self._lock:
-                drained = list(self._queue)
+                self._pending.extend(self._queue)
                 self._queue.clear()
-            self._pending += b"".join(drained)
             self._worker = None
 
     def close(self) -> None:

@@ -172,6 +172,12 @@ class SocketPort:
             if stream is not None:
                 return stream
 
+    def close_inbox(self) -> None:
+        """The node has stopped: close what nobody will read now."""
+        while (stream := self.poll_connection()) is not None:
+            stream.close()
+        self.inbox.put(None)  # the token of a wake() may have gone too
+
     def spawn(self, gen) -> None:
         threading.Thread(target=drive, args=(gen,),
                          name=f"side-{self.name}", daemon=True).start()

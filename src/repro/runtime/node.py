@@ -67,6 +67,13 @@ class _Acceptor:
                 except Exception:  # noqa: BLE001 - acceptor must survive anything
                     raw.close()
         finally:
+            # Nobody offers after this thread, and a stopped node reads
+            # no more: what the last 0.1 s accepted is closed here, not
+            # left to the garbage collector.  A silent crash and a node
+            # detached for failover reset nobody until
+            # ``close_connections``, which closes these too.
+            if not (node.silent or node.failover_requested.is_set()):
+                node.port.close_inbox()
             # The one cycle that would keep a finished node's ring and
             # buffers alive until the cyclic collector runs.
             self.node = None
@@ -156,6 +163,7 @@ class _ThreadNode:
 
     def close_connections(self) -> None:
         super().close_connections()
+        self.port.close_inbox()
         while self._orphans:  # what a silently crashed node swallowed
             self._orphans.pop().close()
 

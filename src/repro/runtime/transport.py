@@ -26,7 +26,9 @@ any backlog) without ever concatenating them in userspace.  The receive
 side reads with ``recv_into`` straight into the decoder's pooled buffer,
 and the decoder hands payloads out as memoryviews of that same buffer.
 A relay therefore moves a chunk from its upstream socket to its
-downstream socket with **zero** userspace payload copies; the
+downstream socket with **zero** userspace payload copies, and a stream
+that is closed leaves its segments, mapped and warm, to the next one
+(:mod:`repro.core.buffers`); the
 :mod:`repro.core.perfstats` counters make that invariant testable.
 ``send_frame_from_file`` goes one step further for the head's recovery
 service and streams payload bytes kernel-to-kernel with ``os.sendfile``.
@@ -95,6 +97,9 @@ class SocketStream:
     ) -> None:
         self._sock = sock
         self._stats = stats if stats is not None else get_stats()
+        #: A pool the stream made is the stream's to close; a caller's
+        #: may outlive it and is left alone.
+        self._owns_pool = pool is None
         self._pool = pool if pool is not None else BufferPool(stats=self._stats)
         self._decoder = FrameDecoder(pool=self._pool, stats=self._stats)
         #: Scatter/gather send queue: memoryviews awaiting the wire, in
@@ -404,11 +409,15 @@ class SocketStream:
                 pass
             self._sock.close()
             # Release queue views and the decoder's buffer so the pool's
-            # segments stop being pinned by this stream.
+            # segments stop being pinned by this stream, and hand the
+            # segments themselves — a ring may pin some a while longer —
+            # to the process-wide reserve for the next stream.
             while self._send_queue:
                 self._send_queue.popleft().release()
             self.pending_bytes = 0
             self._decoder.close()
+            if self._owns_pool:
+                self._pool.close()
 
     def __enter__(self) -> "SocketStream":
         return self

@@ -20,7 +20,7 @@ from repro.core import (
     open_sink,
 )
 from repro.core.sinks import FileSink
-from repro.core.sources import open_source
+from repro.core.sources import ResumeView, open_source
 
 
 def drain(source, chunk=7):
@@ -79,6 +79,51 @@ class TestFileSource:
         p.write_bytes(b"zz")
         with open_source(str(p)) as src:
             assert drain(src) == b"zz"
+
+    @pytest.mark.parametrize("fate", ["replaced", "unlinked"])
+    def test_every_read_is_of_the_file_that_was_opened(self, tmp_path, fate):
+        """One descriptor serves the cursor, the ranges and a re-rooted
+        head's ``ResumeView``: what happens to the *path* after the
+        broadcast started changes nothing."""
+        original = PatternSource(50_000, seed=1).expected_bytes(0, 50_000)
+        p = tmp_path / "in.bin"
+        p.write_bytes(original)
+        src = FileSource(p)
+        if fate == "replaced":
+            other = tmp_path / "other.bin"
+            other.write_bytes(PatternSource(50_000, seed=2)
+                              .expected_bytes(0, 50_000))
+            os.replace(other, p)
+        else:
+            os.unlink(p)
+        assert src.read_chunk(1000) == original[:1000]
+        assert src.read_range(30_000, 4096) == original[30_000:34_096]
+        assert drain(ResumeView(src, 20_000), 4096) == original[20_000:]
+        # None of which moved the sequential cursor.
+        assert src.read_chunk(1000) == original[1000:2000]
+        src.close()
+
+    def test_blocks_are_views_of_pooled_segments(self, tmp_path):
+        """A block pins its segment for as long as it is held, and a
+        later read lands in another one; end of stream is ``b""``."""
+        p = tmp_path / "in.bin"
+        p.write_bytes(b"ab" * 8192)
+        src = FileSource(p)
+        first = src.read_chunk(8192)
+        second = src.read_range(0, 8192)
+        assert isinstance(first, memoryview) and first.readonly is False
+        assert first.obj is not second.obj
+        assert bytes(first) == bytes(second) == b"ab" * 4096
+        assert src.read_chunk(8192) == b"ab" * 4096
+        assert src.read_chunk(8192) == b""
+        src.close()
+
+    def test_range_past_the_end_is_data_loss(self, tmp_path):
+        p = tmp_path / "in.bin"
+        p.write_bytes(b"x" * 100)
+        with FileSource(p) as src:
+            with pytest.raises(DataLossError):
+                src.read_range(90, 20)
 
 
 class TestPatternSource:

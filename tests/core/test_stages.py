@@ -9,6 +9,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     BufferSink,
@@ -312,6 +313,32 @@ class TestReadAheadSource:
                 break
             rest += piece
         assert first + rest == b"a" * 100
+
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 40_000), min_size=1, max_size=12),
+           stop_at=st.integers(0, 12))
+    def test_view_blocks_survive_stop_and_a_changing_chunk_size(
+            self, tmp_path_factory, sizes, stop_at):
+        """Over a source that hands out views of pooled segments: shrink
+        or grow the chunk size at will, ``stop()`` mid-stream — no byte
+        is lost, duplicated or served out of a recycled segment."""
+        data = PatternSource(150_000, seed=9).expected_bytes(0, 150_000)
+        path = tmp_path_factory.mktemp("ra") / "in.bin"
+        path.write_bytes(data)
+        src = ReadAheadSource(FileSource(path), depth=2)
+        pieces, turn = [], 0
+        while True:
+            if turn == stop_at:
+                src.stop()
+            piece = src.read_chunk(sizes[turn % len(sizes)])
+            turn += 1
+            if not piece:
+                break
+            assert len(piece) <= sizes[(turn - 1) % len(sizes)]
+            pieces.append(piece)  # held, as a ring would: pins the segment
+        assert any(isinstance(piece, memoryview) for piece in pieces)
+        assert b"".join(pieces) == data
+        src.close()
 
     def test_error_propagates(self):
         class BoomSource(BytesSource):

@@ -144,23 +144,25 @@ def add_common(parser: argparse.ArgumentParser) -> None:
                              "payloads in-kernel via splice/sendfile)")
 
 
+def refuse(args: argparse.Namespace, why) -> "NoReturn":
+    """Refuse a run as argparse refuses what it can check itself: one
+    line naming the command, status 2."""
+    print(f"kascade {args.command}: error: {why}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def cmd_demo(args: argparse.Namespace) -> int:
     """Whole pipeline in one process: threads + loopback TCP."""
     from ..core.errors import KascadeError
     from ..core.sources import open_source
     from ..session import run_broadcast
 
-    def refuse(why) -> "NoReturn":
-        # As argparse refuses what it can check itself: one line, status 2.
-        print(f"kascade demo: error: {why}", file=sys.stderr)
-        raise SystemExit(2)
-
     config = build_config(args)
     receivers = [f"n{i}" for i in range(2, args.nodes + 2)]
     try:
         source = open_source(args.input)
     except OSError as exc:
-        refuse(exc)
+        refuse(args, exc)
 
     def sink_factory(name: str):
         if args.output_command:
@@ -180,27 +182,32 @@ def cmd_demo(args: argparse.Namespace) -> int:
                                config=config, trace=args.trace,
                                timeout=args.run_timeout)
     except KascadeError as exc:  # a plan or option the run refuses up front
-        refuse(exc)
+        refuse(args, exc)
     return print_result(result, args)
 
 
 def print_result(result, args: argparse.Namespace) -> int:
     """Render a ``demo``/``deploy`` result; returns the exit code."""
-    delivered = [n for n in result.completed_nodes if n != "n1"]
-    print(f"{result.total_bytes} bytes to {len(delivered)} node(s) "
-          f"in {result.duration:.2f}s "
-          f"({result.throughput / 1e6:.1f} MB/s)")
-    if result.launch is not None:
-        print(f"launch: {result.launch.summary()}")
-        print(result.launch.compare().render())
-    print(result.report.summary())
-    for name, outcome in sorted(result.outcomes.items()):
-        status = "ok" if outcome.ok else f"FAILED ({outcome.error})"
-        digest = f", sha256={outcome.digest[:12]}…" if outcome.digest else ""
-        print(f"  {name}: {outcome.bytes_received} bytes, {status}{digest}")
-    if args.trace and result.trace is not None:
-        print(result.trace.failure_chronology())
-        print(f"trace: {result.trace.summary()} -> {args.trace}")
+    try:
+        delivered = [n for n in result.completed_nodes if n != "n1"]
+        print(f"{result.total_bytes} bytes to {len(delivered)} node(s) "
+              f"in {result.duration:.2f}s "
+              f"({result.throughput / 1e6:.1f} MB/s)")
+        if result.launch is not None:
+            print(f"launch: {result.launch.summary()}")
+            print(result.launch.compare().render())
+        print(result.report.summary())
+        for name, outcome in sorted(result.outcomes.items()):
+            status = "ok" if outcome.ok else f"FAILED ({outcome.error})"
+            digest = (f", sha256={outcome.digest[:12]}…"
+                      if outcome.digest else "")
+            print(f"  {name}: {outcome.bytes_received} bytes, "
+                  f"{status}{digest}")
+        if args.trace and result.trace is not None:
+            print(result.trace.failure_chronology())
+            print(f"trace: {result.trace.summary()} -> {args.trace}")
+    except BrokenPipeError:
+        pass  # the reader left; main() settles stdout, the status stands
     return 0 if result.ok else 1
 
 
@@ -239,21 +246,15 @@ def parse_chaos(specs: List[str], head: str | None = None):
 
 def cmd_deploy(args: argparse.Namespace) -> int:
     """Windowed multi-process deployment: real processes, real signals."""
-    from ..core.errors import KascadeError
     from ..core.sources import open_source
     from ..session import run_broadcast
-
-    def refuse(why) -> "NoReturn":
-        # As argparse refuses what it can check itself: one line, status 2.
-        print(f"kascade demo: error: {why}", file=sys.stderr)
-        raise SystemExit(2)
 
     config = build_config(args)
     receivers = [f"n{i}" for i in range(2, args.nodes + 2)]
     try:
         source = open_source(args.input)
     except OSError as exc:
-        refuse(exc)
+        refuse(args, exc)
     result = run_broadcast(
         source, receivers,
         backend="procs",
@@ -704,7 +705,19 @@ def main(argv: List[str] | None = None) -> int:
             add_args(command)
         command.set_defaults(fn=fn)
     args = parser.parse_args(argv)
-    return args.fn(args)
+    status = args.fn(args)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Whoever read our output has left (``kascade deploy … | head -3``):
+        # not a failure of the run.  Interpreter exit flushes stdout once
+        # more, so give that flush somewhere to go.
+        import os
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -295,11 +295,12 @@ class DaemonServer:
         control = self._coordinator.address
         launcher = WindowedLauncher(
             agent_spawner(
-                [self.python, "-m", "repro.cli.kascade", "agent",
-                 "--coordinator", f"{control.host}:{control.port}",
+                self.python,
+                ["--coordinator", f"{control.host}:{control.port}",
                  "--bind", self.bind_host,
                  "--cache-bytes", str(self.cache_bytes),
                  "--start-timeout", str(max(60.0, self.startup_timeout * 4))],
+                cached=self.cache_bytes > 0,
                 stderr_dir=self.stderr_dir, agent_args=self.agent_args),
             window=self.window,
             retries=self.spawn_retries,

@@ -10,6 +10,10 @@ process (§III-B):
   control socket, serves sessions (per session: bind data ports, run the
   existing :mod:`repro.runtime` node logic, report a structured status)
   and exits when told to ``quit``;
+* :mod:`repro.deploy.program` — that program, compiled once by the
+  supervisor and handed to every agent it spawns on stdin ("copies
+  itself … then starts itself everywhere"), and the ``python -c``
+  bootstrap that runs it;
 * :mod:`repro.deploy.launcher` — windowed parallel spawn (TakTuk's
   windowed mode) with per-node retry/backoff and startup-timeout
   detection; nodes that never register are re-planned around *before*

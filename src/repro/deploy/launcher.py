@@ -7,6 +7,10 @@ windowed launching confines a failure to the one node that failed —
 which is why the paper picks it despite the extra latency.  This module
 reproduces those semantics with real processes:
 
+* the node program "copies itself" to every node it starts: the
+  supervisor compiles the agent's modules once per fleet and each agent
+  reads them from its stdin (:mod:`repro.deploy.program`,
+  :func:`agent_spawner`);
 * at most ``window`` agents are simultaneously in their spawn→register
   phase (a ``ThreadPoolExecutor`` bounds the in-flight set);
 * an agent that exits before registering, or never registers within
@@ -25,13 +29,16 @@ of :mod:`repro.launch.models` (see
 
 from __future__ import annotations
 
+import contextlib
 import os
 import subprocess
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
+from . import program
 from .protocol import DeployError
 
 #: ``spawn(name, attempt)`` → a process handle exposing the small subset
@@ -44,8 +51,9 @@ WaitFn = Callable[[str, float], bool]
 
 def spawn_env() -> dict:
     """The environment agents and replicas are spawned with: this
-    checkout's ``src/`` leads ``PYTHONPATH``, so ``-m repro...`` runs
-    the code that is supervising it."""
+    checkout's ``src/`` leads ``PYTHONPATH``, so a replica's
+    ``-m repro...`` — and whatever an agent loads from disk rather than
+    from its program — is the code that is supervising it."""
     src_root = os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
     env = dict(os.environ)
@@ -56,35 +64,53 @@ def spawn_env() -> dict:
 
 
 def agent_spawner(
+    python: str,
     argv: Sequence[str],
     *,
+    cached: bool = False,
     stderr_dir: Optional[str] = None,
     agent_args: Optional[Callable[[str, int], Sequence[str]]] = None,
 ) -> "SpawnFn":
-    """``spawn(name, attempt)`` running ``argv --name <name>``.
+    """``spawn(name, attempt)`` running ``kascade agent argv --name <name>``
+    under ``python``, from a program compiled here, once.
 
-    The one function that starts an agent process.
+    The one function that starts an agent process: first spawns and
+    retries of a one-shot and of a ``kascade serve`` fleet alike.  The
+    agent's modules (:mod:`repro.deploy.program`; with the cache's when
+    ``cached``) are compiled when the spawner is made — its
+    ``program_bytes`` and ``program_build_s`` say what that cost — and
+    each child finds them on its stdin: an anonymous file of its own,
+    written before the child exists, so a child that never reads
+    (stopped, dying on start) keeps nobody waiting.
     ``agent_args(name, attempt)`` appends per-spawn extras (how tests
     make specific attempts fail).
     With ``stderr_dir`` each agent's stderr goes to
     ``<dir>/<name>.stderr.log`` instead of ``/dev/null``.
     """
     env = spawn_env()
+    t0 = time.monotonic()
+    blob = program.build(cached)
+    # ``repro.cli.kascade`` and ``agent`` stay argv elements of their
+    # own: it is how ``pgrep``/``ps`` (and every leftover check) find one.
+    base = [python, "-c", program.BOOT, "repro.cli.kascade", "agent", *argv]
 
     def spawn(name: str, attempt: int) -> subprocess.Popen:
-        cmd = [*argv, "--name", name]
+        cmd = [*base, "--name", name]
         if agent_args is not None:
             cmd += [str(a) for a in agent_args(name, attempt)]
-        if stderr_dir is None:
-            return subprocess.Popen(cmd, stdin=subprocess.DEVNULL,
+        with contextlib.ExitStack() as opened:
+            stdin = opened.enter_context(tempfile.TemporaryFile())
+            stdin.write(blob)
+            stdin.seek(0)
+            stderr = subprocess.DEVNULL if stderr_dir is None else (
+                opened.enter_context(open(
+                    os.path.join(stderr_dir, f"{name}.stderr.log"), "ab")))
+            return subprocess.Popen(cmd, stdin=stdin,
                                     stdout=subprocess.DEVNULL,
-                                    stderr=subprocess.DEVNULL, env=env)
-        with open(os.path.join(stderr_dir, f"{name}.stderr.log"),
-                  "ab") as err:
-            return subprocess.Popen(cmd, stdin=subprocess.DEVNULL,
-                                    stdout=subprocess.DEVNULL,
-                                    stderr=err, env=env)
+                                    stderr=stderr, env=env)
 
+    spawn.program_bytes = len(blob)
+    spawn.program_build_s = time.monotonic() - t0
     return spawn
 
 
@@ -138,6 +164,11 @@ class LaunchReport:
     window: int
     total_s: float
     nodes: Dict[str, NodeLaunch]
+    #: Size of the compiled program every agent was handed, and what
+    #: building it cost the supervisor — once, before the first spawn,
+    #: outside ``total_s`` (0 when the caller's own ``spawn`` ships none).
+    program_bytes: int = 0
+    program_build_s: float = 0.0
 
     @property
     def launched(self) -> List[str]:
@@ -181,6 +212,9 @@ class LaunchReport:
                          + ("y" if self.retries == 1 else "ies"))
         if slowest is not None:
             parts.append(f", slowest {slowest.name} {slowest.startup_s:.2f}s")
+        if self.program_bytes:
+            parts.append(f", program {self.program_bytes // 1024} KiB "
+                         f"in {self.program_build_s:.2f}s")
         return "".join(parts) + ")"
 
 
@@ -192,7 +226,9 @@ class WindowedLauncher:
     spawn:
         ``spawn(name, attempt)`` starts one agent process and returns its
         handle.  ``attempt`` counts from 0 so test hooks can make early
-        attempts fail.
+        attempts fail.  One that ships a compiled program
+        (:func:`agent_spawner`) carries ``program_bytes`` and
+        ``program_build_s``; the report copies them.
     window:
         Max simultaneous spawn→register phases in flight (§III-B).
     retries:
@@ -251,6 +287,8 @@ class WindowedLauncher:
             window=self.window,
             total_s=time.monotonic() - t0,
             nodes=nodes,
+            program_bytes=getattr(self.spawn, "program_bytes", 0),
+            program_build_s=getattr(self.spawn, "program_build_s", 0.0),
         )
 
     def _launch_one(self, name: str, wait_registered: WaitFn,

@@ -113,6 +113,48 @@ class TestDemo:
         assert len(err) == 1
         assert err[0].startswith("kascade demo: error: ") and why in err[0]
 
+    @pytest.mark.parametrize("command", ["demo", "deploy"])
+    def test_a_refusal_names_the_command_that_refused(self, tmp_path, capsys,
+                                                      command):
+        """``kascade deploy`` used to refuse in ``demo``'s name."""
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "-i", str(tmp_path / "absent.bin")])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"kascade {command}: error: ")
+        assert "No such file" in err[0]
+
+    @pytest.mark.parametrize("command", ["demo", "deploy"])
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_a_closed_stdout_is_not_a_crash(self, tmp_path, command,
+                                            unbuffered):
+        """``kascade deploy … | head -3``: the reader leaving is not a
+        failure of the run — no traceback, and the run's own status.
+        Buffered, the closed pipe shows at the final flush; unbuffered
+        (``PYTHONUNBUFFERED``), at the first ``print``."""
+        import os
+        import subprocess
+        import sys
+
+        src = tmp_path / "x.bin"
+        src.write_bytes(b"z" * 100_000)
+        reader, writer = os.pipe()
+        os.close(reader)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        try:
+            proc = subprocess.run(
+                [sys.executable, *(["-u"] if unbuffered else []),
+                 "-m", "repro.cli.kascade", command, "-n", "2",
+                 "-i", str(src)],
+                stdout=writer, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=120)
+        finally:
+            os.close(writer)
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert "BrokenPipeError" not in proc.stderr, proc.stderr
+        assert proc.returncode == 0
+
     def test_demo_striped_to_files(self, tmp_path, capsys):
         src = tmp_path / "payload.bin"
         src.write_bytes(bytes((i * 31) % 256 for i in range(300_000)))

@@ -37,6 +37,13 @@ assert main(["agent", "--coordinator", "127.0.0.1:1", "--name", "n2",
 import repro.cli.kascade, repro.session, repro.deploy.coordinator
 """,
     "daemon_server": "import repro.session, repro.daemon.server",
+    # The supervisor after it compiled the agents' program, cache
+    # modules included: ``get_code`` compiles, it does not import.
+    "supervisor_with_program": """
+import repro.cli.kascade, repro.session, repro.deploy.coordinator
+from repro.deploy import program
+program.build(cached=True)
+""",
     # A whole threaded broadcast in this process: every node runs the
     # protocol engine, none of them needs a simulator to do it.
     "local_run": """
@@ -65,6 +72,9 @@ BUDGET = {
     "cached_agent": (CONTROL_SIDE, 36),
     "supervisor": (DATA_PLANE + ("repro.deploy.agent",), 24),
     "daemon_server": (DATA_PLANE + ("repro.deploy.agent",), 24),
+    # + ``repro.daemon``, the one parent package ``find_spec`` touches
+    # that this probe had not imported (a real supervisor has).
+    "supervisor_with_program": (DATA_PLANE + ("repro.deploy.agent",), 25),
 }
 
 
@@ -97,6 +107,22 @@ def test_role_module_count(loaded, role):
     ours = [m for m in loaded[role] if m.split(".")[0] == "repro"]
     assert len(ours) <= ceiling, (
         f"{role} loads {len(ours)} repro modules, budget {ceiling}: {ours}")
+
+
+@pytest.mark.parametrize("role, cached", [("agent", False),
+                                          ("cached_agent", True)])
+def test_the_program_is_what_an_agent_loads(loaded, role, cached):
+    """``deploy.program``'s module list is a literal; this holds it to
+    account.  A module an agent loads that the program lacks is compiled
+    by every agent again (the cost the program exists to remove); one
+    the program carries that no agent loads is compiled for nothing."""
+    from repro.deploy.program import module_names
+
+    ours = {m for m in loaded[role] if m.split(".")[0] == "repro"}
+    shipped = set(module_names(cached))
+    assert ours == shipped, (
+        f"{role} loads {sorted(ours - shipped)} from disk; the program "
+        f"ships {sorted(shipped - ours)} unused")
 
 
 @pytest.mark.parametrize("role", sorted(PROBES))

@@ -19,7 +19,9 @@ Command vocabulary
                (:meth:`~repro.core.plan.ChainPlan.to_dict` form)
 ``watermark``  ``node``, ``bytes`` — progress high-water mark; only
                ever raises (stale duplicates are ignored)
-``election``   ``head``, ``dead`` — a new head was chosen; bumps the
+``election``   ``head``, ``dead`` — a new head was chosen (by
+               :meth:`~repro.core.plan.ChainPlan.elect`: the log
+               records the decree, it does not make it); bumps the
                epoch so late messages from the old regime are
                recognisably stale
 =============  =====================================================
@@ -27,7 +29,7 @@ Command vocabulary
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 __all__ = ["ControlState"]
 
@@ -85,23 +87,6 @@ class ControlState:
         if self.plan is not None:
             return self.plan["head"]
         return None
-
-    def most_complete(self, exclude: Iterable[str] = ()) -> Optional[str]:
-        """The election rule: the survivor with the highest watermark.
-
-        Ties break on name so every replica (and a restarted
-        coordinator) computes the same answer from the same state.
-        ``exclude`` is the dead set; already-recorded dead nodes are
-        never candidates.
-        """
-        gone = set(exclude) | set(self.dead)
-        best: Optional[Tuple[int, str]] = None
-        for node, mark in sorted(self.watermarks.items()):
-            if node in gone:
-                continue
-            if best is None or mark > best[0]:
-                best = (mark, node)
-        return None if best is None else best[1]
 
     # -- snapshots -------------------------------------------------------
 

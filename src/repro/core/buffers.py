@@ -194,7 +194,8 @@ class BufferPool:
             # Ratchet: this stream carries frames bigger than the segment.
             self.segment_size = -(-min_size // PAGE) * PAGE
         for i, buf in enumerate(self._idle):
-            if len(buf) >= min_size and not _has_exports(buf):
+            # Idle segments from before a ratchet are too small now.
+            if len(buf) >= self.segment_size and not _has_exports(buf):
                 del self._idle[i]
                 self.stats.pool_reuses += 1
                 return buf

@@ -576,6 +576,7 @@ class Head(Node):
             # below it is sent FORGET and fetches the gap via PGET, which
             # the seekable resumed source serves by random access.
             state.buffer.note_advance(resume_offset)
+            self.outcome.bytes_received = resume_offset
         self.quit_requested = False
         self.final_report: Optional[TransferReport] = None
         self._ring_report: Optional[TransferReport] = None
@@ -712,6 +713,11 @@ class Head(Node):
 
 class Receiver(Node):
     """A receiving node: stores the stream and forwards it downstream."""
+
+    #: The sink holds the whole stream and is finished: a node rebuilt
+    #: from this one after a head re-root has nothing to add to it, and
+    #: must not settle it again (``Host.resume``).
+    sink_finished = False
 
     def __init__(self, name: str, plan: PipelinePlan, port,
                  config: KascadeConfig, sink: Sink,
@@ -886,6 +892,7 @@ class Receiver(Node):
             except (SinkError, OSError) as exc:
                 yield from self._hard_abort(f"sink failure: {exc}")
                 return
+            self.sink_finished = True
         outcome = yield from self.link.finish(total=state.offset,
                                               quit_first=aborted)
         if outcome == "tail":

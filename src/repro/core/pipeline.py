@@ -68,10 +68,13 @@ class PipelinePlan:
     head: str
     receivers: Tuple[str, ...]
 
+    #: Whether a head with nobody to feed is a plan (only a re-root's).
+    lone_head_ok = False
+
     def __post_init__(self) -> None:
         if not self.head:
             raise PipelineError("pipeline needs a head node")
-        if not self.receivers:
+        if not self.receivers and not self.lone_head_ok:
             raise PipelineError("pipeline needs at least one receiver")
         chain = (self.head,) + self.receivers
         if len(set(chain)) != len(chain):

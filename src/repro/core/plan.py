@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .errors import KascadeError, PipelineError
 from .pipeline import PipelinePlan
@@ -50,11 +50,14 @@ class StripePlan(PipelinePlan):
     ``stripe`` is this chain's stripe index, ``of`` the total stripe
     count of the schedule it belongs to.  The defaults (``0 of 1``)
     describe the classic single-chain broadcast: a single-stripe plan
-    *is* the paper's one pipeline.
+    *is* the paper's one pipeline.  A head without receivers is what a
+    re-root leaves a lone survivor (:meth:`ChainPlan.elect`); no run
+    starts with one (:meth:`ChainPlan.resolve`).
     """
 
     stripe: int = 0
     of: int = 1
+    lone_head_ok = True
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -157,6 +160,8 @@ class ChainPlan:
         else one built from ``head``/``order``/``stripes``."""
         if plan is None:
             return cls.build(head, receivers, stripes=stripes, order=order)
+        if not plan.receivers:
+            raise PipelineError("pipeline needs at least one receiver")
         if set(plan.receivers) != set(receivers):
             raise KascadeError(
                 "chain plan covers different receivers than requested: "
@@ -246,9 +251,8 @@ class ChainPlan:
 
         When the head itself is in ``dead`` the schedule is re-rooted:
         the most-senior survivor (the first receiver of stripe 0 not in
-        ``dead``) is promoted via :meth:`reroot`.  Election by watermark
-        is the control plane's job (:mod:`repro.control`); this default
-        exists so launch-time head loss is survivable without one.
+        ``dead``) is promoted via :meth:`reroot` — what :meth:`elect`
+        decides when nobody has received a byte yet.
         """
         gone = set(dead)
         if self.head in gone:
@@ -289,6 +293,28 @@ class ChainPlan:
             [[r for r in sp.receivers if r not in gone and r != new_head]
              for sp in self.stripes],
         )
+
+    def elect(
+        self, offsets: Mapping[str, int]
+    ) -> Tuple["ChainPlan", str, int]:
+        """The head died: ``(re-rooted plan, promoted node, watermark)``.
+
+        ``offsets`` holds the exact stream position of every receiver
+        that let go of the old chain; a receiver without one is dead.
+        The highest offset wins, and a tie goes to the receiver nearest
+        the old head in stripe-0 order — offsets never grow down a
+        chain, so that is the head's own successor unless it is lost.
+        The watermark is the winner's offset.  A lone survivor is a
+        legal answer: it heads a chain with nobody to feed.  Every
+        driver elects here (``Broadcast._reroot`` on threads and on the
+        DES, ``DaemonServer._orchestrate_failover`` for a fleet).
+        """
+        ready = [r for r in self.receivers if r in offsets]
+        if not ready:
+            raise PipelineError("cannot elect a new head: no receiver let go")
+        new_head = max(ready, key=offsets.__getitem__)  # the first maximum
+        dead = [r for r in self.receivers if r not in offsets]
+        return self.reroot(new_head, dead=dead), new_head, offsets[new_head]
 
     # ------------------------------------------------------------------
     # Serialization

@@ -42,7 +42,6 @@ own, clearer error than naming an unknown node (see
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -685,49 +684,47 @@ class DaemonServer:
         else:
             tracer, trace_path = _resolve_trace(trace)
 
+        started = time.monotonic()
         with self._lock:
             self._session_seq += 1
             sid = str(session) if session else f"s{self._session_seq}"
             if sid in self._sessions:
                 raise KascadeError(f"session {sid!r} already running")
-
-        path, cleanup_source = materialize_source(source)
-        started = time.monotonic()
-        try:
-            sess = _Session(
+            # Entered under the lock that checked the name, before the
+            # source is spooled or hashed: a second submit under the same
+            # name is refused, never let in to take this one's record.
+            sess = self._sessions[sid] = _Session(
                 id=sid, plan=plan, chaos=engine, tracer=tracer,
-                artifact=(self._artifact_for(path, self.config.chunk_size)
-                          if self.cache_bytes else None),
-                output_template=output_template,
+                artifact=None, output_template=output_template,
                 wall0=wall0 if wall0 is not None else time.time(),
                 deadline=started + timeout, failover=allow_head_chaos,
                 pending_joins=list(late_join),
             )
-            for i, proc in enumerate(self._replica_procs):
-                engine.register_external(f"replica:{i}", proc.pid)
-            self._register(sess)
-            try:
-                result = self._run_session(sess, path, started, timeout)
-            finally:
-                with self._lock:
-                    self._sessions.pop(sid, None)
-                    self._sessions_completed += 1
-                    self._suspect |= set(engine.fired) | set(sess.dead)
-        finally:
-            cleanup_source()
-        if trace_path is not None and isinstance(tracer, TraceCollector):
-            tracer.to_jsonl(trace_path)
-        return result
-
-    def _register(self, sess: _Session) -> None:
-        with self._lock:
-            self._sessions[sess.id] = sess
             active = len(self._sessions)
             for other in self._sessions.values():
                 other.active_hwm = max(other.active_hwm, active)
         from ..core.perfstats import get_stats  # not worth a start-up import
 
         get_stats().note_sessions_active(active)
+        try:
+            path, cleanup_source = materialize_source(source)
+            try:
+                if self.cache_bytes:
+                    sess.artifact = self._artifact_for(
+                        path, self.config.chunk_size)
+                for i, proc in enumerate(self._replica_procs):
+                    engine.register_external(f"replica:{i}", proc.pid)
+                result = self._run_session(sess, path, started, timeout)
+            finally:
+                cleanup_source()
+        finally:
+            with self._lock:
+                self._sessions.pop(sid, None)
+                self._sessions_completed += 1
+                self._suspect |= set(engine.fired) | set(sess.dead)
+        if trace_path is not None and isinstance(tracer, TraceCollector):
+            tracer.to_jsonl(trace_path)
+        return result
 
     def _plan_around_absent(self, sess: _Session) -> Optional[ChainPlan]:
         """§III-B: the chain is re-planned around launch failures (and
@@ -819,7 +816,7 @@ class DaemonServer:
                 # so a mid-transfer re-root can reach them.
                 extra["failover"] = True
             self._send_starts(sess, "session_start", plan, source_path,
-                              self.config, **extra)
+                              **extra)
         else:
             # Nothing to push: whoever opened but will not run releases
             # the listeners it bound right away.
@@ -876,8 +873,7 @@ class DaemonServer:
         return self._collect(sess, plan, started)
 
     def _send_starts(self, sess: _Session, op: str, plan: ChainPlan,
-                     source_path: str, config: KascadeConfig,
-                     **fields) -> None:
+                     source_path: str, **fields) -> None:
         """Send every node of ``plan`` its start-shaped message
         (``session_start``, or the ``resume`` of a re-root): the wiring,
         plus the source path for the head and the output path for a
@@ -890,7 +886,7 @@ class DaemonServer:
             for name in plan.nodes
         }
         base = {"op": op, "session": sess.id,
-                **wiring_to_wire(plan, endpoints, config), **fields}
+                **wiring_to_wire(plan, endpoints, self.config), **fields}
         for name in plan.nodes:
             msg = dict(base)
             if name == plan.head:
@@ -903,15 +899,17 @@ class DaemonServer:
                               source_path: str) -> Optional[ChainPlan]:
         """Re-root the chain around its dead head; returns the new plan.
 
-        Two-phase: every surviving receiver is detached first (it
-        interrupts its transfer loops, drains writeback, keeps its sink,
-        rebinds a fresh data port, and replies ``failover_ready`` with
-        its exact stream offset), *then* the quorum decides — authoritative
-        watermarks are committed, the most-complete survivor is elected
-        and recorded as a replicated decree, and everyone resumes under
-        the re-rooted plan.  The promoted node serves PGET below the
-        election watermark from the source file, so survivors behind it
-        recover their gap exactly like a §III-D2 hole.
+        Two-phase: every surviving receiver is told at once to let go
+        (it interrupts its transfer loops, drains writeback, keeps its
+        sink, rebinds a fresh data port, and replies ``failover_ready``
+        with its exact stream offset — or, already finished, sends its
+        status), *then* :meth:`ChainPlan.elect` decides, the rule the
+        in-process drivers follow too.  The quorum records it — exact
+        watermarks, the election decree, the re-rooted plan — and
+        everyone resumes under that plan; the agents rebuild their hosts
+        by the same rule as well.  The promoted node serves PGET below
+        the election watermark from the source file, so survivors behind
+        it recover their gap exactly like a §III-D2 hole.
 
         Returns ``None`` when nothing survives to resume (no live
         receivers, or the control quorum itself is gone) — the session
@@ -932,60 +930,32 @@ class DaemonServer:
             sess.cond.wait_for(
                 lambda: all(n in sess.failover_ready or sess.resolved(n)
                             for n in survivors), timeout=10.0)
-            # Whoever neither finished nor detached cannot be re-wired.
-            ready = {n: int(sess.failover_ready[n].get("offset", 0))
-                     for n in survivors
-                     if n in sess.failover_ready and not sess.resolved(n)}
+            # Whoever neither finished nor let go cannot be re-wired.
+            offsets = {n: int(sess.failover_ready[n].get("offset", 0))
+                       for n in survivors
+                       if n in sess.failover_ready and not sess.resolved(n)}
             finished = {n: int(sess.statuses[n].get("bytes", 0))
                         for n in chain.receivers if n in sess.statuses}
-        if not ready:
+        if not offsets:
             return None
-
-        def key(name: str) -> str:
-            return f"{sess.id}/{name}"
-
+        new_chain, new_head, watermark = chain.elect(offsets)
         try:
-            # Authoritative watermarks: the detach offsets are exact,
-            # unlike the throttled progress feed the pump replicates.
-            for name, mark in (*ready.items(), *finished.items()):
-                self._quorum.commit({"kind": "watermark", "node": key(name),
+            # Exact watermarks, unlike the throttled feed the pump sends.
+            for name, mark in (*offsets.items(), *finished.items()):
+                self._quorum.commit({"kind": "watermark",
+                                     "node": f"{sess.id}/{name}",
                                      "bytes": mark})
-            state = self._quorum.read_state()
-            new_head = state.most_complete(
-                exclude=[k for k in state.watermarks
-                         if k not in map(key, ready)])
-            if new_head is None:
-                # Replicated view is behind our local one (a replica
-                # minority answered the read); fall back to what we
-                # just measured directly.
-                new_head = key(max(ready, key=lambda n: (ready[n], n)))
-            new_head = new_head.split("/", 1)[1]
-            resume_offset = ready[new_head]
             self._quorum.commit({"kind": "election", "head": new_head,
                                  "dead": [old_head]})
-        except QuorumError:
-            return None
-
-        sess.emit(tracing.ELECTION,
-                  f"quorum elected {new_head} to replace {old_head} "
-                  f"at watermark {resume_offset}",
-                  peer=new_head, offset=resume_offset)
-        try:
-            new_chain = chain.reroot(
-                new_head, dead=[n for n in chain.receivers if n not in ready])
+            sess.emit(tracing.ELECTION,
+                      f"quorum elected {new_head} to replace {old_head} "
+                      f"at watermark {watermark}",
+                      peer=new_head, offset=watermark)
             self._quorum.commit({"kind": "plan",
                                  "plan": new_chain.to_dict()})
-        except (KascadeError, QuorumError):
+        except QuorumError:
             return None
-        # Resumed nodes only hash the bytes they stream after the
-        # re-root, so an in-protocol end-to-end digest check would be a
-        # false alarm; byte-exactness is still proven by the per-node
-        # digests in the collected statuses (the sinks — and their
-        # hashes — survived the hand-off intact).
-        self._send_starts(
-            sess, "resume", new_chain, source_path,
-            dataclasses.replace(self.config, verify_digest=False),
-            resume_offset=resume_offset)
+        self._send_starts(sess, "resume", new_chain, source_path)
         return new_chain
 
     def _collect(self, sess: _Session, plan: Optional[ChainPlan],

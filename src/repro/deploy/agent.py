@@ -266,7 +266,7 @@ def execute_transfer(msg: dict, state: _SessionState, name: str, *,
         if state.artifact is not None:
             from ..core.cache import CacheTapSink
             top = CacheTapSink(digest_sink, cache, state.artifact)
-        role["sink"] = _FinishGuard(top) if failover else top
+        role["sink"] = top
         role["gate"] = _progress_gate(
             state.progress, int(msg.get("progress_every", 1 << 18)))
     host = HostChains(name, chain_plan, registries, listeners, config,
@@ -294,12 +294,7 @@ def execute_transfer(msg: dict, state: _SessionState, name: str, *,
     error = outcome.error
     if stranded:
         error = error or "failover interrupted"
-    promoted = host.is_head and host.resume_offset is not None
-    if promoted:
-        if ok:
-            host.complete_own_copy()
-        else:
-            host.sink.abort()
+    host.settle(ok)
     if host.source is not None:
         host.source.close()
 
@@ -319,43 +314,12 @@ def execute_transfer(msg: dict, state: _SessionState, name: str, *,
         "digest": digest_sink.hexdigest() if digest_sink is not None else None,
         "report": report_hex,
         "failures": failures,
-        "promoted": promoted,
+        "promoted": host.is_head and host.resume_offset is not None,
         "perfstats": {k_: stats_after[k_] - stats_before.get(k_, 0)
                       for k_ in stats_after},
         "trace": tracer.to_jsonl(),
         "trace_epoch": trace_epoch,
     }
-
-
-class _FinishGuard(Sink):
-    """Protects a sink retained across a failover hand-off.
-
-    ``finish`` becomes idempotent (a node that completed before the
-    failover already finished the chain; the resumed node finishes it
-    again), and ``abort`` after a successful finish is a no-op — a
-    completed output file must never be unlinked by a hiccup in the
-    trivial resumed transfer that follows.
-    """
-
-    def __init__(self, inner: Sink) -> None:
-        self.inner = inner
-        self._settled = False
-
-    def write_chunk(self, data) -> None:
-        self.inner.write_chunk(data)
-
-    def preallocate(self, size: int) -> None:
-        self.inner.preallocate(size)
-
-    def finish(self) -> None:
-        if not self._settled:
-            self._settled = True
-            self.inner.finish()
-
-    def abort(self) -> None:
-        if not self._settled:
-            self._settled = True
-            self.inner.abort()
 
 
 def _follow_control(
@@ -371,14 +335,12 @@ def _follow_control(
     The head-failover episode of :func:`execute_transfer`: the host runs
     on its own threads while *this* thread follows the session's event
     queue.  When the supervisor announces head death (``failover``), the
-    host is detached — loops interrupted, writeback drained, sink
-    preserved, stream offset captured — a fresh listener is bound, and
-    the offset + new port go back as ``failover_ready``.  The quorum's
-    ``resume`` then rebuilds the host under the re-rooted plan: the
-    promoted survivor becomes a head streaming the source from the
-    election watermark (serving PGET below it), everyone else becomes a
-    receiver that keeps its sink and asks for bytes from where it
-    stopped.
+    host lets go (:meth:`~repro.runtime.host.Host.let_go` — or, already
+    finished, ends the run with its status), a fresh listener is bound,
+    and the offset + new port go back as ``failover_ready``.  The
+    quorum's ``resume`` then rebuilds the host on the re-rooted plan by
+    :meth:`~repro.runtime.host.Host.resume`, the rule the in-process
+    drivers follow too.
 
     Returns the host that ended the run — the one given, or the one
     rebuilt on the re-rooted plan — and whether the transfer was left
@@ -425,8 +387,8 @@ def _follow_control(
             break
         op = ctl.get("op")
         if op == "failover" and not host.is_head:
-            host.detach()
-            host.retained_sink()
+            if not host.let_go():
+                break  # it finished (or would not stop): its status says so
             # The old listener stays open with the old connections (see
             # ``begin_failover``): a predecessor not yet told of the
             # failover may be dialling it.
@@ -440,13 +402,13 @@ def _follow_control(
             # for all of them before it elects), so nobody is still
             # writing to the old host's connections.
             host.close_connections()
-            if host.name == chain_plan.head:
-                role = {"source": FileSource(ctl["source"]),
-                        "resume_offset": int(ctl["resume_offset"])}
-            else:
-                role = {"gate": gate, "resume_offset": host.offset}
-            host = HostChains(host.name, chain_plan, registries, listeners,
-                              config, sink=host.sink, tracer=tracer, **role)
+            host = host.resume(
+                chain_plan,
+                lambda name, **role: HostChains(
+                    name, chain_plan, registries, listeners, config,
+                    tracer=tracer, **role),
+                source=ctl.get("source") and FileSource(ctl["source"]),
+                gate=gate)
             awaiting_resume = False
             host.start()
             watch(host)

@@ -170,8 +170,8 @@ class ProtoBroadcast(Broadcast):
 
     def _wire(self, chain: ChainPlan):
         # Nothing to lay: each port registers itself (afresh on a re-root).
-        return lambda name, config, **role: SimHost(
-            name, chain, self._hub, config, tracer=self.tracer, **role)
+        return lambda name, **role: SimHost(
+            name, chain, self._hub, self.config, tracer=self.tracer, **role)
 
     def _start(self, hosts: Sequence[SimHost], deadline: float) -> None:
         for host in hosts:

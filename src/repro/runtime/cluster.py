@@ -25,7 +25,6 @@ Crash injection reproduces the Distem experiments' failure modes:
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import Callable, Dict, Optional, Sequence
 
@@ -147,7 +146,7 @@ class Broadcast:
     #
     # ``_now()``: its clock — ``duration`` and the deadline are read off it;
     # ``_wire(chain)``: lets the chain's hosts find each other, afresh, and
-    #     returns how one is built on that: ``(name, config, **role) -> Host``;
+    #     returns how one is built on that: ``(name, **role) -> Host``;
     # ``_start(hosts, deadline)``: set a chain's hosts, head first, running;
     # ``_wait(waited, deadline)``: return once each is done, or at the deadline.
 
@@ -168,8 +167,7 @@ class Broadcast:
         for name in chain.nodes:
             role = ({"source": self.source} if name == chain.head
                     else {"sink": self.sink_factory(name)})
-            hosts[name] = make_host(name, self.config,
-                                    gate=self._crash_gate(name), **role)
+            hosts[name] = make_host(name, gate=self._crash_gate(name), **role)
         self.nodes = {label: node for host in hosts.values()
                       for label, node in host.nodes.items()}
 
@@ -191,8 +189,7 @@ class Broadcast:
         for host in hosts.values():
             host.shutdown()
             host.close()
-        if head.resume_offset is not None and head.outcome.ok:
-            head.complete_own_copy()
+        head.settle(head.outcome.ok)
 
         outcomes = {name: host.outcome for name, host in hosts.items()}
         # NB: TransferReport is falsy when it has no failures — test
@@ -224,15 +221,14 @@ class Broadcast:
                 deadline: float) -> Optional[ChainPlan]:
         """The head died as planned: promote a survivor, resume the rest.
 
-        The in-process twin of the procs backend's quorum failover, with
-        the coordinator role played by the run itself: the survivors are
-        detached, the most complete one is promoted via
-        :meth:`ChainPlan.reroot`, and the others resume from their ring
-        offsets against it (it serves PGET below the election watermark
-        straight from the source).  Rebuilt hosts replace their
-        predecessors in ``hosts`` and are started; returns the re-rooted
-        plan, or ``None`` when no receiver survives to be promoted (the
-        run then fails through the normal path).
+        The run plays the coordinator: the survivors let go
+        (:meth:`Host.let_go`), :meth:`ChainPlan.elect` picks the head
+        and the watermark, and each survivor is rebuilt by
+        :meth:`Host.resume` — the supervisor of a fleet does the same
+        with messages.  Rebuilt hosts replace their predecessors in
+        ``hosts`` and are started; returns the re-rooted plan, or
+        ``None`` when no receiver let go (the run then fails through
+        the normal path).
         """
         crash, old_head = self._head_crash, self.plan.head
         self.tracer.emit(
@@ -243,40 +239,25 @@ class Broadcast:
         )
         # Chain order, one at a time: a host is detached only after its
         # upstream has stopped relaying, so no survivor is still writing
-        # to a neighbour that has already let go.  Whoever already
-        # finished, was lost, or will not let go is dropped from the chain.
-        ready = []
-        for name in self.plan.receivers:
-            if not hosts[name].done and hosts[name].detach():
-                ready.append(name)
-        for name in ready:
+        # to a neighbour that has already let go.
+        offsets = {name: hosts[name].offset for name in self.plan.receivers
+                   if hosts[name].let_go()}
+        for name in offsets:
             hosts[name].close_connections()
-        if not ready:
+        if not offsets:
             return None
 
-        # Most-complete survivor wins; offsets are monotonically
-        # non-increasing down the chain, so ties resolve to the host
-        # closest to the old head (max() keeps the first maximum).
-        elect = max(ready, key=lambda name: hosts[name].offset)
-        watermark = hosts[elect].offset
+        chain, elect, watermark = self.chain_plan.elect(offsets)
         self.tracer.emit(
             tracing.ELECTION, "coordinator", peer=elect, offset=watermark,
             detail=(f"promoted {elect} to replace {old_head} "
                     f"at watermark {watermark}"),
         )
-        chain = self.chain_plan.reroot(
-            elect, dead=[r for r in self.plan.receivers if r not in ready])
         make_host = self._wire(chain)
-        # The promoted head only streams [watermark, size), so its digest
-        # would cover a suffix — integrity mode cannot span a re-root
-        # (the procs backend disables it on resume too).
-        config = dataclasses.replace(self.config, verify_digest=False)
         for name in chain.nodes:
-            role = {"source": self.source} if name == elect else {
-                "gate": self._crash_gate(name)}
-            hosts[name] = make_host(
-                name, config, sink=hosts[name].retained_sink(),
-                resume_offset=hosts[name].offset, **role)
+            hosts[name] = hosts[name].resume(
+                chain, make_host, source=self.source,
+                gate=self._crash_gate(name))
             self.nodes.update(hosts[name].nodes)
         self._start([hosts[name] for name in chain.nodes], deadline)
         return chain
@@ -301,8 +282,8 @@ class LocalBroadcast(Broadcast):
             Registry({name: ls[j].address for name, ls in listeners.items()})
             for j in range(chain.stripe_count)
         ]
-        return lambda name, config, **role: HostChains(
-            name, chain, registries, listeners[name], config,
+        return lambda name, **role: HostChains(
+            name, chain, registries, listeners[name], self.config,
             tracer=self.tracer, **role)
 
     def _start(self, hosts: Sequence[HostChains], deadline: float) -> None:

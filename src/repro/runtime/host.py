@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.config import KascadeConfig
 from ..core.plan import ChainPlan, StripePlan
@@ -90,17 +90,18 @@ class Host:
         The head's stream / a receiver's output, unstriped.  The caller
         keeps ownership of both (:meth:`close` only closes the stripe
         views this host opened).  A *promoted* head carries both: its
-        retained sink is completed by :meth:`complete_own_copy`.
+        retained sink is completed by :meth:`settle`.
     gate:
         Host-level :data:`~repro.core.engine.CrashGate`, asked about
         the aggregate byte count across stripes.
     resume_offset:
-        Rebuild after a head re-root (1 stripe): the stream position
-        this host resumes from.  ``0`` is a legal watermark — the dead
-        head's RST can discard everything it sent — so "resumed" is
-        ``is not None``, never truthiness: a promoted head reads through
-        :class:`ResumeView` even at 0, because the old head moved the
-        shared source's cursor.
+        Rebuild after a head re-root (1 stripe, :meth:`resume`): the
+        stream position this host resumes from.  ``0`` is a legal
+        watermark — the dead head's RST can discard everything it sent —
+        so "resumed" is ``is not None``, never truthiness: a promoted
+        head reads through :class:`ResumeView` even at 0, because the
+        old head moved the shared source's cursor.  A resumed host
+        verifies no digest: a hash of a suffix cannot prove the stream.
 
     A driver subclass says what a node is — ``_make_node(label, plan,
     end, **kwargs)``: stripe ``plan.stripe``'s head over the source
@@ -122,8 +123,10 @@ class Host:
         resume_offset: Optional[int] = None,
     ) -> None:
         k = chain_plan.stripe_count
-        if resume_offset is not None and k != 1:
-            raise ValueError("a striped host cannot resume from one offset")
+        if resume_offset is not None:
+            if k != 1:
+                raise ValueError("a striped host cannot resume from one offset")
+            config = config.with_(verify_digest=False)
         self.name = name
         self.config = config
         self.source = source
@@ -161,6 +164,8 @@ class Host:
             else:
                 merger = StripeMergeSink(sink, k, config.chunk_size)
                 ends = [merger.port(j) for j in range(k)]
+        if not chain_plan.receivers:
+            labels = []  # a lone survivor of a re-root: no chain to feed
         extra = {} if resume_offset is None else {
             "resume_offset": resume_offset}
         #: ``label -> node``: the bare host name at one stripe,
@@ -187,14 +192,17 @@ class Host:
 
     @property
     def outcome(self) -> NodeOutcome:
-        """The host's outcome: its node's own, or the stripes' folded."""
+        """The host's outcome: its node's own, or the stripes' folded —
+        or none run at all: a lone survivor holds the stream once
+        :meth:`settle` has completed its copy."""
         outcomes = [node.outcome for node in self.nodes.values()]
         if len(outcomes) == 1:
             return outcomes[0]
         return NodeOutcome(
             name=self.name,
             ok=all(o.ok for o in outcomes),
-            bytes_received=sum(o.bytes_received for o in outcomes),
+            bytes_received=(sum(o.bytes_received for o in outcomes)
+                            if outcomes else self.source.size),
             crashed=any(o.crashed for o in outcomes),
             error=next((o.error for o in outcomes if o.error), None),
             failures_detected=[rec for o in outcomes
@@ -223,14 +231,48 @@ class Host:
         """Stream bytes this host has consumed (its election watermark)."""
         return sum(n.state.offset for n in self.nodes.values())
 
-    def complete_own_copy(self) -> None:
-        """Promoted head: finish this host's *own* output.
+    # -- head re-root: one episode, every driver ---------------------------
 
-        It streamed ``[watermark, size)`` to the chain, but its retained
-        sink ends at its receiver-phase prefix — complete it straight
-        from the source, so the promoted head holds (and can prove) the
-        full payload too.
+    def let_go(self) -> bool:
+        """Step one: stop where it stands, sink untouched (``detach``);
+        whether this host let go — it is then a survivor at
+        :attr:`offset`.  A host already done, or that will not stop,
+        keeps what it has and is out of the re-rooted chain.
         """
+        return not self.done and self.detach()
+
+    def resume(self, chain: ChainPlan, make: Callable[..., "Host"], *,
+               source: Optional[Source], gate: Optional[CrashGate]) -> "Host":
+        """Step two, after :meth:`let_go` and the election: what this
+        survivor becomes on the re-rooted ``chain``, built by ``make(name,
+        **role)``.  Every survivor resumes at its own offset — the
+        promoted one's is the watermark: it streams ``source`` from
+        there (serving PGET below it), everyone else asks upstream for
+        the rest and keeps its ``gate`` — into the sink it kept.  A sink
+        is finished once: a node stopped after finishing its own (it
+        holds the stream, awaiting PASSED) has nothing to add, and
+        resumes into a :class:`NullSink`."""
+        role = ({"source": source} if self.name == chain.head
+                else {"gate": gate})
+        sink = self.retained_sink()
+        if any(node.sink_finished for node in self.nodes.values()):
+            sink = NullSink()
+        return make(self.name, sink=sink, resume_offset=self.offset, **role)
+
+    def settle(self, ok: bool) -> None:
+        """The run is over: a promoted head completes its *own* copy, or
+        aborts it when ``ok`` is false; any other sink is its node's.
+
+        It streamed ``[watermark, size)`` to the chain (a lone survivor
+        to nobody), but its retained sink ends at its receiver-phase
+        prefix — complete it straight from the source, so the promoted
+        head holds (and can prove) the full payload too.
+        """
+        if not self.is_head or self.resume_offset is None:
+            return
+        if not ok:
+            self.sink.abort()
+            return
         pos, size = self.resume_offset, self.source.size
         while pos < size:
             piece = self.source.read_range(
@@ -321,15 +363,14 @@ class HostChains(Host):
                 if node.silent:
                     node.close_connections()
 
-    # -- head re-root -------------------------------------------------------
+    # -- head re-root (:meth:`Host.let_go`) ---------------------------------
 
     def detach(self) -> bool:
-        """Interrupt for a head re-root, sink untouched; whether the host
-        let go (:attr:`offset` is then where it stopped).  Each join is
-        the time a woken loop takes to unwind, not a timeout.
-        Connections stay open (neighbours may still be writing to them)
-        until :meth:`close_connections`, once every survivor has been
-        detached.
+        """Interrupt for a head re-root, sink untouched; whether every
+        node stopped.  Each join is the time a woken loop takes to
+        unwind, not a timeout.  Connections stay open (neighbours may
+        still be writing to them) until :meth:`close_connections`, once
+        every survivor has been detached.
         """
         for node in self.nodes.values():
             node.begin_failover()
@@ -338,7 +379,7 @@ class HostChains(Host):
 
     def retained_sink(self) -> Sink:
         """After :meth:`detach`: drain writeback and hand back the sink,
-        still open, for the host rebuilt with ``resume_offset``."""
+        still open, for the host :meth:`resume` builds."""
         for node in self.nodes.values():
             node.detach_sink()
         return self.sink

@@ -235,19 +235,6 @@ class TestControlState:
         with pytest.raises(ValueError, match="unknown control command"):
             ControlState().apply({"kind": "reboot"})
 
-    def test_most_complete_is_the_election_rule(self):
-        st = ControlState()
-        for node, mark in (("n2", 300), ("n3", 500), ("n4", 500),
-                           ("n5", 100)):
-            st.apply({"kind": "watermark", "node": node, "bytes": mark})
-        # Highest watermark wins; the n3/n4 tie breaks on name.
-        assert st.most_complete() == "n3"
-        assert st.most_complete(exclude=["n3"]) == "n4"
-        # Recorded dead nodes are never candidates, even unexcluded.
-        st.apply({"kind": "election", "head": "n2", "dead": ["n3", "n4"]})
-        assert st.most_complete() == "n2"
-        assert st.most_complete(exclude=["n2", "n5"]) is None
-
     def test_replicas_applying_the_same_log_agree(self):
         # Application is a pure function of the command sequence — the
         # property that lets any majority reconstruct the coordinator.
@@ -261,7 +248,6 @@ class TestControlState:
         for cmd in log:
             b.apply(cmd)
         assert a.snapshot() == b.snapshot()
-        assert a.most_complete() == b.most_complete()
 
     def test_snapshot_roundtrip(self):
         st = ControlState()

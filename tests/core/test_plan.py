@@ -176,6 +176,32 @@ class TestReroot:
         rerooted = plan.reroot("n2")
         assert ChainPlan.from_json(rerooted.to_json()) == rerooted
 
+    def test_a_lone_survivor_heads_a_chain_of_its_own(self):
+        """What a re-root may leave — and what no run may start with."""
+        plan = ChainPlan.single("n1", RECEIVERS)
+        lone = plan.reroot("n4", dead=("n2", "n3", "n5"))
+        assert lone.nodes == ("n4",) and lone.receivers == ()
+        assert ChainPlan.from_dict(lone.to_dict()) == lone
+        with pytest.raises(PipelineError, match="at least one receiver"):
+            ChainPlan.resolve(lone, "n4", (), stripes=1)
+
+
+class TestElect:
+    def test_a_tie_goes_to_the_old_heads_successor(self):
+        """Stripe-0 order, not names: n1 -> n4 -> n3 -> n2 promotes n4."""
+        plan = ChainPlan.from_orders("n1", [["n4", "n3", "n2"]])
+        rerooted, head, mark = plan.elect({"n2": 7, "n3": 7, "n4": 7})
+        assert (head, mark) == ("n4", 7)
+        assert rerooted.nodes == ("n4", "n3", "n2")
+
+    def test_receivers_without_an_offset_are_dead(self):
+        plan = ChainPlan.single("n1", RECEIVERS)
+        rerooted, head, mark = plan.elect({"n3": 5, "n5": 9})
+        assert (head, mark, rerooted.nodes) == ("n5", 9, ("n5", "n3"))
+        assert plan.elect({"n3": 5})[0].nodes == ("n3",)
+        with pytest.raises(PipelineError, match="no receiver let go"):
+            plan.elect({})
+
 
 class TestCoercionShim:
     def test_stripe_plan_passes_through(self):

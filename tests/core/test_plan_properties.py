@@ -1,10 +1,12 @@
 """Properties of what the shared head re-root leans on (ROADMAP 5(f)).
 
-``Broadcast._reroot`` elects a survivor and rebuilds every host from
-``ChainPlan.reroot``; the supervisor re-plans with ``replan_without``
-and ships plans as dicts; a striped host trusts ``stripe_extent`` to
-carve the stream.  The example tests pin cases; these hold for any
-head, receiver set, stripe count and dead subset.
+Every driver elects with ``ChainPlan.elect`` — ``Broadcast._reroot`` on
+threads and on the DES, ``DaemonServer._orchestrate_failover`` for a
+fleet — and rebuilds its hosts on the plan ``ChainPlan.reroot`` gives
+back; the supervisor re-plans with ``replan_without`` and ships plans as
+dicts; a striped host trusts ``stripe_extent`` to carve the stream.  The
+example tests pin cases; these hold for any head, receiver set, stripe
+count, dead subset and set of offsets.
 """
 
 from hypothesis import given, strategies as st
@@ -32,12 +34,10 @@ def subsets(names):
 
 @given(st.data())
 def test_reroot_keeps_order_drops_the_dead_and_leads_every_stripe(data):
-    # A chain is a head and at least one receiver, after a re-root too:
-    # somebody besides the promoted node has to survive it.
-    plan = data.draw(plans(min_receivers=2))
-    new_head, spare = data.draw(
-        st.permutations(plan.receivers).map(lambda order: order[:2]))
-    dead = data.draw(subsets(set(plan.receivers) - {new_head, spare}))
+    # A lone survivor is a legal re-root: it heads a chain of its own.
+    plan = data.draw(plans())
+    new_head = data.draw(st.sampled_from(plan.receivers))
+    dead = data.draw(subsets(set(plan.receivers) - {new_head}))
     rerooted = plan.reroot(new_head, dead=dead)
 
     gone = set(dead) | {plan.head}
@@ -47,6 +47,30 @@ def test_reroot_keeps_order_drops_the_dead_and_leads_every_stripe(data):
         assert after.head == new_head
         assert list(after.receivers) == [
             r for r in before.receivers if r not in gone and r != new_head]
+
+
+@given(st.data())
+def test_elect_promotes_the_highest_offset_nearest_the_old_head(data):
+    """The one election rule: the winner holds the highest offset, no
+    receiver nearer the old head (stripe-0 order) ties it, the mapping's
+    order is irrelevant, and a receiver without an offset — dead — is
+    not in the re-rooted plan."""
+    plan = data.draw(plans())
+    alive = data.draw(st.lists(st.sampled_from(plan.receivers), min_size=1,
+                               unique=True))
+    # Few distinct values, so ties are common.
+    marks = data.draw(st.lists(st.integers(0, 3), min_size=len(alive),
+                               max_size=len(alive)))
+    offsets = dict(zip(alive, marks))
+    rerooted, promoted, watermark = plan.elect(offsets)
+
+    assert watermark == offsets[promoted] == max(marks)
+    nearer = plan.receivers[:plan.receivers.index(promoted)]
+    assert all(offsets.get(r, -1) < watermark for r in nearer)
+    shuffled = dict(data.draw(st.permutations(list(offsets.items()))))
+    assert plan.elect(shuffled) == (rerooted, promoted, watermark)
+    assert rerooted.head == promoted
+    assert set(rerooted.nodes) == set(offsets)
 
 
 @given(st.data())

@@ -221,6 +221,40 @@ class TestLifecycle:
             with open(str(tmp_path / f"out-{node}.bin"), "rb") as handle:
                 assert handle.read() == payload
 
+    def test_a_session_name_is_taken_before_its_source_is_spooled(
+            self, fleet):
+        """The name is checked and taken under one lock, before the
+        source is spooled or hashed: a second submit under the same name
+        that arrives meanwhile is refused — it must not take over the
+        first session's record (acks, statuses, its clean-up)."""
+        release, reading = threading.Event(), threading.Event()
+        payload = make_payload(41, size=64 * 1024)
+
+        class Held(BytesSource):
+            """Spools only once the test says so."""
+
+            def read_chunk(self, size):
+                reading.set()
+                release.wait(30.0)
+                return super().read_chunk(size)
+
+        first = {}
+        submitter = threading.Thread(target=lambda: first.update(
+            result=fleet.submit(Held(payload), ["n2"], session="x",
+                                timeout=60.0)))
+        submitter.start()
+        try:
+            assert reading.wait(30.0)
+            with pytest.raises(KascadeError, match="already running"):
+                fleet.submit(BytesSource(payload), ["n3"], session="x",
+                             timeout=60.0)
+        finally:
+            release.set()
+            submitter.join(timeout=90.0)
+        assert first["result"].ok
+        assert first["result"].outcomes["n2"].digest == \
+            hashlib.sha256(payload).hexdigest()
+
     def test_submitting_into_a_warm_server(self, fleet, tmp_path):
         """run_broadcast(server=...) rides an existing fleet — the
         session-multiplexing form of the facade."""

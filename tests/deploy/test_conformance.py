@@ -7,9 +7,10 @@ validation (`DaemonServer.admit`) with one message, and every safety
 property the two former supervisors had between them is named by a test
 here: launch-failure re-plan before the first payload byte, `proc-exit`
 vs heartbeat-silence detection, a SHA-256 digest in every status,
-`verify_digest` off only across a re-root, `_FinishGuard` on sinks kept
-across a failover, `SIGKILL` for a `SIGSTOP`ped child, and no agent or
-replica process outliving `run()` / `shutdown()`.
+`verify_digest` off only across a re-root, `SIGKILL` for a `SIGSTOP`ped
+child, and no agent or replica process outliving `run()` / `shutdown()`.
+(That a sink kept across a failover is finished once is the host's rule
+now, on every driver: `tests/runtime/test_detach.py`.)
 """
 
 import hashlib
@@ -33,7 +34,6 @@ from repro.core.tracing import (
     SESSION,
 )
 from repro.daemon import DaemonServer, LateJoin
-from repro.deploy.agent import _FinishGuard
 from repro.deploy.coordinator import Coordinator
 
 FAST = KascadeConfig(
@@ -252,9 +252,10 @@ class TestEveryCellEitherWay:
     def test_head_failover(self, mode, tmp_path, monkeypatch):
         """A head SIGKILLed mid-push is re-rooted by the quorum, in a
         one-shot and on a warm fleet alike — and ``verify_digest`` is
-        off only across the re-root: the ``session_start`` ships the
-        caller's config, the ``resume`` its copy with the check off
-        (resumed nodes hash only what they stream after it)."""
+        off only across the re-root: ``session_start`` and ``resume``
+        both ship the caller's config, and a host rebuilt with a resume
+        offset turns the check off itself (resumed nodes hash only what
+        they stream after it)."""
         sent = []
         real_send = Coordinator.send
         monkeypatch.setattr(
@@ -283,7 +284,7 @@ class TestEveryCellEitherWay:
             if "config" in msg:
                 by_op.setdefault(msg["op"], set()).add(
                     msg["config"]["verify_digest"])
-        assert by_op == {"session_start": {True}, "resume": {False}}
+        assert by_op == {"session_start": {True}, "resume": {True}}
 
     def test_refusals_come_from_one_validation(self, mode):
         """What a session cannot have is refused before anything runs,
@@ -320,27 +321,3 @@ class TestEveryCellEitherWay:
                 assert server.sessions_completed == 0
         assert live_children() == []
 
-
-class TestFinishGuard:
-    def test_a_sink_kept_across_a_failover_settles_once(self):
-        """The resumed node finishes the chain its detached predecessor
-        may already have finished, and a hiccup after that must not
-        unlink a completed output: first verdict wins."""
-        calls = []
-
-        class Sink:
-            def finish(self):
-                calls.append("finish")
-
-            def abort(self):
-                calls.append("abort")
-
-        guard = _FinishGuard(Sink())
-        guard.finish()
-        guard.finish()
-        guard.abort()
-        assert calls == ["finish"]
-        guard = _FinishGuard(Sink())
-        guard.abort()
-        guard.finish()
-        assert calls == ["finish", "abort"]

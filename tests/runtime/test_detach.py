@@ -33,7 +33,7 @@ from repro.core.pipeline import PipelinePlan
 from repro.core.plan import ChainPlan
 from repro.core.sinks import BufferSink, NullSink
 from repro.core.tracing import ELECTION, FAILOVER, TraceCollector
-from repro.runtime import CrashPlan, LocalBroadcast
+from repro.runtime import CrashPlan, HostChains, LocalBroadcast
 from repro.runtime.links import DownstreamLink
 from repro.runtime.node import ReceiverNode
 from repro.runtime.registry import Registry
@@ -252,15 +252,21 @@ class TestDetachWakesEveryWait:
                            connect_timeout=5.0, report_timeout=20.0,
                            sink_writeback_depth=0)
 
-    def _survivor(self, successor_address):
-        """n2 of n1 -> n2 -> n3, started, with this test as its upstream."""
+    def _survivor(self, successor_address, host=None):
+        """n2 of n1 -> n2 -> n3, started, with this test as its upstream
+        (the node of a ``HostChains`` when given a list to put it in)."""
         listener = Listener()
-        plan = ChainPlan.single("n1", ("n2", "n3")).stripe(0)
+        chain = ChainPlan.single("n1", ("n2", "n3"))
         registry = Registry({"n1": listener.address, "n2": listener.address,
                              "n3": successor_address})
         sink, tracer = _WatchedSink(), TraceCollector()
-        node = ReceiverNode("n2", plan, registry, listener, self.CONFIG,
-                            sink, tracer=tracer)
+        if host is None:
+            node = ReceiverNode("n2", chain.stripe(0), registry, listener,
+                                self.CONFIG, sink, tracer=tracer)
+        else:
+            host.append(HostChains("n2", chain, [registry], [listener],
+                                   self.CONFIG, sink=sink, tracer=tracer))
+            (node,) = host[0].nodes.values()
         node.start()
         upstream = connect(listener.address, DATA_CONN, timeout=2.0)
         msg, _ = upstream.recv_message(2.0)
@@ -300,32 +306,64 @@ class TestDetachWakesEveryWait:
         assert sink.calls == sink_calls
         node.close_connections()
 
+    @staticmethod
+    def _mute(peer, kind, stream):
+        """A successor that takes the whole stream and never says PASSED."""
+        stream.send_message(Get(0), timeout=1.0)
+        while True:
+            msg, _payload = stream.recv_message(10.0)
+            if isinstance(msg, Report):
+                peer.parked = stream  # kept open, never answered
+                return True
+
+    def _stream_everything(self, node, upstream):
+        size = self.CONFIG.chunk_size
+        report = node.state.report.encode()
+        upstream.send_raw(
+            self._frames(0, 4, size) + encode_header(End(4 * size))
+            + encode_header(Report(len(report))) + report, timeout=2.0)
+        self._parked(node, socket.SHUT_RD)
+        return 4 * size
+
     def test_parked_awaiting_passed_on_its_downstream(self):
         """The whole stream is stored and forwarded; the successor never
         says PASSED."""
-        def mute(peer, kind, stream):
-            stream.send_message(Get(0), timeout=1.0)
-            while True:
-                msg, _payload = stream.recv_message(10.0)
-                if isinstance(msg, Report):
-                    peer.parked = stream  # kept open, never answered
-                    return True
-
-        successor = ScriptedPeer(mute)
+        successor = ScriptedPeer(self._mute)
         node, sink, tracer, upstream = self._survivor(successor.address)
         try:
-            size = self.CONFIG.chunk_size
-            report = node.state.report.encode()
-            upstream.send_raw(
-                self._frames(0, 4, size) + encode_header(End(4 * size))
-                + encode_header(Report(len(report))) + report, timeout=2.0)
-            self._parked(node, socket.SHUT_RD)
+            size = self._stream_everything(node, upstream)
             # Storage was settled before the report went down; a detach
             # must not undo that.
             self._detach(node, sink, tracer, sink_calls=["finish"])
-            assert sink.bytes_written == 4 * size
+            assert sink.bytes_written == size
         finally:
             node.shutdown()
+            upstream.close()
+            successor.close()
+
+    def test_a_sink_kept_across_a_failover_settles_once(self):
+        """A survivor stopped after it finished its sink (the whole stream
+        stored, PASSED not yet back) lets go like any other — and resumes
+        into a ``NullSink``: its rebuilt node, or the settle of a promoted
+        head, must neither finish it again nor abort (unlink) a complete
+        copy.  The rule is the host's, so every driver keeps it."""
+        successor = ScriptedPeer(self._mute)
+        host = []
+        node, sink, tracer, upstream = self._survivor(successor.address, host)
+        (host,) = host
+        try:
+            size = self._stream_everything(node, upstream)
+            assert host.let_go()
+            assert node.sink_finished and host.offset == size
+            rerooted = ChainPlan.single("n2", ("n3",))
+            role = host.resume(rerooted, lambda name, **role: role,
+                               source=PatternSource(size), gate=None)
+            assert type(role["sink"]) is NullSink
+            assert role["resume_offset"] == size
+            assert sink.calls == ["finish"]
+        finally:
+            host.shutdown()
+            host.close_connections()
             upstream.close()
             successor.close()
 

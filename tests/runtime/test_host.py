@@ -129,7 +129,8 @@ class TestResumeFromWatermarkZero:
             self, fast_config, wiring):
         """The dead head already read from the shared source, so the
         promoted head must not trust its sequential cursor — not even
-        (least of all) when the election watermark is 0."""
+        (least of all) when the election watermark is 0.  A resumed host
+        verifies no digest, whatever the config says."""
         size = fast_config.chunk_size * 20 + 77
         source = PatternSource(size)
         for _ in range(5):
@@ -140,8 +141,9 @@ class TestResumeFromWatermarkZero:
         receiver = HostChains("n3", chain, registries, listeners["n3"],
                               fast_config, sink=downstream, resume_offset=0)
         head = HostChains("n2", chain, registries, listeners["n2"],
-                          fast_config, source=source, sink=own,
-                          resume_offset=0)
+                          fast_config.with_(verify_digest=True),
+                          source=source, sink=own, resume_offset=0)
+        assert not head.config.verify_digest
         receiver.start()
         head.start()
         head.join()
@@ -149,8 +151,30 @@ class TestResumeFromWatermarkZero:
         assert head.outcome.ok and receiver.outcome.ok
         payload = source.expected_bytes(0, size)
         assert downstream.getvalue() == payload
-        head.complete_own_copy()
+        head.settle(True)
         assert own.getvalue() == payload
+
+    def test_a_head_promoted_at_the_end_of_the_stream_holds_all_of_it(
+            self, fast_config, wiring):
+        """Elected at the full watermark, the promoted head streams
+        nothing — and still accounts for the whole stream (the run's
+        ``total_bytes``), as a lone survivor's host does."""
+        size = fast_config.chunk_size * 3
+        source = PatternSource(size)
+        for chain in (ChainPlan.single("n2", ("n3",)),
+                      ChainPlan.single("n2", ())):
+            listeners, registries = wiring(chain)
+            hosts = [HostChains(name, chain, registries, listeners[name],
+                                fast_config, source=source, sink=BufferSink(),
+                                resume_offset=size)
+                     for name in reversed(chain.nodes)]
+            for host in hosts:
+                host.start()
+            for host in hosts:
+                host.join()
+            assert all(h.outcome.ok for h in hosts), chain
+            assert [h.outcome.bytes_received for h in hosts] == \
+                [size] * len(hosts), chain
 
     def test_a_head_killed_before_its_first_send_elects_at_zero(
             self, fast_config):

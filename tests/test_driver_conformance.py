@@ -111,7 +111,22 @@ SCENARIOS = {
         chain(3), source=pattern(4 * SIZE),
         crashes=(("n1", 2 * SIZE, "silent"),),
         options=(("allow_head_chaos", True),), timing_decides=(FORGET,)),
+    # Names against chain order: the head's successor is promoted (n4),
+    # never the tail, however the receivers' offsets tie.
+    "head_crash_reversed_chain": Scenario(
+        ["n4", "n3", "n2"], source=pattern(4 * SIZE),
+        crashes=(("n1", 2 * SIZE, "close"),),
+        options=(("allow_head_chaos", True),), timing_decides=(FORGET,)),
+    # Nobody to feed: the survivor completes its own copy from the source.
+    "head_crash_lone_survivor": Scenario(
+        chain(1), source=pattern(4 * SIZE),
+        crashes=(("n1", 2 * SIZE, "close"),),
+        options=(("allow_head_chaos", True),)),
 }
+
+#: The head rows a fleet runs too (``backend="procs"``, one replica).
+FLEET_ROWS = ("head_close_crash", "head_crash_reversed_chain",
+              "head_crash_lone_survivor")
 
 
 @dataclass
@@ -126,7 +141,12 @@ class Story:
     noticed: dict           # node -> its own [(dead node, who noticed)]
     crashed: set            # nodes whose outcome says they crashed
     chain: tuple            # the plan the run finished on, head first
-    elections: tuple        # (coordinator FAILOVERs, ELECTIONs) traced
+    elections: tuple        # (coordinator FAILOVERs, ELECTION peers) traced
+
+
+def elections(trace) -> tuple:
+    return (sum(e.node == "coordinator" for e in trace.of_type(FAILOVER)),
+            tuple(e.peer for e in trace.of_type(ELECTION)))
 
 
 def tell(scenario: Scenario, driver: str) -> Story:
@@ -158,33 +178,40 @@ def tell(scenario: Scenario, driver: str) -> Story:
         crashed={name for name, outcome in result.outcomes.items()
                  if outcome.crashed},
         chain=result.plan.nodes,
-        elections=(sum(e.node == "coordinator"
-                       for e in result.trace.of_type(FAILOVER)),
-                   len(result.trace.of_type(ELECTION))),
+        elections=elections(result.trace),
     )
+
+
+def payload_digest(scenario: Scenario) -> str:
+    source = scenario.source()
+    return hashlib.sha256(
+        source.expected_bytes(0, source.size)
+        if hasattr(source, "expected_bytes") else source._stream.getvalue()
+    ).hexdigest()
+
+
+def survivors(scenario: Scenario) -> list:
+    crashed = {node for node, _after, _mode in scenario.crashes}
+    return [r for r in scenario.receivers
+            if r not in crashed and r not in scenario.lost]
 
 
 def check(scenario: Scenario, stories: Optional[dict] = None) -> dict:
     """Run ``scenario`` on both drivers and hold them to one story."""
     stories = stories or {driver: tell(scenario, driver) for driver in DRIVERS}
     local, sim = stories["local"], stories["simnet"]
-    source = scenario.source()
-    want = hashlib.sha256(
-        source.expected_bytes(0, source.size)
-        if hasattr(source, "expected_bytes") else source._stream.getvalue()
-    ).hexdigest()
+    want = payload_digest(scenario)
     crashed = {node for node, _after, _mode in scenario.crashes}
-    survivors = [r for r in scenario.receivers
-                 if r not in crashed and r not in scenario.lost]
+    alive = survivors(scenario)
     for driver, story in stories.items():
         assert story.ok is scenario.ok, (driver, story)
-        for name in survivors:
+        for name in alive:
             assert story.complete[name], (driver, name)
             assert story.digests[name] == want, (driver, name)
         for name in scenario.lost:
             assert not story.complete[name], (driver, name)
-    assert {n: local.digests[n] for n in survivors} == \
-        {n: sim.digests[n] for n in survivors}
+    assert {n: local.digests[n] for n in alive} == \
+        {n: sim.digests[n] for n in alive}
     assert local.failures == sim.failures
     # A head that died as planned is not in the ring report: the chain
     # that closed the ring is the re-rooted one, which never had it.
@@ -193,8 +220,10 @@ def check(scenario: Scenario, stories: Optional[dict] = None) -> dict:
     assert local.noticed == sim.noticed
     assert local.crashed == sim.crashed == crashed
     assert local.chain == sim.chain
-    assert (local.chain[0] == "n1") is not head_died
-    assert local.elections == sim.elections == (head_died, head_died)
+    # A dead head's successor leads the re-rooted chain, by one election.
+    assert local.chain[0] == (scenario.receivers[0] if head_died else "n1")
+    assert local.elections == sim.elections == (
+        (1, local.chain[:1]) if head_died else (0, ()))
     assert local.milestones == sim.milestones
     return stories
 
@@ -202,6 +231,33 @@ def check(scenario: Scenario, stories: Optional[dict] = None) -> dict:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_both_drivers_tell_the_same_story(name):
     check(SCENARIOS[name])
+
+
+@pytest.mark.parametrize("name", FLEET_ROWS)
+def test_the_fleet_tells_the_same_head_loss_story(name, tmp_path):
+    """The third driver of the one re-root: a fleet of agent processes
+    elects by the same rule, so it promotes the same node, ends on the
+    same chain, holds the same bytes and traces one FAILOVER and one
+    ELECTION.  Milestones are not compared across processes; the head
+    is paced so the kill lands mid-stream, not after it."""
+    scenario = SCENARIOS[name]
+    local = check(scenario)["local"]
+    began = time.monotonic()
+    result = run_broadcast(
+        scenario.source(), list(scenario.receivers), backend="procs",
+        config=scenario.config.with_(bandwidth_limit=4 << 20),
+        crashes=list(scenario.crashes), coordinator_replicas=1,
+        output_template=str(tmp_path / "{node}.out"), trace=True,
+        timeout=30.0, progress_every=64 * 1024, **dict(scenario.options))
+    # Within seconds of the kill, not at the session deadline.
+    assert time.monotonic() - began < 15.0
+    assert result.ok is scenario.ok, result.outcomes
+    want = payload_digest(scenario)
+    for name in survivors(scenario):
+        got = hashlib.sha256((tmp_path / f"{name}.out").read_bytes())
+        assert got.hexdigest() == want, name
+    assert result.plan.nodes == local.chain
+    assert elections(result.trace) == local.elections == (1, local.chain[:1])
 
 
 def test_a_head_crash_is_refused_in_one_sentence():

@@ -237,13 +237,10 @@ def run_daemon_scenario(name: str, spec: Scenario, *, size: int,
     ``repeat_cached`` re-submits the identical artifact, so the bytes
     arrive from each receiver's chunk cache instead of the wire.
     """
-    import dataclasses
-
     from repro.daemon import DaemonServer
 
     receivers = [f"n{i}" for i in range(2, 2 + spec.receivers)]
-    config = dataclasses.replace(spec.config,
-                                 cache_bytes=max(2 * size, 64 * 2**20))
+    config = spec.config.with_(cache_bytes=max(2 * size, 64 * 2**20))
     tmpdir = tempfile.mkdtemp(prefix="kascade-bench-daemon-")
     try:
         def artifact(tag: str, seed: int) -> FileSource:
@@ -441,11 +438,9 @@ def main(argv=None) -> int:
 
     catalogue = build_catalogue()
     if args.data_plane != "threaded":
-        import dataclasses
         for spec in catalogue.values():
             if spec.backend == "local":  # the DES has no real I/O engine
-                spec.config = dataclasses.replace(spec.config,
-                                                  data_plane=args.data_plane)
+                spec.config = spec.config.with_(data_plane=args.data_plane)
     wanted = args.scenario or list(catalogue)
     unknown = [s for s in wanted if s not in catalogue]
     if unknown:

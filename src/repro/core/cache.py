@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
 from .errors import KascadeError
 from .perfstats import PerfStats, get_stats
+from .record import Frozen
 
 __all__ = ["ArtifactMeta", "CacheTapSink", "ChunkCache", "chunk_count"]
 
@@ -47,8 +47,7 @@ def chunk_count(size: int, chunk_size: int) -> int:
     return max(0, (size + chunk_size - 1) // chunk_size)
 
 
-@dataclass(frozen=True)
-class ArtifactMeta:
+class ArtifactMeta(Frozen):
     """Identity of one broadcast payload: digest + geometry.
 
     ``digest`` is the SHA-256 of the whole stream (hex), the same value
@@ -56,9 +55,10 @@ class ArtifactMeta:
     — which is what makes "served from cache" verifiable end to end.
     """
 
-    digest: str
-    size: int
-    chunk_size: int
+    __slots__ = ("digest", "size", "chunk_size")
+
+    def __init__(self, digest: str, size: int, chunk_size: int) -> None:
+        self._init(digest, size, chunk_size)
 
     @property
     def chunks(self) -> int:
@@ -131,15 +131,19 @@ class ChunkCache:
 
     # -- writes ----------------------------------------------------------
 
-    def put(self, digest: str, index: int, data) -> bool:
+    def put(self, digest: str, index: int, data, *,
+            missed: bool = False) -> bool:
         """Store chunk ``index`` of artifact ``digest``; True if kept.
 
         Copies ``data`` (any buffer) into cache-owned bytes — see the
         module docs for why by-reference retention would be unsound
         here.  A duplicate put refreshes recency but does not copy
         again.  Oversized chunks (bigger than the whole budget) are
-        declined, never raised.
+        declined, never raised.  ``missed``: it came over the wire for
+        want of a cached copy — one miss, as a :meth:`get` that found none.
         """
+        if missed:
+            self._stats.cache_misses += 1
         size = len(data)
         if size > self.max_bytes:
             return False
@@ -243,7 +247,8 @@ class CacheTapSink:
 
     Sits outermost in a receiver's sink chain so it observes the stream
     in global order, slices it on chunk boundaries, and inserts each
-    complete chunk under ``(artifact.digest, index)`` — making this node
+    complete chunk under ``(artifact.digest, index)`` — counted as a
+    cache miss: it had to come over the wire — making this node
     cache-warm for repeat broadcasts and pull-phase peers *while the
     push is still in flight*.  Pass-through is unconditional: caching
     never changes what reaches the inner sink.
@@ -272,7 +277,7 @@ class CacheTapSink:
             piece = bytes(self._pending[:want])
             del self._pending[:want]
             self._offset += want
-            self.cache.put(art.digest, index, piece)
+            self.cache.put(art.digest, index, piece, missed=True)
         self.inner.write_chunk(data)
 
     def preallocate(self, size: int) -> None:

@@ -9,18 +9,17 @@ reached, one second is lost", §IV-G).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import ConfigError
+from .record import Frozen
 from .units import MiB
 
 #: Runtime data planes selectable via :attr:`KascadeConfig.data_plane`.
 DATA_PLANES = ("threaded", "evloop")
 
 
-@dataclass(frozen=True)
-class KascadeConfig:
+class KascadeConfig(Frozen):
     """Configuration shared by the real runtime and the simulator.
 
     Attributes
@@ -96,23 +95,35 @@ class KascadeConfig:
         have no sockets to drive.
     """
 
-    chunk_size: int = 1 * MiB
-    buffer_chunks: int = 8
-    io_timeout: float = 1.0
-    ping_timeout: float = 0.5
-    connect_timeout: float = 2.0
-    max_connect_attempts: Optional[int] = None  # None = unbounded
-    report_timeout: float = 30.0
-    verify_digest: bool = False
-    bandwidth_limit: Optional[float] = None
-    sink_writeback_depth: int = 8  # 0 = synchronous sink writes
-    sink_writeback_budget: int = 32 * MiB
-    readahead_chunks: int = 2  # 0 = no head-node prefetch
-    stripes: int = 1  # 1 = single chain (the one-stripe case)
-    cache_bytes: int = 256 * MiB  # 0 = no cross-session chunk cache
-    data_plane: str = "threaded"  # "threaded" | "evloop"
+    __slots__ = ("chunk_size", "buffer_chunks", "io_timeout", "ping_timeout",
+                 "connect_timeout", "max_connect_attempts", "report_timeout",
+                 "verify_digest", "bandwidth_limit", "sink_writeback_depth",
+                 "sink_writeback_budget", "readahead_chunks", "stripes",
+                 "cache_bytes", "data_plane")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        chunk_size: int = 1 * MiB,
+        buffer_chunks: int = 8,
+        io_timeout: float = 1.0,
+        ping_timeout: float = 0.5,
+        connect_timeout: float = 2.0,
+        max_connect_attempts: Optional[int] = None,  # None = unbounded
+        report_timeout: float = 30.0,
+        verify_digest: bool = False,
+        bandwidth_limit: Optional[float] = None,
+        sink_writeback_depth: int = 8,  # 0 = synchronous sink writes
+        sink_writeback_budget: int = 32 * MiB,
+        readahead_chunks: int = 2,  # 0 = no head-node prefetch
+        stripes: int = 1,  # 1 = single chain (the one-stripe case)
+        cache_bytes: int = 256 * MiB,  # 0 = no cross-session chunk cache
+        data_plane: str = "threaded",  # "threaded" | "evloop"
+    ) -> None:
+        self._init(chunk_size, buffer_chunks, io_timeout, ping_timeout,
+                   connect_timeout, max_connect_attempts, report_timeout,
+                   verify_digest, bandwidth_limit, sink_writeback_depth,
+                   sink_writeback_budget, readahead_chunks, stripes,
+                   cache_bytes, data_plane)
         if self.chunk_size <= 0:
             raise ConfigError(f"chunk_size must be positive, got {self.chunk_size}")
         if self.buffer_chunks < 1:
@@ -147,7 +158,7 @@ class KascadeConfig:
 
     def with_(self, **kwargs) -> "KascadeConfig":
         """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)
+        return KascadeConfig(**{**self._asdict(), **kwargs})
 
 
 #: Default configuration, matching the tool's out-of-the-box behaviour.

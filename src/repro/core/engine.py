@@ -255,11 +255,13 @@ class Link:
     # -- stall detection: timeout + liveness ping (§III-D1) -------------
 
     def _ping_target(self):
-        """Open a side connection and ping; True if the peer answers."""
-        timeout, answered, probe = self.config.ping_timeout, False, None
+        """Open a side connection and ping; True if the peer answers,
+        ``None`` if it no longer listens (refused), else False."""
+        timeout, answered, probe = self.config.ping_timeout, None, None
         try:
             probe = yield from self.port.connect(self.target, PING_CONN,
                                                  timeout)
+            answered = False
             probe.cork(Ping(1))
             yield from probe.flush(timeout)
             msg, _ = yield from probe.recv(timeout)
@@ -315,7 +317,17 @@ class Link:
             except TimeoutError:
                 self.tracer.emit(tracing.STALL, self.owner, peer=self.target,
                                  detail=f"read: {wait_reason}")
-                if not (yield from self._ping_target()):
+                answered = yield from self._ping_target()
+                if answered is None:
+                    # No longer listening: finished (its last frame, a
+                    # PASSED, may still be on the way) or dead (and its
+                    # data connection ending too).  That connection says.
+                    try:
+                        return (yield from self.stream.recv(
+                            self.config.ping_timeout))
+                    except (TimeoutError, ConnectionError):
+                        pass
+                if not answered:
                     raise NodeFailedError(
                         self.target, f"{wait_reason}: silent, ping unanswered"
                     ) from None

@@ -27,8 +27,9 @@ write stalls, to distinguish a dead peer from mere congestion.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Union
+
+from .record import Frozen
 
 
 class Op(enum.IntEnum):
@@ -46,41 +47,41 @@ class Op(enum.IntEnum):
     PONG = 10
 
 
-@dataclass(frozen=True)
-class Get:
+class Get(Frozen):
     """Request the stream starting at byte ``offset``."""
 
-    offset: int
-
+    __slots__ = ("offset",)
     op = Op.GET
 
+    def __init__(self, offset: int) -> None:
+        self._init(offset)
 
-@dataclass(frozen=True)
-class PGet:
+
+class PGet(Frozen):
     """Request the half-open byte range ``[offset, until)`` from the head."""
 
-    offset: int
-    until: int
-
+    __slots__ = ("offset", "until")
     op = Op.PGET
 
-    def __post_init__(self) -> None:
-        if self.until < self.offset:
-            raise ValueError(f"PGET range reversed: [{self.offset}, {self.until})")
+    def __init__(self, offset: int, until: int) -> None:
+        if until < offset:
+            raise ValueError(f"PGET range reversed: [{offset}, {until})")
+        self._init(offset, until)
 
     @property
     def size(self) -> int:
         return self.until - self.offset
 
 
-@dataclass(frozen=True)
-class Forget:
+class Forget(Frozen):
     """The requested range was recycled; ``min_offset`` is the oldest byte
     still available (the paper's FORGET(o))."""
 
-    min_offset: int
-
+    __slots__ = ("min_offset",)
     op = Op.FORGET
+
+    def __init__(self, min_offset: int) -> None:
+        self._init(min_offset)
 
 
 class Data:
@@ -91,10 +92,10 @@ class Data:
     8 bytes per chunk and turns silent desynchronisation bugs into loud
     protocol errors, which matters for a fault-tolerance tool.
 
-    Unlike its siblings this is a hand-written ``__slots__`` class, not a
-    frozen dataclass: one is constructed per chunk per hop, and the frozen
+    Unlike its siblings this is not a :class:`~repro.core.record.Frozen`
+    record: one is constructed per chunk per hop, and the frozen
     ``object.__setattr__`` constructor is measurably the dearest part of
-    that.  repr/eq/hash match what ``@dataclass(frozen=True)`` generated.
+    that.  repr/eq/hash match its siblings'.
     """
 
     __slots__ = ("offset", "size")
@@ -125,54 +126,58 @@ class Data:
         return self.offset + self.size
 
 
-@dataclass(frozen=True)
-class End:
+class End(Frozen):
     """Normal end of stream; total length is ``total`` bytes."""
 
-    total: int
-
+    __slots__ = ("total",)
     op = Op.END
 
+    def __init__(self, total: int) -> None:
+        self._init(total)
 
-@dataclass(frozen=True)
-class Quit:
+
+class Quit(Frozen):
     """Anticipated end of stream (user interruption or unrecoverable loss)."""
 
+    __slots__ = ()
     op = Op.QUIT
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Frozen):
     """Header announcing ``size`` bytes of serialized failure report."""
 
-    size: int
-
+    __slots__ = ("size",)
     op = Op.REPORT
 
+    def __init__(self, size: int) -> None:
+        self._init(size)
 
-@dataclass(frozen=True)
-class Passed:
+
+class Passed(Frozen):
     """The final report has reached the first node; senders may quit."""
 
+    __slots__ = ()
     op = Op.PASSED
 
 
-@dataclass(frozen=True)
-class Ping:
+class Ping(Frozen):
     """Liveness probe (sent on a side connection when a write stalls)."""
 
-    nonce: int
-
+    __slots__ = ("nonce",)
     op = Op.PING
 
+    def __init__(self, nonce: int) -> None:
+        self._init(nonce)
 
-@dataclass(frozen=True)
-class Pong:
+
+class Pong(Frozen):
     """Answer to a PING, echoing its nonce."""
 
-    nonce: int
-
+    __slots__ = ("nonce",)
     op = Op.PONG
+
+    def __init__(self, nonce: int) -> None:
+        self._init(nonce)
 
 
 Message = Union[Get, PGet, Forget, Data, End, Quit, Report, Passed, Ping, Pong]

@@ -18,10 +18,10 @@ Node ordering strategies reproduce the paper's options:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .errors import PipelineError
+from .record import Frozen
 
 if TYPE_CHECKING:  # annotation only: numpy stays off the CLI import path
     import numpy as np
@@ -56,8 +56,7 @@ def order_randomly(nodes: Sequence[str], rng: np.random.Generator) -> List[str]:
     return [out[i] for i in perm]
 
 
-@dataclass(frozen=True)
-class PipelinePlan:
+class PipelinePlan(Frozen):
     """An ordered broadcast chain: ``head`` followed by the receivers.
 
     The plan is immutable; failure handling never re-plans, it only *skips*
@@ -65,13 +64,16 @@ class PipelinePlan:
     behaviour of keeping the original node list on every node.
     """
 
-    head: str
-    receivers: Tuple[str, ...]
+    __slots__ = ("head", "receivers")
 
     #: Whether a head with nobody to feed is a plan (only a re-root's).
     lone_head_ok = False
 
-    def __post_init__(self) -> None:
+    def __init__(self, head: str, receivers: Tuple[str, ...]) -> None:
+        self._init(head, receivers)
+        self._validate()
+
+    def _validate(self) -> None:
         if not self.head:
             raise PipelineError("pipeline needs a head node")
         if not self.receivers and not self.lone_head_ok:

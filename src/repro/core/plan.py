@@ -31,11 +31,11 @@ topology-friendly chain.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .errors import KascadeError, PipelineError
 from .pipeline import PipelinePlan
+from .record import Frozen
 
 if TYPE_CHECKING:  # annotation only: numpy stays off the CLI import path
     import numpy as np
@@ -43,7 +43,6 @@ if TYPE_CHECKING:  # annotation only: numpy stays off the CLI import path
 __all__ = ["StripePlan", "ChainPlan", "coerce_stripe_plan"]
 
 
-@dataclass(frozen=True)
 class StripePlan(PipelinePlan):
     """One stripe's chain: a :class:`PipelinePlan` that knows its stripe.
 
@@ -55,12 +54,16 @@ class StripePlan(PipelinePlan):
     starts with one (:meth:`ChainPlan.resolve`).
     """
 
-    stripe: int = 0
-    of: int = 1
+    __slots__ = ("stripe", "of")
     lone_head_ok = True
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __init__(self, head: str, receivers: Tuple[str, ...],
+                 stripe: int = 0, of: int = 1) -> None:
+        self._init(head, receivers, stripe, of)
+        self._validate()
+
+    def _validate(self) -> None:
+        super()._validate()
         if self.of < 1:
             raise PipelineError(f"stripe count must be >= 1, got {self.of}")
         if not 0 <= self.stripe < self.of:
@@ -82,8 +85,7 @@ def _rotated(receivers: Tuple[str, ...], shift: int) -> Tuple[str, ...]:
     return receivers[shift:] + receivers[:shift]
 
 
-@dataclass(frozen=True)
-class ChainPlan:
+class ChainPlan(Frozen):
     """The complete broadcast schedule: one chain per stripe.
 
     All stripes share the head and the receiver *set*; they may (and for
@@ -93,9 +95,10 @@ class ChainPlan:
     ``run_broadcast(..., plan=...)``.
     """
 
-    stripes: Tuple[StripePlan, ...]
+    __slots__ = ("stripes",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, stripes: Tuple[StripePlan, ...]) -> None:
+        self._init(stripes)
         if not self.stripes:
             raise PipelineError("chain plan needs at least one stripe")
         k = len(self.stripes)

@@ -20,10 +20,10 @@ the same decisions — the paper's recovery behaviour lives here:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import AbstractSet, Optional, Sequence
 
 from .pipeline import PipelinePlan
+from .record import Frozen
 
 
 class SourceKind(enum.Enum):
@@ -41,8 +41,7 @@ class OfferKind(enum.Enum):
     FORGET = "forget"             #: data unrecoverable; abort downstream
 
 
-@dataclass(frozen=True)
-class Offer:
+class Offer(Frozen):
     """Outcome of :func:`negotiate_offset`.
 
     ``resume_at`` is where the sender will start serving:
@@ -53,8 +52,10 @@ class Offer:
     * FORGET — the sender's buffer minimum (the FORGET(o) value).
     """
 
-    kind: OfferKind
-    resume_at: int
+    __slots__ = ("kind", "resume_at")
+
+    def __init__(self, kind: OfferKind, resume_at: int) -> None:
+        self._init(kind, resume_at)
 
 
 def next_alive(

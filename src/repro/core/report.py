@@ -13,18 +13,17 @@ stable, byte-accurate, and independent of Python pickling.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
 from .errors import ProtocolError
+from .record import Frozen, Record
 
 _HEADER = struct.Struct(">4sI")  # magic, record count
 _MAGIC_V1 = b"KRPT"   # records only
 _MAGIC_V2 = b"KRP2"   # records + optional source digest (integrity mode)
 
 
-@dataclass(frozen=True)
-class FailureRecord:
+class FailureRecord(Frozen):
     """One detected node failure.
 
     Attributes
@@ -41,10 +40,11 @@ class FailureRecord:
         ``"connect-refused"``...
     """
 
-    node: str
-    detected_by: str
-    at_offset: int
-    reason: str
+    __slots__ = ("node", "detected_by", "at_offset", "reason")
+
+    def __init__(self, node: str, detected_by: str, at_offset: int,
+                 reason: str) -> None:
+        self._init(node, detected_by, at_offset, reason)
 
     def encode(self) -> bytes:
         parts = []
@@ -55,8 +55,7 @@ class FailureRecord:
         return b"".join(parts)
 
 
-@dataclass
-class TransferReport:
+class TransferReport(Record):
     """Aggregate failure report accumulated along the pipeline.
 
     In integrity mode (``KascadeConfig.verify_digest``) the head also
@@ -64,8 +63,12 @@ class TransferReport:
     receiver can verify its stored copy before acknowledging.
     """
 
-    failures: List[FailureRecord] = field(default_factory=list)
-    source_digest: Optional[bytes] = None
+    __slots__ = ("failures", "source_digest")
+
+    def __init__(self, failures: Optional[List[FailureRecord]] = None,
+                 source_digest: Optional[bytes] = None) -> None:
+        self.failures = [] if failures is None else failures
+        self.source_digest = source_digest
 
     def add(self, record: FailureRecord) -> None:
         """Append one locally detected failure."""
@@ -177,17 +180,24 @@ class TransferReport:
         return f"transfer complete with {len(self.failed_nodes)} failed node(s): {nodes}"
 
 
-@dataclass
-class NodeOutcome:
+class NodeOutcome(Record):
     """What one node reports after the broadcast (or its own death)."""
 
-    name: str
-    ok: bool = False
-    bytes_received: int = 0
-    crashed: bool = False
-    error: Optional[str] = None
-    failures_detected: List = field(default_factory=list)
-    #: SHA-256 of the payload as stored, when the backend computed one
-    #: (the process backend always does; the thread backend only via a
-    #: hashing sink the caller supplied).
-    digest: Optional[str] = None
+    __slots__ = ("name", "ok", "bytes_received", "crashed", "error",
+                 "failures_detected", "digest")
+
+    def __init__(self, name: str, ok: bool = False, bytes_received: int = 0,
+                 crashed: bool = False, error: Optional[str] = None,
+                 failures_detected: Optional[List] = None,
+                 digest: Optional[str] = None) -> None:
+        self.name = name
+        self.ok = ok
+        self.bytes_received = bytes_received
+        self.crashed = crashed
+        self.error = error
+        self.failures_detected = (
+            [] if failures_detected is None else failures_detected)
+        #: SHA-256 of the payload as stored, when the backend computed one
+        #: (the process backend always does; the thread backend only via a
+        #: hashing sink the caller supplied).
+        self.digest = digest

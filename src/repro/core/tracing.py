@@ -31,8 +31,11 @@ import itertools
 import json
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Deque, Iterable, List, Optional, Tuple
+
+from .record import Frozen
+
+_set = object.__setattr__
 
 __all__ = [
     "CONNECT", "CHUNK", "STALL", "PING", "FAILOVER", "ELECTION", "PGET",
@@ -93,18 +96,24 @@ def classify_detector(reason: str) -> str:
     return DETECTOR_ERROR
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(Frozen):
     """One structured broadcast event."""
 
-    seq: int                       #: global emission order (ties on ``t``)
-    t: float                       #: seconds since trace start (or sim time)
-    type: str                      #: one of :data:`EVENT_TYPES`
-    node: str                      #: the node this event happened *on*
-    offset: Optional[int] = None   #: stream offset, where meaningful
-    peer: Optional[str] = None     #: the other node involved, if any
-    detail: str = ""               #: free-form context (reason, conn kind)
-    detector: Optional[str] = None  #: FAILOVER only: how death was detected
+    __slots__ = ("seq", "t", "type", "node", "offset", "peer", "detail",
+                 "detector")
+
+    def __init__(self, seq: int, t: float, type: str, node: str,
+                 offset: Optional[int] = None, peer: Optional[str] = None,
+                 detail: str = "", detector: Optional[str] = None) -> None:
+        # Written out rather than ``_init``: one event per traced chunk.
+        _set(self, "seq", seq)  # global emission order (ties on ``t``)
+        _set(self, "t", t)  # seconds since trace start (or sim time)
+        _set(self, "type", type)  # one of EVENT_TYPES
+        _set(self, "node", node)  # the node this event happened *on*
+        _set(self, "offset", offset)  # stream offset, where meaningful
+        _set(self, "peer", peer)  # the other node involved, if any
+        _set(self, "detail", detail)  # free-form (reason, conn kind)
+        _set(self, "detector", detector)  # FAILOVER: how death was seen
 
     def to_dict(self) -> dict:
         """JSON-ready mapping; ``None`` fields are dropped."""

@@ -22,7 +22,6 @@ offer it as ``backend="procs"``.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import signal
 import socket
@@ -500,6 +499,6 @@ class ProcBroadcast:
             duration = time.monotonic() - started
         finally:
             self._fleet.shutdown(grace=2.0)
-        return dataclasses.replace(
-            result, backend=self.backend, duration=duration,
-            launch=self.launch_report)
+        result.backend, result.duration, result.launch = (
+            self.backend, duration, self.launch_report)
+        return result

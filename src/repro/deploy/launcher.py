@@ -90,9 +90,12 @@ def agent_spawner(
     env = spawn_env()
     t0 = time.monotonic()
     blob = program.build(cached)
+    # ``-S``: no ``site`` — an agent needs nothing from ``site-packages``,
+    # whose ``.pth`` hooks can cost more than the bare interpreter start.
     # ``repro.cli.kascade`` and ``agent`` stay argv elements of their
     # own: it is how ``pgrep``/``ps`` (and every leftover check) find one.
-    base = [python, "-c", program.BOOT, "repro.cli.kascade", "agent", *argv]
+    base = [python, "-S", "-c", program.BOOT, "repro.cli.kascade", "agent",
+            *argv]
 
     def spawn(name: str, attempt: int) -> subprocess.Popen:
         cmd = [*base, "--name", name]

@@ -46,9 +46,9 @@ AGENT_MODULES = (
     "repro.core.config", "repro.core.engine", "repro.core.errors",
     "repro.core.framing", "repro.core.messages", "repro.core.node_state",
     "repro.core.perfstats", "repro.core.pipeline", "repro.core.plan",
-    "repro.core.recovery", "repro.core.report", "repro.core.sinks",
-    "repro.core.sources", "repro.core.stages", "repro.core.tracing",
-    "repro.core.units",
+    "repro.core.record", "repro.core.recovery", "repro.core.report",
+    "repro.core.sinks", "repro.core.sources", "repro.core.stages",
+    "repro.core.tracing", "repro.core.units",
     "repro.deploy", "repro.deploy.agent", "repro.deploy.protocol",
     "repro.runtime", "repro.runtime.host", "repro.runtime.links",
     "repro.runtime.node", "repro.runtime.registry", "repro.runtime.result",
@@ -73,7 +73,7 @@ def build(cached: bool) -> bytes:
     return MAGIC_NUMBER + marshal.dumps(table)
 
 
-#: ``python -c BOOT repro.cli.kascade agent …`` with a program on fd 0.
+#: ``python -S -c BOOT repro.cli.kascade agent …`` with a program on fd 0.
 #: Kept short: it is what ``ps`` shows in front of the agent's own argv.
 #: The class is its own finder and loader, called unbound.
 BOOT = """\

@@ -49,7 +49,6 @@ protocol violation, not an allocation.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import socket
 import threading
@@ -179,7 +178,7 @@ def connect_control(host: str, port: int, timeout: float) -> ControlChannel:
 
 def config_to_wire(config: KascadeConfig) -> dict:
     """JSON-safe dict for a start-shaped message (supervisor side)."""
-    return dataclasses.asdict(config)
+    return config._asdict()
 
 
 def wiring_to_wire(chain_plan: ChainPlan, endpoints: dict,

@@ -58,7 +58,6 @@ class ProtoCrash:
             raise ValueError("set exactly one of after_bytes / at_time")
 
 
-@dataclass
 class ProtoResult(BroadcastResult):
     """The shared fold (what ``run_broadcast`` returns for
     ``backend="simnet"``), read in the simulator's terms as well:
@@ -67,9 +66,14 @@ class ProtoResult(BroadcastResult):
     ``sim_cancelled_skips``, ``solver_rounds``, ``solver_full_rebuilds``)
     — bar ``sim_heap_peak``, the process high-water mark."""
 
-    #: Raw message trace when run with ``trace=True``:
-    #: ``(time, src, dst, message, payload_len)`` tuples.
-    message_log: Optional[List] = None
+    __slots__ = ("message_log",)
+
+    def __init__(self, *args, message_log: Optional[List] = None,
+                 **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: Raw message trace when run with ``trace=True``:
+        #: ``(time, src, dst, message, payload_len)`` tuples.
+        self.message_log = message_log
 
     sim_time = property(lambda self: self.duration)
     node_ok = property(lambda self: {

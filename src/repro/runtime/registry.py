@@ -9,20 +9,21 @@ to all targets before the transfer, §III-B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Tuple
 
 from ..core.errors import PipelineError
+from ..core.record import Frozen
 
 
-@dataclass(frozen=True)
-class Address:
+class Address(Frozen):
     """A listen endpoint.  Defined here rather than beside the sockets
     (:mod:`.transport` re-exports it) so the control side can name one
     without importing the data plane."""
 
-    host: str
-    port: int
+    __slots__ = ("host", "port")
+
+    def __init__(self, host: str, port: int) -> None:
+        self._init(host, port)
 
     def as_tuple(self) -> Tuple[str, int]:
         return (self.host, self.port)

@@ -8,11 +8,11 @@ them) and import nothing of the data plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..core.errors import KascadeError
 from ..core.plan import ChainPlan
+from ..core.record import Frozen, Record
 from ..core.recovery import SourceKind
 from ..core.report import NodeOutcome, TransferReport
 from ..core.tracing import TraceCollector
@@ -21,23 +21,21 @@ __all__ = ["BroadcastResult", "CrashPlan", "NodeOutcome",
            "check_head_failover"]
 
 
-@dataclass(frozen=True)
-class CrashPlan:
+class CrashPlan(Frozen):
     """Kill ``node`` once it has received ``after_bytes`` of the stream."""
 
-    node: str
-    after_bytes: int
-    mode: str = "close"  # "close" | "silent"
+    __slots__ = ("node", "after_bytes", "mode")
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("close", "silent"):
-            raise ValueError(f"unknown crash mode {self.mode!r}")
-        if self.after_bytes < 0:
+    def __init__(self, node: str, after_bytes: int,
+                 mode: str = "close") -> None:  # "close" | "silent"
+        if mode not in ("close", "silent"):
+            raise ValueError(f"unknown crash mode {mode!r}")
+        if after_bytes < 0:
             raise ValueError("after_bytes must be >= 0")
+        self._init(node, after_bytes, mode)
 
 
-@dataclass
-class BroadcastResult:
+class BroadcastResult(Record):
     """Outcome of one broadcast — the shape every backend returns.
 
     ``duration`` is wall-clock seconds for the local backend and
@@ -47,20 +45,30 @@ class BroadcastResult:
     (the simulator does no real I/O: what moves there is ``sim_*``).
     """
 
-    ok: bool
-    duration: float
-    total_bytes: int
-    report: TransferReport
-    outcomes: Dict[str, NodeOutcome] = field(default_factory=dict)
-    trace: Optional[TraceCollector] = None
-    perfstats: Dict[str, int] = field(default_factory=dict)
-    backend: str = "local"
-    #: ``backend="procs"`` only: the measured windowed-startup timings
-    #: (a :class:`repro.deploy.LaunchReport`), ``None`` elsewhere.
-    launch: Optional[object] = None
-    #: The schedule the broadcast executed: which chain carried each
-    #: stripe (a :class:`~repro.core.plan.ChainPlan`).
-    plan: Optional[ChainPlan] = None
+    __slots__ = ("ok", "duration", "total_bytes", "report", "outcomes",
+                 "trace", "perfstats", "backend", "launch", "plan")
+
+    def __init__(self, ok: bool, duration: float, total_bytes: int,
+                 report: TransferReport,
+                 outcomes: Optional[Dict[str, NodeOutcome]] = None,
+                 trace: Optional[TraceCollector] = None,
+                 perfstats: Optional[Dict[str, int]] = None,
+                 backend: str = "local", launch: Optional[object] = None,
+                 plan: Optional[ChainPlan] = None) -> None:
+        self.ok = ok
+        self.duration = duration
+        self.total_bytes = total_bytes
+        self.report = report
+        self.outcomes = {} if outcomes is None else outcomes
+        self.trace = trace
+        self.perfstats = {} if perfstats is None else perfstats
+        self.backend = backend
+        #: ``backend="procs"`` only: the measured windowed-startup timings
+        #: (a :class:`repro.deploy.LaunchReport`), ``None`` elsewhere.
+        self.launch = launch
+        #: The schedule the broadcast executed: which chain carried each
+        #: stripe (a :class:`~repro.core.plan.ChainPlan`).
+        self.plan = plan
 
     @property
     def completed_nodes(self) -> List[str]:

@@ -31,7 +31,6 @@ field-for-field, and event-for-event via the trace.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
@@ -179,10 +178,10 @@ class BroadcastSession:
         if data_plane is not None and data_plane != config.data_plane:
             # Convenience override: ``run_broadcast(..., data_plane="evloop")``
             # without the caller building a config copy by hand.
-            config = dataclasses.replace(config, data_plane=data_plane)
+            config = config.with_(data_plane=data_plane)
         if stripes is not None and stripes != config.stripes:
             # Same convenience for ``run_broadcast(..., stripes=4)``.
-            config = dataclasses.replace(config, stripes=stripes)
+            config = config.with_(stripes=stripes)
         if backend == "simnet" and config.data_plane != "threaded":
             raise KascadeError(
                 "simnet is a discrete-event simulator; data_plane selects a "

@@ -136,7 +136,7 @@ class TestArtifactQueries:
 
 class TestCacheTapSink:
     def test_slices_stream_into_chunks(self):
-        cache, _ = make_cache(max_bytes=1024)
+        cache, stats = make_cache(max_bytes=1024)
         art = ArtifactMeta(DIG_A, size=40, chunk_size=16)
         inner = BufferSink()
         tap = CacheTapSink(inner, cache, art)
@@ -148,5 +148,7 @@ class TestCacheTapSink:
         tap.finish()
         assert inner.getvalue() == payload
         assert cache.has_artifact(DIG_A, 3)
+        # Three chunks came over the wire: three misses, no hit yet.
+        assert (stats.cache_misses, stats.cache_hits) == (3, 0)
         assert cache.get(DIG_A, 0) == payload[:16]
         assert cache.get(DIG_A, 2) == payload[32:]  # short tail chunk

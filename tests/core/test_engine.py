@@ -520,6 +520,21 @@ class TestStallPingVerdict:
         assert [r.failed_nodes for r in told] == [[], ["n3"]]
         assert tracer.of_type(STALL)[0].detail == "read: awaiting PASSED"
 
+    def test_a_refused_ping_defers_to_the_data_connection(self):
+        """The peer sent PASSED and closed its listener as our read timed
+        out: the ping is refused, but the data connection still delivers
+        PASSED — the peer finished, it did not die."""
+        port, tracer = FakePort(), TraceCollector()
+        port.answers("n3", DATA_CONN, [(Get(0), b""), TimeoutError("stall"),
+                                        (Passed(), b"")])
+        link, state = self._link(port, tracer)
+        state.on_data(0, chunk(0))
+        assert drive(link.send_data(0, chunk(0)))
+        state.on_end(100)
+        assert drive(link.finish(total=100, quit_first=False)) == "passed"
+        assert [e.detail for e in tracer.of_type(PING)] == ["unanswered"]
+        assert link.dead == set() and not tracer.of_type(FAILOVER)
+
     def test_the_ping_is_answered_by_whoever_is_asked(self):
         port = FakePort()
         node = Receiver("n2", PLAN, port, CFG, BufferSink())

@@ -120,6 +120,22 @@ class TestWarmFleet:
         assert 0 < warm.perfstats["launch_amortized_s"] \
             <= cold.perfstats["launch_amortized_s"]
 
+    def test_cache_hit_share_is_zero_fresh_and_one_repeated(self, fleet,
+                                                           tmp_path):
+        """A fresh submit takes every chunk from the wire — one miss per
+        chunk per receiver, though no receiver asked its cache — and
+        its repeat takes every chunk from the cache."""
+        payload = make_payload(43)
+        path = spool(tmp_path, "share.bin", payload)
+        lookups = 2 * len(payload) // FAST.chunk_size  # two receivers
+        counts = []
+        for _ in range(2):
+            stats = fleet.submit(FileSource(path), ["n2", "n3"],
+                                 timeout=60.0).perfstats
+            counts.append((stats.get("cache_hits", 0),
+                           stats.get("cache_misses", 0)))
+        assert counts == [(0, lookups), (lookups, 0)]
+
     def test_late_joiner_converges_by_pulling(self, fleet, tmp_path):
         """A node registered mid-session pulls the missing prefix from
         cache-warm peers and ends with the full digest-verified copy,

@@ -209,6 +209,18 @@ class TestFuzz:
             assert sinks[name].hexdigest() == want, (name, victims)
         assert set(result.report.failed_nodes) == set(victims)
 
+    def test_a_neighbour_that_finished_during_the_ping_is_not_dead(self):
+        """A draw of the test above: n3's read of PASSED times out just
+        as n4 sends it and stops listening, so n3's ping is refused
+        while PASSED is still on the wire.  A refused ping defers to the
+        data connection, which delivers it: n4..n6 are not failures."""
+        crashes = (ProtoCrash("n7", after_bytes=1, mode="silent"),
+                   ProtoCrash("n8", after_bytes=1, mode="close"),
+                   ProtoCrash("n2", after_bytes=1, mode="close"))
+        result, _ = run([f"n{i}" for i in range(2, 9)], crashes=crashes)
+        assert result.ok
+        assert sorted(result.report.failed_nodes) == ["n2", "n7", "n8"]
+
 
 class TestTierEquivalence:
     def test_same_scenario_as_real_runtime(self):

@@ -13,7 +13,6 @@ Three claims are under test:
   userspace path, including ``SocketStream.send_frame_from_file``.
 """
 
-import dataclasses
 import errno
 import hashlib
 import socket
@@ -39,7 +38,7 @@ from repro.session import run_broadcast
 
 
 def _evloop_config(fast_config, **overrides):
-    return dataclasses.replace(fast_config, data_plane="evloop", **overrides)
+    return fast_config.with_(data_plane="evloop", **overrides)
 
 
 def _digest(size, seed=0):
@@ -83,7 +82,7 @@ class TestEvloopCleanRuns:
             bc = LocalBroadcast(
                 PatternSource(size, seed=9), ["n2", "n3"],
                 sink_factory=hashing_factory(sinks),
-                config=dataclasses.replace(fast_config, data_plane=plane),
+                config=fast_config.with_(data_plane=plane),
             )
             result = bc.run(timeout=60)
             assert result.ok, result.outcomes
@@ -112,7 +111,7 @@ class TestEvloopCleanRuns:
             pass
         assert not splice_active(fast_config, CountingNull())
         assert not splice_active(fast_config, HashingSink())
-        hashing_cfg = dataclasses.replace(fast_config, verify_digest=True)
+        hashing_cfg = fast_config.with_(verify_digest=True)
         assert not splice_active(hashing_cfg, NullSink())
 
     def test_verify_digest_takes_userspace_path(self, fast_config):
@@ -184,7 +183,7 @@ class TestMilestoneParity:
         for plane in ("threaded", "evloop"):
             result = run_broadcast(
                 PatternSource(size), ["n2", "n3", "n4"],
-                config=dataclasses.replace(fast_config, data_plane=plane),
+                config=fast_config.with_(data_plane=plane),
                 trace=True, crashes=[crash], timeout=60.0)
             assert result.ok, (plane, result.outcomes)
             failovers = result.trace.of_type(FAILOVER)
@@ -212,8 +211,7 @@ class TestStripedParity:
         bc = LocalBroadcast(
             PatternSource(size, seed=5), ["n2", "n3", "n4"],
             sink_factory=hashing_factory(sinks),
-            config=dataclasses.replace(
-                fast_config, data_plane=plane, stripes=k),
+            config=fast_config.with_(data_plane=plane, stripes=k),
         )
         result = bc.run(timeout=60)
         assert result.ok, result.outcomes
@@ -236,8 +234,7 @@ class TestStripedParity:
         bc = LocalBroadcast(
             PatternSource(size, seed=8), ["n2", "n3", "n4", "n5"],
             sink_factory=hashing_factory(sinks),
-            config=dataclasses.replace(
-                fast_config, data_plane=plane, stripes=2),
+            config=fast_config.with_(data_plane=plane, stripes=2),
             crashes=[CrashPlan("n3", fast_config.chunk_size * 4, "close")],
         )
         result = bc.run(timeout=60)

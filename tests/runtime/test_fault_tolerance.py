@@ -501,8 +501,7 @@ class TestHeadRuns:
 
     def _config(self, fast_config, **kwargs):
         # 64 chunks of ring: a full 16-chunk run per segment.
-        import dataclasses
-        return dataclasses.replace(fast_config, buffer_chunks=64, **kwargs)
+        return fast_config.with_(buffer_chunks=64, **kwargs)
 
     def _read_offsets(self, result, node="n1"):
         return [e.offset for e in result.trace.of_type(tracing.CHUNK)
@@ -515,8 +514,7 @@ class TestHeadRuns:
         whole segment into a one-chunk ring would have evicted offset 0
         before anyone connected, and started every broadcast with
         FORGET -> PGET against itself."""
-        import dataclasses
-        config = dataclasses.replace(fast_config, buffer_chunks=buffer_chunks)
+        config = fast_config.with_(buffer_chunks=buffer_chunks)
         size = config.chunk_size * 40 + 17
         result, sinks = run_with_crashes(config, size, self.RECEIVERS, [])
         assert result.ok, result.outcomes

@@ -2,7 +2,6 @@
 transfer early, the QUIT + report still propagate, and every node
 terminates cleanly (§III-C: "After END or QUIT, a report is sent")."""
 
-import dataclasses
 import threading
 import time
 
@@ -17,7 +16,7 @@ class TestUserInterrupt:
     def test_quit_mid_transfer(self, fast_config):
         # A transfer slow enough to interrupt reliably: pace the head so
         # the watcher thread always wins the race against stream end.
-        config = dataclasses.replace(fast_config, bandwidth_limit=2 * 2**20)
+        config = fast_config.with_(bandwidth_limit=2 * 2**20)
         size = config.chunk_size * 400
         sinks = {}
 

@@ -9,7 +9,6 @@ the background-writeback path and the synchronous path
 slower than the wire.
 """
 
-import dataclasses
 import errno
 import hashlib
 
@@ -48,8 +47,7 @@ class ENOSPCSink(Sink):
                          ids=["sync-sink", "writeback"])
 class TestSinkFailureAborts:
     def test_enospc_mid_chain_hard_aborts(self, fast_config, writeback_depth):
-        config = dataclasses.replace(
-            fast_config, sink_writeback_depth=writeback_depth)
+        config = fast_config.with_(sink_writeback_depth=writeback_depth)
         size = config.chunk_size * 64
         tracer = TraceCollector()
         sinks = {}
@@ -82,8 +80,7 @@ class TestSinkFailureAborts:
         assert not result.outcomes["n4"].ok
 
     def test_dead_command_sink_hard_aborts(self, fast_config, writeback_depth):
-        config = dataclasses.replace(
-            fast_config, sink_writeback_depth=writeback_depth)
+        config = fast_config.with_(sink_writeback_depth=writeback_depth)
         # Enough data that the pipe buffer cannot absorb the stream
         # after the command exits immediately.
         size = config.chunk_size * 512  # 2 MiB at the 4 KiB test chunk
@@ -115,7 +112,7 @@ class TestSlowSinkBackpressure:
         # A modelled disk much slower than loopback: the writeback queue
         # must fill, stall the relay (observably), and still deliver
         # every byte intact.
-        config = dataclasses.replace(fast_config, sink_writeback_depth=2)
+        config = fast_config.with_(sink_writeback_depth=2)
         size = config.chunk_size * 192  # 768 KiB at 4 KiB chunks
         tracer = TraceCollector()
         hashers = {}
@@ -149,8 +146,7 @@ class TestWritebackParity:
         size = fast_config.chunk_size * 64
         expected = PatternSource(size).expected_bytes(0, size)
         for depth, tag in ((0, "sync"), (8, "async")):
-            config = dataclasses.replace(fast_config,
-                                         sink_writeback_depth=depth)
+            config = fast_config.with_(sink_writeback_depth=depth)
             outdir = tmp_path / tag
             outdir.mkdir()
 

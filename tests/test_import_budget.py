@@ -6,10 +6,14 @@ offending module named instead of showing up as a slower ``deploy_cli``.
 """
 
 import json
+import re
 import subprocess
 import sys
 
 import pytest
+
+from repro.core import KascadeConfig
+from repro.core.sources import BytesSource
 
 #: role -> what the process does before its first byte of real work.
 PROBES = {
@@ -63,18 +67,25 @@ DATA_PLANE = ("repro.runtime.node", "repro.runtime.links",
               "repro.core.engine", "repro.core.framing", "repro.core.stages",
               "repro.core.stripes", "repro.core.cache")
 
+#: What no agent imports: ``site`` (it is started with ``-S``) and the
+#: ``dataclasses`` chain (its records are plain classes, DESIGN.md §6).
+#: ``tokenize`` is not on the list: ``logging`` still brings it
+#: (``traceback`` → ``linecache``).
+NOT_IN_AN_AGENT = ("site", "dataclasses", "inspect", "dis", "ast")
+
 #: role -> (prefixes that must be absent, most ``repro`` modules allowed).
 BUDGET = {
     "help": (("repro.runtime", "repro.deploy", "repro.session",
               "repro.simnet", "repro.daemon", "repro.control",
-              "repro.baselines"), 8),
-    "agent": (CONTROL_SIDE + ("repro.daemon", "repro.core.cache"), 33),
-    "cached_agent": (CONTROL_SIDE, 36),
-    "supervisor": (DATA_PLANE + ("repro.deploy.agent",), 24),
-    "daemon_server": (DATA_PLANE + ("repro.deploy.agent",), 24),
+              "repro.baselines"), 9),
+    "agent": (CONTROL_SIDE + ("repro.daemon", "repro.core.cache",
+                              "dataclasses", "inspect"), 34),
+    "cached_agent": (CONTROL_SIDE + ("dataclasses", "inspect"), 37),
+    "supervisor": (DATA_PLANE + ("repro.deploy.agent",), 25),
+    "daemon_server": (DATA_PLANE + ("repro.deploy.agent",), 25),
     # + ``repro.daemon``, the one parent package ``find_spec`` touches
     # that this probe had not imported (a real supervisor has).
-    "supervisor_with_program": (DATA_PLANE + ("repro.deploy.agent",), 25),
+    "supervisor_with_program": (DATA_PLANE + ("repro.deploy.agent",), 26),
 }
 
 
@@ -135,3 +146,76 @@ def test_only_the_simulator_loads_a_simulator(loaded, role):
     assert not strays, f"{role} loaded {strays}"
     if role in ("agent", "cached_agent", "local_run"):
         assert "repro.core.engine" in loaded[role]
+
+
+# ----------------------------------------------------------------------
+# The agent as spawned: ``python -S -c BOOT …``, the program on stdin
+# ----------------------------------------------------------------------
+
+#: How the program's finder shows in a verbose import log (``BOOT``
+#: defines it in ``__main__``).
+PROGRAM_LOADER = "<class '__main__.L'>"
+
+
+def verbose_imports(log: str) -> dict:
+    """``{module: loader}`` from the stderr of an interpreter run with
+    ``PYTHONVERBOSE`` (which ``-S`` honours): its ``import 'name' #
+    <loader>`` lines."""
+    return dict(re.findall(r"^import '([\w.]+)' # (.*)$", log, re.M))
+
+
+@pytest.fixture(scope="module")
+def spawned_agent(tmp_path_factory):
+    """What an agent started by ``agent_spawner`` — its argv, its
+    program on stdin, nothing changed but a verbose import log on
+    stderr — imports before it would dial out (nobody listens on
+    port 1, so it exits 2 with everything a session can use loaded)."""
+    from repro.deploy.launcher import agent_spawner
+
+    logs = tmp_path_factory.mktemp("spawned")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONVERBOSE", "1")
+        spawn = agent_spawner(sys.executable,
+                              ["--coordinator", "127.0.0.1:1"],
+                              stderr_dir=str(logs))
+    proc = spawn("n2", 0)
+    assert proc.wait(timeout=60) == 2
+    return verbose_imports((logs / "n2.stderr.log").read_text())
+
+
+def test_a_spawned_agent_loads_neither_site_nor_dataclasses(spawned_agent):
+    strays = [m for m in NOT_IN_AN_AGENT if m in spawned_agent]
+    assert not strays, f"a spawned agent imports {strays}"
+
+
+def test_a_spawned_agent_compiles_none_of_its_code(spawned_agent):
+    """Every ``repro`` module the agent imports comes from its program,
+    and every module the program ships is imported — bar ``argv[1]``,
+    which ``runpy`` runs as ``__main__`` without an import."""
+    from repro.deploy.program import module_names
+
+    ours = {m: loader for m, loader in spawned_agent.items()
+            if m.split(".")[0] == "repro"}
+    from_disk = sorted(m for m, loader in ours.items()
+                       if loader != PROGRAM_LOADER)
+    assert not from_disk, f"compiled from disk: {from_disk}"
+    assert set(ours) == set(module_names(False)) - {"repro.cli.kascade"}
+
+
+def test_an_unbundled_module_still_imports_under_dash_S(tmp_path,
+                                                       monkeypatch):
+    """``core.pacing`` is not in the program: a paced head imports it
+    from disk when its session starts, through the package's real
+    ``__path__`` — which ``-S`` leaves as it was."""
+    from repro.daemon import DaemonServer
+
+    monkeypatch.setenv("PYTHONVERBOSE", "1")
+    paced = KascadeConfig(chunk_size=64 * 1024, bandwidth_limit=64 << 20)
+    with DaemonServer(["n1", "n2"], config=paced, startup_timeout=20.0,
+                      stderr_dir=str(tmp_path)) as server:
+        result = server.submit(BytesSource(b"k" * (256 << 10)), timeout=60.0)
+    assert result.ok, result.outcomes
+    head = verbose_imports((tmp_path / "n1.stderr.log").read_text())
+    assert "SourceFileLoader" in head["repro.core.pacing"]
+    assert head["repro.core.engine"] == PROGRAM_LOADER
+    assert "site" not in head

@@ -280,8 +280,8 @@ class CacheTapSink:
             self.cache.put(art.digest, index, piece, missed=True)
         self.inner.write_chunk(data)
 
-    def preallocate(self, size: int) -> None:
-        self.inner.preallocate(size)
+    def reserve(self) -> None:
+        self.inner.reserve()
 
     def finish(self) -> None:
         self.inner.finish()

@@ -23,6 +23,9 @@ path (socket streams, frame decoder, buffer pool) increments a
   across runs are only meaningful from a zeroed instance).
 * ``readahead_hits`` / ``readahead_misses`` — head-node reads served
   from the prefetch queue vs. reads that had to wait for the source.
+* ``writeback_threads`` / ``readahead_threads`` — stage threads started:
+  a stage works inline until storage would make its caller wait, so
+  these say which stages of a run went threaded.
 * ``splice_syscalls`` / ``splice_bytes`` — ``os.splice`` calls issued by
   the event-loop relay's kernel path, and the payload bytes they moved
   (socket→pipe and pipe→socket legs both count; every spliced byte is a
@@ -82,6 +85,8 @@ _COUNTERS = (
     "writeback_queue_hwm",
     "readahead_hits",
     "readahead_misses",
+    "writeback_threads",
+    "readahead_threads",
     "splice_syscalls",
     "splice_bytes",
     "reactor_wakeups",
@@ -146,6 +151,11 @@ class PerfStats:
     def sink_stalled(self, seconds: float) -> None:
         """Record time the relay spent blocked on the writeback queue."""
         self.sink_stall_s += seconds
+
+    def stage_threaded(self, counter: str) -> None:
+        """Record one stage thread started (``counter``: one of
+        ``writeback_threads`` / ``readahead_threads``)."""
+        setattr(self, counter, getattr(self, counter) + 1)
 
     def splice_syscall(self, nbytes: int) -> None:
         """Record one ``os.splice`` call that moved ``nbytes``."""

@@ -37,13 +37,14 @@ class Sink:
     def write_chunk(self, data) -> None:
         raise NotImplementedError
 
-    def preallocate(self, size: int) -> None:
-        """Reserve space for a stream of ``size`` total bytes, if possible.
+    def reserve(self) -> None:
+        """Reserve the space this sink was told to expect, once.
 
-        Called when the total stream length is known up front so an
-        out-of-space condition fails the broadcast *early* instead of
-        stranding a nearly-complete transfer.  The default is a no-op;
-        only sinks with a backing file can usefully reserve.
+        Called before the first byte — a receiving node calls it on its
+        own thread as it starts — so that an out-of-space condition fails
+        the node *early* instead of stranding a nearly-complete transfer.
+        Later calls do nothing.  The default is a no-op; only sinks with
+        a backing file can usefully reserve.
         """
 
     def finish(self) -> None:
@@ -81,26 +82,40 @@ class NullSink(Sink):
 class FileSink(Sink):
     """Write the stream sequentially to a file path.
 
-    When the total stream size is known (``expected_size``, or a later
-    :meth:`preallocate` call once END reveals the length), the output is
-    pre-sized with ``posix_fallocate`` so an out-of-space disk fails the
-    broadcast up front rather than at 90% — a half-written system image
-    is the worst outcome for the Kadeploy use case.  Filesystems without
-    fallocate support fall back silently to growing the file as written.
+    When the total stream size is known up front (``expected_size``),
+    the output is pre-sized with ``posix_fallocate`` before the first
+    byte is written, so an out-of-space disk fails the node before it
+    stores anything rather than at 90% — a half-written system image is
+    the worst outcome for the Kadeploy use case.  The reservation is not
+    made by whoever opens the sink but by the thread that writes it:
+    in :meth:`reserve`, which a receiving node calls on its own thread
+    as it starts (so every receiver reserves at once, as the head
+    starts), or else in the first :meth:`write_chunk`.  Filesystems
+    without fallocate support fall back silently to growing the file as
+    written.
+
+    Small chunks are gathered into writes of :attr:`BUFFER` bytes: at
+    4 KiB a write is a copy, not a system call (and not a hand-over of
+    the interpreter lock), so storing inline costs the relay next to
+    nothing.  Chunks larger than the buffer go straight to the file.
     """
+
+    BUFFER = 256 * 1024
 
     def __init__(
         self, path: str | os.PathLike, *, expected_size: Optional[int] = None
     ) -> None:
         self._path = os.fspath(path)
-        self._file: Optional[BinaryIO] = open(self._path, "wb")
+        self._file: Optional[BinaryIO] = open(self._path, "wb",
+                                              buffering=self.BUFFER)
         self._preallocated = 0
+        #: Still to reserve, before the first byte (0: nothing, or done).
+        self._unreserved = expected_size or 0
         self.bytes_written = 0
-        if expected_size is not None and expected_size > 0:
-            self.preallocate(expected_size)
 
-    def preallocate(self, size: int) -> None:
-        if self._file is None or size <= self._preallocated:
+    def reserve(self) -> None:
+        size, self._unreserved = self._unreserved, 0
+        if self._file is None or size <= 0:
             return
         try:
             os.posix_fallocate(self._file.fileno(), 0, size)
@@ -118,6 +133,8 @@ class FileSink(Sink):
 
     def write_chunk(self, data) -> None:
         assert self._file is not None
+        if self._unreserved:
+            self.reserve()
         self._file.write(data)
         self.bytes_written += len(data)
 
@@ -276,8 +293,8 @@ class ThrottledSink(Sink):
         self._inner.write_chunk(data)
         self.bytes_written += len(data)
 
-    def preallocate(self, size: int) -> None:
-        self._inner.preallocate(size)
+    def reserve(self) -> None:
+        self._inner.reserve()
 
     def finish(self) -> None:
         self._inner.finish()
@@ -298,7 +315,8 @@ def open_sink(
     """Open a sink from CLI options: ``-o path`` or ``-O command``.
 
     ``expected_size`` (when the head's source length is known) lets a
-    file sink pre-reserve the space — see :meth:`FileSink.preallocate`.
+    file sink reserve the space before its first byte — see
+    :class:`FileSink`.
     """
     if output is not None and output_command is not None:
         raise ValueError("give either an output path or an output command, not both")

@@ -1,43 +1,37 @@
-"""Staged I/O: overlap storage with the network data plane.
+"""Staged I/O: overlap storage with the network data plane — when it pays.
 
-The paper's pipelining argument (§III-A) is that every node overlaps
-*reception, storage and forwarding*, so chain throughput is governed by
-``1/max(t_recv, t_write, t_send)`` rather than the serialized sum.  The
-runtime's node loop is single-threaded, which serializes the three: a
-relay that blocks in ``sink.write_chunk()`` is neither receiving nor
-forwarding, and a head that blocks in ``source.read_chunk()`` is not
-sending.  This module supplies the two decoupling stages:
+Every node overlaps *reception, storage and forwarding* (§III-A), so a
+chain moves at ``1/max(t_recv, t_write, t_send)``, not at their sum —
+unless the node's one loop blocks in ``sink.write_chunk()`` or in
+``source.read_chunk()``.  :class:`SinkWriter` (writeback behind a sink)
+and :class:`ReadAheadSource` (prefetch in front of a blocking source)
+each take one of those off the loop, onto a worker thread with a
+bounded queue.
 
-* :class:`SinkWriter` wraps any :class:`~repro.core.sinks.Sink` with a
-  bounded background writeback queue, so the relay hands a chunk to the
-  writer and immediately returns to the socket.  Backpressure (a full
-  queue) still blocks the relay — the queue bounds memory, it does not
-  hide a sink that is slower than the wire indefinitely.
-* :class:`ReadAheadSource` wraps a blocking
-  :class:`~repro.core.sources.Source` with a small prefetch queue so the
-  head's file reads overlap its vectored sends.
+A thread costs a hand-off per chunk, which storage at memory speed never
+earns back under one interpreter lock.  So both stages start *inline* —
+the caller's thread does the work, timed — and start their thread only
+once the stage, summed over the stream, has taken longer than the caller
+spent between its calls; then they keep it for the stream.  A slow disk
+or a slow ``-O`` command promotes; a page-cache file does not.
 
-Buffer ownership (see docs/PROTOCOL.md §10): runtime payloads are
-memoryviews into pooled receive buffers.  Queueing such a view *pins*
-the pool segment until the background write completes.  The writer
-therefore takes its own ``memoryview`` export per queued chunk (pool
-reuse probing sees the segment as busy) and releases it after the inner
-write; past a configurable pinned-byte budget it copies the chunk
-instead, trading one memcpy for pool capacity.
-
-Error model (§III-D): a failed background write is *unrecoverable* for
-the node.  The worker parks the exception and every subsequent
-``write_chunk``/``finish`` raises it as-is, which the runtime maps to a
-hard abort (QUIT both neighbours).  ``abort()`` discards the queue and
+A queued chunk pins its pooled receive segment through the writer's own
+``memoryview`` export until it is written, or is copied once the queue
+pins more than a budget (docs/PROTOCOL.md §10).  A failed write is
+unrecoverable for the node (§III-D): it raises — inline at once, from
+the worker at the next call — and every later ``write_chunk``/``finish``
+raises it again, which the runtime maps to a hard abort.  ``abort()``
 never deadlocks, even with a worker stuck in a blocking sink write.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 import threading
 import time
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .perfstats import PerfStats, get_stats
 from .sinks import Sink
@@ -49,32 +43,74 @@ if TYPE_CHECKING:
 
 __all__ = ["SinkWriter", "ReadAheadSource"]
 
+_THREADED = object()  # what ``_Stage._timed`` returns once threaded
 
-class SinkWriter(Sink):
-    """Background writeback stage in front of a slower :class:`Sink`.
 
-    ``write_chunk`` enqueues the chunk for a daemon worker thread and
-    returns; the caller only blocks when the queue is full (``depth``
-    chunks) — that wait is counted as ``sink_stall_s`` in perfstats and
-    traced as a ``STALL`` event with detail ``"sink-writeback"``.
+class _Stage:
+    """Inline until a thread pays, then a daemon worker (``_run``) and a
+    queue of ≤ ``depth`` chunks: once time *inside* the stage's calls,
+    summed over the stream, exceeds time *between* them.  No verdict
+    comes before the sums cover :attr:`SETTLE`: a run's chunks are stored
+    back to back, and over less than a few switch intervals the sums
+    tell who held the interpreter lock, not what storage costs."""
 
-    Parameters
-    ----------
-    inner:
-        The sink actually persisting data.  The worker thread is its
-        only writer once construction returns; ``finish``/``abort`` on
-        the inner sink run on the caller's thread after the worker has
-        been joined.
-    depth:
-        Maximum queued chunks before ``write_chunk`` blocks (≥ 1).
-    pin_budget:
-        Pinned-byte ceiling.  Chunks are queued as zero-copy memoryview
-        exports while the queued pinned bytes stay under this budget;
-        beyond it they are copied (``stats.copied`` accounts the copy)
-        so the receive pool is not starved by a slow disk.
-    stats / tracer / owner:
-        Observability plumbing; default to the process-global counters
-        and the no-op tracer.
+    SETTLE = 4 * sys.getswitchinterval()
+
+    def __init__(self, counter: str, depth: int, stats: Optional[PerfStats],
+                 clock: Callable[[], float], thread_name: str) -> None:
+        if depth < 1:
+            raise ValueError(f"stage depth must be >= 1, got {depth}")
+        self._counter = counter  # the PerfStats count of threads started
+        self._depth = depth
+        self._stats = stats if stats is not None else get_stats()
+        self._clock = clock
+        self._thread_name = thread_name
+        self._inside = self._outside = 0.0
+        self._left: Optional[float] = None  # the last inline call's end
+        self._queue: deque = deque()
+        self._lock = threading.Lock()
+        self._readable = threading.Condition(self._lock)  # consumer waits
+        self._writable = threading.Condition(self._lock)  # producer waits
+        self._error: Optional[BaseException] = None
+        self._worker: Optional[threading.Thread] = None
+
+    def promote(self) -> None:
+        """Hand the next call to the worker, whatever the rule says."""
+        self._inside = math.inf
+
+    def _timed(self, call, arg):
+        """``call(arg)`` on the caller's thread — or, once the stage costs
+        more than the work between its calls, start the worker instead."""
+        now = self._clock()
+        if self._left is not None:
+            self._outside += now - self._left
+        if self._inside > self._outside and (
+                self._inside + self._outside >= self.SETTLE):
+            self._worker = threading.Thread(
+                target=self._run, name=self._thread_name, daemon=True)
+            self._worker.start()
+            self._stats.stage_threaded(self._counter)
+            return _THREADED
+        try:
+            return call(arg)
+        finally:
+            self._left = self._clock()
+            self._inside += self._left - now
+
+
+class SinkWriter(_Stage, Sink):
+    """Writeback stage in front of a possibly slower :class:`Sink`.
+
+    Threaded, ``write_chunk`` enqueues the chunk and returns; the caller
+    blocks only on a full queue (``depth`` chunks), counted as
+    ``sink_stall_s`` and traced as a ``STALL`` with detail
+    ``"sink-writeback"``.  The worker is then the inner sink's only
+    writer; its ``finish``/``abort`` run on the caller's thread once the
+    worker has been joined.  Chunks are queued as zero-copy exports
+    while the queue pins at most ``pin_budget`` bytes, and copied beyond
+    it (``stats.copied``) so a slow disk cannot starve the receive pool.
+    ``stats``/``tracer``/``owner``/``clock`` default to the process-wide
+    counters, the no-op tracer and ``time.perf_counter``.
     """
 
     def __init__(
@@ -86,39 +122,35 @@ class SinkWriter(Sink):
         stats: Optional[PerfStats] = None,
         tracer=NULL_TRACER,
         owner: str = "",
+        clock: Callable[[], float] = time.perf_counter,
     ) -> None:
-        if depth < 1:
-            raise ValueError(f"writeback depth must be >= 1, got {depth}")
+        super().__init__("writeback_threads", depth, stats, clock,
+                         f"sink-writer-{owner or hex(id(self))}")
         self._inner = inner
-        self._depth = depth
         self._pin_budget = max(0, pin_budget)
-        self._stats = stats if stats is not None else get_stats()
         self._tracer = tracer
         self._owner = owner
-
-        # (buffer, pinned_bytes): pinned_bytes > 0 marks a memoryview
-        # export the worker must release; 0 marks an owned bytes copy.
-        self._queue: Deque[Tuple[object, int]] = deque()
-        self._lock = threading.Lock()
-        self._readable = threading.Condition(self._lock)  # worker waits
-        self._writable = threading.Condition(self._lock)  # producer waits
+        # Queued: (buffer, pinned_bytes): pinned_bytes > 0 marks a
+        # memoryview export the worker must release; 0 an owned copy.
         self._pinned = 0
-        self._error: Optional[BaseException] = None
-        self._finishing = False
-        self._aborting = False
+        self._finishing = self._aborting = False
         self.bytes_written = 0
-        self._worker = threading.Thread(
-            target=self._run, name=f"sink-writer-{owner or hex(id(self))}",
-            daemon=True,
-        )
-        self._worker.start()
 
     # -- producer side (the relay thread) --------------------------------
 
     def write_chunk(self, data) -> None:
+        self._raise_pending()
+        if self._worker is None and not self._aborting:
+            try:
+                if self._timed(self._inner.write_chunk, data) is not _THREADED:
+                    self.bytes_written += len(data)
+                    return
+            except BaseException as exc:
+                self._error = exc
+                raise
         stats = self._stats
         with self._lock:
-            self._raise_pending_locked()
+            self._raise_pending()
             if len(self._queue) >= self._depth:
                 # Backpressure: the sink is slower than the wire and the
                 # bounded queue is full.  This is the moment overlap runs
@@ -130,7 +162,7 @@ class SinkWriter(Sink):
                 while len(self._queue) >= self._depth:
                     if self._aborting:
                         return
-                    self._raise_pending_locked()
+                    self._raise_pending()
                     self._writable.wait(0.5)
                 stats.sink_stalled(time.monotonic() - t0)
             if self._aborting:
@@ -150,43 +182,27 @@ class SinkWriter(Sink):
 
     def finish(self) -> None:
         """Drain the queue, join the worker, then finish the inner sink."""
-        with self._lock:
-            self._raise_pending_locked()
-            self._finishing = True
-            self._readable.notify_all()
-        self._worker.join()
-        with self._lock:
-            self._raise_pending_locked()
-        self._inner.finish()
+        self.detach().finish()
 
     def detach(self) -> Sink:
-        """Drain the queue and stop the worker *without* finishing the
-        inner sink; returns the inner sink, still open.
-
-        This is the failover hand-off: a receiver being promoted (or
-        re-wired under a new head) must not lose queued chunks, but its
-        sink has to stay open so the resumed transfer keeps appending to
-        the same file/hash.  After ``detach`` this writer is spent — wrap
-        the returned sink in a fresh :class:`SinkWriter` to resume
-        background writeback.
-        """
+        """Drain the queue, stop the worker and return the inner sink
+        still open — the failover hand-off: a receiver re-wired under a
+        new head keeps appending to the same file/hash, through a fresh
+        :class:`SinkWriter` (this one is spent)."""
         with self._lock:
-            self._raise_pending_locked()
+            self._raise_pending()
             self._finishing = True
             self._readable.notify_all()
-        self._worker.join()
-        with self._lock:
-            self._raise_pending_locked()
+        if self._worker is not None:
+            self._worker.join()
+            self._raise_pending()
         return self._inner
 
     def abort(self) -> None:
-        """Discard queued chunks and tear down; never deadlocks.
-
-        The queue is emptied by *this* thread (so a full queue cannot
-        wedge the worker's producer-side peers), and ``inner.abort()``
-        runs even if the worker is stuck in a blocking write — closing
-        the underlying file/pipe is what unblocks it.
-        """
+        """Discard queued chunks and tear down; never deadlocks: this
+        thread empties the queue, and ``inner.abort()`` runs even with
+        the worker stuck in a blocking write (closing the file or pipe
+        is what unblocks it)."""
         self._discard_and_stop(self._inner.abort)
 
     def close(self) -> None:
@@ -198,39 +214,42 @@ class SinkWriter(Sink):
     def _discard_and_stop(self, settle_inner) -> None:
         with self._lock:
             self._aborting = True
-            while self._queue:
-                buf, pinned = self._queue.popleft()
-                if pinned:
-                    buf.release()
-                    self._pinned -= pinned
+            self._drop_queue_locked()
             self._readable.notify_all()
             self._writable.notify_all()
-        self._worker.join(timeout=1.0)
+        if self._worker is not None:
+            self._worker.join(timeout=1.0)
         settle_inner()
-        self._worker.join(timeout=1.0)
+        if self._worker is not None:
+            self._worker.join(timeout=1.0)
 
-    def preallocate(self, size: int) -> None:
-        self._inner.preallocate(size)
+    def reserve(self) -> None:
+        self._inner.reserve()  # on the caller's thread: inline, the writer
 
     @property
     def queue_depth(self) -> int:
         """Chunks currently queued (diagnostic)."""
-        with self._lock:
-            return len(self._queue)
+        return len(self._queue)
 
     @property
     def pinned_bytes(self) -> int:
         """Bytes currently pinned in pooled buffers (diagnostic)."""
-        with self._lock:
-            return self._pinned
+        return self._pinned
 
     # -- worker side -----------------------------------------------------
 
-    def _raise_pending_locked(self) -> None:
+    def _raise_pending(self) -> None:
         # The parked error is deliberately NOT cleared: a dead sink stays
         # dead, and every later call must keep failing the same way.
         if self._error is not None:
             raise self._error
+
+    def _drop_queue_locked(self) -> None:
+        while self._queue:
+            buf, pinned = self._queue.popleft()
+            if pinned:
+                buf.release()
+                self._pinned -= pinned
 
     def _run(self) -> None:
         while True:
@@ -247,14 +266,8 @@ class SinkWriter(Sink):
             except BaseException as exc:  # parked; surfaced to the producer
                 with self._lock:
                     self._error = exc
-                    while self._queue:
-                        qbuf, qpinned = self._queue.popleft()
-                        if qpinned:
-                            qbuf.release()
-                            self._pinned -= qpinned
-                    if pinned:
-                        buf.release()
-                        self._pinned -= pinned
+                    self._queue.appendleft((buf, pinned))  # released too
+                    self._drop_queue_locked()
                     self._readable.notify_all()
                     self._writable.notify_all()
                 return
@@ -264,14 +277,14 @@ class SinkWriter(Sink):
                     self._pinned -= pinned
 
 
-class ReadAheadSource(Source):
+class ReadAheadSource(_Stage, Source):
     """Prefetch wrapper overlapping source reads with the send path.
 
-    A daemon worker keeps up to ``depth`` chunks of the size first
-    requested queued ahead of the consumer.  A ``read_chunk`` satisfied
-    from the queue counts as a ``readahead_hit``; one that has to wait
-    for the worker counts as a miss.  The worker starts lazily on the
-    first read so the chunk size matches what the head actually uses.
+    Inline, ``read_chunk`` reads through.  Threaded, the worker keeps up
+    to ``depth`` chunks of the size then requested queued ahead of the
+    consumer (``bytes``, or views pinning a pooled segment: only ever
+    sliced); a read served from the queue counts as a ``readahead_hit``,
+    one that has to wait for the worker as a miss.
 
     ``read_range`` (PGET service) and ``fileno`` delegate to the inner
     source untouched — prefetching only concerns the sequential cursor.
@@ -283,29 +296,17 @@ class ReadAheadSource(Source):
         *,
         depth: int = 2,
         stats: Optional[PerfStats] = None,
+        clock: Callable[[], float] = time.perf_counter,
     ) -> None:
-        if depth < 1:
-            raise ValueError(f"read-ahead depth must be >= 1, got {depth}")
+        super().__init__("readahead_threads", depth, stats, clock,
+                         f"readahead-{id(self):x}")
         self._inner = inner
-        self._depth = depth
-        self._stats = stats if stats is not None else get_stats()
         self.kind = inner.kind
         self.blocking_io = getattr(inner, "blocking_io", True)
-
-        # Blocks are whatever the inner source hands out — ``bytes`` or
-        # views pinning a pooled segment — and are only ever sliced.
-        self._queue: Deque[Payload] = deque()
-        self._lock = threading.Lock()
-        self._readable = threading.Condition(self._lock)
-        self._writable = threading.Condition(self._lock)
-        self._chunk_size = 0
-        self._eof = False
-        self._stopped = False
-        self._error: Optional[BaseException] = None
+        self._eof = self._stopped = False
         #: Read but not yet served: what is left of a block when a caller
         #: shrinks its chunk size, and what ``stop()`` found queued.
-        self._pending: Deque[Payload] = deque()
-        self._worker: Optional[threading.Thread] = None
+        self._pending: deque = deque()
 
     # -- consumer side ---------------------------------------------------
 
@@ -316,10 +317,9 @@ class ReadAheadSource(Source):
             if self._stopped:
                 return self._inner.read_chunk(size)
             self._chunk_size = size
-            self._worker = threading.Thread(
-                target=self._run, name=f"readahead-{id(self):x}", daemon=True
-            )
-            self._worker.start()
+            block = self._timed(self._inner.read_chunk, size)
+            if block is not _THREADED:
+                return block
         with self._lock:
             if self._queue:
                 self._stats.readahead_hits += 1
@@ -373,7 +373,7 @@ class ReadAheadSource(Source):
     # -- worker side -----------------------------------------------------
 
     def _run(self) -> None:
-        while True:
+        while not self._eof:
             with self._lock:
                 while len(self._queue) >= self._depth:
                     if self._stopped:
@@ -391,8 +391,5 @@ class ReadAheadSource(Source):
             with self._lock:
                 if block:
                     self._queue.append(block)
-                else:
-                    self._eof = True
+                self._eof = not block
                 self._readable.notify_all()
-                if not block:
-                    return

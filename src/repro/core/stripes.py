@@ -152,8 +152,8 @@ class _StripePort(Sink):
         self.bytes_written += len(data)
         self._merger._port_write(self._stripe, data)
 
-    def preallocate(self, size: int) -> None:
-        self._merger._port_preallocate(size)
+    def reserve(self) -> None:
+        self._merger._port_reserve()
 
     def finish(self) -> None:
         self._merger._port_finish(self._stripe)
@@ -204,7 +204,6 @@ class StripeMergeSink:
         self._ended = False
         self._aborted = False
         self._closed = 0
-        self._preallocated = False
         self._error: Optional[Exception] = None
         self.bytes_written = 0
 
@@ -232,13 +231,11 @@ class StripeMergeSink:
             self._stats.note_merge_buffered(sum(self._avail))
             self._drain()
 
-    def _port_preallocate(self, size: int) -> None:
-        # Per-stripe extents do not reveal the global total cheaply;
-        # reserve once with the first declared stripe's k-fold estimate.
+    def _port_reserve(self) -> None:
+        # Every stripe's node asks; the inner sink reserves the first time.
         with self._lock:
-            if not self._preallocated and not self._aborted:
-                self._preallocated = True
-                self._inner.preallocate(size * self._k)
+            if not self._aborted:
+                self._inner.reserve()
 
     def _port_finish(self, stripe: int) -> None:
         with self._lock:

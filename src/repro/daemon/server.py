@@ -875,9 +875,10 @@ class DaemonServer:
     def _send_starts(self, sess: _Session, op: str, plan: ChainPlan,
                      source_path: str, **fields) -> None:
         """Send every node of ``plan`` its start-shaped message
-        (``session_start``, or the ``resume`` of a re-root): the wiring,
-        plus the source path for the head and the output path for a
-        receiver (a resumed one keeps the sink it has)."""
+        (``session_start``, or the ``resume`` of a re-root): the wiring
+        and the stream's size (a receiver's file reserves it before its
+        first byte), plus the source path for the head and the output
+        path for a receiver (a resumed one keeps the sink it has)."""
         # Session listeners are per-session: the ports come from each
         # agent's session_ack, the host from its registration.
         endpoints = {
@@ -886,6 +887,7 @@ class DaemonServer:
             for name in plan.nodes
         }
         base = {"op": op, "session": sess.id,
+                "size": os.path.getsize(source_path),
                 **wiring_to_wire(plan, endpoints, self.config), **fields}
         for name in plan.nodes:
             msg = dict(base)

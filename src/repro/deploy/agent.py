@@ -80,8 +80,8 @@ class DigestSink(Sink):
         self.bytes_written += len(data)
         self.inner.write_chunk(data)
 
-    def preallocate(self, size: int) -> None:
-        self.inner.preallocate(size)
+    def reserve(self) -> None:
+        self.inner.reserve()
 
     def finish(self) -> None:
         self.inner.finish()
@@ -257,8 +257,8 @@ def execute_transfer(msg: dict, state: _SessionState, name: str, *,
     if name == chain_plan.head:
         role["source"] = FileSource(msg["source"])
     else:
-        inner: Sink = (FileSink(msg["output"]) if msg.get("output")
-                       else NullSink())
+        inner: Sink = (FileSink(msg["output"], expected_size=msg.get("size"))
+                       if msg.get("output") else NullSink())
         # The digest hashes the *merged* stream, so it is comparable
         # across any stripe count (and with the head's source digest).
         digest_sink = DigestSink(inner)

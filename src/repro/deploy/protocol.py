@@ -22,8 +22,9 @@ Message vocabulary (``op`` field; every message but ``hello``,
 ``session_ack``           agent →    the bound ports (+ how much of the
                                      artifact the cache holds)
 ``session_start``         → agent    the (re-planned) chain plan, every
-                                     node's ports, the config, and this
-                                     agent's source/sink spec
+                                     node's ports, the config, the
+                                     stream's size, and this agent's
+                                     source/sink spec
 ``progress``              agent →    bytes received so far (drives the chaos
                                      hook and late-join triggers)
 ``session_status``        agent →    structured final outcome: ok/bytes/

@@ -49,12 +49,13 @@ driven ``recv_into`` + vectored ``sendmsg`` over the identical zero-copy
 machinery the threaded plane uses — and therefore produce byte-identical
 sink contents and digests.
 
-Storage stays threaded: :class:`~repro.core.stages.SinkWriter` and
-:class:`~repro.core.stages.ReadAheadSource` keep their background threads,
-so a slow disk overlaps with the relay exactly as before.  Their
-*enqueue* calls can briefly block the reactor when a queue is full; keep
-``sink_writeback_depth > 0`` on evloop nodes so the bound is the queue
-drain, not the disk.
+Storage is staged as on the threaded plane:
+:class:`~repro.core.stages.SinkWriter` and
+:class:`~repro.core.stages.ReadAheadSource` work inline on the reactor
+until storage costs more than the relay, then on their own thread, so a
+slow disk overlaps with the relay.  Their *enqueue* calls can briefly
+block the reactor when a queue is full; keep ``sink_writeback_depth >
+0`` on evloop nodes so the bound is the queue drain, not the disk.
 """
 
 from __future__ import annotations

@@ -5,10 +5,11 @@ The node itself — what it says to whom and when, §III-C/D — is
 threads, an *acceptor* owning the listen socket and the main loop
 driving the engine's ``run()`` over a
 :class:`~repro.runtime.links.SocketPort`; :class:`HeadNode` and
-:class:`ReceiverNode` add what only a real process has (a read-ahead
-thread in front of a blocking source, a writeback thread behind a real
-sink) and what an owner does *to* a node from outside: stop it, detach
-it for a head re-root, kill it the way a test asked for.
+:class:`ReceiverNode` add what only a real process has (read-ahead in
+front of a blocking source, writeback behind a real sink — each on its
+own thread once storage would make the node wait) and what an owner
+does *to* a node from outside: stop it, detach it for a head re-root,
+kill it the way a test asked for.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from ..core.config import KascadeConfig
 # CrashGate, InjectedCrash, _HEAD_FLUSH_BYTES: re-exported (host.py, evloop.py)
 from ..core.engine import (DATA_CONN, _HEAD_FLUSH_BYTES, CrashGate,  # noqa: F401
                            Head, InjectedCrash, Receiver)
-from ..core.errors import TransferAborted
+from ..core.errors import SinkError, TransferAborted
 from ..core.pipeline import PipelinePlan
 from ..core.sinks import NullSink, Sink
 from ..core.sources import Source
@@ -194,8 +195,9 @@ class HeadNode(_ThreadNode, Head):
                  resume_offset: int = 0) -> None:
         _ThreadNode.__init__(self, name, registry, listener, tracer)
         # Overlap source reads with vectored sends (§III-A): blocking
-        # sources get a prefetch stage; in-memory sources gain nothing
-        # from one, and readahead_chunks=0 turns the stage off entirely.
+        # sources get a prefetch stage, which reads inline until the
+        # reads cost the head more than its sends; in-memory sources
+        # gain nothing from one, and readahead_chunks=0 turns it off.
         self._readahead: Optional[ReadAheadSource] = None
         if config.readahead_chunks > 0 and getattr(source, "blocking_io", True):
             source = ReadAheadSource(source, depth=config.readahead_chunks)
@@ -221,15 +223,28 @@ class ReceiverNode(_ThreadNode, Receiver):
         #: The sink as handed in, before any writeback wrapping.
         self.raw_sink = sink
         # Overlap storage with the relay (§III-A): real sinks get a
-        # background writeback stage.  NullSink is exempt (discarding
-        # can't be overlapped), and sink_writeback_depth=0 keeps writes
-        # synchronous on the relay thread, exactly as before.
+        # writeback stage, which writes inline until storage costs the
+        # relay more than its own work.  NullSink is exempt (discarding
+        # can't be overlapped), and sink_writeback_depth=0 keeps every
+        # write on the relay thread.
         if config.sink_writeback_depth > 0 and not isinstance(sink, NullSink):
             sink = SinkWriter(sink, depth=config.sink_writeback_depth,
                               pin_budget=config.sink_writeback_budget,
                               tracer=tracer, owner=name)
         Receiver.__init__(self, name, plan, self.port, config, sink,
                           crash_gate, tracer, resume_offset)
+
+    def run(self):
+        # Storage is reserved by the thread that will write it, as every
+        # receiver starts: the receivers reserve at once, beside the
+        # head's start, and a full disk fails this node before it
+        # stores — or relays — a byte (§III-D: QUIT, output removed).
+        try:
+            self.sink.reserve()
+        except (SinkError, OSError) as exc:
+            yield from self._hard_abort(f"sink failure: {exc}")
+            return
+        yield from Receiver.run(self)
 
     def _die(self, mode: str) -> None:
         super()._die(mode)

@@ -265,13 +265,26 @@ class TestSinks:
             sink.write_chunk(b"data")
         assert p.read_bytes() == b"data"
 
-    def test_file_sink_preallocate_enospc_propagates(self, tmp_path, monkeypatch):
+    def test_file_sink_reservation_enospc_fails_the_first_write(
+            self, tmp_path, monkeypatch):
+        """Opening reserves nothing; the first write reserves, before its
+        byte — and a full disk fails it with the file still empty."""
+        calls = []
+
         def full(fd, offset, length):
+            calls.append(length)
             raise OSError(errno.ENOSPC, "No space left on device")
         monkeypatch.setattr(os, "posix_fallocate", full, raising=False)
+        p = tmp_path / "full.bin"
+        sink = FileSink(p, expected_size=1 << 20)
+        assert calls == []
         with pytest.raises(OSError) as exc_info:
-            FileSink(tmp_path / "full.bin", expected_size=1 << 20)
+            sink.write_chunk(b"first")
         assert exc_info.value.errno == errno.ENOSPC
+        assert calls == [1 << 20]
+        assert p.read_bytes() == b""
+        sink.abort()
+        assert not p.exists()
 
     def test_throttled_sink_models_service_time(self):
         from repro.core import ThrottledSink

@@ -6,8 +6,10 @@ already knows are gone."""
 import os
 import signal
 import time
+from contextlib import contextmanager
 
 from repro.core.sources import PatternSource
+from repro.core.tracing import TraceCollector
 from repro.daemon.server import DaemonServer
 from repro.deploy.coordinator import Coordinator, _Agent, drain
 from repro.runtime.transport import Address
@@ -108,7 +110,20 @@ def test_real_silence_still_fails_the_open_sessions():
         coordinator.close()
 
 
-def test_shutdown_does_not_wait_out_its_grace_on_a_stopped_member():
+@contextmanager
+def diagnosed(logs, trace):
+    """On any failure, print every agent's stderr log under ``logs`` and
+    the session's trace: pytest shows them beside the failure."""
+    try:
+        yield
+    except BaseException:
+        for log in sorted(logs.glob("*.stderr.log")):
+            print(f"--- {log.name}\n{log.read_text(errors='replace')}")
+        print(f"--- trace\n{trace.to_jsonl()}")
+        raise
+
+
+def test_shutdown_does_not_wait_out_its_grace_on_a_stopped_member(tmp_path):
     """A ``SIGSTOP``ped member cannot answer ``quit``.  A session's
     chaos stopped it, so the fleet knows: it is ``SIGKILL``ed at once
     (the one signal that works on a stopped child) and only the healthy
@@ -116,24 +131,28 @@ def test_shutdown_does_not_wait_out_its_grace_on_a_stopped_member():
     from repro.deploy.chaos import ChaosPlan
 
     grace = 5.0
+    trace = TraceCollector()
     server = DaemonServer(["n1", "n2", "n3"], cache_bytes=0,
                           startup_timeout=20.0, progress_every=64 * 1024,
-                          heartbeat_timeout=1.0)
-    server.start()
-    procs = dict(server._procs)
-    try:
-        result = server.submit(
-            PatternSource(2 << 20), ["n2", "n3"],
-            chaos=[ChaosPlan("n3", after_bytes=256 * 1024, sig="stop")],
-            timeout=60.0)
-        assert result.ok and not result.outcomes["n3"].ok
-    finally:
-        began = time.monotonic()
-        server.shutdown(grace=grace)
-        took = time.monotonic() - began
-    assert took < grace / 2, f"shutdown took {took:.2f}s of a {grace}s grace"
-    assert procs["n3"].returncode == -signal.SIGKILL
-    assert {procs[n].returncode for n in ("n1", "n2")} == {0}
+                          heartbeat_timeout=1.0, stderr_dir=str(tmp_path))
+    with diagnosed(tmp_path, trace):
+        server.start()
+        procs = dict(server._procs)
+        try:
+            result = server.submit(
+                PatternSource(2 << 20), ["n2", "n3"],
+                chaos=[ChaosPlan("n3", after_bytes=256 * 1024, sig="stop")],
+                trace=trace, timeout=60.0)
+            assert result.ok and not result.outcomes["n3"].ok, {
+                n: o.error for n, o in result.outcomes.items()}
+        finally:
+            began = time.monotonic()
+            server.shutdown(grace=grace)
+            took = time.monotonic() - began
+        assert took < grace / 2, (
+            f"shutdown took {took:.2f}s of a {grace}s grace")
+        assert procs["n3"].returncode == -signal.SIGKILL
+        assert {procs[n].returncode for n in ("n1", "n2")} == {0}
 
 
 def test_shutdown_kills_a_member_stopped_behind_its_back():

@@ -1,15 +1,23 @@
 """The agent is one host of the schedule (`HostChains`): its trace
-names match the local backend's, and a start message that does not say
-which chains to run is a refused session — the agent lives on."""
+names match the local backend's, a start message that does not say
+which chains to run is a refused session — the agent lives on — and a
+receiver's output reserves the stream before its first byte."""
 
+import errno
+import os
 import socket
 import threading
+from types import SimpleNamespace
 
 from repro import run_broadcast
 from repro.core import KascadeConfig
+from repro.core.plan import ChainPlan
 from repro.core.sources import PatternSource
-from repro.deploy.agent import EXIT_OK, config_to_wire, serve_sessions
+from repro.daemon.server import DaemonServer
+from repro.deploy.agent import (EXIT_OK, _SessionState, config_to_wire,
+                                execute_transfer, serve_sessions)
 from repro.deploy.protocol import ControlChannel
+from repro.runtime.transport import Listener
 
 FAST = KascadeConfig(
     chunk_size=64 * 1024,
@@ -104,3 +112,60 @@ class TestStartMessageMustCarryTheSchedule:
         assert status["op"] == "session_status" and status["session"] == "s1"
         assert not status["ok"] and not status["crashed"]
         assert "no plan/ports" in status["error"]
+
+
+class TestFleetReceiversReserve:
+    def test_a_refused_reservation_fails_the_session_before_a_byte(
+            self, tmp_path, monkeypatch):
+        """The supervisor's ``session_start`` carries the source's size,
+        and a receiving agent's output reserves it in its first write:
+        a full disk fails the session before any byte is stored, and
+        the output is removed — not at the end of the stream."""
+        size = 1 << 20
+        source = tmp_path / "in.bin"
+        source.write_bytes(PatternSource(size).expected_bytes(0, size))
+        plan = ChainPlan.build("n1", ["n2"], stripes=1)
+        listeners = {n: [Listener(host="127.0.0.1", port=0)]
+                     for n in plan.nodes}
+
+        # The start messages, exactly as the supervisor sends them.
+        sent = {}
+        server = DaemonServer(list(plan.nodes), config=FAST)
+        server._coordinator = SimpleNamespace(
+            agent=lambda name: SimpleNamespace(
+                address=SimpleNamespace(host="127.0.0.1")),
+            send=sent.__setitem__)
+        session = SimpleNamespace(
+            id="s1", output_template=str(tmp_path / "{node}.out"),
+            output_for=lambda name: str(tmp_path / f"{name}.out"),
+            ports={n: [ls[0].address.port] for n, ls in listeners.items()})
+        server._send_starts(session, "session_start", plan, str(source),
+                            run_timeout=30.0)
+        assert sent["n2"]["size"] == size
+
+        refused = []
+
+        def full(fd, offset, length):
+            refused.append((length, os.fstat(fd).st_size))
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "posix_fallocate", full, raising=False)
+        quiet = SimpleNamespace(send=lambda message: True)
+        statuses = {}
+
+        def run(name):
+            state = _SessionState("s1", quiet, listeners[name])
+            statuses[name] = execute_transfer(sent[name], state, name)
+            state.close_listeners()
+
+        head = threading.Thread(target=run, args=("n1",), daemon=True)
+        head.start()
+        run("n2")
+        head.join(timeout=30.0)
+
+        n2 = statuses["n2"]
+        assert not n2["ok"] and not n2["crashed"]
+        assert "sink failure" in n2["error"]
+        assert "No space left" in n2["error"]
+        assert refused == [(size, 0)]  # reserved before its first byte
+        assert not (tmp_path / "n2.out").exists()

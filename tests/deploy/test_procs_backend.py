@@ -173,11 +173,15 @@ class TestStriped:
     def test_sigkill_on_a_striped_run(self):
         """A real SIGKILL takes down both of the victim's stripe chains;
         survivors' merged digests stay exact and the pooled report names
-        the dead host."""
+        the dead host.  The heads are paced (2 × 8 MiB/s): the kill is
+        sent when the victim's progress report arrives, and unpaced a
+        stripe can be through the victim — and its tail done — before it
+        lands, when a reroute blames the finished nodes too."""
         source = PatternSource(4 * 1024 * 1024, seed=6)
         result = run_broadcast(
             source, ["n2", "n3", "n4", "n5"], stripes=2,
-            crashes=[("n3", 400_000, "close")], **PROCS)
+            crashes=[("n3", 400_000, "close")],
+            **dict(PROCS, config=FAST.with_(bandwidth_limit=8 << 20)))
         assert result.ok, result.outcomes
         expected = sha256_of(source)
         for name in ("n2", "n4", "n5"):

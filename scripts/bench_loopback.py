@@ -429,11 +429,6 @@ def main(argv=None) -> int:
                         choices=("threaded", "evloop"),
                         help="run every scenario on this data plane "
                              "(default: threaded)")
-    parser.add_argument("--coordinator-replicas", type=int, default=0,
-                        metavar="N",
-                        help="control-plane replica count to stamp into "
-                             "this label's metadata (0 = the in-process "
-                             "election the local failover scenario uses)")
     args = parser.parse_args(argv)
 
     catalogue = build_catalogue()
@@ -488,10 +483,8 @@ def main(argv=None) -> int:
     doc.setdefault("runs", {})[args.label] = {
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         # Per-label environment: failover recovery latency only means
-        # anything relative to the core count the survivors shared and
-        # the control-plane quorum size the election ran against.
+        # anything relative to the core count the survivors shared.
         "host_cpus": os.cpu_count(),
-        "coordinator_replicas": args.coordinator_replicas,
         "scenarios": scenarios,
     }
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

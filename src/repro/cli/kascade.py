@@ -216,9 +216,7 @@ def parse_chaos(specs: List[str], head: str | None = None):
 
     ``head`` lets the user write the role instead of the node name:
     ``--chaos head:4MiB`` targets whatever node is the head (requires
-    ``--allow-head-chaos`` plus coordinator replicas to survive).
-    ``replica:<i>`` names pass through — they target control-plane
-    replica processes, not broadcast nodes.
+    ``--allow-head-chaos`` to survive).
     """
     from ..core.units import parse_size
     from ..deploy.chaos import ChaosPlan
@@ -226,9 +224,6 @@ def parse_chaos(specs: List[str], head: str | None = None):
     plans = []
     for spec in specs or []:
         parts = spec.split(":")
-        # "replica:0:1MiB[:SIG]" — the target name itself has a colon.
-        if parts[0] == "replica" and len(parts) in (3, 4):
-            parts = [f"replica:{parts[1]}"] + parts[2:]
         if len(parts) not in (2, 3):
             raise SystemExit(f"bad --chaos entry: {spec!r} "
                              f"(expected NODE:BYTES[:kill|stop])")
@@ -268,19 +263,9 @@ def cmd_deploy(args: argparse.Namespace) -> int:
         heartbeat_timeout=args.heartbeat_timeout,
         output_template=args.output,
         stderr_dir=args.stderr_dir,
-        coordinator_replicas=args.coordinator_replicas,
         allow_head_chaos=args.allow_head_chaos,
     )
     return print_result(result, args)
-
-
-def cmd_replica(args: argparse.Namespace) -> int:
-    """One control-plane quorum replica (normally spawned by deploy)."""
-    from ..control.replica import main as replica_main
-
-    argv = ["--bind", args.bind, "--port", str(args.port),
-            "--name", args.name]
-    return replica_main(argv)
 
 
 def cmd_agent(args: argparse.Namespace) -> int:
@@ -333,7 +318,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         spawn_retries=args.spawn_retries,
         startup_timeout=args.startup_timeout,
         stderr_dir=args.stderr_dir,
-        coordinator_replicas=args.coordinator_replicas,
     )
     server.start()
     if not server.registered:
@@ -546,27 +530,12 @@ def _deploy_args(deploy: argparse.ArgumentParser) -> None:
                              "coordinator declares an agent dead (default "
                              "2.0; raise on oversubscribed hosts where "
                              "many agents share few cores)")
-    deploy.add_argument("--coordinator-replicas", type=int, default=0,
-                        metavar="N",
-                        help="replicate coordinator state (registrations, "
-                             "plan, watermarks) across N quorum replicas; "
-                             "a minority of them can die mid-transfer "
-                             "without interrupting it (3 recommended)")
     deploy.add_argument("--allow-head-chaos", action="store_true",
                         help="permit --chaos to target the head: on head "
-                             "death the quorum elects the most-complete "
-                             "receiver and re-roots the chain onto it "
-                             "(needs --coordinator-replicas >= 1)")
+                             "death the supervisor promotes the "
+                             "most-complete receiver and re-roots the "
+                             "chain onto it")
     add_common(deploy)
-
-
-def _replica_args(replica: argparse.ArgumentParser) -> None:
-    replica.add_argument("--bind", default="127.0.0.1",
-                         help="address to listen on")
-    replica.add_argument("--port", type=int, default=0,
-                         help="port to listen on (default: ephemeral, "
-                              "announced on stdout)")
-    replica.add_argument("--name", default="replica")
 
 
 def _agent_args(agent: argparse.ArgumentParser) -> None:
@@ -608,12 +577,6 @@ def _serve_args(serve: argparse.ArgumentParser) -> None:
                        help="seconds one spawn may take to register")
     serve.add_argument("--stderr-dir", default=None,
                        help="capture each agent's stderr under this dir")
-    serve.add_argument("--coordinator-replicas", type=int, default=0,
-                       metavar="N",
-                       help="replicate fleet/session state over N control-"
-                            "plane replicas (kascade replica processes); "
-                            "open sessions ride out a minority of replica "
-                            "deaths (0 = no replication)")
     add_common(serve)
 
 
@@ -669,8 +632,6 @@ COMMANDS = {
              _demo_args, cmd_demo),
     "deploy": ("run a pipeline as one OS process per node (windowed launch)",
                _deploy_args, cmd_deploy),
-    "replica": ("run one control-plane quorum replica (spawned by deploy)",
-                _replica_args, cmd_replica),
     "agent": ("run one deployed node process (spawned by deploy)",
               _agent_args, cmd_agent),
     "serve": ("launch a persistent agent fleet and serve broadcast sessions",
@@ -697,7 +658,7 @@ def main(argv: List[str] | None = None) -> int:
                         version=f"kascade {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     # Every command is listed (``kascade --help``); only the one being
-    # run gets its options built — an agent is not eight parsers.
+    # run gets its options built — an agent is not seven parsers.
     chosen = next((arg for arg in argv if arg in COMMANDS), None)
     for name, (summary, add_args, fn) in COMMANDS.items():
         command = sub.add_parser(name, help=summary)

@@ -1,23 +1,21 @@
-"""Replicated control plane: quorum-committed coordinator state.
+"""A Paxos-replicated log: no product caller, kept for two probes.
 
-The broadcast data plane (chains, stripes, ring reports) survives the
-death of any *receiver*; until now the coordinator and the head were
-single points of failure.  This package removes the first and tames the
-second:
+The fleet elects a new head from the exact offsets its survivors report
+(:meth:`repro.core.plan.ChainPlan.elect`) and keeps no replicated log.
+This package stays only because perfbench's ``control.commit_ms`` and
+``control.read_state_ms`` probes time a commit and a read against three
+in-thread replicas; it goes once those probes do.
 
 * :mod:`repro.control.paxos` — a pure, sans-I/O single-decree consensus
-  core (one Paxos instance per log slot) that is trivial to drive
-  deterministically in tests: dueling proposers, dropped messages,
-  partitioned acceptors.
+  core (one Paxos instance per log slot).
 * :mod:`repro.control.state` — the replicated state machine: node
-  registrations, the active :class:`~repro.core.plan.ChainPlan`,
-  per-node progress watermarks, and head elections.
-* :mod:`repro.control.replica` — an acceptor/learner replica served
-  over the deployment layer's newline-JSON control framing, runnable
-  in-thread (tests) or as a ``kascade replica`` subprocess.
-* :mod:`repro.control.client` — the coordinator-side quorum client: a
-  proposer with persistent channels to every replica that commits
-  commands by majority and keeps working while a minority is down.
+  registrations, a :class:`~repro.core.plan.ChainPlan`, per-node
+  progress watermarks, and head elections.
+* :mod:`repro.control.replica` — an in-thread acceptor/learner replica
+  served over the deployment layer's newline-JSON control framing.
+* :mod:`repro.control.client` — the quorum client: a proposer with
+  persistent channels to every replica that commits commands by
+  majority and keeps working while a minority is down.
 """
 
 from .._lazy import lazy_exports

@@ -1,4 +1,4 @@
-"""A control-plane replica: acceptor + learner behind a JSON socket.
+"""One replica of the log: acceptor + learner behind a JSON socket.
 
 Each replica owns one :class:`~repro.control.paxos.Acceptor` (the
 quorum's memory), one :class:`~repro.control.paxos.Learner`, and one
@@ -20,31 +20,20 @@ Request/response vocabulary (``op`` field):
 ``quit``       → ``bye``, then the server exits
 =============  ======================================================
 
-Run modes: in-thread (:meth:`ReplicaServer.start`, used by tests and by
-coordinators embedding a local replica) or as a subprocess via
-``kascade replica``, which prints ``KASCADE-REPLICA PORT=<n>`` on stdout
-once bound so the parent can harvest the port — the same handshake idiom
-the launcher uses for agents.
+A replica runs in-thread (:meth:`ReplicaServer.start`).
 """
 
 from __future__ import annotations
 
-import logging
 import socket
 import threading
 from typing import List, Optional, Tuple
 
-from ..core.errors import KascadeError
 from ..deploy.protocol import ControlChannel
 from .paxos import Acceptor, Learner
 from .state import ControlState
 
-__all__ = ["ReplicaServer", "spawn_replicas"]
-
-logger = logging.getLogger(__name__)
-
-#: Stdout announcement prefix for the subprocess run mode.
-ANNOUNCE = "KASCADE-REPLICA"
+__all__ = ["ReplicaServer"]
 
 
 def _ballot(raw) -> Tuple[int, int]:
@@ -87,11 +76,6 @@ class ReplicaServer:
             pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=2.0)
-
-    def serve_forever(self) -> None:
-        """Blocking run (subprocess mode): serve until a ``quit`` arrives."""
-        self.start()
-        self._stop.wait()
 
     def __enter__(self) -> "ReplicaServer":
         self.start()
@@ -184,85 +168,3 @@ class ReplicaServer:
                 return {"op": "bye"}
         return {"op": "error", "error": f"unknown op {op!r}"}
 
-
-def spawn_replicas(count: int, *, python: str, bind_host: str = "127.0.0.1",
-                   env: Optional[dict] = None):
-    """Start ``count`` replica subprocesses and harvest their addresses.
-
-    Each replica is a ``kascade replica`` process named ``replica:<i>``;
-    its bound port is read from the stdout announcement.  On any spawn
-    or announce failure every already-started replica is killed before
-    the error propagates.  Returns ``(procs, [(host, port), ...])``.
-    """
-    import subprocess
-
-    procs: List[subprocess.Popen] = []
-    addrs: List[Tuple[str, int]] = []
-    try:
-        for i in range(count):
-            cmd = [python, "-m", "repro.cli.kascade", "replica",
-                   "--bind", bind_host, "--name", f"replica:{i}"]
-            proc = subprocess.Popen(
-                cmd, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL, env=env, text=True,
-            )
-            procs.append(proc)
-            line = proc.stdout.readline().strip()
-            if not line.startswith(ANNOUNCE):
-                raise KascadeError(
-                    f"control replica {i} failed to announce its port "
-                    f"(got {line!r})"
-                )
-            addrs.append((bind_host, int(line.rsplit("PORT=", 1)[1])))
-    except BaseException:
-        kill_replicas(procs)
-        raise
-    return procs, addrs
-
-
-def kill_replicas(procs) -> None:
-    """SIGKILL and reap replica subprocesses: none outlives its
-    supervisor (the procs coordinator, the daemon server)."""
-    import subprocess
-
-    for proc in procs:
-        try:
-            proc.kill()
-        except OSError:
-            pass
-    for proc in procs:
-        try:
-            proc.wait(timeout=5.0)
-        except subprocess.TimeoutExpired:  # pragma: no cover
-            pass
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for the ``kascade replica`` subprocess run mode."""
-    import argparse
-    import sys
-
-    parser = argparse.ArgumentParser(prog="kascade replica")
-    parser.add_argument("--bind", default="127.0.0.1",
-                        help="address to listen on (default 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=0,
-                        help="port to listen on (default: ephemeral)")
-    parser.add_argument("--name", default="replica")
-    args = parser.parse_args(argv)
-
-    server = ReplicaServer(bind_host=args.bind, port=args.port,
-                           name=args.name)
-    host, port = server.start()
-    # Announce the bound port on stdout so the parent can harvest it.
-    print(f"{ANNOUNCE} PORT={port}", flush=True)
-    try:
-        server._stop.wait()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    raise SystemExit(main())

@@ -53,7 +53,7 @@ CHUNK = "chunk"        #: one DATA chunk received and accounted
 STALL = "stall"        #: a read or write exceeded the I/O timeout
 PING = "ping"          #: a liveness probe was answered (or not)
 FAILOVER = "failover"  #: a peer was declared dead and routed around
-ELECTION = "election"  #: a quorum chose a new head after head death
+ELECTION = "election"  #: a new head was chosen after head death
 PGET = "pget"          #: a recovery range fetch from the head
 FORGET = "forget"      #: data unrecoverable behind the buffer window
 QUIT = "quit"          #: a deliberate abort (user interrupt / data loss)

@@ -21,9 +21,8 @@ A session runs in three phases, any of which may be empty:
    via ``session_start``, on the session's :class:`~repro.core.plan.
    ChainPlan` (the caller's, or one built from ``order``) re-planned
    without the members that never launched, have died since, or were
-   served from cache.  When the session opted in (``allow_head_chaos``
-   on a fleet with control replicas), a head that dies mid-push is
-   re-rooted instead of fatal.
+   served from cache.  When the session opted in (``allow_head_chaos``),
+   a head that dies mid-push is re-rooted instead of fatal.
 3. **Pull** — late joiners (registered mid-session via
    :class:`LateJoin`) catch up on the already-broadcast prefix by
    PGETting chunks from cache-warm peers' pull servers while the push
@@ -73,14 +72,14 @@ from ..deploy.coordinator import (
     rebase_events,
     supervise,
 )
-from ..deploy.launcher import (
-    LaunchReport,
-    WindowedLauncher,
-    agent_spawner,
-    spawn_env,
-)
+from ..deploy.launcher import LaunchReport, WindowedLauncher, agent_spawner
 from ..deploy.protocol import wiring_to_wire
-from ..runtime.result import BroadcastResult, NodeOutcome, check_head_failover
+from ..runtime.result import (
+    BroadcastResult,
+    NodeOutcome,
+    check_head_failover,
+    head_chaos_refusal,
+)
 
 if TYPE_CHECKING:
     from ..core.cache import ArtifactMeta
@@ -192,9 +191,6 @@ class DaemonServer:
     heartbeat_interval / heartbeat_timeout / progress_every / python /
     bind_host / agent_args / stderr_dir:
         As on :class:`~repro.deploy.ProcBroadcast`.
-    coordinator_replicas:
-        Replicate registrations, plans, watermarks and elections over
-        this many quorum replicas (0 = none; head failover needs >= 1).
 
     Usage::
 
@@ -220,7 +216,6 @@ class DaemonServer:
         bind_host: str = "127.0.0.1",
         agent_args: Optional[Callable[[str, int], Sequence[str]]] = None,
         stderr_dir: Optional[str] = None,
-        coordinator_replicas: int = 0,
         tracer=NULL_TRACER,
     ) -> None:
         if len(fleet) < 2:
@@ -244,15 +239,12 @@ class DaemonServer:
         self.bind_host = bind_host
         self.agent_args = agent_args
         self.stderr_dir = stderr_dir
-        self.coordinator_replicas = coordinator_replicas
         self.tracer = tracer
         #: Filled by :meth:`start` — the one windowed launch the whole
         #: fleet lifetime amortises.
         self.launch_report: Optional[LaunchReport] = None
 
         self._coordinator: Optional[Coordinator] = None
-        self._quorum = None
-        self._replica_procs: List[subprocess.Popen] = []
         self._procs: Dict[str, subprocess.Popen] = {}
         self._lock = threading.Lock()
         self._sessions: Dict[str, _Session] = {}
@@ -264,7 +256,6 @@ class DaemonServer:
         self._suspect: set = set()
         self._stop_reaper = threading.Event()
         self._reaper: Optional[threading.Thread] = None
-        self._pump: Optional[threading.Thread] = None
         self._started = False
         self._closed = False
 
@@ -280,15 +271,6 @@ class DaemonServer:
         if self._started:
             return self
         self._started = True
-        if self.coordinator_replicas >= 1:
-            from ..control.client import QuorumClient
-            from ..control.replica import spawn_replicas
-
-            self._replica_procs, addrs = spawn_replicas(
-                self.coordinator_replicas, python=self.python,
-                bind_host=self.bind_host, env=spawn_env(),
-            )
-            self._quorum = QuorumClient(addrs, proposer_id=os.getpid())
         self._coordinator = Coordinator(router=self._route,
                                         tracer=self.tracer)
         control = self._coordinator.address
@@ -318,19 +300,9 @@ class DaemonServer:
             self.tracer.emit(tracing.FAILOVER, "launcher", peer=name,
                              offset=0, detail=record.reason,
                              detector=detector)
-        for name in report.launched:
-            agent = self._coordinator.agent(name)
-            self._commit({"kind": "register", "node": name,
-                          "host": agent.address.host,
-                          "port": agent.address.port, "pid": agent.pid})
         self._reaper = threading.Thread(target=self._reaper_loop,
                                         name="fleet-reaper", daemon=True)
         self._reaper.start()
-        if self._quorum is not None:
-            self._pump = threading.Thread(target=self._watermark_pump,
-                                          name="fleet-watermarks",
-                                          daemon=True)
-            self._pump.start()
         return self
 
     def _launch_failure(self, name: str) -> FailureRecord:
@@ -339,75 +311,16 @@ class DaemonServer:
             node=name, detected_by="launcher", at_offset=0,
             reason=f"launch-failed: {nl.error} after {nl.attempts} attempt(s)")
 
-    # -- the replicated control plane ------------------------------------
-
-    def _commit(self, command: dict) -> None:
-        """Replicate ``command`` to the control quorum, best-effort.
-
-        The fleet's data plane never depends on a commit: a minority of
-        dead replicas commits fine (majority rule), and even full quorum
-        loss only stops state from being replicated — open sessions ride
-        on, which is the availability contract the replicas exist to
-        serve in the first place.
-        """
-        if self._quorum is None:
-            return
-        from ..control.client import QuorumError
-        try:
-            self._quorum.commit(command)
-        except QuorumError:
-            pass
-
-    def _watermark_pump(self) -> None:
-        """Replicate per-session progress high-water marks (0.25s tick).
-
-        Runs beside the hot progress path, not on it: agents report
-        every ``progress_every`` bytes, but a quorum commit costs three
-        round trips, so the pump snapshots the latest counters on a
-        fixed tick and commits only what grew.  The watermarks are what
-        an election reads — they only need to be *recent*, not exact;
-        the failover handshake re-commits each survivor's precise
-        detach offset before anyone is elected.  Keys are
-        ``<session>/<node>`` — the fleet multiplexes sessions, so
-        progress is per (session, node), not per node.
-        """
-        last: Dict[str, int] = {}
-        while not self._stop_reaper.wait(0.25):
-            with self._lock:
-                sessions = list(self._sessions.values())
-            for sess in sessions:
-                with sess.cond:
-                    marks = dict(sess.progress)
-                for node, received in sorted(marks.items()):
-                    key = f"{sess.id}/{node}"
-                    if received > last.get(key, -1):
-                        last[key] = received
-                        self._commit({"kind": "watermark", "node": key,
-                                      "bytes": received})
-
-    def _stop_replicas(self) -> None:
-        if self._quorum is not None:
-            try:
-                self._quorum.shutdown_replicas()
-            finally:
-                self._quorum.close()
-        if self._replica_procs:
-            from ..control.replica import kill_replicas
-
-            kill_replicas(self._replica_procs)
-
     def shutdown(self, grace: float = 5.0) -> None:
         """Fleet teardown: quit and drain the healthy, kill the rest
-        (:func:`repro.deploy.coordinator.drain`); no agent or replica
-        process outlives this call."""
+        (:func:`repro.deploy.coordinator.drain`); no agent process
+        outlives this call."""
         if self._closed:
             return
         self._closed = True
         self._stop_reaper.set()
         if self._reaper is not None:
             self._reaper.join(timeout=2.0)
-        if self._pump is not None:
-            self._pump.join(timeout=2.0)
         if self._coordinator is not None:
             healthy = [
                 name for name in self._procs
@@ -415,7 +328,6 @@ class DaemonServer:
                 and self._coordinator.agent(name).dead_reason is None]
             drain(self._coordinator, self._procs, healthy, grace)
             self._coordinator.close()
-        self._stop_replicas()
 
     def __enter__(self) -> "DaemonServer":
         return self.start()
@@ -596,33 +508,13 @@ class DaemonServer:
                 "late joiners pull from their peers' chunk caches: the "
                 "fleet needs cache_bytes > 0")
         engine = ChaosEngine(chaos)
-        targets = engine.targets()
-        if plan.head in targets and not allow_head_chaos:
-            raise KascadeError(
-                f"chaos targets the head {plan.head!r}: killing the "
-                "head interrupts the stream for every receiver; opt in "
-                "with allow_head_chaos=True (requires coordinator "
-                "replicas for quorum-backed head failover)"
-            )
+        if plan.head in engine.targets() and not allow_head_chaos:
+            raise head_chaos_refusal(plan.head)
         if allow_head_chaos:
-            if self.coordinator_replicas < 1:
-                raise KascadeError(
-                    "head failover needs a replicated control plane to "
-                    "elect from: set coordinator_replicas >= 1 "
-                    "(3 recommended for minority-failure tolerance)"
-                )
             check_head_failover(plan.stripe_count, self.config.data_plane)
-        replicas = {f"replica:{i}" for i in range(self.coordinator_replicas)}
-        stray = {t for t in targets if t.startswith("replica:")} - replicas
-        if stray:
-            raise KascadeError(
-                f"chaos targets control replicas that will not exist: "
-                f"{sorted(stray)} (coordinator_replicas="
-                f"{self.coordinator_replicas})"
-            )
         engine.validate(
             (*plan.receivers, *joiners), known=self.fleet, what="session",
-            allow=replicas | ({plan.head} if allow_head_chaos else set()))
+            allow={plan.head} if allow_head_chaos else ())
         if (output_template is not None and "{node}" not in output_template
                 and len(plan.receivers) + len(joiners) > 1):
             raise KascadeError(
@@ -660,8 +552,8 @@ class DaemonServer:
         minus ``head``) in ``order``.  Members that never launched or
         have died since are planned around and fail the result by name.
         ``allow_head_chaos`` lets ``chaos`` target the head and has the
-        quorum re-root the chain when it dies.  ``wall0`` is the trace's
-        wall-clock zero (default: now).
+        supervisor re-root the chain when it dies.  ``wall0`` is the
+        trace's wall-clock zero (default: now).
         """
         if not self._started or self._closed:
             raise KascadeError("DaemonServer is not running (call start())")
@@ -712,8 +604,6 @@ class DaemonServer:
                 if self.cache_bytes:
                     sess.artifact = self._artifact_for(
                         path, self.config.chunk_size)
-                for i, proc in enumerate(self._replica_procs):
-                    engine.register_external(f"replica:{i}", proc.pid)
                 result = self._run_session(sess, path, started, timeout)
             finally:
                 cleanup_source()
@@ -801,7 +691,6 @@ class DaemonServer:
         if cold and plan.head in sess.acks:
             plan = plan.replan_without([r for r in plan.receivers
                                         if r not in cold])
-            self._commit({"kind": "plan", "plan": plan.to_dict()})
             if sess.failover:
                 sess.chaos.register_external(
                     plan.head, coordinator.agent(plan.head).pid)
@@ -860,16 +749,6 @@ class DaemonServer:
                     break
             can_reroot = False  # one re-root per session
             plan = self._orchestrate_failover(sess, plan, source_path) or plan
-        # Final watermarks: a short session can finish between pump
-        # ticks, so replicate the settled per-node byte counts here.
-        with sess.cond:
-            marks = dict(sess.progress)
-            for name, status in sess.statuses.items():
-                marks[name] = max(marks.get(name, 0),
-                                  int(status.get("bytes", 0)))
-        for name, received in sorted(marks.items()):
-            self._commit({"kind": "watermark", "node": f"{sess.id}/{name}",
-                          "bytes": received})
         return self._collect(sess, plan, started)
 
     def _send_starts(self, sess: _Session, op: str, plan: ChainPlan,
@@ -905,20 +784,17 @@ class DaemonServer:
         (it interrupts its transfer loops, drains writeback, keeps its
         sink, rebinds a fresh data port, and replies ``failover_ready``
         with its exact stream offset — or, already finished, sends its
-        status), *then* :meth:`ChainPlan.elect` decides, the rule the
-        in-process drivers follow too.  The quorum records it — exact
-        watermarks, the election decree, the re-rooted plan — and
-        everyone resumes under that plan; the agents rebuild their hosts
-        by the same rule as well.  The promoted node serves PGET below
-        the election watermark from the source file, so survivors behind
-        it recover their gap exactly like a §III-D2 hole.
+        status), *then* :meth:`ChainPlan.elect` decides over those exact
+        offsets, the rule the in-process drivers follow too, and
+        everyone resumes under the re-rooted plan; the agents rebuild
+        their hosts by the same rule as well.  The promoted node serves
+        PGET below the election watermark from the source file, so
+        survivors behind it recover their gap exactly like a §III-D2
+        hole.
 
-        Returns ``None`` when nothing survives to resume (no live
-        receivers, or the control quorum itself is gone) — the session
-        then fails through the normal unresolved-agent path.
+        Returns ``None`` when no live receiver is left to resume — the
+        session then fails through the normal unresolved-agent path.
         """
-        from ..control.client import QuorumError
-
         old_head = chain.head
         with sess.cond:
             survivors = [n for n in chain.receivers if not sess.resolved(n)]
@@ -936,27 +812,13 @@ class DaemonServer:
             offsets = {n: int(sess.failover_ready[n].get("offset", 0))
                        for n in survivors
                        if n in sess.failover_ready and not sess.resolved(n)}
-            finished = {n: int(sess.statuses[n].get("bytes", 0))
-                        for n in chain.receivers if n in sess.statuses}
         if not offsets:
             return None
         new_chain, new_head, watermark = chain.elect(offsets)
-        try:
-            # Exact watermarks, unlike the throttled feed the pump sends.
-            for name, mark in (*offsets.items(), *finished.items()):
-                self._quorum.commit({"kind": "watermark",
-                                     "node": f"{sess.id}/{name}",
-                                     "bytes": mark})
-            self._quorum.commit({"kind": "election", "head": new_head,
-                                 "dead": [old_head]})
-            sess.emit(tracing.ELECTION,
-                      f"quorum elected {new_head} to replace {old_head} "
-                      f"at watermark {watermark}",
-                      peer=new_head, offset=watermark)
-            self._quorum.commit({"kind": "plan",
-                                 "plan": new_chain.to_dict()})
-        except QuorumError:
-            return None
+        sess.emit(tracing.ELECTION,
+                  f"supervisor elected {new_head} to replace {old_head} "
+                  f"at watermark {watermark}",
+                  peer=new_head, offset=watermark)
         self._send_starts(sess, "resume", new_chain, source_path)
         return new_chain
 

@@ -229,9 +229,9 @@ def execute_transfer(msg: dict, state: _SessionState, name: str, *,
     this push is still running.
 
     A message flagged ``failover`` makes the transfer failover-capable:
-    the supervisor runs a replicated control plane and may re-root the
-    chain mid-transfer, so this thread follows the session's control
-    events while the host runs (:func:`_follow_control`).
+    the supervisor may re-root the chain mid-transfer, so this thread
+    follows the session's control events while the host runs
+    (:func:`_follow_control`).
     """
     listeners = state.listeners
     config, chain_plan, registries = _wiring(msg, listeners)
@@ -338,8 +338,8 @@ def _follow_control(
     host lets go (:meth:`~repro.runtime.host.Host.let_go` — or, already
     finished, ends the run with its status), a fresh listener is bound,
     and the offset + new port go back as ``failover_ready``.  The
-    quorum's ``resume`` then rebuilds the host on the re-rooted plan by
-    :meth:`~repro.runtime.host.Host.resume`, the rule the in-process
+    supervisor's ``resume`` then rebuilds the host on the re-rooted plan
+    by :meth:`~repro.runtime.host.Host.resume`, the rule the in-process
     drivers follow too.
 
     Returns the host that ended the run — the one given, or the one

@@ -75,10 +75,10 @@ class ChaosEngine:
         self._fired: Dict[str, ChaosPlan] = {}
         self._kill = kill_fn
         self._lock = threading.Lock()
-        #: Externally supervised targets (the head, control-plane
-        #: replicas): they never self-report progress, so their plans
-        #: fire once *any* node's reported progress crosses the
-        #: threshold, against a pid the coordinator registered.
+        #: Externally supervised targets (the head): they never
+        #: self-report progress, so their plans fire once *any* node's
+        #: reported progress crosses the threshold, against a pid the
+        #: coordinator registered.
         self._external: Dict[str, int] = {}
 
     def targets(self):
@@ -89,13 +89,11 @@ class ChaosEngine:
     def register_external(self, name: str, pid: int) -> None:
         """Register a target that never reports its own progress.
 
-        The head streams (it receives nothing) and control-plane
-        replicas are not broadcast participants at all, so neither ever
-        appears in the progress feed the engine keys on.  A registered
-        external target is killed when any node's progress crosses its
-        plan's ``after_bytes`` — "once the broadcast is this far along,
-        take it down" — which is the semantics a head/replica kill test
-        actually wants.
+        The head streams (it receives nothing), so it never appears in
+        the progress feed the engine keys on.  A registered external
+        target is killed when any node's progress crosses its plan's
+        ``after_bytes`` — "once the broadcast is this far along, take it
+        down" — which is the semantics a head kill test actually wants.
         """
         with self._lock:
             self._external[name] = pid
@@ -105,9 +103,9 @@ class ChaosEngine:
         """Every chaos target must be a receiver in ``participants``.
 
         ``allow`` lists extra names a backend explicitly opted into
-        killing — the head and ``replica:<i>`` pseudo-nodes on backends
-        that can survive them.  It widens nothing by default: killing
-        the head without head-failover support just wedges the run.
+        killing — the head, on a session that can survive it.  It
+        widens nothing by default: killing the head without
+        head-failover support just wedges the run.
 
         ``known`` widens the diagnostic, not the rule: when the caller
         runs many sessions over one fleet (the daemon), a target that

@@ -407,8 +407,8 @@ class ProcBroadcast:
     chaos:
         :class:`~repro.deploy.chaos.ChaosPlan` sequence — real
         ``SIGKILL``/``SIGSTOP`` injection on receivers (and, with
-        ``allow_head_chaos`` and ``coordinator_replicas >= 1``, on the
-        head, whose death the quorum answers by re-rooting the chain).
+        ``allow_head_chaos``, on the head, whose death the supervisor
+        answers by re-rooting the chain).
     window / spawn_retries / startup_timeout / backoff:
         Windowed-launcher knobs (§III-B), see
         :class:`~repro.deploy.launcher.WindowedLauncher`.

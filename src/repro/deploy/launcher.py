@@ -50,10 +50,9 @@ WaitFn = Callable[[str, float], bool]
 
 
 def spawn_env() -> dict:
-    """The environment agents and replicas are spawned with: this
-    checkout's ``src/`` leads ``PYTHONPATH``, so a replica's
-    ``-m repro...`` — and whatever an agent loads from disk rather than
-    from its program — is the code that is supervising it."""
+    """The environment agents are spawned with: this checkout's ``src/``
+    leads ``PYTHONPATH``, so whatever an agent loads from disk rather
+    than from its program is the code that is supervising it."""
     src_root = os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
     env = dict(os.environ)

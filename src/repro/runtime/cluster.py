@@ -39,7 +39,12 @@ from ..core.sources import Source
 from ..core.tracing import NULL_TRACER, TraceCollector
 from .host import Host, HostChains
 from .registry import Registry
-from .result import BroadcastResult, CrashPlan, check_head_failover
+from .result import (
+    BroadcastResult,
+    CrashPlan,
+    check_head_failover,
+    head_chaos_refusal,
+)
 from .transport import Listener
 
 
@@ -109,16 +114,11 @@ class Broadcast:
         self.sink_factory = sink_factory or (lambda name: NullSink())
         self.crashes = {c.node: c for c in crashes}
         #: Injected head death + in-process promotion (the in-process
-        #: twin of the procs backend's quorum-backed head failover).
+        #: twin of the fleet's head failover).
         self._head_crash = self.crashes.get(self.plan.head)
         if self._head_crash is not None:
             if not allow_head_chaos:
-                raise KascadeError(
-                    f"crash plan targets the head {self.plan.head!r}: "
-                    "killing the head interrupts the stream for every "
-                    "receiver; opt in with allow_head_chaos=True to "
-                    "promote the most-complete survivor instead"
-                )
+                raise head_chaos_refusal(self.plan.head)
             check_head_failover(self.chain_plan.stripe_count,
                                 config.data_plane, source.kind)
         unknown = set(self.crashes) - set(self.plan.chain)

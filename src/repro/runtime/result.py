@@ -18,7 +18,7 @@ from ..core.report import NodeOutcome, TransferReport
 from ..core.tracing import TraceCollector
 
 __all__ = ["BroadcastResult", "CrashPlan", "NodeOutcome",
-           "check_head_failover"]
+           "check_head_failover", "head_chaos_refusal"]
 
 
 class CrashPlan(Frozen):
@@ -82,6 +82,16 @@ class BroadcastResult(Record):
     def throughput(self) -> float:
         """Bytes per second, the paper's metric (size / transfer time)."""
         return self.total_bytes / self.duration if self.duration > 0 else 0.0
+
+
+def head_chaos_refusal(head: str) -> KascadeError:
+    """The one refusal of a fault aimed at the head of a run that did
+    not opt in to head failover, whichever backend is asked."""
+    return KascadeError(
+        f"a fault targets the head {head!r}: killing the head "
+        "interrupts the stream for every receiver; opt in with "
+        "allow_head_chaos=True to promote the most-complete survivor "
+        "instead")
 
 
 def check_head_failover(stripes: int, data_plane: str,

@@ -145,10 +145,10 @@ class BroadcastSession:
       ``window``, ``spawn_retries``, ``startup_timeout``, ``backoff``,
       ``heartbeat_interval``, ``heartbeat_timeout``, ``progress_every``,
       ``python``, ``bind_host``, ``agent_args``, ``stderr_dir``,
-      ``coordinator_replicas``, ``cache_bytes`` (``procs`` defaults to
-      0: no cache, nothing of it loaded; ``daemon`` to
-      ``config.cache_bytes``) — and the session: ``output_template``,
-      ``allow_head_chaos``, ``late_join``, ``session_name``; see
+      ``cache_bytes`` (``procs`` defaults to 0: no cache, nothing of it
+      loaded; ``daemon`` to ``config.cache_bytes``) — and the session:
+      ``output_template``, ``allow_head_chaos``, ``late_join``,
+      ``session_name``; see
       :class:`repro.deploy.ProcBroadcast`.  ``server=`` submits into a
       started :class:`repro.daemon.DaemonServer` instead of launching.
       ``crashes`` become real signals (``"close"`` → SIGKILL,
@@ -261,8 +261,7 @@ class BroadcastSession:
     _FLEET_OPTS = frozenset({
         "window", "spawn_retries", "startup_timeout", "backoff",
         "heartbeat_interval", "heartbeat_timeout", "progress_every",
-        "python", "bind_host", "agent_args", "stderr_dir",
-        "coordinator_replicas", "cache_bytes",
+        "python", "bind_host", "agent_args", "stderr_dir", "cache_bytes",
         "output_template", "allow_head_chaos", "late_join", "session_name",
         "server",
     })

@@ -28,13 +28,6 @@ class TestParseChaos:
         # will be rejected downstream as an unknown node).
         assert parse_chaos(["head:4MiB"])[0].node == "head"
 
-    def test_replica_targets_keep_their_colon(self):
-        (plan,) = parse_chaos(["replica:0:1MiB"])
-        assert (plan.node, plan.after_bytes, plan.sig) == ("replica:0",
-                                                           1 << 20, "kill")
-        (stopped,) = parse_chaos(["replica:2:512KiB:stop"])
-        assert (stopped.node, stopped.sig) == ("replica:2", "stop")
-
     def test_bad_entries_exit(self):
         for bad in ("n3", "n3:1MiB:stop:extra", "n3:not-a-size",
                     "n3:1MiB:term"):

@@ -282,47 +282,3 @@ class TestLifecycle:
         assert result.ok
         expected = hashlib.sha256(payload).hexdigest()
         assert {result.outcomes[n].digest for n in ("n2", "n4")} == {expected}
-
-
-class TestReplicatedControlPlane:
-    def test_fleet_state_replicates_and_survives_minority_death(self,
-                                                                tmp_path):
-        """A fleet with a 3-replica quorum commits registrations, plans
-        and per-session watermarks — and keeps serving sessions after a
-        minority replica is SIGKILLed, because the data plane never
-        depends on any single replica."""
-        sizes = (512 * 1024, 768 * 1024)  # distinct artifacts: no cache hit
-        paths = [spool(tmp_path, f"quorum{i}.bin", make_payload(13 + i, s))
-                 for i, s in enumerate(sizes)]
-        server = DaemonServer(["n1", "n2", "n3"], coordinator_replicas=3,
-                              **FLEET_OPTS)
-        with server:
-            first = server.submit(FileSource(paths[0]), timeout=60.0)
-            assert first.ok
-            # Kill one replica outright: a minority, so nothing notices.
-            server._replica_procs[0].kill()
-            server._replica_procs[0].wait()
-            second = server.submit(FileSource(paths[1]), timeout=60.0)
-            assert second.ok
-
-            state = server._quorum.read_state()
-            # Every fleet member registered its data-plane address.
-            assert sorted(state.registrations) == ["n1", "n2", "n3"]
-            for reg in state.registrations.values():
-                assert reg["port"] > 0 and reg["pid"] > 0
-            # The active plan and both sessions' final watermarks made
-            # it into the replicated log (<session>/<node> keys, since
-            # one fleet multiplexes many sessions).
-            assert state.plan is not None and state.plan["head"] == "n1"
-            marks = dict(state.watermarks)
-            by_session = {}
-            for key, received in marks.items():
-                sid, _node = key.split("/")
-                by_session.setdefault(sid, set()).add(received)
-            assert len(by_session) == 2
-            # Each session's nodes all settled at that payload's size.
-            assert sorted(v for s in by_session.values() for v in s) == \
-                sorted(sizes)
-        # Teardown reaped the surviving replicas too.
-        for proc in server._replica_procs:
-            assert proc.poll() is not None

@@ -213,8 +213,9 @@ def test_drain_waits_on_the_control_eof_not_on_a_poll():
                     agent.gone = True
                     coordinator._cond.notify_all()
 
-        threading.Timer(0.1, close_sockets).start()
+        # Read the clock first: the timer's 0.1 s runs from its start.
         began = time.monotonic()
+        threading.Timer(0.1, close_sockets).start()
         drain(coordinator, procs, ["n1", "n2"], grace=5.0)
         assert 0.1 <= time.monotonic() - began < 1.0
         assert [p.calls for p in procs.values()] == [[("wait", None)]] * 2

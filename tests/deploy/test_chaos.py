@@ -81,7 +81,7 @@ class TestChaosEngine:
 
 
 class TestExternalTargets:
-    """Head and control-replica plans: targets that never self-report."""
+    """Head plans: a target that never self-reports."""
 
     def test_external_fires_on_anyones_progress(self):
         sent = []
@@ -101,20 +101,20 @@ class TestExternalTargets:
     def test_reporter_and_external_can_fire_on_one_report(self):
         sent = []
         engine = ChaosEngine(
-            [ChaosPlan("replica:0", after_bytes=10, sig="kill"),
+            [ChaosPlan("n1", after_bytes=10, sig="kill"),
              ChaosPlan("n2", after_bytes=10, sig="stop")],
             kill_fn=lambda pid, sig: sent.append((pid, sig)))
-        engine.register_external("replica:0", 9000)
+        engine.register_external("n1", 9000)
         assert engine.on_progress("n2", 64, pid=70) == "stop"
         assert sorted(sent) == [(70, signal.SIGSTOP), (9000, signal.SIGKILL)]
 
     def test_unregistered_external_never_fires(self):
         sent = []
-        engine = ChaosEngine([ChaosPlan("replica:1", after_bytes=0)],
+        engine = ChaosEngine([ChaosPlan("n1", after_bytes=0)],
                              kill_fn=lambda pid, sig: sent.append(sig))
         engine.on_progress("n2", 1 << 20, pid=1)
         assert sent == []
-        assert "replica:1" not in engine.fired
+        assert "n1" not in engine.fired
 
 
 class TestValidate:
@@ -141,14 +141,14 @@ class TestValidate:
             stranger.validate(["n2"], known=["n1", "n2"], what="session")
 
     def test_allow_widens_for_opted_in_backends(self):
-        """The head and replica pseudo-nodes are killable only when the
-        backend passes them in ``allow`` — head failover and the
-        replicated control plane are opt-ins, not defaults."""
-        engine = ChaosEngine([ChaosPlan("n1"), ChaosPlan("replica:0")],
-                             kill_fn=lambda p, s: None)
+        """The head is killable only when the backend passes it in
+        ``allow`` — head failover is an opt-in, not a default."""
+        engine = ChaosEngine([ChaosPlan("n1")], kill_fn=lambda p, s: None)
         with pytest.raises(KascadeError, match="unknown nodes"):
             engine.validate(["n2", "n3"])
-        engine.validate(["n2", "n3"], allow=["n1", "replica:0"])  # no raise
-        # A partial allow still flags the rest.
-        with pytest.raises(KascadeError, match="replica:0"):
-            engine.validate(["n2", "n3"], allow=["n1"])
+        engine.validate(["n2", "n3"], allow=["n1"])  # no raise
+        # An allow widens by the names it lists, and no further.
+        both = ChaosEngine([ChaosPlan("n1"), ChaosPlan("n9")],
+                           kill_fn=lambda p, s: None)
+        with pytest.raises(KascadeError, match="n9"):
+            both.validate(["n2", "n3"], allow=["n1"])

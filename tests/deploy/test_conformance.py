@@ -8,7 +8,7 @@ property the two former supervisors had between them is named by a test
 here: launch-failure re-plan before the first payload byte, `proc-exit`
 vs heartbeat-silence detection, a SHA-256 digest in every status,
 `verify_digest` off only across a re-root, `SIGKILL` for a `SIGSTOP`ped
-child, and no agent or replica process outliving `run()` / `shutdown()`.
+child, and no agent process outliving `run()` / `shutdown()`.
 (That a sink kept across a failover is finished once is the host's rule
 now, on every driver: `tests/runtime/test_detach.py`.)
 """
@@ -250,8 +250,8 @@ class TestEveryCellEitherWay:
         assert set(codes.values()) == {0}   # everyone else was drained
 
     def test_head_failover(self, mode, tmp_path, monkeypatch):
-        """A head SIGKILLed mid-push is re-rooted by the quorum, in a
-        one-shot and on a warm fleet alike — and ``verify_digest`` is
+        """A head SIGKILLed mid-push is re-rooted by the supervisor, in
+        a one-shot and on a warm fleet alike — and ``verify_digest`` is
         off only across the re-root: ``session_start`` and ``resume``
         both ship the caller's config, and a host rebuilt with a resume
         offset turns the check off itself (resumed nodes hash only what
@@ -267,7 +267,6 @@ class TestEveryCellEitherWay:
         result, _ = broadcast(
             mode, source, receivers, trace=True,
             crashes=[("n1", 1 << 20, "close")], allow_head_chaos=True,
-            fleet=dict(coordinator_replicas=3),
             # Paced, so the kill lands mid-stream and not after a head
             # that has already handed everything to the socket buffers.
             config=FAST.with_(verify_digest=True, bandwidth_limit=16 << 20),
@@ -288,36 +287,40 @@ class TestEveryCellEitherWay:
 
     def test_refusals_come_from_one_validation(self, mode):
         """What a session cannot have is refused before anything runs,
-        with the same message whichever way it was asked for."""
+        with the same message whichever way it was asked for — and an
+        un-opted head kill in the very words the in-process driver
+        uses."""
         source = PatternSource(64 * 1024)
         two_stripes = ChainPlan.from_orders("n1", [["n2", "n3"],
                                                    ["n3", "n2"]])
-        asked = [   # (the message, control replicas, the session)
-            ("allow_head_chaos", 0, dict(crashes=[("n1", 0, "close")])),
-            ("coordinator_replicas", 0,
-             dict(crashes=[("n1", 0, "close")], allow_head_chaos=True)),
-            ("unknown nodes", 0, dict(crashes=[("n9", 0, "close")])),
-            ("placeholder", 0, dict(output_template="/tmp/same-file.out")),
-            ("cache_bytes > 0", 0, dict(late_join=[("n4", 0)])),
-            ("1-stripe", 1, dict(allow_head_chaos=True, plan=two_stripes)),
-            ("will not exist", 1, dict(crashes=[("replica:5", 0, "close")])),
+        head_kill = dict(crashes=[("n1", 0, "close")])
+        asked = [   # (the message, the session)
+            ("allow_head_chaos", head_kill),
+            ("unknown nodes", dict(crashes=[("n9", 0, "close")])),
+            ("placeholder", dict(output_template="/tmp/same-file.out")),
+            ("cache_bytes > 0", dict(late_join=[("n4", 0)])),
+            ("1-stripe", dict(allow_head_chaos=True, plan=two_stripes)),
         ]
-        for replicas in (0, 1):
-            fleet = dict(coordinator_replicas=replicas, **FLEET)
-            cells = [(needle, session) for needle, r, session in asked
-                     if r == replicas]
-            if mode == "oneshot":
-                for needle, session in cells:
-                    with pytest.raises(KascadeError, match=needle):
-                        run_broadcast(source, ["n2", "n3"], backend="procs",
-                                      config=FAST, **fleet, **session)
-                continue
+        said = {}
+
+        def refused(needle, **kwargs):
+            with pytest.raises(KascadeError, match=needle) as raised:
+                run_broadcast(source, ["n2", "n3"], backend="procs",
+                              **kwargs)
+            said[needle] = str(raised.value)
+
+        if mode == "oneshot":
+            for needle, session in asked:
+                refused(needle, config=FAST, **FLEET, **session)
+        else:
             with DaemonServer(["n1", "n2", "n3", "n4"], config=FAST,
-                              cache_bytes=0, **fleet) as server:
-                for needle, session in cells:
-                    with pytest.raises(KascadeError, match=needle):
-                        run_broadcast(source, ["n2", "n3"], backend="procs",
-                                      server=server, **session)
+                              cache_bytes=0, **FLEET) as server:
+                for needle, session in asked:
+                    refused(needle, server=server, **session)
                 assert server.sessions_completed == 0
         assert live_children() == []
+        with pytest.raises(KascadeError) as local:
+            run_broadcast(source, ["n2", "n3"], backend="local",
+                          config=FAST, **head_kill)
+        assert said["allow_head_chaos"] == str(local.value)
 

@@ -2,9 +2,9 @@
 
 The procs twin of ``tests/runtime/test_detach.py``: with ``io_timeout``
 at 5 s, every stage between the head's SIGKILL and the resumed stream —
-the coordinator noticing, the agents detaching, the quorum electing, the
-agents reporting their node's exit — must be an event, so the whole run
-fits in launch + 2 s.
+the coordinator noticing, the agents detaching, the supervisor
+electing, the agents reporting their node's exit — must be an event, so
+the whole run fits in launch + 2 s.
 """
 
 import time
@@ -35,7 +35,7 @@ def test_procs_head_kill_does_not_wait_out_io_timeout(tmp_path):
         source, receivers, backend="procs", config=SLOW_TIMERS,
         timeout=90.0, progress_every=128 * 1024, startup_timeout=20.0,
         trace=True, crashes=[("n1", 1024 * 1024, "close")],
-        coordinator_replicas=3, allow_head_chaos=True,
+        allow_head_chaos=True,
         output_template=str(tmp_path / "{node}.out"))
     wall = time.monotonic() - began
     assert result.ok, result.outcomes

@@ -229,5 +229,5 @@ class TestOneRefusal:
                            crashes=head_crash, allow_head_chaos=True)
         with pytest.raises(KascadeError) as procs:
             ProcBroadcast(source, ["n2"], config=evloop,
-                          coordinator_replicas=1, allow_head_chaos=True)
+                          allow_head_chaos=True)
         assert str(local.value) == str(procs.value)

@@ -124,7 +124,7 @@ SCENARIOS = {
         options=(("allow_head_chaos", True),)),
 }
 
-#: The head rows a fleet runs too (``backend="procs"``, one replica).
+#: The head rows a fleet runs too (``backend="procs"``).
 FLEET_ROWS = ("head_close_crash", "head_crash_reversed_chain",
               "head_crash_lone_survivor")
 
@@ -246,7 +246,7 @@ def test_the_fleet_tells_the_same_head_loss_story(name, tmp_path):
     result = run_broadcast(
         scenario.source(), list(scenario.receivers), backend="procs",
         config=scenario.config.with_(bandwidth_limit=4 << 20),
-        crashes=list(scenario.crashes), coordinator_replicas=1,
+        crashes=list(scenario.crashes),
         output_template=str(tmp_path / "{node}.out"), trace=True,
         timeout=30.0, progress_every=64 * 1024, **dict(scenario.options))
     # Within seconds of the kill, not at the session deadline.

@@ -73,6 +73,10 @@ DATA_PLANE = ("repro.runtime.node", "repro.runtime.links",
 #: (``traceback`` → ``linecache``).
 NOT_IN_AN_AGENT = ("site", "dataclasses", "inspect", "dis", "ast")
 
+#: What no supervisor imports: the data plane runs in its agents, and it
+#: re-roots a chain without a replicated log.
+NOT_IN_A_SUPERVISOR = DATA_PLANE + ("repro.deploy.agent", "repro.control")
+
 #: role -> (prefixes that must be absent, most ``repro`` modules allowed).
 BUDGET = {
     "help": (("repro.runtime", "repro.deploy", "repro.session",
@@ -81,11 +85,11 @@ BUDGET = {
     "agent": (CONTROL_SIDE + ("repro.daemon", "repro.core.cache",
                               "dataclasses", "inspect"), 34),
     "cached_agent": (CONTROL_SIDE + ("dataclasses", "inspect"), 37),
-    "supervisor": (DATA_PLANE + ("repro.deploy.agent",), 25),
-    "daemon_server": (DATA_PLANE + ("repro.deploy.agent",), 25),
+    "supervisor": (NOT_IN_A_SUPERVISOR, 25),
+    "daemon_server": (NOT_IN_A_SUPERVISOR, 25),
     # + ``repro.daemon``, the one parent package ``find_spec`` touches
     # that this probe had not imported (a real supervisor has).
-    "supervisor_with_program": (DATA_PLANE + ("repro.deploy.agent",), 26),
+    "supervisor_with_program": (NOT_IN_A_SUPERVISOR, 26),
 }
 
 

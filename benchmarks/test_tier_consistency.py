@@ -12,7 +12,8 @@ import pytest
 
 from repro.baselines import KascadeSim, SimSetup
 from repro.core import KascadeConfig, PatternSource, order_by_hostname
-from repro.protosim import ProtoBroadcast, ProtoCrash
+from repro.protosim import ProtoBroadcast
+from repro.runtime import CrashPlan
 from repro.topology import build_fat_tree
 
 SIZE = 48 * 1024 * 1024          # 48 MiB at ~119 MB/s ≈ 0.4 s clean
@@ -34,7 +35,7 @@ SEQ_SCHEDULE = tuple((T0 + k * STAGGER, v) for k, v in enumerate(VICTIMS))
 def proto_run(schedule):
     receivers = [f"n{i}" for i in range(2, N + 2)]
     crashes = tuple(
-        ProtoCrash(v, at_time=t, mode="silent") for t, v in schedule
+        CrashPlan(v, mode="silent", at_time=t) for t, v in schedule
     )
     bc = ProtoBroadcast(
         PatternSource(SIZE, seed=3), receivers, config=CFG,

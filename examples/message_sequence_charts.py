@@ -13,7 +13,8 @@ Run:  python examples/message_sequence_charts.py
 """
 
 from repro.core import KascadeConfig, PatternSource
-from repro.protosim import ProtoBroadcast, ProtoCrash, render_msc
+from repro.protosim import ProtoBroadcast, render_msc
+from repro.runtime import CrashPlan
 
 CFG = KascadeConfig(
     chunk_size=256 * 1024, buffer_chunks=8,
@@ -41,7 +42,7 @@ def fig6_failure_and_recovery() -> None:
     print("=" * 72)
     bc = ProtoBroadcast(
         PatternSource(SIZE, seed=1), ["n2", "n3"], config=CFG,
-        crashes=[ProtoCrash("n2", after_bytes=SIZE // 2)],
+        crashes=[CrashPlan("n2", SIZE // 2)],
     )
     result = bc.run(trace=True)
     assert result.ok

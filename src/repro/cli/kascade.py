@@ -211,15 +211,20 @@ def print_result(result, args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
+#: ``--chaos`` signal name → the crash mode that signal realises.
+_MODE_OF_SIGNAL = {"kill": "close", "stop": "silent"}
+
+
 def parse_chaos(specs: List[str], head: str | None = None):
-    """Parse ``--chaos NODE:BYTES[:SIG]`` items into ChaosPlans.
+    """Parse ``--chaos NODE:BYTES[:SIG]`` items into CrashPlans
+    (``kill`` is ``mode="close"``, ``stop`` is ``mode="silent"``).
 
     ``head`` lets the user write the role instead of the node name:
     ``--chaos head:4MiB`` targets whatever node is the head (requires
     ``--allow-head-chaos`` to survive).
     """
     from ..core.units import parse_size
-    from ..deploy.chaos import ChaosPlan
+    from ..runtime.result import CrashPlan
 
     plans = []
     for spec in specs or []:
@@ -232,8 +237,11 @@ def parse_chaos(specs: List[str], head: str | None = None):
             node = head
         sig = parts[2] if len(parts) == 3 else "kill"
         try:
-            plans.append(ChaosPlan(node, after_bytes=int(parse_size(size)),
-                                   sig=sig))
+            if sig not in _MODE_OF_SIGNAL:
+                raise ValueError(f"unknown signal {sig!r}; choose from "
+                                 f"{sorted(_MODE_OF_SIGNAL)}")
+            plans.append(CrashPlan(node, int(parse_size(size)),
+                                   _MODE_OF_SIGNAL[sig]))
         except Exception as exc:
             raise SystemExit(f"bad --chaos entry: {spec!r} ({exc})")
     return plans
@@ -408,6 +416,16 @@ def _run_host(args: argparse.Namespace, config: KascadeConfig, **role):
         raise SystemExit("the sending node must be first in --nodes")
     chain_plan = ChainPlan.build(names[0], tuple(names[1:]),
                                  stripes=config.stripes, order="given")
+    if "source" in role:
+        from ..core.errors import KascadeError
+        from ..runtime.result import check_run
+
+        try:   # the head's part of the run: one host on local threads
+            check_run(chain_plan, backend="local",
+                      data_plane=config.data_plane,
+                      source_kind=role["source"].kind)
+        except KascadeError as exc:
+            raise SystemExit(str(exc))
     me = addrs[args.name]
     stripes = range(config.stripes)
     listeners = [Listener(host=me.host, port=me.port + j) for j in stripes]
@@ -476,15 +494,9 @@ def cmd_send(args: argparse.Namespace) -> int:
     is its registry port + ``j``.  Striping needs random access to the
     input, so stdin cannot be striped.
     """
-    from ..core.recovery import SourceKind
     from ..core.sources import open_source
 
-    config = build_config(args)
-    source = open_source(args.input)
-    if config.stripes > 1 and source.kind is not SourceKind.SEEKABLE_FILE:
-        raise SystemExit("--stripes needs a seekable input file; "
-                         "stdin cannot be striped (give -i FILE)")
-    host = _run_host(args, config, source=source)
+    host = _run_host(args, build_config(args), source=open_source(args.input))
     report = host.report
     if report is not None:
         print(report.summary())

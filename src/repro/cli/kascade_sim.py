@@ -217,7 +217,7 @@ def _parse_kill_spec(spec: str, size: int):
     """Parse ``node@when[:mode]``: when is bytes (``1MB``), a percent of
     the payload (``50%``), or a time (``2.5s``)."""
     from ..core.units import parse_size
-    from ..protosim import ProtoCrash
+    from ..runtime.result import CrashPlan
 
     mode = "close"
     if ":" in spec:
@@ -229,11 +229,10 @@ def _parse_kill_spec(spec: str, size: int):
                          f"(expected node@when[:mode])")
     if when.endswith("%"):
         frac = float(when[:-1]) / 100.0
-        return ProtoCrash(node, after_bytes=max(1, int(size * frac)),
-                          mode=mode)
+        return CrashPlan(node, max(1, int(size * frac)), mode)
     if when.endswith("s"):
-        return ProtoCrash(node, at_time=float(when[:-1]), mode=mode)
-    return ProtoCrash(node, after_bytes=parse_size(when), mode=mode)
+        return CrashPlan(node, mode=mode, at_time=float(when[:-1]))
+    return CrashPlan(node, parse_size(when), mode)
 
 
 def cmd_proto(args: argparse.Namespace) -> int:

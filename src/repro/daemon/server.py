@@ -33,10 +33,11 @@ What a fleet does follows from what it was given: with
 the source), no cache tap and no pull server — so no warm partition and
 no pull phase either.
 
-Per-session chaos plans are validated against the *session's*
-participants: naming a fleet member that is not in the session is its
-own, clearer error than naming an unknown node (see
-:meth:`repro.deploy.chaos.ChaosEngine.validate`).
+What a session may ask is decided by the one validation of every
+backend (:func:`repro.runtime.result.check_run`, called by
+:meth:`DaemonServer.admit`): a fault must target a session member —
+naming a fleet member outside the session is its own, clearer error
+than naming an unknown node.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from ..core.plan import ChainPlan
 from ..core.report import FailureRecord, TransferReport
 from ..core.sources import Source
 from ..core.tracing import NULL_TRACER, NullRecorder, TraceCollector
-from ..deploy.chaos import ChaosEngine, ChaosPlan
+from ..deploy.chaos import ChaosEngine
 from ..deploy.coordinator import (
     Coordinator,
     drain,
@@ -74,12 +75,7 @@ from ..deploy.coordinator import (
 )
 from ..deploy.launcher import LaunchReport, WindowedLauncher, agent_spawner
 from ..deploy.protocol import wiring_to_wire
-from ..runtime.result import (
-    BroadcastResult,
-    NodeOutcome,
-    check_head_failover,
-    head_chaos_refusal,
-)
+from ..runtime.result import BroadcastResult, NodeOutcome, check_run
 
 if TYPE_CHECKING:
     from ..core.cache import ArtifactMeta
@@ -483,44 +479,22 @@ class DaemonServer:
         self,
         plan: ChainPlan,
         *,
-        chaos: Sequence[ChaosPlan] = (),
+        crashes: Sequence = (),
         late_join: Sequence[LateJoin] = (),
         output_template: Optional[str] = None,
         allow_head_chaos: bool = False,
     ) -> ChaosEngine:
-        """The one validation of what a session asks of this fleet:
-        raises :class:`KascadeError` with one message per reason,
-        returns the session's chaos engine.  Needs no running fleet, so
-        a one-shot checks before it launches anything."""
-        joiners = tuple(lj.node for lj in late_join)
-        for name in (*plan.nodes, *joiners):
-            if name not in self.fleet:
-                raise KascadeError(
-                    f"{name!r} is not a fleet member "
-                    f"(fleet: {sorted(self.fleet)})")
-        overlap = set(joiners) & set(plan.nodes)
-        if overlap:
-            raise KascadeError(
-                f"late joiners must not be in the session already: "
-                f"{sorted(overlap)}")
-        if joiners and not self.cache_bytes:
-            raise KascadeError(
-                "late joiners pull from their peers' chunk caches: the "
-                "fleet needs cache_bytes > 0")
-        engine = ChaosEngine(chaos)
-        if plan.head in engine.targets() and not allow_head_chaos:
-            raise head_chaos_refusal(plan.head)
-        if allow_head_chaos:
-            check_head_failover(plan.stripe_count, self.config.data_plane)
-        engine.validate(
-            (*plan.receivers, *joiners), known=self.fleet, what="session",
-            allow={plan.head} if allow_head_chaos else ())
-        if (output_template is not None and "{node}" not in output_template
-                and len(plan.receivers) + len(joiners) > 1):
-            raise KascadeError(
-                "output_template needs a {node} placeholder for >1 receiver"
-            )
-        return engine
+        """What a session asks of this fleet, refused by
+        :func:`~repro.runtime.result.check_run` or returned as the
+        session's chaos engine.  Needs no running fleet, so a one-shot
+        checks before it launches anything."""
+        return ChaosEngine(check_run(
+            plan, crashes, backend="daemon",
+            data_plane=self.config.data_plane,
+            allow_head_chaos=allow_head_chaos, fleet=self.fleet,
+            cache_bytes=self.cache_bytes,
+            late_join=tuple(lj.node for lj in late_join),
+            output_template=output_template))
 
     def submit(
         self,
@@ -531,7 +505,7 @@ class DaemonServer:
         order: str = "given",
         plan: Optional[ChainPlan] = None,
         output_template: Optional[str] = None,
-        chaos: Sequence[ChaosPlan] = (),
+        crashes: Sequence = (),
         late_join: Sequence[LateJoin] = (),
         allow_head_chaos: bool = False,
         session: Optional[str] = None,
@@ -551,8 +525,9 @@ class DaemonServer:
         win), else a chain over ``receivers`` (default: the whole fleet
         minus ``head``) in ``order``.  Members that never launched or
         have died since are planned around and fail the result by name.
-        ``allow_head_chaos`` lets ``chaos`` target the head and has the
-        supervisor re-root the chain when it dies.  ``wall0`` is the
+        ``crashes`` (:class:`~repro.runtime.CrashPlan`) fire as real
+        signals; ``allow_head_chaos`` lets them target the head and has
+        the supervisor re-root the chain when it dies.  ``wall0`` is the
         trace's wall-clock zero (default: now).
         """
         if not self._started or self._closed:
@@ -566,7 +541,7 @@ class DaemonServer:
             head, receivers = plan.head, plan.receivers
         plan = ChainPlan.resolve(plan, head, receivers,
                                  stripes=self.config.stripes, order=order)
-        engine = self.admit(plan, chaos=chaos, late_join=late_join,
+        engine = self.admit(plan, crashes=crashes, late_join=late_join,
                             output_template=output_template,
                             allow_head_chaos=allow_head_chaos)
 

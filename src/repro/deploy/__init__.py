@@ -34,7 +34,7 @@ The blessed entry point is ``repro.run_broadcast(..., backend="procs")``.
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "chaos": ("ChaosEngine", "ChaosPlan"),
+    "chaos": ("ChaosEngine",),
     "protocol": ("ControlChannel", "DeployError"),
     "launcher": ("LaunchReport", "NodeLaunch", "WindowedLauncher"),
     "coordinator": ("ProcBroadcast",),

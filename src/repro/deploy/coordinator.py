@@ -38,7 +38,6 @@ from ..core.sources import FileSource, Source
 from ..core.tracing import NULL_TRACER, TraceCollector
 from ..runtime.registry import Address
 from ..runtime.result import BroadcastResult, NodeOutcome  # noqa: F401 - re-exported
-from .chaos import ChaosPlan
 from .launcher import LaunchReport
 from .protocol import ControlChannel, DeployError
 
@@ -404,11 +403,12 @@ class ProcBroadcast:
 
     Parameters beyond the common set
     --------------------------------
-    chaos:
-        :class:`~repro.deploy.chaos.ChaosPlan` sequence — real
-        ``SIGKILL``/``SIGSTOP`` injection on receivers (and, with
-        ``allow_head_chaos``, on the head, whose death the supervisor
-        answers by re-rooting the chain).
+    crashes:
+        :class:`~repro.runtime.CrashPlan` sequence (or ``(node,
+        after_bytes[, mode])`` tuples), fired as real ``SIGKILL`` /
+        ``SIGSTOP`` on receivers (and, with ``allow_head_chaos``, on the
+        head, whose death the supervisor answers by re-rooting the
+        chain).
     window / spawn_retries / startup_timeout / backoff:
         Windowed-launcher knobs (§III-B), see
         :class:`~repro.deploy.launcher.WindowedLauncher`.
@@ -452,7 +452,7 @@ class ProcBroadcast:
         config: KascadeConfig = DEFAULT_CONFIG,
         head: str = "n1",
         order: str = "given",
-        chaos: Sequence[ChaosPlan] = (),
+        crashes: Sequence = (),
         tracer=NULL_TRACER,
         plan: Optional[ChainPlan] = None,
         output_template: Optional[str] = None,
@@ -470,12 +470,14 @@ class ProcBroadcast:
         self.chain_plan = ChainPlan.resolve(
             plan, head, receivers, stripes=config.stripes, order=order)
         self._session = dict(
-            plan=self.chain_plan, chaos=tuple(chaos),
+            plan=self.chain_plan, crashes=tuple(crashes),
             late_join=tuple(late_join), output_template=output_template,
             allow_head_chaos=allow_head_chaos,
         )
         self._fleet = DaemonServer(
-            (*self.chain_plan.nodes, *(lj.node for lj in late_join)),
+            # A joiner already in the plan is the admission's to refuse.
+            tuple(dict.fromkeys((*self.chain_plan.nodes,
+                                 *(lj.node for lj in late_join)))),
             config=config, cache_bytes=cache_bytes, tracer=tracer,
             **fleet_opts)
         self._fleet.admit(**self._session)

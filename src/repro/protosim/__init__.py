@@ -18,13 +18,12 @@ tier                      substrate                   what it is for
 ========================  ==========================  ====================
 """
 
-from .broadcast import ProtoBroadcast, ProtoCrash, ProtoResult
+from .broadcast import ProtoBroadcast, ProtoResult
 from .fuzz import FuzzCase, FuzzReport, generate_case, run_campaign, run_case
 from .msc import collapse_data_runs, render_msc
 
 __all__ = [
     "ProtoBroadcast",
-    "ProtoCrash",
     "ProtoResult",
     "render_msc",
     "collapse_data_runs",

@@ -22,7 +22,6 @@ predicted k-way speedup is validated before trusting TCP numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Sequence
 
@@ -37,25 +36,6 @@ from ..runtime.result import BroadcastResult
 from ..simnet.channels import SimNetHub
 from ..simnet.engine import Engine
 from .node import SimPort, SimTracer
-
-
-@dataclass(frozen=True)
-class ProtoCrash:
-    """Kill ``node`` either when it has stored ``after_bytes``
-    (byte-exact, triggered from inside its receive path) or at simulated
-    time ``at_time`` (wall-clock-exact, triggered externally) — the
-    host, as every crash plan: on a striped run all its chain instances."""
-
-    node: str
-    after_bytes: Optional[int] = None
-    at_time: Optional[float] = None
-    mode: str = "close"  # "close" | "silent"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("close", "silent"):
-            raise ValueError(f"unknown crash mode {self.mode!r}")
-        if (self.after_bytes is None) == (self.at_time is None):
-            raise ValueError("set exactly one of after_bytes / at_time")
 
 
 class ProtoResult(BroadcastResult):
@@ -156,9 +136,10 @@ class SimHost(Host):
 
 
 class ProtoBroadcast(Broadcast):
-    """The broadcast on the DES (parameters: :class:`Broadcast`'s, with
-    ``crashes`` of :class:`ProtoCrash` or ``CrashPlan``, plus the link
-    model: ``bandwidth`` in bytes/s and ``latency`` in seconds per hop)."""
+    """The broadcast on the DES (parameters: :class:`Broadcast`'s — the
+    one backend whose ``crashes`` may be ``CrashPlan(at_time=…)`` — plus
+    the link model: ``bandwidth`` in bytes/s and ``latency`` in seconds
+    per hop)."""
 
     backend, result_type = "simnet", ProtoResult
 
@@ -182,7 +163,7 @@ class ProtoBroadcast(Broadcast):
             host.start()
         for host in hosts:
             crash = self.crashes.get(host.name)
-            if getattr(crash, "at_time", None) is not None:
+            if crash is not None and crash.at_time is not None:
                 # Host death: every stripe instance dies at that instant.
                 for node in host.nodes.values():
                     self._hub.engine.call_at(

@@ -25,7 +25,8 @@ import numpy as np
 from ..core.config import KascadeConfig
 from ..core.sinks import HashingSink
 from ..core.sources import PatternSource
-from .broadcast import ProtoBroadcast, ProtoCrash
+from ..runtime.result import CrashPlan
+from .broadcast import ProtoBroadcast
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class FuzzCase:
     size: int
     chunk_size: int
     buffer_chunks: int
-    crashes: Tuple[ProtoCrash, ...]
+    crashes: Tuple[CrashPlan, ...]
 
     def describe(self) -> str:
         kills = ", ".join(
@@ -91,7 +92,7 @@ def generate_case(seed: int) -> FuzzCase:
     n_crashes = int(rng.integers(0, min(4, n)))
     victims = rng.choice(receivers, size=n_crashes, replace=False)
     crashes = tuple(
-        ProtoCrash(
+        CrashPlan(
             str(v),
             after_bytes=int(rng.integers(1, size + 1)),
             mode=str(rng.choice(["close", "silent"])),

@@ -17,7 +17,7 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "result": ("BroadcastResult", "CrashPlan", "NodeOutcome",
-               "check_head_failover"),
+               "check_head_failover", "check_run"),
     "cluster": ("Broadcast", "LocalBroadcast"),
     "host": ("Host", "HostChains"),
     "node": ("HeadNode", "ReceiverNode"),

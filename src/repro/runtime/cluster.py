@@ -30,7 +30,6 @@ from typing import Callable, Dict, Optional, Sequence
 
 from ..core import tracing
 from ..core.config import DEFAULT_CONFIG, KascadeConfig
-from ..core.errors import KascadeError
 from ..core.perfstats import get_stats
 from ..core.plan import ChainPlan
 from ..core.report import TransferReport
@@ -39,12 +38,7 @@ from ..core.sources import Source
 from ..core.tracing import NULL_TRACER, TraceCollector
 from .host import Host, HostChains
 from .registry import Registry
-from .result import (
-    BroadcastResult,
-    CrashPlan,
-    check_head_failover,
-    head_chaos_refusal,
-)
+from .result import BroadcastResult, CrashPlan, check_run
 from .transport import Listener
 
 
@@ -66,11 +60,13 @@ class Broadcast:
     order:
         Node ordering strategy passed to :meth:`ChainPlan.build`.
     crashes:
-        Failure injection plans (see :class:`CrashPlan`: ``node``,
-        ``after_bytes``, ``mode``).  On a striped run a crash is
+        Failure injection plans (:class:`CrashPlan`, or ``(node,
+        after_bytes[, mode])`` tuples).  On a striped run a crash is
         *host*-level: the threshold counts the host's bytes across every
         stripe and firing kills all of the host's chain instances, as a
-        real process death would.
+        real process death would.  Everything the run may not ask is
+        refused here, by :func:`~.result.check_run`, before any host
+        exists.
     plan:
         Optional pre-built :class:`~repro.core.plan.ChainPlan`: the
         schedule when given (see :meth:`ChainPlan.resolve`), else one is
@@ -80,8 +76,10 @@ class Broadcast:
         structured events into, or the default no-op recorder.  On a
         striped run event node names carry an ``@s<j>`` stripe suffix.
     allow_head_chaos:
-        Accept a crash plan for the head: when it dies the most complete
-        survivor is promoted and the run goes on (:meth:`_reroot`).
+        Ask for a run that survives its head (and so refuse one that
+        cannot): a crash plan may target the head, and when it dies the
+        most complete survivor is promoted and the run goes on
+        (:meth:`_reroot`).
 
     Prefer :func:`repro.run_broadcast` for new code — it fronts the
     drivers behind one backend-selectable entry point.
@@ -112,18 +110,13 @@ class Broadcast:
         #: Canonical (stripe-0) order, kept for single-chain callers.
         self.plan = self.chain_plan.stripe(0)
         self.sink_factory = sink_factory or (lambda name: NullSink())
-        self.crashes = {c.node: c for c in crashes}
+        self.crashes = {c.node: c for c in check_run(
+            self.chain_plan, crashes, backend=self.backend,
+            data_plane=config.data_plane, source_kind=source.kind,
+            allow_head_chaos=allow_head_chaos)}
         #: Injected head death + in-process promotion (the in-process
         #: twin of the fleet's head failover).
         self._head_crash = self.crashes.get(self.plan.head)
-        if self._head_crash is not None:
-            if not allow_head_chaos:
-                raise head_chaos_refusal(self.plan.head)
-            check_head_failover(self.chain_plan.stripe_count,
-                                config.data_plane, source.kind)
-        unknown = set(self.crashes) - set(self.plan.chain)
-        if unknown:
-            raise KascadeError(f"crash plans for unknown nodes: {sorted(unknown)}")
         #: ``label -> node`` of the run in progress (see :attr:`Host.nodes`).
         self.nodes: Dict[str, object] = {}
 

@@ -8,7 +8,7 @@ them) and import nothing of the data plane.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import KascadeError
 from ..core.plan import ChainPlan
@@ -18,21 +18,32 @@ from ..core.report import NodeOutcome, TransferReport
 from ..core.tracing import TraceCollector
 
 __all__ = ["BroadcastResult", "CrashPlan", "NodeOutcome",
-           "check_head_failover", "head_chaos_refusal"]
+           "check_head_failover", "check_run", "head_chaos_refusal"]
 
 
 class CrashPlan(Frozen):
-    """Kill ``node`` once it has received ``after_bytes`` of the stream."""
+    """Kill ``node`` once it has received ``after_bytes`` of the stream,
+    or at simulated second ``at_time`` (exactly one of the two; the
+    clock is the simulator's, so ``at_time`` runs on ``simnet`` only).
 
-    __slots__ = ("node", "after_bytes", "mode")
+    ``mode`` is how it dies (§III-D): ``"close"`` — process death, every
+    socket closed (``SIGKILL`` on a fleet); ``"silent"`` — a hang, found
+    only by timeout + ping (``SIGSTOP``).  The one fault every backend
+    takes; on a striped run it is *host*-level.
+    """
 
-    def __init__(self, node: str, after_bytes: int,
-                 mode: str = "close") -> None:  # "close" | "silent"
+    __slots__ = ("node", "after_bytes", "mode", "at_time")
+
+    def __init__(self, node: str, after_bytes: Optional[int] = None,
+                 mode: str = "close",
+                 at_time: Optional[float] = None) -> None:
         if mode not in ("close", "silent"):
             raise ValueError(f"unknown crash mode {mode!r}")
-        if after_bytes < 0:
+        if (after_bytes is None) == (at_time is None):
+            raise ValueError("set exactly one of after_bytes / at_time")
+        if after_bytes is not None and after_bytes < 0:
             raise ValueError("after_bytes must be >= 0")
-        self._init(node, after_bytes, mode)
+        self._init(node, after_bytes, mode, at_time)
 
 
 class BroadcastResult(Record):
@@ -121,3 +132,78 @@ def check_head_failover(stripes: int, data_plane: str,
             "head must serve PGET below the election watermark "
             "by random access"
         )
+
+
+def check_run(plan: ChainPlan, crashes: Sequence = (), *, backend: str,
+              data_plane: str, source_kind: Optional[SourceKind] = None,
+              allow_head_chaos: bool = False,
+              fleet: Optional[Sequence[str]] = None, cache_bytes: int = 0,
+              late_join: Sequence[str] = (),
+              output_template: Optional[str] = None) -> Tuple[CrashPlan, ...]:
+    """Refuse what a run may not ask, before anything of it starts.
+
+    The one validation of a broadcast: :class:`~.cluster.Broadcast`
+    (``local``, ``simnet``) and ``DaemonServer.admit`` (``procs``,
+    ``daemon``) call it with what they know — the resolved ``plan``, the
+    faults, the backend and data plane, the source's kind where the run
+    reads the source in place (``None`` where a fleet spools it), and on
+    a fleet its members, cache budget, late joiners' names and output
+    template.  Raises :class:`KascadeError` with one message per reason,
+    the same words on every backend; returns the faults as
+    :class:`CrashPlan` (``(node, after_bytes[, mode])`` tuples are
+    accepted).
+    """
+    if backend == "simnet" and data_plane != "threaded":
+        raise KascadeError(
+            "simnet is a discrete-event simulator; data_plane selects a "
+            "real-I/O engine and only applies to local/procs backends")
+    if plan.stripe_count > 1 and source_kind not in (
+            None, SourceKind.SEEKABLE_FILE):
+        raise KascadeError(
+            f"stripes={plan.stripe_count} needs a seekable source on local "
+            "and simnet, whose stripes read it at interleaved offsets "
+            f"(source kind is {source_kind.name}): give a file, or run on "
+            "procs or daemon, which spool the source first")
+    faults = tuple(c if isinstance(c, CrashPlan) else CrashPlan(*c)
+                   for c in crashes)
+    targets = [c.node for c in faults]
+    twice = sorted({n for n in targets if targets.count(n) > 1})
+    if twice:
+        raise KascadeError(f"more than one crash plan for: {twice}")
+    timed = sorted(c.node for c in faults if c.at_time is not None)
+    if timed and backend != "simnet":
+        raise KascadeError(
+            f"crash plans at_time for {timed}: a time-triggered fault "
+            "needs the simulator's clock (backend='simnet'); give "
+            "after_bytes instead")
+    if fleet is not None:
+        for name in (*plan.nodes, *late_join):
+            if name not in fleet:
+                raise KascadeError(f"{name!r} is not a fleet member "
+                                   f"(fleet: {sorted(fleet)})")
+        overlap = set(late_join) & set(plan.nodes)
+        if overlap:
+            raise KascadeError("late joiners must not be in the session "
+                               f"already: {sorted(overlap)}")
+        if late_join and not cache_bytes:
+            raise KascadeError(
+                "late joiners pull from their peers' chunk caches: the "
+                "fleet needs cache_bytes > 0")
+    if plan.head in targets and not allow_head_chaos:
+        raise head_chaos_refusal(plan.head)
+    if allow_head_chaos:
+        check_head_failover(plan.stripe_count, data_plane, source_kind)
+    stray = set(targets) - set(plan.nodes) - set(late_join)
+    if stray:
+        outside = stray & set(fleet or ())
+        if outside:
+            raise KascadeError(
+                "crash plans target fleet members outside this session: "
+                f"{sorted(outside)} (session nodes: "
+                f"{sorted((*plan.nodes, *late_join))})")
+        raise KascadeError(f"crash plans for unknown nodes: {sorted(stray)}")
+    if (output_template is not None and "{node}" not in output_template
+            and len(plan.receivers) + len(late_join) > 1):
+        raise KascadeError(
+            "output_template needs a {node} placeholder for >1 receiver")
+    return faults

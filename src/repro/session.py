@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 from .core.config import DEFAULT_CONFIG, KascadeConfig
 from .core.errors import KascadeError
 from .core.plan import ChainPlan
-from .core.recovery import SourceKind
 from .core.sources import Source
 from .core.tracing import NULL_TRACER, TraceCollector
 from .runtime.result import BroadcastResult, CrashPlan, NodeOutcome  # noqa: F401
@@ -45,8 +44,8 @@ from .runtime.result import BroadcastResult, CrashPlan, NodeOutcome  # noqa: F40
 if TYPE_CHECKING:
     from .core.sinks import Sink
 
-__all__ = ["BACKENDS", "BACKEND_CATALOGUE", "STRIPE_CATALOGUE",
-           "BroadcastSession", "TraceSpec", "run_broadcast"]
+__all__ = ["BACKENDS", "BACKEND_CATALOGUE", "BroadcastSession", "TraceSpec",
+           "run_broadcast"]
 
 #: What the ``trace`` argument accepts.
 TraceSpec = Union[None, bool, TraceCollector, str, os.PathLike]
@@ -68,26 +67,6 @@ def _unknown_backend(backend: str) -> KascadeError:
     lines = [f"unknown backend {backend!r}; known backends:"]
     lines += [f"  {name:<7} {desc}" for name, desc in
               BACKEND_CATALOGUE.items()]
-    return KascadeError("\n".join(lines))
-
-
-#: How each backend realises ``stripes > 1`` — rendered into the error
-#: when a requested combination cannot be honored (same catalogue UX as
-#: :func:`_unknown_backend`).
-STRIPE_CATALOGUE = {
-    "local": "k in-process chains; needs a seekable-file source",
-    "procs": "k listeners per agent; any source (the head spools it)",
-    "daemon": "k per-session listeners per fleet agent; any source",
-    "simnet": "k simulated channels; needs a seekable-file source",
-}
-
-
-def _stripes_unsupported(backend: str, stripes: int,
-                         reason: str) -> KascadeError:
-    lines = [f"backend {backend!r} cannot run stripes={stripes}: {reason}; "
-             f"stripe support by backend:"]
-    lines += [f"  {name:<7} {desc}" for name, desc in
-              STRIPE_CATALOGUE.items()]
     return KascadeError("\n".join(lines))
 
 
@@ -126,10 +105,16 @@ class BroadcastSession:
     ``plan`` supplies a pre-built :class:`~repro.core.plan.ChainPlan`
     (who feeds whom, per stripe) instead of having the backend derive
     one from ``order`` and ``config.stripes``; the executed plan is
-    returned on ``result.plan`` either way.  Striped sessions
-    (``config.stripes > 1`` or a multi-stripe plan) on the local and
-    simnet backends need a seekable-file source — the stripe views read
-    the stream at k interleaved offsets (see :data:`STRIPE_CATALOGUE`).
+    returned on ``result.plan`` either way.
+
+    ``crashes`` take :class:`~repro.runtime.CrashPlan` (or ``(node,
+    after_bytes[, mode])`` tuples), the same on every backend: an
+    in-loop gate on ``local`` and ``simnet``, a real signal on
+    ``procs`` and ``daemon`` (``"close"`` → SIGKILL, ``"silent"`` →
+    SIGSTOP); ``CrashPlan(at_time=…)`` runs on ``simnet`` only.  What a
+    run may not ask — a striped session on a source that cannot seek,
+    a fault on an un-opted head, … — is refused by one function,
+    :func:`repro.runtime.result.check_run`, before anything starts.
 
     Backend-specific keyword options:
 
@@ -137,9 +122,8 @@ class BroadcastSession:
       ``allow_head_chaos`` (accept a crash plan for the head: the most
       complete survivor is promoted); ``simnet`` also takes ``bandwidth``
       (bytes/s per link, default 125e6), ``latency`` (seconds per hop,
-      default 1e-4), ``sim_horizon`` (simulated-seconds cap, default
-      3600) and :class:`~repro.protosim.ProtoCrash` among ``crashes``
-      (``at_time`` kills);
+      default 1e-4) and ``sim_horizon`` (simulated-seconds cap, default
+      3600);
     * ``procs`` and ``daemon`` (one session on a fleet of agent
       processes; the same options, the same code): the fleet launch —
       ``window``, ``spawn_retries``, ``startup_timeout``, ``backoff``,
@@ -151,9 +135,8 @@ class BroadcastSession:
       ``session_name``; see
       :class:`repro.deploy.ProcBroadcast`.  ``server=`` submits into a
       started :class:`repro.daemon.DaemonServer` instead of launching.
-      ``crashes`` become real signals (``"close"`` → SIGKILL,
-      ``"silent"`` → SIGSTOP) and ``sink_factory`` is rejected (sinks
-      cannot cross process boundaries; use ``output_template``).
+      ``sink_factory`` is rejected (sinks cannot cross process
+      boundaries; use ``output_template``).
     """
 
     def __init__(
@@ -182,19 +165,6 @@ class BroadcastSession:
         if stripes is not None and stripes != config.stripes:
             # Same convenience for ``run_broadcast(..., stripes=4)``.
             config = config.with_(stripes=stripes)
-        if backend == "simnet" and config.data_plane != "threaded":
-            raise KascadeError(
-                "simnet is a discrete-event simulator; data_plane selects a "
-                "real-I/O engine and only applies to local/procs backends"
-            )
-        stripes = plan.stripe_count if plan is not None else config.stripes
-        if stripes > 1 and backend in ("local", "simnet") \
-                and source.kind is not SourceKind.SEEKABLE_FILE:
-            raise _stripes_unsupported(
-                backend, stripes,
-                f"splitting a {type(source).__name__} into stripes needs "
-                f"random access (source.kind is {source.kind.name})"
-            )
         self.backend = backend
         self.source = source
         self.receivers = tuple(receivers)
@@ -227,6 +197,7 @@ class BroadcastSession:
         run = dict(
             sink_factory=self.sink_factory, config=self.config,
             head=self.head, order=self.order, plan=self.plan,
+            crashes=self.crashes,
             allow_head_chaos=bool(opts.pop("allow_head_chaos", False)),
         )
         if self.backend == "local":
@@ -237,19 +208,16 @@ class BroadcastSession:
             from .runtime.cluster import LocalBroadcast
 
             return LocalBroadcast(
-                self.source, self.receivers, tracer=self.tracer,
-                crashes=[self._as_crash_plan(c) for c in self.crashes], **run,
+                self.source, self.receivers, tracer=self.tracer, **run,
             ).run(timeout=timeout)
-        from .protosim.broadcast import ProtoBroadcast, ProtoCrash
+        from .protosim.broadcast import ProtoBroadcast
 
         sim_horizon = opts.pop("sim_horizon", 3600.0)
         unknown = set(opts) - {"bandwidth", "latency"}
         if unknown:
             raise KascadeError(f"unknown simnet options: {sorted(unknown)}")
         return ProtoBroadcast(
-            self.source, self.receivers,
-            crashes=[c if isinstance(c, ProtoCrash) else self._as_crash_plan(c)
-                     for c in self.crashes], **run, **opts,
+            self.source, self.receivers, **run, **opts,
         ).run(sim_horizon=sim_horizon, tracer=self.tracer)
 
     #: Keyword options of the process backends: what configures the
@@ -284,7 +252,7 @@ class BroadcastSession:
             order=self.order,
             plan=self.plan,
             output_template=opts.pop("output_template", None),
-            chaos=[self._as_chaos_plan(c) for c in self.crashes],
+            crashes=self.crashes,
             late_join=tuple(
                 lj if isinstance(lj, LateJoin) else LateJoin(lj[0], int(lj[1]))
                 for lj in opts.pop("late_join", ())),
@@ -308,32 +276,6 @@ class BroadcastSession:
             self.source, self.receivers, config=self.config, head=self.head,
             tracer=self.tracer, backend=self.backend, **session, **opts,
         ).run(timeout=timeout)
-
-    # -- crash-plan coercion --------------------------------------------
-
-    @staticmethod
-    def _as_crash_plan(crash) -> CrashPlan:
-        if isinstance(crash, CrashPlan):
-            return crash
-        # Duck-type ProtoCrash and plain tuples for convenience.
-        if hasattr(crash, "after_bytes"):
-            if crash.after_bytes is None:
-                raise KascadeError(
-                    "local backend supports byte-triggered crashes only"
-                )
-            return CrashPlan(crash.node, crash.after_bytes, crash.mode)
-        node, after_bytes, *rest = crash
-        return CrashPlan(node, after_bytes, *(rest or ["close"]))
-
-    def _as_chaos_plan(self, crash):
-        """Process backends (procs, daemon) inject crashes as real signals."""
-        from .deploy.chaos import MODE_TO_SIGNAL, ChaosPlan
-
-        if isinstance(crash, ChaosPlan):
-            return crash
-        plan = self._as_crash_plan(crash)  # normalizes tuples too
-        return ChaosPlan(plan.node, after_bytes=plan.after_bytes,
-                         sig=MODE_TO_SIGNAL[plan.mode])
 
     def _refuse_sink_factory(self) -> None:
         if self.sink_factory is not None:

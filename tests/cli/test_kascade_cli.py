@@ -13,12 +13,12 @@ from repro.runtime.transport import Address
 class TestParseChaos:
     def test_node_and_size(self):
         (plan,) = parse_chaos(["n3:1MiB"])
-        assert (plan.node, plan.after_bytes, plan.sig) == ("n3", 1 << 20,
-                                                           "kill")
+        assert (plan.node, plan.after_bytes, plan.mode) == ("n3", 1 << 20,
+                                                            "close")
 
     def test_explicit_signal(self):
         (plan,) = parse_chaos(["n3:64KiB:stop"])
-        assert plan.sig == "stop"
+        assert plan.mode == "silent"
 
     def test_head_role_resolves_to_the_head_node(self):
         (plan,) = parse_chaos(["head:4MiB"], head="n1")

@@ -20,7 +20,7 @@ from repro.core.sources import FileSource
 from repro.core.sinks import HashingSink
 from repro.core.sources import BytesSource
 from repro.daemon import DaemonServer, LateJoin
-from repro.deploy.chaos import ChaosPlan
+from repro.runtime import CrashPlan
 
 FAST = KascadeConfig(
     chunk_size=64 * 1024,
@@ -179,7 +179,7 @@ class TestChaos:
             result = server.submit(
                 FileSource(path), ["n2"],
                 late_join=[LateJoin("n3", after_bytes=128 * 1024)],
-                chaos=[ChaosPlan("n3", after_bytes=256 * 1024)],
+                crashes=[CrashPlan("n3", 256 * 1024)],
                 timeout=60.0)
         expected = hashlib.sha256(payload).hexdigest()
         assert result.ok  # the death was planned, so it is excused
@@ -197,11 +197,11 @@ class TestChaos:
         with pytest.raises(KascadeError,
                            match="fleet members outside this session"):
             fleet.submit(FileSource(path), ["n2"],
-                         chaos=[ChaosPlan("n4", after_bytes=0)],
+                         crashes=[CrashPlan("n4", 0)],
                          timeout=30.0)
         with pytest.raises(KascadeError, match="unknown nodes"):
             fleet.submit(FileSource(path), ["n2"],
-                         chaos=[ChaosPlan("n9", after_bytes=0)],
+                         crashes=[CrashPlan("n9", 0)],
                          timeout=30.0)
 
 

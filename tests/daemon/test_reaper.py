@@ -128,7 +128,7 @@ def test_shutdown_does_not_wait_out_its_grace_on_a_stopped_member(tmp_path):
     chaos stopped it, so the fleet knows: it is ``SIGKILL``ed at once
     (the one signal that works on a stopped child) and only the healthy
     members are drained — the whole grace is never sat out."""
-    from repro.deploy.chaos import ChaosPlan
+    from repro.runtime import CrashPlan
 
     grace = 5.0
     trace = TraceCollector()
@@ -141,7 +141,7 @@ def test_shutdown_does_not_wait_out_its_grace_on_a_stopped_member(tmp_path):
         try:
             result = server.submit(
                 PatternSource(2 << 20), ["n2", "n3"],
-                chaos=[ChaosPlan("n3", after_bytes=256 * 1024, sig="stop")],
+                crashes=[CrashPlan("n3", 256 * 1024, "silent")],
                 trace=trace, timeout=60.0)
             assert result.ok and not result.outcomes["n3"].ok, {
                 n: o.error for n, o in result.outcomes.items()}

@@ -1,79 +1,96 @@
-"""Unit tests for the real-signal chaos engine (injected kill_fn)."""
+"""Unit tests for the real-signal chaos engine (injected kill_fn), and
+for the one validation of the faults it is given."""
 
 import signal
 
 import pytest
 
 from repro.core.errors import KascadeError
-from repro.deploy.chaos import MODE_TO_SIGNAL, SIGNALS, ChaosEngine, ChaosPlan
+from repro.core.plan import ChainPlan
+from repro.deploy.chaos import SIGNALS, ChaosEngine
+from repro.runtime.result import CrashPlan, check_run
 
 
-class TestChaosPlan:
+def fault(node, after_bytes=0, mode="close"):
+    """A fault as the engine takes it: byte-triggered, SIGKILL by default."""
+    return CrashPlan(node, after_bytes, mode)
+
+
+class TestCrashPlan:
+    """What the engine fires is a :class:`CrashPlan`, the fault every
+    backend takes."""
+
     def test_defaults(self):
-        plan = ChaosPlan("n3")
-        assert plan.after_bytes == 0
-        assert plan.sig == "kill"
+        plan = CrashPlan("n3", 0)
+        assert plan.after_bytes == 0 and plan.at_time is None
+        assert plan.mode == "close"
 
     def test_unknown_signal_rejected(self):
-        with pytest.raises(KascadeError, match="unknown chaos signal"):
-            ChaosPlan("n3", sig="term")
+        with pytest.raises(ValueError, match="unknown crash mode"):
+            CrashPlan("n3", 0, "term")
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(KascadeError, match="after_bytes"):
-            ChaosPlan("n3", after_bytes=-1)
+        with pytest.raises(ValueError, match="after_bytes"):
+            CrashPlan("n3", -1)
 
     def test_signal_map_is_real(self):
-        assert SIGNALS["kill"] == signal.SIGKILL
-        assert SIGNALS["stop"] == signal.SIGSTOP
+        assert SIGNALS["close"] == signal.SIGKILL
+        assert SIGNALS["silent"] == signal.SIGSTOP
 
     def test_crash_modes_map_onto_signals(self):
         # "close" (process death) -> SIGKILL, "silent" (hang) -> SIGSTOP:
-        # the thread runtime's crash vocabulary carries over 1:1.
-        assert MODE_TO_SIGNAL == {"close": "kill", "silent": "stop"}
-        assert set(MODE_TO_SIGNAL.values()) <= set(SIGNALS)
+        # every crash mode has its signal, in one map.
+        assert set(SIGNALS) == {"close", "silent"}
+        for mode in SIGNALS:
+            CrashPlan("n3", 0, mode)
 
 
 class TestChaosEngine:
     def test_fires_once_at_threshold(self):
         sent = []
-        engine = ChaosEngine([ChaosPlan("n3", after_bytes=100, sig="kill")],
+        engine = ChaosEngine([fault("n3", after_bytes=100, mode="close")],
                              kill_fn=lambda pid, sig: sent.append((pid, sig)))
         assert engine.on_progress("n3", 50, pid=42) is None
-        assert engine.on_progress("n3", 100, pid=42) == "kill"
+        assert engine.on_progress("n3", 100, pid=42) == "close"
         assert engine.on_progress("n3", 200, pid=42) is None  # once only
         assert sent == [(42, signal.SIGKILL)]
         assert "n3" in engine.fired
 
     def test_threshold_is_a_floor_not_exact(self):
         sent = []
-        engine = ChaosEngine([ChaosPlan("n3", after_bytes=100, sig="stop")],
+        engine = ChaosEngine([fault("n3", after_bytes=100, mode="silent")],
                              kill_fn=lambda pid, sig: sent.append(sig))
-        assert engine.on_progress("n3", 5000, pid=1) == "stop"
+        assert engine.on_progress("n3", 5000, pid=1) == "silent"
         assert sent == [signal.SIGSTOP]
 
     def test_untargeted_nodes_untouched(self):
         sent = []
-        engine = ChaosEngine([ChaosPlan("n3")],
+        engine = ChaosEngine([fault("n3")],
                              kill_fn=lambda pid, sig: sent.append(sig))
         assert engine.on_progress("n2", 1 << 30, pid=1) is None
         assert sent == []
 
     def test_duplicate_plans_rejected(self):
-        with pytest.raises(KascadeError, match="multiple chaos plans"):
-            ChaosEngine([ChaosPlan("n3"), ChaosPlan("n3", after_bytes=5)])
+        """The engine keys on the node: two plans for one are refused
+        before it is built, by the validation every backend shares."""
+        plan = ChainPlan.from_orders("n1", [["n2", "n3"]])
+        with pytest.raises(KascadeError,
+                           match=r"more than one crash plan for: \['n3'\]"):
+            check_run(plan, [fault("n3"), fault("n3", after_bytes=5)],
+                      backend="procs", data_plane="threaded")
 
     def test_dead_pid_still_counts_as_fired(self):
         def kill_dead(pid, sig):
             raise ProcessLookupError(pid)
 
-        engine = ChaosEngine([ChaosPlan("n3")], kill_fn=kill_dead)
+        engine = ChaosEngine([fault("n3")], kill_fn=kill_dead)
         # The node died on its own first; the plan must not crash the
         # coordinator and must still count for ok-accounting.
-        assert engine.on_progress("n3", 10, pid=99999) == "kill"
+        assert engine.on_progress("n3", 10, pid=99999) == "close"
         assert "n3" in engine.fired
 
     def test_targets_span_pending_and_fired(self):
-        engine = ChaosEngine([ChaosPlan("n2"), ChaosPlan("n3")],
+        engine = ChaosEngine([fault("n2"), fault("n3")],
                              kill_fn=lambda pid, sig: None)
         assert engine.targets() == {"n2", "n3"}
         engine.on_progress("n2", 0, pid=1)
@@ -85,7 +102,7 @@ class TestExternalTargets:
 
     def test_external_fires_on_anyones_progress(self):
         sent = []
-        engine = ChaosEngine([ChaosPlan("n1", after_bytes=100, sig="kill")],
+        engine = ChaosEngine([fault("n1", after_bytes=100, mode="close")],
                              kill_fn=lambda pid, sig: sent.append((pid, sig)))
         engine.register_external("n1", 4242)
         # The head never appears in the feed; a receiver's progress
@@ -101,16 +118,16 @@ class TestExternalTargets:
     def test_reporter_and_external_can_fire_on_one_report(self):
         sent = []
         engine = ChaosEngine(
-            [ChaosPlan("n1", after_bytes=10, sig="kill"),
-             ChaosPlan("n2", after_bytes=10, sig="stop")],
+            [fault("n1", after_bytes=10, mode="close"),
+             fault("n2", after_bytes=10, mode="silent")],
             kill_fn=lambda pid, sig: sent.append((pid, sig)))
         engine.register_external("n1", 9000)
-        assert engine.on_progress("n2", 64, pid=70) == "stop"
+        assert engine.on_progress("n2", 64, pid=70) == "silent"
         assert sorted(sent) == [(70, signal.SIGSTOP), (9000, signal.SIGKILL)]
 
     def test_unregistered_external_never_fires(self):
         sent = []
-        engine = ChaosEngine([ChaosPlan("n1", after_bytes=0)],
+        engine = ChaosEngine([fault("n1", after_bytes=0)],
                              kill_fn=lambda pid, sig: sent.append(sig))
         engine.on_progress("n2", 1 << 20, pid=1)
         assert sent == []
@@ -118,37 +135,38 @@ class TestExternalTargets:
 
 
 class TestValidate:
+    """Fault targets, judged by :func:`check_run` against the session."""
+
+    PLAN = ChainPlan.from_orders("n1", [["n2", "n3"]])
+
+    def check(self, *faults, **fleet):
+        return check_run(self.PLAN, faults, backend="daemon",
+                         data_plane="threaded", **fleet)
+
     def test_targets_inside_the_plan_pass(self):
-        engine = ChaosEngine([ChaosPlan("n2")], kill_fn=lambda p, s: None)
-        engine.validate(["n2", "n3"])  # no raise
+        assert self.check(("n2", 0)) == (fault("n2"),)  # no raise
 
     def test_unknown_node_is_the_generic_error(self):
-        engine = ChaosEngine([ChaosPlan("n9")], kill_fn=lambda p, s: None)
         with pytest.raises(KascadeError, match="unknown nodes.*n9"):
-            engine.validate(["n2", "n3"])
+            self.check(fault("n9"))
 
     def test_fleet_member_outside_the_session_is_its_own_error(self):
         """The daemon's case: 'n4' exists in the fleet but not in this
         session — the error must say so, not claim the node is unknown."""
-        engine = ChaosEngine([ChaosPlan("n4")], kill_fn=lambda p, s: None)
         with pytest.raises(KascadeError,
                            match="fleet members outside this session.*n4"):
-            engine.validate(["n2", "n3"], known=["n1", "n2", "n3", "n4"],
-                            what="session")
-        # Same engine, target truly unknown even to the fleet:
-        stranger = ChaosEngine([ChaosPlan("n9")], kill_fn=lambda p, s: None)
+            self.check(fault("n4"), fleet=["n1", "n2", "n3", "n4"])
+        # A target truly unknown even to the fleet:
         with pytest.raises(KascadeError, match="unknown nodes"):
-            stranger.validate(["n2"], known=["n1", "n2"], what="session")
+            self.check(fault("n9"), fleet=["n1", "n2", "n3"])
 
     def test_allow_widens_for_opted_in_backends(self):
-        """The head is killable only when the backend passes it in
-        ``allow`` — head failover is an opt-in, not a default."""
-        engine = ChaosEngine([ChaosPlan("n1")], kill_fn=lambda p, s: None)
-        with pytest.raises(KascadeError, match="unknown nodes"):
-            engine.validate(["n2", "n3"])
-        engine.validate(["n2", "n3"], allow=["n1"])  # no raise
-        # An allow widens by the names it lists, and no further.
-        both = ChaosEngine([ChaosPlan("n1"), ChaosPlan("n9")],
-                           kill_fn=lambda p, s: None)
+        """The head is a target only when the run opted in — head
+        failover is an opt-in, not a default — and the opt-in widens by
+        the head, no further."""
+        with pytest.raises(KascadeError, match="allow_head_chaos=True"):
+            self.check(fault("n1"))
+        self.check(fault("n1"), allow_head_chaos=True)  # no raise
         with pytest.raises(KascadeError, match="n9"):
-            both.validate(["n2", "n3"], allow=["n1"])
+            self.check(fault("n1"), fault("n9"),
+                       allow_head_chaos=True)

@@ -3,7 +3,8 @@ through the same session code as a *one-shot* (a fleet launched for it
 and shut down after) and as a *submit* into a fleet that is already up.
 
 Each cell either reaches digest parity or is refused by the one
-validation (`DaemonServer.admit`) with one message, and every safety
+validation (`runtime.result.check_run`, which `DaemonServer.admit`
+calls) with one message, and every safety
 property the two former supervisors had between them is named by a test
 here: launch-failure re-plan before the first payload byte, `proc-exit`
 vs heartbeat-silence detection, a SHA-256 digest in every status,
@@ -35,6 +36,7 @@ from repro.core.tracing import (
 )
 from repro.daemon import DaemonServer, LateJoin
 from repro.deploy.coordinator import Coordinator
+from tests.refusals import REFUSALS, refusal
 
 FAST = KascadeConfig(
     chunk_size=64 * 1024,
@@ -286,41 +288,32 @@ class TestEveryCellEitherWay:
         assert by_op == {"session_start": {True}, "resume": {True}}
 
     def test_refusals_come_from_one_validation(self, mode):
-        """What a session cannot have is refused before anything runs,
-        with the same message whichever way it was asked for — and an
-        un-opted head kill in the very words the in-process driver
-        uses."""
-        source = PatternSource(64 * 1024)
-        two_stripes = ChainPlan.from_orders("n1", [["n2", "n3"],
-                                                   ["n3", "n2"]])
-        head_kill = dict(crashes=[("n1", 0, "close")])
-        asked = [   # (the message, the session)
-            ("allow_head_chaos", head_kill),
-            ("unknown nodes", dict(crashes=[("n9", 0, "close")])),
-            ("placeholder", dict(output_template="/tmp/same-file.out")),
-            ("cache_bytes > 0", dict(late_join=[("n4", 0)])),
-            ("1-stripe", dict(allow_head_chaos=True, plan=two_stripes)),
-        ]
+        """What a session cannot have is refused before anything runs —
+        no agent spawned, no session opened — by the one validation,
+        in the very words every other backend that can be asked uses
+        (the table: ``tests/refusals.py``)."""
         said = {}
-
-        def refused(needle, **kwargs):
-            with pytest.raises(KascadeError, match=needle) as raised:
-                run_broadcast(source, ["n2", "n3"], backend="procs",
-                              **kwargs)
-            said[needle] = str(raised.value)
-
         if mode == "oneshot":
-            for needle, session in asked:
-                refused(needle, config=FAST, **FLEET, **session)
+            for name, row in REFUSALS.items():
+                if "procs" in row.backends:
+                    said[name] = refusal("procs", row, config=FAST, **FLEET)
         else:
             with DaemonServer(["n1", "n2", "n3", "n4"], config=FAST,
-                              cache_bytes=0, **FLEET) as server:
-                for needle, session in asked:
-                    refused(needle, server=server, **session)
+                              cache_bytes=0, **FLEET) as server, \
+                    DaemonServer(["n1", "n2", "n3"],
+                                 config=FAST.with_(data_plane="evloop"),
+                                 cache_bytes=0, **FLEET) as evloop:
+                for name, row in REFUSALS.items():
+                    if "daemon" in row.backends:
+                        on = (evloop if row.ask.get("data_plane") == "evloop"
+                              else server)
+                        said[name] = refusal("daemon", row, server=on)
                 assert server.sessions_completed == 0
+                assert evloop.sessions_completed == 0
         assert live_children() == []
-        with pytest.raises(KascadeError) as local:
-            run_broadcast(source, ["n2", "n3"], backend="local",
-                          config=FAST, **head_kill)
-        assert said["allow_head_chaos"] == str(local.value)
-
+        assert said
+        for name, words in said.items():
+            for backend in REFUSALS[name].backends:
+                if backend in ("local", "simnet"):
+                    assert refusal(backend, REFUSALS[name],
+                                   config=FAST) == words, name

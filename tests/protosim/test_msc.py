@@ -13,10 +13,10 @@ from repro.core import (
 )
 from repro.protosim import (
     ProtoBroadcast,
-    ProtoCrash,
     collapse_data_runs,
     render_msc,
 )
+from repro.runtime import CrashPlan
 
 CFG = KascadeConfig(
     chunk_size=64 * 1024, buffer_chunks=8,
@@ -81,7 +81,7 @@ class TestRender:
     def test_failure_chart_shows_reconnection(self):
         bc = ProtoBroadcast(
             PatternSource(512 * 1024, seed=1), ["n2", "n3"], config=CFG,
-            crashes=[ProtoCrash("n2", after_bytes=128 * 1024)],
+            crashes=[CrashPlan("n2", after_bytes=128 * 1024)],
         )
         result = bc.run(trace=True)
         assert result.ok

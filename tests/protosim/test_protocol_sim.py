@@ -19,7 +19,8 @@ from repro.core import (
     PatternSource,
     StreamSource,
 )
-from repro.protosim import ProtoBroadcast, ProtoCrash
+from repro.protosim import ProtoBroadcast
+from repro.runtime import CrashPlan
 
 CFG = KascadeConfig(
     chunk_size=64 * 1024, buffer_chunks=8,
@@ -85,7 +86,7 @@ class TestCrashRecovery:
         # A reset connection needs no timeout: recovery is sub-second.
         result, sinks = run(
             ["n2", "n3", "n4"],
-            crashes=(ProtoCrash("n3", after_bytes=SIZE // 3),),
+            crashes=(CrashPlan("n3", after_bytes=SIZE // 3),),
         )
         assert result.ok
         assert result.report.failed_nodes == ["n3"]
@@ -97,7 +98,7 @@ class TestCrashRecovery:
         clean, _ = run(["n2", "n3", "n4"])
         silent, sinks = run(
             ["n2", "n3", "n4"],
-            crashes=(ProtoCrash("n3", after_bytes=SIZE // 3,
+            crashes=(CrashPlan("n3", after_bytes=SIZE // 3,
                                 mode="silent"),),
         )
         assert silent.ok
@@ -109,7 +110,7 @@ class TestCrashRecovery:
     def test_crash_at_exact_first_byte(self):
         result, sinks = run(
             ["n2", "n3", "n4"],
-            crashes=(ProtoCrash("n2", after_bytes=CFG.chunk_size),),
+            crashes=(CrashPlan("n2", after_bytes=CFG.chunk_size),),
         )
         assert result.ok
         assert result.report.failed_nodes == ["n2"]
@@ -118,7 +119,7 @@ class TestCrashRecovery:
     def test_tail_crash(self):
         result, sinks = run(
             ["n2", "n3", "n4"],
-            crashes=(ProtoCrash("n4", after_bytes=SIZE // 2),),
+            crashes=(CrashPlan("n4", after_bytes=SIZE // 2),),
         )
         assert result.ok
         assert result.report.failed_nodes == ["n4"]
@@ -127,8 +128,8 @@ class TestCrashRecovery:
     def test_adjacent_crashes(self):
         result, sinks = run(
             [f"n{i}" for i in range(2, 8)],
-            crashes=(ProtoCrash("n4", after_bytes=SIZE // 4),
-                     ProtoCrash("n5", after_bytes=SIZE // 4)),
+            crashes=(CrashPlan("n4", after_bytes=SIZE // 4),
+                     CrashPlan("n5", after_bytes=SIZE // 4)),
         )
         assert result.ok
         assert set(result.report.failed_nodes) == {"n4", "n5"}
@@ -142,7 +143,7 @@ class TestCrashRecovery:
         config = CFG.with_(buffer_chunks=1)
         result, sinks = run(
             ["n2", "n3", "n4"], config=config,
-            crashes=(ProtoCrash("n3", after_bytes=SIZE // 2,
+            crashes=(CrashPlan("n3", after_bytes=SIZE // 2,
                                 mode="silent"),),
         )
         assert result.ok, result.node_errors
@@ -164,7 +165,7 @@ class TestStreamSourceAbort:
         bc = ProtoBroadcast(
             StreamSource(io.BytesIO(data)), ["n2", "n3", "n4"],
             sink_factory=factory, config=config,
-            crashes=(ProtoCrash("n3", after_bytes=SIZE // 2,
+            crashes=(CrashPlan("n3", after_bytes=SIZE // 2,
                                 mode="silent"),),
         )
         result = bc.run()
@@ -193,7 +194,7 @@ class TestFuzz:
             max_size=n_crashes, unique=True,
         ))
         crashes = tuple(
-            ProtoCrash(
+            CrashPlan(
                 v,
                 after_bytes=data.draw(
                     st.integers(min_value=1, max_value=SIZE)),
@@ -214,9 +215,9 @@ class TestFuzz:
         as n4 sends it and stops listening, so n3's ping is refused
         while PASSED is still on the wire.  A refused ping defers to the
         data connection, which delivers it: n4..n6 are not failures."""
-        crashes = (ProtoCrash("n7", after_bytes=1, mode="silent"),
-                   ProtoCrash("n8", after_bytes=1, mode="close"),
-                   ProtoCrash("n2", after_bytes=1, mode="close"))
+        crashes = (CrashPlan("n7", after_bytes=1, mode="silent"),
+                   CrashPlan("n8", after_bytes=1, mode="close"),
+                   CrashPlan("n2", after_bytes=1, mode="close"))
         result, _ = run([f"n{i}" for i in range(2, 9)], crashes=crashes)
         assert result.ok
         assert sorted(result.report.failed_nodes) == ["n2", "n7", "n8"]
@@ -243,7 +244,7 @@ class TestTimeBasedCrashes:
         clean, _ = run(["n2", "n3", "n4"])
         result, sinks = run(
             ["n2", "n3", "n4"],
-            crashes=(ProtoCrash("n3", at_time=clean.sim_time / 2),),
+            crashes=(CrashPlan("n3", at_time=clean.sim_time / 2),),
         )
         assert result.ok
         assert result.report.failed_nodes == ["n3"]
@@ -253,7 +254,7 @@ class TestTimeBasedCrashes:
         clean, _ = run(["n2", "n3"])
         result, _ = run(
             ["n2", "n3"],
-            crashes=(ProtoCrash("n3", at_time=clean.sim_time + 5.0),),
+            crashes=(CrashPlan("n3", at_time=clean.sim_time + 5.0),),
         )
         # The node was already done: nothing fails, nothing hangs.
         assert result.node_ok["n2"]
@@ -261,8 +262,8 @@ class TestTimeBasedCrashes:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ProtoCrash("n2")
+            CrashPlan("n2")
         with pytest.raises(ValueError):
-            ProtoCrash("n2", after_bytes=1, at_time=1.0)
+            CrashPlan("n2", after_bytes=1, at_time=1.0)
         with pytest.raises(ValueError):
-            ProtoCrash("n2", after_bytes=1, mode="explode")
+            CrashPlan("n2", after_bytes=1, mode="explode")

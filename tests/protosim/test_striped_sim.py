@@ -16,7 +16,8 @@ is checked, free of host-CPU noise.  Under test:
 import hashlib
 
 from repro.core import HashingSink, KascadeConfig, PatternSource
-from repro.protosim import ProtoBroadcast, ProtoCrash
+from repro.protosim import ProtoBroadcast
+from repro.runtime import CrashPlan
 
 CFG = KascadeConfig(
     chunk_size=64 * 1024, buffer_chunks=8,
@@ -74,7 +75,7 @@ class TestStripedDelivery:
 class TestStripedFailures:
     def test_host_crash_takes_down_every_stripe(self):
         result, sinks = run(
-            4, crashes=(ProtoCrash("n3", after_bytes=SIZE // 3),))
+            4, crashes=(CrashPlan("n3", after_bytes=SIZE // 3),))
         assert result.ok
         assert [n for n, ok in result.node_ok.items() if not ok] == ["n3"]
         assert "n3" in result.crashed
@@ -88,7 +89,7 @@ class TestStripedFailures:
 
     def test_silent_crash_recovers_on_every_stripe(self):
         result, sinks = run(
-            2, crashes=(ProtoCrash("n4", after_bytes=SIZE // 2,
+            2, crashes=(CrashPlan("n4", after_bytes=SIZE // 2,
                                    mode="silent"),))
         assert result.ok
         assert [n for n, ok in result.node_ok.items() if not ok] == ["n4"]

@@ -27,7 +27,8 @@ import pytest
 
 from repro.core import HashingSink, KascadeConfig, PatternSource
 from repro.core.tracing import TraceCollector
-from repro.protosim import ProtoBroadcast, ProtoCrash
+from repro.protosim import ProtoBroadcast
+from repro.runtime import CrashPlan
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_kernel_parity.json")
 
@@ -113,11 +114,11 @@ def _run_fluid(*, topology="switch", n=12, failures=(), size=256e6):
 SCENARIOS = {
     "chain_clean": lambda: _run_proto(),
     "chain_crash_close": lambda: _run_proto(
-        crashes=[ProtoCrash("n3", after_bytes=768 * 1024)]),
+        crashes=[CrashPlan("n3", after_bytes=768 * 1024)]),
     "chain_crash_silent": lambda: _run_proto(
-        crashes=[ProtoCrash("n3", after_bytes=768 * 1024, mode="silent")]),
+        crashes=[CrashPlan("n3", after_bytes=768 * 1024, mode="silent")]),
     "chain_crash_at_time": lambda: _run_proto(
-        crashes=[ProtoCrash("n4", at_time=0.008)]),
+        crashes=[CrashPlan("n4", at_time=0.008)]),
     "striped_k2": lambda: _run_proto(
         seed=5, config=CFG.with_(stripes=2)),
     "fluid_chain_failover": lambda: _run_fluid(

@@ -28,6 +28,8 @@ from repro import run_broadcast
 from repro.core import (BufferSink, FileSource, KascadeConfig, KascadeError,
                         PatternSource, StreamSource)
 from repro.core.tracing import ELECTION, FAILOVER, FORGET
+from tests import refusals
+from tests.refusals import REFUSALS
 
 CFG = KascadeConfig(
     chunk_size=16 * 1024, buffer_chunks=8,
@@ -263,7 +265,8 @@ def test_the_fleet_tells_the_same_head_loss_story(name, tmp_path):
 def test_a_head_crash_is_refused_in_one_sentence():
     """Without ``allow_head_chaos``, and where a re-root cannot work,
     both drivers refuse through the one validation — never as an
-    "unknown node" or an "unknown option"."""
+    "unknown node" or an "unknown option" — and so they do every
+    refusal of the table both can be asked (``tests/refusals.py``)."""
     def refusal(driver, **kwargs):
         with pytest.raises(KascadeError) as refused:
             run_broadcast(PatternSource(SIZE), chain(2), backend=driver,
@@ -279,6 +282,28 @@ def test_a_head_crash_is_refused_in_one_sentence():
     assert "allow_head_chaos=True" in refusal("simnet")
     assert "1-stripe" in refusal("simnet", allow_head_chaos=True,
                                  config=striped)
+    for name, row in REFUSALS.items():
+        said = {driver: refusals.refusal(driver, row, config=CFG)
+                for driver in DRIVERS if driver in row.backends}
+        assert len(set(said.values())) <= 1, (name, said)
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, row in REFUSALS.items()
+    if set(row.backends) & set(DRIVERS)))
+def test_a_driver_built_directly_refuses_what_run_broadcast_refuses(name):
+    """``LocalBroadcast`` and ``ProtoBroadcast`` validate in their own
+    constructor — nothing is checked only on the ``run_broadcast`` path
+    (a direct driver once ran a duplicate or an ``at_time`` fault
+    clean, dropping it)."""
+    from repro.protosim import ProtoBroadcast
+    from repro.runtime import LocalBroadcast
+
+    row = REFUSALS[name]
+    for driver, cls in zip(DRIVERS, (LocalBroadcast, ProtoBroadcast)):
+        if driver in row.backends:
+            assert refusals.driver_refusal(cls, row, CFG) == \
+                refusals.refusal(driver, row, config=CFG)
 
 
 @pytest.mark.parametrize("driver", DRIVERS)

@@ -175,27 +175,25 @@ class TestStripeValidation:
 
     @pytest.mark.parametrize("backend", ["local", "simnet"])
     def test_unstripeable_source_rejected_with_catalogue(self, backend):
-        """A non-seekable source cannot be striped in place; the error
-        names the backend and renders the per-backend support table."""
+        """A non-seekable source cannot be striped in place; the one
+        refusal says where striping works, every backend named —
+        including the ones that *would* take it (procs and daemon spool
+        the stream to a file first)."""
         with pytest.raises(KascadeError) as exc:
-            BroadcastSession(
-                self._stream_source(), ["n2", "n3"], backend=backend,
-                config=FAST, stripes=2)
+            run_broadcast(self._stream_source(), ["n2", "n3"],
+                          backend=backend, config=FAST, stripes=2)
         text = str(exc.value)
-        assert f"backend {backend!r} cannot run stripes=2" in text
-        assert "stripe support by backend" in text
-        # Every backend appears in the catalogue, including the one that
-        # *would* work (procs spools the stream to a file first).
-        for name in ("local", "procs", "simnet"):
+        assert text.startswith("stripes=2 needs a seekable source")
+        for name in ("local", "simnet", "procs", "daemon"):
             assert name in text
 
     def test_multi_stripe_plan_triggers_same_validation(self):
         from repro.core.plan import ChainPlan
 
         plan = ChainPlan.build("n1", ("n2", "n3"), stripes=2, order="given")
-        with pytest.raises(KascadeError, match="stripe support by backend"):
-            BroadcastSession(self._stream_source(), ["n2", "n3"],
-                             config=FAST, plan=plan)
+        with pytest.raises(KascadeError, match="needs a seekable source"):
+            run_broadcast(self._stream_source(), ["n2", "n3"],
+                          config=FAST, plan=plan)
 
     @pytest.mark.parametrize("backend", ["local", "simnet"])
     def test_prebuilt_plan_rides_through_to_the_result(self, backend):

@@ -10,12 +10,17 @@ watermark.
 import pytest
 
 from repro import run_broadcast
-from repro.core import KascadeError, PatternSource, SourceKind
+from repro.core import KascadeConfig, KascadeError, PatternSource, SourceKind
 from repro.core.plan import ChainPlan
 from repro.core.sinks import BufferSink, NullSink
 from repro.core.stripes import StripeSource
 from repro.core.tracing import ELECTION, TraceCollector
-from repro.runtime import HostChains, LocalBroadcast, check_head_failover
+from repro.runtime import (
+    CrashPlan,
+    HostChains,
+    LocalBroadcast,
+    check_head_failover,
+)
 from repro.runtime.evloop import HAS_SPLICE
 from repro.runtime.registry import Registry
 from repro.runtime.transport import Listener
@@ -215,3 +220,18 @@ class TestOneRefusal:
     def test_a_survivable_run_passes(self):
         check_head_failover(1, "threaded", SourceKind.SEEKABLE_FILE)
         check_head_failover(1, "threaded")     # no source to judge (procs)
+
+    def test_every_backend_says_it_the_same_way(self):
+        """local and procs both refuse through the one validator."""
+        from repro.deploy import ProcBroadcast
+
+        source = PatternSource(1 << 16)
+        evloop = KascadeConfig(data_plane="evloop")
+        head_crash = [CrashPlan("n1", 0)]
+        with pytest.raises(KascadeError) as local:
+            LocalBroadcast(source, ["n2"], config=evloop,
+                           crashes=head_crash, allow_head_chaos=True)
+        with pytest.raises(KascadeError) as procs:
+            ProcBroadcast(source, ["n2"], config=evloop,
+                          crashes=head_crash, allow_head_chaos=True)
+        assert str(local.value) == str(procs.value)

@@ -1,33 +1,13 @@
 """Simulated broadcast methods: Kascade and the baselines the paper
 compares against (TakTuk chain/tree, UDPCast, MPI broadcast)."""
 
-from .base import BroadcastMethod, MethodResult, RunState, SimSetup
-from .kascade_sim import KascadeSim, SlowNodeExcluded, SlowNodePolicy
-from .related import BitTorrentSwarm, DollyChain
-from .trees import (
-    MpiEthernet,
-    MpiInfiniband,
-    TakTukChain,
-    TakTukTree,
-    TreeBroadcast,
-)
-from .udpcast import UdpcastSim, UdpcastUnidirectional
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BroadcastMethod",
-    "MethodResult",
-    "SimSetup",
-    "RunState",
-    "KascadeSim",
-    "SlowNodePolicy",
-    "SlowNodeExcluded",
-    "BitTorrentSwarm",
-    "DollyChain",
-    "TreeBroadcast",
-    "TakTukChain",
-    "TakTukTree",
-    "MpiEthernet",
-    "MpiInfiniband",
-    "UdpcastSim",
-    "UdpcastUnidirectional",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "base": ("BroadcastMethod", "MethodResult", "SimSetup", "RunState"),
+    "kascade_sim": ("KascadeSim", "SlowNodePolicy", "SlowNodeExcluded"),
+    "related": ("BitTorrentSwarm", "DollyChain"),
+    "trees": ("TreeBroadcast", "TakTukChain", "TakTukTree", "MpiEthernet",
+              "MpiInfiniband"),
+    "udpcast": ("UdpcastSim", "UdpcastUnidirectional"),
+})

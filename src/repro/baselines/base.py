@@ -31,15 +31,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import KascadeError
 from ..core.units import mbps
 from ..launch import InstantLauncher, Launcher
 from ..simnet import Engine, Fabric
 from ..topology.graph import DiskSpec, Network
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -192,6 +193,8 @@ class BroadcastMethod:
         self._apply_host_model(setup)
         self.run_goodput = 1.0
         if setup.rng is not None and self.goodput_jitter > 0:
+            import numpy as np
+
             # Draw once per run: goodput moves together across hops.
             self.run_goodput = float(
                 np.exp(setup.rng.normal(0.0, self.goodput_jitter))
@@ -273,6 +276,8 @@ class BroadcastMethod:
         factor = 1.0
         disk_factor = 1.0
         if rng is not None:
+            import numpy as np
+
             if self.jitter > 0:
                 factor = float(np.exp(rng.normal(0.0, self.jitter)))
             # Disk throughput varies mildly run to run (cache state,

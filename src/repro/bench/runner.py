@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, List, Sequence
 
 from ..baselines.base import BroadcastMethod, MethodResult, SimSetup
 from ..core.units import mbps
 from .stats import ConfidenceInterval, t_confidence
 
+if TYPE_CHECKING:
+    import numpy as np
+
 #: Builds a fresh setup for one repetition.  A *fresh* topology matters:
 #: methods stamp their host model onto it.
-SetupFactory = Callable[[np.random.Generator], SimSetup]
+SetupFactory = Callable[["np.random.Generator"], SimSetup]
 
 
 @dataclass
@@ -56,6 +57,8 @@ class ExperimentRunner:
         x: object,
     ) -> Measurement:
         """Measure one experiment point."""
+        import numpy as np
+
         results: List[MethodResult] = []
         # crc32, not hash(): str hashing is salted per process and would
         # make "deterministic given base_seed" a lie across invocations.

@@ -10,9 +10,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-from scipy import stats as sps
-
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
@@ -41,6 +38,9 @@ def t_confidence(values: Sequence[float], level: float = 0.95) -> ConfidenceInte
     A single sample yields a zero-width interval (no variance estimate),
     matching how a single repetition would be plotted.
     """
+    import numpy as np
+    from scipy import stats as sps
+
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError("no values")

@@ -18,8 +18,6 @@ from typing import List
 
 import os
 
-from ..bench import FIGURES, ascii_plot, fig12_site_map, to_csv, to_json
-
 _METHODS = None
 
 
@@ -56,6 +54,8 @@ _DESCRIPTIONS = {
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
+    from ..bench import FIGURES
+
     print("Reproducible figures (paper: Martin et al., HPDIC/IPDPS 2014):")
     for key in sorted(FIGURES):
         print(f"  {key}: {_DESCRIPTIONS[key]}")
@@ -64,6 +64,8 @@ def cmd_list(_args: argparse.Namespace) -> int:
 
 
 def cmd_map(_args: argparse.Namespace) -> int:
+    from ..bench import fig12_site_map
+
     print(fig12_site_map())
     return 0
 
@@ -72,6 +74,8 @@ def _run_one(key: str, quick: bool, reps: int | None,
              plot: bool = False, csv_dir: str | None = None,
              json_dir: str | None = None,
              cache_dir: str | None = None) -> None:
+    from ..bench import FIGURES, ascii_plot, to_csv, to_json
+
     store = None
     if cache_dir is not None:
         from ..bench.store import FigureStore
@@ -112,6 +116,8 @@ def _run_one(key: str, quick: bool, reps: int | None,
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from ..bench import FIGURES
+
     for key in args.figures:
         if key not in FIGURES:
             raise SystemExit(
@@ -130,6 +136,8 @@ _EXTENSIONS = {"fig07_10x"}
 
 
 def cmd_all(args: argparse.Namespace) -> int:
+    from ..bench import FIGURES, fig12_site_map
+
     print(fig12_site_map())
     print()
     for key in sorted(set(FIGURES) - _EXTENSIONS):

@@ -38,6 +38,7 @@ from ..core.perfstats import get_stats
 from ..core.sinks import FileSink, NullSink, Sink
 from ..core.tracing import TraceCollector
 from ..deploy.agent import DigestSink
+from ..runtime.registry import dial
 
 #: How long a late joiner keeps retrying a chunk no peer has *yet*
 #: before each re-ask (the push chain is still filling peer caches).
@@ -231,7 +232,7 @@ def pull_catch_up(
             return conns[i]
         host, port = peers[i]
         try:
-            conn = socket.create_connection((host, port), timeout=5.0)
+            conn = dial(host, port, 5.0)
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             return None

@@ -56,6 +56,7 @@ import threading
 from typing import TYPE_CHECKING, Optional
 
 from ..core.errors import KascadeError
+from ..runtime.registry import dial
 
 if TYPE_CHECKING:
     from ..core.config import KascadeConfig
@@ -171,7 +172,7 @@ class ControlChannel:
 def connect_control(host: str, port: int, timeout: float) -> ControlChannel:
     """Dial the coordinator's control port (agent side)."""
     try:
-        sock = socket.create_connection((host, port), timeout=timeout)
+        sock = dial(host, port, timeout)
     except OSError as exc:
         raise DeployError(f"coordinator {host}:{port} unreachable: {exc}")
     return ControlChannel(sock)

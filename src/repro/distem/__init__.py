@@ -1,20 +1,10 @@
 """Distem-like virtual platform: node folding and failure injection
 (the evaluation environment of §IV-G / Fig. 15)."""
 
-from .emulator import (
-    DistemPlatform,
-    FailureScenario,
-    SEQUENTIAL_SCENARIOS,
-    SIMULTANEOUS_SCENARIOS,
-    build_distem_platform,
-    paper_scenarios,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DistemPlatform",
-    "FailureScenario",
-    "build_distem_platform",
-    "paper_scenarios",
-    "SIMULTANEOUS_SCENARIOS",
-    "SEQUENTIAL_SCENARIOS",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "emulator": ("DistemPlatform", "FailureScenario", "build_distem_platform",
+                 "paper_scenarios", "SIMULTANEOUS_SCENARIOS",
+                 "SEQUENTIAL_SCENARIOS"),
+})

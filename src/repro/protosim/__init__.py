@@ -18,18 +18,11 @@ tier                      substrate                   what it is for
 ========================  ==========================  ====================
 """
 
-from .broadcast import ProtoBroadcast, ProtoResult
-from .fuzz import FuzzCase, FuzzReport, generate_case, run_campaign, run_case
-from .msc import collapse_data_runs, render_msc
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ProtoBroadcast",
-    "ProtoResult",
-    "render_msc",
-    "collapse_data_runs",
-    "FuzzCase",
-    "FuzzReport",
-    "generate_case",
-    "run_case",
-    "run_campaign",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "broadcast": ("ProtoBroadcast", "ProtoResult"),
+    "msc": ("render_msc", "collapse_data_runs"),
+    "fuzz": ("FuzzCase", "FuzzReport", "generate_case", "run_case",
+             "run_campaign"),
+})

@@ -9,6 +9,7 @@ to all targets before the transfer, §III-B).
 
 from __future__ import annotations
 
+import socket
 from typing import Dict, Iterable, Mapping, Tuple
 
 from ..core.errors import PipelineError
@@ -27,6 +28,16 @@ class Address(Frozen):
 
     def as_tuple(self) -> Tuple[str, int]:
         return (self.host, self.port)
+
+
+def dial(host: str, port: int, timeout: float) -> socket.socket:
+    """``socket.create_connection`` for the agent's dials (control, chain
+    and pull).  An ASCII host goes to ``getaddrinfo`` as bytes: a ``str``
+    takes it through the ``idna`` codec, which imports
+    ``encodings.idna``, ``stringprep`` and ``unicodedata`` on a process's
+    first dial."""
+    return socket.create_connection(
+        (host.encode() if host.isascii() else host, port), timeout=timeout)
 
 
 class Registry:

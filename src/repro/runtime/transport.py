@@ -56,7 +56,7 @@ from ..core.framing import (
 )
 from ..core.messages import Message
 from ..core.perfstats import PerfStats, get_stats
-from .registry import Address
+from .registry import Address, dial
 
 #: Max buffers handed to one ``sendmsg`` call — comfortably below any
 #: platform IOV_MAX (1024 on Linux).
@@ -455,7 +455,7 @@ def connect(
     preamble is accepted.
     """
     try:
-        sock = socket.create_connection(addr.as_tuple(), timeout=timeout)
+        sock = dial(addr.host, addr.port, timeout)
     except OSError as exc:
         raise NodeFailedError(f"{addr.host}:{addr.port}",
                               f"connect failed: {exc}") from exc

@@ -6,41 +6,14 @@ max–min fair bandwidth allocator with chain-coupled streams that model
 store-and-forward pipelines.
 """
 
-from .engine import Engine, Event, Interrupted, Process, Timeout
-from .fabric import (
-    Fabric,
-    FixedSupply,
-    HostDied,
-    Stream,
-    StreamCancelled,
-    StreamSupply,
-    Supply,
-)
-from .flows import FlowSpec, MaxMinProblem, solve_max_min
-from .nodes import HeadRx, NodeRx
-from .trace import FabricTracer, StreamTrace
-from .validation import chunk_pipeline_completion, chunk_pipeline_times
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Engine",
-    "Event",
-    "Process",
-    "Timeout",
-    "Interrupted",
-    "Fabric",
-    "Stream",
-    "Supply",
-    "FixedSupply",
-    "StreamSupply",
-    "HostDied",
-    "StreamCancelled",
-    "FlowSpec",
-    "MaxMinProblem",
-    "solve_max_min",
-    "NodeRx",
-    "FabricTracer",
-    "StreamTrace",
-    "chunk_pipeline_completion",
-    "chunk_pipeline_times",
-    "HeadRx",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "engine": ("Engine", "Event", "Process", "Timeout", "Interrupted"),
+    "fabric": ("Fabric", "Stream", "Supply", "FixedSupply", "StreamSupply",
+               "HostDied", "StreamCancelled"),
+    "flows": ("FlowSpec", "MaxMinProblem", "solve_max_min"),
+    "nodes": ("NodeRx", "HeadRx"),
+    "trace": ("FabricTracer", "StreamTrace"),
+    "validation": ("chunk_pipeline_completion", "chunk_pipeline_times"),
+})

@@ -1,52 +1,16 @@
 """Network topologies of the paper's evaluation platforms: fat trees,
 single/two-switch clusters, and the Grid'5000 multi-site WAN."""
 
-from .builders import (
-    LAN_LATENCY,
-    build_fat_tree,
-    build_single_switch,
-    build_two_switch,
-)
-from .graph import DiskSpec, Host, Link, Network
-from .ordering import (
-    OrderAudit,
-    audit_order,
-    chain_plan_by_attachment,
-    crossing_count,
-    order_by_attachment,
-)
-from .serialize import load_network, network_from_json, network_to_json, parse_rate
-from .multisite import (
-    ALL_SITES,
-    HOME_SITE,
-    SITE_ORDER,
-    build_multisite,
-    experiment_chain,
-    link_usage,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Network",
-    "Host",
-    "Link",
-    "DiskSpec",
-    "build_fat_tree",
-    "build_single_switch",
-    "build_two_switch",
-    "build_multisite",
-    "experiment_chain",
-    "link_usage",
-    "LAN_LATENCY",
-    "order_by_attachment",
-    "chain_plan_by_attachment",
-    "crossing_count",
-    "audit_order",
-    "OrderAudit",
-    "network_from_json",
-    "network_to_json",
-    "load_network",
-    "parse_rate",
-    "ALL_SITES",
-    "HOME_SITE",
-    "SITE_ORDER",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "graph": ("Network", "Host", "Link", "DiskSpec"),
+    "builders": ("build_fat_tree", "build_single_switch", "build_two_switch",
+                 "LAN_LATENCY"),
+    "multisite": ("build_multisite", "experiment_chain", "link_usage",
+                  "ALL_SITES", "HOME_SITE", "SITE_ORDER"),
+    "ordering": ("order_by_attachment", "chain_plan_by_attachment",
+                 "crossing_count", "audit_order", "OrderAudit"),
+    "serialize": ("network_from_json", "network_to_json", "load_network",
+                  "parse_rate"),
+})

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from ..core.errors import SimulationError
 from ..core.units import GIGABIT
 
@@ -75,6 +73,8 @@ class Network:
     """
 
     def __init__(self, name: str = "net") -> None:
+        import networkx as nx
+
         self.name = name
         self.hosts: Dict[str, Host] = {}
         self.switches: set[str] = set()
@@ -142,6 +142,8 @@ class Network:
         cached = self._route_cache.get(key)
         if cached is not None:
             return cached
+        import networkx as nx
+
         try:
             path = nx.shortest_path(self._graph, src, dst, weight="weight")
         except (nx.NetworkXNoPath, nx.NodeNotFound):

@@ -1,6 +1,8 @@
 """Tests for the ``kascade`` command-line interface."""
 
 import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -333,6 +335,23 @@ class TestSimCli:
         from repro.cli.kascade_sim import main as sim_main
         assert sim_main(["map"]) == 0
         assert "lyon-paris" in capsys.readouterr().out
+
+    def test_list_and_map_load_the_figures_on_first_use(self):
+        """The module imports ``repro.bench`` in the figure commands, not
+        at its top: from a fresh interpreter, ``list`` still prints every
+        figure and ``map`` still draws the sites."""
+        probe = ("import sys\n"
+                 "from repro.cli.kascade_sim import main\n"
+                 "assert 'repro.bench' not in sys.modules\n"
+                 "assert main(['list']) == 0 and main(['map']) == 0\n")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        from repro.bench import FIGURES
+
+        missing = [k for k in FIGURES if f"  {k}: " not in proc.stdout]
+        assert not missing, proc.stdout
+        assert "lyon-paris" in proc.stdout
 
     def test_unknown_figure(self):
         from repro.cli.kascade_sim import main as sim_main

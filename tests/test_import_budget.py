@@ -55,7 +55,35 @@ from repro import run_broadcast
 from repro.core.sources import BytesSource
 assert run_broadcast(BytesSource(b"x" * 5000), ["n2", "n3"]).ok
 """,
+    # The same run on the protocol-exact DES: the engine on simulated
+    # channels, no fluid fabric under it.
+    "simulated_run": """
+from repro import run_broadcast
+from repro.core.sources import BytesSource
+assert run_broadcast(BytesSource(b"x" * 5000), ["n2", "n3"],
+                     backend="simnet").ok
+""",
+    "sim_proto_cli": """
+from repro.cli.kascade_sim import main
+assert main(["proto", "--size", "64KB"]) == 0
+""",
+    # A figure point: the fluid model under the figure runner, which is
+    # what the numeric libraries are for (see test_a_figure_loads_them).
+    "fluid_figure": """
+from repro.baselines import KascadeSim, SimSetup
+from repro.bench import ExperimentRunner
+from repro.topology import build_fat_tree
+
+point = ExperimentRunner(repetitions=2).measure(
+    KascadeSim, lambda rng: SimSetup(
+        build_fat_tree(8), "node-1",
+        tuple(f"node-{i}" for i in range(2, 9)), 64e6), x=8)
+assert point.ci.mean > 0
+""",
 }
+
+#: The roles that run a simulator on purpose.
+SIMULATORS = ("simulated_run", "sim_proto_cli", "fluid_figure")
 
 CONTROL_SIDE = ("repro.deploy.coordinator", "repro.deploy.launcher",
                 "repro.deploy.chaos", "repro.session", "repro.daemon.server",
@@ -67,11 +95,25 @@ DATA_PLANE = ("repro.runtime.node", "repro.runtime.links",
               "repro.core.engine", "repro.core.framing", "repro.core.stages",
               "repro.core.stripes", "repro.core.cache")
 
-#: What no agent imports: ``site`` (it is started with ``-S``) and the
-#: ``dataclasses`` chain (its records are plain classes, DESIGN.md §6).
+#: What ``getaddrinfo`` imports when it is given a ``str`` host, and
+#: an agent's dial does not.
+IDNA = ("encodings.idna", "stringprep", "unicodedata")
+
+#: What no agent imports: ``site`` (it is started with ``-S``), the
+#: ``dataclasses`` chain (its records are plain classes, DESIGN.md §6)
+#: and the codec chain of :data:`IDNA` (it dials with bytes).
 #: ``tokenize`` is not on the list: ``logging`` still brings it
 #: (``traceback`` → ``linecache``).
-NOT_IN_AN_AGENT = ("site", "dataclasses", "inspect", "dis", "ast")
+NOT_IN_AN_AGENT = ("site", "dataclasses", "inspect", "dis", "ast") + IDNA
+
+#: What only a fluid model or a figure computes with.
+NUMERIC = ("numpy", "networkx", "scipy")
+
+#: What the protocol-exact DES runs without: the fluid fabric, the
+#: topologies it routes over, the simulated methods and the figures.
+NOT_IN_THE_DES = NUMERIC + ("repro.topology", "repro.baselines",
+                            "repro.bench", "repro.simnet.fabric",
+                            "repro.simnet.flows")
 
 #: What no supervisor imports: the data plane runs in its agents, and it
 #: re-roots a chain without a replicated log.
@@ -79,17 +121,21 @@ NOT_IN_A_SUPERVISOR = DATA_PLANE + ("repro.deploy.agent", "repro.control")
 
 #: role -> (prefixes that must be absent, most ``repro`` modules allowed).
 BUDGET = {
-    "help": (("repro.runtime", "repro.deploy", "repro.session",
-              "repro.simnet", "repro.daemon", "repro.control",
-              "repro.baselines"), 9),
-    "agent": (CONTROL_SIDE + ("repro.daemon", "repro.core.cache",
-                              "dataclasses", "inspect"), 34),
-    "cached_agent": (CONTROL_SIDE + ("dataclasses", "inspect"), 37),
-    "supervisor": (NOT_IN_A_SUPERVISOR, 25),
-    "daemon_server": (NOT_IN_A_SUPERVISOR, 25),
+    "help": (NUMERIC + ("repro.runtime", "repro.deploy", "repro.session",
+                        "repro.simnet", "repro.daemon", "repro.control",
+                        "repro.baselines"), 9),
+    "agent": (NUMERIC + IDNA + CONTROL_SIDE + (
+        "repro.daemon", "repro.core.cache", "dataclasses", "inspect"), 34),
+    "cached_agent": (NUMERIC + IDNA + CONTROL_SIDE + ("dataclasses",
+                                                      "inspect"), 37),
+    "supervisor": (NUMERIC + NOT_IN_A_SUPERVISOR, 25),
+    "daemon_server": (NUMERIC + NOT_IN_A_SUPERVISOR, 25),
     # + ``repro.daemon``, the one parent package ``find_spec`` touches
     # that this probe had not imported (a real supervisor has).
-    "supervisor_with_program": (NOT_IN_A_SUPERVISOR, 26),
+    "supervisor_with_program": (NUMERIC + NOT_IN_A_SUPERVISOR, 26),
+    "local_run": (NUMERIC, 31),
+    "simulated_run": (NOT_IN_THE_DES, 37),
+    "sim_proto_cli": (NOT_IN_THE_DES, 39),
 }
 
 
@@ -140,7 +186,7 @@ def test_the_program_is_what_an_agent_loads(loaded, role, cached):
         f"ships {sorted(shipped - ours)} unused")
 
 
-@pytest.mark.parametrize("role", sorted(PROBES))
+@pytest.mark.parametrize("role", sorted(set(PROBES) - set(SIMULATORS)))
 def test_only_the_simulator_loads_a_simulator(loaded, role):
     """The protocol engine lives in ``repro.core`` so that running it
     on sockets compiles no DES: ``repro.simnet`` and ``repro.protosim``
@@ -150,6 +196,14 @@ def test_only_the_simulator_loads_a_simulator(loaded, role):
     assert not strays, f"{role} loaded {strays}"
     if role in ("agent", "cached_agent", "local_run"):
         assert "repro.core.engine" in loaded[role]
+
+
+def test_a_figure_loads_them(loaded):
+    """The numeric libraries are deferred to where they compute, not
+    dropped: a figure point routes with ``networkx``, draws its jitter
+    with ``numpy`` and sizes its interval with ``scipy``."""
+    missing = [m for m in NUMERIC if m not in loaded["fluid_figure"]]
+    assert not missing, f"a fluid figure point never imported {missing}"
 
 
 # ----------------------------------------------------------------------

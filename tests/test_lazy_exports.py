@@ -8,7 +8,9 @@ import sys
 import pytest
 
 LAZY_PACKAGES = ["repro", "repro.core", "repro.runtime", "repro.deploy",
-                 "repro.daemon", "repro.control"]
+                 "repro.daemon", "repro.control", "repro.simnet",
+                 "repro.protosim", "repro.topology", "repro.baselines",
+                 "repro.bench", "repro.launch", "repro.distem"]
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)

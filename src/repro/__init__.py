@@ -31,7 +31,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "core.report": ("TransferReport", "FailureRecord"),
     "core.errors": ("KascadeError",),
     "core.tracing": ("TraceCollector", "TraceEvent"),
-    "runtime.result": ("BroadcastResult", "CrashPlan"),
+    "runtime.result": ("BroadcastResult", "CrashPlan", "LateJoin"),
     "session": ("BACKENDS", "BroadcastSession", "run_broadcast"),
 })
 __all__.append("__version__")

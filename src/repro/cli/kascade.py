@@ -564,7 +564,7 @@ def _agent_args(agent: argparse.ArgumentParser) -> None:
                        help=argparse.SUPPRESS)  # test hook: exit before registering
     agent.add_argument("--cache-bytes", type=int, default=0,
                        help="byte budget for the cross-session chunk cache "
-                            "(0 = no cache, no pull server)")
+                            "(0 = no cache)")
 
 
 def _serve_args(serve: argparse.ArgumentParser) -> None:
@@ -608,9 +608,10 @@ def _submit_args(submit: argparse.ArgumentParser) -> None:
                              "(default: whole fleet minus the head)")
     submit.add_argument("--late-join", action="append", default=None,
                         metavar="NODE:BYTES",
-                        help="register NODE into the session once the push "
-                             "moved BYTES; it pulls the missing prefix from "
-                             "cache-warm peers; repeatable")
+                        help="let NODE into the session once the push "
+                             "moved BYTES (or once it ended): it gets a chain "
+                             "of its own from the head, or a replay of its "
+                             "cache if that holds the payload; repeatable")
     submit.add_argument("--session", default=None,
                         help="session name (default: server-assigned)")
     submit.add_argument("--run-timeout", type=float, default=600.0)

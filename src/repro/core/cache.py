@@ -2,9 +2,8 @@
 
 A long-lived fleet agent (:mod:`repro.daemon`) serves many broadcast
 sessions from one process.  Different sessions frequently carry the
-*same* artifact — a repeated release push, a late joiner catching up on
-a stream its peers already hold — and resending every byte down the
-chain is pure waste.  This module is the local store that turns those
+*same* artifact — a repeated release push, a late joiner that already
+holds it — and resending every byte down the chain is pure waste.  This module is the local store that turns those
 repeats into cache traffic:
 
 * entries are keyed by **content**, ``(artifact digest, chunk index)``,
@@ -15,8 +14,8 @@ repeats into cache traffic:
   are pooled and recycled (the PR 1 ring-retention ownership rules) —
   a by-reference entry would alias a buffer the ring is free to reuse.
   Pinning is therefore about *eviction*, not borrowing: a pinned
-  artifact (one mid-serve to a late joiner, say) cannot be evicted from
-  under its reader;
+  artifact (one mid-replay, say) cannot be evicted from under its
+  reader;
 * eviction is byte-bounded LRU over unpinned entries.  ``max_bytes`` is
   a hard ceiling; a chunk larger than the whole budget is simply not
   cached (never an error — the cache is an optimisation, missing it
@@ -86,7 +85,7 @@ class ChunkCache:
     """Bounded, thread-safe, content-addressed chunk store.
 
     Thread-safe because one fleet agent runs many concurrent session
-    workers plus a pull-phase server, all hitting the same cache.
+    workers, all hitting the same cache.
 
     Parameters
     ----------
@@ -212,23 +211,11 @@ class ChunkCache:
             have = self._by_artifact.get(digest)
             return have is not None and len(have) == chunks
 
-    def contiguous_chunks(self, digest: str) -> int:
-        """Length of the cached prefix ``[0, n)`` — the pull phase's
-        catch-up frontier."""
-        with self._lock:
-            have = self._by_artifact.get(digest)
-            if not have:
-                return 0
-            n = 0
-            while n in have:
-                n += 1
-            return n
-
     # -- pinning ---------------------------------------------------------
 
     def pin_artifact(self, digest: str) -> None:
         """Exempt every chunk of ``digest`` from eviction (e.g. while a
-        late joiner streams it).  Pins nest as a set, not a count —
+        session replays it).  Pins nest as a set, not a count —
         idempotent."""
         with self._lock:
             self._pinned.add(digest)
@@ -249,8 +236,8 @@ class CacheTapSink:
     in global order, slices it on chunk boundaries, and inserts each
     complete chunk under ``(artifact.digest, index)`` — counted as a
     cache miss: it had to come over the wire — making this node
-    cache-warm for repeat broadcasts and pull-phase peers *while the
-    push is still in flight*.  Pass-through is unconditional: caching
+    cache-warm for repeat broadcasts *while the push is still in
+    flight*.  Pass-through is unconditional: caching
     never changes what reaches the inner sink.
     """
 

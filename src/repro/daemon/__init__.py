@@ -3,9 +3,10 @@ concurrent named sessions over one windowed launch.
 
 The one-shot backends pay process launch per broadcast; the daemon pays
 it once.  :class:`DaemonServer` owns the fleet and multiplexes sessions
-(push chains, cache-served re-broadcasts, late-joiner pull catch-up);
-:class:`DaemonClient` talks to a ``kascade serve`` over its submit
-socket; :class:`LateJoin` names a node that enters a session mid-flight.
+(push chains, cache-served re-broadcasts, late joiners on a chain of
+their own); :class:`DaemonClient` talks to a ``kascade serve`` over its
+submit socket; :class:`LateJoin` (:mod:`repro.runtime`'s, re-exported)
+names a node that enters a session mid-flight.
 
     with DaemonServer(["n1", "n2", "n3"]) as server:
         cold = server.submit(FileSource(path))   # push chain

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.errors import KascadeError
 from ..core.sources import FileSource
-from .server import DaemonServer, LateJoin
+from .server import DaemonServer
 
 
 def _result_summary(result) -> dict:
@@ -121,8 +121,7 @@ def _dispatch(server: DaemonServer, req: dict,
         return {"ok": True}
     if cmd == "submit":
         try:
-            late = [LateJoin(str(n), int(b))
-                    for n, b in req.get("late_join") or []]
+            late = [(str(n), int(b)) for n, b in req.get("late_join") or []]
             result = server.submit(
                 FileSource(str(req["source"])),
                 req.get("receivers"),

@@ -10,7 +10,7 @@ of one session.  A submit into a warm fleet carries ``launch=None`` on
 its :class:`~repro.runtime.BroadcastResult` because no process was
 launched for it.
 
-A session runs in three phases, any of which may be empty:
+A session runs in two phases, either of which may be empty:
 
 1. **Warm partition** — on a fleet with a chunk cache, the
    ``session_open`` acks carry each agent's content-addressed cache
@@ -23,15 +23,16 @@ A session runs in three phases, any of which may be empty:
    without the members that never launched, have died since, or were
    served from cache.  When the session opted in (``allow_head_chaos``),
    a head that dies mid-push is re-rooted instead of fatal.
-3. **Pull** — late joiners (registered mid-session via
-   :class:`LateJoin`) catch up on the already-broadcast prefix by
-   PGETting chunks from cache-warm peers' pull servers while the push
-   continues undisturbed.
+
+Late joiners (:class:`LateJoin`) are let in once the push has moved
+``after_bytes``, or once it is over: those let in together are a
+session of their own on the same fleet and the same spooled file — one
+chain from the head, or a cache replay for a joiner that holds every
+chunk — whose outcomes and trace fold into the session that let them in.
 
 What a fleet does follows from what it was given: with
 ``cache_bytes == 0`` there is no artifact identity (no hash pass over
-the source), no cache tap and no pull server — so no warm partition and
-no pull phase either.
+the source) and no cache tap — so no warm partition either.
 
 What a session may ask is decided by the one validation of every
 backend (:func:`repro.runtime.result.check_run`, called by
@@ -75,20 +76,16 @@ from ..deploy.coordinator import (
 )
 from ..deploy.launcher import LaunchReport, WindowedLauncher, agent_spawner
 from ..deploy.protocol import wiring_to_wire
-from ..runtime.result import BroadcastResult, NodeOutcome, check_run
+from ..runtime.result import (
+    BroadcastResult,
+    LateJoin,
+    NodeOutcome,
+    check_run,
+    late_joins,
+)
 
 if TYPE_CHECKING:
     from ..core.cache import ArtifactMeta
-
-
-@dataclass(frozen=True)
-class LateJoin:
-    """Register ``node`` into a running session once the push has moved
-    ``after_bytes`` — the node then *pulls* the missing prefix from
-    cache-warm peers instead of restarting the broadcast."""
-
-    node: str
-    after_bytes: int = 0
 
 
 @dataclass
@@ -109,6 +106,13 @@ class _Session:
     #: A dead head is re-rooted (once) instead of failing the session.
     failover: bool
     pending_joins: List[LateJoin]
+    #: The spooled file the head streams (a join session's head too).
+    source_path: Optional[str] = None
+    #: The join sessions let in, and the results of those that are over
+    #: (``None`` for one that raised).
+    joins: List[threading.Thread] = field(default_factory=list)
+    join_results: List[Optional[BroadcastResult]] = field(
+        default_factory=list)
     cond: threading.Condition = field(default_factory=threading.Condition)
     acks: Dict[str, dict] = field(default_factory=dict)
     #: node -> its per-session data ports, one per stripe (from the ack;
@@ -119,12 +123,11 @@ class _Session:
     progress: Dict[str, int] = field(default_factory=dict)
     #: node -> its ``failover_ready`` reply while a re-root is in flight.
     failover_ready: Dict[str, dict] = field(default_factory=dict)
-    #: Names a final status is expected from (grows as joiners trigger).
+    #: Names a final status is expected from.
     expected: set = field(default_factory=set)
     #: The push participants (head + cold receivers) — "push done" means
     #: all of these resolved, which force-triggers any remaining joins.
     push_nodes: set = field(default_factory=set)
-    joined: List[str] = field(default_factory=list)
     #: Members asked for that could not take part (never launched, dead
     #: since, or left without a head to feed them), with the outcome
     #: that says why; ``lost`` holds the failure records of the first two.
@@ -136,9 +139,11 @@ class _Session:
         return name in self.statuses or name in self.dead
 
     def settled(self) -> bool:
-        """Every expected status is in (or its node dead) and the join
-        queue is drained.  Call with ``cond`` held."""
+        """Every expected status is in (or its node dead), the join
+        queue is drained and every join session is over.  Call with
+        ``cond`` held."""
         return (not self.pending_joins
+                and len(self.join_results) == len(self.joins)
                 and all(self.resolved(n) for n in self.expected))
 
     def emit(self, type_: str, detail: str = "", **fields) -> None:
@@ -407,11 +412,11 @@ class DaemonServer:
         if op == "session_status":
             self._maybe_trigger_joins(sess)
 
-    # -- late-joiner triggering ------------------------------------------
+    # -- late joiners -----------------------------------------------------
 
     def _maybe_trigger_joins(self, sess: _Session) -> None:
         with sess.cond:
-            if not sess.pending_joins:
+            if not sess.pending_joins or sess.source_path is None:
                 return
             push_done = all(sess.resolved(n) for n in sess.push_nodes)
             top = max(sess.progress.values(), default=0)
@@ -421,38 +426,39 @@ class DaemonServer:
                 return
             sess.pending_joins = [lj for lj in sess.pending_joins
                                   if lj not in ready]
-        for lj in ready:
-            self._send_join(sess, lj)
+            thread = threading.Thread(
+                target=self._join, args=(sess, [lj.node for lj in ready]),
+                name=f"join-{sess.id}", daemon=True)
+            sess.joins.append(thread)
+        thread.start()
 
-    def _send_join(self, sess: _Session, lj: LateJoin) -> None:
-        # Nearest-cache-warm-first: peers ordered by how much of the
-        # artifact they had at ack time (receivers keep caching as the
-        # push runs, so even a cold-at-ack peer fills in behind us).
-        def warmth(name: str) -> int:
-            return int(sess.acks.get(name, {}).get("cached", 0))
-
-        candidates = [n for n in (*sess.plan.receivers, *sess.joined)
-                      if n not in sess.dead and n != lj.node]
-        peers = []
-        for name in sorted(candidates, key=warmth, reverse=True):
-            agent = self._coordinator.agent(name)
-            if agent is not None:
-                peers.append([agent.address.host, agent.address.port])
-        with sess.cond:
-            sess.expected.add(lj.node)
-            sess.joined.append(lj.node)
-            sess.note(f"late join {lj.node} after {lj.after_bytes} bytes "
-                      f"({len(peers)} pull peers)")
-            sess.cond.notify_all()
-        self._coordinator.send(lj.node, {
-            "op": "session_join",
-            "session": sess.id,
-            "artifact": sess.artifact.to_wire(),
-            "peers": peers,
-            "output": sess.output_for(lj.node),
-            "progress_every": self.progress_every,
-            "run_timeout": max(1.0, sess.deadline - time.monotonic()),
-        })
+    def _join(self, sess: _Session, joiners: List[str]) -> None:
+        """Let ``joiners`` in: a session of their own, on one chain from
+        ``sess``'s head over the same spooled file (a joiner holding
+        every chunk is served from its cache), whose result
+        :meth:`_collect` folds into ``sess``'s."""
+        plan = ChainPlan.single(sess.plan.head, joiners)
+        sess.note(f"late join {', '.join(joiners)}: chain "
+                  + " → ".join(plan.nodes))
+        sub = _Session(
+            id=f"{sess.id}+{','.join(joiners)}", plan=plan,
+            artifact=sess.artifact, chaos=sess.chaos,
+            output_template=sess.output_template, tracer=sess.tracer,
+            wall0=sess.wall0, deadline=sess.deadline, failover=False,
+            pending_joins=[], source_path=sess.source_path)
+        result = None
+        with self._lock:
+            self._sessions[sub.id] = sub
+        try:
+            started = time.monotonic()
+            result = self._run_session(sub, started, sub.deadline - started)
+        finally:
+            with self._lock:
+                self._sessions.pop(sub.id, None)
+                self._suspect |= set(sub.dead)
+            with sess.cond:
+                sess.join_results.append(result)
+                sess.cond.notify_all()
 
     # -- artifact identity -----------------------------------------------
 
@@ -480,7 +486,7 @@ class DaemonServer:
         plan: ChainPlan,
         *,
         crashes: Sequence = (),
-        late_join: Sequence[LateJoin] = (),
+        late_join: Sequence = (),
         output_template: Optional[str] = None,
         allow_head_chaos: bool = False,
     ) -> ChaosEngine:
@@ -492,9 +498,7 @@ class DaemonServer:
             plan, crashes, backend="daemon",
             data_plane=self.config.data_plane,
             allow_head_chaos=allow_head_chaos, fleet=self.fleet,
-            cache_bytes=self.cache_bytes,
-            late_join=tuple(lj.node for lj in late_join),
-            output_template=output_template))
+            late_join=late_join, output_template=output_template))
 
     def submit(
         self,
@@ -506,7 +510,7 @@ class DaemonServer:
         plan: Optional[ChainPlan] = None,
         output_template: Optional[str] = None,
         crashes: Sequence = (),
-        late_join: Sequence[LateJoin] = (),
+        late_join: Sequence = (),
         allow_head_chaos: bool = False,
         session: Optional[str] = None,
         trace=None,
@@ -523,20 +527,23 @@ class DaemonServer:
 
         The session runs ``plan`` when given (its head and receivers
         win), else a chain over ``receivers`` (default: the whole fleet
-        minus ``head``) in ``order``.  Members that never launched or
+        minus ``head`` and the late joiners) in ``order``.  Members that never launched or
         have died since are planned around and fail the result by name.
         ``crashes`` (:class:`~repro.runtime.CrashPlan`) fire as real
         signals; ``allow_head_chaos`` lets them target the head and has
-        the supervisor re-root the chain when it dies.  ``wall0`` is the
-        trace's wall-clock zero (default: now).
+        the supervisor re-root the chain when it dies.  ``late_join``
+        takes :class:`LateJoin` (or ``(node, after_bytes)`` pairs).
+        ``wall0`` is the trace's wall-clock zero (default: now).
         """
         if not self._started or self._closed:
             raise KascadeError("DaemonServer is not running (call start())")
+        late_join = late_joins(late_join)
         if plan is None:
             head = head or self.fleet[0]
             if receivers is None:
+                joiners = {lj.node for lj in late_join}
                 receivers = tuple(n for n in self.launch_report.launched
-                                  if n != head)
+                                  if n != head and n not in joiners)
         else:
             head, receivers = plan.head, plan.receivers
         plan = ChainPlan.resolve(plan, head, receivers,
@@ -579,7 +586,8 @@ class DaemonServer:
                 if self.cache_bytes:
                     sess.artifact = self._artifact_for(
                         path, self.config.chunk_size)
-                result = self._run_session(sess, path, started, timeout)
+                sess.source_path = path
+                result = self._run_session(sess, started, timeout)
             finally:
                 cleanup_source()
         finally:
@@ -625,14 +633,10 @@ class DaemonServer:
         sess.pending_joins = []
         return None
 
-    def _run_session(
-        self,
-        sess: _Session,
-        source_path: str,
-        started: float,
-        timeout: float,
-    ) -> BroadcastResult:
+    def _run_session(self, sess: _Session, started: float,
+                     timeout: float) -> BroadcastResult:
         coordinator = self._coordinator
+        source_path = sess.source_path
         deadline = sess.deadline
         artifact = sess.artifact
         sess.note("open " + (f"artifact={artifact.digest[:12]} "
@@ -724,6 +728,8 @@ class DaemonServer:
                     break
             can_reroot = False  # one re-root per session
             plan = self._orchestrate_failover(sess, plan, source_path) or plan
+        for thread in sess.joins:  # over by the same deadline
+            thread.join()
         return self._collect(sess, plan, started)
 
     def _send_starts(self, sess: _Session, op: str, plan: ChainPlan,
@@ -736,8 +742,7 @@ class DaemonServer:
         # Session listeners are per-session: the ports come from each
         # agent's session_ack, the host from its registration.
         endpoints = {
-            name: (self._coordinator.agent(name).address.host,
-                   sess.ports[name])
+            name: (self._coordinator.agent(name).host, sess.ports[name])
             for name in plan.nodes
         }
         base = {"op": op, "session": sess.id,
@@ -814,7 +819,7 @@ class DaemonServer:
         with sess.cond:
             statuses = dict(sess.statuses)
             dead = dict(sess.dead)
-        for name in (*sess.plan.nodes, *sess.joined):
+        for name in sess.plan.nodes:
             if name in sess.absent:
                 continue
             status = statuses.get(name)
@@ -850,6 +855,17 @@ class DaemonServer:
                     name=name, ok=False, crashed=True,
                     error="agent never resolved")
 
+        # A join session's counters overlap this one's in the processes
+        # both use (the head's, at least): of them, only its
+        # worker-counted ``from_cache`` is its own.
+        join_failures = []
+        for joined in filter(None, sess.join_results):
+            outcomes.update((name, outcome)
+                            for name, outcome in joined.outcomes.items()
+                            if name != sess.plan.head)
+            join_failures += joined.report.failures
+            from_cache += joined.perfstats["bytes_from_cache"]
+
         for event in sorted(merged_events, key=lambda e: e.t):
             sess.tracer.emit(event.type, event.node, t=event.t,
                              offset=event.offset, peer=event.peer,
@@ -859,6 +875,7 @@ class DaemonServer:
         # Members lost before the protocol's own report existed; surface
         # them to the caller alongside transfer failures.
         report.failures[:0] = sess.lost
+        report.extend(join_failures)
         # Per-session cache accounting: the agents' perfstats deltas
         # overlap under concurrent sessions in one process, so the
         # worker-counted ``from_cache`` in each status is authoritative.

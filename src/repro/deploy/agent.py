@@ -6,7 +6,7 @@ program (§III-B).  It registers once and then serves *sessions* until
 the supervisor says ``quit``:
 
 1. dial the supervisor's control socket and register (``hello`` with
-   name, pid, host — and, when it was given a cache, its pull port);
+   name, pid and the host its peers dial);
 2. per ``session_open`` bind one data-plane listener per stripe and ack
    with the ports (plus the cache state for the artifact, if any);
 3. per ``session_start`` run the unmodified :mod:`repro.runtime` node
@@ -21,8 +21,8 @@ the supervisor says ``quit``:
 
 A one-shot ``kascade deploy`` is a fleet that serves one session.  What
 an agent does follows from what it was given: with ``--cache-bytes 0``
-there is no chunk cache, no pull server and no cache code loaded
-(:mod:`repro.daemon.pull` holds all of it).
+there is no chunk cache and no cache code loaded
+(:mod:`repro.daemon.replay` holds what is not the cache itself).
 
 Exit codes: 0 drained, 2 usage/registration error, 3 deliberate startup
 death (the ``--die-on-start`` test hook).
@@ -154,12 +154,12 @@ class _SessionState:
     """Agent-side record of one open session."""
 
     def __init__(self, session: str, channel: ControlChannel,
-                 listeners: List[Listener], artifact=None) -> None:
+                 listeners: List[Listener]) -> None:
         self.session = session
         self.listeners = listeners
         #: :class:`~repro.core.cache.ArtifactMeta`, pinned in the cache
         #: for the session's lifetime; ``None`` on an agent without one.
-        self.artifact = artifact
+        self.artifact = None
         self.worker: Optional[threading.Thread] = None
         #: What a failover-capable transfer reacts to, in arrival order:
         #: ``("control", msg)`` routed here by the agent's one control
@@ -225,8 +225,8 @@ def execute_transfer(msg: dict, state: _SessionState, name: str, *,
     ``cache`` is the agent's :class:`~repro.core.cache.ChunkCache`, if
     it has one; when the message also carries an ``artifact`` identity,
     a receiving agent taps the merged stream into it chunk-by-chunk,
-    becoming cache-warm for repeat broadcasts and pull-phase peers while
-    this push is still running.
+    becoming cache-warm for repeat broadcasts while this push is still
+    running.
 
     A message flagged ``failover`` makes the transfer failover-capable:
     the supervisor may re-root the chain mid-transfer, so this thread
@@ -433,46 +433,36 @@ def serve_sessions(
 
     Registers once, then serves sessions: per ``session_open`` it binds
     fresh per-session data-plane listeners (one per stripe) and acks
-    with their ports; ``session_start`` / ``session_serve_cached`` /
-    ``session_join`` each run on their own worker thread, so many
+    with their ports; ``session_start`` and ``session_serve_cached``
+    each run on their own worker thread, so many
     sessions overlap inside one process, while this thread stays on the
     control socket and routes a running session's ``failover`` /
     ``resume`` to it.  ``quit`` drains: active workers finish, then the
     process exits 0 — ``SIGKILL`` stays the supervisor's abort path, not
     its happy path.
 
-    ``cache_bytes > 0`` gives the agent a cross-session chunk cache and
-    the pull server late joiners dial; with 0 it has neither, and none
-    of that code is imported.
+    ``cache_bytes > 0`` gives the agent a cross-session chunk cache;
+    with 0 it has none, and none of that code is imported.
     """
     if die_on_start:
         # Test hook: a node whose process dies before it can register,
         # exercising the launcher's retry + re-plan path for real.
         return EXIT_DIED_ON_START
 
-    cache = pull_server = None
+    cache = None
     if cache_bytes > 0:
         from ..core.cache import ArtifactMeta, ChunkCache
-        from ..daemon.pull import PullServer, pull_catch_up, serve_from_cache
+        from ..daemon.replay import serve_from_cache
 
         cache = ChunkCache(cache_bytes, stats=get_stats())
-        pull_server = PullServer(cache, host=bind)
     try:
         channel = connect_control(coordinator[0], coordinator[1],
                                   timeout=start_timeout)
     except DeployError:
-        if pull_server is not None:
-            pull_server.close()
         return EXIT_USAGE
-    channel.send({
-        "op": "hello",
-        "name": name,
-        "pid": os.getpid(),
-        "host": advertise or bind,
-        # Sessions bind their own data ports; the one stable endpoint
-        # an agent can have is its pull server (0: it has no cache).
-        "pull_port": pull_server.port if pull_server is not None else 0,
-    })
+    # Sessions bind their own data ports: the host is all peers need.
+    channel.send({"op": "hello", "name": name, "pid": os.getpid(),
+                  "host": advertise or bind})
     heartbeat = _Heartbeat(channel, heartbeat_interval)
     heartbeat.start()
     sessions: Dict[str, _SessionState] = {}
@@ -534,32 +524,15 @@ def serve_sessions(
                        "ports": [ln.address.port for ln in listeners]}
                 if cache is not None and msg.get("artifact"):
                     artifact = ArtifactMeta.from_wire(msg["artifact"])
-                    # Pin for the session's lifetime: a serve-cached or
-                    # pull peer must not lose chunks to LRU mid-session.
+                    # Pin for the session's lifetime: a serve-cached
+                    # agent must not lose chunks to LRU mid-session.
                     cache.pin_artifact(artifact.digest)
                     state.artifact = artifact
-                    ack["cached"] = cache.contiguous_chunks(artifact.digest)
                     ack["has_all"] = cache.has_artifact(artifact.digest,
                                                         artifact.chunks)
                 with lock:
                     sessions[session] = state
                 state.send("session_ack", **ack)
-            elif op == "session_join" and cache is not None:
-                artifact = ArtifactMeta.from_wire(msg["artifact"])
-                if state is None:
-                    # A joiner needs no data-plane listeners, so join is
-                    # self-contained: open-on-arrival.
-                    cache.pin_artifact(artifact.digest)
-                    state = _SessionState(session, channel, [], artifact)
-                    with lock:
-                        sessions[session] = state
-                start_worker(state, partial(
-                    pull_catch_up, name, cache, artifact,
-                    [(str(h), int(p)) for h, p in msg.get("peers", [])],
-                    msg.get("output"), progress_send=state.progress,
-                    progress_every=int(msg.get("progress_every", 1 << 18)),
-                    deadline=time.monotonic() + float(
-                        msg.get("run_timeout", 600.0))))
             elif state is None:
                 continue  # opened elsewhere, cancelled, or already over
             elif op == "session_start":
@@ -583,7 +556,5 @@ def serve_sessions(
         for state in running:
             state.worker.join(timeout=10.0)
         heartbeat.stop()
-        if pull_server is not None:
-            pull_server.close()
         channel.close()
     return exit_code

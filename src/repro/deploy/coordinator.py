@@ -37,7 +37,11 @@ from ..core.plan import ChainPlan
 from ..core.sources import FileSource, Source
 from ..core.tracing import NULL_TRACER, TraceCollector
 from ..runtime.registry import Address
-from ..runtime.result import BroadcastResult, NodeOutcome  # noqa: F401 - re-exported
+from ..runtime.result import (  # noqa: F401 - re-exported
+    BroadcastResult,
+    NodeOutcome,
+    late_joins,
+)
 from .launcher import LaunchReport
 from .protocol import ControlChannel, DeployError
 
@@ -212,8 +216,8 @@ class _Agent:
 
     name: str
     channel: ControlChannel
-    #: Host peers dial, and the agent's pull-server port (0: no cache).
-    address: Address
+    #: Host peers dial (each session binds its own ports there).
+    host: str
     pid: int
     registered_at: float
     last_heard: float
@@ -284,8 +288,7 @@ class Coordinator:
         agent = _Agent(
             name=name,
             channel=channel,
-            address=Address(str(hello["host"]),
-                            int(hello.get("pull_port", 0))),
+            host=str(hello["host"]),
             pid=int(hello["pid"]),
             registered_at=time.monotonic(),
             last_heard=time.monotonic(),
@@ -435,11 +438,15 @@ class ProcBroadcast:
         ``order``/``config.stripes``-derived planning.  On a striped
         plan every agent binds one data-plane listener per stripe and
         runs one chain instance per stripe.
-    cache_bytes / late_join / session:
+    late_join:
+        Nodes let in mid-flight (:class:`~repro.runtime.LateJoin`, or
+        ``(node, after_bytes)``), each on a chain of its own from the
+        head; they are launched with the fleet.
+    cache_bytes / session:
         What a longer-lived fleet would use (see
         :class:`~repro.daemon.server.DaemonServer`): the per-agent chunk
-        cache (0, the default, loads no cache code at all), nodes that
-        join the session mid-flight, and the session's name.
+        cache (0, the default, loads no cache code at all) and the
+        session's name.
     backend:
         The label the result carries (``run_broadcast`` passes its own).
     """
@@ -465,13 +472,14 @@ class ProcBroadcast:
     ) -> None:
         from ..daemon.server import DaemonServer
 
+        late_join = late_joins(late_join)
         self.source = source
         self.backend = backend
         self.chain_plan = ChainPlan.resolve(
             plan, head, receivers, stripes=config.stripes, order=order)
         self._session = dict(
             plan=self.chain_plan, crashes=tuple(crashes),
-            late_join=tuple(late_join), output_template=output_template,
+            late_join=late_join, output_template=output_template,
             allow_head_chaos=allow_head_chaos,
         )
         self._fleet = DaemonServer(

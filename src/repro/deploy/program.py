@@ -55,7 +55,7 @@ AGENT_MODULES = (
     "repro.runtime.transport",
 )
 #: What an agent that was given a cache (``--cache-bytes`` > 0) adds.
-CACHE_MODULES = ("repro.core.cache", "repro.daemon", "repro.daemon.pull")
+CACHE_MODULES = ("repro.core.cache", "repro.daemon", "repro.daemon.replay")
 
 
 def module_names(cached: bool) -> Tuple[str, ...]:

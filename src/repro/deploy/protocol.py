@@ -12,15 +12,15 @@ Message vocabulary (``op`` field; every message but ``hello``,
 ``heartbeat`` and ``quit`` names its ``session``):
 
 ========================  =========  =======================================
-``hello``                 agent →    registration: name, pid, host, and the
-                                     pull-server port (0: no cache)
+``hello``                 agent →    registration: name, pid, and the host
+                                     its peers dial
 ``heartbeat``             agent →    liveness tick (a stopped process goes
                                      silent)
 ``session_open``          → agent    bind one data port per stripe for this
                                      session (+ the artifact identity, on a
                                      fleet with a cache)
-``session_ack``           agent →    the bound ports (+ how much of the
-                                     artifact the cache holds)
+``session_ack``           agent →    the bound ports (+ whether the cache
+                                     holds the whole artifact)
 ``session_start``         → agent    the (re-planned) chain plan, every
                                      node's ports, the config, the
                                      stream's size, and this agent's
@@ -38,8 +38,6 @@ Message vocabulary (``op`` field; every message but ``hello``,
 ``session_cancel``        → agent    release a session that will not start
 ``session_serve_cached``  → agent    replay the artifact from the local
                                      cache (cache only)
-``session_join``          → agent    pull the artifact from peers' caches
-                                     (cache only)
 ``quit``                  → agent    finish what is running, then exit 0
 ========================  =========  =======================================
 

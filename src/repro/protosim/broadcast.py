@@ -73,15 +73,18 @@ class HeadDown(Exception):
 
 class SimHost(Host):
     """A host on the DES: each chain instance is an acceptor process and
-    a main-loop process on its own :class:`SimPort`."""
+    a main-loop process on its own :class:`SimPort`, known to the hub by
+    its label plus ``tag`` (a join chain's, beside the push's)."""
 
     def __init__(self, name: str, chain_plan: ChainPlan, hub: SimNetHub,
-                 config, **host) -> None:
+                 config, tag: str = "", **host) -> None:
         self._hub = hub
+        self._tag = tag
         super().__init__(name, chain_plan, config, **host)
 
     def _make_node(self, label: str, plan: StripePlan, end, **kwargs):
-        port = SimPort(label, self._hub, suffix=label[len(self.name):])
+        suffix = label[len(self.name):] + self._tag
+        port = SimPort(self.name + suffix, self._hub, suffix=suffix)
         return (Head if self.is_head else Receiver)(
             self.name, plan, port, self.config, end, **kwargs)
 
@@ -153,10 +156,11 @@ class ProtoBroadcast(Broadcast):
     def _now(self) -> float:
         return self._hub.engine.now
 
-    def _wire(self, chain: ChainPlan):
+    def _wire(self, chain: ChainPlan, tag: str = ""):
         # Nothing to lay: each port registers itself (afresh on a re-root).
         return lambda name, **role: SimHost(
-            name, chain, self._hub, self.config, tracer=self.tracer, **role)
+            name, chain, self._hub, self.config, tag=tag, tracer=self.tracer,
+            **role)
 
     def _start(self, hosts: Sequence[SimHost], deadline: float) -> None:
         for host in hosts:

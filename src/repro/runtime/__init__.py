@@ -16,7 +16,7 @@ simulator's driver (:mod:`repro.protosim.broadcast`).
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "result": ("BroadcastResult", "CrashPlan", "NodeOutcome",
+    "result": ("BroadcastResult", "CrashPlan", "LateJoin", "NodeOutcome",
                "check_head_failover", "check_run"),
     "cluster": ("Broadcast", "LocalBroadcast"),
     "host": ("Host", "HostChains"),

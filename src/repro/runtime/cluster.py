@@ -25,8 +25,10 @@ Crash injection reproduces the Distem experiments' failure modes:
 
 from __future__ import annotations
 
+import math
+import threading
 import time
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core import tracing
 from ..core.config import DEFAULT_CONFIG, KascadeConfig
@@ -34,11 +36,11 @@ from ..core.perfstats import get_stats
 from ..core.plan import ChainPlan
 from ..core.report import TransferReport
 from ..core.sinks import NullSink, Sink
-from ..core.sources import Source
+from ..core.sources import ResumeView, Source
 from ..core.tracing import NULL_TRACER, TraceCollector
 from .host import Host, HostChains
 from .registry import Registry
-from .result import BroadcastResult, CrashPlan, check_run
+from .result import BroadcastResult, CrashPlan, check_run, late_joins
 from .transport import Listener
 
 
@@ -80,6 +82,11 @@ class Broadcast:
         cannot): a crash plan may target the head, and when it dies the
         most complete survivor is promoted and the run goes on
         (:meth:`_reroot`).
+    late_join:
+        Nodes let in once the head has moved ``after_bytes``, or once it
+        is done (:class:`~.result.LateJoin`, or ``(node, after_bytes)``).
+        Those let in together get a chain of their own from the head
+        (:meth:`_join`); a run without joiners gives its head no gate.
 
     Prefer :func:`repro.run_broadcast` for new code — it fronts the
     drivers behind one backend-selectable entry point.
@@ -101,6 +108,7 @@ class Broadcast:
         plan: Optional[ChainPlan] = None,
         tracer=NULL_TRACER,
         allow_head_chaos: bool = False,
+        late_join: Sequence = (),
     ) -> None:
         self.source = source
         self.config = config
@@ -113,7 +121,8 @@ class Broadcast:
         self.crashes = {c.node: c for c in check_run(
             self.chain_plan, crashes, backend=self.backend,
             data_plane=config.data_plane, source_kind=source.kind,
-            allow_head_chaos=allow_head_chaos)}
+            allow_head_chaos=allow_head_chaos, late_join=late_join)}
+        self.late_join = late_joins(late_join)
         #: Injected head death + in-process promotion (the in-process
         #: twin of the fleet's head failover).
         self._head_crash = self.crashes.get(self.plan.head)
@@ -138,8 +147,10 @@ class Broadcast:
     # What a driver supplies (LocalBroadcast below, ProtoBroadcast):
     #
     # ``_now()``: its clock — ``duration`` and the deadline are read off it;
-    # ``_wire(chain)``: lets the chain's hosts find each other, afresh, and
-    #     returns how one is built on that: ``(name, **role) -> Host``;
+    # ``_wire(chain, tag="")``: lets the chain's hosts find each other,
+    #     afresh, and returns how one is built on that: ``(name, **role) ->
+    #     Host``; ``tag`` sets a join chain's hosts apart from the push's
+    #     where the network knows hosts by name;
     # ``_start(hosts, deadline)``: set a chain's hosts, head first, running;
     # ``_wait(waited, deadline)``: return once each is done, or at the deadline.
 
@@ -152,15 +163,32 @@ class Broadcast:
         (``allow_head_chaos``) is an episode of the same run: when the
         head exits crashed the survivors are detached, the most complete
         one is promoted (:meth:`_reroot`), and the run keeps waiting on
-        the re-rooted chain.
+        the re-rooted chain.  Late joiners are let in by a gate on the
+        head, or once it is done, and waited for with the receivers.
         """
         chain = self.chain_plan
         make_host = self._wire(chain)
         hosts: Dict[str, Host] = {}
+        joined: List[Host] = []
+        pending = list(self.late_join)
+        # The head's thread and, past a deadline it outlived, this one.
+        letting_in = threading.Lock()
+
+        def let_in(moved: float) -> None:
+            with letting_in:
+                ready = [lj for lj in pending if moved >= lj.after_bytes]
+                if ready:
+                    pending[:] = [lj for lj in pending if lj not in ready]
+                    joined.extend(self._join(ready, deadline,
+                                             tag=f"@join{len(joined)}"))
+
         for name in chain.nodes:
             role = ({"source": self.source} if name == chain.head
                     else {"sink": self.sink_factory(name)})
-            hosts[name] = make_host(name, gate=self._crash_gate(name), **role)
+            gate = self._crash_gate(name)
+            if name == chain.head and pending:
+                gate = let_in  # a head with joiners has no crash plan
+            hosts[name] = make_host(name, gate=gate, **role)
         self.nodes = {label: node for host in hosts.values()
                       for label, node in host.nodes.items()}
 
@@ -172,29 +200,38 @@ class Broadcast:
         if self._head_crash is not None and hosts[chain.head].outcome.crashed:
             chain = self._reroot(hosts, deadline) or chain
             self._wait([hosts[chain.head]], deadline)
-        self._wait([hosts[name] for name in chain.receivers], deadline)
+        let_in(math.inf)  # the push is over: whoever waits comes in now
+        self._wait([*(hosts[name] for name in chain.receivers), *joined],
+                   deadline)
         duration = self._now() - started
         head = hosts[chain.head]
         head_done = head.done
 
         # Stop anything still alive (e.g. silent crash remains) and let
         # every host close what it opened.
-        for host in hosts.values():
+        for host in (*hosts.values(), *joined):
             host.shutdown()
             host.close()
         head.settle(head.outcome.ok)
 
         outcomes = {name: host.outcome for name, host in hosts.items()}
+        outcomes.update((host.name, host.outcome) for host in joined
+                        if not host.is_head)
         # NB: TransferReport is falsy when it has no failures — test
         # identity, not truth, or a clean run's report (and its source
         # digest) would be silently replaced.
         report = head.report
         if report is None:
             report = TransferReport()
+        for host in joined:
+            if host.is_head and host.report is not None:
+                report.extend(host.report.failures)
         # A planned death is excused — the head's too; every intended
-        # receiver (including a promoted one) must have completed, and
-        # the head must have run to its end.
-        intended = [r for r in self.plan.receivers if r not in self.crashes]
+        # receiver (including a promoted one, and a joiner) must have
+        # completed, and the head must have run to its end.
+        intended = [r for r in (*self.plan.receivers,
+                                *(lj.node for lj in self.late_join))
+                    if r not in self.crashes]
         stats_after = get_stats().snapshot()
         return self.result_type(
             ok=(outcomes[chain.head].ok and head_done
@@ -209,6 +246,21 @@ class Broadcast:
             backend=self.backend,
             plan=chain,
         )
+
+    def _join(self, ready: Sequence, deadline: float, tag: str) -> List[Host]:
+        """Start a chain of its own from the head for the joiners let in
+        together; returns its hosts, head first.  The head streams the
+        source again from byte 0, through a view of its own: the push
+        moves the shared cursor."""
+        chain = ChainPlan.single(self.plan.head, [lj.node for lj in ready])
+        make_host = self._wire(chain, tag)
+        hosts = [make_host(chain.head,
+                           source=ResumeView(self.source, 0))]
+        hosts += [make_host(name, sink=self.sink_factory(name),
+                            gate=self._crash_gate(name))
+                  for name in chain.receivers]
+        self._start(hosts, deadline)
+        return hosts
 
     def _reroot(self, hosts: Dict[str, Host],
                 deadline: float) -> Optional[ChainPlan]:
@@ -267,8 +319,9 @@ class LocalBroadcast(Broadcast):
 
     _now = staticmethod(time.monotonic)
 
-    def _wire(self, chain: ChainPlan):
-        """Fresh listeners and registries: one per host and stripe."""
+    def _wire(self, chain: ChainPlan, tag: str = ""):
+        """Fresh listeners and registries: one per host and stripe (a
+        port is an address here, so ``tag`` is not needed)."""
         listeners = {name: [Listener() for _ in range(chain.stripe_count)]
                      for name in chain.nodes}
         registries = [

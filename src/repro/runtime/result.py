@@ -17,8 +17,9 @@ from ..core.recovery import SourceKind
 from ..core.report import NodeOutcome, TransferReport
 from ..core.tracing import TraceCollector
 
-__all__ = ["BroadcastResult", "CrashPlan", "NodeOutcome",
-           "check_head_failover", "check_run", "head_chaos_refusal"]
+__all__ = ["BroadcastResult", "CrashPlan", "LateJoin", "NodeOutcome",
+           "check_head_failover", "check_run", "head_chaos_refusal",
+           "late_joins"]
 
 
 class CrashPlan(Frozen):
@@ -44,6 +45,26 @@ class CrashPlan(Frozen):
         if after_bytes is not None and after_bytes < 0:
             raise ValueError("after_bytes must be >= 0")
         self._init(node, after_bytes, mode, at_time)
+
+
+class LateJoin(Frozen):
+    """Let ``node`` into a run once the push has moved ``after_bytes``
+    (or once it ends, if that comes first): it gets a chain of its own
+    from the run's head, which streams the source again from byte 0.
+    Joiners that trigger together share one chain."""
+
+    __slots__ = ("node", "after_bytes")
+
+    def __init__(self, node: str, after_bytes: int = 0) -> None:
+        if after_bytes < 0:
+            raise ValueError("after_bytes must be >= 0")
+        self._init(node, int(after_bytes))
+
+
+def late_joins(specs: Sequence) -> Tuple[LateJoin, ...]:
+    """:class:`LateJoin`s, given as such or as ``(node, after_bytes)``."""
+    return tuple(lj if isinstance(lj, LateJoin) else LateJoin(*lj)
+                 for lj in specs)
 
 
 class BroadcastResult(Record):
@@ -137,8 +158,8 @@ def check_head_failover(stripes: int, data_plane: str,
 def check_run(plan: ChainPlan, crashes: Sequence = (), *, backend: str,
               data_plane: str, source_kind: Optional[SourceKind] = None,
               allow_head_chaos: bool = False,
-              fleet: Optional[Sequence[str]] = None, cache_bytes: int = 0,
-              late_join: Sequence[str] = (),
+              fleet: Optional[Sequence[str]] = None,
+              late_join: Sequence = (),
               output_template: Optional[str] = None) -> Tuple[CrashPlan, ...]:
     """Refuse what a run may not ask, before anything of it starts.
 
@@ -147,11 +168,11 @@ def check_run(plan: ChainPlan, crashes: Sequence = (), *, backend: str,
     ``daemon``) call it with what they know — the resolved ``plan``, the
     faults, the backend and data plane, the source's kind where the run
     reads the source in place (``None`` where a fleet spools it), and on
-    a fleet its members, cache budget, late joiners' names and output
-    template.  Raises :class:`KascadeError` with one message per reason,
-    the same words on every backend; returns the faults as
-    :class:`CrashPlan` (``(node, after_bytes[, mode])`` tuples are
-    accepted).
+    a fleet its members and output template — and the late joiners
+    (:class:`LateJoin` or ``(node, after_bytes)``).  Raises
+    :class:`KascadeError` with one message per reason, the same words on
+    every backend; returns the faults as :class:`CrashPlan` (``(node,
+    after_bytes[, mode])`` tuples are accepted).
     """
     if backend == "simnet" and data_plane != "threaded":
         raise KascadeError(
@@ -176,34 +197,44 @@ def check_run(plan: ChainPlan, crashes: Sequence = (), *, backend: str,
             f"crash plans at_time for {timed}: a time-triggered fault "
             "needs the simulator's clock (backend='simnet'); give "
             "after_bytes instead")
+    joiners = [lj.node for lj in late_joins(late_join)]
     if fleet is not None:
-        for name in (*plan.nodes, *late_join):
+        for name in (*plan.nodes, *joiners):
             if name not in fleet:
                 raise KascadeError(f"{name!r} is not a fleet member "
                                    f"(fleet: {sorted(fleet)})")
-        overlap = set(late_join) & set(plan.nodes)
-        if overlap:
-            raise KascadeError("late joiners must not be in the session "
-                               f"already: {sorted(overlap)}")
-        if late_join and not cache_bytes:
-            raise KascadeError(
-                "late joiners pull from their peers' chunk caches: the "
-                "fleet needs cache_bytes > 0")
+    overlap = set(joiners) & set(plan.nodes)
+    if overlap:
+        raise KascadeError("late joiners must not be in the session "
+                           f"already: {sorted(overlap)}")
+    if joiners and allow_head_chaos:
+        raise KascadeError(
+            "late join cannot be combined with allow_head_chaos: the "
+            "join chain starts from the run's head, whose death takes "
+            "that chain down on a fleet but not on threads")
+    if joiners and backend == "local" and data_plane == "evloop":
+        raise KascadeError(
+            "late join is not supported on data_plane='evloop': the "
+            "reactor cannot take nodes mid-run; use data_plane='threaded'")
+    if joiners and source_kind not in (None, SourceKind.SEEKABLE_FILE):
+        raise KascadeError(
+            "late join needs a seekable source: the join chain's head "
+            "streams the source again from byte 0")
     if plan.head in targets and not allow_head_chaos:
         raise head_chaos_refusal(plan.head)
     if allow_head_chaos:
         check_head_failover(plan.stripe_count, data_plane, source_kind)
-    stray = set(targets) - set(plan.nodes) - set(late_join)
+    stray = set(targets) - set(plan.nodes) - set(joiners)
     if stray:
         outside = stray & set(fleet or ())
         if outside:
             raise KascadeError(
                 "crash plans target fleet members outside this session: "
                 f"{sorted(outside)} (session nodes: "
-                f"{sorted((*plan.nodes, *late_join))})")
+                f"{sorted((*plan.nodes, *joiners))})")
         raise KascadeError(f"crash plans for unknown nodes: {sorted(stray)}")
     if (output_template is not None and "{node}" not in output_template
-            and len(plan.receivers) + len(late_join) > 1):
+            and len(plan.receivers) + len(joiners) > 1):
         raise KascadeError(
             "output_template needs a {node} placeholder for >1 receiver")
     return faults

@@ -111,7 +111,11 @@ class BroadcastSession:
     after_bytes[, mode])`` tuples), the same on every backend: an
     in-loop gate on ``local`` and ``simnet``, a real signal on
     ``procs`` and ``daemon`` (``"close"`` → SIGKILL, ``"silent"`` →
-    SIGSTOP); ``CrashPlan(at_time=…)`` runs on ``simnet`` only.  What a
+    SIGSTOP); ``CrashPlan(at_time=…)`` runs on ``simnet`` only.
+    ``late_join`` takes :class:`~repro.runtime.LateJoin` (or ``(node,
+    after_bytes)`` pairs), the same on every backend too: each node is
+    let in once the push has moved ``after_bytes`` and gets a chain of
+    its own from the head (on a fleet, a session of its own).  What a
     run may not ask — a striped session on a source that cannot seek,
     a fault on an un-opted head, … — is refused by one function,
     :func:`repro.runtime.result.check_run`, before anything starts.
@@ -131,8 +135,7 @@ class BroadcastSession:
       ``python``, ``bind_host``, ``agent_args``, ``stderr_dir``,
       ``cache_bytes`` (``procs`` defaults to 0: no cache, nothing of it
       loaded; ``daemon`` to ``config.cache_bytes``) — and the session:
-      ``output_template``, ``allow_head_chaos``, ``late_join``,
-      ``session_name``; see
+      ``output_template``, ``allow_head_chaos``, ``session_name``; see
       :class:`repro.deploy.ProcBroadcast`.  ``server=`` submits into a
       started :class:`repro.daemon.DaemonServer` instead of launching.
       ``sink_factory`` is rejected (sinks cannot cross process
@@ -154,6 +157,7 @@ class BroadcastSession:
         data_plane: Optional[str] = None,
         stripes: Optional[int] = None,
         plan: Optional[ChainPlan] = None,
+        late_join: Sequence = (),
         **backend_opts,
     ) -> None:
         if backend not in BACKENDS:
@@ -173,6 +177,7 @@ class BroadcastSession:
         self.head = head
         self.order = order
         self.crashes = tuple(crashes)
+        self.late_join = tuple(late_join)
         self.plan = plan
         self.tracer, self.trace_path = _resolve_trace(trace)
         self.backend_opts = backend_opts
@@ -197,7 +202,7 @@ class BroadcastSession:
         run = dict(
             sink_factory=self.sink_factory, config=self.config,
             head=self.head, order=self.order, plan=self.plan,
-            crashes=self.crashes,
+            crashes=self.crashes, late_join=self.late_join,
             allow_head_chaos=bool(opts.pop("allow_head_chaos", False)),
         )
         if self.backend == "local":
@@ -230,7 +235,7 @@ class BroadcastSession:
         "window", "spawn_retries", "startup_timeout", "backoff",
         "heartbeat_interval", "heartbeat_timeout", "progress_every",
         "python", "bind_host", "agent_args", "stderr_dir", "cache_bytes",
-        "output_template", "allow_head_chaos", "late_join", "session_name",
+        "output_template", "allow_head_chaos", "session_name",
         "server",
     })
 
@@ -239,8 +244,6 @@ class BroadcastSession:
         processes.  The two differ in what the fleet is given — ``procs``
         launches it without a chunk cache unless asked, ``daemon`` with
         ``config.cache_bytes`` — and in nothing else."""
-        from .daemon.server import LateJoin
-
         self._refuse_sink_factory()
         unknown = set(self.backend_opts) - self._FLEET_OPTS
         if unknown:
@@ -253,9 +256,7 @@ class BroadcastSession:
             plan=self.plan,
             output_template=opts.pop("output_template", None),
             crashes=self.crashes,
-            late_join=tuple(
-                lj if isinstance(lj, LateJoin) else LateJoin(lj[0], int(lj[1]))
-                for lj in opts.pop("late_join", ())),
+            late_join=self.late_join,
             allow_head_chaos=bool(opts.pop("allow_head_chaos", False)),
             session=opts.pop("session_name", None),
         )

@@ -136,10 +136,11 @@ class TestWarmFleet:
                            stats.get("cache_misses", 0)))
         assert counts == [(0, lookups), (lookups, 0)]
 
-    def test_late_joiner_converges_by_pulling(self, fleet, tmp_path):
-        """A node registered mid-session pulls the missing prefix from
-        cache-warm peers and ends with the full digest-verified copy,
-        while the push chain completes undisturbed."""
+    def test_late_joiner_converges_on_a_chain_of_its_own(self, tmp_path):
+        """A node let in mid-session gets a chain of its own from the
+        head and ends with the full digest-verified copy, while the push
+        chain completes undisturbed; the join session it runs in is not
+        one more session of the fleet."""
         payload = make_payload(17, size=1 << 20)
         path = spool(tmp_path, "late.bin", payload)
         # Pace the push so the join triggers mid-stream.
@@ -154,21 +155,42 @@ class TestWarmFleet:
         assert result.ok
         expected = hashlib.sha256(payload).hexdigest()
         assert result.outcomes["n2"].digest == expected  # push undisturbed
-        assert result.outcomes["n3"].digest == expected  # pull converged
+        assert result.outcomes["n3"].digest == expected  # join converged
         assert result.outcomes["n3"].bytes_received == len(payload)
         assert result.trace is not None
-        pgets = [e for e in result.trace.events()
-                 if e.type == "pget" and e.node == "n3"]
-        assert pgets, "the joiner must have pulled from a peer"
         sessions = [e for e in result.trace.events() if e.type == "session"]
         assert any("late join n3" in (e.detail or "") for e in sessions)
+        assert any((e.detail or "").endswith("chain n1 → n3")
+                   for e in sessions), "the joiner's chain is n1 → n3"
+        assert server.sessions_completed == 1
+        assert result.perfstats["launch_amortized_s"] == \
+            server.launch_report.total_s
+
+    def test_default_receivers_leave_the_joiner_out(self, fleet, tmp_path):
+        """With no ``receivers`` the session is the fleet minus the head
+        *and* the joiners; a joiner that holds the payload is then
+        served from its cache like any warm receiver."""
+        payload = make_payload(29, size=256 * 1024)
+        path = spool(tmp_path, "default.bin", payload)
+        expected = hashlib.sha256(payload).hexdigest()
+        cold, warm = (fleet.submit(FileSource(path),
+                                   late_join=[LateJoin("n4")], timeout=60.0)
+                      for _ in range(2))
+        for result in (cold, warm):
+            assert result.ok
+            assert {n: o.digest for n, o in result.outcomes.items()
+                    if n != "n1"} == dict.fromkeys(("n2", "n3", "n4"),
+                                                   expected)
+        assert cold.plan.receivers == ("n2", "n3")
+        assert cold.perfstats["bytes_from_cache"] == 0
+        assert warm.perfstats["bytes_from_cache"] == 3 * len(payload)
 
 
 class TestChaos:
-    def test_killing_the_joiner_mid_pull_fails_only_the_joiner(self,
+    def test_killing_the_joiner_mid_join_fails_only_the_joiner(self,
                                                                tmp_path):
         """Chaos targets a session participant, not the fleet: the
-        joiner dies mid-catch-up, the push chain still completes, and
+        joiner dies on its join chain, the push chain still completes, and
         the planned death is excused in the ok accounting."""
         payload = make_payload(23, size=1 << 20)
         path = spool(tmp_path, "chaos.bin", payload)

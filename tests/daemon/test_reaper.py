@@ -12,7 +12,6 @@ from repro.core.sources import PatternSource
 from repro.core.tracing import TraceCollector
 from repro.daemon.server import DaemonServer
 from repro.deploy.coordinator import Coordinator, _Agent, drain
-from repro.runtime.transport import Address
 
 HEARTBEAT_TIMEOUT = 0.3
 
@@ -60,7 +59,7 @@ def test_a_stalled_reaper_pass_voids_the_clocks():
         now = time.monotonic()
         for name in fleet:
             coordinator._agents[name] = _Agent(
-                name=name, channel=Quiet(), address=Address("127.0.0.1", 1),
+                name=name, channel=Quiet(), host="127.0.0.1",
                 pid=0, registered_at=now, last_heard=now)
         server._coordinator = coordinator
         server._procs = {name: Running() for name in fleet}
@@ -88,7 +87,7 @@ def test_real_silence_still_fails_the_open_sessions():
         now = time.monotonic()
         for name in fleet:
             coordinator._agents[name] = _Agent(
-                name=name, channel=Quiet(), address=Address("127.0.0.1", 1),
+                name=name, channel=Quiet(), host="127.0.0.1",
                 pid=0, registered_at=now, last_heard=now)
         server._coordinator = coordinator
         server._procs = {name: Running() for name in fleet}
@@ -203,7 +202,7 @@ def test_drain_waits_on_the_control_eof_not_on_a_poll():
         now = time.monotonic()
         for name in ("n1", "n2"):
             coordinator._agents[name] = _Agent(
-                name=name, channel=Quiet(), address=Address("127.0.0.1", 0),
+                name=name, channel=Quiet(), host="127.0.0.1",
                 pid=0, registered_at=now, last_heard=now)
         procs = {n: Exiting(a) for n, a in coordinator._agents.items()}
 

@@ -104,10 +104,9 @@ class TestStartMessageMustCarryTheSchedule:
             thread.join(timeout=10.0)
             server.close()
         assert code == EXIT_OK
-        # No cache was given: the hello offers no pull port, and the
-        # ack neither knows nor says anything about an artifact.
-        assert seen["hello"]["pull_port"] == 0
-        assert len(seen["ack"]["ports"]) == 1 and "cached" not in seen["ack"]
+        # No cache was given: the ack neither knows nor says anything
+        # about an artifact.
+        assert len(seen["ack"]["ports"]) == 1 and "has_all" not in seen["ack"]
         status = seen["status"]
         assert status["op"] == "session_status" and status["session"] == "s1"
         assert not status["ok"] and not status["crashed"]
@@ -132,8 +131,7 @@ class TestFleetReceiversReserve:
         sent = {}
         server = DaemonServer(list(plan.nodes), config=FAST)
         server._coordinator = SimpleNamespace(
-            agent=lambda name: SimpleNamespace(
-                address=SimpleNamespace(host="127.0.0.1")),
+            agent=lambda name: SimpleNamespace(host="127.0.0.1"),
             send=sent.__setitem__)
         session = SimpleNamespace(
             id="s1", output_template=str(tmp_path / "{node}.out"),

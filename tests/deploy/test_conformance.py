@@ -139,15 +139,19 @@ class TestOneShotIsAOneSessionFleet:
     def test_the_two_backends_take_the_same_options(self):
         """``procs`` and ``daemon`` are one code path given different
         fleets, so what one accepts the other does — and both refuse an
-        unknown option by name."""
+        unknown option by name.  A late joiner needs no cache: it gets a
+        chain of its own."""
         source = PatternSource(64 * 1024)
         for backend in ("procs", "daemon"):
             with pytest.raises(KascadeError,
                                match=f"unknown {backend} options"):
                 run_broadcast(source, ["n2"], backend=backend, bandwidth=1)
-            with pytest.raises(KascadeError, match="cache_bytes > 0"):
-                run_broadcast(source, ["n2"], backend=backend, config=FAST,
-                              cache_bytes=0, late_join=[LateJoin("n3")])
+        result = run_broadcast(source, ["n2"], backend="procs", config=FAST,
+                               cache_bytes=0, late_join=[LateJoin("n3")],
+                               timeout=60.0, **FLEET)
+        assert result.ok, result.outcomes
+        assert result.outcomes["n3"].digest == sha256_of(source)
+        assert live_children() == []
 
 
 @pytest.mark.parametrize("mode", MODES)

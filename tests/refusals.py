@@ -2,7 +2,7 @@
 
 One row per reason :func:`repro.runtime.result.check_run` owns: words
 the refusal must contain, the backends the question can be put to (a
-late joiner or an output template is a fleet's option, ``at_time`` a
+fleet member or an output template is a fleet's notion, ``at_time`` a
 simulator's, a source that cannot seek only matters where the run reads
 it in place), and the ask.  ``tests/test_driver_conformance.py`` puts
 each row to ``local`` and ``simnet`` — through ``run_broadcast`` and to
@@ -74,11 +74,19 @@ REFUSALS = {
         "'n9' is not a fleet member", ("daemon",),
         dict(late_join=[("n9", 0)])),
     "a late joiner already in the session": Refusal(
-        "late joiners must not be in the session already: ['n2']", FLEETS,
+        "late joiners must not be in the session already: ['n2']", ALL,
         dict(late_join=[("n2", 0)])),
-    "a late joiner on a fleet without a cache": Refusal(
-        "the fleet needs cache_bytes > 0", FLEETS,
-        dict(late_join=[("n4", 0)])),
+    "a late joiner on a source that cannot seek": Refusal(
+        "late join needs a seekable source", IN_PROCESS,
+        dict(late_join=[("n4", 0)]), stream=True),
+    # On a fleet the head's SIGKILL takes the join chain's head with it;
+    # on threads it would not: one story is not told yet.
+    "late join with allow_head_chaos": Refusal(
+        "late join cannot be combined with allow_head_chaos", ALL,
+        dict(allow_head_chaos=True, late_join=[("n4", 0)])),
+    "late join on the evloop plane": Refusal(
+        "late join is not supported on data_plane='evloop'", ("local",),
+        dict(late_join=[("n4", 0)], data_plane="evloop")),
     "one output file for many receivers": Refusal(
         "output_template needs a {node} placeholder", FLEETS,
         dict(output_template="/tmp/same-file.out")),

@@ -148,3 +148,24 @@ class TestFinishedNodesAreFreed:
             assert not alive, f"kept alive by a reference cycle: {alive}"
         finally:
             gc.enable()
+
+
+class TestLateJoin:
+    def test_a_head_is_gated_only_for_late_joiners(self, fast_config):
+        """A run with no joiners gives its head no gate, so it stores
+        whole runs; a joiner's gate lets it in on a chain of its own
+        and it ends with the payload too."""
+        size = fast_config.chunk_size * 16
+        for late_join, gated in (((), False), ((("n4", size // 2),), True)):
+            sinks = {}
+            bc = LocalBroadcast(
+                PatternSource(size, seed=3), ["n2", "n3"],
+                sink_factory=hashing_factory(sinks), config=fast_config,
+                late_join=late_join,
+            )
+            result = bc.run(timeout=30)
+            assert result.ok, result.outcomes
+            assert (bc.nodes["n1"].crash_gate is not None) is gated
+            assert {name: sink.hexdigest() for name, sink in sinks.items()} \
+                == dict.fromkeys(["n2", "n3", *(n for n, _ in late_join)],
+                                 expected_digest(size, seed=3))

@@ -60,6 +60,9 @@ class Scenario:
     lost: Tuple[str, ...] = ()
     ok: bool = True
     order: str = "given"
+    #: Late joiners, ``(node, after_bytes)``: each must end with the
+    #: payload, unless crashed.
+    late_join: Tuple[Tuple[str, int], ...] = ()
     #: Extra ``run_broadcast`` options (the same on both drivers).
     options: Tuple[Tuple[str, object], ...] = ()
     #: Milestone types a thread's timing decides, so not compared — e.g.
@@ -124,11 +127,27 @@ SCENARIOS = {
         chain(1), source=pattern(4 * SIZE),
         crashes=(("n1", 2 * SIZE, "close"),),
         options=(("allow_head_chaos", True),)),
+    # A late joiner gets a chain of its own from the head, which streams
+    # the source again from byte 0 — from mid-stream, or once the push is
+    # over; on a striped run too (the join chain is one stripe).
+    "late_join_mid_stream": Scenario(
+        chain(3), late_join=(("n5", SIZE // 2),)),
+    "late_join_after_end": Scenario(
+        chain(3), late_join=(("n5", 2 * SIZE),)),
+    "late_join_two_stripes": Scenario(
+        chain(3), late_join=(("n5", SIZE // 2),),
+        config=CFG.with_(stripes=2)),
+    # Only the joiner fails, and its death was planned.
+    "late_join_joiner_killed": Scenario(
+        chain(3), late_join=(("n5", SIZE // 2),),
+        crashes=(("n5", SIZE // 4, "close"),)),
 }
 
 #: The head rows a fleet runs too (``backend="procs"``).
 FLEET_ROWS = ("head_close_crash", "head_crash_reversed_chain",
               "head_crash_lone_survivor")
+#: The late-join rows a fleet runs too.
+FLEET_JOIN_ROWS = ("late_join_mid_stream", "late_join_after_end")
 
 
 @dataclass
@@ -161,8 +180,9 @@ def tell(scenario: Scenario, driver: str) -> Story:
     result = run_broadcast(
         scenario.source(), list(scenario.receivers), backend=driver,
         config=scenario.config, crashes=list(scenario.crashes),
-        order=scenario.order, sink_factory=sink_factory, trace=True,
-        timeout=60.0, **dict(scenario.options))
+        order=scenario.order, late_join=list(scenario.late_join),
+        sink_factory=sink_factory, trace=True, timeout=60.0,
+        **dict(scenario.options))
     milestones = {}
     for type_, node in result.trace.milestones():
         if type_ not in scenario.timing_decides:
@@ -193,8 +213,10 @@ def payload_digest(scenario: Scenario) -> str:
 
 
 def survivors(scenario: Scenario) -> list:
+    """Receivers and joiners that must end with the payload."""
     crashed = {node for node, _after, _mode in scenario.crashes}
-    return [r for r in scenario.receivers
+    joiners = [node for node, _after in scenario.late_join]
+    return [r for r in (*scenario.receivers, *joiners)
             if r not in crashed and r not in scenario.lost]
 
 
@@ -214,6 +236,7 @@ def check(scenario: Scenario, stories: Optional[dict] = None) -> dict:
             assert not story.complete[name], (driver, name)
     assert {n: local.digests[n] for n in alive} == \
         {n: sim.digests[n] for n in alive}
+    assert local.complete == sim.complete
     assert local.failures == sim.failures
     # A head that died as planned is not in the ring report: the chain
     # that closed the ring is the re-rooted one, which never had it.
@@ -260,6 +283,27 @@ def test_the_fleet_tells_the_same_head_loss_story(name, tmp_path):
         assert got.hexdigest() == want, name
     assert result.plan.nodes == local.chain
     assert elections(result.trace) == local.elections == (1, local.chain[:1])
+
+
+@pytest.mark.parametrize("name", FLEET_JOIN_ROWS)
+def test_the_fleet_lets_a_late_joiner_in_the_same_way(name, tmp_path):
+    """A fleet of agent processes lets the joiner in on a session of its
+    own, one chain from the head: every receiver's file and the
+    joiner's are the payload, byte for byte, as on both drivers.  The
+    head is paced so a mid-stream trigger lands mid-stream."""
+    scenario = SCENARIOS[name]
+    check(scenario)
+    source = scenario.source()
+    result = run_broadcast(
+        source, list(scenario.receivers), backend="procs",
+        config=scenario.config.with_(bandwidth_limit=4 << 20),
+        late_join=list(scenario.late_join),
+        output_template=str(tmp_path / "{node}.out"), trace=True,
+        timeout=30.0, progress_every=64 * 1024)
+    assert result.ok, result.outcomes
+    payload = source.expected_bytes(0, source.size)
+    for node in survivors(scenario):
+        assert (tmp_path / f"{node}.out").read_bytes() == payload, node
 
 
 def test_a_head_crash_is_refused_in_one_sentence():

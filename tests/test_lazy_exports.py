@@ -37,6 +37,10 @@ def test_moved_types_are_one_object_at_every_address():
             is cluster.BroadcastResult is result.BroadcastResult)
     assert (repro.CrashPlan is runtime.CrashPlan is cluster.CrashPlan
             is result.CrashPlan)
+    import repro.daemon
+
+    assert (repro.LateJoin is runtime.LateJoin is result.LateJoin
+            is repro.daemon.LateJoin)
     assert (runtime.check_head_failover is host.check_head_failover
             is result.check_head_failover)
     assert runtime.Address is transport.Address is registry.Address

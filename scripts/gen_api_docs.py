@@ -6,12 +6,20 @@ Walks every ``repro`` subpackage, collects what its ``__all__`` exports
 signatures and docstring summaries.  Run from the repository root:
 
     python scripts/gen_api_docs.py [output-path]
+
+The output is a function of the source alone: object addresses are
+stripped, sets are rendered sorted, and an enum's constructor (whose
+signature each Python release spells its own way) renders as
+``(value)`` — ``tests/test_docs.py`` compares the checked-in copy with a
+fresh generation.
 """
 
 from __future__ import annotations
 
+import enum
 import importlib
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -40,9 +48,27 @@ def summary_of(obj) -> str:
     return first
 
 
+_ADDRESS = re.compile(r" at 0x[0-9a-fA-F]+")
+
+
+def stable(text: str) -> str:
+    """``text`` without the object addresses a ``repr`` carries."""
+    return _ADDRESS.sub("", text)
+
+
+def render(obj) -> str:
+    """``repr(obj)``, with set members sorted and addresses stripped."""
+    if isinstance(obj, (set, frozenset)):
+        members = ", ".join(sorted(map(repr, obj)))
+        return f"{type(obj).__name__}({{{members}}})"
+    return stable(repr(obj))
+
+
 def signature_of(obj) -> str:
+    if inspect.isclass(obj) and issubclass(obj, enum.Enum):
+        return "(value)"
     try:
-        return str(inspect.signature(obj))
+        return stable(str(inspect.signature(obj)))
     except (TypeError, ValueError):
         return "(...)"
 
@@ -111,7 +137,7 @@ def generate() -> str:
             else:
                 out.append(f"### `{name}`")
                 out.append("")
-                out.append(f"Constant: `{obj!r}`"
+                out.append(f"Constant: `{render(obj)}`"
                            if not isinstance(obj, (dict, list, tuple))
                            or len(str(obj)) < 80
                            else "Constant.")

@@ -27,7 +27,6 @@ __version__ = "0.1.0"
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "core.config": ("DEFAULT_CONFIG", "KascadeConfig"),
     "core.chunkstore": ("ChunkRingBuffer",),
-    "core.pipeline": ("PipelinePlan",),
     "core.report": ("TransferReport", "FailureRecord"),
     "core.errors": ("KascadeError",),
     "core.tracing": ("TraceCollector", "TraceEvent"),

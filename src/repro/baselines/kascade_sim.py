@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from ..core.config import DEFAULT_CONFIG, KascadeConfig
 from ..core.errors import KascadeError
-from ..core.pipeline import PipelinePlan
+from ..core.plan import StripePlan
 from ..core.recovery import SourceKind, next_alive
 from ..core.units import MiB
 from ..core import tracing
@@ -94,7 +94,7 @@ class _KascadeRun(RunState):
         self.setup = setup
         self.net = setup.network
         self.size = setup.size
-        self.plan = PipelinePlan(head=setup.head, receivers=setup.receivers)
+        self.plan = StripePlan(head=setup.head, receivers=setup.receivers)
         self.dead: set[str] = set()
         self.rx: Dict[str, NodeRx] = {}
         self.procs: Dict[str, Process] = {}

@@ -20,12 +20,11 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                 "encode_run", "read_message", "write_message"),
     "messages": ("Op", "Message", "Get", "PGet", "Forget", "Data", "End",
                  "Quit", "Report", "Passed", "Ping", "Pong"),
-    "pipeline": ("PipelinePlan", "hostname_sort_key", "order_by_hostname",
-                 "order_randomly"),
-    "plan": ("ChainPlan", "StripePlan", "coerce_stripe_plan"),
+    "pipeline": ("hostname_sort_key", "order_by_hostname", "order_randomly"),
+    "plan": ("ChainPlan", "StripePlan"),
     "stripes": ("StripeMergeSink", "StripeSource", "stripe_extent"),
     "recovery": ("SourceKind", "OfferKind", "Offer", "negotiate_offset",
-                 "next_alive", "report_route"),
+                 "next_alive"),
     "report": ("FailureRecord", "NodeOutcome", "TransferReport"),
     "engine": ("Link", "Head", "Receiver", "InjectedCrash"),
     "tracing": ("EVENT_TYPES", "NULL_TRACER", "NullRecorder",

@@ -224,10 +224,6 @@ class ChunkCache:
         with self._lock:
             self._pinned.discard(digest)
 
-    def pinned_artifacts(self) -> Set[str]:
-        with self._lock:
-            return set(self._pinned)
-
 
 class CacheTapSink:
     """Sink wrapper feeding a :class:`ChunkCache` on the receive path.

@@ -62,8 +62,7 @@ from .framing import encode_run
 from .messages import (Data, End, Forget, Get, Passed, PGet, Ping, Pong, Quit,
                        Report)
 from .node_state import NodeTransferState, Phase
-from .pipeline import PipelinePlan
-from .plan import coerce_stripe_plan
+from .plan import StripePlan
 from .recovery import OfferKind, next_alive
 from .report import NodeOutcome, TransferReport
 from .sinks import Sink
@@ -108,7 +107,7 @@ class Link:
     has the tail's ring-closure duty).
     """
 
-    def __init__(self, owner: str, plan: PipelinePlan, port,
+    def __init__(self, owner: str, plan: StripePlan, port,
                  config: KascadeConfig, state: NodeTransferState,
                  tracer=NULL_TRACER) -> None:
         self.owner = owner
@@ -481,11 +480,14 @@ class Node:
     serves_pget = False
     _chunk_verb = "recv"  # how CHUNK events say this role got its chunk
 
-    def __init__(self, name: str, plan: PipelinePlan, port,
+    def __init__(self, name: str, plan: StripePlan, port,
                  config: KascadeConfig, state: NodeTransferState,
                  crash_gate: Optional[CrashGate], tracer) -> None:
+        if not isinstance(plan, StripePlan):
+            raise TypeError(f"{type(self).__name__} runs one stripe: pass "
+                            f"plan.stripe(j), not a {type(plan).__name__}")
         self.name = name
-        self.plan = coerce_stripe_plan(plan, owner=type(self).__name__)
+        self.plan = plan
         self.port = port
         self.config = config
         self.tracer = tracer
@@ -574,7 +576,7 @@ class Head(Node):
     serves_pget = True
     _chunk_verb = "read"
 
-    def __init__(self, name: str, plan: PipelinePlan, port,
+    def __init__(self, name: str, plan: StripePlan, port,
                  config: KascadeConfig, source: Source,
                  crash_gate: Optional[CrashGate] = None, tracer=NULL_TRACER,
                  resume_offset: int = 0) -> None:
@@ -731,7 +733,7 @@ class Receiver(Node):
     #: must not settle it again (``Host.resume``).
     sink_finished = False
 
-    def __init__(self, name: str, plan: PipelinePlan, port,
+    def __init__(self, name: str, plan: StripePlan, port,
                  config: KascadeConfig, sink: Sink,
                  crash_gate: Optional[CrashGate] = None, tracer=NULL_TRACER,
                  resume_offset: int = 0) -> None:

@@ -45,11 +45,3 @@ class TokenBucket:
         delay = max(0.0, earliest - now)
         self._next_free = earliest + nbytes / self.rate
         return delay
-
-    @property
-    def backlog_seconds(self) -> float:
-        """How far ahead of real time reservations currently run.
-
-        Only meaningful relative to the ``now`` of the last reserve.
-        """
-        return 0.0 if self._next_free is None else max(0.0, self._next_free)

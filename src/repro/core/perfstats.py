@@ -162,10 +162,6 @@ class PerfStats:
         self.splice_syscalls += 1
         self.splice_bytes += nbytes
 
-    def reactor_stalled(self, seconds: float) -> None:
-        """Record time the reactor slept in ``select()`` awaiting I/O."""
-        self.evloop_stall_s += seconds
-
     def note_writeback_depth(self, depth: int) -> None:
         """Track the writeback queue's high-water mark (in chunks)."""
         if depth > self.writeback_queue_hwm:

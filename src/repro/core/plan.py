@@ -1,15 +1,13 @@
 """Explicit broadcast schedules: who feeds whom, per stripe.
 
-Historically the chain was implied by position: a node's predecessor and
-successor fell out of its index in one :class:`~repro.core.pipeline.
-PipelinePlan`.  Striped broadcast breaks that assumption — with ``k``
-stripes a node forwards stripe ``j`` to a (possibly different) successor
-per stripe — so the schedule becomes first-class data:
+The paper's chain is the head, then the receivers in topology order
+(§III-A).  With ``k`` stripes a node forwards stripe ``j`` to a
+(possibly different) successor per stripe, so the schedule is
+first-class data:
 
-* :class:`StripePlan` — one stripe's chain.  A frozen subclass of
-  :class:`PipelinePlan` (same navigation API, so links, recovery, and
-  every node implementation consume it unchanged) annotated with which
-  stripe it carries out of how many.
+* :class:`StripePlan` — one stripe's chain: the head, the receivers in
+  order, and which stripe it carries out of how many.  Every node runs
+  exactly one; ``0 of 1`` is the paper's single pipeline.
 * :class:`ChainPlan` — the whole schedule: one :class:`StripePlan` per
   stripe over one shared node set.  Serializable (JSON) so the process
   backend can ship it to agents and results can carry it; buildable from
@@ -34,36 +32,40 @@ import json
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .errors import KascadeError, PipelineError
-from .pipeline import PipelinePlan
+from .pipeline import order_by_hostname, order_randomly
 from .record import Frozen
 
 if TYPE_CHECKING:  # annotation only: numpy stays off the CLI import path
     import numpy as np
 
-__all__ = ["StripePlan", "ChainPlan", "coerce_stripe_plan"]
+__all__ = ["StripePlan", "ChainPlan"]
 
 
-class StripePlan(PipelinePlan):
-    """One stripe's chain: a :class:`PipelinePlan` that knows its stripe.
+class StripePlan(Frozen):
+    """One stripe's chain: ``head`` followed by the ``receivers``.
 
     ``stripe`` is this chain's stripe index, ``of`` the total stripe
-    count of the schedule it belongs to.  The defaults (``0 of 1``)
-    describe the classic single-chain broadcast: a single-stripe plan
-    *is* the paper's one pipeline.  A head without receivers is what a
-    re-root leaves a lone survivor (:meth:`ChainPlan.elect`); no run
-    starts with one (:meth:`ChainPlan.resolve`).
+    count of the schedule it belongs to; the defaults (``0 of 1``)
+    describe the paper's one pipeline.  The plan is immutable: failure
+    handling never re-plans, it only *skips* dead nodes (see
+    :mod:`repro.core.recovery`), matching the tool's behaviour of
+    keeping the original node list on every node.  A head without
+    receivers is what a re-root leaves a lone survivor
+    (:meth:`ChainPlan.elect`); no run starts with one
+    (:meth:`ChainPlan.build`, :meth:`ChainPlan.resolve`).
     """
 
-    __slots__ = ("stripe", "of")
-    lone_head_ok = True
+    __slots__ = ("head", "receivers", "stripe", "of")
 
     def __init__(self, head: str, receivers: Tuple[str, ...],
                  stripe: int = 0, of: int = 1) -> None:
         self._init(head, receivers, stripe, of)
-        self._validate()
-
-    def _validate(self) -> None:
-        super()._validate()
+        if not self.head:
+            raise PipelineError("pipeline needs a head node")
+        chain = self.chain
+        if len(set(chain)) != len(chain):
+            dupes = sorted({n for n in chain if chain.count(n) > 1})
+            raise PipelineError(f"duplicate nodes in pipeline: {dupes}")
         if self.of < 1:
             raise PipelineError(f"stripe count must be >= 1, got {self.of}")
         if not 0 <= self.stripe < self.of:
@@ -71,13 +73,21 @@ class StripePlan(PipelinePlan):
                 f"stripe index {self.stripe} out of range for {self.of} stripe(s)"
             )
 
-    @classmethod
-    def from_pipeline(
-        cls, plan: PipelinePlan, *, stripe: int = 0, of: int = 1
-    ) -> "StripePlan":
-        """Annotate a plain pipeline plan with stripe coordinates."""
-        return cls(head=plan.head, receivers=plan.receivers,
-                   stripe=stripe, of=of)
+    @property
+    def chain(self) -> Tuple[str, ...]:
+        """Head followed by receivers, in transfer order."""
+        return (self.head,) + self.receivers
+
+    def index_of(self, node: str) -> int:
+        """Position of ``node`` in the chain (0 = head)."""
+        try:
+            return self.chain.index(node)
+        except ValueError:
+            raise PipelineError(f"node {node!r} not in pipeline") from None
+
+    def successors_after(self, node: str) -> Tuple[str, ...]:
+        """All nodes strictly after ``node`` in chain order."""
+        return self.chain[self.index_of(node) + 1:]
 
 
 def _rotated(receivers: Tuple[str, ...], shift: int) -> Tuple[str, ...]:
@@ -134,18 +144,28 @@ class ChainPlan(Frozen):
     ) -> "ChainPlan":
         """Build a schedule from an ordering strategy.
 
-        The base order comes from :meth:`PipelinePlan.build`; stripe
-        ``j`` gets that order rotated by ``(j * n) // k``.
+        ``order`` is ``"hostname"`` (default, topology-aware), ``"given"``
+        (keep the caller's sequence) or ``"random"`` (requires ``rng``);
+        stripe ``j`` gets that order rotated by ``(j * n) // k``.
         """
         if stripes < 1:
             raise PipelineError(f"stripe count must be >= 1, got {stripes}")
-        base = PipelinePlan.build(head, receivers, order=order, rng=rng)
-        n = len(base.receivers)
+        if order == "hostname":
+            ordered = tuple(order_by_hostname(receivers))
+        elif order == "given":
+            ordered = tuple(receivers)
+        elif order == "random":
+            if rng is None:
+                raise PipelineError("random ordering requires an rng")
+            ordered = tuple(order_randomly(receivers, rng))
+        else:
+            raise PipelineError(f"unknown ordering strategy: {order!r}")
+        if not ordered:
+            raise PipelineError("pipeline needs at least one receiver")
+        n = len(ordered)
         return cls.from_orders(
-            head,
-            [_rotated(base.receivers, (j * n) // stripes)
-             for j in range(stripes)],
-        )
+            head, [_rotated(ordered, (j * n) // stripes)
+                   for j in range(stripes)])
 
     @classmethod
     def resolve(
@@ -193,11 +213,6 @@ class ChainPlan(Frozen):
         """The classic one-chain schedule over the given order."""
         return cls.from_orders(head, [tuple(receivers)])
 
-    @classmethod
-    def from_pipeline(cls, plan: PipelinePlan) -> "ChainPlan":
-        """Lift a plain single-chain plan into a schedule."""
-        return cls.single(plan.head, plan.receivers)
-
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
@@ -219,11 +234,6 @@ class ChainPlan(Frozen):
     def nodes(self) -> Tuple[str, ...]:
         """Head plus receivers in canonical order."""
         return self.stripes[0].chain
-
-    @property
-    def base(self) -> PipelinePlan:
-        """The canonical order as a plain :class:`PipelinePlan`."""
-        return PipelinePlan(head=self.head, receivers=self.receivers)
 
     def stripe(self, j: int) -> StripePlan:
         """The chain carrying stripe ``j``."""
@@ -346,32 +356,3 @@ class ChainPlan(Frozen):
     def from_json(cls, text: str) -> "ChainPlan":
         return cls.from_dict(json.loads(text))
 
-
-def coerce_stripe_plan(plan, *, owner: str) -> StripePlan:
-    """Adapt whatever a node constructor was given into a :class:`StripePlan`.
-
-    Node implementations each run exactly one stripe's chain.  Accepts:
-
-    * a :class:`StripePlan` — passed through;
-    * a single-stripe :class:`ChainPlan` — unwrapped (a multi-stripe one
-      is ambiguous: pass ``plan.stripe(j)`` instead).
-
-    A bare :class:`PipelinePlan` is refused: the implicit positional
-    predecessor/successor wiring it encodes was superseded by the
-    explicit plan objects (deprecated in PR 7, removed since).
-    """
-    if isinstance(plan, ChainPlan):
-        if plan.stripe_count != 1:
-            raise PipelineError(
-                f"{owner} runs a single stripe; pass plan.stripe(j), "
-                f"not a {plan.stripe_count}-stripe ChainPlan"
-            )
-        return plan.stripe(0)
-    if isinstance(plan, StripePlan):
-        return plan
-    hint = (": pass ChainPlan.from_pipeline(plan).stripe(0)"
-            if isinstance(plan, PipelinePlan) else "")
-    raise TypeError(
-        f"{owner} needs a StripePlan or a 1-stripe ChainPlan, "
-        f"got {type(plan).__name__}{hint}"
-    )

@@ -20,10 +20,12 @@ the same decisions — the paper's recovery behaviour lives here:
 from __future__ import annotations
 
 import enum
-from typing import AbstractSet, Optional, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Optional
 
-from .pipeline import PipelinePlan
 from .record import Frozen
+
+if TYPE_CHECKING:  # annotation only
+    from .plan import StripePlan
 
 
 class SourceKind(enum.Enum):
@@ -59,7 +61,7 @@ class Offer(Frozen):
 
 
 def next_alive(
-    plan: PipelinePlan,
+    plan: StripePlan,
     after: str,
     dead: AbstractSet[str],
     max_skips: Optional[int] = None,
@@ -110,11 +112,3 @@ def negotiate_offset(
         return Offer(OfferKind.NEED_HEAD_RANGE, buffer_min)
     return Offer(OfferKind.FORGET, buffer_min)
 
-
-def report_route(plan: PipelinePlan, dead: AbstractSet[str]) -> Sequence[str]:
-    """Alive nodes in chain order — the path the final report travels.
-
-    The last element is the effective tail, which owns the ring-closure
-    connection back to the head.
-    """
-    return [n for n in plan.chain if n not in dead]

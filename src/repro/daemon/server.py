@@ -5,10 +5,10 @@ runs *named broadcast sessions* on it.  ``kascade serve`` keeps one up
 for many submits, so interpreter start + import + register is paid once
 at :meth:`DaemonServer.start` and amortised over every
 :meth:`~DaemonServer.submit`; a one-shot ``backend="procs"`` broadcast
-(:class:`repro.deploy.ProcBroadcast`) is the same thing with a lifetime
-of one session.  A submit into a warm fleet carries ``launch=None`` on
-its :class:`~repro.runtime.BroadcastResult` because no process was
-launched for it.
+(``run_broadcast``) is the same server with a lifetime of one session.
+A submit into a warm fleet carries ``launch=None`` on its
+:class:`~repro.runtime.BroadcastResult` because no process was launched
+for it.
 
 A session runs in two phases, either of which may be empty:
 
@@ -188,10 +188,24 @@ class DaemonServer:
         sizes each agent's chunk cache unless ``cache_bytes`` overrides;
         0 means the fleet has no cache at all).
     window / spawn_retries / startup_timeout / backoff:
-        Windowed-launcher knobs, paid once at :meth:`start`.
-    heartbeat_interval / heartbeat_timeout / progress_every / python /
-    bind_host / agent_args / stderr_dir:
-        As on :class:`~repro.deploy.ProcBroadcast`.
+        Windowed-launcher knobs (§III-B, see
+        :class:`~repro.deploy.launcher.WindowedLauncher`), paid once at
+        :meth:`start`.
+    heartbeat_interval / heartbeat_timeout:
+        Agent liveness tick and how long the supervisor tolerates
+        control-plane silence before declaring an agent dead.
+    progress_every:
+        Bytes between agent progress reports (chaos trigger resolution).
+    python:
+        Interpreter for agent processes (default ``sys.executable``).
+    bind_host:
+        Address agents bind their data ports on (default localhost).
+    agent_args:
+        ``fn(name, attempt) -> [extra argv]`` hook appended to the agent
+        command line — how tests make specific spawn attempts fail.
+    stderr_dir:
+        When set, each agent's stderr goes to ``<dir>/<name>.stderr.log``
+        instead of ``/dev/null``.
 
     Usage::
 

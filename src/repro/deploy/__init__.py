@@ -21,9 +21,9 @@ process (§III-B):
   the transfer";
 * :mod:`repro.deploy.coordinator` — the supervisor's control endpoint
   (registrations, liveness by ``waitpid`` + control heartbeats, the
-  tear-down that leaves no process behind) and :class:`ProcBroadcast`,
-  the one-shot broadcast: a fleet launched for one session
-  (:mod:`repro.daemon.server` runs the sessions);
+  tear-down that leaves no process behind); the sessions run on
+  :class:`repro.daemon.DaemonServer`, and a one-shot broadcast is one
+  of its fleets launched for a single session;
 * :mod:`repro.deploy.chaos` — kills agents with real ``SIGKILL`` /
   ``SIGSTOP`` mid-transfer, so §III-D failover is exercised against
   genuine RSTs and silent hangs across process boundaries.
@@ -37,5 +37,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "chaos": ("ChaosEngine",),
     "protocol": ("ControlChannel", "DeployError"),
     "launcher": ("LaunchReport", "NodeLaunch", "WindowedLauncher"),
-    "coordinator": ("ProcBroadcast",),
 })

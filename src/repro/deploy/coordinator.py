@@ -1,4 +1,4 @@
-"""The supervisor's control endpoint, and the one-shot broadcast.
+"""The supervisor's control endpoint: registration, liveness, tear-down.
 
 A supervisor runs *sessions* on a *fleet* of agents.  This module holds
 the half that knows nothing about sessions: :class:`Coordinator` (the
@@ -8,16 +8,10 @@ session-scoped message handed to a router), :func:`supervise` (liveness:
 silent hangs) and :func:`drain` (the one tear-down: ``quit`` the healthy,
 ``SIGKILL`` the rest — including agents frozen by the chaos hook — and
 leave no process behind).  The session half is
-:class:`repro.daemon.server.DaemonServer`.
-
-:class:`ProcBroadcast` is the §III-B root as a one-session fleet:
-launch an agent per node of the chain (windowed, via
-:class:`~repro.deploy.launcher.WindowedLauncher`), run one session on
-them — re-planned around launch failures *before* any payload byte
-flows — and shut the fleet down.  It mirrors
-:class:`repro.runtime.LocalBroadcast` (same constructor shape, same
-:class:`BroadcastResult`), which is what lets :func:`repro.run_broadcast`
-offer it as ``backend="procs"``.
+:class:`repro.daemon.server.DaemonServer`; ``run_broadcast(...,
+backend="procs")`` is one of its fleets launched for a single session
+and shut down after it (:meth:`repro.session.BroadcastSession.
+_run_fleet`).
 """
 
 from __future__ import annotations
@@ -32,17 +26,10 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import tracing
-from ..core.config import DEFAULT_CONFIG, KascadeConfig
-from ..core.plan import ChainPlan
 from ..core.sources import FileSource, Source
 from ..core.tracing import NULL_TRACER, TraceCollector
 from ..runtime.registry import Address
-from ..runtime.result import (  # noqa: F401 - re-exported
-    BroadcastResult,
-    NodeOutcome,
-    late_joins,
-)
-from .launcher import LaunchReport
+from ..runtime.result import NodeOutcome  # noqa: F401 - re-exported
 from .protocol import ControlChannel, DeployError
 
 def rebase_events(status: dict, wall0: float) -> list:
@@ -395,120 +382,3 @@ class Coordinator:
         for agent in agents:
             agent.channel.close()
 
-
-class ProcBroadcast:
-    """One Kascade broadcast with a real OS process per pipeline node:
-    a fleet that is launched for one session and shut down after it.
-
-    Mirrors :class:`~repro.runtime.LocalBroadcast`; prefer
-    ``repro.run_broadcast(..., backend="procs")``.  Everything is
-    validated here, before a process is spawned.
-
-    Parameters beyond the common set
-    --------------------------------
-    crashes:
-        :class:`~repro.runtime.CrashPlan` sequence (or ``(node,
-        after_bytes[, mode])`` tuples), fired as real ``SIGKILL`` /
-        ``SIGSTOP`` on receivers (and, with ``allow_head_chaos``, on the
-        head, whose death the supervisor answers by re-rooting the
-        chain).
-    window / spawn_retries / startup_timeout / backoff:
-        Windowed-launcher knobs (§III-B), see
-        :class:`~repro.deploy.launcher.WindowedLauncher`.
-    heartbeat_interval / heartbeat_timeout:
-        Agent liveness tick and how long the supervisor tolerates
-        control-plane silence before declaring an agent dead.
-    progress_every:
-        Bytes between agent progress reports (chaos trigger resolution).
-    output_template:
-        Per-receiver output path; ``{node}`` expands to the node name.
-        ``None`` = agents discard payload (digest still computed).
-    python:
-        Interpreter for agent processes (default ``sys.executable``).
-    bind_host:
-        Address agents bind their data ports on (default localhost).
-    agent_args:
-        ``fn(name, attempt) -> [extra argv]`` hook appended to the agent
-        command line — how tests make specific spawn attempts fail.
-    stderr_dir:
-        When set, each agent's stderr goes to ``<dir>/<name>.stderr.log``
-        instead of ``/dev/null``.
-    plan:
-        Pre-built :class:`~repro.core.plan.ChainPlan` overriding
-        ``order``/``config.stripes``-derived planning.  On a striped
-        plan every agent binds one data-plane listener per stripe and
-        runs one chain instance per stripe.
-    late_join:
-        Nodes let in mid-flight (:class:`~repro.runtime.LateJoin`, or
-        ``(node, after_bytes)``), each on a chain of its own from the
-        head; they are launched with the fleet.
-    cache_bytes / session:
-        What a longer-lived fleet would use (see
-        :class:`~repro.daemon.server.DaemonServer`): the per-agent chunk
-        cache (0, the default, loads no cache code at all) and the
-        session's name.
-    backend:
-        The label the result carries (``run_broadcast`` passes its own).
-    """
-
-    def __init__(
-        self,
-        source: Source,
-        receivers: Sequence[str],
-        *,
-        config: KascadeConfig = DEFAULT_CONFIG,
-        head: str = "n1",
-        order: str = "given",
-        crashes: Sequence = (),
-        tracer=NULL_TRACER,
-        plan: Optional[ChainPlan] = None,
-        output_template: Optional[str] = None,
-        allow_head_chaos: bool = False,
-        cache_bytes: Optional[int] = 0,
-        late_join: Sequence = (),
-        session: Optional[str] = None,
-        backend: str = "procs",
-        **fleet_opts,
-    ) -> None:
-        from ..daemon.server import DaemonServer
-
-        late_join = late_joins(late_join)
-        self.source = source
-        self.backend = backend
-        self.chain_plan = ChainPlan.resolve(
-            plan, head, receivers, stripes=config.stripes, order=order)
-        self._session = dict(
-            plan=self.chain_plan, crashes=tuple(crashes),
-            late_join=late_join, output_template=output_template,
-            allow_head_chaos=allow_head_chaos,
-        )
-        self._fleet = DaemonServer(
-            # A joiner already in the plan is the admission's to refuse.
-            tuple(dict.fromkeys((*self.chain_plan.nodes,
-                                 *(lj.node for lj in late_join)))),
-            config=config, cache_bytes=cache_bytes, tracer=tracer,
-            **fleet_opts)
-        self._fleet.admit(**self._session)
-        self._session.update(session=session, trace=tracer)
-        #: Filled by :meth:`run`.
-        self.launch_report: Optional[LaunchReport] = None
-
-    def run(self, timeout: float = 120.0) -> BroadcastResult:
-        """Launch, run the one session, tear down."""
-        started = time.monotonic()
-        wall0 = time.time()
-        try:
-            self._fleet.start()
-            self.launch_report = self._fleet.launch_report
-            result = self._fleet.submit(
-                self.source, **self._session,
-                # The trace's zero and the deadline are the *run's*:
-                # launch is on the time line and inside the budget.
-                wall0=wall0,
-                timeout=max(1.0, timeout - (time.monotonic() - started)))
-            duration = time.monotonic() - started
-        finally:
-            self._fleet.shutdown(grace=2.0)
-        result.backend, result.duration, result.launch = (
-            self.backend, duration, self.launch_report)
-        return result

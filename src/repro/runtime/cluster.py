@@ -115,8 +115,6 @@ class Broadcast:
         self.tracer = tracer
         self.chain_plan = ChainPlan.resolve(
             plan, head, receivers, stripes=config.stripes, order=order)
-        #: Canonical (stripe-0) order, kept for single-chain callers.
-        self.plan = self.chain_plan.stripe(0)
         self.sink_factory = sink_factory or (lambda name: NullSink())
         self.crashes = {c.node: c for c in check_run(
             self.chain_plan, crashes, backend=self.backend,
@@ -125,7 +123,7 @@ class Broadcast:
         self.late_join = late_joins(late_join)
         #: Injected head death + in-process promotion (the in-process
         #: twin of the fleet's head failover).
-        self._head_crash = self.crashes.get(self.plan.head)
+        self._head_crash = self.crashes.get(self.chain_plan.head)
         #: ``label -> node`` of the run in progress (see :attr:`Host.nodes`).
         self.nodes: Dict[str, object] = {}
 
@@ -229,7 +227,7 @@ class Broadcast:
         # A planned death is excused — the head's too; every intended
         # receiver (including a promoted one, and a joiner) must have
         # completed, and the head must have run to its end.
-        intended = [r for r in (*self.plan.receivers,
+        intended = [r for r in (*self.chain_plan.receivers,
                                 *(lj.node for lj in self.late_join))
                     if r not in self.crashes]
         stats_after = get_stats().snapshot()
@@ -252,7 +250,8 @@ class Broadcast:
         together; returns its hosts, head first.  The head streams the
         source again from byte 0, through a view of its own: the push
         moves the shared cursor."""
-        chain = ChainPlan.single(self.plan.head, [lj.node for lj in ready])
+        chain = ChainPlan.single(self.chain_plan.head,
+                                 [lj.node for lj in ready])
         make_host = self._wire(chain, tag)
         hosts = [make_host(chain.head,
                            source=ResumeView(self.source, 0))]
@@ -275,7 +274,7 @@ class Broadcast:
         ``None`` when no receiver let go (the run then fails through
         the normal path).
         """
-        crash, old_head = self._head_crash, self.plan.head
+        crash, old_head = self._head_crash, self.chain_plan.head
         self.tracer.emit(
             tracing.FAILOVER, "coordinator", peer=old_head,
             detail=f"injected head crash ({crash.mode})",
@@ -285,7 +284,8 @@ class Broadcast:
         # Chain order, one at a time: a host is detached only after its
         # upstream has stopped relaying, so no survivor is still writing
         # to a neighbour that has already let go.
-        offsets = {name: hosts[name].offset for name in self.plan.receivers
+        offsets = {name: hosts[name].offset
+                   for name in self.chain_plan.receivers
                    if hosts[name].let_go()}
         for name in offsets:
             hosts[name].close_connections()

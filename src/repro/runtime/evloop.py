@@ -105,8 +105,7 @@ from ..core.messages import (
 )
 from ..core.node_state import NodeTransferState, Phase
 from ..core.perfstats import PerfStats, get_stats
-from ..core.pipeline import PipelinePlan
-from ..core.plan import coerce_stripe_plan
+from ..core.plan import StripePlan
 from ..core.recovery import OfferKind, next_alive
 from ..core.report import TransferReport
 from ..core.sinks import NullSink, Sink
@@ -735,7 +734,7 @@ class EvDownstreamLink:
     :meth:`note_spliced` / :meth:`send_file_retrying`.
     """
 
-    def __init__(self, owner: str, plan: PipelinePlan, registry: Registry,
+    def __init__(self, owner: str, plan: StripePlan, registry: Registry,
                  config: KascadeConfig, state: NodeTransferState,
                  tracer=NULL_TRACER) -> None:
         self.owner = owner
@@ -1138,11 +1137,14 @@ class _EvBaseNode:
 
     serves_pget = False
 
-    def __init__(self, name: str, plan: PipelinePlan, registry: Registry,
+    def __init__(self, name: str, plan: StripePlan, registry: Registry,
                  listener: Listener, config: KascadeConfig,
                  tracer=NULL_TRACER) -> None:
+        if not isinstance(plan, StripePlan):
+            raise TypeError(f"{type(self).__name__} runs one stripe: pass "
+                            f"plan.stripe(j), not a {type(plan).__name__}")
         self.name = name
-        self.plan = coerce_stripe_plan(plan, owner=type(self).__name__)
+        self.plan = plan
         self.registry = registry
         self.listener = listener
         self.config = config
@@ -1285,7 +1287,7 @@ class EvHeadNode(_EvBaseNode):
 
     serves_pget = True
 
-    def __init__(self, name: str, plan: PipelinePlan, registry: Registry,
+    def __init__(self, name: str, plan: StripePlan, registry: Registry,
                  listener: Listener, config: KascadeConfig, source: Source,
                  tracer=NULL_TRACER) -> None:
         super().__init__(name, plan, registry, listener, config, tracer)
@@ -1494,7 +1496,7 @@ class EvReceiverNode(_EvBaseNode):
     bytes and digests are byte-for-byte the same across planes.
     """
 
-    def __init__(self, name: str, plan: PipelinePlan, registry: Registry,
+    def __init__(self, name: str, plan: StripePlan, registry: Registry,
                  listener: Listener, config: KascadeConfig, sink: Sink,
                  crash_gate: Optional[CrashGate] = None,
                  tracer=NULL_TRACER) -> None:

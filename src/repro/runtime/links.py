@@ -33,7 +33,7 @@ from ..core.config import KascadeConfig
 from ..core.engine import PGET_CONN, RING_CONN, Link
 from ..core.errors import NodeFailedError, TransferAborted
 from ..core.node_state import NodeTransferState
-from ..core.pipeline import PipelinePlan
+from ..core.plan import StripePlan
 from ..core.tracing import NULL_TRACER
 from .registry import Registry
 from .transport import Listener, SocketStream, connect
@@ -207,7 +207,7 @@ class DownstreamLink:
     raises :class:`TransferAborted`.
     """
 
-    def __init__(self, owner: str, plan: PipelinePlan, registry: Registry,
+    def __init__(self, owner: str, plan: StripePlan, registry: Registry,
                  config: KascadeConfig, state: NodeTransferState,
                  tracer=NULL_TRACER,
                  detaching: Optional[threading.Event] = None) -> None:

@@ -23,7 +23,7 @@ from ..core.config import KascadeConfig
 from ..core.engine import (DATA_CONN, _HEAD_FLUSH_BYTES, CrashGate,  # noqa: F401
                            Head, InjectedCrash, Receiver)
 from ..core.errors import SinkError, TransferAborted
-from ..core.pipeline import PipelinePlan
+from ..core.plan import StripePlan
 from ..core.sinks import NullSink, Sink
 from ..core.sources import Source
 from ..core.stages import ReadAheadSource, SinkWriter
@@ -189,7 +189,7 @@ class _ThreadNode:
 class HeadNode(_ThreadNode, Head):
     """The sending node: streams the source, serves PGET, owns the ring."""
 
-    def __init__(self, name: str, plan: PipelinePlan, registry: Registry,
+    def __init__(self, name: str, plan: StripePlan, registry: Registry,
                  listener: Listener, config: KascadeConfig, source: Source,
                  crash_gate: Optional[CrashGate] = None, tracer=NULL_TRACER,
                  resume_offset: int = 0) -> None:
@@ -215,7 +215,7 @@ class HeadNode(_ThreadNode, Head):
 class ReceiverNode(_ThreadNode, Receiver):
     """A receiving node: stores the stream and forwards it downstream."""
 
-    def __init__(self, name: str, plan: PipelinePlan, registry: Registry,
+    def __init__(self, name: str, plan: StripePlan, registry: Registry,
                  listener: Listener, config: KascadeConfig, sink: Sink,
                  crash_gate: Optional[CrashGate] = None, tracer=NULL_TRACER,
                  resume_offset: int = 0) -> None:

@@ -198,6 +198,9 @@ def check_run(plan: ChainPlan, crashes: Sequence = (), *, backend: str,
             "needs the simulator's clock (backend='simnet'); give "
             "after_bytes instead")
     joiners = [lj.node for lj in late_joins(late_join)]
+    twice = sorted({n for n in joiners if joiners.count(n) > 1})
+    if twice:
+        raise KascadeError(f"more than one late join for: {twice}")
     if fleet is not None:
         for name in (*plan.nodes, *joiners):
             if name not in fleet:

@@ -32,6 +32,7 @@ field-for-field, and event-for-event via the trace.
 from __future__ import annotations
 
 import os
+import time
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from .core.config import DEFAULT_CONFIG, KascadeConfig
@@ -39,7 +40,8 @@ from .core.errors import KascadeError
 from .core.plan import ChainPlan
 from .core.sources import Source
 from .core.tracing import NULL_TRACER, TraceCollector
-from .runtime.result import BroadcastResult, CrashPlan, NodeOutcome  # noqa: F401
+from .runtime.result import (BroadcastResult, CrashPlan,  # noqa: F401
+                             NodeOutcome, late_joins)
 
 if TYPE_CHECKING:
     from .core.sinks import Sink
@@ -136,8 +138,9 @@ class BroadcastSession:
       ``cache_bytes`` (``procs`` defaults to 0: no cache, nothing of it
       loaded; ``daemon`` to ``config.cache_bytes``) — and the session:
       ``output_template``, ``allow_head_chaos``, ``session_name``; see
-      :class:`repro.deploy.ProcBroadcast`.  ``server=`` submits into a
-      started :class:`repro.daemon.DaemonServer` instead of launching.
+      :class:`repro.daemon.DaemonServer`, whose fleet is launched for
+      the one session.  ``server=`` submits into a started
+      :class:`repro.daemon.DaemonServer` instead of launching.
       ``sink_factory`` is rejected (sinks cannot cross process
       boundaries; use ``output_template``).
     """
@@ -243,7 +246,13 @@ class BroadcastSession:
         """``procs`` and ``daemon``: one session on a fleet of agent
         processes.  The two differ in what the fleet is given — ``procs``
         launches it without a chunk cache unless asked, ``daemon`` with
-        ``config.cache_bytes`` — and in nothing else."""
+        ``config.cache_bytes`` — and in nothing else.
+
+        Without ``server=`` the fleet is launched for this one session
+        (§III-B): its members are the plan's nodes and the late joiners,
+        the session is admitted before any agent is spawned, the trace's
+        zero and the deadline include the launch, and the fleet is shut
+        down whatever happens."""
         self._refuse_sink_factory()
         unknown = set(self.backend_opts) - self._FLEET_OPTS
         if unknown:
@@ -251,15 +260,13 @@ class BroadcastSession:
                 f"unknown {self.backend} options: {sorted(unknown)}")
         opts = dict(self.backend_opts)
         server = opts.pop("server", None)
-        session = dict(
-            order=self.order,
-            plan=self.plan,
+        asked = dict(
             output_template=opts.pop("output_template", None),
             crashes=self.crashes,
-            late_join=self.late_join,
+            late_join=late_joins(self.late_join),
             allow_head_chaos=bool(opts.pop("allow_head_chaos", False)),
-            session=opts.pop("session_name", None),
         )
+        session = opts.pop("session_name", None)
         if server is not None:
             if opts:
                 raise KascadeError(
@@ -267,16 +274,38 @@ class BroadcastSession:
                     f"do not apply when submitting to an existing server"
                 )
             return server.submit(self.source, self.receivers, head=self.head,
+                                 order=self.order, plan=self.plan,
                                  trace=self.tracer, timeout=timeout,
-                                 **session)
-        from .deploy.coordinator import ProcBroadcast
+                                 session=session, **asked)
+        from .daemon.server import DaemonServer
 
         opts.setdefault("cache_bytes",
                         0 if self.backend == "procs" else None)
-        return ProcBroadcast(
-            self.source, self.receivers, config=self.config, head=self.head,
-            tracer=self.tracer, backend=self.backend, **session, **opts,
-        ).run(timeout=timeout)
+        plan = ChainPlan.resolve(self.plan, self.head, self.receivers,
+                                 stripes=self.config.stripes,
+                                 order=self.order)
+        fleet = DaemonServer(
+            # A joiner already in the plan is the admission's to refuse.
+            tuple(dict.fromkeys((*plan.nodes,
+                                 *(lj.node for lj in asked["late_join"])))),
+            config=self.config, tracer=self.tracer, **opts)
+        fleet.admit(plan, **asked)
+        started, wall0 = time.monotonic(), time.time()
+        try:
+            fleet.start()
+            result = fleet.submit(
+                self.source, plan=plan, session=session, trace=self.tracer,
+                # The trace's zero and the deadline are the *run's*:
+                # launch is on the time line and inside the budget.
+                wall0=wall0,
+                timeout=max(1.0, timeout - (time.monotonic() - started)),
+                **asked)
+            duration = time.monotonic() - started
+        finally:
+            fleet.shutdown(grace=2.0)
+        result.backend, result.duration, result.launch = (
+            self.backend, duration, fleet.launch_report)
+        return result
 
     def _refuse_sink_factory(self) -> None:
         if self.sink_factory is not None:

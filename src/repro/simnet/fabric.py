@@ -236,11 +236,6 @@ class Stream:
             self.fabric._on_change()
         return ev
 
-    def set_limit(self, limit: float) -> None:
-        """Change the external rate cap (e.g. throttling mid-transfer)."""
-        self.ext_limit = limit
-        self.fabric._on_change()
-
     def cancel(self) -> None:
         """Stop the transfer; pending waiters get :class:`StreamCancelled`."""
         if not self.active:

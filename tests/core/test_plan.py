@@ -5,53 +5,42 @@ description of who feeds whom per stripe, consumed identically by the
 local, procs, and simnet backends.  Under test:
 
 * stripe construction — rotated receiver orders, the k == 1 degenerate
-  case being exactly the legacy single chain;
-* navigation parity — a StripePlan *is* a PipelinePlan, so successor/
-  predecessor/is_tail work unchanged per stripe;
+  case being the paper's single chain;
 * the wire form — JSON roundtrip, versioning;
 * re-planning — dropping dead nodes from every stripe;
-* the deprecation shim — bare PipelinePlans still work, with a warning.
+* what a node accepts — one StripePlan, nothing else.
 """
 
 import json
 
 import pytest
 
+from repro.core import DEFAULT_CONFIG, NullSink
 from repro.core.errors import PipelineError
-from repro.core.pipeline import PipelinePlan
-from repro.core.plan import ChainPlan, StripePlan, coerce_stripe_plan
+from repro.core.plan import ChainPlan, StripePlan
+from repro.runtime.node import ReceiverNode
+from repro.runtime.registry import Registry
+from repro.runtime.transport import Listener
 
 RECEIVERS = ("n2", "n3", "n4", "n5")
 
 
 class TestStripePlan:
-    def test_is_a_pipeline_plan(self):
-        sp = StripePlan(head="n1", receivers=RECEIVERS, stripe=1, of=3)
-        assert isinstance(sp, PipelinePlan)
-        assert sp.successor("n2") == "n3"
-        assert sp.predecessor("n2") == "n1"
-        assert sp.is_tail("n5")
-
     def test_labels_validated(self):
         with pytest.raises(PipelineError):
             StripePlan(head="n1", receivers=RECEIVERS, stripe=3, of=3)
         with pytest.raises(PipelineError):
             StripePlan(head="n1", receivers=RECEIVERS, stripe=0, of=0)
 
-    def test_from_pipeline(self):
-        base = PipelinePlan(head="n1", receivers=RECEIVERS)
-        sp = StripePlan.from_pipeline(base, stripe=2, of=4)
-        assert sp.receivers == base.receivers
-        assert (sp.stripe, sp.of) == (2, 4)
-
 
 class TestChainPlanBuild:
     def test_single_stripe_matches_legacy_plan(self):
+        """k == 1 is the one chain of the paper: stripe 0 of 1."""
         plan = ChainPlan.build("n1", RECEIVERS, stripes=1, order="given")
-        legacy = PipelinePlan.build("n1", RECEIVERS, order="given")
         assert plan.stripe_count == 1
-        assert plan.stripe(0).receivers == legacy.receivers
-        assert plan.receivers == legacy.receivers
+        assert plan.stripe(0) == StripePlan(head="n1", receivers=RECEIVERS)
+        assert plan.receivers == RECEIVERS
+        assert plan == ChainPlan.single("n1", RECEIVERS)
 
     def test_stripes_rotate_the_order(self):
         plan = ChainPlan.build("n1", RECEIVERS, stripes=4, order="given")
@@ -79,12 +68,6 @@ class TestChainPlanBuild:
     def test_mismatched_orders_rejected(self):
         with pytest.raises(PipelineError):
             ChainPlan.from_orders("n1", [["n2", "n3"], ["n3", "n9"]])
-
-    def test_base_is_a_plain_pipeline_plan(self):
-        plan = ChainPlan.build("n1", RECEIVERS, stripes=3, order="given")
-        base = plan.base
-        assert type(base) is PipelinePlan
-        assert base.receivers == plan.stripe(0).receivers
 
 
 class TestChainPlanWireForm:
@@ -204,30 +187,32 @@ class TestElect:
 
 
 class TestCoercionShim:
+    """A node runs exactly one stripe: it takes a :class:`StripePlan`
+    and coerces nothing else into one."""
+
+    @staticmethod
+    def node_with(plan):
+        listener = Listener()
+        try:
+            return ReceiverNode("n2", plan, Registry({}), listener,
+                                DEFAULT_CONFIG, NullSink())
+        finally:
+            listener.close()
+
     def test_stripe_plan_passes_through(self):
         sp = StripePlan(head="n1", receivers=RECEIVERS)
-        assert coerce_stripe_plan(sp, owner="X") is sp
+        assert self.node_with(sp).plan is sp
 
-    def test_single_stripe_chain_plan_unwraps(self):
+    def test_single_stripe_chain_plan_is_refused(self):
         plan = ChainPlan.single("n1", RECEIVERS)
-        assert coerce_stripe_plan(plan, owner="X") == plan.stripe(0)
+        with pytest.raises(TypeError, match=r"pass plan\.stripe\(j\)"):
+            self.node_with(plan)
 
     def test_multi_stripe_chain_plan_rejected(self):
         plan = ChainPlan.build("n1", RECEIVERS, stripes=2, order="given")
-        with pytest.raises(PipelineError, match="single stripe"):
-            coerce_stripe_plan(plan, owner="X")
-
-    def test_bare_pipeline_plan_is_refused(self):
-        """The warn-and-adapt release is over: the error names the fix."""
-        base = PipelinePlan(head="n1", receivers=RECEIVERS)
-        with pytest.raises(TypeError,
-                           match=r"from_pipeline\(plan\)\.stripe\(0\)"):
-            coerce_stripe_plan(base, owner="X")
-        sp = coerce_stripe_plan(ChainPlan.from_pipeline(base).stripe(0),
-                                owner="X")
-        assert sp.receivers == base.receivers
-        assert (sp.stripe, sp.of) == (0, 1)
+        with pytest.raises(TypeError, match=r"pass plan\.stripe\(j\)"):
+            self.node_with(plan)
 
     def test_garbage_rejected(self):
-        with pytest.raises(TypeError):
-            coerce_stripe_plan("n1,n2", owner="X")
+        with pytest.raises(TypeError, match="not a str"):
+            self.node_with("n1,n2")

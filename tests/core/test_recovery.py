@@ -5,16 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     OfferKind,
-    PipelinePlan,
     SourceKind,
+    StripePlan,
     negotiate_offset,
     next_alive,
-    report_route,
 )
 
 
 def make_plan(n=10):
-    return PipelinePlan(head="n1", receivers=tuple(f"n{i}" for i in range(2, n + 1)))
+    return StripePlan(head="n1", receivers=tuple(f"n{i}" for i in range(2, n + 1)))
 
 
 class TestNextAlive:
@@ -117,16 +116,3 @@ class TestNegotiateOffset:
             assert source is SourceKind.STREAM
             assert requested < bmin
 
-
-class TestReportRoute:
-    def test_no_failures_full_chain(self):
-        plan = make_plan(5)
-        assert list(report_route(plan, set())) == ["n1", "n2", "n3", "n4", "n5"]
-
-    def test_dead_nodes_excluded(self):
-        plan = make_plan(5)
-        assert list(report_route(plan, {"n3", "n5"})) == ["n1", "n2", "n4"]
-
-    def test_tail_is_last_alive(self):
-        plan = make_plan(5)
-        assert list(report_route(plan, {"n5"}))[-1] == "n4"

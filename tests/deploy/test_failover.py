@@ -64,8 +64,8 @@ class TestProcsHeadFailover:
         assert elect.offset > 0
 
         # The run's effective plan is re-rooted onto the promoted head.
-        assert result.plan.base.head == promoted
-        assert promoted not in result.plan.base.chain[1:]
+        assert result.plan.head == promoted
+        assert promoted not in result.plan.receivers
 
         # The coordinator detected the real process death of the head.
         head_failovers = [e for e in result.trace.of_type(FAILOVER)
@@ -140,8 +140,8 @@ class TestLocalHeadFailover:
         assert len(elections) == 1
         assert (elections[0].node, elections[0].peer) == ("coordinator", "n2")
         assert elections[0].offset > 0
-        assert result.plan.base.head == "n2"
-        assert result.plan.base.chain == ("n2", "n3", "n4", "n5", "n6")
+        assert result.plan.head == "n2"
+        assert result.plan.nodes == ("n2", "n3", "n4", "n5", "n6")
 
         failovers = [(e.node, e.peer)
                      for e in result.trace.of_type(FAILOVER)]
@@ -201,4 +201,4 @@ class TestTraceParity:
         expected += [("done", n) for n in reversed(RECEIVERS)]
         assert local.trace.milestones("election", "done") == expected
         assert procs.trace.milestones("election", "done") == expected
-        assert local.plan.base.head == procs.plan.base.head == "n2"
+        assert local.plan.head == procs.plan.head == "n2"

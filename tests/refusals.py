@@ -73,6 +73,9 @@ REFUSALS = {
     "a late joiner outside the fleet": Refusal(
         "'n9' is not a fleet member", ("daemon",),
         dict(late_join=[("n9", 0)])),
+    "a late joiner named twice": Refusal(
+        "more than one late join for: ['n4']", ALL,
+        dict(late_join=[("n4", 0), ("n4", 2 * 1024)])),
     "a late joiner already in the session": Refusal(
         "late joiners must not be in the session already: ['n2']", ALL,
         dict(late_join=[("n2", 0)])),

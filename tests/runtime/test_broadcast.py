@@ -99,7 +99,7 @@ class TestPipeline:
             config=fast_config,
             order="hostname",
         )
-        assert bc.plan.receivers == ("n2", "n3", "n10")
+        assert bc.chain_plan.receivers == ("n2", "n3", "n10")
         result = bc.run(timeout=20)
         assert result.ok
 

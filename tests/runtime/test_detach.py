@@ -29,7 +29,7 @@ from repro.core import (
 )
 from repro.core import tracing
 from repro.core.node_state import NodeTransferState
-from repro.core.pipeline import PipelinePlan
+from repro.core.plan import StripePlan
 from repro.core.plan import ChainPlan
 from repro.core.sinks import BufferSink, NullSink
 from repro.core.tracing import ELECTION, FAILOVER, TraceCollector
@@ -135,7 +135,7 @@ class TestDetachIssuesNoVerdicts:
         config = KascadeConfig(chunk_size=1024, buffer_chunks=4,
                                io_timeout=0.25, ping_timeout=0.2,
                                connect_timeout=0.3, report_timeout=5.0)
-        plan = PipelinePlan(head="n1", receivers=("n2", "n3"))
+        plan = StripePlan(head="n1", receivers=("n2", "n3"))
         registry = Registry({"n1": addr, "n2": addr, "n3": addr})
         state = NodeTransferState("n1", config,
                                   source_kind=SourceKind.SEEKABLE_FILE)

@@ -223,8 +223,6 @@ class TestOneRefusal:
 
     def test_every_backend_says_it_the_same_way(self):
         """local and procs both refuse through the one validator."""
-        from repro.deploy import ProcBroadcast
-
         source = PatternSource(1 << 16)
         evloop = KascadeConfig(data_plane="evloop")
         head_crash = [CrashPlan("n1", 0)]
@@ -232,6 +230,6 @@ class TestOneRefusal:
             LocalBroadcast(source, ["n2"], config=evloop,
                            crashes=head_crash, allow_head_chaos=True)
         with pytest.raises(KascadeError) as procs:
-            ProcBroadcast(source, ["n2"], config=evloop,
+            run_broadcast(source, ["n2"], backend="procs", config=evloop,
                           crashes=head_crash, allow_head_chaos=True)
         assert str(local.value) == str(procs.value)

@@ -21,7 +21,7 @@ from repro.core import (
     SourceKind,
 )
 from repro.core.node_state import NodeTransferState
-from repro.core.pipeline import PipelinePlan
+from repro.core.plan import StripePlan
 from repro.runtime.links import DownstreamLink
 from repro.runtime.registry import Registry
 from repro.runtime.transport import Address, Listener
@@ -65,7 +65,7 @@ class ScriptedPeer:
 def make_link(peers, owner="n1"):
     """Link for a pipeline n1 -> n2 -> ... with given peer addresses."""
     names = [owner] + [f"n{i + 2}" for i in range(len(peers))]
-    plan = PipelinePlan(head=names[0], receivers=tuple(names[1:]))
+    plan = StripePlan(head=names[0], receivers=tuple(names[1:]))
     addrs = {owner: Address("127.0.0.1", 1)}  # head address unused
     for name, peer in zip(names[1:], peers):
         addrs[name] = peer.address
@@ -181,7 +181,7 @@ class TestReplay:
         alive = ScriptedPeer(normal_receiver(collect=seen))
         link, state = make_link([alive, alive])  # placeholder, fix below
         # Rebuild with the dead address first.
-        plan = PipelinePlan(head="n1", receivers=("n2", "n3"))
+        plan = StripePlan(head="n1", receivers=("n2", "n3"))
         addrs = {
             "n1": Address("127.0.0.1", 1),
             "n2": dead_addr,
@@ -219,7 +219,7 @@ class TestStartupConnectGrace:
             late["peer"] = ScriptedPeer(normal_receiver(),
                                         Listener(port=addr.port))
 
-        plan = PipelinePlan(head="n1", receivers=("n2",))
+        plan = StripePlan(head="n1", receivers=("n2",))
         registry = Registry({"n1": Address("127.0.0.1", 1), "n2": addr})
         state = NodeTransferState("n1", CFG, source_kind=SourceKind.SEEKABLE_FILE)
         link = DownstreamLink("n1", plan, registry, CFG, state)
@@ -239,7 +239,7 @@ class TestStartupConnectGrace:
     def test_a_node_that_never_appears_is_dead_within_the_window(self):
         import time
 
-        plan = PipelinePlan(head="n1", receivers=("n2",))
+        plan = StripePlan(head="n1", receivers=("n2",))
         registry = Registry({"n1": Address("127.0.0.1", 1),
                              "n2": self.reserved_address()})
         state = NodeTransferState("n1", CFG, source_kind=SourceKind.SEEKABLE_FILE)
@@ -257,7 +257,7 @@ class TestStartupConnectGrace:
 
         alive = ScriptedPeer(lambda peer, kind, stream: (
             stream.send_message(Get(0), timeout=1.0), stream.close(), True)[-1])
-        plan = PipelinePlan(head="n1", receivers=("n2", "n3"))
+        plan = StripePlan(head="n1", receivers=("n2", "n3"))
         registry = Registry({"n1": Address("127.0.0.1", 1),
                              "n2": alive.address,
                              "n3": self.reserved_address()})
@@ -282,7 +282,7 @@ class TestEffectiveTail:
         a1, a2 = dead1.address, dead2.address
         dead1.close()
         dead2.close()
-        plan = PipelinePlan(head="n1", receivers=("n2", "n3"))
+        plan = StripePlan(head="n1", receivers=("n2", "n3"))
         addrs = {"n1": Address("127.0.0.1", 1), "n2": a1, "n3": a2}
         state = NodeTransferState("n1", CFG, source_kind=SourceKind.SEEKABLE_FILE)
         link = DownstreamLink("n1", plan, Registry(addrs), CFG, state)
@@ -308,7 +308,7 @@ class TestEffectiveTail:
             lambda p, k, s: (s.close(), True)[1]
         )
         quitter = ScriptedPeer(aborter)
-        plan = PipelinePlan(head="n1", receivers=("n2", "n3"))
+        plan = StripePlan(head="n1", receivers=("n2", "n3"))
         addrs = {
             "n1": Address("127.0.0.1", 1),
             "n2": quitter.address,
@@ -444,7 +444,7 @@ class TestSendRun:
         dead = Listener()
         addr = dead.address
         dead.close()
-        plan = PipelinePlan(head="n1", receivers=("n2",))
+        plan = StripePlan(head="n1", receivers=("n2",))
         state = NodeTransferState("n1", CFG, source_kind=SourceKind.SEEKABLE_FILE)
         link = DownstreamLink(
             "n1", plan, Registry({"n1": Address("127.0.0.1", 1), "n2": addr}),

@@ -1,5 +1,6 @@
 """Documentation health: the generator runs and the docs stay honest."""
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -18,7 +19,7 @@ class TestApiDocGenerator:
         assert proc.returncode == 0, proc.stderr
         text = out.read_text()
         for symbol in (
-            "KascadeConfig", "ChunkRingBuffer", "PipelinePlan",
+            "KascadeConfig", "ChunkRingBuffer", "StripePlan",
             "LocalBroadcast", "KascadeSim", "SlowNodePolicy",
             "build_fat_tree", "solve_max_min", "FabricTracer",
             "fig15_fault_tolerance",
@@ -31,6 +32,26 @@ class TestApiDocGenerator:
         api = ROOT / "docs" / "API.md"
         assert api.exists()
         assert "API reference" in api.read_text()
+
+    def test_checked_in_copy_is_what_the_generator_writes(self, tmp_path):
+        """docs/API.md cannot rot: a public signature changed without
+        regenerating it (``python scripts/gen_api_docs.py``) fails here.
+        Two generations are compared too, so a rendering that varies
+        from run to run (an address, a set's order) fails as itself."""
+        fresh = []
+        for run in range(2):
+            out = tmp_path / f"API{run}.md"
+            proc = subprocess.run(
+                [sys.executable, str(ROOT / "scripts" / "gen_api_docs.py"),
+                 str(out)],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONHASHSEED": str(run)},
+            )
+            assert proc.returncode == 0, proc.stderr
+            fresh.append(out.read_text())
+        assert fresh[0] == fresh[1], "the generator is not deterministic"
+        assert (ROOT / "docs" / "API.md").read_text() == fresh[0], (
+            "docs/API.md is stale: run python scripts/gen_api_docs.py")
 
 
 class TestObservabilityDoc:
@@ -106,12 +127,12 @@ class TestDocstringCoverage:
         import inspect
 
         from repro.baselines import BroadcastMethod, KascadeSim
-        from repro.core import ChunkRingBuffer, PipelinePlan, TransferReport
+        from repro.core import ChunkRingBuffer, StripePlan, TransferReport
         from repro.runtime import LocalBroadcast
         from repro.simnet import Fabric, Stream
 
         missing = []
-        for cls in (ChunkRingBuffer, PipelinePlan, TransferReport,
+        for cls in (ChunkRingBuffer, StripePlan, TransferReport,
                     LocalBroadcast, Fabric, Stream, BroadcastMethod,
                     KascadeSim):
             for name, member in inspect.getmembers(cls):

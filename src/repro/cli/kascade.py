@@ -277,25 +277,33 @@ def cmd_deploy(args: argparse.Namespace) -> int:
 
 
 def cmd_agent(args: argparse.Namespace) -> int:
-    """One deployed node process (normally spawned by ``deploy``/``serve``)."""
+    """One deployed node process (normally spawned by ``deploy``/``serve``),
+    or — given the launcher's channel — the host's fork server that every
+    other agent is a ``fork()`` of."""
     import os
 
-    from ..deploy.agent import EXIT_OK, serve_sessions
+    from ..deploy.agent import EXIT_OK, serve_forks, serve_sessions
 
-    code = serve_sessions(
-        _parse_hostport(args.coordinator, "--coordinator"), args.name,
-        bind=args.bind,
-        advertise=args.advertise,
-        start_timeout=args.start_timeout,
-        cache_bytes=args.cache_bytes,
-        die_on_start=args.die_on_start,
-    )
+    if args.fork_server is not None:
+        code = serve_forks(args.fork_server,
+                           lambda argv: main(["agent", *argv]),
+                           cached=args.cache_bytes > 0)
+    else:
+        code = serve_sessions(
+            _parse_hostport(args.coordinator, "--coordinator"), args.name,
+            bind=args.bind,
+            advertise=args.advertise,
+            start_timeout=args.start_timeout,
+            cache_bytes=args.cache_bytes,
+            die_on_start=args.die_on_start,
+        )
     if code == EXIT_OK:
         # Drained: every session's sink is finished and the control
-        # socket is closed, and the supervisor is now waiting for this
-        # process to be gone.  Interpreter tear-down would only free
-        # what the kernel frees anyway — four of them at once cost a
-        # one-shot ~25 ms of its wall time — so leave directly.
+        # socket is closed (a fork server: every child is reaped), and
+        # the supervisor is now waiting for this process to be gone.
+        # Interpreter tear-down would only free what the kernel frees
+        # anyway — four of them at once cost a one-shot ~25 ms of its
+        # wall time — so leave directly.
         os._exit(EXIT_OK)
     return code
 
@@ -553,7 +561,11 @@ def _deploy_args(deploy: argparse.ArgumentParser) -> None:
 def _agent_args(agent: argparse.ArgumentParser) -> None:
     agent.add_argument("--coordinator", required=True, metavar="HOST:PORT",
                        help="control socket of the deploy coordinator")
-    agent.add_argument("--name", required=True)
+    # The launcher's one agent per host, that forks the others, has no
+    # name of its own: its fd is its end of the request channel.
+    named = agent.add_mutually_exclusive_group(required=True)
+    named.add_argument("--name")
+    named.add_argument("--fork-server", type=int, help=argparse.SUPPRESS)
     agent.add_argument("--bind", default="127.0.0.1",
                        help="address to bind the data-plane port on")
     agent.add_argument("--advertise", default=None,

@@ -44,7 +44,6 @@ than naming an unknown node.
 from __future__ import annotations
 
 import os
-import subprocess
 import sys
 import threading
 import time
@@ -74,7 +73,12 @@ from ..deploy.coordinator import (
     rebase_events,
     supervise,
 )
-from ..deploy.launcher import LaunchReport, WindowedLauncher, agent_spawner
+from ..deploy.launcher import (
+    ForkServer,
+    LaunchReport,
+    ProcessHandle,
+    WindowedLauncher,
+)
 from ..deploy.protocol import wiring_to_wire
 from ..runtime.result import (
     BroadcastResult,
@@ -190,14 +194,16 @@ class DaemonServer:
     window / spawn_retries / startup_timeout / backoff:
         Windowed-launcher knobs (§III-B, see
         :class:`~repro.deploy.launcher.WindowedLauncher`), paid once at
-        :meth:`start`.
+        :meth:`start`; ``startup_timeout`` also bounds the fork
+        server's boot (:class:`~repro.deploy.launcher.ForkServer`).
     heartbeat_interval / heartbeat_timeout:
         Agent liveness tick and how long the supervisor tolerates
         control-plane silence before declaring an agent dead.
     progress_every:
         Bytes between agent progress reports (chaos trigger resolution).
     python:
-        Interpreter for agent processes (default ``sys.executable``).
+        Interpreter of the fork server the agents are forked from
+        (default ``sys.executable``).
     bind_host:
         Address agents bind their data ports on (default localhost).
     agent_args:
@@ -205,7 +211,8 @@ class DaemonServer:
         command line — how tests make specific spawn attempts fail.
     stderr_dir:
         When set, each agent's stderr goes to ``<dir>/<name>.stderr.log``
-        instead of ``/dev/null``.
+        (the fork server's to ``<dir>/fork-server.stderr.log``) instead
+        of ``/dev/null``.
 
     Usage::
 
@@ -260,7 +267,9 @@ class DaemonServer:
         self.launch_report: Optional[LaunchReport] = None
 
         self._coordinator: Optional[Coordinator] = None
-        self._procs: Dict[str, subprocess.Popen] = {}
+        #: The host's fork server every agent of this fleet is forked from.
+        self._spawner: Optional[ForkServer] = None
+        self._procs: Dict[str, ProcessHandle] = {}
         self._lock = threading.Lock()
         self._sessions: Dict[str, _Session] = {}
         self._session_seq = 0
@@ -289,15 +298,16 @@ class DaemonServer:
         self._coordinator = Coordinator(router=self._route,
                                         tracer=self.tracer)
         control = self._coordinator.address
+        self._spawner = ForkServer(
+            self.python,
+            ["--coordinator", f"{control.host}:{control.port}",
+             "--bind", self.bind_host,
+             "--cache-bytes", str(self.cache_bytes),
+             "--start-timeout", str(max(60.0, self.startup_timeout * 4))],
+            cached=self.cache_bytes > 0, stderr_dir=self.stderr_dir,
+            agent_args=self.agent_args, boot_timeout=self.startup_timeout)
         launcher = WindowedLauncher(
-            agent_spawner(
-                self.python,
-                ["--coordinator", f"{control.host}:{control.port}",
-                 "--bind", self.bind_host,
-                 "--cache-bytes", str(self.cache_bytes),
-                 "--start-timeout", str(max(60.0, self.startup_timeout * 4))],
-                cached=self.cache_bytes > 0,
-                stderr_dir=self.stderr_dir, agent_args=self.agent_args),
+            self._spawner,
             window=self.window,
             retries=self.spawn_retries,
             backoff=self.backoff,
@@ -328,8 +338,10 @@ class DaemonServer:
 
     def shutdown(self, grace: float = 5.0) -> None:
         """Fleet teardown: quit and drain the healthy, kill the rest
-        (:func:`repro.deploy.coordinator.drain`); no agent process
-        outlives this call."""
+        (:func:`repro.deploy.coordinator.drain`), then end the fork
+        server and reap it; no agent process outlives this call, and
+        every agent's CPU is in this process's ``RUSAGE_CHILDREN`` when
+        it returns."""
         if self._closed:
             return
         self._closed = True
@@ -343,6 +355,8 @@ class DaemonServer:
                 and self._coordinator.agent(name).dead_reason is None]
             drain(self._coordinator, self._procs, healthy, grace)
             self._coordinator.close()
+        if self._spawner is not None:
+            self._spawner.close()
 
     def __enter__(self) -> "DaemonServer":
         return self.start()

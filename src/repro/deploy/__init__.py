@@ -9,16 +9,17 @@ process (§III-B):
   node program: a process that registers with the supervisor over a
   control socket, serves sessions (per session: bind data ports, run the
   existing :mod:`repro.runtime` node logic, report a structured status)
-  and exits when told to ``quit``;
+  and exits when told to ``quit`` — and the host's fork server, the one
+  warm agent every other agent is a ``fork()`` of;
 * :mod:`repro.deploy.program` — that program, compiled once by the
-  supervisor and handed to every agent it spawns on stdin ("copies
-  itself … then starts itself everywhere"), and the ``python -c``
-  bootstrap that runs it;
-* :mod:`repro.deploy.launcher` — windowed parallel spawn (TakTuk's
-  windowed mode) with per-node retry/backoff and startup-timeout
-  detection; nodes that never register are re-planned around *before*
-  data flows, mirroring §III-B's "launcher failures are handled before
-  the transfer";
+  supervisor and handed to the fork server on stdin ("copies itself …
+  then starts itself everywhere"), and the ``python -c`` bootstrap that
+  runs it;
+* :mod:`repro.deploy.launcher` — the fork server's supervisor side and
+  windowed parallel spawn (TakTuk's windowed mode) with per-node
+  retry/backoff and startup-timeout detection; nodes that never
+  register are re-planned around *before* data flows, mirroring
+  §III-B's "launcher failures are handled before the transfer";
 * :mod:`repro.deploy.coordinator` — the supervisor's control endpoint
   (registrations, liveness by ``waitpid`` + control heartbeats, the
   tear-down that leaves no process behind); the sessions run on

@@ -19,6 +19,12 @@ the supervisor says ``quit``:
    and go back to waiting;
 5. on ``quit`` (or control EOF) let in-flight sessions finish, exit 0.
 
+An agent is not booted: it is forked.  The launcher starts one warm
+agent per host, :func:`serve_forks`, that has loaded all of the above
+and does nothing but ``fork()`` on request; each child runs
+:func:`serve_sessions` with the command line an agent of its own would
+have had.  A host pays for one interpreter, not one per node.
+
 A one-shot ``kascade deploy`` is a fleet that serves one session.  What
 an agent does follows from what it was given: with ``--cache-bytes 0``
 there is no chunk cache and no cache code loaded
@@ -31,10 +37,15 @@ death (the ``--die-on-start`` test hook).
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import queue
+import select
+import socket
+import sys
 import threading
 import time
+import traceback
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -558,3 +569,126 @@ def serve_sessions(
         heartbeat.stop()
         channel.close()
     return exit_code
+
+
+def serve_forks(channel: int, run: Callable[[List[str]], int], *,
+                cached: bool = False) -> int:
+    """Be this host's fork server: every agent on it is a ``fork()`` of
+    this process.  Returns the exit code once the supervisor is gone and
+    every child has been reaped.
+
+    Everything an agent runs is loaded by now (with the cache's modules
+    when ``cached``), so a child imports nothing: it starts where this
+    process stands.  Requests arrive on ``channel``, one end of a
+    ``SOCK_SEQPACKET`` pair, one JSON message per packet:
+
+    * ``spawn{id, argv, stderr}`` → fork a child that runs
+      ``run(argv)`` with stdin and stdout on ``/dev/null`` and stderr
+      appended to the file named (``/dev/null`` when none); answer
+      ``spawned{id, pid}`` with a pidfd of the child attached, or
+      ``failed{id, error}``;
+    * a child exits → reap it and say ``exit{pid, code}``, a signal as
+      a negative code, as ``subprocess.Popen`` reports one;
+    * end of file: the supervisor is done (or gone) — kill the children
+      left, reap and report them, return.
+
+    No thread is ever started here, so every fork copies one thread;
+    children are watched through their pidfds, not ``SIGCHLD``.
+    ``gc.freeze()`` keeps the collector off the pages the children
+    share with this process.
+    """
+    import gc
+    import signal
+
+    if cached:
+        from ..core import cache  # noqa: F401 - loaded once, for every child
+        from ..daemon import replay  # noqa: F401
+    sock = socket.socket(fileno=channel)
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    children: Dict[int, int] = {}  # pidfd -> pid
+    listening = True
+
+    def say(fds=(), **msg) -> None:
+        try:
+            socket.send_fds(sock, [json.dumps(msg).encode()], fds)
+        except OSError:  # the supervisor is gone
+            if listening:
+                hang_up()
+
+    def hang_up() -> None:
+        nonlocal listening
+        listening = False
+        poller.unregister(sock)
+        for pid in children.values():
+            os.kill(pid, signal.SIGKILL)  # not reaped yet: still ours
+
+    gc.freeze()
+    say(op="ready")
+    while listening or children:
+        for fd, _events in poller.poll():
+            if fd in children:
+                pid = children.pop(fd)
+                poller.unregister(fd)
+                os.close(fd)
+                _, status = os.waitpid(pid, 0)
+                say(op="exit", pid=pid,
+                    code=os.waitstatus_to_exitcode(status))
+                continue
+            try:
+                request = sock.recv(1 << 16)
+            except OSError:
+                request = b""
+            if not request:
+                hang_up()
+                continue
+            request = json.loads(request)
+            try:
+                pid = _fork_agent(request, run, [channel, *children])
+            except OSError as exc:
+                say(op="failed", id=request["id"], error=str(exc))
+                continue
+            try:
+                pidfd = os.pidfd_open(pid)
+            except OSError as exc:  # out of descriptors: unwatchable
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                say(op="failed", id=request["id"], error=str(exc))
+                continue
+            children[pidfd] = pid
+            poller.register(pidfd, select.POLLIN)
+            say([pidfd], op="spawned", id=request["id"], pid=pid)
+    sock.close()
+    return EXIT_OK
+
+
+def _fork_agent(request: dict, run: Callable[[List[str]], int],
+                inherited: List[int]) -> int:
+    """Fork one agent; in the child, run it and never come back."""
+    sys.stderr.flush()  # or the child writes this process's buffer again
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        null = os.open(os.devnull, os.O_RDWR)
+        err = (os.open(request["stderr"],
+                       os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
+               if request.get("stderr") else null)
+        for target, fd in ((0, null), (1, null), (2, err)):
+            os.dup2(fd, target)
+        for fd in {null, err} - {0, 1, 2}:
+            os.close(fd)
+        code = run(request["argv"])
+    except SystemExit as exc:
+        if isinstance(exc.code, int) or exc.code is None:
+            code = exc.code or 0
+        else:
+            print(exc.code, file=sys.stderr)
+    except BaseException:  # noqa: BLE001 - a child never returns to the loop
+        traceback.print_exc()
+    finally:
+        sys.stderr.flush()
+        os._exit(code)

@@ -4,8 +4,9 @@ A supervisor runs *sessions* on a *fleet* of agents.  This module holds
 the half that knows nothing about sessions: :class:`Coordinator` (the
 control socket agents register on, one reader thread each, every
 session-scoped message handed to a router), :func:`supervise` (liveness:
-``waitpid`` for real process death, control-socket heartbeats for
-silent hangs) and :func:`drain` (the one tear-down: ``quit`` the healthy,
+``waitpid`` for real process death — the host's fork server reaps, the
+agent's :class:`~repro.deploy.launcher.ProcessHandle` reports —,
+control-socket heartbeats for silent hangs) and :func:`drain` (the one tear-down: ``quit`` the healthy,
 ``SIGKILL`` the rest — including agents frozen by the chaos hook — and
 leave no process behind).  The session half is
 :class:`repro.daemon.server.DaemonServer`; ``run_broadcast(...,
@@ -19,7 +20,6 @@ from __future__ import annotations
 import os
 import signal
 import socket
-import subprocess
 import threading
 import time
 from dataclasses import dataclass
@@ -30,6 +30,7 @@ from ..core.sources import FileSource, Source
 from ..core.tracing import NULL_TRACER, TraceCollector
 from ..runtime.registry import Address
 from ..runtime.result import NodeOutcome  # noqa: F401 - re-exported
+from .launcher import ProcessHandle
 from .protocol import ControlChannel, DeployError
 
 def rebase_events(status: dict, wall0: float) -> list:
@@ -96,7 +97,7 @@ def materialize_source(source: Source) -> Tuple[str, Callable[[], None]]:
 
 def supervise(
     coordinator: "Coordinator",
-    procs: Dict[str, subprocess.Popen],
+    procs: Dict[str, ProcessHandle],
     supervised: Sequence[str],
     stop: threading.Event,
     *,
@@ -151,14 +152,7 @@ def supervise(
                 tracing.DETECTOR_PING, "control-heartbeat lost")
 
 
-def _kill(proc: subprocess.Popen) -> None:
-    try:
-        proc.kill()
-    except (OSError, ProcessLookupError):
-        pass
-
-
-def drain(coordinator: "Coordinator", procs: Dict[str, subprocess.Popen],
+def drain(coordinator: "Coordinator", procs: Dict[str, ProcessHandle],
           healthy: Sequence[str], grace: float) -> None:
     """Guaranteed cleanup: no agent outlives its fleet.
 
@@ -176,8 +170,8 @@ def drain(coordinator: "Coordinator", procs: Dict[str, subprocess.Popen],
 
     Nothing here polls: an exiting agent closes its control socket, the
     per-agent reader thread sees that EOF at once, and the wait is on
-    that; a process that is on its way out (or was killed) is then
-    reaped with a plain ``wait()``.
+    that; for a process that is on its way out (or was killed) a plain
+    ``wait()`` then takes the exit status the fork server reaped.
     """
     quitting = []
     for name, proc in procs.items():
@@ -186,9 +180,9 @@ def drain(coordinator: "Coordinator", procs: Dict[str, subprocess.Popen],
         if name in healthy and coordinator.send(name, {"op": "quit"}):
             quitting.append(name)
         else:
-            _kill(proc)
+            proc.kill()
     for name in coordinator.wait_gone(quitting, time.monotonic() + grace):
-        _kill(procs[name])
+        procs[name].kill()
     for proc in procs.values():
         proc.wait()
 

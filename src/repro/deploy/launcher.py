@@ -8,9 +8,9 @@ which is why the paper picks it despite the extra latency.  This module
 reproduces those semantics with real processes:
 
 * the node program "copies itself" to every node it starts: the
-  supervisor compiles the agent's modules once per fleet and each agent
-  reads them from its stdin (:mod:`repro.deploy.program`,
-  :func:`agent_spawner`);
+  supervisor compiles the agent's modules once per fleet, one *fork
+  server* per host boots on them, and every agent is a ``fork()`` of
+  it (:mod:`repro.deploy.program`, :class:`ForkServer`);
 * at most ``window`` agents are simultaneously in their spawn→register
   phase (a ``ThreadPoolExecutor`` bounds the in-flight set);
 * an agent that exits before registering, or never registers within
@@ -29,10 +29,15 @@ of :mod:`repro.launch.models` (see
 
 from __future__ import annotations
 
-import contextlib
+import json
 import os
+import select
+import signal
+import socket
 import subprocess
+import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -48,6 +53,11 @@ SpawnFn = Callable[[str, int], "ProcessHandle"]
 #: ``wait_registered(name, timeout)`` → True once the agent said hello.
 WaitFn = Callable[[str, float], bool]
 
+#: The exit code of an agent whose fork server died before reaping it:
+#: its status went with its parent.  255, as :mod:`asyncio` reports a
+#: child it could not wait for.
+UNKNOWN_EXIT = 255
+
 
 def spawn_env() -> dict:
     """The environment agents are spawned with: this checkout's ``src/``
@@ -62,73 +72,289 @@ def spawn_env() -> dict:
     return env
 
 
-def agent_spawner(
-    python: str,
-    argv: Sequence[str],
-    *,
-    cached: bool = False,
-    stderr_dir: Optional[str] = None,
-    agent_args: Optional[Callable[[str, int], Sequence[str]]] = None,
-) -> "SpawnFn":
-    """``spawn(name, attempt)`` running ``kascade agent argv --name <name>``
-    under ``python``, from a program compiled here, once.
-
-    The one function that starts an agent process: first spawns and
-    retries of a one-shot and of a ``kascade serve`` fleet alike.  The
-    agent's modules (:mod:`repro.deploy.program`; with the cache's when
-    ``cached``) are compiled when the spawner is made — its
-    ``program_bytes`` and ``program_build_s`` say what that cost — and
-    each child finds them on its stdin: an anonymous file of its own,
-    written before the child exists, so a child that never reads
-    (stopped, dying on start) keeps nobody waiting.
-    ``agent_args(name, attempt)`` appends per-spawn extras (how tests
-    make specific attempts fail).
-    With ``stderr_dir`` each agent's stderr goes to
-    ``<dir>/<name>.stderr.log`` instead of ``/dev/null``.
-    """
-    env = spawn_env()
-    t0 = time.monotonic()
-    blob = program.build(cached)
-    # ``-S``: no ``site`` — an agent needs nothing from ``site-packages``,
-    # whose ``.pth`` hooks can cost more than the bare interpreter start.
-    # ``repro.cli.kascade`` and ``agent`` stay argv elements of their
-    # own: it is how ``pgrep``/``ps`` (and every leftover check) find one.
-    base = [python, "-S", "-c", program.BOOT, "repro.cli.kascade", "agent",
-            *argv]
-
-    def spawn(name: str, attempt: int) -> subprocess.Popen:
-        cmd = [*base, "--name", name]
-        if agent_args is not None:
-            cmd += [str(a) for a in agent_args(name, attempt)]
-        with contextlib.ExitStack() as opened:
-            stdin = opened.enter_context(tempfile.TemporaryFile())
-            stdin.write(blob)
-            stdin.seek(0)
-            stderr = subprocess.DEVNULL if stderr_dir is None else (
-                opened.enter_context(open(
-                    os.path.join(stderr_dir, f"{name}.stderr.log"), "ab")))
-            return subprocess.Popen(cmd, stdin=stdin,
-                                    stdout=subprocess.DEVNULL,
-                                    stderr=stderr, env=env)
-
-    spawn.program_bytes = len(blob)
-    spawn.program_build_s = time.monotonic() - t0
-    return spawn
-
-
 class ProcessHandle:
-    """Duck-typed subset of ``subprocess.Popen`` used by the launcher."""
+    """One forked agent as its supervisor sees it: the part of
+    :class:`subprocess.Popen` the launcher and the reaper use.
 
-    pid: int
+    The fork server reaps the child and reports its status
+    (``returncode``, a signal as a negative code).  :meth:`kill` goes
+    through a pidfd the server handed over with the pid: it names this
+    process and no other, so a kill that comes after the child was
+    reaped signals nobody, never whoever got the pid next.
+    """
 
-    def poll(self) -> Optional[int]:  # pragma: no cover - interface only
-        raise NotImplementedError
+    def __init__(self, pid: int, pidfd: int) -> None:
+        self.pid = pid
+        self.returncode: Optional[int] = None
+        self._pidfd = pidfd
+        self._cond = threading.Condition()
 
-    def kill(self) -> None:  # pragma: no cover - interface only
-        raise NotImplementedError
+    def exited(self, code: int) -> None:
+        """Record the exit status (the first one reported wins)."""
+        with self._cond:
+            if self.returncode is None:
+                self.returncode = code
+                os.close(self._pidfd)
+                self._cond.notify_all()
 
-    def wait(self, timeout: Optional[float] = None) -> int:  # pragma: no cover
-        raise NotImplementedError
+    def poll(self) -> Optional[int]:
+        return self.returncode
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        with self._cond:
+            if not self._cond.wait_for(
+                    lambda: self.returncode is not None, timeout):
+                raise subprocess.TimeoutExpired(f"agent {self.pid}", timeout)
+            return self.returncode
+
+    def kill(self) -> None:
+        with self._cond:
+            if self.returncode is None:
+                try:
+                    signal.pidfd_send_signal(self._pidfd, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass  # exited; its status is on its way
+
+
+class ForkServer:
+    """``spawn(name, attempt)`` for one host: every agent is a ``fork()``
+    of one warm agent.
+
+    The one thing that starts agent processes: first spawns and retries
+    of a one-shot and of a ``kascade serve`` fleet alike.  The agent's
+    modules (:mod:`repro.deploy.program`; with the cache's when
+    ``cached``) are compiled when the spawner is made — its
+    ``program_bytes`` and ``program_build_s`` say what that cost.  The
+    first spawn starts the *fork server*: ``python -S -c BOOT
+    repro.cli.kascade agent argv --fork-server FD``, the program on its
+    stdin, which loads what an agent runs and then only forks
+    (:func:`repro.deploy.agent.serve_forks`); ``server_boot_s`` is the
+    time from its start to its ``ready``.  Each spawn is a request on a
+    private socket pair; the child runs ``kascade agent argv --name
+    <name>`` plus ``agent_args(name, attempt)`` (how tests make
+    specific attempts fail), and with ``stderr_dir`` writes its stderr
+    to ``<dir>/<name>.stderr.log`` (the server's own to
+    ``fork-server.stderr.log``) instead of ``/dev/null``.  Every forked
+    agent's command line is the server's, so ``pgrep -f
+    "repro.cli.kascade [a]gent"`` finds them all.
+
+    A server that does not boot or answer within ``boot_timeout`` is
+    killed.  Once the server is gone every spawn fails as a launch
+    failure — pending or new — and its orphaned children, which nobody
+    can reap for us now, report :data:`UNKNOWN_EXIT` when they end.
+    :meth:`close` ends the server after it reaped every child and reaps
+    the server, so the agents' CPU reaches this process's
+    ``RUSAGE_CHILDREN``.
+    """
+
+    def __init__(
+        self,
+        python: str,
+        argv: Sequence[str],
+        *,
+        cached: bool = False,
+        stderr_dir: Optional[str] = None,
+        agent_args: Optional[Callable[[str, int], Sequence[str]]] = None,
+        boot_timeout: float = 15.0,
+    ) -> None:
+        t0 = time.monotonic()
+        self._program = program.build(cached)
+        self.program_bytes = len(self._program)
+        self.program_build_s = time.monotonic() - t0
+        self.server_boot_s = 0.0
+        self._argv = [str(a) for a in argv]
+        self._cmd = [python, "-S", "-c", program.BOOT, "repro.cli.kascade",
+                     "agent", *self._argv]
+        self._stderr_dir = stderr_dir
+        self._agent_args = agent_args
+        self._boot_timeout = boot_timeout
+        self._lock = threading.Lock()
+        #: The server process; ``None`` until the first spawn.
+        self.proc: Optional[subprocess.Popen] = None
+        self._sock: Optional[socket.socket] = None
+        self._reader: Optional[threading.Thread] = None
+        self._started_at = 0.0
+        self._ready = threading.Event()
+        #: Why spawning is over, once it is.
+        self._gone: Optional[str] = None
+        self._next_id = 0
+        self._pending: Dict[int, list] = {}  # request id -> [event, answer]
+        self._children: Dict[int, ProcessHandle] = {}  # pid -> handle
+
+    # -- spawning --------------------------------------------------------
+
+    def __call__(self, name: str, attempt: int) -> ProcessHandle:
+        argv = [*self._argv, "--name", name]
+        if self._agent_args is not None:
+            argv += [str(a) for a in self._agent_args(name, attempt)]
+        stderr = (None if self._stderr_dir is None else
+                  os.path.join(self._stderr_dir, f"{name}.stderr.log"))
+        self._boot()
+        answer = [threading.Event(), None]
+        with self._lock:
+            if self._gone is None:
+                rid = self._next_id
+                self._next_id += 1
+                self._pending[rid] = answer
+                try:
+                    self._sock.send(json.dumps({
+                        "op": "spawn", "id": rid, "argv": argv,
+                        "stderr": stderr}).encode())
+                except OSError as exc:
+                    del self._pending[rid]
+                    self._gone = f"fork server unreachable: {exc}"
+            if self._gone is not None:
+                raise DeployError(self._gone)
+        if not answer[0].wait(self._boot_timeout):
+            self._lose(f"fork server did not answer within "
+                       f"{self._boot_timeout}s")
+        if not isinstance(answer[1], ProcessHandle):
+            raise DeployError(answer[1] or self._gone)
+        return answer[1]
+
+    def _boot(self) -> None:
+        """Start the server on the first call; wait for its ``ready``."""
+        with self._lock:
+            if self.proc is None and self._gone is None:
+                try:
+                    self._start()
+                except OSError as exc:
+                    self._gone = f"fork server failed to start: {exc}"
+        remaining = self._started_at + self._boot_timeout - time.monotonic()
+        if not self._ready.wait(max(0.0, remaining)):
+            self._lose(f"fork server did not boot within "
+                       f"{self._boot_timeout}s")
+
+    def _start(self) -> None:
+        ours, theirs = socket.socketpair(socket.AF_UNIX,
+                                         socket.SOCK_SEQPACKET)
+        stderr = None
+        try:
+            with tempfile.TemporaryFile() as stdin:
+                # A file, written before the server exists: a server
+                # that never reads it keeps nobody waiting.
+                stdin.write(self._program)
+                stdin.seek(0)
+                if self._stderr_dir is not None:
+                    stderr = open(os.path.join(
+                        self._stderr_dir, "fork-server.stderr.log"), "ab")
+                self._started_at = time.monotonic()
+                self.proc = subprocess.Popen(
+                    [*self._cmd, "--fork-server", str(theirs.fileno())],
+                    stdin=stdin, stdout=subprocess.DEVNULL,
+                    stderr=stderr or subprocess.DEVNULL, env=spawn_env(),
+                    pass_fds=(theirs.fileno(),))
+        except BaseException:
+            ours.close()
+            raise
+        finally:
+            theirs.close()
+            if stderr is not None:
+                stderr.close()
+        self._sock = ours
+        self._reader = threading.Thread(target=self._read,
+                                        name="fork-server", daemon=True)
+        self._reader.start()
+
+    # -- what the server says --------------------------------------------
+
+    def _read(self) -> None:
+        while True:
+            try:
+                data, ancillary, _flags, _addr = self._sock.recvmsg(
+                    1 << 16, socket.CMSG_SPACE(4), socket.MSG_CMSG_CLOEXEC)
+            except OSError:
+                break
+            if not data:
+                break
+            msg = json.loads(data)
+            op = msg["op"]
+            if op == "ready":
+                self.server_boot_s = time.monotonic() - self._started_at
+                self._ready.set()
+            elif op == "spawned":
+                pidfd = int.from_bytes(ancillary[0][2][:4], sys.byteorder)
+                handle = ProcessHandle(msg["pid"], pidfd)
+                with self._lock:
+                    self._children[handle.pid] = handle
+                self._answer(msg["id"], handle)
+            elif op == "failed":
+                self._answer(msg["id"], f"fork failed: {msg['error']}")
+            elif op == "exit":
+                with self._lock:
+                    handle = self._children.pop(msg["pid"], None)
+                if handle is not None:
+                    handle.exited(int(msg["code"]))
+        try:
+            code = self.proc.wait(timeout=5.0)
+        except subprocess.TimeoutExpired:
+            code = None
+        self._lose(f"fork server exited (code {code})")
+        self._watch_orphans()
+
+    def _answer(self, rid: int, answer) -> None:
+        with self._lock:
+            waiting = self._pending.pop(rid, None)
+        if waiting is not None:
+            waiting[1] = answer
+            waiting[0].set()
+        elif isinstance(answer, ProcessHandle):
+            answer.kill()  # its spawn gave up on it
+
+    def _lose(self, reason: str) -> None:
+        """Spawning is over: fail whatever waits, stop a hung server."""
+        with self._lock:
+            if self._gone is None:
+                self._gone = reason
+            pending, self._pending = self._pending, {}
+            proc = self.proc
+        for waiting in pending.values():
+            waiting[1] = self._gone
+            waiting[0].set()
+        self._ready.set()
+        if proc is not None and proc.poll() is None:
+            proc.kill()
+
+    def _watch_orphans(self) -> None:
+        """Children the dead server can no longer reap: report each one
+        as :data:`UNKNOWN_EXIT` once its pidfd says it is gone."""
+        with self._lock:
+            orphans = {h._pidfd: h for h in self._children.values()}
+        poller = select.poll()
+        for fd in orphans:
+            poller.register(fd, select.POLLIN)
+        while orphans:
+            for fd, _events in poller.poll():
+                poller.unregister(fd)
+                handle = orphans.pop(fd)
+                with self._lock:
+                    del self._children[handle.pid]
+                handle.exited(UNKNOWN_EXIT)
+
+    # -- the end -----------------------------------------------------------
+
+    def close(self, grace: float = 5.0) -> None:
+        """Kill the agents left (normally none: the fleet drained them),
+        let the server reap them and exit, and reap the server."""
+        with self._lock:
+            proc, sock = self.proc, self._sock
+            left = list(self._children.values())
+            self._gone = self._gone or "fork server closed"
+        if proc is None:
+            return
+        for handle in left:
+            handle.kill()
+        try:
+            sock.shutdown(socket.SHUT_WR)  # the server's end of file
+        except OSError:
+            pass
+        try:
+            proc.wait(timeout=grace)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        self._reader.join()
+        sock.close()
 
 
 @dataclass
@@ -138,7 +364,7 @@ class NodeLaunch:
     name: str
     ok: bool = False
     attempts: int = 0
-    #: Seconds from launch-wave start to this node's last spawn.
+    #: Seconds from launch-wave start to this node's last process start.
     spawned_at: Optional[float] = None
     #: Seconds from launch-wave start to successful registration.
     registered_at: Optional[float] = None
@@ -166,11 +392,16 @@ class LaunchReport:
     window: int
     total_s: float
     nodes: Dict[str, NodeLaunch]
-    #: Size of the compiled program every agent was handed, and what
-    #: building it cost the supervisor — once, before the first spawn,
-    #: outside ``total_s`` (0 when the caller's own ``spawn`` ships none).
+    #: Size of the compiled program the host's fork server was handed,
+    #: and what building it cost the supervisor — once, before the first
+    #: spawn, outside ``total_s`` (0 when the caller's own ``spawn``
+    #: ships none).
     program_bytes: int = 0
     program_build_s: float = 0.0
+    #: The fork server's start → ready: the one interpreter boot of the
+    #: wave, inside ``total_s``; each node's ``startup_s`` is then its
+    #: own fork → register.
+    server_boot_s: float = 0.0
 
     @property
     def launched(self) -> List[str]:
@@ -212,6 +443,8 @@ class LaunchReport:
         if self.retries:
             parts.append(f", {self.retries} retr"
                          + ("y" if self.retries == 1 else "ies"))
+        if self.server_boot_s:
+            parts.append(f", server boot {self.server_boot_s:.2f}s")
         if slowest is not None:
             parts.append(f", slowest {slowest.name} {slowest.startup_s:.2f}s")
         if self.program_bytes:
@@ -228,9 +461,9 @@ class WindowedLauncher:
     spawn:
         ``spawn(name, attempt)`` starts one agent process and returns its
         handle.  ``attempt`` counts from 0 so test hooks can make early
-        attempts fail.  One that ships a compiled program
-        (:func:`agent_spawner`) carries ``program_bytes`` and
-        ``program_build_s``; the report copies them.
+        attempts fail.  A :class:`ForkServer` carries ``program_bytes``,
+        ``program_build_s`` and ``server_boot_s``; the report copies
+        them.
     window:
         Max simultaneous spawn→register phases in flight (§III-B).
     retries:
@@ -291,6 +524,7 @@ class WindowedLauncher:
             nodes=nodes,
             program_bytes=getattr(self.spawn, "program_bytes", 0),
             program_build_s=getattr(self.spawn, "program_build_s", 0.0),
+            server_boot_s=getattr(self.spawn, "server_boot_s", 0.0),
         )
 
     def _launch_one(self, name: str, wait_registered: WaitFn,
@@ -300,12 +534,14 @@ class WindowedLauncher:
             if attempt:
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
             nl.attempts = attempt + 1
-            nl.spawned_at = time.monotonic() - t0
             try:
                 proc = self.spawn(name, attempt)
             except (OSError, DeployError) as exc:
                 nl.error = f"spawn failed: {exc}"
                 continue
+            # Stamped once the process exists: a wait for the host's
+            # fork server to boot is the wave's, not this node's.
+            nl.spawned_at = time.monotonic() - t0
             outcome = self._await_registration(name, proc, wait_registered)
             if outcome is None:
                 nl.registered_at = time.monotonic() - t0

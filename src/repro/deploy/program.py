@@ -1,11 +1,11 @@
-"""The node program, compiled once: what the launcher hands every agent.
+"""The node program, compiled once: what the launcher hands a host.
 
 The paper's Kascade "copies itself + the node list to all targets … then
 starts itself everywhere" (§III-B).  Here the supervisor compiles the
-modules an agent runs — once per fleet — and every agent it spawns reads
-them from its stdin instead of finding the checkout on ``PYTHONPATH``
-and compiling it again: N interpreters on a few cores stop doing the
-same work N times.
+modules an agent runs — once per fleet — and the host's fork server
+(:func:`repro.deploy.agent.serve_forks`), the one interpreter every agent
+is forked from, reads them from its stdin instead of finding the
+checkout on ``PYTHONPATH`` and compiling it again.
 
 Two halves, which only have to agree on the format:
 

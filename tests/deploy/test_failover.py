@@ -17,6 +17,7 @@ from repro.core import KascadeConfig, KascadeError
 from repro.core.sinks import BufferSink
 from repro.core.sources import PatternSource
 from repro.core.tracing import DETECTOR_PROC_EXIT, ELECTION, FAILOVER
+from repro.deploy import launcher
 
 FAST = KascadeConfig(
     chunk_size=64 * 1024,
@@ -82,27 +83,34 @@ class TestProcsHeadFailover:
 
     def test_a_head_kill_spawns_nothing_but_agents(self, tmp_path,
                                                    monkeypatch):
-        """A fleet of N agents is N processes, head failover included:
-        every process the supervisor starts is an agent, and the run
-        still ends byte-exact with one ELECTION."""
-        spawned = []
+        """A fleet of N agents is one fork server and N forks of it,
+        head failover included: the one process the supervisor starts
+        is the host's agent entry, every spawn it asks for is a fleet
+        agent, and the run still ends byte-exact with one ELECTION."""
+        started, forked = [], []
 
         class Recording(subprocess.Popen):
             def __init__(self, args, *rest, **kwargs):
-                spawned.append(list(args))
+                started.append(list(args))
                 super().__init__(args, *rest, **kwargs)
 
+        def recording(spawner, name, attempt):
+            forked.append(name)
+            return fork(spawner, name, attempt)
+
+        fork = launcher.ForkServer.__call__
         monkeypatch.setattr(subprocess, "Popen", Recording)
+        monkeypatch.setattr(launcher.ForkServer, "__call__", recording)
         source = PatternSource(SOURCE_BYTES)
         result = run_broadcast(
             source, RECEIVERS, trace=True, crashes=[HEAD_CRASH],
             allow_head_chaos=True,
             output_template=str(tmp_path / "{node}.out"), **PROCS)
         assert result.ok, result.outcomes
-        for argv in spawned:
-            assert argv[argv.index("repro.cli.kascade") + 1] == "agent", argv
-        assert sorted(argv[argv.index("--name") + 1]
-                      for argv in spawned) == ["n1", *RECEIVERS]
+        [argv] = started
+        assert argv[argv.index("repro.cli.kascade") + 1] == "agent", argv
+        assert "--fork-server" in argv and "--name" not in argv
+        assert sorted(forked) == ["n1", *RECEIVERS]
         assert len(result.trace.of_type(ELECTION)) == 1
         payload = source.expected_bytes(0, source.size)
         for name in RECEIVERS:

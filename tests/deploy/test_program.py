@@ -4,7 +4,7 @@ honest about where its code came from, and never in the launcher's way.
 Two kinds of test.  The ``BOOT`` text is driven directly — a fresh
 interpreter, a program on its stdin, a probe module as ``argv[1]`` — to
 see what an agent sees.  Everything about launching runs real fleets
-through ``DaemonServer``, the one caller of ``agent_spawner``.
+through ``DaemonServer``, the one user of ``ForkServer``.
 """
 
 import hashlib
@@ -277,21 +277,20 @@ def test_a_callers_own_spawn_ships_no_program():
     assert "program" not in report.summary()
 
 
-def test_a_child_that_never_reads_its_stdin_is_timed_out_and_retried(
+def test_a_fork_server_that_never_reads_its_stdin_fails_in_one_timeout(
         tmp_path):
-    """The program is a file written before the child exists, so there
-    is no writer for a deaf child (stopped, wedged before ``BOOT``) to
-    block: the attempt is over ``startup_timeout`` after the spawn, the
-    child is killed, and the retry registers."""
-    deaf = tmp_path / "deaf-once"
+    """The program is a file written before the fork server exists, so
+    there is no writer for a deaf server (stopped, wedged before
+    ``BOOT``) to block: it is killed ``startup_timeout`` after it
+    started, every spawn waiting on it fails as a launch failure, and a
+    retry fails at once instead of waiting again — one host, one
+    server, one timeout."""
+    deaf = tmp_path / "deaf"
     deaf.write_text(textwrap.dedent(f"""\
         #!/bin/sh
-        # The first spawn never looks at fd 0; every later one is python.
-        if mkdir {tmp_path}/first 2>/dev/null; then
-            echo $$ > {tmp_path}/deaf.pid
-            exec sleep 60
-        fi
-        exec {sys.executable} "$@"
+        # Never looks at fd 0.
+        echo $$ > {tmp_path}/deaf.pid
+        exec sleep 60
         """))
     deaf.chmod(deaf.stat().st_mode | stat.S_IXUSR)
     t0 = time.monotonic()
@@ -299,13 +298,13 @@ def test_a_child_that_never_reads_its_stdin_is_timed_out_and_retried(
                       startup_timeout=1.0, spawn_retries=1,
                       backoff=0.05) as server:
         report = server.launch_report
-        took = time.monotonic() - t0
-        assert sorted(server.registered) == ["n1", "n2"]
-        result = server.submit(BytesSource(PAYLOAD), timeout=60.0)
-    assert result.ok
-    assert report.retries == 1
-    assert sorted(nl.attempts for nl in report.nodes.values()) == [1, 2]
-    # One timeout, not a blocked write in front of it.
+        assert server.registered == []
+    took = time.monotonic() - t0
+    assert sorted(report.failed) == ["n1", "n2"]
+    for nl in report.nodes.values():
+        assert nl.attempts == 2
+        assert nl.error == "spawn failed: fork server did not boot " \
+                           "within 1.0s", nl.error
     assert 1.0 <= report.total_s <= took < 6.0
     pid = int((tmp_path / "deaf.pid").read_text())
     with pytest.raises(ProcessLookupError):

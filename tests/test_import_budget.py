@@ -207,12 +207,16 @@ def test_a_figure_loads_them(loaded):
 
 
 # ----------------------------------------------------------------------
-# The agent as spawned: ``python -S -c BOOT …``, the program on stdin
+# The agents as launched: one fork server (``python -S -c BOOT …``, the
+# program on stdin) and its forks
 # ----------------------------------------------------------------------
 
 #: How the program's finder shows in a verbose import log (``BOOT``
 #: defines it in ``__main__``).
 PROGRAM_LOADER = "<class '__main__.L'>"
+
+#: The fork server's stderr log, beside each agent's.
+SERVER_LOG = "fork-server.stderr.log"
 
 
 def verbose_imports(log: str) -> dict:
@@ -224,40 +228,67 @@ def verbose_imports(log: str) -> dict:
 
 @pytest.fixture(scope="module")
 def spawned_agent(tmp_path_factory):
-    """What an agent started by ``agent_spawner`` — its argv, its
-    program on stdin, nothing changed but a verbose import log on
-    stderr — imports before it would dial out (nobody listens on
-    port 1, so it exits 2 with everything a session can use loaded)."""
-    from repro.deploy.launcher import agent_spawner
+    """``cached -> {log name: {module: loader}}`` for a fleet launched as
+    every fleet is — the host's fork server, and the agents forked from
+    it — with nothing changed but a verbose import log on stderr, after
+    full sessions: a verified push, and on the cached fleet a repeat
+    served from the cache as well."""
+    from repro.daemon import DaemonServer
 
-    logs = tmp_path_factory.mktemp("spawned")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("PYTHONVERBOSE", "1")
-        spawn = agent_spawner(sys.executable,
-                              ["--coordinator", "127.0.0.1:1"],
-                              stderr_dir=str(logs))
-    proc = spawn("n2", 0)
-    assert proc.wait(timeout=60) == 2
-    return verbose_imports((logs / "n2.stderr.log").read_text())
+    payload = bytes(range(256)) * 4096
+    seen = {}
+    for cached in (False, True):
+        logs = tmp_path_factory.mktemp("cached" if cached else "uncached")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("PYTHONVERBOSE", "1")
+            with DaemonServer(["n1", "n2", "n3"],
+                              cache_bytes=(8 << 20) * cached,
+                              startup_timeout=20.0,
+                              stderr_dir=str(logs)) as server:
+                for _ in range(1 + cached):
+                    result = server.submit(
+                        BytesSource(payload), output_template=str(logs / "{node}.out"),
+                        timeout=60.0)
+                    assert result.ok, result.outcomes
+                assert bool(result.perfstats.get("bytes_from_cache")) \
+                    == cached
+        seen[cached] = {path.name: verbose_imports(path.read_text())
+                        for path in logs.glob("*.stderr.log")}
+    return seen
 
 
 def test_a_spawned_agent_loads_neither_site_nor_dataclasses(spawned_agent):
-    strays = [m for m in NOT_IN_AN_AGENT if m in spawned_agent]
-    assert not strays, f"a spawned agent imports {strays}"
+    for cached, logs in spawned_agent.items():
+        strays = [m for m in NOT_IN_AN_AGENT if m in logs[SERVER_LOG]]
+        assert not strays, f"the fork server (cached={cached}) imports " \
+                           f"{strays}"
 
 
 def test_a_spawned_agent_compiles_none_of_its_code(spawned_agent):
-    """Every ``repro`` module the agent imports comes from its program,
-    and every module the program ships is imported — bar ``argv[1]``,
-    which ``runpy`` runs as ``__main__`` without an import."""
+    """The fork server loads exactly the program — ``AGENT_MODULES``,
+    plus ``CACHE_MODULES`` on a fleet with a cache — and every ``repro``
+    module of it from the program, bar ``argv[1]``, which ``runpy`` runs
+    as ``__main__`` without an import."""
     from repro.deploy.program import module_names
 
-    ours = {m: loader for m, loader in spawned_agent.items()
-            if m.split(".")[0] == "repro"}
-    from_disk = sorted(m for m, loader in ours.items()
-                       if loader != PROGRAM_LOADER)
-    assert not from_disk, f"compiled from disk: {from_disk}"
-    assert set(ours) == set(module_names(False)) - {"repro.cli.kascade"}
+    for cached, logs in spawned_agent.items():
+        ours = {m: loader for m, loader in logs[SERVER_LOG].items()
+                if m.split(".")[0] == "repro"}
+        from_disk = sorted(m for m, loader in ours.items()
+                           if loader != PROGRAM_LOADER)
+        assert not from_disk, f"compiled from disk: {from_disk}"
+        assert set(ours) == set(module_names(cached)) - {"repro.cli.kascade"}
+
+
+def test_a_forked_agent_imports_nothing(spawned_agent):
+    """Everything a session runs is loaded before the fork: an agent
+    registers, serves its sessions and drains without one import, so
+    the host's one boot is the only import cost there is."""
+    for cached, logs in spawned_agent.items():
+        agents = {name: imports for name, imports in logs.items()
+                  if name != SERVER_LOG}
+        assert sorted(agents) == [f"n{i}.stderr.log" for i in (1, 2, 3)]
+        assert agents == {name: {} for name in agents}, cached
 
 
 def test_an_unbundled_module_still_imports_under_dash_S(tmp_path,
@@ -275,5 +306,6 @@ def test_an_unbundled_module_still_imports_under_dash_S(tmp_path,
     assert result.ok, result.outcomes
     head = verbose_imports((tmp_path / "n1.stderr.log").read_text())
     assert "SourceFileLoader" in head["repro.core.pacing"]
-    assert head["repro.core.engine"] == PROGRAM_LOADER
-    assert "site" not in head
+    server = verbose_imports((tmp_path / SERVER_LOG).read_text())
+    assert server["repro.core.engine"] == PROGRAM_LOADER
+    assert "site" not in server

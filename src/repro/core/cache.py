@@ -50,7 +50,7 @@ class ArtifactMeta(Frozen):
     """Identity of one broadcast payload: digest + geometry.
 
     ``digest`` is the SHA-256 of the whole stream (hex), the same value
-    a clean receiver's :class:`~repro.deploy.agent.DigestSink` computes
+    a clean receiver's :class:`~repro.core.sinks.HashingSink` computes
     — which is what makes "served from cache" verifiable end to end.
     """
 

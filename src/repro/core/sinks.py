@@ -217,15 +217,38 @@ class CommandSink(Sink):
 
 
 class HashingSink(Sink):
-    """Discard data but keep a SHA-256 digest — integrity checks in tests."""
+    """Keep a SHA-256 digest of the stream, and discard it — or, given
+    ``inner``, hand every call on to that sink.
 
-    def __init__(self) -> None:
+    Bare, it is the integrity check of tests and benchmarks.  Wrapped
+    round an agent's real sink, it gives the supervisor an end-to-end
+    digest per node without shipping payload bytes over the control
+    plane: survivors of a chaos run prove byte-exactness with one hex
+    string.
+    """
+
+    def __init__(self, inner: Optional[Sink] = None) -> None:
+        self.inner = inner
         self._hash = hashlib.sha256()
         self.bytes_written = 0
 
     def write_chunk(self, data) -> None:
         self._hash.update(data)
         self.bytes_written += len(data)
+        if self.inner is not None:
+            self.inner.write_chunk(data)
+
+    def reserve(self) -> None:
+        if self.inner is not None:
+            self.inner.reserve()
+
+    def finish(self) -> None:
+        if self.inner is not None:
+            self.inner.finish()
+
+    def abort(self) -> None:
+        if self.inner is not None:
+            self.inner.abort()
 
     def hexdigest(self) -> str:
         return self._hash.hexdigest()

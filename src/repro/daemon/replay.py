@@ -7,7 +7,7 @@ push chain (:func:`repro.deploy.agent.execute_transfer`):
 ``session_serve_cached`` → :func:`serve_from_cache`, the re-broadcast
 short-circuit.  Every chunk of the artifact is already in the local
 cache, so the agent never touches upstream — it replays the cached
-chunks through a fresh :class:`~repro.deploy.agent.DigestSink` into the
+chunks through a fresh :class:`~repro.core.sinks.HashingSink` into the
 session's sink and reports the same digest-bearing status a wire
 transfer would.  An agent started with ``--cache-bytes 0`` never
 imports this module.
@@ -21,9 +21,8 @@ from typing import Optional
 from ..core import tracing
 from ..core.cache import ArtifactMeta, ChunkCache
 from ..core.perfstats import get_stats
-from ..core.sinks import FileSink, NullSink, Sink
+from ..core.sinks import FileSink, HashingSink, NullSink, Sink
 from ..core.tracing import TraceCollector
-from ..deploy.agent import DigestSink
 
 
 def _open_sink(output: Optional[str]) -> Sink:
@@ -47,7 +46,7 @@ def serve_from_cache(
     tracer = TraceCollector()
     trace_epoch = time.time()
     stats_before = get_stats().snapshot()
-    digest_sink = DigestSink(_open_sink(output))
+    digest_sink = HashingSink(_open_sink(output))
     served = 0
     error: Optional[str] = None
     for index in range(artifact.chunks):

@@ -304,7 +304,7 @@ class DaemonServer:
              "--bind", self.bind_host,
              "--cache-bytes", str(self.cache_bytes),
              "--start-timeout", str(max(60.0, self.startup_timeout * 4))],
-            cached=self.cache_bytes > 0, stderr_dir=self.stderr_dir,
+            stderr_dir=self.stderr_dir,
             agent_args=self.agent_args, boot_timeout=self.startup_timeout)
         launcher = WindowedLauncher(
             self._spawner,
@@ -420,7 +420,7 @@ class DaemonServer:
             with sess.cond:
                 sess.progress[agent.name] = max(
                     sess.progress.get(agent.name, 0), received)
-            fired = sess.chaos.on_progress(agent.name, received, agent.pid)
+            fired = sess.chaos.on_progress(agent.name, received)
             if fired is not None:
                 sess.note(f"chaos fired {fired} at {agent.name}")
             self._maybe_trigger_joins(sess)
@@ -520,13 +520,15 @@ class DaemonServer:
     ) -> ChaosEngine:
         """What a session asks of this fleet, refused by
         :func:`~repro.runtime.result.check_run` or returned as the
-        session's chaos engine.  Needs no running fleet, so a one-shot
+        session's chaos engine, which signals members through the
+        fleet's process handles.  Needs no running fleet, so a one-shot
         checks before it launches anything."""
         return ChaosEngine(check_run(
             plan, crashes, backend="daemon",
             data_plane=self.config.data_plane,
             allow_head_chaos=allow_head_chaos, fleet=self.fleet,
-            late_join=late_join, output_template=output_template))
+            late_join=late_join, output_template=output_template),
+            lambda name: self._procs.get(name))
 
     def submit(
         self,
@@ -699,8 +701,7 @@ class DaemonServer:
             plan = plan.replan_without([r for r in plan.receivers
                                         if r not in cold])
             if sess.failover:
-                sess.chaos.register_external(
-                    plan.head, coordinator.agent(plan.head).pid)
+                sess.chaos.register_external(plan.head)
             with sess.cond:
                 sess.push_nodes = set(plan.nodes)
                 sess.expected |= sess.push_nodes

@@ -10,11 +10,8 @@ process (§III-B):
   control socket, serves sessions (per session: bind data ports, run the
   existing :mod:`repro.runtime` node logic, report a structured status)
   and exits when told to ``quit`` — and the host's fork server, the one
-  warm agent every other agent is a ``fork()`` of;
-* :mod:`repro.deploy.program` — that program, compiled once by the
-  supervisor and handed to the fork server on stdin ("copies itself …
-  then starts itself everywhere"), and the ``python -c`` bootstrap that
-  runs it;
+  warm agent every other agent is a ``fork()`` of ("starts itself
+  everywhere");
 * :mod:`repro.deploy.launcher` — the fork server's supervisor side and
   windowed parallel spawn (TakTuk's windowed mode) with per-node
   retry/backoff and startup-timeout detection; nodes that never

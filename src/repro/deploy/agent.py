@@ -36,7 +36,6 @@ death (the ``--die-on-start`` test hook).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import queue
@@ -53,7 +52,7 @@ from ..core.config import KascadeConfig
 from ..core.errors import KascadeError
 from ..core.perfstats import get_stats
 from ..core.plan import ChainPlan
-from ..core.sinks import FileSink, NullSink, Sink
+from ..core.sinks import FileSink, HashingSink, NullSink, Sink
 from ..core.sources import FileSource
 from ..core.tracing import TraceCollector
 from ..runtime.host import HostChains
@@ -71,37 +70,6 @@ from .protocol import (  # noqa: F401 - config_to_wire/wiring_to_wire re-exporte
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DIED_ON_START = 3
-
-
-class DigestSink(Sink):
-    """Hash every chunk on its way into the real sink.
-
-    Gives the coordinator an end-to-end payload digest per node without
-    shipping payload bytes over the control plane — survivors of a chaos
-    run prove byte-exactness with one hex string.
-    """
-
-    def __init__(self, inner: Sink) -> None:
-        self.inner = inner
-        self._hash = hashlib.sha256()
-        self.bytes_written = 0
-
-    def write_chunk(self, data) -> None:
-        self._hash.update(data)
-        self.bytes_written += len(data)
-        self.inner.write_chunk(data)
-
-    def reserve(self) -> None:
-        self.inner.reserve()
-
-    def finish(self) -> None:
-        self.inner.finish()
-
-    def abort(self) -> None:
-        self.inner.abort()
-
-    def hexdigest(self) -> str:
-        return self._hash.hexdigest()
 
 
 class _Heartbeat:
@@ -260,10 +228,10 @@ def execute_transfer(msg: dict, state: _SessionState, name: str, *,
 
     # data_plane travels inside the config: the supervisor's choice
     # reaches every agent without a new wire field.  Receivers always
-    # wrap their sink in DigestSink (the supervisor's byte-exactness
+    # wrap their sink in a HashingSink (the supervisor's byte-exactness
     # proof), which is not a bare NullSink — so evloop agents take the
     # userspace relay path and digests stay comparable across planes.
-    digest_sink: Optional[DigestSink] = None
+    digest_sink: Optional[HashingSink] = None
     role: dict = {}
     if name == chain_plan.head:
         role["source"] = FileSource(msg["source"])
@@ -272,7 +240,7 @@ def execute_transfer(msg: dict, state: _SessionState, name: str, *,
                        if msg.get("output") else NullSink())
         # The digest hashes the *merged* stream, so it is comparable
         # across any stripe count (and with the head's source digest).
-        digest_sink = DigestSink(inner)
+        digest_sink = HashingSink(inner)
         top: Sink = digest_sink
         if state.artifact is not None:
             from ..core.cache import CacheTapSink

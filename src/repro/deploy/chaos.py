@@ -20,12 +20,14 @@ floor, not the exact offset the in-process gate fires at.
 
 from __future__ import annotations
 
-import os
 import signal
 import threading
-from typing import Callable, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Set
 
 from ..runtime.result import CrashPlan
+
+if TYPE_CHECKING:
+    from .launcher import ProcessHandle
 
 #: Crash mode → the real signal with its observable effect.
 SIGNALS = {
@@ -38,33 +40,35 @@ class ChaosEngine:
     """Fires each plan at most once, keyed on reported progress.
 
     Takes the plans :func:`~repro.runtime.result.check_run` returned —
-    one per node, byte-triggered.  ``kill_fn`` defaults to
-    :func:`os.kill`; tests inject a recorder.  Thread-safe: progress
-    callbacks arrive from per-agent reader threads.
+    one per node, byte-triggered — and ``handle_of(name)``, the fleet's
+    :class:`~repro.deploy.launcher.ProcessHandle` for a node (``None``
+    for one that has none).  The handle is looked up when a plan fires,
+    not when the engine is made (a one-shot admits its session before
+    any agent exists), and signalled through its pidfd: a plan that
+    fires after its target was reaped signals nobody.  Thread-safe:
+    progress callbacks arrive from per-agent reader threads.
     """
 
     def __init__(
         self,
         plans: Sequence[CrashPlan],
-        *,
-        kill_fn: Callable[[int, int], None] = os.kill,
+        handle_of: Callable[[str], Optional["ProcessHandle"]],
     ) -> None:
         self._pending: Dict[str, CrashPlan] = {p.node: p for p in plans}
         self._fired: Dict[str, CrashPlan] = {}
-        self._kill = kill_fn
+        self._handle_of = handle_of
         self._lock = threading.Lock()
         #: Externally supervised targets (the head): they never
         #: self-report progress, so their plans fire once *any* node's
-        #: reported progress crosses the threshold, against a pid the
-        #: coordinator registered.
-        self._external: Dict[str, int] = {}
+        #: reported progress crosses the threshold.
+        self._external: Set[str] = set()
 
     def targets(self):
         """Names of nodes any plan targets (pending or fired)."""
         with self._lock:
             return set(self._pending) | set(self._fired)
 
-    def register_external(self, name: str, pid: int) -> None:
+    def register_external(self, name: str) -> None:
         """Register a target that never reports its own progress.
 
         The head streams (it receives nothing), so it never appears in
@@ -74,7 +78,7 @@ class ChaosEngine:
         down" — which is the semantics a head kill test actually wants.
         """
         with self._lock:
-            self._external[name] = pid
+            self._external.add(name)
 
     @property
     def fired(self) -> Dict[str, CrashPlan]:
@@ -82,39 +86,24 @@ class ChaosEngine:
         with self._lock:
             return dict(self._fired)
 
-    def on_progress(self, node: str, bytes_received: int,
-                    pid: Optional[int]) -> Optional[str]:
+    def on_progress(self, node: str, bytes_received: int) -> Optional[str]:
         """Maybe fire the plan for ``node``; returns the mode it fired.
 
-        A dead or unknown pid makes the plan a no-op (the node died on
-        its own first); the plan still counts as fired so the run's
-        ``ok`` accounting stays consistent.
+        A target without a live process makes the plan a no-op (the
+        node died on its own first); the plan still counts as fired so
+        the run's ``ok`` accounting stays consistent.
         """
-        external_due = []
+        due = []
         with self._lock:
             # Externally supervised targets ride on everyone's progress.
-            for ext_name, ext_pid in self._external.items():
-                ext_plan = self._pending.get(ext_name)
-                if ext_plan is not None and bytes_received >= ext_plan.after_bytes:
-                    del self._pending[ext_name]
-                    self._fired[ext_name] = ext_plan
-                    external_due.append((ext_plan, ext_pid))
-            plan = self._pending.get(node)
-            if plan is not None and bytes_received >= plan.after_bytes:
-                del self._pending[node]
-                self._fired[node] = plan
-            else:
-                plan = None
-        for ext_plan, ext_pid in external_due:
-            try:
-                self._kill(ext_pid, SIGNALS[ext_plan.mode])
-            except (OSError, ProcessLookupError):
-                pass
-        if plan is None:
-            return None
-        if pid is not None:
-            try:
-                self._kill(pid, SIGNALS[plan.mode])
-            except (OSError, ProcessLookupError):
-                pass
-        return plan.mode
+            for name in self._external | {node}:
+                plan = self._pending.get(name)
+                if plan is not None and bytes_received >= plan.after_bytes:
+                    del self._pending[name]
+                    self._fired[name] = plan
+                    due.append(plan)
+        for plan in due:
+            handle = self._handle_of(plan.node)
+            if handle is not None:
+                handle.send_signal(SIGNALS[plan.mode])
+        return next((p.mode for p in due if p.node == node), None)

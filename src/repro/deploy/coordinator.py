@@ -199,7 +199,6 @@ class _Agent:
     channel: ControlChannel
     #: Host peers dial (each session binds its own ports there).
     host: str
-    pid: int
     registered_at: float
     last_heard: float
     dead_reason: Optional[str] = None
@@ -270,7 +269,6 @@ class Coordinator:
             name=name,
             channel=channel,
             host=str(hello["host"]),
-            pid=int(hello["pid"]),
             registered_at=time.monotonic(),
             last_heard=time.monotonic(),
         )
@@ -280,7 +278,7 @@ class Coordinator:
             self._agents[name] = agent
             self._cond.notify_all()
         self._tracer.emit(tracing.CONNECT, "coordinator", peer=name,
-                          detail=f"register pid={agent.pid}")
+                          detail=f"register pid={hello['pid']}")
         self._read_loop(agent)
 
     def _read_loop(self, agent: _Agent) -> None:

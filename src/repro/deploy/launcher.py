@@ -7,10 +7,9 @@ windowed launching confines a failure to the one node that failed —
 which is why the paper picks it despite the extra latency.  This module
 reproduces those semantics with real processes:
 
-* the node program "copies itself" to every node it starts: the
-  supervisor compiles the agent's modules once per fleet, one *fork
-  server* per host boots on them, and every agent is a ``fork()`` of
-  it (:mod:`repro.deploy.program`, :class:`ForkServer`);
+* the node program "starts itself everywhere": one *fork server* per
+  host boots from this checkout, and every agent is a ``fork()`` of it
+  (:class:`ForkServer`);
 * at most ``window`` agents are simultaneously in their spawn→register
   phase (a ``ThreadPoolExecutor`` bounds the in-flight set);
 * an agent that exits before registering, or never registers within
@@ -36,14 +35,12 @@ import signal
 import socket
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from . import program
 from .protocol import DeployError
 
 #: ``spawn(name, attempt)`` → a process handle exposing the small subset
@@ -61,8 +58,8 @@ UNKNOWN_EXIT = 255
 
 def spawn_env() -> dict:
     """The environment agents are spawned with: this checkout's ``src/``
-    leads ``PYTHONPATH``, so whatever an agent loads from disk rather
-    than from its program is the code that is supervising it."""
+    leads ``PYTHONPATH``, so what an agent runs is the code that is
+    supervising it."""
     src_root = os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
     env = dict(os.environ)
@@ -77,10 +74,10 @@ class ProcessHandle:
     :class:`subprocess.Popen` the launcher and the reaper use.
 
     The fork server reaps the child and reports its status
-    (``returncode``, a signal as a negative code).  :meth:`kill` goes
-    through a pidfd the server handed over with the pid: it names this
-    process and no other, so a kill that comes after the child was
-    reaped signals nobody, never whoever got the pid next.
+    (``returncode``, a signal as a negative code).  :meth:`send_signal`
+    goes through a pidfd the server handed over with the pid: it names
+    this process and no other, so a signal that comes after the child
+    was reaped reaches nobody, never whoever got the pid next.
     """
 
     def __init__(self, pid: int, pidfd: int) -> None:
@@ -107,13 +104,16 @@ class ProcessHandle:
                 raise subprocess.TimeoutExpired(f"agent {self.pid}", timeout)
             return self.returncode
 
-    def kill(self) -> None:
+    def send_signal(self, sig: int) -> None:
         with self._cond:
             if self.returncode is None:
                 try:
-                    signal.pidfd_send_signal(self._pidfd, signal.SIGKILL)
+                    signal.pidfd_send_signal(self._pidfd, sig)
                 except ProcessLookupError:
                     pass  # exited; its status is on its way
+
+    def kill(self) -> None:
+        self.send_signal(signal.SIGKILL)
 
 
 class ForkServer:
@@ -121,22 +121,19 @@ class ForkServer:
     of one warm agent.
 
     The one thing that starts agent processes: first spawns and retries
-    of a one-shot and of a ``kascade serve`` fleet alike.  The agent's
-    modules (:mod:`repro.deploy.program`; with the cache's when
-    ``cached``) are compiled when the spawner is made — its
-    ``program_bytes`` and ``program_build_s`` say what that cost.  The
-    first spawn starts the *fork server*: ``python -S -c BOOT
-    repro.cli.kascade agent argv --fork-server FD``, the program on its
-    stdin, which loads what an agent runs and then only forks
-    (:func:`repro.deploy.agent.serve_forks`); ``server_boot_s`` is the
-    time from its start to its ``ready``.  Each spawn is a request on a
-    private socket pair; the child runs ``kascade agent argv --name
-    <name>`` plus ``agent_args(name, attempt)`` (how tests make
-    specific attempts fail), and with ``stderr_dir`` writes its stderr
-    to ``<dir>/<name>.stderr.log`` (the server's own to
-    ``fork-server.stderr.log``) instead of ``/dev/null``.  Every forked
-    agent's command line is the server's, so ``pgrep -f
-    "repro.cli.kascade [a]gent"`` finds them all.
+    of a one-shot and of a ``kascade serve`` fleet alike.  The first
+    spawn starts the *fork server*: ``python -S -m repro.cli.kascade
+    agent argv --fork-server FD`` on this checkout (:func:`spawn_env`),
+    stdin on ``/dev/null``, which loads what an agent runs and then
+    only forks (:func:`repro.deploy.agent.serve_forks`);
+    ``server_boot_s`` is the time from its start to its ``ready``.
+    Each spawn is a request on a private socket pair; the child runs
+    ``kascade agent argv --name <name>`` plus ``agent_args(name,
+    attempt)`` (how tests make specific attempts fail), and with
+    ``stderr_dir`` writes its stderr to ``<dir>/<name>.stderr.log``
+    (the server's own to ``fork-server.stderr.log``) instead of
+    ``/dev/null``.  Every forked agent's command line is the server's,
+    so ``pgrep -f "repro.cli.kascade [a]gent"`` finds them all.
 
     A server that does not boot or answer within ``boot_timeout`` is
     killed.  Once the server is gone every spawn fails as a launch
@@ -152,19 +149,14 @@ class ForkServer:
         python: str,
         argv: Sequence[str],
         *,
-        cached: bool = False,
         stderr_dir: Optional[str] = None,
         agent_args: Optional[Callable[[str, int], Sequence[str]]] = None,
         boot_timeout: float = 15.0,
     ) -> None:
-        t0 = time.monotonic()
-        self._program = program.build(cached)
-        self.program_bytes = len(self._program)
-        self.program_build_s = time.monotonic() - t0
         self.server_boot_s = 0.0
         self._argv = [str(a) for a in argv]
-        self._cmd = [python, "-S", "-c", program.BOOT, "repro.cli.kascade",
-                     "agent", *self._argv]
+        self._cmd = [python, "-S", "-m", "repro.cli.kascade", "agent",
+                     *self._argv]
         self._stderr_dir = stderr_dir
         self._agent_args = agent_args
         self._boot_timeout = boot_timeout
@@ -230,20 +222,15 @@ class ForkServer:
                                          socket.SOCK_SEQPACKET)
         stderr = None
         try:
-            with tempfile.TemporaryFile() as stdin:
-                # A file, written before the server exists: a server
-                # that never reads it keeps nobody waiting.
-                stdin.write(self._program)
-                stdin.seek(0)
-                if self._stderr_dir is not None:
-                    stderr = open(os.path.join(
-                        self._stderr_dir, "fork-server.stderr.log"), "ab")
-                self._started_at = time.monotonic()
-                self.proc = subprocess.Popen(
-                    [*self._cmd, "--fork-server", str(theirs.fileno())],
-                    stdin=stdin, stdout=subprocess.DEVNULL,
-                    stderr=stderr or subprocess.DEVNULL, env=spawn_env(),
-                    pass_fds=(theirs.fileno(),))
+            if self._stderr_dir is not None:
+                stderr = open(os.path.join(
+                    self._stderr_dir, "fork-server.stderr.log"), "ab")
+            self._started_at = time.monotonic()
+            self.proc = subprocess.Popen(
+                [*self._cmd, "--fork-server", str(theirs.fileno())],
+                stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                stderr=stderr or subprocess.DEVNULL, env=spawn_env(),
+                pass_fds=(theirs.fileno(),))
         except BaseException:
             ours.close()
             raise
@@ -392,12 +379,6 @@ class LaunchReport:
     window: int
     total_s: float
     nodes: Dict[str, NodeLaunch]
-    #: Size of the compiled program the host's fork server was handed,
-    #: and what building it cost the supervisor — once, before the first
-    #: spawn, outside ``total_s`` (0 when the caller's own ``spawn``
-    #: ships none).
-    program_bytes: int = 0
-    program_build_s: float = 0.0
     #: The fork server's start → ready: the one interpreter boot of the
     #: wave, inside ``total_s``; each node's ``startup_s`` is then its
     #: own fork → register.
@@ -447,9 +428,6 @@ class LaunchReport:
             parts.append(f", server boot {self.server_boot_s:.2f}s")
         if slowest is not None:
             parts.append(f", slowest {slowest.name} {slowest.startup_s:.2f}s")
-        if self.program_bytes:
-            parts.append(f", program {self.program_bytes // 1024} KiB "
-                         f"in {self.program_build_s:.2f}s")
         return "".join(parts) + ")"
 
 
@@ -461,9 +439,8 @@ class WindowedLauncher:
     spawn:
         ``spawn(name, attempt)`` starts one agent process and returns its
         handle.  ``attempt`` counts from 0 so test hooks can make early
-        attempts fail.  A :class:`ForkServer` carries ``program_bytes``,
-        ``program_build_s`` and ``server_boot_s``; the report copies
-        them.
+        attempts fail.  A :class:`ForkServer` carries ``server_boot_s``;
+        the report copies it.
     window:
         Max simultaneous spawn→register phases in flight (§III-B).
     retries:
@@ -522,8 +499,6 @@ class WindowedLauncher:
             window=self.window,
             total_s=time.monotonic() - t0,
             nodes=nodes,
-            program_bytes=getattr(self.spawn, "program_bytes", 0),
-            program_build_s=getattr(self.spawn, "program_build_s", 0.0),
             server_boot_s=getattr(self.spawn, "server_boot_s", 0.0),
         )
 

@@ -60,7 +60,7 @@ def test_a_stalled_reaper_pass_voids_the_clocks():
         for name in fleet:
             coordinator._agents[name] = _Agent(
                 name=name, channel=Quiet(), host="127.0.0.1",
-                pid=0, registered_at=now, last_heard=now)
+                registered_at=now, last_heard=now)
         server._coordinator = coordinator
         server._procs = {name: Running() for name in fleet}
         server._stop_reaper = OversleepingStop(stall=2 * HEARTBEAT_TIMEOUT)
@@ -88,7 +88,7 @@ def test_real_silence_still_fails_the_open_sessions():
         for name in fleet:
             coordinator._agents[name] = _Agent(
                 name=name, channel=Quiet(), host="127.0.0.1",
-                pid=0, registered_at=now, last_heard=now)
+                registered_at=now, last_heard=now)
         server._coordinator = coordinator
         server._procs = {name: Running() for name in fleet}
         failed = []
@@ -203,7 +203,7 @@ def test_drain_waits_on_the_control_eof_not_on_a_poll():
         for name in ("n1", "n2"):
             coordinator._agents[name] = _Agent(
                 name=name, channel=Quiet(), host="127.0.0.1",
-                pid=0, registered_at=now, last_heard=now)
+                registered_at=now, last_heard=now)
         procs = {n: Exiting(a) for n, a in coordinator._agents.items()}
 
         def close_sockets():

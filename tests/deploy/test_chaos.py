@@ -1,19 +1,39 @@
-"""Unit tests for the real-signal chaos engine (injected kill_fn), and
-for the one validation of the faults it is given."""
+"""Unit tests for the real-signal chaos engine (recording handles, and
+the fleet's own pidfd handles), and for the one validation of the
+faults it is given."""
 
+import os
 import signal
+import subprocess
 
 import pytest
 
 from repro.core.errors import KascadeError
 from repro.core.plan import ChainPlan
 from repro.deploy.chaos import SIGNALS, ChaosEngine
+from repro.deploy.launcher import ProcessHandle
 from repro.runtime.result import CrashPlan, check_run
 
 
 def fault(node, after_bytes=0, mode="close"):
     """A fault as the engine takes it: byte-triggered, SIGKILL by default."""
     return CrashPlan(node, after_bytes, mode)
+
+
+class Recorder:
+    """A node's handle that notes ``(node, signal)`` instead of sending."""
+
+    def __init__(self, name, sent):
+        self.name, self.sent = name, sent
+
+    def send_signal(self, sig):
+        self.sent.append((self.name, sig))
+
+
+def recording(plans, sent, nodes=("n1", "n2", "n3")):
+    """An engine over a fleet of :class:`Recorder` handles."""
+    handles = {name: Recorder(name, sent) for name in nodes}
+    return ChaosEngine(plans, handles.get)
 
 
 class TestCrashPlan:
@@ -48,26 +68,24 @@ class TestCrashPlan:
 class TestChaosEngine:
     def test_fires_once_at_threshold(self):
         sent = []
-        engine = ChaosEngine([fault("n3", after_bytes=100, mode="close")],
-                             kill_fn=lambda pid, sig: sent.append((pid, sig)))
-        assert engine.on_progress("n3", 50, pid=42) is None
-        assert engine.on_progress("n3", 100, pid=42) == "close"
-        assert engine.on_progress("n3", 200, pid=42) is None  # once only
-        assert sent == [(42, signal.SIGKILL)]
+        engine = recording([fault("n3", after_bytes=100, mode="close")], sent)
+        assert engine.on_progress("n3", 50) is None
+        assert engine.on_progress("n3", 100) == "close"
+        assert engine.on_progress("n3", 200) is None  # once only
+        assert sent == [("n3", signal.SIGKILL)]
         assert "n3" in engine.fired
 
     def test_threshold_is_a_floor_not_exact(self):
         sent = []
-        engine = ChaosEngine([fault("n3", after_bytes=100, mode="silent")],
-                             kill_fn=lambda pid, sig: sent.append(sig))
-        assert engine.on_progress("n3", 5000, pid=1) == "silent"
-        assert sent == [signal.SIGSTOP]
+        engine = recording([fault("n3", after_bytes=100, mode="silent")],
+                           sent)
+        assert engine.on_progress("n3", 5000) == "silent"
+        assert sent == [("n3", signal.SIGSTOP)]
 
     def test_untargeted_nodes_untouched(self):
         sent = []
-        engine = ChaosEngine([fault("n3")],
-                             kill_fn=lambda pid, sig: sent.append(sig))
-        assert engine.on_progress("n2", 1 << 30, pid=1) is None
+        engine = recording([fault("n3")], sent)
+        assert engine.on_progress("n2", 1 << 30) is None
         assert sent == []
 
     def test_duplicate_plans_rejected(self):
@@ -80,21 +98,44 @@ class TestChaosEngine:
                       backend="procs", data_plane="threaded")
 
     def test_dead_pid_still_counts_as_fired(self):
-        def kill_dead(pid, sig):
-            raise ProcessLookupError(pid)
-
-        engine = ChaosEngine([fault("n3")], kill_fn=kill_dead)
-        # The node died on its own first; the plan must not crash the
-        # coordinator and must still count for ok-accounting.
-        assert engine.on_progress("n3", 10, pid=99999) == "close"
+        # The node has no process left to signal (the fleet holds no
+        # handle for it); the plan must not crash the coordinator and
+        # must still count for ok-accounting.
+        engine = ChaosEngine([fault("n3")], lambda name: None)
+        assert engine.on_progress("n3", 10) == "close"
         assert "n3" in engine.fired
 
     def test_targets_span_pending_and_fired(self):
-        engine = ChaosEngine([fault("n2"), fault("n3")],
-                             kill_fn=lambda pid, sig: None)
+        engine = recording([fault("n2"), fault("n3")], [])
         assert engine.targets() == {"n2", "n3"}
-        engine.on_progress("n2", 0, pid=1)
+        engine.on_progress("n2", 0)
         assert engine.targets() == {"n2", "n3"}
+
+    def test_a_plan_that_fires_after_its_target_was_reaped_signals_nobody(
+            self, monkeypatch):
+        """The engine signals through the fleet's pidfd handles, never a
+        pid: once a target was reaped its pid may name someone else, and
+        a plan firing then sends nothing at all."""
+        live, reaped = (subprocess.Popen(["sleep", "60"]) for _ in range(2))
+        handles = {name: ProcessHandle(proc.pid, os.pidfd_open(proc.pid))
+                   for name, proc in (("n2", live), ("n3", reaped))}
+        try:
+            reaped.kill()
+            handles["n3"].exited(reaped.wait())
+            sent = []
+            send = signal.pidfd_send_signal
+            monkeypatch.setattr(signal, "pidfd_send_signal", lambda fd, sig: (
+                sent.append(sig), send(fd, sig)))
+            engine = ChaosEngine([fault("n2"), fault("n3")], handles.get)
+            assert engine.on_progress("n3", 10) == "close"
+            assert sent == [] and "n3" in engine.fired
+            # The live target, by contrast, is signalled through its pidfd.
+            assert engine.on_progress("n2", 10) == "close"
+            assert sent == [signal.SIGKILL]
+            assert live.wait(timeout=10) == -signal.SIGKILL
+        finally:
+            live.kill()
+            handles["n2"].exited(live.wait())
 
 
 class TestExternalTargets:
@@ -102,34 +143,32 @@ class TestExternalTargets:
 
     def test_external_fires_on_anyones_progress(self):
         sent = []
-        engine = ChaosEngine([fault("n1", after_bytes=100, mode="close")],
-                             kill_fn=lambda pid, sig: sent.append((pid, sig)))
-        engine.register_external("n1", 4242)
+        engine = recording([fault("n1", after_bytes=100, mode="close")], sent)
+        engine.register_external("n1")
         # The head never appears in the feed; a receiver's progress
         # crossing the threshold is what pulls the trigger.
-        assert engine.on_progress("n3", 50, pid=7) is None
-        engine.on_progress("n3", 150, pid=7)
-        assert sent == [(4242, signal.SIGKILL)]
+        assert engine.on_progress("n3", 50) is None
+        engine.on_progress("n3", 150)
+        assert sent == [("n1", signal.SIGKILL)]
         assert "n1" in engine.fired
         # Once only, no matter how much more progress flows.
-        engine.on_progress("n2", 1 << 30, pid=8)
+        engine.on_progress("n2", 1 << 30)
         assert len(sent) == 1
 
     def test_reporter_and_external_can_fire_on_one_report(self):
         sent = []
-        engine = ChaosEngine(
+        engine = recording(
             [fault("n1", after_bytes=10, mode="close"),
-             fault("n2", after_bytes=10, mode="silent")],
-            kill_fn=lambda pid, sig: sent.append((pid, sig)))
-        engine.register_external("n1", 9000)
-        assert engine.on_progress("n2", 64, pid=70) == "silent"
-        assert sorted(sent) == [(70, signal.SIGSTOP), (9000, signal.SIGKILL)]
+             fault("n2", after_bytes=10, mode="silent")], sent)
+        engine.register_external("n1")
+        assert engine.on_progress("n2", 64) == "silent"
+        assert sorted(sent) == [("n1", signal.SIGKILL),
+                                ("n2", signal.SIGSTOP)]
 
     def test_unregistered_external_never_fires(self):
         sent = []
-        engine = ChaosEngine([fault("n1", after_bytes=0)],
-                             kill_fn=lambda pid, sig: sent.append(sig))
-        engine.on_progress("n2", 1 << 20, pid=1)
+        engine = recording([fault("n1", after_bytes=0)], sent)
+        engine.on_progress("n2", 1 << 20)
         assert sent == []
         assert "n1" not in engine.fired
 

@@ -41,13 +41,6 @@ assert main(["agent", "--coordinator", "127.0.0.1:1", "--name", "n2",
 import repro.cli.kascade, repro.session, repro.deploy.coordinator
 """,
     "daemon_server": "import repro.session, repro.daemon.server",
-    # The supervisor after it compiled the agents' program, cache
-    # modules included: ``get_code`` compiles, it does not import.
-    "supervisor_with_program": """
-import repro.cli.kascade, repro.session, repro.deploy.coordinator
-from repro.deploy import program
-program.build(cached=True)
-""",
     # A whole threaded broadcast in this process: every node runs the
     # protocol engine, none of them needs a simulator to do it.
     "local_run": """
@@ -128,11 +121,8 @@ BUDGET = {
         "repro.daemon", "repro.core.cache", "dataclasses", "inspect"), 34),
     "cached_agent": (NUMERIC + IDNA + CONTROL_SIDE + ("dataclasses",
                                                       "inspect"), 37),
-    "supervisor": (NUMERIC + NOT_IN_A_SUPERVISOR, 25),
-    "daemon_server": (NUMERIC + NOT_IN_A_SUPERVISOR, 25),
-    # + ``repro.daemon``, the one parent package ``find_spec`` touches
-    # that this probe had not imported (a real supervisor has).
-    "supervisor_with_program": (NUMERIC + NOT_IN_A_SUPERVISOR, 26),
+    "supervisor": (NUMERIC + NOT_IN_A_SUPERVISOR, 23),
+    "daemon_server": (NUMERIC + NOT_IN_A_SUPERVISOR, 24),
     "local_run": (NUMERIC, 31),
     "simulated_run": (NOT_IN_THE_DES, 37),
     "sim_proto_cli": (NOT_IN_THE_DES, 39),
@@ -170,22 +160,6 @@ def test_role_module_count(loaded, role):
         f"{role} loads {len(ours)} repro modules, budget {ceiling}: {ours}")
 
 
-@pytest.mark.parametrize("role, cached", [("agent", False),
-                                          ("cached_agent", True)])
-def test_the_program_is_what_an_agent_loads(loaded, role, cached):
-    """``deploy.program``'s module list is a literal; this holds it to
-    account.  A module an agent loads that the program lacks is compiled
-    by every agent again (the cost the program exists to remove); one
-    the program carries that no agent loads is compiled for nothing."""
-    from repro.deploy.program import module_names
-
-    ours = {m for m in loaded[role] if m.split(".")[0] == "repro"}
-    shipped = set(module_names(cached))
-    assert ours == shipped, (
-        f"{role} loads {sorted(ours - shipped)} from disk; the program "
-        f"ships {sorted(shipped - ours)} unused")
-
-
 @pytest.mark.parametrize("role", sorted(set(PROBES) - set(SIMULATORS)))
 def test_only_the_simulator_loads_a_simulator(loaded, role):
     """The protocol engine lives in ``repro.core`` so that running it
@@ -207,13 +181,12 @@ def test_a_figure_loads_them(loaded):
 
 
 # ----------------------------------------------------------------------
-# The agents as launched: one fork server (``python -S -c BOOT …``, the
-# program on stdin) and its forks
+# The agents as launched: one fork server (``python -S -m
+# repro.cli.kascade agent …``) and its forks
 # ----------------------------------------------------------------------
 
-#: How the program's finder shows in a verbose import log (``BOOT``
-#: defines it in ``__main__``).
-PROGRAM_LOADER = "<class '__main__.L'>"
+#: How a module compiled from its source shows in a verbose import log.
+SOURCE_LOADER = "SourceFileLoader"
 
 #: The fork server's stderr log, beside each agent's.
 SERVER_LOG = "fork-server.stderr.log"
@@ -264,20 +237,18 @@ def test_a_spawned_agent_loads_neither_site_nor_dataclasses(spawned_agent):
                            f"{strays}"
 
 
-def test_a_spawned_agent_compiles_none_of_its_code(spawned_agent):
-    """The fork server loads exactly the program — ``AGENT_MODULES``,
-    plus ``CACHE_MODULES`` on a fleet with a cache — and every ``repro``
-    module of it from the program, bar ``argv[1]``, which ``runpy`` runs
-    as ``__main__`` without an import."""
-    from repro.deploy.program import module_names
-
+def test_a_spawned_agent_compiles_none_of_its_code(spawned_agent, loaded):
+    """Agent code is compiled by one process per fleet, not one per
+    agent: the fork server loads the node's modules from source, no
+    forked agent imports anything, and no supervisor loads them at all."""
+    node = ("repro.core.engine", "repro.runtime.node")
     for cached, logs in spawned_agent.items():
-        ours = {m: loader for m, loader in logs[SERVER_LOG].items()
-                if m.split(".")[0] == "repro"}
-        from_disk = sorted(m for m, loader in ours.items()
-                           if loader != PROGRAM_LOADER)
-        assert not from_disk, f"compiled from disk: {from_disk}"
-        assert set(ours) == set(module_names(cached)) - {"repro.cli.kascade"}
+        for module in node:
+            assert SOURCE_LOADER in logs[SERVER_LOG][module], (cached, module)
+        assert all(imports == {} for name, imports in logs.items()
+                   if name != SERVER_LOG), cached
+    for role in ("supervisor", "daemon_server"):
+        assert not [m for m in node if m in loaded[role]], role
 
 
 def test_a_forked_agent_imports_nothing(spawned_agent):
@@ -293,9 +264,9 @@ def test_a_forked_agent_imports_nothing(spawned_agent):
 
 def test_an_unbundled_module_still_imports_under_dash_S(tmp_path,
                                                        monkeypatch):
-    """``core.pacing`` is not in the program: a paced head imports it
-    from disk when its session starts, through the package's real
-    ``__path__`` — which ``-S`` leaves as it was."""
+    """``core.pacing`` is not loaded by the fork server: a paced head
+    imports it from disk when its session starts, through the package's
+    real ``__path__`` — which ``-S`` leaves as it was."""
     from repro.daemon import DaemonServer
 
     monkeypatch.setenv("PYTHONVERBOSE", "1")
@@ -307,5 +278,5 @@ def test_an_unbundled_module_still_imports_under_dash_S(tmp_path,
     head = verbose_imports((tmp_path / "n1.stderr.log").read_text())
     assert "SourceFileLoader" in head["repro.core.pacing"]
     server = verbose_imports((tmp_path / SERVER_LOG).read_text())
-    assert server["repro.core.engine"] == PROGRAM_LOADER
+    assert SOURCE_LOADER in server["repro.core.engine"]
     assert "site" not in server

@@ -5,14 +5,10 @@ fixed-size fields of that message, all big-endian unsigned 64-bit integers.
 ``DATA`` and ``REPORT`` headers are followed by exactly ``size`` bytes of
 payload.
 
-Two decoding interfaces are provided:
-
-* :class:`FrameDecoder` — an incremental (sans-io) decoder: feed it bytes
-  as they arrive (or let a socket ``recv_into`` its :meth:`writable`
-  window), pop complete messages.  Used by the real TCP runtime, the
-  simulator, and unit tests.
-* :func:`read_message` / :func:`write_message` — blocking helpers over a
-  file-like object with ``read``/``write``/``flush``.
+Decoding is incremental (sans-io): feed :class:`FrameDecoder` bytes as
+they arrive (or let a socket ``recv_into`` its :meth:`writable` window),
+pop complete messages.  The real TCP runtime, the simulator and the unit
+tests all decode this way.
 
 Payloads are surfaced separately from headers: decoding yields
 ``(message, payload)`` pairs where ``payload`` is ``b""`` for payload-less
@@ -35,7 +31,7 @@ stream of large frames rotates between frames and copies nothing.
 from __future__ import annotations
 
 import struct
-from typing import BinaryIO, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from .buffers import BufferPool, Segment
 from .errors import FramingError
@@ -480,53 +476,3 @@ class FrameDecoder:
         self._last_need = len(payloads[-1])
         self._stats.frames_decoded += len(payloads)
         return first, payloads, mv[start:pos]
-
-
-# ---------------------------------------------------------------------------
-# Blocking helpers for file-like transports (CLI pipes, tests).
-# ---------------------------------------------------------------------------
-
-def _read_exact(stream: BinaryIO, n: int) -> bytes:
-    """Read exactly ``n`` bytes or raise ``ConnectionError`` on EOF."""
-    parts = []
-    remaining = n
-    while remaining > 0:
-        piece = stream.read(remaining)
-        if not piece:
-            raise ConnectionError(f"connection closed with {remaining} bytes pending")
-        parts.append(piece)
-        remaining -= len(piece)
-    return b"".join(parts)
-
-
-def write_message(stream: BinaryIO, msg: Message, payload: Payload = b"") -> None:
-    """Write a full frame (header + payload) and flush."""
-    expected = payload_size(msg)
-    if len(payload) != expected:
-        raise FramingError(
-            f"{msg!r} requires {expected} payload bytes, got {len(payload)}"
-        )
-    stream.write(encode_header(msg))
-    if payload:
-        stream.write(payload)
-    stream.flush()
-
-
-def read_message(stream: BinaryIO) -> Tuple[Message, bytes]:
-    """Read one full frame, blocking until complete.
-
-    Raises ``ConnectionError`` if the stream ends mid-frame or before any
-    byte is read (callers treat both as a lost peer).
-    """
-    first = stream.read(1)
-    if not first:
-        raise ConnectionError("connection closed before frame")
-    try:
-        op = Op(first[0])
-    except ValueError:
-        raise FramingError(f"unknown opcode byte {first[0]:#04x}") from None
-    raw = _read_exact(stream, header_size(op) - 1)
-    msg = _decode_fields(op, raw, 0)
-    need = payload_size(msg)
-    payload = _read_exact(stream, need) if need else b""
-    return msg, payload

@@ -65,7 +65,6 @@ from ..core.plan import ChainPlan
 from ..core.report import FailureRecord, TransferReport
 from ..core.sources import Source
 from ..core.tracing import NULL_TRACER, NullRecorder, TraceCollector
-from ..deploy.chaos import ChaosEngine
 from ..deploy.coordinator import (
     Coordinator,
     drain,
@@ -82,6 +81,7 @@ from ..deploy.launcher import (
 from ..deploy.protocol import wiring_to_wire
 from ..runtime.result import (
     BroadcastResult,
+    CrashPlan,
     LateJoin,
     NodeOutcome,
     check_run,
@@ -102,7 +102,9 @@ class _Session:
     plan: ChainPlan
     #: Content identity of the payload; ``None`` on a cache-less fleet.
     artifact: Optional[ArtifactMeta]
-    chaos: ChaosEngine
+    #: The checked faults, by node (a join session shares its parent's):
+    #: each is sent to its node, whose own loop fires it.
+    faults: Dict[str, CrashPlan]
     output_template: Optional[str]
     tracer: object
     wall0: float
@@ -124,7 +126,8 @@ class _Session:
     ports: Dict[str, List[int]] = field(default_factory=dict)
     statuses: Dict[str, dict] = field(default_factory=dict)
     dead: Dict[str, str] = field(default_factory=dict)
-    progress: Dict[str, int] = field(default_factory=dict)
+    #: node -> the bytes its last ``note`` said it had stored.
+    noted: Dict[str, int] = field(default_factory=dict)
     #: node -> its ``failover_ready`` reply while a re-root is in flight.
     failover_ready: Dict[str, dict] = field(default_factory=dict)
     #: Names a final status is expected from.
@@ -199,8 +202,6 @@ class DaemonServer:
     heartbeat_interval / heartbeat_timeout:
         Agent liveness tick and how long the supervisor tolerates
         control-plane silence before declaring an agent dead.
-    progress_every:
-        Bytes between agent progress reports (chaos trigger resolution).
     python:
         Interpreter of the fork server the agents are forked from
         (default ``sys.executable``).
@@ -233,7 +234,6 @@ class DaemonServer:
         backoff: float = 0.2,
         heartbeat_interval: float = 0.25,
         heartbeat_timeout: Optional[float] = None,
-        progress_every: int = 1 << 18,
         python: Optional[str] = None,
         bind_host: str = "127.0.0.1",
         agent_args: Optional[Callable[[str, int], Sequence[str]]] = None,
@@ -256,7 +256,6 @@ class DaemonServer:
         self.heartbeat_timeout = (
             heartbeat_timeout if heartbeat_timeout is not None
             else max(2.0, 5 * heartbeat_interval))
-        self.progress_every = progress_every
         self.python = python or sys.executable
         self.bind_host = bind_host
         self.agent_args = agent_args
@@ -275,8 +274,8 @@ class DaemonServer:
         self._session_seq = 0
         self._sessions_completed = 0
         self._artifact_memo: Dict[Tuple[str, int, int], Tuple[str, int]] = {}
-        #: Members a session's chaos hit or that left one waiting: they
-        #: are killed, not drained, at shutdown.
+        #: Members that fired a fault or left a session waiting: they are
+        #: killed, not drained, at shutdown.
         self._suspect: set = set()
         self._stop_reaper = threading.Event()
         self._reaper: Optional[threading.Thread] = None
@@ -400,7 +399,7 @@ class DaemonServer:
                 owed = True
                 sess.dead[name] = reason
                 sess.emit(tracing.FAILOVER, detail, peer=name,
-                          offset=sess.progress.get(name), detector=detector)
+                          offset=sess.noted.get(name), detector=detector)
                 sess.cond.notify_all()
             self._maybe_trigger_joins(sess)
         if not owed:
@@ -415,14 +414,15 @@ class DaemonServer:
             sess = self._sessions.get(str(msg.get("session")))
         if sess is None:
             return
-        if op == "progress":
-            received = int(msg.get("bytes", 0))
+        if op == "note":
+            received = int(msg["bytes"])
             with sess.cond:
-                sess.progress[agent.name] = max(
-                    sess.progress.get(agent.name, 0), received)
-            fired = sess.chaos.on_progress(agent.name, received)
-            if fired is not None:
-                sess.note(f"chaos fired {fired} at {agent.name}")
+                sess.noted[agent.name] = received
+            if msg.get("mode"):
+                with self._lock:
+                    self._suspect.add(agent.name)
+                sess.note(f"fault fired {msg['mode']} at {agent.name} "
+                          f"after {received} bytes")
             self._maybe_trigger_joins(sess)
             return
         with sess.cond:
@@ -447,9 +447,9 @@ class DaemonServer:
             if not sess.pending_joins or sess.source_path is None:
                 return
             push_done = all(sess.resolved(n) for n in sess.push_nodes)
-            top = max(sess.progress.values(), default=0)
+            moved = sess.noted.get(sess.plan.head, 0)
             ready = [lj for lj in sess.pending_joins
-                     if push_done or top >= lj.after_bytes]
+                     if push_done or moved >= lj.after_bytes]
             if not ready:
                 return
             sess.pending_joins = [lj for lj in sess.pending_joins
@@ -470,7 +470,7 @@ class DaemonServer:
                   + " → ".join(plan.nodes))
         sub = _Session(
             id=f"{sess.id}+{','.join(joiners)}", plan=plan,
-            artifact=sess.artifact, chaos=sess.chaos,
+            artifact=sess.artifact, faults=sess.faults,
             output_template=sess.output_template, tracer=sess.tracer,
             wall0=sess.wall0, deadline=sess.deadline, failover=False,
             pending_joins=[], source_path=sess.source_path)
@@ -517,18 +517,16 @@ class DaemonServer:
         late_join: Sequence = (),
         output_template: Optional[str] = None,
         allow_head_chaos: bool = False,
-    ) -> ChaosEngine:
+    ) -> Tuple[CrashPlan, ...]:
         """What a session asks of this fleet, refused by
-        :func:`~repro.runtime.result.check_run` or returned as the
-        session's chaos engine, which signals members through the
-        fleet's process handles.  Needs no running fleet, so a one-shot
-        checks before it launches anything."""
-        return ChaosEngine(check_run(
+        :func:`~repro.runtime.result.check_run` or answered with the
+        checked faults.  Needs no running fleet, so a one-shot checks
+        before it launches anything."""
+        return check_run(
             plan, crashes, backend="daemon",
             data_plane=self.config.data_plane,
             allow_head_chaos=allow_head_chaos, fleet=self.fleet,
-            late_join=late_join, output_template=output_template),
-            lambda name: self._procs.get(name))
+            late_join=late_join, output_template=output_template)
 
     def submit(
         self,
@@ -559,9 +557,10 @@ class DaemonServer:
         win), else a chain over ``receivers`` (default: the whole fleet
         minus ``head`` and the late joiners) in ``order``.  Members that never launched or
         have died since are planned around and fail the result by name.
-        ``crashes`` (:class:`~repro.runtime.CrashPlan`) fire as real
-        signals; ``allow_head_chaos`` lets them target the head and has
-        the supervisor re-root the chain when it dies.  ``late_join``
+        ``crashes`` (:class:`~repro.runtime.CrashPlan`) fire in their
+        node's own loop, as a real signal to itself;
+        ``allow_head_chaos`` lets them target the head and has the
+        supervisor re-root the chain when it dies.  ``late_join``
         takes :class:`LateJoin` (or ``(node, after_bytes)`` pairs).
         ``wall0`` is the trace's wall-clock zero (default: now).
         """
@@ -578,7 +577,7 @@ class DaemonServer:
             head, receivers = plan.head, plan.receivers
         plan = ChainPlan.resolve(plan, head, receivers,
                                  stripes=self.config.stripes, order=order)
-        engine = self.admit(plan, crashes=crashes, late_join=late_join,
+        faults = self.admit(plan, crashes=crashes, late_join=late_join,
                             output_template=output_template,
                             allow_head_chaos=allow_head_chaos)
 
@@ -598,7 +597,8 @@ class DaemonServer:
             # source is spooled or hashed: a second submit under the same
             # name is refused, never let in to take this one's record.
             sess = self._sessions[sid] = _Session(
-                id=sid, plan=plan, chaos=engine, tracer=tracer,
+                id=sid, plan=plan, tracer=tracer,
+                faults={fault.node: fault for fault in faults},
                 artifact=None, output_template=output_template,
                 wall0=wall0 if wall0 is not None else time.time(),
                 deadline=started + timeout, failover=allow_head_chaos,
@@ -624,7 +624,7 @@ class DaemonServer:
             with self._lock:
                 self._sessions.pop(sid, None)
                 self._sessions_completed += 1
-                self._suspect |= set(engine.fired) | set(sess.dead)
+                self._suspect |= set(sess.dead)
         if trace_path is not None and isinstance(tracer, TraceCollector):
             tracer.to_jsonl(trace_path)
         return result
@@ -700,14 +700,11 @@ class DaemonServer:
         if cold and plan.head in sess.acks:
             plan = plan.replan_without([r for r in plan.receivers
                                         if r not in cold])
-            if sess.failover:
-                sess.chaos.register_external(plan.head)
             with sess.cond:
                 sess.push_nodes = set(plan.nodes)
                 sess.expected |= sess.push_nodes
             sess.note(f"push chain over {len(cold)} cold receiver(s)")
-            extra = {"run_timeout": max(1.0, deadline - time.monotonic()),
-                     "progress_every": self.progress_every}
+            extra = {"run_timeout": max(1.0, deadline - time.monotonic())}
             if sess.failover:
                 # Agents follow the control channel while the node runs
                 # so a mid-transfer re-root can reach them.
@@ -767,7 +764,9 @@ class DaemonServer:
         (``session_start``, or the ``resume`` of a re-root): the wiring
         and the stream's size (a receiver's file reserves it before its
         first byte), plus the source path for the head and the output
-        path for a receiver (a resumed one keeps the sink it has)."""
+        path for a receiver (a resumed one keeps the sink it has), a
+        node's own crash plan and the head's late-join thresholds (a
+        resumed node keeps the gate it built from them)."""
         # Session listeners are per-session: the ports come from each
         # agent's session_ack, the host from its registration.
         endpoints = {
@@ -777,12 +776,18 @@ class DaemonServer:
         base = {"op": op, "session": sess.id,
                 "size": os.path.getsize(source_path),
                 **wiring_to_wire(plan, endpoints, self.config), **fields}
+        joins = sorted({lj.after_bytes for lj in sess.pending_joins})
         for name in plan.nodes:
             msg = dict(base)
             if name == plan.head:
                 msg["source"] = source_path
+                if joins:
+                    msg["joins"] = joins
             elif sess.output_template is not None:
                 msg["output"] = sess.output_for(name)
+            fault = sess.faults.get(name)
+            if fault is not None:
+                msg["crash"] = [fault.after_bytes, fault.mode]
             self._coordinator.send(name, msg)
 
     def _orchestrate_failover(self, sess: _Session, chain: ChainPlan,
@@ -846,6 +851,12 @@ class DaemonServer:
         from_cache = 0
 
         with sess.cond:
+            killed = [name for name, fault in sess.faults.items()
+                      if name in sess.dead and fault.mode == "close"]
+        # A victim's note is on its control channel before its death is:
+        # read each such channel to its end (the kernel closed it at once).
+        self._coordinator.wait_gone(killed, time.monotonic() + 1.0)
+        with sess.cond:
             statuses = dict(sess.statuses)
             dead = dict(sess.dead)
         for name in sess.plan.nodes:
@@ -874,7 +885,7 @@ class DaemonServer:
             elif name in dead:
                 outcomes[name] = NodeOutcome(
                     name=name, ok=False, crashed=True, error=dead[name],
-                    bytes_received=sess.progress.get(name, 0),
+                    bytes_received=sess.noted.get(name, 0),
                 )
             elif name == head and plan is None:
                 # All-warm session: the head never ran, by design.
@@ -920,7 +931,7 @@ class DaemonServer:
         # failure (or a member lost before the session) fails it even
         # though the survivors were served around it.  A head that was
         # re-rooted away from is judged by its successor.
-        excused = sess.chaos.targets() | {sess.plan.head}
+        excused = set(sess.faults) | {sess.plan.head}
         ok = outcomes[head].ok and all(
             outcome.ok for name, outcome in outcomes.items()
             if name not in excused)

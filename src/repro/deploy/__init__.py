@@ -21,10 +21,12 @@ process (§III-B):
   (registrations, liveness by ``waitpid`` + control heartbeats, the
   tear-down that leaves no process behind); the sessions run on
   :class:`repro.daemon.DaemonServer`, and a one-shot broadcast is one
-  of its fleets launched for a single session;
-* :mod:`repro.deploy.chaos` — kills agents with real ``SIGKILL`` /
-  ``SIGSTOP`` mid-transfer, so §III-D failover is exercised against
-  genuine RSTs and silent hangs across process boundaries.
+  of its fleets launched for a single session.
+
+A crash plan fires where it does on every backend, in the node's own
+loop: the agent notes it to the supervisor and sends itself a real
+``SIGKILL`` / ``SIGSTOP``, so §III-D failover is exercised against
+genuine RSTs and silent hangs across process boundaries.
 
 The blessed entry point is ``repro.run_broadcast(..., backend="procs")``.
 """
@@ -32,7 +34,6 @@ The blessed entry point is ``repro.run_broadcast(..., backend="procs")``.
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "chaos": ("ChaosEngine",),
     "protocol": ("ControlChannel", "DeployError"),
     "launcher": ("LaunchReport", "NodeLaunch", "WindowedLauncher"),
 })

@@ -11,9 +11,10 @@ the supervisor says ``quit``:
    with the ports (plus the cache state for the artifact, if any);
 3. per ``session_start`` run the unmodified :mod:`repro.runtime` node
    logic (head or receiver) over real TCP on a worker thread —
-   :func:`execute_transfer`, the one transfer function — reporting
-   throttled progress (which drives the chaos hook) and heartbeating on
-   the control socket throughout;
+   :func:`execute_transfer`, the one transfer function — heartbeating
+   on the control socket throughout; a node with a crash plan fires it
+   in its own loop (a ``note``, then a real signal to itself), and a
+   head with late joiners notes the thresholds it crosses;
 4. send a structured ``session_status`` — outcome, payload digest, the
    encoded ring report (head only), perfstats, and the trace events —
    and go back to waiting;
@@ -40,6 +41,7 @@ import json
 import os
 import queue
 import select
+import signal
 import socket
 import sys
 import threading
@@ -49,6 +51,7 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.config import KascadeConfig
+from ..core.engine import CrashGate
 from ..core.errors import KascadeError
 from ..core.perfstats import get_stats
 from ..core.plan import ChainPlan
@@ -57,7 +60,7 @@ from ..core.sources import FileSource
 from ..core.tracing import TraceCollector
 from ..runtime.host import HostChains
 from ..runtime.registry import Address, Registry
-from ..runtime.result import check_head_failover
+from ..runtime.result import CrashPlan, check_head_failover, crash_gate
 from ..runtime.transport import Listener
 from .protocol import (  # noqa: F401 - config_to_wire/wiring_to_wire re-exported
     ControlChannel,
@@ -103,21 +106,41 @@ class _Heartbeat:
                 return
 
 
-def _progress_gate(send: Callable[[int], None], every: int):
-    """A host-level :data:`~repro.runtime.node.CrashGate` that never
-    crashes.
+#: Crash mode → the real signal an agent sends itself (§III-D):
+#: ``"close"`` → ``SIGKILL``, the kernel closes every socket (peers see
+#: RST); ``"silent"`` → ``SIGSTOP``, frozen with every socket open (peers
+#: must tell it from congestion by timeout + ping).
+SIGNALS = {"close": signal.SIGKILL, "silent": signal.SIGSTOP}
 
-    Reuses the receiver's per-chunk gate slot to stream throttled
-    progress (via ``send(total_bytes)``, the host's *aggregate* count
-    across stripes) to the coordinator — the signal the chaos engine
-    keys on, and chaos thresholds are host-level.
+
+def _fault_gate(state: "_SessionState", name: str,
+                msg: dict) -> Optional[CrashGate]:
+    """This host's gate for the session ``msg`` starts, if it needs one.
+
+    Its own crash plan (``crash``: ``[after_bytes, mode]``) fires in its
+    own loop, the gate every backend builds
+    (:func:`~repro.runtime.result.crash_gate`): a ``note`` on the control
+    channel, then the real signal to this process, so it dies at the
+    stored byte it would die at on threads.  A head with late joiners
+    (``joins``: their thresholds) notes each one it crosses instead, so
+    the supervisor lets them in on the head's bytes.
     """
-    last = [0]
+    if msg.get("crash"):
+        plan = CrashPlan(name, *msg["crash"])
+
+        def fire(received: int) -> None:
+            state.send("note", bytes=received, mode=plan.mode)
+            os.kill(os.getpid(), SIGNALS[plan.mode])
+
+        return crash_gate(plan, fire)
+    joins = sorted(msg.get("joins") or ())
+    if not joins:
+        return None
 
     def gate(received: int) -> Optional[str]:
-        if received - last[0] >= every:
-            last[0] = received
-            send(received)
+        if joins and received >= joins[0]:
+            state.send("note", bytes=received)
+            joins[:] = [after for after in joins if after > received]
         return None
 
     return gate
@@ -149,11 +172,6 @@ class _SessionState:
     def send(self, op: str, **fields) -> bool:
         return self._channel.send(
             {"op": op, "session": self.session, **fields})
-
-    def progress(self, total: int) -> None:
-        """Report ``total`` bytes received so far (throttled by the
-        caller) — the signal the chaos engine keys on."""
-        self.send("progress", bytes=total)
 
     def close_listeners(self) -> None:
         for listener in self.listeners:
@@ -232,9 +250,11 @@ def execute_transfer(msg: dict, state: _SessionState, name: str, *,
     # proof), which is not a bare NullSink — so evloop agents take the
     # userspace relay path and digests stay comparable across planes.
     digest_sink: Optional[HashingSink] = None
-    role: dict = {}
+    role: dict = {"gate": _fault_gate(state, name, msg)}
     if name == chain_plan.head:
         role["source"] = FileSource(msg["source"])
+        if config.data_plane == "evloop":
+            role["gate"] = None  # takes none: its joiners come in at the end
     else:
         inner: Sink = (FileSink(msg["output"], expected_size=msg.get("size"))
                        if msg.get("output") else NullSink())
@@ -246,8 +266,6 @@ def execute_transfer(msg: dict, state: _SessionState, name: str, *,
             from ..core.cache import CacheTapSink
             top = CacheTapSink(digest_sink, cache, state.artifact)
         role["sink"] = top
-        role["gate"] = _progress_gate(
-            state.progress, int(msg.get("progress_every", 1 << 18)))
     host = HostChains(name, chain_plan, registries, listeners, config,
                       tracer=tracer, **role)
 
@@ -566,7 +584,6 @@ def serve_forks(channel: int, run: Callable[[List[str]], int], *,
     share with this process.
     """
     import gc
-    import signal
 
     if cached:
         from ..core import cache  # noqa: F401 - loaded once, for every child

@@ -7,7 +7,7 @@ session-scoped message handed to a router), :func:`supervise` (liveness:
 ``waitpid`` for real process death — the host's fork server reaps, the
 agent's :class:`~repro.deploy.launcher.ProcessHandle` reports —,
 control-socket heartbeats for silent hangs) and :func:`drain` (the one tear-down: ``quit`` the healthy,
-``SIGKILL`` the rest — including agents frozen by the chaos hook — and
+``SIGKILL`` the rest — including agents a silent fault froze — and
 leave no process behind).  The session half is
 :class:`repro.daemon.server.DaemonServer`; ``run_broadcast(...,
 backend="procs")`` is one of its fleets launched for a single session
@@ -157,13 +157,13 @@ def drain(coordinator: "Coordinator", procs: Dict[str, ProcessHandle],
     """Guaranteed cleanup: no agent outlives its fleet.
 
     ``healthy`` agents (alive as far as supervision knows, never hit by
-    chaos, no session left waiting on them) are *drained*: they get a
+    a fault, no session left waiting on them) are *drained*: they get a
     ``quit`` on the control socket and up to ``grace`` seconds — one
     deadline for the whole fleet — to exit on their own, so a clean run
     ends with exit code 0 everywhere instead of a blanket ``SIGKILL``
     masquerading as a crash in process accounting.  Everything else —
-    chaos-stopped, hung, declared dead — is killed at once: ``SIGKILL``
-    rather than ``SIGTERM`` because a chaos-stopped process cannot run a
+    stopped by a fault, hung, declared dead — is killed at once: ``SIGKILL``
+    rather than ``SIGTERM`` because a stopped process cannot run a
     handler; kill is the one signal that works on a ``SIGSTOP``ped
     child.  Drained agents that overstay the grace window are killed
     too — graceful is a courtesy, not a liveness dependency.

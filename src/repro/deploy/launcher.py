@@ -74,7 +74,7 @@ class ProcessHandle:
     :class:`subprocess.Popen` the launcher and the reaper use.
 
     The fork server reaps the child and reports its status
-    (``returncode``, a signal as a negative code).  :meth:`send_signal`
+    (``returncode``, a signal as a negative code).  :meth:`kill`
     goes through a pidfd the server handed over with the pid: it names
     this process and no other, so a signal that comes after the child
     was reaped reaches nobody, never whoever got the pid next.
@@ -104,16 +104,13 @@ class ProcessHandle:
                 raise subprocess.TimeoutExpired(f"agent {self.pid}", timeout)
             return self.returncode
 
-    def send_signal(self, sig: int) -> None:
+    def kill(self) -> None:
         with self._cond:
             if self.returncode is None:
                 try:
-                    signal.pidfd_send_signal(self._pidfd, sig)
+                    signal.pidfd_send_signal(self._pidfd, signal.SIGKILL)
                 except ProcessLookupError:
                     pass  # exited; its status is on its way
-
-    def kill(self) -> None:
-        self.send_signal(signal.SIGKILL)
 
 
 class ForkServer:
@@ -431,6 +428,10 @@ class LaunchReport:
         return "".join(parts) + ")"
 
 
+#: Seconds between the register-or-died checks of one spawn attempt.
+_POLL_INTERVAL = 0.05
+
+
 class WindowedLauncher:
     """Spawn agents ``window`` at a time with per-node retry/backoff.
 
@@ -449,8 +450,6 @@ class WindowedLauncher:
         Base seconds slept before retry ``k`` (grows as ``backoff * 2**k``).
     startup_timeout:
         Seconds one attempt may take from spawn to registration.
-    poll_interval:
-        Granularity of the register-or-died wait loop.
     """
 
     def __init__(
@@ -461,7 +460,6 @@ class WindowedLauncher:
         retries: int = 1,
         backoff: float = 0.2,
         startup_timeout: float = 15.0,
-        poll_interval: float = 0.05,
     ) -> None:
         if window < 1:
             raise DeployError(f"window must be >= 1, got {window}")
@@ -474,7 +472,6 @@ class WindowedLauncher:
         self.retries = retries
         self.backoff = backoff
         self.startup_timeout = startup_timeout
-        self.poll_interval = poll_interval
 
     # ------------------------------------------------------------------
 
@@ -538,7 +535,7 @@ class WindowedLauncher:
         """
         deadline = time.monotonic() + self.startup_timeout
         while True:
-            if wait_registered(name, self.poll_interval):
+            if wait_registered(name, _POLL_INTERVAL):
                 return None
             rc = proc.poll()
             if rc is not None:

@@ -4,9 +4,10 @@ The data plane speaks the binary Kascade wire protocol
 (:mod:`repro.core.framing`); the *control* plane is deliberately boring:
 newline-delimited JSON objects over one TCP connection per agent, alive
 from registration to exit.  Volume is tiny (a handshake, then per
-session an open/ack, throttled progress updates and one final status), so readability and debuggability
-win over compactness — ``nc`` against the coordinator port shows the
-whole conversation.
+session an open/ack, a note from a node whose fault fires or a head
+passing a join threshold, and one final status), so readability and
+debuggability win over compactness — ``nc`` against the coordinator
+port shows the whole conversation.
 
 Message vocabulary (``op`` field; every message but ``hello``,
 ``heartbeat`` and ``quit`` names its ``session``):
@@ -24,9 +25,12 @@ Message vocabulary (``op`` field; every message but ``hello``,
 ``session_start``         → agent    the (re-planned) chain plan, every
                                      node's ports, the config, the
                                      stream's size, and this agent's
-                                     source/sink spec
-``progress``              agent →    bytes received so far (drives the chaos
-                                     hook and late-join triggers)
+                                     source/sink spec, crash plan and (a
+                                     head's) late-join thresholds
+``note``                  agent →    bytes stored when its crash plan
+                                     fired (with the ``mode``; the signal
+                                     to itself follows), or when a head
+                                     crossed a late-join threshold
 ``session_status``        agent →    structured final outcome: ok/bytes/
                                      digest/error, the encoded ring report
                                      (head only), perfstats, trace events
@@ -76,7 +80,7 @@ class ControlChannel:
     node thread share the channel) and bounded by ``send_timeout`` so a
     wedged peer can never block the data plane; send failures after the
     channel is closed are reported as ``False``, not raised — losing a
-    progress update must not kill an agent.
+    note must not kill an agent.
     """
 
     def __init__(self, sock: socket.socket, *, send_timeout: float = 5.0) -> None:

@@ -40,7 +40,8 @@ from ..core.sources import ResumeView, Source
 from ..core.tracing import NULL_TRACER, TraceCollector
 from .host import Host, HostChains
 from .registry import Registry
-from .result import BroadcastResult, CrashPlan, check_run, late_joins
+from .result import (BroadcastResult, CrashPlan, check_run, crash_gate,
+                     late_joins)
 from .transport import Listener
 
 
@@ -129,18 +130,14 @@ class Broadcast:
 
     def _crash_gate(self, node: str) -> Optional[Callable[[int], Optional[str]]]:
         """The host-level gate realising ``node``'s byte-triggered crash
-        plan, if any.
+        plan, if any (:func:`~.result.crash_gate`).
 
         It runs inside the node's own main loop — for the head too: a
         kill from outside would race the send loop, which treats a
         failing socket as a *downstream* death and routes around it
         instead of dying.
         """
-        crash = self.crashes.get(node)
-        if crash is None or crash.after_bytes is None:
-            return None
-        return lambda received: (
-            crash.mode if received >= crash.after_bytes else None)
+        return crash_gate(self.crashes.get(node))
 
     # What a driver supplies (LocalBroadcast below, ProtoBroadcast):
     #

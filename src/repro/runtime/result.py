@@ -8,7 +8,7 @@ them) and import nothing of the data plane.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import KascadeError
 from ..core.plan import ChainPlan
@@ -18,8 +18,8 @@ from ..core.report import NodeOutcome, TransferReport
 from ..core.tracing import TraceCollector
 
 __all__ = ["BroadcastResult", "CrashPlan", "LateJoin", "NodeOutcome",
-           "check_head_failover", "check_run", "head_chaos_refusal",
-           "late_joins"]
+           "check_head_failover", "check_run", "crash_gate",
+           "head_chaos_refusal", "late_joins"]
 
 
 class CrashPlan(Frozen):
@@ -45,6 +45,34 @@ class CrashPlan(Frozen):
         if after_bytes is not None and after_bytes < 0:
             raise ValueError("after_bytes must be >= 0")
         self._init(node, after_bytes, mode, at_time)
+
+
+def crash_gate(plan: Optional[CrashPlan],
+               fire: Optional[Callable[[int], None]] = None
+               ) -> Optional[Callable[[int], Optional[str]]]:
+    """The host-level gate that realises ``plan``, on every backend.
+
+    The node asks it after each chunk it stores (a head: each it reads),
+    with the host's byte count across stripes; from the first count of
+    at least ``after_bytes`` on it answers ``plan.mode`` and the node
+    dies where it stands.  ``fire(received)`` runs once, just before
+    that first answer: a fleet agent notes the fault there and signals
+    itself.  ``None`` for no plan, or one the simulator's clock fires.
+    """
+    if plan is None or plan.after_bytes is None:
+        return None
+    fired = False
+
+    def gate(received: int) -> Optional[str]:
+        nonlocal fired
+        if received < plan.after_bytes:
+            return None
+        if fire is not None and not fired:
+            fired = True
+            fire(received)
+        return plan.mode
+
+    return gate
 
 
 class LateJoin(Frozen):

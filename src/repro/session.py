@@ -110,10 +110,11 @@ class BroadcastSession:
     returned on ``result.plan`` either way.
 
     ``crashes`` take :class:`~repro.runtime.CrashPlan` (or ``(node,
-    after_bytes[, mode])`` tuples), the same on every backend: an
-    in-loop gate on ``local`` and ``simnet``, a real signal on
-    ``procs`` and ``daemon`` (``"close"`` → SIGKILL, ``"silent"`` →
-    SIGSTOP); ``CrashPlan(at_time=…)`` runs on ``simnet`` only.
+    after_bytes[, mode])`` tuples), the same on every backend: a gate
+    in the node's own loop, which on ``procs`` and ``daemon`` ends in a
+    real signal to the node's process (``"close"`` → SIGKILL,
+    ``"silent"`` → SIGSTOP); ``CrashPlan(at_time=…)`` runs on
+    ``simnet`` only.
     ``late_join`` takes :class:`~repro.runtime.LateJoin` (or ``(node,
     after_bytes)`` pairs), the same on every backend too: each node is
     let in once the push has moved ``after_bytes`` and gets a chain of
@@ -133,10 +134,10 @@ class BroadcastSession:
     * ``procs`` and ``daemon`` (one session on a fleet of agent
       processes; the same options, the same code): the fleet launch —
       ``window``, ``spawn_retries``, ``startup_timeout``, ``backoff``,
-      ``heartbeat_interval``, ``heartbeat_timeout``, ``progress_every``,
-      ``python``, ``bind_host``, ``agent_args``, ``stderr_dir``,
-      ``cache_bytes`` (``procs`` defaults to 0: no cache, nothing of it
-      loaded; ``daemon`` to ``config.cache_bytes``) — and the session:
+      ``heartbeat_interval``, ``heartbeat_timeout``, ``python``,
+      ``bind_host``, ``agent_args``, ``stderr_dir``, ``cache_bytes``
+      (``procs`` defaults to 0: no cache, nothing of it loaded;
+      ``daemon`` to ``config.cache_bytes``) — and the session:
       ``output_template``, ``allow_head_chaos``, ``session_name``; see
       :class:`repro.daemon.DaemonServer`, whose fleet is launched for
       the one session.  ``server=`` submits into a started
@@ -236,8 +237,8 @@ class BroadcastSession:
     #: session and torn down after.
     _FLEET_OPTS = frozenset({
         "window", "spawn_retries", "startup_timeout", "backoff",
-        "heartbeat_interval", "heartbeat_timeout", "progress_every",
-        "python", "bind_host", "agent_args", "stderr_dir", "cache_bytes",
+        "heartbeat_interval", "heartbeat_timeout", "python",
+        "bind_host", "agent_args", "stderr_dir", "cache_bytes",
         "output_template", "allow_head_chaos", "session_name",
         "server",
     })

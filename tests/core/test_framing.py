@@ -1,7 +1,4 @@
-"""Tests for the wire framing: header codec, incremental decoder, and the
-blocking file-like helpers."""
-
-import io
+"""Tests for the wire framing: header codec and incremental decoder."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,8 +18,6 @@ from repro.core import (
     Quit,
     Report,
     encode_header,
-    read_message,
-    write_message,
 )
 from repro.core.framing import header_size, payload_size
 
@@ -318,32 +313,3 @@ class TestBoundedReads:
         assert self._blast(dec, wire) == [(Data(150, 150), payload)]
         assert stats.pool_allocations + stats.pool_reuses == 2
         assert stats.payload_copy_events == 0
-
-
-class TestBlockingHelpers:
-    def test_write_read_roundtrip(self):
-        buf = io.BytesIO()
-        write_message(buf, Data(10, 3), b"abc")
-        write_message(buf, End(13))
-        buf.seek(0)
-        assert read_message(buf) == (Data(10, 3), b"abc")
-        assert read_message(buf) == (End(13), b"")
-
-    def test_payload_length_mismatch_rejected(self):
-        with pytest.raises(FramingError):
-            write_message(io.BytesIO(), Data(0, 5), b"abc")
-        with pytest.raises(FramingError):
-            write_message(io.BytesIO(), Report(2), b"abc")
-
-    def test_eof_before_frame_raises_connectionerror(self):
-        with pytest.raises(ConnectionError):
-            read_message(io.BytesIO(b""))
-
-    def test_eof_mid_frame_raises_connectionerror(self):
-        raw = encode_header(Data(0, 100)) + b"only-a-little"
-        with pytest.raises(ConnectionError):
-            read_message(io.BytesIO(raw))
-
-    def test_unknown_opcode_via_stream(self):
-        with pytest.raises(FramingError):
-            read_message(io.BytesIO(b"\xee"))

@@ -32,8 +32,7 @@ FAST = KascadeConfig(
     cache_bytes=64 << 20,
 )
 
-FLEET_OPTS = dict(config=FAST, startup_timeout=20.0,
-                  progress_every=64 * 1024)
+FLEET_OPTS = dict(config=FAST, startup_timeout=20.0)
 
 
 def make_payload(seed: int, size: int = 1 << 20) -> bytes:
@@ -146,8 +145,7 @@ class TestWarmFleet:
         # Pace the push so the join triggers mid-stream.
         paced = FAST.with_(bandwidth_limit=4 * (1 << 20))
         with DaemonServer(["n1", "n2", "n3"], config=paced,
-                          startup_timeout=20.0,
-                          progress_every=64 * 1024) as server:
+                          startup_timeout=20.0) as server:
             result = server.submit(
                 FileSource(path), ["n2"],
                 late_join=[LateJoin("n3", after_bytes=256 * 1024)],
@@ -196,8 +194,7 @@ class TestChaos:
         path = spool(tmp_path, "chaos.bin", payload)
         paced = FAST.with_(bandwidth_limit=4 * (1 << 20))
         with DaemonServer(["n1", "n2", "n3"], config=paced,
-                          startup_timeout=20.0,
-                          progress_every=64 * 1024) as server:
+                          startup_timeout=20.0) as server:
             result = server.submit(
                 FileSource(path), ["n2"],
                 late_join=[LateJoin("n3", after_bytes=128 * 1024)],

@@ -132,7 +132,7 @@ def test_shutdown_does_not_wait_out_its_grace_on_a_stopped_member(tmp_path):
     grace = 5.0
     trace = TraceCollector()
     server = DaemonServer(["n1", "n2", "n3"], cache_bytes=0,
-                          startup_timeout=20.0, progress_every=64 * 1024,
+                          startup_timeout=20.0,
                           heartbeat_timeout=1.0, stderr_dir=str(tmp_path))
     with diagnosed(tmp_path, trace):
         server.start()

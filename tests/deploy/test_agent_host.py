@@ -136,6 +136,7 @@ class TestFleetReceiversReserve:
         session = SimpleNamespace(
             id="s1", output_template=str(tmp_path / "{node}.out"),
             output_for=lambda name: str(tmp_path / f"{name}.out"),
+            faults={}, pending_joins=[],
             ports={n: [ls[0].address.port] for n, ls in listeners.items()})
         server._send_starts(session, "session_start", plan, str(source),
                             run_timeout=30.0)

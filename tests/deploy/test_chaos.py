@@ -1,43 +1,27 @@
-"""Unit tests for the real-signal chaos engine (recording handles, and
-the fleet's own pidfd handles), and for the one validation of the
-faults it is given."""
+"""Unit tests for a fleet node's own fault gate (with the signal it
+sends itself patched), for the crash plans it is given, and for the one
+validation of those faults."""
 
 import os
 import signal
-import subprocess
 
 import pytest
 
 from repro.core.errors import KascadeError
 from repro.core.plan import ChainPlan
-from repro.deploy.chaos import SIGNALS, ChaosEngine
-from repro.deploy.launcher import ProcessHandle
+from repro.deploy import agent
+from repro.deploy.agent import SIGNALS
+from repro.runtime.host import _stripe_gates
 from repro.runtime.result import CrashPlan, check_run
 
 
 def fault(node, after_bytes=0, mode="close"):
-    """A fault as the engine takes it: byte-triggered, SIGKILL by default."""
+    """A byte-triggered fault, process death by default."""
     return CrashPlan(node, after_bytes, mode)
 
 
-class Recorder:
-    """A node's handle that notes ``(node, signal)`` instead of sending."""
-
-    def __init__(self, name, sent):
-        self.name, self.sent = name, sent
-
-    def send_signal(self, sig):
-        self.sent.append((self.name, sig))
-
-
-def recording(plans, sent, nodes=("n1", "n2", "n3")):
-    """An engine over a fleet of :class:`Recorder` handles."""
-    handles = {name: Recorder(name, sent) for name in nodes}
-    return ChaosEngine(plans, handles.get)
-
-
 class TestCrashPlan:
-    """What the engine fires is a :class:`CrashPlan`, the fault every
+    """What a node fires is a :class:`CrashPlan`, the fault every
     backend takes."""
 
     def test_defaults(self):
@@ -65,112 +49,56 @@ class TestCrashPlan:
             CrashPlan("n3", 0, mode)
 
 
-class TestChaosEngine:
-    def test_fires_once_at_threshold(self):
-        sent = []
-        engine = recording([fault("n3", after_bytes=100, mode="close")], sent)
-        assert engine.on_progress("n3", 50) is None
-        assert engine.on_progress("n3", 100) == "close"
-        assert engine.on_progress("n3", 200) is None  # once only
-        assert sent == [("n3", signal.SIGKILL)]
-        assert "n3" in engine.fired
+class Channel:
+    """A control channel that records what the agent says, in order."""
 
-    def test_threshold_is_a_floor_not_exact(self):
-        sent = []
-        engine = recording([fault("n3", after_bytes=100, mode="silent")],
-                           sent)
-        assert engine.on_progress("n3", 5000) == "silent"
-        assert sent == [("n3", signal.SIGSTOP)]
+    def __init__(self, said):
+        self.said = said
 
-    def test_untargeted_nodes_untouched(self):
-        sent = []
-        engine = recording([fault("n3")], sent)
-        assert engine.on_progress("n2", 1 << 30) is None
-        assert sent == []
-
-    def test_duplicate_plans_rejected(self):
-        """The engine keys on the node: two plans for one are refused
-        before it is built, by the validation every backend shares."""
-        plan = ChainPlan.from_orders("n1", [["n2", "n3"]])
-        with pytest.raises(KascadeError,
-                           match=r"more than one crash plan for: \['n3'\]"):
-            check_run(plan, [fault("n3"), fault("n3", after_bytes=5)],
-                      backend="procs", data_plane="threaded")
-
-    def test_dead_pid_still_counts_as_fired(self):
-        # The node has no process left to signal (the fleet holds no
-        # handle for it); the plan must not crash the coordinator and
-        # must still count for ok-accounting.
-        engine = ChaosEngine([fault("n3")], lambda name: None)
-        assert engine.on_progress("n3", 10) == "close"
-        assert "n3" in engine.fired
-
-    def test_targets_span_pending_and_fired(self):
-        engine = recording([fault("n2"), fault("n3")], [])
-        assert engine.targets() == {"n2", "n3"}
-        engine.on_progress("n2", 0)
-        assert engine.targets() == {"n2", "n3"}
-
-    def test_a_plan_that_fires_after_its_target_was_reaped_signals_nobody(
-            self, monkeypatch):
-        """The engine signals through the fleet's pidfd handles, never a
-        pid: once a target was reaped its pid may name someone else, and
-        a plan firing then sends nothing at all."""
-        live, reaped = (subprocess.Popen(["sleep", "60"]) for _ in range(2))
-        handles = {name: ProcessHandle(proc.pid, os.pidfd_open(proc.pid))
-                   for name, proc in (("n2", live), ("n3", reaped))}
-        try:
-            reaped.kill()
-            handles["n3"].exited(reaped.wait())
-            sent = []
-            send = signal.pidfd_send_signal
-            monkeypatch.setattr(signal, "pidfd_send_signal", lambda fd, sig: (
-                sent.append(sig), send(fd, sig)))
-            engine = ChaosEngine([fault("n2"), fault("n3")], handles.get)
-            assert engine.on_progress("n3", 10) == "close"
-            assert sent == [] and "n3" in engine.fired
-            # The live target, by contrast, is signalled through its pidfd.
-            assert engine.on_progress("n2", 10) == "close"
-            assert sent == [signal.SIGKILL]
-            assert live.wait(timeout=10) == -signal.SIGKILL
-        finally:
-            live.kill()
-            handles["n2"].exited(live.wait())
+    def send(self, msg):
+        self.said.append(("send", msg))
+        return True
 
 
-class TestExternalTargets:
-    """Head plans: a target that never self-reports."""
+class TestFaultGate:
+    """The gate an agent builds from its ``session_start``."""
 
-    def test_external_fires_on_anyones_progress(self):
-        sent = []
-        engine = recording([fault("n1", after_bytes=100, mode="close")], sent)
-        engine.register_external("n1")
-        # The head never appears in the feed; a receiver's progress
-        # crossing the threshold is what pulls the trigger.
-        assert engine.on_progress("n3", 50) is None
-        engine.on_progress("n3", 150)
-        assert sent == [("n1", signal.SIGKILL)]
-        assert "n1" in engine.fired
-        # Once only, no matter how much more progress flows.
-        engine.on_progress("n2", 1 << 30)
-        assert len(sent) == 1
+    def gate(self, monkeypatch, said, **start):
+        monkeypatch.setattr(os, "kill", lambda pid, sig: said.append(
+            ("kill", pid, sig)))
+        state = agent._SessionState("s1", Channel(said), [])
+        return agent._fault_gate(state, "n3", start)
 
-    def test_reporter_and_external_can_fire_on_one_report(self):
-        sent = []
-        engine = recording(
-            [fault("n1", after_bytes=10, mode="close"),
-             fault("n2", after_bytes=10, mode="silent")], sent)
-        engine.register_external("n1")
-        assert engine.on_progress("n2", 64) == "silent"
-        assert sorted(sent) == [("n1", signal.SIGKILL),
-                                ("n2", signal.SIGSTOP)]
+    @pytest.mark.parametrize("mode", sorted(SIGNALS))
+    def test_it_fires_once_at_the_first_host_byte_past_the_plan(
+            self, monkeypatch, mode):
+        """Two stripes of one host: the gate hears their sum, fires at
+        the first sum of at least ``after_bytes`` — a note, then the
+        signal to this very process — and never again."""
+        said = []
+        gate = self.gate(monkeypatch, said, crash=[40_000, mode])
+        stripe = _stripe_gates(gate, 2)
+        assert stripe[0](16_384) is None
+        assert stripe[1](16_384) is None and said == []
+        assert stripe[0](32_768) == mode  # the host holds 49,152 bytes
+        assert stripe[1](32_768) == mode
+        assert gate(1 << 20) == mode
+        assert said == [
+            ("send", {"op": "note", "session": "s1", "bytes": 49_152,
+                      "mode": mode}),
+            ("kill", os.getpid(), SIGNALS[mode]),
+        ]
 
-    def test_unregistered_external_never_fires(self):
-        sent = []
-        engine = recording([fault("n1", after_bytes=0)], sent)
-        engine.on_progress("n2", 1 << 20)
-        assert sent == []
-        assert "n1" not in engine.fired
+    def test_a_head_notes_each_join_threshold_it_crosses(self, monkeypatch):
+        said = []
+        gate = self.gate(monkeypatch, said, joins=[0, 50_000, 50_000, 90_000])
+        for received in (16_384, 32_768, 65_536, 131_072, 147_456):
+            assert gate(received) is None
+        assert [msg["bytes"] for _, msg in said] == [16_384, 65_536, 131_072]
+        assert all("mode" not in msg for _, msg in said)
+
+    def test_a_node_without_plan_or_joiners_has_no_gate(self, monkeypatch):
+        assert self.gate(monkeypatch, []) is None
 
 
 class TestValidate:
@@ -184,6 +112,11 @@ class TestValidate:
 
     def test_targets_inside_the_plan_pass(self):
         assert self.check(("n2", 0)) == (fault("n2"),)  # no raise
+
+    def test_two_plans_for_one_node_are_refused(self):
+        with pytest.raises(KascadeError,
+                           match=r"more than one crash plan for: \['n3'\]"):
+            self.check(fault("n3"), fault("n3", after_bytes=5))
 
     def test_unknown_node_is_the_generic_error(self):
         with pytest.raises(KascadeError, match="unknown nodes.*n9"):

@@ -47,7 +47,7 @@ FAST = KascadeConfig(
     report_timeout=6.0,
 )
 
-FLEET = dict(startup_timeout=20.0, progress_every=128 * 1024)
+FLEET = dict(startup_timeout=20.0)
 MODES = ("oneshot", "submit")
 
 

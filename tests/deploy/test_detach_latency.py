@@ -33,7 +33,7 @@ def test_procs_head_kill_does_not_wait_out_io_timeout(tmp_path):
     began = time.monotonic()
     result = run_broadcast(
         source, receivers, backend="procs", config=SLOW_TIMERS,
-        timeout=90.0, progress_every=128 * 1024, startup_timeout=20.0,
+        timeout=90.0, startup_timeout=20.0,
         trace=True, crashes=[("n1", 1024 * 1024, "close")],
         allow_head_chaos=True,
         output_template=str(tmp_path / "{node}.out"))

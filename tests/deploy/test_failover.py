@@ -33,7 +33,7 @@ FAST = KascadeConfig(
 #: socket buffers before the SIGKILL for "2 MiB in" is even sent, and
 #: the head then dies *after* streaming — a different scenario.
 PROCS = dict(backend="procs", config=FAST.with_(bandwidth_limit=16 << 20),
-             timeout=90.0, progress_every=128 * 1024, startup_timeout=20.0)
+             timeout=90.0, startup_timeout=20.0)
 
 #: Shared topology for the failover runs: head n1 + five receivers,
 #: head killed a quarter of the way through an 8 MiB transfer.

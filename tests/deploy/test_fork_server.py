@@ -14,6 +14,7 @@ import hashlib
 import os
 import resource
 import signal
+import subprocess
 import uuid
 from typing import List, NamedTuple, Optional
 
@@ -29,7 +30,7 @@ from repro.deploy import launcher
 FAST = KascadeConfig(chunk_size=64 * 1024, buffer_chunks=8, io_timeout=0.5,
                      ping_timeout=0.4, connect_timeout=1.0,
                      report_timeout=6.0)
-FLEET = dict(config=FAST, startup_timeout=20.0, progress_every=128 * 1024)
+FLEET = dict(config=FAST, startup_timeout=20.0)
 TAG = "KASCADE_FORK_SERVER_TEST"
 TICK = os.sysconf("SC_CLK_TCK")
 
@@ -166,6 +167,30 @@ def test_a_sigstopped_agent_is_killed_by_drain(forks):
     assert stopped.returncode == -signal.SIGKILL
     assert {f.name: f.handle.returncode for f in forks} == \
         {"n1": 0, "n2": 0, "n3": -signal.SIGKILL, "n4": 0}
+
+
+def test_a_kill_after_the_reap_signals_nobody(monkeypatch):
+    """A handle signals through its pidfd, never a pid: once its process
+    was reaped the pid may name someone else, and a kill then sends
+    nothing at all — while a live one is killed through its pidfd."""
+    live, reaped = (subprocess.Popen(["sleep", "60"]) for _ in range(2))
+    handles = [launcher.ProcessHandle(proc.pid, os.pidfd_open(proc.pid))
+               for proc in (live, reaped)]
+    try:
+        reaped.kill()
+        handles[1].exited(reaped.wait())
+        sent = []
+        send = signal.pidfd_send_signal
+        monkeypatch.setattr(signal, "pidfd_send_signal", lambda fd, sig: (
+            sent.append(sig), send(fd, sig)))
+        handles[1].kill()
+        assert sent == []
+        handles[0].kill()
+        assert sent == [signal.SIGKILL]
+        assert live.wait(timeout=10) == -signal.SIGKILL
+    finally:
+        live.kill()
+        handles[0].exited(live.wait())
 
 
 def test_a_fork_server_killed_mid_launch_fails_the_pending_nodes(forks):

@@ -32,9 +32,9 @@ FAST = KascadeConfig(
     report_timeout=6.0,
 )
 
-#: Common procs knobs: frequent progress so chaos triggers promptly.
+#: Common procs knobs.
 PROCS = dict(backend="procs", config=FAST, timeout=90.0,
-             progress_every=128 * 1024, startup_timeout=20.0)
+             startup_timeout=20.0)
 
 
 def sha256_of(source: PatternSource) -> str:
@@ -173,10 +173,9 @@ class TestStriped:
     def test_sigkill_on_a_striped_run(self):
         """A real SIGKILL takes down both of the victim's stripe chains;
         survivors' merged digests stay exact and the pooled report names
-        the dead host.  The heads are paced (2 × 8 MiB/s): the kill is
-        sent when the victim's progress report arrives, and unpaced a
-        stripe can be through the victim — and its tail done — before it
-        lands, when a reroute blames the finished nodes too."""
+        the dead host.  The heads are paced (2 × 8 MiB/s) so the kill
+        lands mid-stream on both stripes: a reroute after a stripe's
+        tail is done blames the finished nodes too (ROADMAP item 4)."""
         source = PatternSource(4 * 1024 * 1024, seed=6)
         result = run_broadcast(
             source, ["n2", "n3", "n4", "n5"], stripes=2,

@@ -41,7 +41,6 @@ def test_one_server_per_fleet_across_a_retry_and_a_late_join(monkeypatch):
     with DaemonServer(
             ["n1", "n2", "n3"], config=paced, cache_bytes=8 << 20,
             startup_timeout=20.0, spawn_retries=1, backoff=0.05,
-            progress_every=64 * 1024,
             agent_args=lambda name, attempt: (
                 ["--die-on-start"] if (name, attempt) == ("n2", 0) else []),
     ) as server:

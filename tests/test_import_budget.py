@@ -79,7 +79,7 @@ assert point.ci.mean > 0
 SIMULATORS = ("simulated_run", "sim_proto_cli", "fluid_figure")
 
 CONTROL_SIDE = ("repro.deploy.coordinator", "repro.deploy.launcher",
-                "repro.deploy.chaos", "repro.session", "repro.daemon.server",
+                "repro.session", "repro.daemon.server",
                 "repro.daemon.client", "repro.control", "repro.simnet",
                 "repro.runtime.cluster", "repro.runtime.evloop", "subprocess")
 DATA_PLANE = ("repro.runtime.node", "repro.runtime.links",
@@ -122,7 +122,7 @@ BUDGET = {
     "cached_agent": (NUMERIC + IDNA + CONTROL_SIDE + ("dataclasses",
                                                       "inspect"), 37),
     "supervisor": (NUMERIC + NOT_IN_A_SUPERVISOR, 23),
-    "daemon_server": (NUMERIC + NOT_IN_A_SUPERVISOR, 24),
+    "daemon_server": (NUMERIC + NOT_IN_A_SUPERVISOR, 23),
     "local_run": (NUMERIC, 31),
     "simulated_run": (NOT_IN_THE_DES, 37),
     "sim_proto_cli": (NOT_IN_THE_DES, 39),

@@ -240,7 +240,7 @@ def run_daemon_scenario(name: str, spec: Scenario, *, size: int,
     from repro.daemon import DaemonServer
 
     receivers = [f"n{i}" for i in range(2, 2 + spec.receivers)]
-    config = spec.config.with_(cache_bytes=max(2 * size, 64 * 2**20))
+    config = spec.config
     tmpdir = tempfile.mkdtemp(prefix="kascade-bench-daemon-")
     try:
         def artifact(tag: str, seed: int) -> FileSource:
@@ -251,6 +251,7 @@ def run_daemon_scenario(name: str, spec: Scenario, *, size: int,
             return FileSource(path)
 
         with DaemonServer(["n1", *receivers], config=config,
+                          cache_bytes=max(2 * size, 64 * 2**20),
                           startup_timeout=60.0) as server:
             launch_s = server.launch_report.total_s
             cold = server.submit(artifact("cold", 1), receivers, timeout=300)

@@ -35,7 +35,8 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 
 # Module top is what ``--help`` and every spawned agent pay for: the
 # parser's defaults and nothing else.  Each command imports what it runs.
-from ..core.config import DATA_PLANES, DEFAULT_CONFIG, KascadeConfig
+from ..core.config import (DATA_PLANES, DEFAULT_CACHE_BYTES, DEFAULT_CONFIG,
+                           KascadeConfig)
 
 if TYPE_CHECKING:
     from ..runtime.registry import Address
@@ -265,13 +266,10 @@ def cmd_deploy(args: argparse.Namespace) -> int:
         trace=args.trace,
         timeout=args.run_timeout,
         crashes=parse_chaos(args.chaos, head="n1"),
-        window=args.window,
-        spawn_retries=args.spawn_retries,
-        startup_timeout=args.startup_timeout,
         heartbeat_timeout=args.heartbeat_timeout,
         output_template=args.output,
-        stderr_dir=args.stderr_dir,
         allow_head_chaos=args.allow_head_chaos,
+        **fleet_launch(args),
     )
     return print_result(result, args)
 
@@ -330,10 +328,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         names,
         config=config,
         cache_bytes=args.cache_bytes,
-        window=args.window,
-        spawn_retries=args.spawn_retries,
-        startup_timeout=args.startup_timeout,
-        stderr_dir=args.stderr_dir,
+        **fleet_launch(args),
     )
     server.start()
     if not server.registered:
@@ -532,30 +527,42 @@ def _deploy_args(deploy: argparse.ArgumentParser) -> None:
     deploy.add_argument("-o", "--output", default=None,
                         help="per-node output path; '{node}' expands to "
                              "the node name (default: discard, digest only)")
-    deploy.add_argument("--window", type=int, default=8,
-                        help="max agent launches in flight (§III-B)")
-    deploy.add_argument("--spawn-retries", type=int, default=1,
-                        help="extra spawn attempts per node")
-    deploy.add_argument("--startup-timeout", type=float, default=15.0,
-                        help="seconds one spawn may take to register")
     deploy.add_argument("--chaos", action="append", default=None,
                         metavar="NODE:BYTES[:SIG]",
                         help="send a real signal (kill|stop, default kill) "
                              "to NODE once it received BYTES; repeatable")
-    deploy.add_argument("--stderr-dir", default=None,
-                        help="capture each agent's stderr under this dir")
     deploy.add_argument("--run-timeout", type=float, default=3600.0)
-    deploy.add_argument("--heartbeat-timeout", type=float, default=None,
+    deploy.add_argument("--heartbeat-timeout", type=float, default=2.0,
                         help="seconds of control-plane silence before the "
                              "coordinator declares an agent dead (default "
-                             "2.0; raise on oversubscribed hosts where "
-                             "many agents share few cores)")
+                             "%(default)s; raise on oversubscribed hosts "
+                             "where many agents share few cores)")
     deploy.add_argument("--allow-head-chaos", action="store_true",
                         help="permit --chaos to target the head: on head "
                              "death the supervisor promotes the "
                              "most-complete receiver and re-roots the "
                              "chain onto it")
+    _fleet_launch_args(deploy)
     add_common(deploy)
+
+
+def fleet_launch(args: argparse.Namespace) -> dict:
+    """What :func:`_fleet_launch_args` parsed, as ``DaemonServer`` takes it."""
+    return dict(window=args.window, spawn_retries=args.spawn_retries,
+                startup_timeout=args.startup_timeout,
+                stderr_dir=args.stderr_dir)
+
+
+def _fleet_launch_args(parser: argparse.ArgumentParser) -> None:
+    """How a fleet is launched (§III-B): ``deploy`` and ``serve`` alike."""
+    parser.add_argument("--window", type=int, default=8,
+                        help="max agent launches in flight (§III-B)")
+    parser.add_argument("--spawn-retries", type=int, default=1,
+                        help="extra spawn attempts per agent")
+    parser.add_argument("--startup-timeout", type=float, default=15.0,
+                        help="seconds one spawn may take to register")
+    parser.add_argument("--stderr-dir", default=None,
+                        help="capture each agent's stderr under this dir")
 
 
 def _agent_args(agent: argparse.ArgumentParser) -> None:
@@ -590,17 +597,10 @@ def _serve_args(serve: argparse.ArgumentParser) -> None:
                        help="submit socket to listen on (port 0 = pick one, "
                             "printed at startup)")
     serve.add_argument("--cache-bytes", type=int,
-                       default=DEFAULT_CONFIG.cache_bytes,
+                       default=DEFAULT_CACHE_BYTES,
                        help="per-agent chunk-cache budget in bytes "
                             "(0 disables re-broadcast short-circuiting)")
-    serve.add_argument("--window", type=int, default=8,
-                       help="max agent launches in flight (§III-B)")
-    serve.add_argument("--spawn-retries", type=int, default=1,
-                       help="extra spawn attempts per fleet agent")
-    serve.add_argument("--startup-timeout", type=float, default=15.0,
-                       help="seconds one spawn may take to register")
-    serve.add_argument("--stderr-dir", default=None,
-                       help="capture each agent's stderr under this dir")
+    _fleet_launch_args(serve)
     add_common(serve)
 
 

@@ -18,6 +18,10 @@ from .units import MiB
 #: Runtime data planes selectable via :attr:`KascadeConfig.data_plane`.
 DATA_PLANES = ("threaded", "evloop")
 
+#: Byte budget of each agent's chunk cache on a warm fleet
+#: (:class:`repro.daemon.DaemonServer`, ``kascade serve --cache-bytes``).
+DEFAULT_CACHE_BYTES = 256 * MiB
+
 
 class KascadeConfig(Frozen):
     """Configuration shared by the real runtime and the simulator.
@@ -38,10 +42,6 @@ class KascadeConfig(Frozen):
         the peer dead.
     connect_timeout:
         Seconds to wait when establishing a TCP connection to a peer.
-    max_connect_attempts:
-        How many consecutive downstream nodes may be skipped while looking
-        for the next alive neighbour before giving up on the tail.
-        ``None`` (the default) means unbounded — try every remaining node.
     report_timeout:
         Seconds the head waits for the final report from the tail node.
     verify_digest:
@@ -75,13 +75,6 @@ class KascadeConfig(Frozen):
         chunk index into ``k`` stripes, each broadcast down its own
         chain (see :mod:`repro.core.plan`), with per-stripe ring
         buffers and recovery and an in-order merge at every sink.
-    cache_bytes:
-        Byte budget for the content-addressed chunk cache a long-lived
-        fleet agent keeps across broadcast sessions
-        (:mod:`repro.core.cache`; daemon backend only — one-shot
-        backends tear their processes down, so there is nothing to
-        cache into).  ``0`` disables caching; every session then pays
-        full wire cost even for a repeated artifact.
     data_plane:
         Which runtime data plane executes the node I/O.  ``"threaded"``
         (the default and the conformance reference) runs one acceptor
@@ -96,10 +89,10 @@ class KascadeConfig(Frozen):
     """
 
     __slots__ = ("chunk_size", "buffer_chunks", "io_timeout", "ping_timeout",
-                 "connect_timeout", "max_connect_attempts", "report_timeout",
-                 "verify_digest", "bandwidth_limit", "sink_writeback_depth",
+                 "connect_timeout", "report_timeout", "verify_digest",
+                 "bandwidth_limit", "sink_writeback_depth",
                  "sink_writeback_budget", "readahead_chunks", "stripes",
-                 "cache_bytes", "data_plane")
+                 "data_plane")
 
     def __init__(
         self,
@@ -108,7 +101,6 @@ class KascadeConfig(Frozen):
         io_timeout: float = 1.0,
         ping_timeout: float = 0.5,
         connect_timeout: float = 2.0,
-        max_connect_attempts: Optional[int] = None,  # None = unbounded
         report_timeout: float = 30.0,
         verify_digest: bool = False,
         bandwidth_limit: Optional[float] = None,
@@ -116,14 +108,13 @@ class KascadeConfig(Frozen):
         sink_writeback_budget: int = 32 * MiB,
         readahead_chunks: int = 2,  # 0 = no head-node prefetch
         stripes: int = 1,  # 1 = single chain (the one-stripe case)
-        cache_bytes: int = 256 * MiB,  # 0 = no cross-session chunk cache
         data_plane: str = "threaded",  # "threaded" | "evloop"
     ) -> None:
         self._init(chunk_size, buffer_chunks, io_timeout, ping_timeout,
-                   connect_timeout, max_connect_attempts, report_timeout,
-                   verify_digest, bandwidth_limit, sink_writeback_depth,
+                   connect_timeout, report_timeout, verify_digest,
+                   bandwidth_limit, sink_writeback_depth,
                    sink_writeback_budget, readahead_chunks, stripes,
-                   cache_bytes, data_plane)
+                   data_plane)
         if self.chunk_size <= 0:
             raise ConfigError(f"chunk_size must be positive, got {self.chunk_size}")
         if self.buffer_chunks < 1:
@@ -132,14 +123,12 @@ class KascadeConfig(Frozen):
             value = getattr(self, name)
             if value <= 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
-        if self.max_connect_attempts is not None and self.max_connect_attempts < 0:
-            raise ConfigError("max_connect_attempts must be >= 0 or None")
         if self.bandwidth_limit is not None and self.bandwidth_limit <= 0:
             raise ConfigError(
                 f"bandwidth_limit must be positive, got {self.bandwidth_limit}"
             )
         for name in ("sink_writeback_depth", "sink_writeback_budget",
-                     "readahead_chunks", "cache_bytes"):
+                     "readahead_chunks"):
             value = getattr(self, name)
             if value < 0:
                 raise ConfigError(f"{name} must be >= 0, got {value}")

@@ -136,8 +136,7 @@ class Link:
             return True
         if self.stream is not None:
             return False
-        return next_alive(self.plan, self.owner, self.dead,
-                          self.config.max_connect_attempts) is None
+        return next_alive(self.plan, self.owner, self.dead) is None
 
     def _mark_dead(self, node: str, reason: str) -> None:
         if node not in self.dead:
@@ -168,8 +167,7 @@ class Link:
         while not self.downstream_aborted:
             if self.stream is not None:
                 return True
-            target = next_alive(self.plan, self.owner, self.dead,
-                                cfg.max_connect_attempts)
+            target = next_alive(self.plan, self.owner, self.dead)
             if target is None:
                 return False
             # Start-up is not mid-transfer failure detection (§III-B:

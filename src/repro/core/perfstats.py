@@ -52,9 +52,9 @@ path (socket streams, frame decoder, buffer pool) increments a
   entries dropped by LRU eviction.  A repeat broadcast of a cached
   artifact should show ``bytes_from_cache`` ≈ stream size per receiver
   and zero data-plane ``bytes_received``.
-* ``sessions_active`` — daemon only: high-water mark of concurrently
+* ``sessions_active`` — fleets only: high-water mark of concurrently
   running broadcast sessions on one fleet (a maximum, not a sum).
-* ``launch_amortized_s`` — daemon only: the fleet's one-time windowed
+* ``launch_amortized_s`` — fleets only: the fleet's one-time windowed
   launch cost divided by the sessions that have reused it so far
   (seconds, a float; shrinks as the warm fleet amortises startup).
 
@@ -192,7 +192,7 @@ class PerfStats:
         self.bytes_from_cache += nbytes
 
     def note_sessions_active(self, count: int) -> None:
-        """Track the concurrent-session high-water mark (daemon)."""
+        """Track the concurrent-session high-water mark (a fleet's)."""
         if count > self.sessions_active:
             self.sessions_active = count
 

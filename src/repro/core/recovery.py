@@ -64,23 +64,15 @@ def next_alive(
     plan: StripePlan,
     after: str,
     dead: AbstractSet[str],
-    max_skips: Optional[int] = None,
 ) -> Optional[str]:
-    """First node after ``after`` in chain order that is not known dead.
-
-    ``max_skips`` bounds how many dead nodes may be stepped over;
-    ``None`` (the default) means unbounded, ``0`` means step over none.
-    Returns ``None`` when no alive successor exists within the bound —
-    the caller has become the tail of the pipeline.
+    """First node after ``after`` in chain order that is not known dead,
+    stepping over as many dead ones as there are.  Returns ``None`` when
+    no alive successor exists — the caller has become the tail of the
+    pipeline.
     """
-    skipped = 0
     for node in plan.successors_after(after):
-        if node in dead:
-            skipped += 1
-            if max_skips is not None and skipped > max_skips:
-                return None
-            continue
-        return node
+        if node not in dead:
+            return node
     return None
 
 

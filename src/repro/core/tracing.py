@@ -60,7 +60,7 @@ QUIT = "quit"          #: a deliberate abort (user interrupt / data loss)
 REPORT = "report"      #: the failure report passed through this node
 DONE = "done"          #: the node completed its duties (ok or failed)
 CACHE_HIT = "cache-hit"  #: a chunk was served from the local content cache
-SESSION = "session"    #: daemon session lifecycle (open / start / close)
+SESSION = "session"    #: fleet session lifecycle (open / start / close)
 
 EVENT_TYPES = frozenset(
     (CONNECT, CHUNK, STALL, PING, FAILOVER, ELECTION, PGET, FORGET, QUIT,

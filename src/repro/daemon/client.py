@@ -1,15 +1,22 @@
 """Submit socket for ``kascade serve`` and the matching client.
 
-The server side (:func:`serve_clients`) is a tiny newline-JSON request
-loop in front of a running :class:`~repro.daemon.server.DaemonServer` —
-deliberately the same boring wire style as the deploy control plane, so
-``nc HOST PORT`` shows the whole conversation.  One request per line:
+The server side (:func:`serve_clients`) is a tiny request loop in front
+of a running :class:`~repro.daemon.server.DaemonServer`, and it speaks
+the deploy control plane's own framing
+(:class:`~repro.deploy.protocol.ControlChannel`): one JSON object per
+line, at most :data:`~repro.deploy.protocol.MAX_LINE` bytes, its ``op``
+naming it — so ``nc HOST PORT`` shows the whole conversation, and
+whatever the channel cannot parse is answered, not fatal.  One request
+per connection:
 
 =============  ======================================================
 ``ping``       liveness + fleet census
 ``submit``     run one session; the reply is the result summary
 ``shutdown``   graceful fleet teardown, then the server loop exits
 =============  ======================================================
+
+Every reply is ``{"op": "reply", "ok": …}``; a refused request's also
+carries ``error``.
 
 :class:`DaemonClient` is the programmatic caller ``kascade submit``
 wraps; each request opens a fresh connection (submissions are long —
@@ -18,14 +25,18 @@ holding one socket per outstanding submit keeps the server loop dumb).
 
 from __future__ import annotations
 
-import json
 import socket
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..core.errors import KascadeError
-from ..core.sources import FileSource
-from .server import DaemonServer
+from ..deploy.protocol import ControlChannel, DeployError, connect_control
+
+if TYPE_CHECKING:
+    from .server import DaemonServer
+
+#: Seconds a client has to send its request once connected.
+REQUEST_TIMEOUT = 30.0
 
 
 def _result_summary(result) -> dict:
@@ -48,7 +59,6 @@ def serve_clients(
     host: str = "127.0.0.1",
     port: int = 0,
     *,
-    ready: Optional[threading.Event] = None,
     on_bound=None,
 ) -> None:
     """Accept submit/ping/shutdown requests until a shutdown arrives.
@@ -62,33 +72,20 @@ def serve_clients(
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     sock.bind((host, port))
     sock.listen(16)
-    bound = sock.getsockname()[:2]
     if on_bound is not None:
-        on_bound(*bound)
-    if ready is not None:
-        ready.set()
+        on_bound(*sock.getsockname()[:2])
     done = threading.Event()
 
     def handle(conn: socket.socket) -> None:
-        try:
-            reader = conn.makefile("rb")
-            line = reader.readline()
-            if not line:
-                return
+        with ControlChannel(conn) as channel:
             try:
-                req = json.loads(line)
-            except ValueError:
-                conn.sendall(b'{"ok":false,"error":"bad request"}\n')
+                req = channel.recv(timeout=REQUEST_TIMEOUT)
+            except (DeployError, TimeoutError) as exc:
+                channel.send({"op": "reply", "ok": False,
+                              "error": f"bad request: {exc}"})
                 return
-            reply = _dispatch(server, req, done)
-            conn.sendall(json.dumps(reply).encode() + b"\n")
-        except OSError:
-            pass
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            if req is not None:
+                channel.send({"op": "reply", **_dispatch(server, req, done)})
 
     try:
         while not done.is_set():
@@ -108,18 +105,20 @@ def serve_clients(
 
 def _dispatch(server: DaemonServer, req: dict,
               done: threading.Event) -> dict:
-    cmd = req.get("cmd")
-    if cmd == "ping":
+    op = req["op"]
+    if op == "ping":
         return {
             "ok": True,
             "fleet": list(server.fleet),
             "registered": server.registered,
             "sessions_completed": server.sessions_completed,
         }
-    if cmd == "shutdown":
+    if op == "shutdown":
         done.set()
         return {"ok": True}
-    if cmd == "submit":
+    if op == "submit":
+        from ..core.sources import FileSource
+
         try:
             late = [(str(n), int(b)) for n, b in req.get("late_join") or []]
             result = server.submit(
@@ -131,10 +130,11 @@ def _dispatch(server: DaemonServer, req: dict,
                 session=req.get("session"),
                 timeout=float(req.get("timeout", 120.0)),
             )
-        except (KascadeError, OSError, KeyError, ValueError) as exc:
+        except (KascadeError, OSError, KeyError, TypeError,
+                ValueError) as exc:
             return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
         return _result_summary(result)
-    return {"ok": False, "error": f"unknown cmd {cmd!r}"}
+    return {"ok": False, "error": f"unknown op {op!r}"}
 
 
 class DaemonClient:
@@ -147,29 +147,19 @@ class DaemonClient:
         self.connect_timeout = connect_timeout
 
     def _request(self, payload: dict, timeout: Optional[float]) -> dict:
-        try:
-            conn = socket.create_connection(
-                (self.host, self.port), timeout=self.connect_timeout)
-        except OSError as exc:
-            raise KascadeError(
-                f"kascade serve at {self.host}:{self.port} unreachable: "
-                f"{exc}") from None
-        try:
-            conn.settimeout(timeout)
-            conn.sendall(json.dumps(payload).encode() + b"\n")
-            reader = conn.makefile("rb")
-            line = reader.readline()
-        finally:
-            conn.close()
-        if not line:
+        with connect_control(self.host, self.port,
+                             self.connect_timeout) as channel:
+            reply = (channel.recv(timeout) if channel.send(payload)
+                     else None)
+        if reply is None:
             raise KascadeError("server closed without a reply")
-        return json.loads(line)
+        return reply
 
     def ping(self, timeout: float = 5.0) -> dict:
-        return self._request({"cmd": "ping"}, timeout)
+        return self._request({"op": "ping"}, timeout)
 
     def shutdown(self, timeout: float = 10.0) -> dict:
-        return self._request({"cmd": "shutdown"}, timeout)
+        return self._request({"op": "shutdown"}, timeout)
 
     def submit(
         self,
@@ -188,7 +178,7 @@ class DaemonClient:
         server's result summary (ok / bytes / digests / perfstats).
         """
         payload = {
-            "cmd": "submit",
+            "op": "submit",
             "source": source_path,
             "receivers": list(receivers) if receivers is not None else None,
             "head": head,

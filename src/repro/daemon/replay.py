@@ -74,7 +74,6 @@ def serve_from_cache(
         "error": error,
         "digest": digest_sink.hexdigest(),
         "report": None,
-        "failures": [],
         "from_cache": served,
         "perfstats": {k: stats_after[k] - stats_before.get(k, 0)
                       for k in stats_after},

@@ -5,10 +5,11 @@ runs *named broadcast sessions* on it.  ``kascade serve`` keeps one up
 for many submits, so interpreter start + import + register is paid once
 at :meth:`DaemonServer.start` and amortised over every
 :meth:`~DaemonServer.submit`; a one-shot ``backend="procs"`` broadcast
-(``run_broadcast``) is the same server with a lifetime of one session.
-A submit into a warm fleet carries ``launch=None`` on its
-:class:`~repro.runtime.BroadcastResult` because no process was launched
-for it.
+(``run_broadcast`` without ``server=``) is the same server with a
+lifetime of one session and no cache.  Every session's
+:class:`~repro.runtime.BroadcastResult` says ``backend="procs"``; a
+submit into a warm fleet carries ``launch=None`` because no process was
+launched for it.
 
 A session runs in two phases, either of which may be empty:
 
@@ -59,7 +60,7 @@ from typing import (
 )
 
 from ..core import tracing
-from ..core.config import DEFAULT_CONFIG, KascadeConfig
+from ..core.config import DEFAULT_CACHE_BYTES, DEFAULT_CONFIG, KascadeConfig
 from ..core.errors import KascadeError
 from ..core.plan import ChainPlan
 from ..core.report import FailureRecord, TransferReport
@@ -191,17 +192,20 @@ class DaemonServer:
         Agent names, e.g. ``["n1", ..., "n8"]``.  Every session's head,
         receivers, and late joiners must come from this set.
     config:
-        Protocol tunables shared by every session (``config.cache_bytes``
-        sizes each agent's chunk cache unless ``cache_bytes`` overrides;
-        0 means the fleet has no cache at all).
-    window / spawn_retries / startup_timeout / backoff:
+        Protocol tunables shared by every session.
+    cache_bytes:
+        Byte budget of each agent's chunk cache (default
+        :data:`~repro.core.config.DEFAULT_CACHE_BYTES`); 0 means the
+        fleet has no cache at all.
+    window / spawn_retries / startup_timeout:
         Windowed-launcher knobs (§III-B, see
         :class:`~repro.deploy.launcher.WindowedLauncher`), paid once at
         :meth:`start`; ``startup_timeout`` also bounds the fork
         server's boot (:class:`~repro.deploy.launcher.ForkServer`).
-    heartbeat_interval / heartbeat_timeout:
-        Agent liveness tick and how long the supervisor tolerates
-        control-plane silence before declaring an agent dead.
+    heartbeat_timeout:
+        How long the supervisor tolerates control-plane silence (agents
+        beat every :data:`~repro.deploy.protocol.HEARTBEAT_INTERVAL`)
+        before declaring an agent dead.
     python:
         Interpreter of the fork server the agents are forked from
         (default ``sys.executable``).
@@ -227,13 +231,11 @@ class DaemonServer:
         fleet: Sequence[str],
         *,
         config: KascadeConfig = DEFAULT_CONFIG,
-        cache_bytes: Optional[int] = None,
+        cache_bytes: int = DEFAULT_CACHE_BYTES,
         window: int = 8,
         spawn_retries: int = 1,
         startup_timeout: float = 15.0,
-        backoff: float = 0.2,
-        heartbeat_interval: float = 0.25,
-        heartbeat_timeout: Optional[float] = None,
+        heartbeat_timeout: float = 2.0,
         python: Optional[str] = None,
         bind_host: str = "127.0.0.1",
         agent_args: Optional[Callable[[str, int], Sequence[str]]] = None,
@@ -246,16 +248,11 @@ class DaemonServer:
             raise KascadeError("duplicate names in fleet")
         self.fleet = tuple(fleet)
         self.config = config
-        self.cache_bytes = (cache_bytes if cache_bytes is not None
-                            else config.cache_bytes)
+        self.cache_bytes = cache_bytes
         self.window = window
         self.spawn_retries = spawn_retries
         self.startup_timeout = startup_timeout
-        self.backoff = backoff
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = (
-            heartbeat_timeout if heartbeat_timeout is not None
-            else max(2.0, 5 * heartbeat_interval))
+        self.heartbeat_timeout = heartbeat_timeout
         self.python = python or sys.executable
         self.bind_host = bind_host
         self.agent_args = agent_args
@@ -309,7 +306,6 @@ class DaemonServer:
             self._spawner,
             window=self.window,
             retries=self.spawn_retries,
-            backoff=self.backoff,
             startup_timeout=self.startup_timeout,
         )
         report = launcher.launch(self.fleet, self._coordinator.wait_registered)
@@ -523,7 +519,7 @@ class DaemonServer:
         checked faults.  Needs no running fleet, so a one-shot checks
         before it launches anything."""
         return check_run(
-            plan, crashes, backend="daemon",
+            plan, crashes, backend="procs",
             data_plane=self.config.data_plane,
             allow_head_chaos=allow_head_chaos, fleet=self.fleet,
             late_join=late_join, output_template=output_template)
@@ -550,7 +546,7 @@ class DaemonServer:
         Thread-safe: concurrent ``submit`` calls multiplex over the same
         fleet (that is the point).  Returns the same
         :class:`~repro.runtime.BroadcastResult` shape as every other
-        backend, with ``backend="daemon"`` and ``launch=None`` — the
+        backend, with ``backend="procs"`` and ``launch=None`` — the
         fleet launch happened once, at :meth:`start`, not here.
 
         The session runs ``plan`` when given (its head and receivers
@@ -678,8 +674,7 @@ class DaemonServer:
             return self._collect(sess, None, started)
 
         open_msg = {"op": "session_open", "session": sess.id,
-                    "stripes": plan.stripe_count,
-                    "heartbeat_interval": self.heartbeat_interval}
+                    "stripes": plan.stripe_count}
         if artifact is not None:
             open_msg["artifact"] = artifact.to_wire()
         for name in plan.nodes:
@@ -704,13 +699,9 @@ class DaemonServer:
                 sess.push_nodes = set(plan.nodes)
                 sess.expected |= sess.push_nodes
             sess.note(f"push chain over {len(cold)} cold receiver(s)")
-            extra = {"run_timeout": max(1.0, deadline - time.monotonic())}
-            if sess.failover:
-                # Agents follow the control channel while the node runs
-                # so a mid-transfer re-root can reach them.
-                extra["failover"] = True
-            self._send_starts(sess, "session_start", plan, source_path,
-                              **extra)
+            self._send_starts(
+                sess, "session_start", plan, source_path,
+                run_timeout=max(1.0, deadline - time.monotonic()))
         else:
             # Nothing to push: whoever opened but will not run releases
             # the listeners it bound right away.
@@ -949,7 +940,7 @@ class DaemonServer:
             trace=(sess.tracer if isinstance(sess.tracer, TraceCollector)
                    else None),
             perfstats=perfstats,
-            backend="daemon",
+            backend="procs",
             launch=None,
             plan=plan,
         )

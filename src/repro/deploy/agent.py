@@ -52,7 +52,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.config import KascadeConfig
 from ..core.engine import CrashGate
-from ..core.errors import KascadeError
 from ..core.perfstats import get_stats
 from ..core.plan import ChainPlan
 from ..core.sinks import FileSink, HashingSink, NullSink, Sink
@@ -60,9 +59,10 @@ from ..core.sources import FileSource
 from ..core.tracing import TraceCollector
 from ..runtime.host import HostChains
 from ..runtime.registry import Address, Registry
-from ..runtime.result import CrashPlan, check_head_failover, crash_gate
+from ..runtime.result import CrashPlan, crash_gate
 from ..runtime.transport import Listener
 from .protocol import (  # noqa: F401 - config_to_wire/wiring_to_wire re-exported
+    HEARTBEAT_INTERVAL,
     ControlChannel,
     DeployError,
     config_to_wire,
@@ -75,35 +75,19 @@ EXIT_USAGE = 2
 EXIT_DIED_ON_START = 3
 
 
-class _Heartbeat:
-    """Background liveness tick on the control channel.
+def _beat(channel: ControlChannel, stop: threading.Event) -> None:
+    """Liveness tick on the control channel, every
+    :data:`~repro.deploy.protocol.HEARTBEAT_INTERVAL` seconds, until
+    ``stop`` is set.
 
     A SIGSTOPped agent stops ticking — that silence is exactly what the
     coordinator's supervision (and the peers' data-plane pings) must
     resolve, so the thread deliberately has no failure handling beyond
     "stop quietly when the channel is gone".
     """
-
-    def __init__(self, channel: ControlChannel, interval: float) -> None:
-        self._channel = channel
-        #: Seconds between ticks; a ``session_open`` carries the
-        #: supervisor's choice.
-        self.interval = interval
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="agent-heartbeat", daemon=True
-        )
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            if not self._channel.send({"op": "heartbeat"}):
-                return
+    while not stop.wait(HEARTBEAT_INTERVAL):
+        if not channel.send({"op": "heartbeat"}):
+            return
 
 
 #: Crash mode → the real signal an agent sends itself (§III-D):
@@ -148,8 +132,8 @@ def _fault_gate(state: "_SessionState", name: str,
 
 class TransferSetupError(Exception):
     """The start message and this agent's bound resources disagree
-    (no plan/ports, stripe-count mismatch, a failover this agent cannot
-    survive) — a refused session, not a transfer failure."""
+    (no plan/ports, stripe-count mismatch) — a refused session, not a
+    transfer failure."""
 
 
 class _SessionState:
@@ -163,7 +147,7 @@ class _SessionState:
         #: for the session's lifetime; ``None`` on an agent without one.
         self.artifact = None
         self.worker: Optional[threading.Thread] = None
-        #: What a failover-capable transfer reacts to, in arrival order:
+        #: What a running transfer reacts to, in arrival order:
         #: ``("control", msg)`` routed here by the agent's one control
         #: loop, ``("exit", host)`` when a host it is running ends.
         self.events: "queue.Queue[Tuple[str, object]]" = queue.Queue()
@@ -225,19 +209,13 @@ def execute_transfer(msg: dict, state: _SessionState, name: str, *,
     becoming cache-warm for repeat broadcasts while this push is still
     running.
 
-    A message flagged ``failover`` makes the transfer failover-capable:
-    the supervisor may re-root the chain mid-transfer, so this thread
-    follows the session's control events while the host runs
-    (:func:`_follow_control`).
+    On the threaded plane this thread follows the session's control
+    events while the host runs (:func:`_follow_control`), so a session
+    the supervisor re-roots mid-transfer — one admitted with
+    ``allow_head_chaos``, and only such a one — can reach it.
     """
     listeners = state.listeners
     config, chain_plan, registries = _wiring(msg, listeners)
-    failover = bool(msg.get("failover"))
-    if failover:
-        try:
-            check_head_failover(chain_plan.stripe_count, config.data_plane)
-        except KascadeError as exc:
-            raise TransferSetupError(str(exc)) from None
     run_timeout = float(msg.get("run_timeout", 600.0))
 
     tracer = TraceCollector()
@@ -278,29 +256,19 @@ def execute_transfer(msg: dict, state: _SessionState, name: str, *,
     else:
         deadline = time.monotonic() + run_timeout
         host.start()
-        if not failover:
-            host.join(deadline)
-        else:
-            host, stranded = _follow_control(
-                host, state, deadline, tracer=tracer, gate=role.get("gate"))
+        host, stranded = _follow_control(
+            host, state, deadline, tracer=tracer, gate=role.get("gate"))
         host.expire(f"agent run exceeded {run_timeout}s")
     host.close()
 
     outcome = host.outcome
     ok = outcome.ok and not stranded
-    error = outcome.error
-    if stranded:
-        error = error or "failover interrupted"
+    error = outcome.error or ("failover interrupted" if stranded else None)
     host.settle(ok)
     if host.source is not None:
         host.source.close()
 
-    report_hex: Optional[str] = None
-    failures: List[str] = []
     final_report = host.report if host.is_head else None
-    if final_report is not None:
-        report_hex = final_report.encode().hex()
-        failures = final_report.failed_nodes
     stats_after = get_stats().snapshot()
     return {
         "name": name,
@@ -309,9 +277,8 @@ def execute_transfer(msg: dict, state: _SessionState, name: str, *,
         "crashed": bool(outcome.crashed),
         "error": error,
         "digest": digest_sink.hexdigest() if digest_sink is not None else None,
-        "report": report_hex,
-        "failures": failures,
-        "promoted": host.is_head and host.resume_offset is not None,
+        "report": (final_report.encode().hex()
+                   if final_report is not None else None),
         "perfstats": {k_: stats_after[k_] - stats_before.get(k_, 0)
                       for k_ in stats_after},
         "trace": tracer.to_jsonl(),
@@ -329,7 +296,7 @@ def _follow_control(
 ) -> Tuple[HostChains, bool]:
     """Wait out ``host``'s run while serving ``failover``/``resume`` ops.
 
-    The head-failover episode of :func:`execute_transfer`: the host runs
+    How :func:`execute_transfer` waits on the threaded plane: the host runs
     on its own threads while *this* thread follows the session's event
     queue.  When the supervisor announces head death (``failover``), the
     host lets go (:meth:`~repro.runtime.host.Host.let_go` — or, already
@@ -423,7 +390,6 @@ def serve_sessions(
     start_timeout: float = 60.0,
     cache_bytes: int = 0,
     die_on_start: bool = False,
-    heartbeat_interval: float = 0.5,
 ) -> int:
     """Run one agent until the supervisor says ``quit``; returns the
     process exit code.
@@ -460,8 +426,9 @@ def serve_sessions(
     # Sessions bind their own data ports: the host is all peers need.
     channel.send({"op": "hello", "name": name, "pid": os.getpid(),
                   "host": advertise or bind})
-    heartbeat = _Heartbeat(channel, heartbeat_interval)
-    heartbeat.start()
+    stop_beating = threading.Event()
+    threading.Thread(target=_beat, args=(channel, stop_beating),
+                     name="agent-heartbeat", daemon=True).start()
     sessions: Dict[str, _SessionState] = {}
     lock = threading.Lock()
     exit_code = EXIT_OK
@@ -485,7 +452,7 @@ def serve_sessions(
                           "crashed": not refused,
                           "error": (str(exc) if refused
                                     else f"{type(exc).__name__}: {exc}"),
-                          "digest": None, "report": None, "failures": [],
+                          "digest": None, "report": None,
                           "perfstats": {}, "trace": "",
                           "trace_epoch": time.time()}
             state.send("session_status", **status)
@@ -512,8 +479,6 @@ def serve_sessions(
                 state = sessions.get(session)
 
             if op == "session_open":
-                heartbeat.interval = float(
-                    msg.get("heartbeat_interval", heartbeat.interval))
                 listeners = [Listener(host=bind, port=0)
                              for _ in range(max(1, int(msg.get("stripes", 1))))]
                 state = _SessionState(session, channel, listeners)
@@ -552,7 +517,7 @@ def serve_sessions(
             state.events.put(("control", None))
         for state in running:
             state.worker.join(timeout=10.0)
-        heartbeat.stop()
+        stop_beating.set()
         channel.close()
     return exit_code
 

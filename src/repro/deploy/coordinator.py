@@ -33,15 +33,20 @@ from ..runtime.result import NodeOutcome  # noqa: F401 - re-exported
 from .launcher import ProcessHandle
 from .protocol import ControlChannel, DeployError
 
+#: Seconds a new control connection has to say ``hello`` before it is
+#: dropped.
+HELLO_TIMEOUT = 10.0
+
+
 def rebase_events(status: dict, wall0: float) -> list:
     """Agent trace events shifted onto the caller's time base.
 
     Agents stamp events relative to their own collector; the status
     carries that collector's wall-clock epoch, so on one host (or
     NTP-disciplined hosts) the rebased events interleave correctly.
-    ``wall0`` is *the run's* epoch — for the one-shot procs backend
-    that is the broadcast start, for the daemon it is the session
-    start, so a fleet agent's tenth session rebases against session
+    ``wall0`` is *the run's* epoch — for a one-shot fleet that is the
+    broadcast start, for a submit into a warm one the session start,
+    so a fleet agent's tenth session rebases against session
     ten's zero, not the agent's process birth.
     """
     trace_text = status.get("trace")
@@ -223,11 +228,9 @@ class Coordinator:
         router: Callable[[_Agent, dict], None] = lambda agent, msg: None,
         host: str = "127.0.0.1",
         tracer=NULL_TRACER,
-        hello_timeout: float = 10.0,
     ) -> None:
         self._router = router
         self._tracer = tracer
-        self._hello_timeout = hello_timeout
         self._cond = threading.Condition()
         self._agents: Dict[str, _Agent] = {}
         self._closed = False
@@ -257,7 +260,7 @@ class Coordinator:
 
     def _serve(self, channel: ControlChannel) -> None:
         try:
-            hello = channel.recv(timeout=self._hello_timeout)
+            hello = channel.recv(timeout=HELLO_TIMEOUT)
         except (TimeoutError, DeployError):
             channel.close()
             return

@@ -431,6 +431,10 @@ class LaunchReport:
 #: Seconds between the register-or-died checks of one spawn attempt.
 _POLL_INTERVAL = 0.05
 
+#: Seconds slept before a node's retry ``k`` (1-based); it doubles with
+#: each retry (``BACKOFF * 2**(k-1)``).
+BACKOFF = 0.2
+
 
 class WindowedLauncher:
     """Spawn agents ``window`` at a time with per-node retry/backoff.
@@ -445,9 +449,8 @@ class WindowedLauncher:
     window:
         Max simultaneous spawn→register phases in flight (§III-B).
     retries:
-        Extra attempts per node after the first fails.
-    backoff:
-        Base seconds slept before retry ``k`` (grows as ``backoff * 2**k``).
+        Extra attempts per node after the first fails (each after
+        :data:`BACKOFF`, doubled per retry).
     startup_timeout:
         Seconds one attempt may take from spawn to registration.
     """
@@ -458,7 +461,6 @@ class WindowedLauncher:
         *,
         window: int = 8,
         retries: int = 1,
-        backoff: float = 0.2,
         startup_timeout: float = 15.0,
     ) -> None:
         if window < 1:
@@ -470,7 +472,6 @@ class WindowedLauncher:
         self.spawn = spawn
         self.window = window
         self.retries = retries
-        self.backoff = backoff
         self.startup_timeout = startup_timeout
 
     # ------------------------------------------------------------------
@@ -504,7 +505,7 @@ class WindowedLauncher:
         nl = NodeLaunch(name)
         for attempt in range(self.retries + 1):
             if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+                time.sleep(BACKOFF * (2 ** (attempt - 1)))
             nl.attempts = attempt + 1
             try:
                 proc = self.spawn(name, attempt)

@@ -16,7 +16,7 @@ Message vocabulary (``op`` field; every message but ``hello``,
 ``hello``                 agent →    registration: name, pid, and the host
                                      its peers dial
 ``heartbeat``             agent →    liveness tick (a stopped process goes
-                                     silent)
+                                     silent), every :data:`HEARTBEAT_INTERVAL`
 ``session_open``          → agent    bind one data port per stripe for this
                                      session (+ the artifact identity, on a
                                      fleet with a cache)
@@ -68,6 +68,12 @@ if TYPE_CHECKING:
 #: dump, so this is generous; anything larger is a bug, not a payload.
 MAX_LINE = 16 << 20
 
+#: Seconds between an agent's heartbeats, from registration to exit.
+HEARTBEAT_INTERVAL = 0.25
+
+#: Seconds one send may block before the peer counts as gone.
+SEND_TIMEOUT = 5.0
+
 
 class DeployError(KascadeError):
     """Deployment-layer failure (control protocol, spawn, supervision)."""
@@ -77,15 +83,14 @@ class ControlChannel:
     """One agent↔coordinator control connection, framed as JSON lines.
 
     Sends are serialised by a lock (the agent's heartbeat thread and its
-    node thread share the channel) and bounded by ``send_timeout`` so a
-    wedged peer can never block the data plane; send failures after the
-    channel is closed are reported as ``False``, not raised — losing a
-    note must not kill an agent.
+    node thread share the channel) and bounded by :data:`SEND_TIMEOUT` so
+    a wedged peer can never block the data plane; send failures after
+    the channel is closed are reported as ``False``, not raised — losing
+    a note must not kill an agent.
     """
 
-    def __init__(self, sock: socket.socket, *, send_timeout: float = 5.0) -> None:
+    def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
-        self._send_timeout = send_timeout
         self._send_lock = threading.Lock()
         self._recv_buf = bytearray()
         self._closed = False
@@ -102,7 +107,7 @@ class ControlChannel:
         with self._send_lock:
             if self._closed:
                 return False
-            self._sock.settimeout(self._send_timeout)
+            self._sock.settimeout(SEND_TIMEOUT)
             try:
                 self._sock.sendall(data)
                 return True
@@ -172,11 +177,12 @@ class ControlChannel:
 
 
 def connect_control(host: str, port: int, timeout: float) -> ControlChannel:
-    """Dial the coordinator's control port (agent side)."""
+    """Dial a control port: the coordinator's (agent side) or a
+    ``kascade serve`` submit socket (client side)."""
     try:
         sock = dial(host, port, timeout)
     except OSError as exc:
-        raise DeployError(f"coordinator {host}:{port} unreachable: {exc}")
+        raise DeployError(f"control port {host}:{port} unreachable: {exc}")
     return ControlChannel(sock)
 
 

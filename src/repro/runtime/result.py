@@ -192,8 +192,9 @@ def check_run(plan: ChainPlan, crashes: Sequence = (), *, backend: str,
     """Refuse what a run may not ask, before anything of it starts.
 
     The one validation of a broadcast: :class:`~.cluster.Broadcast`
-    (``local``, ``simnet``) and ``DaemonServer.admit`` (``procs``,
-    ``daemon``) call it with what they know — the resolved ``plan``, the
+    (``local``, ``simnet``) and ``DaemonServer.admit`` (``procs``, a
+    one-shot fleet or a submit into a running one) call it with what
+    they know — the resolved ``plan``, the
     faults, the backend and data plane, the source's kind where the run
     reads the source in place (``None`` where a fleet spools it), and on
     a fleet its members and output template — and the late joiners
@@ -212,7 +213,7 @@ def check_run(plan: ChainPlan, crashes: Sequence = (), *, backend: str,
             f"stripes={plan.stripe_count} needs a seekable source on local "
             "and simnet, whose stripes read it at interleaved offsets "
             f"(source kind is {source_kind.name}): give a file, or run on "
-            "procs or daemon, which spool the source first")
+            "procs, which spools the source first")
     faults = tuple(c if isinstance(c, CrashPlan) else CrashPlan(*c)
                    for c in crashes)
     targets = [c.node for c in faults]

@@ -4,8 +4,9 @@ A broadcast is one run (:class:`repro.runtime.cluster.Broadcast`: plan,
 faults, hosts, head re-root, result) on one of two in-process drivers —
 threads on loopback TCP (:class:`repro.runtime.LocalBroadcast`) or the
 protocol-exact simulator (:class:`repro.protosim.ProtoBroadcast`) — or
-one session on a fleet of agent processes.  This module is the facade
-over all of them; it builds a driver and returns what the run folded:
+one session on a fleet of agent processes (``procs``).  This module is
+the facade over all of them; it builds a driver and returns what the run
+folded:
 
     result = repro.run_broadcast(
         BytesSource(payload), ["n2", "n3", "n4"],
@@ -57,8 +58,8 @@ TraceSpec = Union[None, bool, TraceCollector, str, os.PathLike]
 #: opening the docs (same UX as ``bench_loopback.py --scenario``).
 BACKEND_CATALOGUE = {
     "local": "threads + loopback TCP in this process (default)",
-    "procs": "one OS process per node, real signals for crash injection",
-    "daemon": "session on a persistent agent fleet (chunk cache, late join)",
+    "procs": "one OS process per node, real signals for crash injection "
+             "(server= submits into a warm DaemonServer fleet)",
     "simnet": "protocol-exact discrete-event simulator (no real I/O)",
 }
 
@@ -93,8 +94,7 @@ class BroadcastSession:
 
     Parameters mirror :class:`~repro.runtime.LocalBroadcast`; ``backend``
     selects execution on localhost TCP threads (``"local"``), on one OS
-    process per node with real crash signals (``"procs"``, or
-    ``"daemon"`` for a fleet with a chunk cache), or on the
+    process per node with real crash signals (``"procs"``), or on the
     protocol-exact discrete-event simulator (``"simnet"``); ``trace``
     enables the structured event timeline (see module docs).
 
@@ -111,10 +111,9 @@ class BroadcastSession:
 
     ``crashes`` take :class:`~repro.runtime.CrashPlan` (or ``(node,
     after_bytes[, mode])`` tuples), the same on every backend: a gate
-    in the node's own loop, which on ``procs`` and ``daemon`` ends in a
-    real signal to the node's process (``"close"`` → SIGKILL,
-    ``"silent"`` → SIGSTOP); ``CrashPlan(at_time=…)`` runs on
-    ``simnet`` only.
+    in the node's own loop, which on ``procs`` ends in a real signal to
+    the node's process (``"close"`` → SIGKILL, ``"silent"`` → SIGSTOP);
+    ``CrashPlan(at_time=…)`` runs on ``simnet`` only.
     ``late_join`` takes :class:`~repro.runtime.LateJoin` (or ``(node,
     after_bytes)`` pairs), the same on every backend too: each node is
     let in once the push has moved ``after_bytes`` and gets a chain of
@@ -131,19 +130,18 @@ class BroadcastSession:
       (bytes/s per link, default 125e6), ``latency`` (seconds per hop,
       default 1e-4) and ``sim_horizon`` (simulated-seconds cap, default
       3600);
-    * ``procs`` and ``daemon`` (one session on a fleet of agent
-      processes; the same options, the same code): the fleet launch —
-      ``window``, ``spawn_retries``, ``startup_timeout``, ``backoff``,
-      ``heartbeat_interval``, ``heartbeat_timeout``, ``python``,
-      ``bind_host``, ``agent_args``, ``stderr_dir``, ``cache_bytes``
-      (``procs`` defaults to 0: no cache, nothing of it loaded;
-      ``daemon`` to ``config.cache_bytes``) — and the session:
-      ``output_template``, ``allow_head_chaos``, ``session_name``; see
+    * ``procs`` (one session on a fleet of agent processes): the fleet
+      launch — ``window``, ``spawn_retries``, ``startup_timeout``,
+      ``heartbeat_timeout``, ``python``, ``bind_host``, ``agent_args``,
+      ``stderr_dir`` — and the session: ``output_template``,
+      ``allow_head_chaos``, ``session_name``; see
       :class:`repro.daemon.DaemonServer`, whose fleet is launched for
-      the one session.  ``server=`` submits into a started
-      :class:`repro.daemon.DaemonServer` instead of launching.
-      ``sink_factory`` is rejected (sinks cannot cross process
-      boundaries; use ``output_template``).
+      the one session, without a chunk cache (no second session could
+      read it).  ``server=`` submits into a started
+      :class:`repro.daemon.DaemonServer` instead of launching, on
+      whatever cache that fleet was given.  ``sink_factory`` is
+      rejected (sinks cannot cross process boundaries; use
+      ``output_template``).
     """
 
     def __init__(
@@ -191,7 +189,7 @@ class BroadcastSession:
     def run(self, timeout: float = 120.0) -> BroadcastResult:
         """Execute the broadcast; ``timeout`` bounds the local backend's
         wall clock (the simnet backend is bounded by ``sim_horizon``)."""
-        if self.backend in ("procs", "daemon"):
+        if self.backend == "procs":
             result = self._run_fleet(timeout)
         else:
             result = self._run_driver(timeout)
@@ -229,36 +227,35 @@ class BroadcastSession:
             self.source, self.receivers, **run, **opts,
         ).run(sim_horizon=sim_horizon, tracer=self.tracer)
 
-    #: Keyword options of the process backends: what configures the
-    #: fleet launch (see :class:`repro.daemon.DaemonServer`), what
-    #: describes the session, and ``server`` — the interesting one: a started ``DaemonServer`` to submit this
-    #: broadcast into as one more session on its warm fleet (skipping
-    #: launch entirely); without it a fleet is launched for this one
-    #: session and torn down after.
+    #: Keyword options of ``procs``: what configures the fleet launch
+    #: (see :class:`repro.daemon.DaemonServer`), what describes the
+    #: session, and ``server`` — a started ``DaemonServer`` to submit
+    #: this broadcast into as one more session on its warm fleet
+    #: (skipping launch entirely); without it a fleet is launched for
+    #: this one session and torn down after.
     _FLEET_OPTS = frozenset({
-        "window", "spawn_retries", "startup_timeout", "backoff",
-        "heartbeat_interval", "heartbeat_timeout", "python",
-        "bind_host", "agent_args", "stderr_dir", "cache_bytes",
+        "window", "spawn_retries", "startup_timeout", "heartbeat_timeout",
+        "python", "bind_host", "agent_args", "stderr_dir",
         "output_template", "allow_head_chaos", "session_name",
         "server",
     })
 
     def _run_fleet(self, timeout: float) -> BroadcastResult:
-        """``procs`` and ``daemon``: one session on a fleet of agent
-        processes.  The two differ in what the fleet is given — ``procs``
-        launches it without a chunk cache unless asked, ``daemon`` with
-        ``config.cache_bytes`` — and in nothing else.
+        """``procs``: one session on a fleet of agent processes.
 
         Without ``server=`` the fleet is launched for this one session
-        (§III-B): its members are the plan's nodes and the late joiners,
-        the session is admitted before any agent is spawned, the trace's
-        zero and the deadline include the launch, and the fleet is shut
-        down whatever happens."""
-        self._refuse_sink_factory()
+        (§III-B), with no chunk cache: its members are the plan's nodes
+        and the late joiners, the session is admitted before any agent
+        is spawned, the trace's zero and the deadline include the
+        launch, and the fleet is shut down whatever happens."""
+        if self.sink_factory is not None:
+            raise KascadeError(
+                "procs backend cannot ship a sink_factory across process "
+                "boundaries; use output_template='/path/{node}.out' "
+                "(digests are computed agent-side either way)")
         unknown = set(self.backend_opts) - self._FLEET_OPTS
         if unknown:
-            raise KascadeError(
-                f"unknown {self.backend} options: {sorted(unknown)}")
+            raise KascadeError(f"unknown procs options: {sorted(unknown)}")
         opts = dict(self.backend_opts)
         server = opts.pop("server", None)
         asked = dict(
@@ -280,8 +277,6 @@ class BroadcastSession:
                                  session=session, **asked)
         from .daemon.server import DaemonServer
 
-        opts.setdefault("cache_bytes",
-                        0 if self.backend == "procs" else None)
         plan = ChainPlan.resolve(self.plan, self.head, self.receivers,
                                  stripes=self.config.stripes,
                                  order=self.order)
@@ -289,7 +284,7 @@ class BroadcastSession:
             # A joiner already in the plan is the admission's to refuse.
             tuple(dict.fromkeys((*plan.nodes,
                                  *(lj.node for lj in asked["late_join"])))),
-            config=self.config, tracer=self.tracer, **opts)
+            config=self.config, tracer=self.tracer, cache_bytes=0, **opts)
         fleet.admit(plan, **asked)
         started, wall0 = time.monotonic(), time.time()
         try:
@@ -304,17 +299,8 @@ class BroadcastSession:
             duration = time.monotonic() - started
         finally:
             fleet.shutdown(grace=2.0)
-        result.backend, result.duration, result.launch = (
-            self.backend, duration, fleet.launch_report)
+        result.duration, result.launch = duration, fleet.launch_report
         return result
-
-    def _refuse_sink_factory(self) -> None:
-        if self.sink_factory is not None:
-            raise KascadeError(
-                f"{self.backend} backend cannot ship a sink_factory across "
-                "process boundaries; use output_template='/path/{node}.out' "
-                "(digests are computed agent-side either way)"
-            )
 
 
 def run_broadcast(

@@ -35,7 +35,6 @@ class TestKascadeConfig:
         ("ping_timeout", -1.0),
         ("connect_timeout", 0.0),
         ("report_timeout", -5.0),
-        ("max_connect_attempts", -1),
         ("sink_writeback_depth", -1),
         ("sink_writeback_budget", -1),
         ("readahead_chunks", -1),

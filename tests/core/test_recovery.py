@@ -36,23 +36,10 @@ class TestNextAlive:
         assert next_alive(plan, "n5", set()) is None
         assert next_alive(plan, "n3", {"n4", "n5"}) is None
 
-    def test_max_skips_bound(self):
-        plan = make_plan()
-        assert next_alive(plan, "n2", {"n3", "n4"}, max_skips=2) == "n5"
-        assert next_alive(plan, "n2", {"n3", "n4", "n5"}, max_skips=2) is None
-
-    def test_none_max_skips_is_unbounded(self):
+    def test_every_dead_successor_is_stepped_over(self):
         plan = make_plan()
         dead = {f"n{i}" for i in range(2, 10)}
         assert next_alive(plan, "n1", dead) == "n10"
-        assert next_alive(plan, "n1", dead, max_skips=None) == "n10"
-
-    def test_zero_max_skips_steps_over_none(self):
-        # 0 is a real bound now (not the old "unbounded" sentinel): the
-        # immediate successor must be alive or there is no successor.
-        plan = make_plan()
-        assert next_alive(plan, "n2", set(), max_skips=0) == "n3"
-        assert next_alive(plan, "n2", {"n3"}, max_skips=0) is None
 
 
 class TestNegotiateOffset:

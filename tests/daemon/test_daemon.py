@@ -1,4 +1,4 @@
-"""Integration tests: the persistent-fleet daemon backend.
+"""Integration tests: the persistent fleet (``DaemonServer``).
 
 Everything here runs one real ``kascade agent --fleet`` process per
 node.  The fleet fixture is module-scoped on purpose: amortising the
@@ -29,10 +29,9 @@ FAST = KascadeConfig(
     ping_timeout=0.4,
     connect_timeout=1.0,
     report_timeout=6.0,
-    cache_bytes=64 << 20,
 )
 
-FLEET_OPTS = dict(config=FAST, startup_timeout=20.0)
+FLEET_OPTS = dict(config=FAST, cache_bytes=64 << 20, startup_timeout=20.0)
 
 
 def make_payload(seed: int, size: int = 1 << 20) -> bytes:
@@ -89,7 +88,7 @@ class TestWarmFleet:
             assert {s.hexdigest() for s in local_sinks.values()} == {expected}
             assert {daemon.outcomes[n].digest
                     for n in ("n2", "n3")} == {expected}
-            assert daemon.backend == "daemon"
+            assert daemon.backend == "procs"
             # The fleet launch happened before either session existed.
             assert daemon.launch is None
         # Both sessions were genuinely concurrent on the one fleet.
@@ -240,18 +239,21 @@ class TestLifecycle:
         assert {name: proc.returncode for name, proc in procs.items()} == \
             {name: 0 for name in procs}
 
-    def test_run_broadcast_daemon_backend(self, tmp_path):
-        """The blessed facade reaches the daemon like any other backend
-        (ephemeral fleet for one session)."""
+    def test_run_broadcast_one_shot_fleet(self, tmp_path):
+        """The blessed facade launches a fleet for one session when it
+        is given no ``server=``: a launch is reported, no cache is
+        made."""
         payload = make_payload(31, size=256 * 1024)
         path = spool(tmp_path, "facade.bin", payload)
         out = str(tmp_path / "out-{node}.bin")
         result = run_broadcast(
             FileSource(path), ["n2", "n3"],
-            backend="daemon", config=FAST, timeout=60.0,
+            backend="procs", config=FAST, timeout=60.0,
             startup_timeout=20.0, output_template=out,
         )
-        assert result.ok and result.backend == "daemon"
+        assert result.ok and result.backend == "procs"
+        assert result.launch is not None
+        assert result.perfstats["bytes_from_cache"] == 0
         for node in ("n2", "n3"):
             with open(str(tmp_path / f"out-{node}.bin"), "rb") as handle:
                 assert handle.read() == payload
@@ -292,12 +294,14 @@ class TestLifecycle:
 
     def test_submitting_into_a_warm_server(self, fleet, tmp_path):
         """run_broadcast(server=...) rides an existing fleet — the
-        session-multiplexing form of the facade."""
+        session-multiplexing form of the facade — and says what a
+        ``submit`` says: the ``procs`` backend, no launch of its own."""
         payload = make_payload(37, size=256 * 1024)
         path = spool(tmp_path, "warm.bin", payload)
         result = run_broadcast(FileSource(path), ["n2", "n4"],
-                               backend="daemon", config=FAST,
+                               backend="procs", config=FAST,
                                timeout=60.0, server=fleet)
         assert result.ok
+        assert (result.backend, result.launch) == ("procs", None)
         expected = hashlib.sha256(payload).hexdigest()
         assert {result.outcomes[n].digest for n in ("n2", "n4")} == {expected}

@@ -107,7 +107,7 @@ class TestValidate:
     PLAN = ChainPlan.from_orders("n1", [["n2", "n3"]])
 
     def check(self, *faults, **fleet):
-        return check_run(self.PLAN, faults, backend="daemon",
+        return check_run(self.PLAN, faults, backend="procs",
                          data_plane="threaded", **fleet)
 
     def test_targets_inside_the_plan_pass(self):
@@ -123,7 +123,7 @@ class TestValidate:
             self.check(fault("n9"))
 
     def test_fleet_member_outside_the_session_is_its_own_error(self):
-        """The daemon's case: 'n4' exists in the fleet but not in this
+        """A warm fleet's case: 'n4' exists in the fleet but not in this
         session — the error must say so, not claim the node is unknown."""
         with pytest.raises(KascadeError,
                            match="fleet members outside this session.*n4"):

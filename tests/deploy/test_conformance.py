@@ -121,7 +121,7 @@ class TestOneShotIsAOneSessionFleet:
         submit, _ = broadcast("submit", PatternSource(1 << 20, seed=3),
                               receivers, trace=True, warm_up=True)
         assert oneshot.ok and submit.ok
-        assert (oneshot.backend, submit.backend) == ("procs", "daemon")
+        assert (oneshot.backend, submit.backend) == ("procs", "procs")
         assert oneshot.outcomes == submit.outcomes
         assert {oneshot.outcomes[n].digest for n in receivers} == \
             {sha256_of(source)}
@@ -136,21 +136,27 @@ class TestOneShotIsAOneSessionFleet:
         assert "artifact=" not in story(submit.trace)[0][2]
         assert submit.perfstats["bytes_from_cache"] == 0
 
-    def test_the_two_backends_take_the_same_options(self):
-        """``procs`` and ``daemon`` are one code path given different
-        fleets, so what one accepts the other does — and both refuse an
-        unknown option by name.  A late joiner needs no cache: it gets a
-        chain of its own."""
+    def test_one_backend_and_no_one_shot_cache(self):
+        """One fleet backend: ``daemon`` names none, and a one-shot
+        fleet has no chunk cache — no second session could read it — so
+        ``cache_bytes`` is refused like any other option ``procs`` does
+        not take (a cache's size is ``DaemonServer``'s to take).  A late
+        joiner needs no cache: it gets a chain of its own."""
         source = PatternSource(64 * 1024)
-        for backend in ("procs", "daemon"):
-            with pytest.raises(KascadeError,
-                               match=f"unknown {backend} options"):
-                run_broadcast(source, ["n2"], backend=backend, bandwidth=1)
+        with pytest.raises(KascadeError,
+                           match="unknown backend 'daemon'") as refused:
+            run_broadcast(source, ["n2"], backend="daemon")
+        for name in ("local", "procs", "simnet"):
+            assert f"\n  {name} " in str(refused.value)
+        for option in ({"bandwidth": 1}, {"cache_bytes": 1 << 20}):
+            with pytest.raises(KascadeError, match="unknown procs options"):
+                run_broadcast(source, ["n2"], backend="procs", **option)
         result = run_broadcast(source, ["n2"], backend="procs", config=FAST,
-                               cache_bytes=0, late_join=[LateJoin("n3")],
-                               timeout=60.0, **FLEET)
+                               late_join=[LateJoin("n3")], timeout=60.0,
+                               **FLEET)
         assert result.ok, result.outcomes
         assert result.outcomes["n3"].digest == sha256_of(source)
+        assert result.perfstats["bytes_from_cache"] == 0
         assert live_children() == []
 
 
@@ -163,7 +169,7 @@ class TestEveryCellEitherWay:
         source = PatternSource(256 * 1024)
         result, launch = broadcast(
             mode, source, ["n2", "n3", "n4"], trace=True,
-            fleet=dict(spawn_retries=1, backoff=0.05,
+            fleet=dict(spawn_retries=1,
                        agent_args=lambda name, attempt: (
                            ["--die-on-start"] if name == "n3" else [])))
         assert not result.ok
@@ -240,8 +246,7 @@ class TestEveryCellEitherWay:
         source = PatternSource(4 << 20)
         result, launch = broadcast(
             mode, source, ["n2", "n3", "n4"], trace=True,
-            crashes=[("n3", 512 * 1024, "silent")],
-            fleet=dict(heartbeat_interval=0.2))
+            crashes=[("n3", 512 * 1024, "silent")])
         assert result.ok
         for name in ("n2", "n4"):
             assert result.outcomes[name].digest == sha256_of(source)
@@ -308,10 +313,10 @@ class TestEveryCellEitherWay:
                                  config=FAST.with_(data_plane="evloop"),
                                  cache_bytes=0, **FLEET) as evloop:
                 for name, row in REFUSALS.items():
-                    if "daemon" in row.backends:
+                    if "submit" in row.backends:
                         on = (evloop if row.ask.get("data_plane") == "evloop"
                               else server)
-                        said[name] = refusal("daemon", row, server=on)
+                        said[name] = refusal("procs", row, server=on)
                 assert server.sessions_completed == 0
                 assert evloop.sessions_completed == 0
         assert live_children() == []

@@ -114,7 +114,7 @@ def test_a_death_on_start_is_code_3_and_its_retry_uses_the_same_server(
     so in its unchanged words, and the retry is forked by the server
     that forked the first attempt."""
     dies = {("n2", 0), ("n3", 0), ("n3", 1)}
-    with DaemonServer(["n1", "n2", "n3"], spawn_retries=1, backoff=0.05,
+    with DaemonServer(["n1", "n2", "n3"], spawn_retries=1,
                       agent_args=lambda name, attempt: (
                           ["--die-on-start"] if (name, attempt) in dies
                           else []),
@@ -155,8 +155,7 @@ def test_a_sigkill_mid_transfer_is_minus_9_and_a_proc_exit_failover(forks):
 
 def test_a_sigstopped_agent_is_killed_by_drain(forks):
     source = PatternSource(8 << 20)
-    with DaemonServer(["n1", "n2", "n3", "n4"], heartbeat_interval=0.2,
-                      **FLEET) as server:
+    with DaemonServer(["n1", "n2", "n3", "n4"], **FLEET) as server:
         result = server.submit(source, ["n2", "n3", "n4"],
                                crashes=[("n3", 1 << 20, "silent")],
                                timeout=60.0)
@@ -209,7 +208,7 @@ def test_a_fork_server_killed_mid_launch_fails_the_pending_nodes(forks):
         return []
 
     server = DaemonServer(["n1", "n2", "n3", "n4"], window=1,
-                          spawn_retries=1, backoff=0.05,
+                          spawn_retries=1,
                           agent_args=kill_the_server_at_n3, **FLEET)
     with server:
         report = server.launch_report

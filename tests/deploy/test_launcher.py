@@ -135,7 +135,7 @@ class TestHappyPath:
 class TestRetryAndFailure:
     def test_early_exit_is_retried_and_succeeds(self):
         fabric = FakeFabric(script={("n3", 0): "die"})
-        launcher = WindowedLauncher(fabric.spawn, retries=1, backoff=0.01,
+        launcher = WindowedLauncher(fabric.spawn, retries=1,
                                     startup_timeout=2.0)
         report = launcher.launch(["n1", "n2", "n3"], fabric.wait_registered)
         assert report.failed == []
@@ -145,7 +145,7 @@ class TestRetryAndFailure:
 
     def test_persistent_death_exhausts_retries(self):
         fabric = FakeFabric(script={("n3", a): "die" for a in range(3)})
-        launcher = WindowedLauncher(fabric.spawn, retries=2, backoff=0.01,
+        launcher = WindowedLauncher(fabric.spawn, retries=2,
                                     startup_timeout=2.0)
         report = launcher.launch(["n1", "n3"], fabric.wait_registered)
         assert report.failed == ["n3"]
@@ -172,7 +172,7 @@ class TestRetryAndFailure:
             return proc
 
         fabric = FakeFabric()
-        launcher = WindowedLauncher(spawn, retries=1, backoff=0.01,
+        launcher = WindowedLauncher(spawn, retries=1,
                                     startup_timeout=0.1)
         report = launcher.launch(["n2"], fabric.wait_registered)
         assert report.failed == ["n2"]
@@ -189,7 +189,7 @@ class TestRetryAndFailure:
             return FakeProc()
 
         fabric = FakeFabric()
-        launcher = WindowedLauncher(flaky_spawn, retries=1, backoff=0.01,
+        launcher = WindowedLauncher(flaky_spawn, retries=1,
                                     startup_timeout=2.0)
         report = launcher.launch(["n2"], fabric.wait_registered)
         assert report.failed == []

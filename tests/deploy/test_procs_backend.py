@@ -135,8 +135,7 @@ class TestChaos:
         source = PatternSource(8 * 1024 * 1024)
         result = run_broadcast(
             source, ["n2", "n3", "n4"], trace=True,
-            crashes=[("n3", 1024 * 1024, "silent")],
-            heartbeat_interval=0.2, **PROCS)
+            crashes=[("n3", 1024 * 1024, "silent")], **PROCS)
         assert result.ok
         expected = sha256_of(source)
         for name in ("n2", "n4"):
@@ -194,7 +193,7 @@ class TestLaunchFailures:
     def test_agent_dying_before_registering_is_retried(self):
         result = run_broadcast(
             PatternSource(256 * 1024), ["n2", "n3"],
-            spawn_retries=1, backoff=0.05,
+            spawn_retries=1,
             agent_args=lambda name, attempt: (
                 ["--die-on-start"] if (name == "n3" and attempt == 0)
                 else []),
@@ -210,7 +209,7 @@ class TestLaunchFailures:
         source = PatternSource(256 * 1024)
         result = run_broadcast(
             source, ["n2", "n3", "n4"], trace=True,
-            spawn_retries=1, backoff=0.05,
+            spawn_retries=1,
             agent_args=lambda name, attempt: (
                 ["--die-on-start"] if name == "n3" else []),
             **PROCS)

@@ -40,7 +40,7 @@ def test_one_server_per_fleet_across_a_retry_and_a_late_join(monkeypatch):
     paced = FAST.with_(bandwidth_limit=4 * (1 << 20))
     with DaemonServer(
             ["n1", "n2", "n3"], config=paced, cache_bytes=8 << 20,
-            startup_timeout=20.0, spawn_retries=1, backoff=0.05,
+            startup_timeout=20.0, spawn_retries=1,
             agent_args=lambda name, attempt: (
                 ["--die-on-start"] if (name, attempt) == ("n2", 0) else []),
     ) as server:
@@ -93,8 +93,7 @@ def test_a_fork_server_that_never_boots_fails_in_one_timeout(tmp_path):
     deaf.chmod(deaf.stat().st_mode | stat.S_IXUSR)
     t0 = time.monotonic()
     with DaemonServer(["n1", "n2"], config=FAST, python=str(deaf),
-                      startup_timeout=1.0, spawn_retries=1,
-                      backoff=0.05) as server:
+                      startup_timeout=1.0, spawn_retries=1) as server:
         report = server.launch_report
         assert server.registered == []
     took = time.monotonic() - t0

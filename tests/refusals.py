@@ -7,8 +7,9 @@ simulator's, a source that cannot seek only matters where the run reads
 it in place), and the ask.  ``tests/test_driver_conformance.py`` puts
 each row to ``local`` and ``simnet`` — through ``run_broadcast`` and to
 the driver built directly — and ``tests/deploy/test_conformance.py`` to
-``procs`` and ``daemon`` as well: every backend answers in the same
-words, before anything of the run starts.
+``procs`` as well, as a one-shot (``"procs"`` below) and as a submit
+into a running fleet (``"submit"``: ``procs`` with ``server=``): every
+backend answers in the same words, before anything of the run starts.
 """
 
 import io
@@ -24,9 +25,9 @@ from repro.runtime import CrashPlan
 
 SIZE = 64 * 1024
 RECEIVERS = ["n2", "n3"]
-ALL = ("local", "simnet", "procs", "daemon")
+ALL = ("local", "simnet", "procs", "submit")
 IN_PROCESS = ("local", "simnet")
-FLEETS = ("procs", "daemon")
+FLEETS = ("procs", "submit")
 
 
 class Refusal(NamedTuple):
@@ -46,7 +47,7 @@ REFUSALS = {
         dict(allow_head_chaos=True,
              plan=ChainPlan.from_orders("n1", [["n2", "n3"], ["n3", "n2"]]))),
     "head failover on the evloop plane": Refusal(
-        "not survivable on data_plane='evloop'", ("local", "procs", "daemon"),
+        "not survivable on data_plane='evloop'", ("local", "procs", "submit"),
         dict(allow_head_chaos=True, data_plane="evloop")),
     "head failover on a source that cannot seek": Refusal(
         "head failover needs a seekable source", IN_PROCESS,
@@ -55,14 +56,14 @@ REFUSALS = {
         "crash plans for unknown nodes: ['n9']", ALL,
         dict(crashes=[("n9", 0, "close")])),
     "fault on a fleet member outside the session": Refusal(
-        "fleet members outside this session: ['n4']", ("daemon",),
+        "fleet members outside this session: ['n4']", ("submit",),
         dict(crashes=[("n4", 0, "close")])),
     "two faults for one node": Refusal(
         "more than one crash plan for: ['n3']", ALL,
         dict(crashes=[("n3", 0, "close"), CrashPlan("n3", 5, "silent")])),
     "a time-triggered fault off the simulator": Refusal(
         "needs the simulator's clock (backend='simnet')",
-        ("local", "procs", "daemon"),
+        ("local", "procs", "submit"),
         dict(crashes=[CrashPlan("n3", at_time=0.0)])),
     "stripes on a source that cannot seek": Refusal(
         "stripes=2 needs a seekable source", IN_PROCESS,
@@ -71,7 +72,7 @@ REFUSALS = {
         "simnet is a discrete-event simulator", ("simnet",),
         dict(data_plane="evloop")),
     "a late joiner outside the fleet": Refusal(
-        "'n9' is not a fleet member", ("daemon",),
+        "'n9' is not a fleet member", ("submit",),
         dict(late_join=[("n9", 0)])),
     "a late joiner named twice": Refusal(
         "more than one late join for: ['n4']", ALL,

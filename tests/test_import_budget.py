@@ -41,6 +41,9 @@ assert main(["agent", "--coordinator", "127.0.0.1:1", "--name", "n2",
 import repro.cli.kascade, repro.session, repro.deploy.coordinator
 """,
     "daemon_server": "import repro.session, repro.daemon.server",
+    # What ``kascade submit`` talks to a running server with: the
+    # control channel, not the supervisor behind the socket.
+    "submit_client": "from repro.daemon.client import DaemonClient",
     # A whole threaded broadcast in this process: every node runs the
     # protocol engine, none of them needs a simulator to do it.
     "local_run": """
@@ -123,6 +126,10 @@ BUDGET = {
                                                       "inspect"), 37),
     "supervisor": (NUMERIC + NOT_IN_A_SUPERVISOR, 23),
     "daemon_server": (NUMERIC + NOT_IN_A_SUPERVISOR, 23),
+    "submit_client": (NUMERIC + ("repro.daemon.server",
+                                 "repro.deploy.coordinator",
+                                 "repro.deploy.launcher",
+                                 "repro.runtime.result"), 12),
     "local_run": (NUMERIC, 31),
     "simulated_run": (NOT_IN_THE_DES, 37),
     "sim_proto_cli": (NOT_IN_THE_DES, 39),

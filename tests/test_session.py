@@ -9,7 +9,7 @@ from repro import BroadcastSession, run_broadcast
 from repro.core import BytesSource, KascadeConfig, KascadeError
 from repro.core.tracing import NULL_TRACER, TraceCollector
 from repro.runtime import CrashPlan
-from repro.session import _resolve_trace
+from repro.session import BACKENDS, _resolve_trace
 
 FAST = KascadeConfig(
     chunk_size=4096,
@@ -51,6 +51,13 @@ class TestFacadeShape:
     def test_unknown_backend_rejected(self):
         with pytest.raises(KascadeError, match="unknown backend"):
             BroadcastSession(BytesSource(b"x"), ["n2"], backend="fluid")
+
+    def test_three_backends(self):
+        """A fleet is one backend, ``procs``, launched for the run or
+        given as ``server=``: ``daemon`` names none."""
+        assert BACKENDS == ("local", "procs", "simnet")
+        with pytest.raises(KascadeError, match="unknown backend 'daemon'"):
+            BroadcastSession(BytesSource(b"x"), ["n2"], backend="daemon")
 
     def test_local_rejects_simnet_options(self):
         with pytest.raises(KascadeError, match="no extra options"):
@@ -177,14 +184,14 @@ class TestStripeValidation:
     def test_unstripeable_source_rejected_with_catalogue(self, backend):
         """A non-seekable source cannot be striped in place; the one
         refusal says where striping works, every backend named —
-        including the ones that *would* take it (procs and daemon spool
-        the stream to a file first)."""
+        including the one that *would* take it (procs spools the stream
+        to a file first)."""
         with pytest.raises(KascadeError) as exc:
             run_broadcast(self._stream_source(), ["n2", "n3"],
                           backend=backend, config=FAST, stripes=2)
         text = str(exc.value)
         assert text.startswith("stripes=2 needs a seekable source")
-        for name in ("local", "simnet", "procs", "daemon"):
+        for name in ("local", "simnet", "procs"):
             assert name in text
 
     def test_multi_stripe_plan_triggers_same_validation(self):

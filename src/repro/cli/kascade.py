@@ -11,7 +11,9 @@ Mirrors the paper's Fig. 2 interface:
   ``dd if=/dev/sda2 | gzip | kascade ... -O 'gunzip | dd of=/dev/sda2'``;
 * ``kascade deploy -n 8 -i myfile.tgz`` — windowed multi-process
   deployment: one OS process per node, launched ``--window`` at a time,
-  supervised by a coordinator (the §III-B startup phase for real);
+  supervised by a coordinator (the §III-B startup phase for real); the
+  nodes are forks of one fork server, itself forked from this process
+  at entry (:func:`fork_server`; ``kascade serve`` does the same);
 * ``kascade agent --coordinator HOST:PORT --name n3`` — one deployed
   node process; normally spawned by ``deploy``, not by hand.
 
@@ -250,6 +252,7 @@ def parse_chaos(specs: List[str], head: str | None = None):
 
 def cmd_deploy(args: argparse.Namespace) -> int:
     """Windowed multi-process deployment: real processes, real signals."""
+    from ..core.errors import KascadeError
     from ..core.sources import open_source
     from ..session import run_broadcast
 
@@ -259,18 +262,21 @@ def cmd_deploy(args: argparse.Namespace) -> int:
         source = open_source(args.input)
     except OSError as exc:
         refuse(args, exc)
-    result = run_broadcast(
-        source, receivers,
-        backend="procs",
-        config=config,
-        trace=args.trace,
-        timeout=args.run_timeout,
-        crashes=parse_chaos(args.chaos, head="n1"),
-        heartbeat_timeout=args.heartbeat_timeout,
-        output_template=args.output,
-        allow_head_chaos=args.allow_head_chaos,
-        **fleet_launch(args),
-    )
+    try:
+        result = run_broadcast(
+            source, receivers,
+            backend="procs",
+            config=config,
+            trace=args.trace,
+            timeout=args.run_timeout,
+            crashes=parse_chaos(args.chaos, head="n1"),
+            heartbeat_timeout=args.heartbeat_timeout,
+            output_template=args.output,
+            allow_head_chaos=args.allow_head_chaos,
+            **fleet_launch(args),
+        )
+    except KascadeError as exc:  # a plan or option the run refuses up front
+        refuse(args, exc)
     return print_result(result, args)
 
 
@@ -280,12 +286,10 @@ def cmd_agent(args: argparse.Namespace) -> int:
     other agent is a ``fork()`` of."""
     import os
 
-    from ..deploy.agent import EXIT_OK, serve_forks, serve_sessions
+    from ..deploy.agent import EXIT_OK, serve_sessions
 
     if args.fork_server is not None:
-        code = serve_forks(args.fork_server,
-                           lambda argv: main(["agent", *argv]),
-                           cached=args.cache_bytes > 0)
+        code = _serve_forks(args.fork_server, cached=args.cache_bytes > 0)
     else:
         code = serve_sessions(
             _parse_hostport(args.coordinator, "--coordinator"), args.name,
@@ -304,6 +308,95 @@ def cmd_agent(args: argparse.Namespace) -> int:
         # wall time — so leave directly.
         os._exit(EXIT_OK)
     return code
+
+
+def _serve_forks(channel: int, *, cached: bool) -> int:
+    """Be this host's fork server on ``channel``: every agent it forks
+    runs ``kascade agent`` in the state this process is in."""
+    from ..deploy.agent import serve_forks
+
+    return serve_forks(channel, lambda argv: main(["agent", *argv]),
+                       cached=cached)
+
+
+#: The commands that launch a fleet, and fork its server at entry.
+FLEET_COMMANDS = ("deploy", "serve")
+
+
+def fork_server(args: argparse.Namespace):
+    """Fork this process into the host's fork server, for the fleet a
+    ``deploy``/``serve`` is about to launch, and return the
+    :class:`~repro.deploy.launcher.ForkServer` that fleet adopts.
+
+    Called at entry, so the child loads what an agent runs (with the
+    cache's modules for a ``serve`` that has a cache) while this process
+    imports the supervisor, and nothing loaded here is loaded twice.
+    ``None`` — the fleet then execs its server on its first spawn, and
+    that one says what went wrong — when this process already runs a
+    second thread (a fork copies only the calling one), cannot open the
+    server's ``--stderr-dir`` log or cannot fork.
+    """
+    import os
+    import socket
+
+    if len(os.listdir("/proc/self/task")) > 1:
+        return None
+    err = None
+    if args.stderr_dir is not None:
+        try:
+            err = os.open(os.path.join(args.stderr_dir,
+                                       "fork-server.stderr.log"),
+                          os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
+        except OSError:
+            return None
+    cached = args.command == "serve" and args.cache_bytes > 0
+    ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+    sys.stdout.flush()  # or the child owns a copy of what is buffered
+    sys.stderr.flush()
+    forked_at = time.monotonic()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            ours.close()
+            _be_fork_server(theirs.detach(), err, cached)
+    except OSError:
+        ours.close()
+        return None
+    finally:
+        theirs.close()
+        if err is not None:
+            os.close(err)
+    from ..deploy.launcher import ForkServer
+
+    return ForkServer.adopt(pid, ours, forked_at,
+                            stderr_dir=args.stderr_dir,
+                            boot_timeout=args.startup_timeout)
+
+
+def _be_fork_server(channel: int, err: int | None,
+                    cached: bool) -> "NoReturn":
+    """The forked child of :func:`fork_server`: stdio as an exec'd server
+    has it (``/dev/null``; stderr to ``err``, the ``--stderr-dir`` log,
+    when there is one), then :func:`_serve_forks` until the fleet is
+    done.  It never returns into the CLI."""
+    import os
+
+    code = 1
+    try:
+        null = os.open(os.devnull, os.O_RDWR)
+        err = null if err is None else err
+        for target, fd in ((0, null), (1, null), (2, err)):
+            os.dup2(fd, target)
+        for fd in {null, err} - {0, 1, 2}:
+            os.close(fd)
+        code = _serve_forks(channel, cached=cached)
+    except BaseException:  # noqa: BLE001 - the child never returns to main
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        sys.stderr.flush()
+        os._exit(code)
 
 
 def _parse_hostport(spec: str, what: str) -> Tuple[str, int]:
@@ -350,6 +443,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_submit(args: argparse.Namespace) -> int:
     """Submit one broadcast session to a running ``kascade serve``."""
+    from ..core.errors import KascadeError
+
+    try:
+        return _submit(args)
+    except KascadeError as exc:  # no server there, or it broke off
+        refuse(args, exc)
+
+
+def _submit(args: argparse.Namespace) -> int:
     from ..daemon.client import DaemonClient
 
     host, port = _parse_hostport(args.server, "--server")
@@ -547,10 +649,12 @@ def _deploy_args(deploy: argparse.ArgumentParser) -> None:
 
 
 def fleet_launch(args: argparse.Namespace) -> dict:
-    """What :func:`_fleet_launch_args` parsed, as ``DaemonServer`` takes it."""
+    """What :func:`_fleet_launch_args` parsed, as ``DaemonServer`` takes
+    it, with the fork server :func:`main` forked for the fleet."""
     return dict(window=args.window, spawn_retries=args.spawn_retries,
                 startup_timeout=args.startup_timeout,
-                stderr_dir=args.stderr_dir)
+                stderr_dir=args.stderr_dir,
+                fork_server=args.forked_server)
 
 
 def _fleet_launch_args(parser: argparse.ArgumentParser) -> None:
@@ -691,7 +795,15 @@ def main(argv: List[str] | None = None) -> int:
             add_args(command)
         command.set_defaults(fn=fn)
     args = parser.parse_args(argv)
-    status = args.fn(args)
+    # Before the command imports the supervisor, while this process is
+    # one thread: the fleet's server boots beside those imports.
+    args.forked_server = (fork_server(args)
+                          if args.command in FLEET_COMMANDS else None)
+    try:
+        status = args.fn(args)
+    finally:
+        if args.forked_server is not None:
+            args.forked_server.close()  # the fleet has drained by now
     try:
         sys.stdout.flush()
     except BrokenPipeError:

@@ -218,6 +218,13 @@ class DaemonServer:
         When set, each agent's stderr goes to ``<dir>/<name>.stderr.log``
         (the fork server's to ``<dir>/fork-server.stderr.log``) instead
         of ``/dev/null``.
+    fork_server:
+        A fork server this process already forked
+        (:meth:`ForkServer.adopt <repro.deploy.launcher.ForkServer.adopt>`
+        — ``kascade deploy``/``serve`` fork theirs at entry): the fleet
+        spawns from it instead of exec'ing one, and :meth:`shutdown`
+        ends it.  ``python`` and ``stderr_dir`` then do not apply; the
+        server has its own.
 
     Usage::
 
@@ -241,6 +248,7 @@ class DaemonServer:
         agent_args: Optional[Callable[[str, int], Sequence[str]]] = None,
         stderr_dir: Optional[str] = None,
         tracer=NULL_TRACER,
+        fork_server: Optional[ForkServer] = None,
     ) -> None:
         if len(fleet) < 2:
             raise KascadeError("a fleet needs at least a head and a receiver")
@@ -264,7 +272,7 @@ class DaemonServer:
 
         self._coordinator: Optional[Coordinator] = None
         #: The host's fork server every agent of this fleet is forked from.
-        self._spawner: Optional[ForkServer] = None
+        self._spawner: Optional[ForkServer] = fork_server
         self._procs: Dict[str, ProcessHandle] = {}
         self._lock = threading.Lock()
         self._sessions: Dict[str, _Session] = {}
@@ -294,14 +302,17 @@ class DaemonServer:
         self._coordinator = Coordinator(router=self._route,
                                         tracer=self.tracer)
         control = self._coordinator.address
-        self._spawner = ForkServer(
-            self.python,
-            ["--coordinator", f"{control.host}:{control.port}",
-             "--bind", self.bind_host,
-             "--cache-bytes", str(self.cache_bytes),
-             "--start-timeout", str(max(60.0, self.startup_timeout * 4))],
-            stderr_dir=self.stderr_dir,
-            agent_args=self.agent_args, boot_timeout=self.startup_timeout)
+        argv = ["--coordinator", f"{control.host}:{control.port}",
+                "--bind", self.bind_host,
+                "--cache-bytes", str(self.cache_bytes),
+                "--start-timeout", str(max(60.0, self.startup_timeout * 4))]
+        if self._spawner is None:
+            self._spawner = ForkServer(
+                self.python, argv, stderr_dir=self.stderr_dir,
+                agent_args=self.agent_args, boot_timeout=self.startup_timeout)
+        else:  # forked before this fleet had a coordinator to name
+            self._spawner.argv = argv
+            self._spawner.agent_args = self.agent_args
         launcher = WindowedLauncher(
             self._spawner,
             window=self.window,
@@ -701,7 +712,8 @@ class DaemonServer:
             sess.note(f"push chain over {len(cold)} cold receiver(s)")
             self._send_starts(
                 sess, "session_start", plan, source_path,
-                run_timeout=max(1.0, deadline - time.monotonic()))
+                run_timeout=max(1.0, deadline - time.monotonic()),
+                trace=sess.tracer.enabled)
         else:
             # Nothing to push: whoever opened but will not run releases
             # the listeners it bound right away.

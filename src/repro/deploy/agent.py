@@ -56,7 +56,7 @@ from ..core.perfstats import get_stats
 from ..core.plan import ChainPlan
 from ..core.sinks import FileSink, HashingSink, NullSink, Sink
 from ..core.sources import FileSource
-from ..core.tracing import TraceCollector
+from ..core.tracing import NULL_TRACER, TraceCollector
 from ..runtime.host import HostChains
 from ..runtime.registry import Address, Registry
 from ..runtime.result import CrashPlan, crash_gate
@@ -197,8 +197,11 @@ def execute_transfer(msg: dict, state: _SessionState, name: str, *,
     schedule for its duration — one
     :class:`~repro.runtime.host.HostChains`.
 
-    Returns the status payload (everything but ``op``/``session``).  The
-    trace collector — and therefore ``trace_epoch`` — is created *here*,
+    Returns the status payload (everything but ``op``/``session``).  A
+    session the supervisor traces (``trace`` in the message) gets a
+    collector, whose events the status carries; an untraced one records
+    nothing and ships an empty ``trace``.  The trace collector — and
+    therefore ``trace_epoch`` — is created *here*,
     at transfer start, so a long-lived agent running many sessions gets
     per-session time bases and the supervisor's merge rebases each
     session independently (not against the agent's process start).
@@ -218,7 +221,9 @@ def execute_transfer(msg: dict, state: _SessionState, name: str, *,
     config, chain_plan, registries = _wiring(msg, listeners)
     run_timeout = float(msg.get("run_timeout", 600.0))
 
-    tracer = TraceCollector()
+    # An untraced session's events would only be dropped by the
+    # supervisor: record none and ship none.
+    tracer = TraceCollector() if msg.get("trace") else NULL_TRACER
     trace_epoch = time.time()
     stats_before = get_stats().snapshot()
 
@@ -281,7 +286,7 @@ def execute_transfer(msg: dict, state: _SessionState, name: str, *,
                    if final_report is not None else None),
         "perfstats": {k_: stats_after[k_] - stats_before.get(k_, 0)
                       for k_ in stats_after},
-        "trace": tracer.to_jsonl(),
+        "trace": tracer.to_jsonl() if tracer.enabled else "",
         "trace_epoch": trace_epoch,
     }
 

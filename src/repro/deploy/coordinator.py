@@ -37,6 +37,10 @@ from .protocol import ControlChannel, DeployError
 #: dropped.
 HELLO_TIMEOUT = 10.0
 
+#: Address the control socket binds: every fleet's agents run on this
+#: host and dial it there.
+CONTROL_HOST = "127.0.0.1"
+
 
 def rebase_events(status: dict, wall0: float) -> list:
     """Agent trace events shifted onto the caller's time base.
@@ -226,7 +230,6 @@ class Coordinator:
         self,
         *,
         router: Callable[[_Agent, dict], None] = lambda agent, msg: None,
-        host: str = "127.0.0.1",
         tracer=NULL_TRACER,
     ) -> None:
         self._router = router
@@ -236,7 +239,7 @@ class Coordinator:
         self._closed = False
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, 0))
+        self._sock.bind((CONTROL_HOST, 0))
         self._sock.listen(64)
         self.address = Address(*self._sock.getsockname()[:2])
         self._accept_thread = threading.Thread(

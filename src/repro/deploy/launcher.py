@@ -8,8 +8,9 @@ which is why the paper picks it despite the extra latency.  This module
 reproduces those semantics with real processes:
 
 * the node program "starts itself everywhere": one *fork server* per
-  host boots from this checkout, and every agent is a ``fork()`` of it
-  (:class:`ForkServer`);
+  host boots from this checkout (or, under ``kascade deploy``/``serve``,
+  is forked from the CLI process), and every agent is a ``fork()`` of
+  it (:class:`ForkServer`);
 * at most ``window`` agents are simultaneously in their spawn→register
   phase (a ``ThreadPoolExecutor`` bounds the in-flight set);
 * an agent that exits before registering, or never registers within
@@ -71,13 +72,15 @@ def spawn_env() -> dict:
 
 class ProcessHandle:
     """One forked agent as its supervisor sees it: the part of
-    :class:`subprocess.Popen` the launcher and the reaper use.
+    :class:`subprocess.Popen` the launcher and the reaper use (and a
+    :class:`ForkServer` uses of a server it adopted).
 
-    The fork server reaps the child and reports its status
-    (``returncode``, a signal as a negative code).  :meth:`kill`
-    goes through a pidfd the server handed over with the pid: it names
-    this process and no other, so a signal that comes after the child
-    was reaped reaches nobody, never whoever got the pid next.
+    Whoever reaps the child reports its status through :meth:`exited`
+    (``returncode``, a signal as a negative code) — for an agent, the
+    fork server.  :meth:`kill` goes through a pidfd that was opened
+    with the pid: it names this process and no other, so a signal that
+    comes after the child was reaped reaches nobody, never whoever got
+    the pid next.
     """
 
     def __init__(self, pid: int, pidfd: int) -> None:
@@ -113,24 +116,37 @@ class ProcessHandle:
                     pass  # exited; its status is on its way
 
 
+def _wait_for(handle: ProcessHandle) -> None:
+    """Reap this process's child ``handle`` once it exits."""
+    _pid, status = os.waitpid(handle.pid, 0)
+    handle.exited(os.waitstatus_to_exitcode(status))
+
+
 class ForkServer:
     """``spawn(name, attempt)`` for one host: every agent is a ``fork()``
     of one warm agent.
 
     The one thing that starts agent processes: first spawns and retries
-    of a one-shot and of a ``kascade serve`` fleet alike.  The first
-    spawn starts the *fork server*: ``python -S -m repro.cli.kascade
-    agent argv --fork-server FD`` on this checkout (:func:`spawn_env`),
-    stdin on ``/dev/null``, which loads what an agent runs and then
-    only forks (:func:`repro.deploy.agent.serve_forks`);
-    ``server_boot_s`` is the time from its start to its ``ready``.
-    Each spawn is a request on a private socket pair; the child runs
-    ``kascade agent argv --name <name>`` plus ``agent_args(name,
-    attempt)`` (how tests make specific attempts fail), and with
-    ``stderr_dir`` writes its stderr to ``<dir>/<name>.stderr.log``
-    (the server's own to ``fork-server.stderr.log``) instead of
-    ``/dev/null``.  Every forked agent's command line is the server's,
-    so ``pgrep -f "repro.cli.kascade [a]gent"`` finds them all.
+    of a one-shot and of a ``kascade serve`` fleet alike.  The server,
+    which loads what an agent runs and then only forks
+    (:func:`repro.deploy.agent.serve_forks`), starts one of two ways:
+
+    * *exec'd* — this constructor: the first spawn starts ``python -S -m
+      repro.cli.kascade agent argv --fork-server FD`` on this checkout
+      (:func:`spawn_env`), stdin on ``/dev/null``;
+    * *forked* — :meth:`adopt`: ``kascade deploy`` and ``kascade serve``
+      fork theirs from the CLI process at entry, before they import the
+      supervisor, and their fleet adopts it.
+
+    ``server_boot_s`` is the time from the exec or the fork to the
+    server's ``ready``.  From there on the two are one: each spawn is a
+    request on a private socket pair; the child runs ``kascade agent
+    argv --name <name>`` plus ``agent_args(name, attempt)`` (how tests
+    make specific attempts fail), and with ``stderr_dir`` writes its
+    stderr to ``<dir>/<name>.stderr.log`` (the server's own to
+    ``fork-server.stderr.log``) instead of ``/dev/null``.  Every forked
+    agent's command line is the server's: ``… repro.cli.kascade agent
+    …`` for an exec'd one, the CLI's own for a forked one.
 
     A server that does not boot or answer within ``boot_timeout`` is
     killed.  Once the server is gone every spawn fails as a launch
@@ -144,22 +160,25 @@ class ForkServer:
     def __init__(
         self,
         python: str,
-        argv: Sequence[str],
+        argv: Sequence[str] = (),
         *,
         stderr_dir: Optional[str] = None,
         agent_args: Optional[Callable[[str, int], Sequence[str]]] = None,
         boot_timeout: float = 15.0,
     ) -> None:
         self.server_boot_s = 0.0
-        self._argv = [str(a) for a in argv]
-        self._cmd = [python, "-S", "-m", "repro.cli.kascade", "agent",
-                     *self._argv]
+        self._python = python
+        #: What every agent's command line starts with, and the hook
+        #: that adds to it: a fleet that adopts a forked server, which
+        #: was started before the fleet had a coordinator, sets both.
+        self.argv = [str(a) for a in argv]
+        self.agent_args = agent_args
         self._stderr_dir = stderr_dir
-        self._agent_args = agent_args
         self._boot_timeout = boot_timeout
         self._lock = threading.Lock()
-        #: The server process; ``None`` until the first spawn.
-        self.proc: Optional[subprocess.Popen] = None
+        #: The server process (a ``Popen``, or a :class:`ProcessHandle`
+        #: when forked); ``None`` until it starts.
+        self.proc = None
         self._sock: Optional[socket.socket] = None
         self._reader: Optional[threading.Thread] = None
         self._started_at = 0.0
@@ -170,12 +189,29 @@ class ForkServer:
         self._pending: Dict[int, list] = {}  # request id -> [event, answer]
         self._children: Dict[int, ProcessHandle] = {}  # pid -> handle
 
+    @classmethod
+    def adopt(cls, pid: int, sock: socket.socket, forked_at: float, *,
+              stderr_dir: Optional[str] = None,
+              boot_timeout: float = 15.0) -> "ForkServer":
+        """The server this process forked itself: child ``pid``, forked
+        at ``forked_at`` (``time.monotonic()``), ``sock`` this end of its
+        request channel.  It is this process's own child, so a thread
+        here waits for it; that wait is its reaping."""
+        server = cls(sys.executable, stderr_dir=stderr_dir,
+                     boot_timeout=boot_timeout)
+        server.proc = ProcessHandle(pid, os.pidfd_open(pid))
+        threading.Thread(target=_wait_for, args=(server.proc,),
+                         name="fork-server-wait", daemon=True).start()
+        server._started_at = forked_at
+        server._listen(sock)
+        return server
+
     # -- spawning --------------------------------------------------------
 
     def __call__(self, name: str, attempt: int) -> ProcessHandle:
-        argv = [*self._argv, "--name", name]
-        if self._agent_args is not None:
-            argv += [str(a) for a in self._agent_args(name, attempt)]
+        argv = [*self.argv, "--name", name]
+        if self.agent_args is not None:
+            argv += [str(a) for a in self.agent_args(name, attempt)]
         stderr = (None if self._stderr_dir is None else
                   os.path.join(self._stderr_dir, f"{name}.stderr.log"))
         self._boot()
@@ -224,7 +260,8 @@ class ForkServer:
                     self._stderr_dir, "fork-server.stderr.log"), "ab")
             self._started_at = time.monotonic()
             self.proc = subprocess.Popen(
-                [*self._cmd, "--fork-server", str(theirs.fileno())],
+                [self._python, "-S", "-m", "repro.cli.kascade", "agent",
+                 *self.argv, "--fork-server", str(theirs.fileno())],
                 stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
                 stderr=stderr or subprocess.DEVNULL, env=spawn_env(),
                 pass_fds=(theirs.fileno(),))
@@ -235,7 +272,10 @@ class ForkServer:
             theirs.close()
             if stderr is not None:
                 stderr.close()
-        self._sock = ours
+        self._listen(ours)
+
+    def _listen(self, sock: socket.socket) -> None:
+        self._sock = sock
         self._reader = threading.Thread(target=self._read,
                                         name="fork-server", daemon=True)
         self._reader.start()
@@ -376,9 +416,11 @@ class LaunchReport:
     window: int
     total_s: float
     nodes: Dict[str, NodeLaunch]
-    #: The fork server's start → ready: the one interpreter boot of the
-    #: wave, inside ``total_s``; each node's ``startup_s`` is then its
-    #: own fork → register.
+    #: The fork server's start → ready: the one boot of the wave.  An
+    #: exec'd server boots inside ``total_s``; one the CLI forked at
+    #: entry counts from that fork, so its boot mostly overlaps the
+    #: CLI's own imports, before the wave.  Each node's ``startup_s`` is
+    #: then its own fork → register.
     server_boot_s: float = 0.0
 
     @property

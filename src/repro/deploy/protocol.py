@@ -26,7 +26,8 @@ Message vocabulary (``op`` field; every message but ``hello``,
                                      node's ports, the config, the
                                      stream's size, and this agent's
                                      source/sink spec, crash plan and (a
-                                     head's) late-join thresholds
+                                     head's) late-join thresholds, and
+                                     whether the session is traced
 ``note``                  agent →    bytes stored when its crash plan
                                      fired (with the ``mode``; the signal
                                      to itself follows), or when a head
@@ -34,6 +35,7 @@ Message vocabulary (``op`` field; every message but ``hello``,
 ``session_status``        agent →    structured final outcome: ok/bytes/
                                      digest/error, the encoded ring report
                                      (head only), perfstats, trace events
+                                     (none when untraced)
 ``failover``              → agent    the head died: detach, keep the sink,
                                      rebind
 ``failover_ready``        agent →    exact stream offset + the fresh port

@@ -133,7 +133,7 @@ class BroadcastSession:
     * ``procs`` (one session on a fleet of agent processes): the fleet
       launch — ``window``, ``spawn_retries``, ``startup_timeout``,
       ``heartbeat_timeout``, ``python``, ``bind_host``, ``agent_args``,
-      ``stderr_dir`` — and the session: ``output_template``,
+      ``stderr_dir``, ``fork_server`` — and the session: ``output_template``,
       ``allow_head_chaos``, ``session_name``; see
       :class:`repro.daemon.DaemonServer`, whose fleet is launched for
       the one session, without a chunk cache (no second session could
@@ -235,7 +235,7 @@ class BroadcastSession:
     #: this one session and torn down after.
     _FLEET_OPTS = frozenset({
         "window", "spawn_retries", "startup_timeout", "heartbeat_timeout",
-        "python", "bind_host", "agent_args", "stderr_dir",
+        "python", "bind_host", "agent_args", "stderr_dir", "fork_server",
         "output_template", "allow_head_chaos", "session_name",
         "server",
     })

@@ -15,6 +15,7 @@ from repro.core import BytesSource, KascadeConfig, KascadeError
 from repro.core.sinks import HashingSink
 from repro.core.sources import PatternSource
 from repro.core.tracing import (
+    CHUNK,
     DETECTOR_ERROR,
     DETECTOR_PING,
     DETECTOR_PROC_EXIT,
@@ -90,6 +91,30 @@ class TestCleanRun:
         for name in ("n2", "n3"):
             data = (tmp_path / f"{name}.out").read_bytes()
             assert data == source.expected_bytes(0, source.size)
+
+    def test_an_untraced_run_costs_its_agents_no_trace(self, monkeypatch):
+        """``session_start`` says whether the session is traced: an
+        untraced one's statuses carry no events, a traced one's do."""
+        from repro.daemon import DaemonServer
+
+        statuses = []
+        collect = DaemonServer._collect
+
+        def recording(self, sess, *args):
+            statuses.append(dict(sess.statuses))
+            return collect(self, sess, *args)
+
+        monkeypatch.setattr(DaemonServer, "_collect", recording)
+        runs = {trace: run_broadcast(PatternSource(512 * 1024),
+                                     ["n2", "n3"], trace=trace, **PROCS)
+                for trace in (None, True)}
+        assert all(result.ok for result in runs.values())
+        untraced, traced = statuses
+        assert sorted(untraced) == sorted(traced) == ["n1", "n2", "n3"]
+        assert {status["trace"] for status in untraced.values()} == {""}
+        assert runs[None].trace is None
+        assert all(status["trace"] for status in traced.values())
+        assert runs[True].trace.of_type(CHUNK)
 
     def test_local_backend_unaffected_by_launch_field(self):
         result = run_broadcast(BytesSource(b"x" * 65536), ["n2"],

@@ -35,6 +35,7 @@ from typing import Dict, Optional, Set, Tuple
 from .errors import KascadeError
 from .perfstats import PerfStats, get_stats
 from .record import Frozen
+from .sinks import Sink
 
 __all__ = ["ArtifactMeta", "CacheTapSink", "ChunkCache", "chunk_count"]
 
@@ -225,7 +226,7 @@ class ChunkCache:
             self._pinned.discard(digest)
 
 
-class CacheTapSink:
+class CacheTapSink(Sink):
     """Sink wrapper feeding a :class:`ChunkCache` on the receive path.
 
     Sits outermost in a receiver's sink chain so it observes the stream
@@ -271,3 +272,6 @@ class CacheTapSink:
 
     def abort(self) -> None:
         self.inner.abort()
+
+    def close(self) -> None:
+        self.inner.close()

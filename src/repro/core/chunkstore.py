@@ -11,12 +11,16 @@ The buffer stores contiguous stream data only; offsets are absolute
 positions in the broadcast stream.
 
 Zero-copy contract: chunks are retained exactly as handed in — ``bytes``
-or ``memoryview`` — without a defensive copy.  The runtime passes
-memoryviews into pooled receive buffers; holding them here is what keeps
-those buffers from being recycled while a replay might still need them
-(see :mod:`repro.core.buffers` and ``docs/PROTOCOL.md``).  A caller that
-appends a view therefore promises not to mutate the viewed bytes for as
-long as they sit inside the window.
+or ``memoryview`` — without a defensive copy, and a
+:class:`~repro.core.framing.Run` (a relayed burst, a head's segment) as
+the one value it is: one entry for the whole run, trimmed chunk by
+chunk from its front as the window moves on, its views made only when a
+replay asks.  The runtime passes views into pooled receive buffers;
+holding them here is what keeps those buffers from being recycled while
+a replay might still need them (see :mod:`repro.core.buffers` and
+``docs/PROTOCOL.md`` §10).  A caller that appends a view therefore
+promises not to mutate the viewed bytes for as long as they sit inside
+the window.
 """
 
 from __future__ import annotations
@@ -25,11 +29,12 @@ from bisect import bisect_right
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from .errors import ChunkStoreError
+from .framing import Run
 
 Chunk = Union[bytes, memoryview]
 
 #: Compact the backing lists once this many evicted slots accumulate (and
-#: they outnumber the live chunks) — keeps append amortised O(1).
+#: they outnumber the live entries) — keeps append amortised O(1).
 _COMPACT_THRESHOLD = 64
 
 
@@ -52,11 +57,13 @@ class ChunkRingBuffer:
         if start_offset < 0:
             raise ChunkStoreError(f"negative start offset: {start_offset}")
         self._capacity = capacity
-        # Parallel arrays indexed together; slots below _first are evicted
-        # (data refs dropped eagerly so pooled buffers can recycle).
+        # Parallel arrays indexed together, one slot per chunk or run
+        # (its first live byte, its data); slots below _first are
+        # evicted (data refs dropped eagerly so pooled buffers can
+        # recycle).
         self._offsets: List[int] = []
-        self._data: List[Optional[Chunk]] = []
-        self._first = 0  # index of the oldest live chunk
+        self._data: List[Optional[Union[Chunk, Run]]] = []
+        self._first = 0  # index of the oldest live entry
         #: Oldest stream offset still buffered (the FORGET(o) value) and
         #: one past the newest buffered byte.  Plain attributes, read on
         #: every chunk of every simulated transfer — do not assign from
@@ -95,13 +102,14 @@ class ChunkRingBuffer:
         """Append the next stream chunk: :meth:`extend` with a run of one."""
         self.extend((data,))
 
-    def extend(self, chunks: Iterable[Chunk]) -> None:
+    def extend(self, chunks: Union[Run, Iterable[Chunk]]) -> None:
         """Append consecutive stream chunks, then evict old ones once.
 
         Chunks are retained **by reference** (no copy): callers handing
         in a memoryview of a pooled buffer must not recycle the underlying
         bytes while the chunk remains in the window — the runtime's buffer
-        pool guarantees this by probing for live views before reuse.
+        pool guarantees this by probing for live views before reuse.  A
+        :class:`~repro.core.framing.Run` is stored as one entry.
 
         Empty chunks are skipped.  A chunk larger than the whole capacity
         is rejected (chunk_size > buffer_bytes, a configuration error: such
@@ -110,37 +118,47 @@ class ChunkRingBuffer:
         capacity = self._capacity
         offsets, data = self._offsets, self._data
         end = self.end_offset
+        run = chunks.__class__ is Run
         try:
-            for chunk in chunks:
-                size = len(chunk)
+            for chunk in (chunks,) if run else chunks:
+                size = chunk.size if run else len(chunk)
                 if size > capacity:
                     raise ChunkStoreError(f"chunk of {size} bytes exceeds "
                                           f"buffer capacity {capacity}")
                 if size:
                     offsets.append(end)
                     data.append(chunk)
-                    end += size
+                    end += chunk.nbytes if run else size
         finally:
             self.end_offset = end
             if end - self.min_offset > capacity:
                 self._evict()
 
     def _evict(self) -> None:
-        """Drop the oldest chunks until the window fits the capacity."""
-        chunks = self._data
+        """Drop the oldest chunks until the window fits the capacity: as
+        many whole chunks of the oldest entry as it takes, the entry once
+        it has none left."""
+        entries = self._data
         first = self._first
         low = self.min_offset
         overflow = self.end_offset - self._capacity
         while low < overflow:
-            old = chunks[first]
-            chunks[first] = None  # drop the ref *now*
+            old = entries[first]
+            if old.__class__ is Run:
+                skip = -((low - overflow) // old.size)  # chunks, rounded up
+                if skip < old.count:
+                    entries[first] = old.tail(skip)
+                    low += skip * old.size
+                    self._offsets[first] = low
+                    break
+            entries[first] = None  # drop the ref *now*
             first += 1
-            low += len(old)
+            low += old.nbytes if old.__class__ is Run else len(old)
         self._first = first
         self.min_offset = low
-        if first >= _COMPACT_THRESHOLD and first * 2 >= len(chunks):
+        if first >= _COMPACT_THRESHOLD and first * 2 >= len(entries):
             del self._offsets[:first]
-            del chunks[:first]
+            del entries[:first]
             self._first = 0
 
     def _start_index(self, offset: int) -> int:
@@ -155,28 +173,15 @@ class ChunkRingBuffer:
         if ``offset`` precedes :attr:`min_offset` (the FORGET case) or lies
         beyond the buffered end.
         """
-        if not self.covers(offset):
-            raise ChunkStoreError(
-                f"offset {offset} outside buffered window "
-                f"[{self.min_offset}, {self.end_offset}]"
-            )
         want = self.end_offset - offset
         if limit is not None:
             want = min(want, limit)
-        if want == 0:
-            return b""
         parts = []
-        remaining = want
-        for idx in range(self._start_index(offset), len(self._data)):
-            chunk_off, chunk = self._offsets[idx], self._data[idx]
-            lo = max(0, offset - chunk_off)
-            if lo >= len(chunk):  # offset sits exactly at this chunk's end
-                continue
-            piece = chunk[lo: lo + remaining]
-            parts.append(piece)
-            remaining -= len(piece)
-            if remaining == 0:
+        for _offset, piece in self.iter_chunks_from(offset):
+            if want <= 0:
                 break
+            parts.append(piece[:want])
+            want -= len(parts[-1])
         return b"".join(parts)
 
     def iter_chunks_from(self, offset: int) -> Iterator[Tuple[int, Chunk]]:
@@ -185,7 +190,8 @@ class ChunkRingBuffer:
         Pieces follow the stored chunk boundaries (the first may be a chunk
         suffix), so a recovering sender can replay them as DATA frames of
         familiar sizes.  Pieces are served zero-copy: a stored memoryview
-        is yielded as (a slice of) itself.
+        is yielded as (a slice of) itself, a run's chunks as views of its
+        buffer.
         """
         if not self.covers(offset):
             raise ChunkStoreError(
@@ -193,11 +199,20 @@ class ChunkRingBuffer:
                 f"[{self.min_offset}, {self.end_offset}]"
             )
         for idx in range(self._start_index(offset), len(self._data)):
-            chunk_off, chunk = self._offsets[idx], self._data[idx]
-            if chunk_off >= offset:
-                yield chunk_off, chunk
-            elif chunk_off + len(chunk) > offset:
-                yield offset, chunk[offset - chunk_off:]
+            entry_off, entry = self._offsets[idx], self._data[idx]
+            if entry.__class__ is Run:
+                size = entry.size
+                skip = max(0, (offset - entry_off) // size)
+                pieces = zip(range(entry_off + skip * size,
+                                   entry_off + entry.nbytes, size),
+                             entry.tail(skip))
+            else:
+                pieces = ((entry_off, entry),)
+            for chunk_off, chunk in pieces:
+                if chunk_off >= offset:
+                    yield chunk_off, chunk
+                elif chunk_off + len(chunk) > offset:
+                    yield offset, chunk[offset - chunk_off:]
 
     def note_advance(self, size: int) -> None:
         """Advance the stream position by ``size`` bytes retaining nothing.

@@ -42,7 +42,8 @@ The port (duck-typed; ``*`` marks generators):
 
 A stream: ``recv(timeout)*`` → ``(message, payload)``,
 ``try_recv_run()`` → the DATA frames already buffered as one
-``(first_offset, payloads, wire)`` or ``None``, ``cork(message,
+``(first_offset, payloads, wire)`` or ``None`` (``payloads`` a
+:class:`~repro.core.framing.Run` or a list), ``cork(message,
 payload)``, ``cork_run(first_offset, payloads, wire)``,
 ``flush(timeout)*``, ``pending_bytes``, ``wake_reader()`` (end a
 ``recv``, now or next, with ``ConnectionError``), ``close()``, and
@@ -58,7 +59,7 @@ from . import tracing
 from .config import KascadeConfig
 from .errors import (FramingError, NodeFailedError, ProtocolError, SinkError,
                      TransferAborted)
-from .framing import encode_run
+from .framing import Run, encode_run, run_nbytes
 from .messages import (Data, End, Forget, Get, Passed, PGet, Ping, Pong, Quit,
                        Report)
 from .node_state import NodeTransferState, Phase
@@ -359,8 +360,9 @@ class Link:
         the tail).
 
         ``payloads`` are consecutive chunks starting at ``first_offset``
-        and ``wire`` their wire bytes, headers included: the one view a
-        relay received them in, or the head's ``encode_run`` buffer list.
+        (a :class:`~repro.core.framing.Run` or a list) and ``wire`` their
+        wire bytes, headers included: the one view a relay received them
+        in, or the head's ``encode_run`` buffer list.
         When the link stands exactly at the run's start those bytes are
         queued as they are — a relayed frame is the received frame.
         Otherwise (a replacement's GET replay already covered part of
@@ -371,7 +373,7 @@ class Link:
             return
         if self.sent_offset == first_offset:
             self.stream.cork_run(first_offset, payloads, wire)
-            self.sent_offset = first_offset + sum(map(len, payloads))
+            self.sent_offset = first_offset + run_nbytes(payloads)
             return
         for payload in payloads:
             self.cork_data(first_offset, payload)
@@ -493,7 +495,7 @@ class Node:
         self.state = state
         self.link = Link(name, self.plan, port, config, state, tracer)
         self.outcome = NodeOutcome(name=name)
-        #: Where stored chunks go besides the ring: a receiver's sink.
+        #: Where stored runs go besides the ring: a receiver's sink.
         self._write = None
 
     def on_connection(self, kind: bytes, stream) -> None:
@@ -530,7 +532,9 @@ class Node:
     # -- data plane: the run is the unit --------------------------------
 
     def _store_run(self, first_offset: int, payloads) -> None:
-        """Account for a run at once, trace its chunks, keep them.
+        """Account for a run at once, trace its chunks, keep them: the
+        ring and the sink take a :class:`~repro.core.framing.Run` whole,
+        and its chunks' views are made only for what asks for them.
 
         A node with a crash gate (a planned victim, a deploy agent
         reporting progress) walks its run as runs of one: the gate is asked
@@ -553,8 +557,7 @@ class Node:
                 offset += len(payload)
         write = self._write
         if write is not None:
-            for payload in payloads:
-                write(payload)
+            write(payloads)
         stored = self.outcome.bytes_received = state.buffer.end_offset
         if gate is not None:
             mode = gate(stored)
@@ -675,13 +678,19 @@ class Head(Node):
                     yield from port.sleep(delay)
                     if self.quit_requested:
                         break
-            # One segment is one run: sliced into chunk views, stored,
-            # framed and corked at once.  A large chunk is a run of one and
-            # leaves at once: chunk-by-chunk backpressure, as ever.
+            # One segment is one run: stored, framed and corked at once.
+            # A large chunk is a run of one and leaves at once:
+            # chunk-by-chunk backpressure, as ever.  Only a short
+            # segment (the source's last, a pipe's short read) is cut
+            # into a list of views.
             off = state.offset
             view = memoryview(segment)
-            chunks = [view[i: i + chunk_size]
-                      for i in range(0, len(view), chunk_size)]
+            count, rest = divmod(len(view), chunk_size)
+            if rest:
+                chunks = [view[i: i + chunk_size]
+                          for i in range(0, len(view), chunk_size)]
+            else:
+                chunks = Run(view, 0, chunk_size, chunk_size, count)
             self._store_run(off, chunks)
             if not (yield from link.send_run(off, chunks,
                                              encode_run(off, chunks))):
@@ -738,7 +747,7 @@ class Receiver(Node):
         state = NodeTransferState(name, config)
         super().__init__(name, plan, port, config, state, crash_gate, tracer)
         self.sink = sink
-        self._write = sink.write_chunk
+        self._write = sink.write_run
         if resume_offset:
             # Resuming after a head re-root: bytes up to ``resume_offset``
             # are already in the (retained) sink; the GET this node sends

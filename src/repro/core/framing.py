@@ -31,6 +31,7 @@ stream of large frames rotates between frames and copies nothing.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from typing import Iterator, List, Optional, Tuple, Union
 
 from .buffers import BufferPool, Segment
@@ -89,13 +90,75 @@ _MAX_HEADER = 1 + 8 * 2  # largest header on the wire (DATA/PGET)
 _DATA_OP = int(Op.DATA)
 _DATA_HEADER = _HEADER_STRUCTS[Op.DATA].size
 
-#: What :meth:`FrameDecoder.try_pop_run` returns: the stream offset of
-#: the run's first chunk, one payload view per chunk, and one view over
-#: the run's wire bytes (headers included).
-DataRun = Tuple[int, List[memoryview], memoryview]
-
 #: Buffer payloads handed out by the decoder: zero-copy views.
 Payload = Union[bytes, memoryview]
+
+
+class Run:
+    """``count`` chunks of ``size`` bytes, one every ``stride`` bytes of
+    ``buf`` from ``start``: the payloads of equal ``DATA`` frames where
+    they lie in a receive buffer (``stride`` = header + ``size``), or a
+    head's source segment cut into chunks (``stride`` = ``size``).
+
+    The run is one value: ``len`` (chunks) and :attr:`nbytes` (payload
+    bytes) are arithmetic, and a ring, a sink or a send queue can take
+    it whole.  Indexed or iterated, it makes its chunks' views, and only
+    then — for what needs the bytes: a trace, a crash gate, a digest, a
+    file.  Every view — ``buf`` included — pins the buffer like any
+    payload view.
+    """
+
+    __slots__ = ("buf", "start", "stride", "size", "count", "nbytes")
+
+    def __init__(self, buf: memoryview, start: int, stride: int, size: int,
+                 count: int) -> None:
+        self.buf = buf
+        self.start = start
+        self.stride = stride
+        self.size = size
+        self.count = count
+        self.nbytes = size * count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, index: int) -> memoryview:
+        if index < 0:
+            index += self.count
+        if not 0 <= index < self.count:
+            raise IndexError("run index out of range")
+        pos = self.start + index * self.stride
+        return self.buf[pos: pos + self.size]
+
+    def __iter__(self) -> Iterator[memoryview]:
+        buf, start, stride, size = self.buf, self.start, self.stride, self.size
+        return iter([buf[pos: pos + size] for pos in
+                     range(start, start + self.count * stride, stride)])
+
+    def tail(self, skip: int) -> "Run":
+        """The same run without its first ``skip`` chunks."""
+        return Run(self.buf, self.start + skip * self.stride, self.stride,
+                   self.size, self.count - skip)
+
+
+def run_nbytes(chunks) -> int:
+    """Payload bytes of a run: a :class:`Run` or a sequence of chunks."""
+    if chunks.__class__ is Run:
+        return chunks.nbytes
+    return sum(map(len, chunks))
+
+
+#: What :meth:`FrameDecoder.try_pop_run` returns: the stream offset of
+#: the run's first chunk, its chunks as one :class:`Run`, and one view
+#: over the run's wire bytes (headers included).
+DataRun = Tuple[int, Run, memoryview]
+
+
+@lru_cache(maxsize=64)
+def _frame_struct(size: int) -> struct.Struct:
+    """A DATA header followed by the ``size`` payload bytes it skips: one
+    frame of a run as it lies on the wire, unpacked in place."""
+    return struct.Struct(f">BQQ{size}x")
 
 
 def encode_header(msg: Message) -> bytes:
@@ -129,7 +192,8 @@ def encode_run(first_offset: int, chunks) -> List[Payload]:
     in one pass into one buffer, views of it alternating with the chunks
     as given (no payload copy).  Joined, it is byte for byte
     ``encode_header(Data(offset, len(c))) + c`` per chunk; the receiving
-    side is :meth:`FrameDecoder.try_pop_run`.
+    side is :meth:`FrameDecoder.try_pop_run`.  ``chunks`` is a
+    :class:`Run` or a sequence of buffers.
     """
     headers = memoryview(bytearray(len(chunks) * _DATA_HEADER))
     pack_into = _HEADER_STRUCTS[Op.DATA].pack_into
@@ -429,50 +493,53 @@ class FrameDecoder:
         return self.try_pop()
 
     def try_pop_run(self) -> Optional[DataRun]:
-        """Pop every complete ``DATA`` frame that continues the stream.
+        """Pop the complete ``DATA`` frames that continue the stream.
 
         A *run* is the longest sequence of complete, non-empty ``DATA``
-        frames at the parse position whose offsets follow one another
-        (the first one's is unconstrained).  It is walked in place — one
-        opcode compare and one ``unpack_from`` per frame, no
+        frames of one size at the parse position whose offsets follow
+        one another (the first one's is unconstrained).  It is checked
+        in place with one cached ``struct`` — every header the buffered
+        bytes can hold, unpacked and compared at once, no
         :class:`Message` objects — and returned as ``(first_offset,
-        payloads, raw)``: ``payloads`` holds one view per frame, exactly
-        what :meth:`try_pop` would have yielded, and ``raw`` is a single
-        view over the same frames' wire bytes, headers included, which a
-        relay can queue downstream as they are.  All of them pin the
-        receive buffer like any payload view, and a run never crosses a
-        buffer rotation.
+        payloads, raw)``: ``payloads`` is a :class:`Run`, the sequence
+        of the views :meth:`try_pop` would have yielded, each made when
+        asked for;
+        ``raw`` is a single view over the same frames' wire
+        bytes, headers included, which a relay can queue downstream as
+        they are.  All of them pin the receive buffer like any payload
+        view, and a run never crosses a buffer rotation.
 
         Returns ``None`` when the next frame is anything else — another
         opcode, an incomplete, empty or oversized frame, a corrupt byte
         — and leaves it to :meth:`try_pop`, which returns or raises as
-        it always did; the two calls can be mixed freely.
+        it always did; the two calls can be mixed freely.  A frame of
+        another size starts the next run.
         """
         if self._pending is not None or self._buf is None:
             return None
-        buf = self._buf
-        fill = self._fill
-        start = pos = self._pos
+        buf, start, fill = self._buf, self._pos, self._fill
+        if fill - start < _DATA_HEADER or buf[start] != _DATA_OP:
+            return None
+        first, size = _2U64.unpack_from(buf, start + 1)
+        stride = _DATA_HEADER + size
+        if size == 0 or size > MAX_RECEIVE_ALLOC or start + stride > fill:
+            return None
         if self._mv is None:
             self._mv = memoryview(buf)
-        mv = self._mv
-        payloads: List[memoryview] = []
-        first = expected = -1
-        while fill - pos >= _DATA_HEADER and buf[pos] == _DATA_OP:
-            offset, need = _2U64.unpack_from(buf, pos + 1)
-            end = pos + _DATA_HEADER + need
-            if need == 0 or end > fill or need > MAX_RECEIVE_ALLOC:
-                break
-            if offset != expected:
-                if payloads:
-                    break
-                first = expected = offset
-            payloads.append(mv[pos + _DATA_HEADER: end])
-            pos = end
-            expected += need
-        if not payloads:
-            return None
-        self._pos = pos
-        self._last_need = len(payloads[-1])
-        self._stats.frames_decoded += len(payloads)
-        return first, payloads, mv[start:pos]
+        count = (fill - start) // stride  # if every frame is this size
+        if count > 1:
+            view = self._mv[start: start + count * stride]
+            ops, offsets, sizes = zip(*_frame_struct(size).iter_unpack(view))
+            view.release()
+            expected = range(first, first + count * size, size)
+            if (ops.count(_DATA_OP) != count or sizes.count(size) != count
+                    or offsets != tuple(expected)):
+                count = 1
+                while (ops[count] == _DATA_OP and sizes[count] == size
+                       and offsets[count] == expected[count]):
+                    count += 1
+        self._pos = end = start + count * stride
+        self._last_need = size
+        self._stats.frames_decoded += count
+        raw = self._mv[start:end]
+        return first, Run(raw, _DATA_HEADER, stride, size, count), raw

@@ -37,6 +37,17 @@ class Sink:
     def write_chunk(self, data) -> None:
         raise NotImplementedError
 
+    def write_run(self, chunks) -> None:
+        """Consume a run of consecutive chunks — a
+        :class:`~repro.core.framing.Run` or a list — handed over once.
+
+        The default writes chunk by chunk (a run makes each chunk's view
+        as it is asked for); a sink that needs no bytes takes the run
+        whole.  The chunks' views follow the rule of ``write_chunk``.
+        """
+        for chunk in chunks:
+            self.write_chunk(chunk)
+
     def reserve(self) -> None:
         """Reserve the space this sink was told to expect, once.
 
@@ -77,6 +88,11 @@ class NullSink(Sink):
 
     def write_chunk(self, data) -> None:
         self.bytes_written += len(data)
+
+    def write_run(self, chunks) -> None:
+        nbytes = getattr(chunks, "nbytes", None)  # a Run: no view made
+        self.bytes_written += (sum(map(len, chunks)) if nbytes is None
+                               else nbytes)
 
 
 class FileSink(Sink):

@@ -22,7 +22,7 @@ from ..core import tracing
 from ..core.cache import ArtifactMeta, ChunkCache
 from ..core.perfstats import get_stats
 from ..core.sinks import FileSink, HashingSink, NullSink, Sink
-from ..core.tracing import TraceCollector
+from ..core.tracing import NULL_TRACER, TraceCollector
 
 
 def _open_sink(output: Optional[str]) -> Sink:
@@ -34,6 +34,7 @@ def serve_from_cache(
     cache: ChunkCache,
     artifact: ArtifactMeta,
     output: Optional[str],
+    trace: bool = False,
 ) -> dict:
     """Replay a fully-cached artifact into the session sink; no wire I/O.
 
@@ -41,9 +42,11 @@ def serve_from_cache(
     :func:`~repro.deploy.agent.execute_transfer`'s, with ``bytes = 0``
     (nothing crossed the data plane) and ``from_cache`` carrying the
     replayed byte count — the coordinator's proof that the re-broadcast
-    cost zero upstream traffic.
+    cost zero upstream traffic.  Only a traced session (``trace``)
+    records a CACHE_HIT per chunk; an untraced one ships ``"trace": ""``,
+    as a wire transfer does.
     """
-    tracer = TraceCollector()
+    tracer = TraceCollector() if trace else NULL_TRACER
     trace_epoch = time.time()
     stats_before = get_stats().snapshot()
     digest_sink = HashingSink(_open_sink(output))
@@ -77,6 +80,6 @@ def serve_from_cache(
         "from_cache": served,
         "perfstats": {k: stats_after[k] - stats_before.get(k, 0)
                       for k in stats_after},
-        "trace": tracer.to_jsonl(),
+        "trace": tracer.to_jsonl() if tracer.enabled else "",
         "trace_epoch": trace_epoch,
     }

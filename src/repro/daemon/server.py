@@ -728,6 +728,7 @@ class DaemonServer:
                 "op": "session_serve_cached",
                 "session": sess.id,
                 "output": sess.output_for(name),
+                "trace": sess.tracer.enabled,
             })
         if warm:
             sess.note(f"{len(warm)} receiver(s) fully cached: "

@@ -507,7 +507,8 @@ def serve_sessions(
                                             name, cache=cache))
             elif op == "session_serve_cached" and state.artifact is not None:
                 start_worker(state, partial(serve_from_cache, name, cache,
-                                            state.artifact, msg.get("output")))
+                                            state.artifact, msg.get("output"),
+                                            bool(msg.get("trace"))))
             elif op in ("failover", "resume"):
                 state.events.put(("control", msg))
             elif op == "session_cancel" and state.worker is None:

@@ -236,6 +236,9 @@ class Coordinator:
         self._tracer = tracer
         self._cond = threading.Condition()
         self._agents: Dict[str, _Agent] = {}
+        #: Every accepted connection's channel and reader thread, hello
+        #: or not: what :meth:`close` ends.
+        self._served: List[Tuple[ControlChannel, threading.Thread]] = []
         self._closed = False
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -256,10 +259,18 @@ class Coordinator:
             except OSError:
                 return
             channel = ControlChannel(conn)
-            threading.Thread(
+            thread = threading.Thread(
                 target=self._serve, args=(channel,),
                 name="coord-agent", daemon=True,
-            ).start()
+            )
+            with self._cond:
+                if self._closed:
+                    channel.close()
+                    return
+                self._served = [(c, t) for c, t in self._served
+                                if t.is_alive()]
+                self._served.append((channel, thread))
+                thread.start()
 
     def _serve(self, channel: ControlChannel) -> None:
         try:
@@ -373,10 +384,23 @@ class Coordinator:
                     agent.last_heard = now
 
     def close(self) -> None:
-        self._closed = True
-        self._sock.close()
+        """Stop listening and end every connection and its thread.
+
+        The listener is shut down before it is closed: a close alone
+        leaves ``coord-accept`` blocked in ``accept()``, still taking
+        connections on the old port.
+        """
         with self._cond:
-            agents = list(self._agents.values())
-        for agent in agents:
-            agent.channel.close()
+            self._closed = True
+            served, self._served = self._served, []
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._sock.close()
+        for channel, _thread in served:
+            channel.close()
+        for thread in [self._accept_thread] + [t for _c, t in served]:
+            if thread is not threading.current_thread():
+                thread.join(timeout=5.0)
 

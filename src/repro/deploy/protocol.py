@@ -143,8 +143,8 @@ class ControlChannel:
                 raise DeployError(
                     f"control message exceeds {MAX_LINE} bytes"
                 )
-            self._sock.settimeout(timeout)
             try:
+                self._sock.settimeout(timeout)  # EBADF once closed: EOF
                 chunk = self._sock.recv(65536)
             except socket.timeout:
                 raise TimeoutError("control read stalled") from None

@@ -39,9 +39,9 @@ from __future__ import annotations
 import os
 import select
 import socket
-from collections import deque
-from itertools import islice
-from typing import BinaryIO, Deque, Optional, Tuple
+from bisect import bisect_right
+from itertools import accumulate
+from typing import BinaryIO, List, Optional, Tuple
 
 from ..core.buffers import BufferPool
 # The preamble bytes are the engine's connection kinds (table above).
@@ -102,9 +102,11 @@ class SocketStream:
         self._owns_pool = pool is None
         self._pool = pool if pool is not None else BufferPool(stats=self._stats)
         self._decoder = FrameDecoder(pool=self._pool, stats=self._stats)
-        #: Scatter/gather send queue: memoryviews awaiting the wire, in
-        #: order.  Partial sends slice the head view (zero-copy).
-        self._send_queue: Deque[memoryview] = deque()
+        #: Scatter/gather send queue: buffers awaiting the wire, in order,
+        #: held by reference as handed in (a buffer sent leaves the queue;
+        #: nothing here is ever released).  A partial send leaves a view
+        #: of the rest of the head buffer (zero-copy).
+        self._send_queue: List[Payload] = []
         self.pending_bytes = 0
         self._sendmsg = getattr(sock, "sendmsg", None)
         self._closed = False
@@ -193,11 +195,7 @@ class SocketStream:
     def _enqueue(self, data) -> None:
         if len(data) == 0:
             return
-        # Always take our *own* view of the buffer (a second export, not a
-        # copy): flush_pending releases queue entries once sent, and it
-        # must never release a view the caller still holds — e.g. the ring
-        # buffer's retained chunk that the relay path passes straight in.
-        self._send_queue.append(memoryview(data))
+        self._send_queue.append(data)
         self.pending_bytes += len(data)
 
     def send_message(
@@ -245,9 +243,10 @@ class SocketStream:
         queue = self._send_queue
         while queue:
             self._set_timeout(timeout)
+            batch = queue[:_SENDMSG_BATCH]
             try:
                 if self._sendmsg is not None:
-                    sent = self._sendmsg(list(islice(queue, _SENDMSG_BATCH)))
+                    sent = self._sendmsg(batch)
                 else:  # pragma: no cover - platforms without sendmsg
                     sent = self._sock.send(queue[0])
             except socket.timeout:
@@ -263,15 +262,14 @@ class SocketStream:
                 raise ConnectionError(f"send failed: {exc}") from exc
             self._stats.send_syscall(sent)
             self.pending_bytes -= sent
-            while sent > 0:
-                head = queue[0]
-                if sent >= len(head):
-                    sent -= len(head)
-                    queue.popleft()
-                    head.release()
-                else:
-                    queue[0] = head[sent:]  # zero-copy resume point
-                    sent = 0
+            # The buffers sent whole leave the queue at once; the first
+            # one left resumes where the send stopped.
+            ends = list(accumulate(map(len, batch)))
+            done = bisect_right(ends, sent)
+            del queue[:done]
+            cut = sent - ends[done - 1] if done else sent
+            if cut:
+                queue[0] = memoryview(queue[0])[cut:]  # zero-copy resume point
 
     def send_frame_from_file(
         self,
@@ -351,9 +349,8 @@ class SocketStream:
         """
         if not isinstance(wire, (list, tuple)):
             wire = (wire,)
-        views = [memoryview(buf) for buf in wire if len(buf)]  # as _enqueue
-        self._send_queue.extend(views)
-        self.pending_bytes += sum(map(len, views))
+        self._send_queue += filter(None, wire)  # the non-empty, as _enqueue
+        self.pending_bytes += sum(map(len, wire))
         self._stats.frames_sent += len(payloads)
 
     def recv(self, timeout: float):
@@ -408,12 +405,11 @@ class SocketStream:
             except OSError:
                 pass
             self._sock.close()
-            # Release queue views and the decoder's buffer so the pool's
+            # Drop the queued buffers and the decoder's so the pool's
             # segments stop being pinned by this stream, and hand the
             # segments themselves — a ring may pin some a while longer —
             # to the process-wide reserve for the next stream.
-            while self._send_queue:
-                self._send_queue.popleft().release()
+            self._send_queue.clear()
             self.pending_bytes = 0
             self._decoder.close()
             if self._owns_pool:
@@ -536,6 +532,12 @@ class Listener:
         return kind, SocketStream(conn)
 
     def close(self) -> None:
+        """Stop listening, ending an ``accept`` blocked in another thread
+        now (a close alone leaves it blocked until its timeout)."""
         if not self._closed:
             self._closed = True
+            try:
+                self._sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             self._sock.close()

@@ -150,6 +150,32 @@ class TestDemo:
         assert "BrokenPipeError" not in proc.stderr, proc.stderr
         assert proc.returncode == 0
 
+    @pytest.mark.parametrize("output,status", [(None, 0),
+                                               ("/nonexistent/{node}", 1)])
+    def test_a_piped_deploy_keeps_its_output_and_status(self, tmp_path,
+                                                        output, status):
+        """``kascade deploy … | cat``: every line reaches the pipe and
+        the command exits with the run's own status (1: no receiver
+        could open its output)."""
+        import subprocess
+        import sys
+
+        src = tmp_path / "x.bin"
+        src.write_bytes(b"z" * 100_000)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli.kascade", "deploy", "-n", "2",
+             "-i", str(src), *(["-o", output] if output else [])],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            timeout=120)
+        assert proc.returncode == status, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0].startswith("100000 bytes to ")
+        assert lines[1].startswith("launch: 3/3 agents")
+        assert [line.split(":")[0] for line in lines[-3:]] == [
+            "  n1", "  n2", "  n3"]
+        assert proc.stdout.endswith("\n")
+
     def test_demo_striped_to_files(self, tmp_path, capsys):
         src = tmp_path / "payload.bin"
         src.write_bytes(bytes((i * 31) % 256 for i in range(300_000)))

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.core.cache import ArtifactMeta, CacheTapSink, ChunkCache, chunk_count
+from repro.core.config import KascadeConfig
 from repro.core.errors import KascadeError
 from repro.core.perfstats import PerfStats
 from repro.core.sinks import BufferSink
+from repro.core.sources import PatternSource
+from repro.runtime import LocalBroadcast
 
 DIG_A = "a" * 64
 DIG_B = "b" * 64
@@ -150,3 +153,31 @@ class TestCacheTapSink:
         assert (stats.cache_misses, stats.cache_hits) == (3, 0)
         assert cache.get(DIG_A, 0) == payload[:16]
         assert cache.get(DIG_A, 2) == payload[32:]  # short tail chunk
+
+    @pytest.mark.parametrize("depth", [0, 8])
+    def test_a_receivers_sink_with_and_without_writeback(self, depth):
+        """A cached receiver's sink, as an agent builds it: with
+        writeback depth 0 the receiver hands runs to the tap itself."""
+        chunk = 4096
+        size = chunk * 64 + 100
+        source = PatternSource(size)
+        art = ArtifactMeta(DIG_A, size=size, chunk_size=chunk)
+        taps = {}
+
+        def sink_factory(name):
+            cache, _ = make_cache(max_bytes=2 * size)
+            taps[name] = CacheTapSink(BufferSink(), cache, art)
+            return taps[name]
+
+        config = KascadeConfig(chunk_size=chunk, buffer_chunks=4,
+                               io_timeout=0.25, ping_timeout=0.2,
+                               connect_timeout=0.5, report_timeout=6.0,
+                               sink_writeback_depth=depth)
+        result = LocalBroadcast(source, ["n2", "n3"], config=config,
+                                sink_factory=sink_factory).run(timeout=60)
+        assert result.ok, {n: o.error for n, o in result.outcomes.items()}
+        expected = source.expected_bytes(0, size)
+        for tap in taps.values():
+            assert tap.inner.getvalue() == expected
+            assert tap.cache.has_artifact(DIG_A, art.chunks)
+            assert tap.cache.get(DIG_A, art.chunks - 1) == expected[-100:]

@@ -17,10 +17,12 @@ from repro.core import (
     Data,
     End,
     Forget,
+    FrameDecoder,
     FramingError,
     Get,
     KascadeConfig,
     Passed,
+    PerfStats,
     PGet,
     Ping,
     Pong,
@@ -29,6 +31,7 @@ from repro.core import (
     Report,
     TransferAborted,
     TransferReport,
+    encode_header,
 )
 from repro.core.engine import (
     DATA_CONN,
@@ -583,3 +586,66 @@ class TestRingClosure:
         drive(head.run())
         assert not head.outcome.ok and down.kinds[-2:] == ["Quit", "Report"]
         assert head.state.offset == 800  # two runs out, the third dropped at the quit
+
+
+class RunStream(FakeStream):
+    """A stream that hands a burst over as a relay's socket does: the
+    DATA frames behind the first, decoded into one ``Run``; and takes a
+    run whole, recording it without looking at its chunks."""
+
+    def try_recv_run(self):
+        wire = b""
+        while self.script and isinstance(self.script[0], tuple) \
+                and isinstance(self.script[0][0], Data):
+            msg, payload = self.script.popleft()
+            wire += encode_header(msg) + payload
+        if not wire:
+            return None
+        decoder = FrameDecoder(stats=PerfStats())
+        decoder.feed(wire)
+        return decoder.try_pop_run()
+
+    def cork_run(self, first_offset, payloads, wire):
+        self.corked.append(("run", first_offset, len(payloads), bytes(wire)))
+
+    @property
+    def pending_bytes(self):
+        return len(self.corked)
+
+
+class TestTheRunIsOneValue:
+    def test_a_relayed_run_makes_no_per_frame_sink_or_ring_call(
+            self, monkeypatch):
+        """A 64-frame burst into a NullSink: the ring and the sink take
+        the run once, no chunk view is made, and it leaves downstream
+        as the bytes it came in."""
+        from repro.core.chunkstore import ChunkRingBuffer
+        from repro.core.framing import Run
+        from repro.core.sinks import NullSink
+        from repro.core.tracing import NULL_TRACER
+
+        calls = []
+
+        def spy(cls, name):
+            real = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda self, *args: (
+                calls.append(name), real(self, *args))[1])
+
+        for cls, name in ((NullSink, "write_chunk"), (NullSink, "write_run"),
+                          (ChunkRingBuffer, "extend"), (Run, "__iter__"),
+                          (Run, "__getitem__")):
+            spy(cls, name)
+        port = FakePort()
+        stream = stream_of(65)
+        down = RunStream(port, [(Get(0), b""), (Passed(), b"")])
+        port.dial[("n3", DATA_CONN)] = deque([down])
+        node = Receiver("n2", PLAN, port, CFG, NullSink(), tracer=NULL_TRACER)
+        node.adopt_data_connection(RunStream(port, stream))
+        drive(node.run())
+
+        assert node.outcome.ok and node.sink.bytes_written == 6500
+        # The burst's first frame (from ``recv``), then its 64-frame run.
+        assert calls == ["extend", "write_run"] * 2
+        run_wire = b"".join(encode_header(m) + p for m, p in stream[1:65])
+        assert ("run", 100, 64, run_wire) in down.said
+        assert node.state.buffer.min_offset == 6500 - CFG.buffer_bytes

@@ -19,6 +19,7 @@ from repro.core import KascadeConfig, KascadeError
 from repro.core.sources import FileSource
 from repro.core.sinks import HashingSink
 from repro.core.sources import BytesSource
+from repro.core.tracing import CACHE_HIT
 from repro.daemon import DaemonServer, LateJoin
 from repro.runtime import CrashPlan
 
@@ -134,6 +135,21 @@ class TestWarmFleet:
                            stats.get("cache_misses", 0)))
         assert counts == [(0, lookups), (lookups, 0)]
 
+    def test_cache_replay_is_traced_only_in_a_traced_session(self, fleet,
+                                                            tmp_path):
+        """A warm receiver's replay shows one CACHE_HIT per chunk in a
+        traced session's trace; an untraced session has no trace."""
+        path = spool(tmp_path, "traced.bin", make_payload(47))
+        assert fleet.submit(FileSource(path), ["n2"], timeout=60.0).ok
+        untraced = fleet.submit(FileSource(path), ["n2"], timeout=60.0)
+        traced = fleet.submit(FileSource(path), ["n2"], timeout=60.0,
+                              trace=True)
+        assert untraced.ok and untraced.trace is None
+        assert traced.ok
+        hits = [e.offset for e in traced.trace.events()
+                if e.type == CACHE_HIT and e.node == "n2"]
+        assert hits == list(range(0, 1 << 20, FAST.chunk_size))
+
     def test_late_joiner_converges_on_a_chain_of_its_own(self, tmp_path):
         """A node let in mid-session gets a chain of its own from the
         head and ends with the full digest-verified copy, while the push
@@ -238,6 +254,23 @@ class TestLifecycle:
         assert procs, "fleet launched no processes?"
         assert {name: proc.returncode for name, proc in procs.items()} == \
             {name: 0 for name in procs}
+
+    def test_a_cached_fleet_without_writeback(self, tmp_path):
+        """Writeback depth 0: each receiver's cache tap is its sink
+        itself, unwrapped, on the cold run and under the warm one."""
+        payload = make_payload(37, size=512 * 1024)
+        path = spool(tmp_path, "nowb.bin", payload)
+        opts = dict(FLEET_OPTS, config=FAST.with_(sink_writeback_depth=0))
+        expected = hashlib.sha256(payload).hexdigest()
+        with DaemonServer(["n1", "n2", "n3"], **opts) as server:
+            for _ in ("cold", "warm"):
+                result = server.submit(FileSource(path), ["n2", "n3"],
+                                       timeout=60.0)
+                assert result.ok, {n: o.error
+                                   for n, o in result.outcomes.items()}
+                assert {result.outcomes[n].digest
+                        for n in ("n2", "n3")} == {expected}
+        assert result.perfstats["bytes_from_cache"] == 2 * len(payload)
 
     def test_run_broadcast_one_shot_fleet(self, tmp_path):
         """The blessed facade launches a fleet for one session when it

@@ -54,6 +54,29 @@ class TestConnectAndPreamble:
         with pytest.raises(TimeoutError):
             listener.accept(timeout=0.05)
 
+    def test_close_ends_an_accept_blocked_in_another_thread(self):
+        """A node's acceptor blocked in ``accept`` must leave at close,
+        not at its timeout: until then it holds the node."""
+        lst = Listener()
+        out = {}
+
+        def acceptor():
+            start = time.monotonic()
+            try:
+                lst.accept(timeout=5.0)
+            except (ConnectionError, TimeoutError) as exc:
+                out["exc"] = exc
+            out["waited"] = time.monotonic() - start
+
+        t = threading.Thread(target=acceptor)
+        t.start()
+        time.sleep(0.2)  # let it block in accept()
+        lst.close()
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+        assert isinstance(out["exc"], ConnectionError)
+        assert out["waited"] < 2.0
+
 
 class TestMessageExchange:
     def _pair(self, listener):

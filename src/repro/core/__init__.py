@@ -17,7 +17,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "NodeFailedError", "SimulationError", "SinkError", "ConfigError",
     ),
     "framing": ("MAX_RECEIVE_ALLOC", "FrameDecoder", "encode_header",
-                "encode_run"),
+                "frame_run"),
     "messages": ("Op", "Message", "Get", "PGet", "Forget", "Data", "End",
                  "Quit", "Report", "Passed", "Ping", "Pong"),
     "pipeline": ("hostname_sort_key", "order_by_hostname", "order_randomly"),

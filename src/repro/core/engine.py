@@ -59,12 +59,13 @@ from . import tracing
 from .config import KascadeConfig
 from .errors import (FramingError, NodeFailedError, ProtocolError, SinkError,
                      TransferAborted)
-from .framing import Run, encode_run, run_nbytes
+from .buffers import DEFAULT_SEGMENT
+from .framing import frame_run, run_nbytes
 from .messages import (Data, End, Forget, Get, Passed, PGet, Ping, Pong, Quit,
                        Report)
 from .node_state import NodeTransferState, Phase
 from .plan import StripePlan
-from .recovery import OfferKind, next_alive
+from .recovery import OfferKind, SourceKind, next_alive
 from .report import NodeOutcome, TransferReport
 from .sinks import Sink
 from .sources import Source
@@ -90,10 +91,17 @@ class InjectedCrash(Exception):
 #: (``"close"`` or ``"silent"``) to kill the node now, or ``None``.
 CrashGate = Callable[[int], Optional[str]]
 
-#: The head's run: it reads, frames and corks this many source bytes at
-#: once (fewer when the ring holds less: a run must not evict its own
-#: start before the first GET) and flushes once this many are pending.
-_HEAD_FLUSH_BYTES = 1 << 16
+#: The head's run: one receive segment's worth of chunks (fewer when the
+#: ring holds less: a run must not evict its own start before the first
+#: GET).  The head reads the run into its wire layout, frames it in
+#: place and flushes it as one buffer, so a relay gets the burst it will
+#: forward in one piece.  A chunk of a quarter segment (64 KiB) or more
+#: is a run of one, as it always was: a relay receives it alone whatever
+#: the head sends, and a second chunk would only hold the first back by
+#: a read.  A source that cannot be re-read (a pipe) keeps quarter-segment
+#: runs: its head's ring is the only replay there is, and a run as large
+#: as the ring would leave nothing of it behind the run in flight.
+_HEAD_FLUSH_BYTES = DEFAULT_SEGMENT
 
 
 class Link:
@@ -361,8 +369,8 @@ class Link:
 
         ``payloads`` are consecutive chunks starting at ``first_offset``
         (a :class:`~repro.core.framing.Run` or a list) and ``wire`` their
-        wire bytes, headers included: the one view a relay received them
-        in, or the head's ``encode_run`` buffer list.
+        wire bytes, headers included, as one buffer: the view a relay
+        received them in, or the segment the head framed them in.
         When the link stands exactly at the run's start those bytes are
         queued as they are — a relayed frame is the received frame.
         Otherwise (a replacement's GET replay already covered part of
@@ -666,38 +674,33 @@ class Head(Node):
             from .pacing import TokenBucket
             bucket = TokenBucket(cfg.bandwidth_limit)
         chunk_size = cfg.chunk_size
-        run_bytes = chunk_size * max(
-            1, min(_HEAD_FLUSH_BYTES, cfg.buffer_bytes) // chunk_size)
+        quarter = _HEAD_FLUSH_BYTES // 4  # (see _HEAD_FLUSH_BYTES)
+        run_bytes = (_HEAD_FLUSH_BYTES if chunk_size < quarter and
+                     self.source.kind is SourceKind.SEEKABLE_FILE else quarter)
+        count = max(1, min(run_bytes, cfg.buffer_bytes) // chunk_size)
         while not self.quit_requested:
-            segment = self.source.read_chunk(run_bytes)
-            if not segment:
+            # One run is one segment: read into the payload slots of its
+            # frames, headers packed in place, stored at once and queued
+            # as the one buffer it is.  A large chunk is a run of one:
+            # chunk-by-chunk backpressure, as ever.  A short last chunk
+            # (the source's last, a pipe's short read) is the run's last
+            # frame, and the run a list of views.
+            wire = self.source.read_run(chunk_size, count)
+            if not wire:
                 break
+            off = state.offset
+            chunks, wire = frame_run(wire, off, chunk_size)
             if bucket is not None:
-                delay = bucket.reserve(len(segment), port.now())
+                delay = bucket.reserve(run_nbytes(chunks), port.now())
                 if delay > 0:
                     yield from port.sleep(delay)
                     if self.quit_requested:
                         break
-            # One segment is one run: stored, framed and corked at once.
-            # A large chunk is a run of one and leaves at once:
-            # chunk-by-chunk backpressure, as ever.  Only a short
-            # segment (the source's last, a pipe's short read) is cut
-            # into a list of views.
-            off = state.offset
-            view = memoryview(segment)
-            count, rest = divmod(len(view), chunk_size)
-            if rest:
-                chunks = [view[i: i + chunk_size]
-                          for i in range(0, len(view), chunk_size)]
-            else:
-                chunks = Run(view, 0, chunk_size, chunk_size, count)
             self._store_run(off, chunks)
-            if not (yield from link.send_run(off, chunks,
-                                             encode_run(off, chunks))):
+            if not (yield from link.send_run(off, chunks, wire)):
                 # Every receiver is dead or aborted: stop streaming.
                 break
-            if link.pending_bytes >= _HEAD_FLUSH_BYTES:
-                yield from link.flush()
+            yield from link.flush()
         yield from link.flush()
         self._source_drained()
         total = state.offset

@@ -31,7 +31,9 @@ stream of large frames rotates between frames and copies nothing.
 from __future__ import annotations
 
 import struct
+from collections import deque
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterator, List, Optional, Tuple, Union
 
 from .buffers import BufferPool, Segment
@@ -88,7 +90,8 @@ MAX_RECEIVE_ALLOC = 1 << 30  # 1 GiB
 
 _MAX_HEADER = 1 + 8 * 2  # largest header on the wire (DATA/PGET)
 _DATA_OP = int(Op.DATA)
-_DATA_HEADER = _HEADER_STRUCTS[Op.DATA].size
+#: Bytes a ``DATA`` header puts in front of its chunk on the wire.
+DATA_HEADER = _HEADER_STRUCTS[Op.DATA].size
 
 #: Buffer payloads handed out by the decoder: zero-copy views.
 Payload = Union[bytes, memoryview]
@@ -97,8 +100,9 @@ Payload = Union[bytes, memoryview]
 class Run:
     """``count`` chunks of ``size`` bytes, one every ``stride`` bytes of
     ``buf`` from ``start``: the payloads of equal ``DATA`` frames where
-    they lie in a receive buffer (``stride`` = header + ``size``), or a
-    head's source segment cut into chunks (``stride`` = ``size``).
+    they lie on the wire (``stride`` = header + ``size``) — in a relay's
+    receive buffer, or in the segment a head read its source into
+    (:func:`frame_run`).
 
     The run is one value: ``len`` (chunks) and :attr:`nbytes` (payload
     bytes) are arithmetic, and a ring, a sink or a send queue can take
@@ -186,31 +190,53 @@ def encode_header(msg: Message) -> bytes:
         raise FramingError(f"field out of u64 range in {msg!r}") from None
 
 
-def encode_run(first_offset: int, chunks) -> List[Payload]:
-    """The wire form of a run — consecutive ``DATA`` frames from
-    ``first_offset`` — as ``[h0, c0, h1, c1, ...]``: every header packed
-    in one pass into one buffer, views of it alternating with the chunks
-    as given (no payload copy).  Joined, it is byte for byte
-    ``encode_header(Data(offset, len(c))) + c`` per chunk; the receiving
-    side is :meth:`FrameDecoder.try_pop_run`.  ``chunks`` is a
-    :class:`Run` or a sequence of buffers.
+def frame_slots(buf, chunk_size: int, count: int) -> List[memoryview]:
+    """The payload slots of ``count`` ``DATA`` frames of ``chunk_size``
+    bytes laid out from the start of ``buf`` as they lie on the wire:
+    each behind :data:`DATA_HEADER` bytes of header room, one every
+    header + chunk bytes.  A source reads a run straight into them."""
+    stride = DATA_HEADER + chunk_size
+    view = memoryview(buf)
+    return [view[pos: pos + chunk_size]
+            for pos in range(DATA_HEADER, count * stride, stride)]
+
+
+def framed_size(nbytes: int, chunk_size: int) -> int:
+    """Wire bytes of ``nbytes`` of payload in frames of ``chunk_size``
+    (the last one short if need be)."""
+    return nbytes + -(-nbytes // chunk_size) * DATA_HEADER
+
+
+def frame_run(wire: memoryview, first_offset: int, chunk_size: int):
+    """Pack the ``DATA`` headers of a run into the header room of
+    ``wire``, in place: ``wire`` holds frames of ``chunk_size`` laid out
+    by :func:`frame_slots`, the last one possibly short, and ends where
+    the last frame does.  Returns the run's chunks — a :class:`Run`, or
+    a list of views when the last is short — and ``wire``, now byte for
+    byte ``encode_header(Data(offset, len(c))) + c`` per chunk ``c``
+    from ``first_offset``: the one buffer a send queue takes whole.
     """
-    headers = memoryview(bytearray(len(chunks) * _DATA_HEADER))
-    pack_into = _HEADER_STRUCTS[Op.DATA].pack_into
-    wire: List[Payload] = []
-    offset, pos = first_offset, 0
+    stride = DATA_HEADER + chunk_size
+    count, rest = divmod(len(wire), stride)
+    end = first_offset + count * chunk_size
     try:
-        for chunk in chunks:
-            size = len(chunk)
-            pack_into(headers, pos, _DATA_OP, offset, size)
-            wire.append(headers[pos: pos + _DATA_HEADER])
-            wire.append(chunk)
-            offset += size
-            pos += _DATA_HEADER
+        # One C-level pass: pack_into over the frames' positions,
+        # offsets and sizes, no Python frame per header.
+        deque(map(_HEADER_STRUCTS[Op.DATA].pack_into, repeat(wire, count),
+                  range(0, count * stride, stride), repeat(_DATA_OP, count),
+                  range(first_offset, end, chunk_size),
+                  repeat(chunk_size, count)), maxlen=0)
+        if rest:
+            _HEADER_STRUCTS[Op.DATA].pack_into(
+                wire, count * stride, _DATA_OP, end, rest - DATA_HEADER)
     except struct.error:
         raise FramingError(
-            f"DATA frame at offset {offset} leaves the u64 range") from None
-    return wire
+            f"DATA frame at offset {first_offset} to {end} leaves the "
+            "u64 range") from None
+    run = Run(wire, DATA_HEADER, stride, chunk_size, count)
+    if not rest:
+        return run, wire
+    return [*run, wire[count * stride + DATA_HEADER:]], wire
 
 
 def _decode_fields(op: Op, raw, offset: int) -> Message:
@@ -518,10 +544,10 @@ class FrameDecoder:
         if self._pending is not None or self._buf is None:
             return None
         buf, start, fill = self._buf, self._pos, self._fill
-        if fill - start < _DATA_HEADER or buf[start] != _DATA_OP:
+        if fill - start < DATA_HEADER or buf[start] != _DATA_OP:
             return None
         first, size = _2U64.unpack_from(buf, start + 1)
-        stride = _DATA_HEADER + size
+        stride = DATA_HEADER + size
         if size == 0 or size > MAX_RECEIVE_ALLOC or start + stride > fill:
             return None
         if self._mv is None:
@@ -542,4 +568,4 @@ class FrameDecoder:
         self._last_need = size
         self._stats.frames_decoded += count
         raw = self._mv[start:end]
-        return first, Run(raw, _DATA_HEADER, stride, size, count), raw
+        return first, Run(raw, DATA_HEADER, stride, size, count), raw

@@ -78,9 +78,10 @@ class _Stage:
         """Hand the next call to the worker, whatever the rule says."""
         self._inside = math.inf
 
-    def _timed(self, call, arg):
-        """``call(arg)`` on the caller's thread — or, once the stage costs
-        more than the work between its calls, start the worker instead."""
+    def _timed(self, call, *args):
+        """``call(*args)`` on the caller's thread — or, once the stage
+        costs more than the work between its calls, start the worker
+        instead."""
         now = self._clock()
         if self._left is not None:
             self._outside += now - self._left
@@ -92,7 +93,7 @@ class _Stage:
             self._stats.stage_threaded(self._counter)
             return _THREADED
         try:
-            return call(arg)
+            return call(*args)
         finally:
             self._left = self._clock()
             self._inside += self._left - now
@@ -280,11 +281,13 @@ class SinkWriter(_Stage, Sink):
 class ReadAheadSource(_Stage, Source):
     """Prefetch wrapper overlapping source reads with the send path.
 
-    Inline, ``read_chunk`` reads through.  Threaded, the worker keeps up
-    to ``depth`` chunks of the size then requested queued ahead of the
-    consumer (``bytes``, or views pinning a pooled segment: only ever
-    sliced); a read served from the queue counts as a ``readahead_hit``,
-    one that has to wait for the worker as a miss.
+    Inline, a read reads through.  Threaded, the worker keeps up to
+    ``depth`` reads queued ahead of the consumer, each what the
+    consumer last asked for: a head's framed runs (:meth:`read_run`,
+    views pinning a pooled segment, served whole), or blocks of a chunk
+    size (:meth:`read_chunk`: ``bytes`` or views, only ever sliced).  A
+    read served from the queue counts as a ``readahead_hit``, one that
+    has to wait for the worker as a miss.
 
     ``read_range`` (PGET service) and ``fileno`` delegate to the inner
     source untouched — prefetching only concerns the sequential cursor.
@@ -304,6 +307,8 @@ class ReadAheadSource(_Stage, Source):
         self.kind = inner.kind
         self.blocking_io = getattr(inner, "blocking_io", True)
         self._eof = self._stopped = False
+        #: What the worker reads ahead: the consumer's last request.
+        self._request = (inner.read_chunk, 0)
         #: Read but not yet served: what is left of a block when a caller
         #: shrinks its chunk size, and what ``stop()`` found queued.
         self._pending: deque = deque()
@@ -313,11 +318,20 @@ class ReadAheadSource(_Stage, Source):
     def read_chunk(self, size: int) -> Payload:
         if self._pending:
             return self._serve(self._pending.popleft(), size)
+        return self._serve(self._next(self._inner.read_chunk, size), size)
+
+    def read_run(self, chunk_size: int, count: int) -> Payload:
+        if self._pending:
+            return self._pending.popleft()
+        return self._next(self._inner.read_run, chunk_size, count)
+
+    def _next(self, read, *args) -> Payload:
+        """The next read of the stream: inline, or off the queue."""
         if self._worker is None:
             if self._stopped:
-                return self._inner.read_chunk(size)
-            self._chunk_size = size
-            block = self._timed(self._inner.read_chunk, size)
+                return read(*args)
+            self._request = (read, *args)
+            block = self._timed(read, *args)
             if block is not _THREADED:
                 return block
         with self._lock:
@@ -334,7 +348,7 @@ class ReadAheadSource(_Stage, Source):
                     self._readable.wait()
             block = self._queue.popleft()
             self._writable.notify()
-        return self._serve(block, size)
+        return block
 
     def _serve(self, block: Payload, size: int) -> Payload:
         if len(block) <= size:
@@ -347,7 +361,7 @@ class ReadAheadSource(_Stage, Source):
         return self._inner.read_range(offset, size)
 
     def stop(self) -> None:
-        """Stop prefetching; queued chunks still drain via ``read_chunk``."""
+        """Stop prefetching; what is queued is still served, in order."""
         worker = self._worker
         with self._lock:
             self._stopped = True
@@ -381,8 +395,9 @@ class ReadAheadSource(_Stage, Source):
                     self._writable.wait()
                 if self._stopped:
                     return
+            read, *args = self._request
             try:
-                block = self._inner.read_chunk(self._chunk_size)
+                block = read(*args)
             except BaseException as exc:
                 with self._lock:
                     self._error = exc

@@ -32,7 +32,7 @@ from .errors import DataLossError, SinkError
 from .perfstats import PerfStats, get_stats
 from .recovery import SourceKind
 from .sinks import Sink
-from .sources import Source
+from .sources import CursorSource, Source, _preadv
 
 __all__ = ["stripe_extent", "StripeSource", "StripeMergeSink"]
 
@@ -46,21 +46,19 @@ def stripe_extent(total: int, stripe: int, of: int, chunk_size: int) -> int:
     return size
 
 
-class StripeSource(Source):
+class StripeSource(CursorSource):
     """Stripe ``j`` of a seekable source, as a contiguous sub-stream.
 
     Requires the underlying source to be seekable (``read_range`` +
     ``size``): the view's sequential reads are random-access reads of
     the original.  When the inner source exposes a filesystem ``path``
-    the view keeps its own file handle so per-chunk reads cost one
-    ``seek`` + ``read`` instead of an ``open`` per call.
+    the view keeps its own file handle so a read costs one ``preadv``
+    per stripe chunk it spans instead of an ``open`` per call.
 
     The view never closes a shared inner source (``k`` views share one
     on the local backend); pass ``owns_inner=True`` where the view is
     the sole user (the process backend's per-stripe heads).
     """
-
-    kind = SourceKind.SEEKABLE_FILE
 
     def __init__(
         self,
@@ -95,19 +93,7 @@ class StripeSource(Source):
     def size(self) -> int:
         return self._size
 
-    def _read_global(self, offset: int, size: int) -> bytes:
-        if self._file is not None:
-            self._file.seek(offset)
-            data = self._file.read(size)
-            if len(data) != size:
-                raise DataLossError(
-                    f"file shrank: wanted [{offset}, {offset + size}), "
-                    f"got {len(data)} bytes"
-                )
-            return data
-        return self._inner.read_range(offset, size)
-
-    def read_chunk(self, size: int) -> bytes:
+    def read_chunk(self, size: int) -> bytearray:
         take = min(size, self._size - self._pos)
         if take <= 0:
             return b""
@@ -115,22 +101,47 @@ class StripeSource(Source):
         self._pos += take
         return data
 
-    def read_range(self, offset: int, size: int) -> bytes:
+    def _fill_at(self, offset: int, slots) -> int:
+        # Each slot is read where its bytes lie in the inner stream: one
+        # positional read per stripe chunk it spans.
+        c, j, k = self._chunk, self._stripe, self._of
+        left, got = self._size - offset, 0
+        for slot in slots:
+            n = min(len(slot), left - got)
+            if n <= 0:
+                break
+            pos = 0
+            while pos < n:
+                q, r = divmod(offset + got + pos, c)
+                take = min(c - r, n - pos)
+                self._fill_global((q * k + j) * c + r, slot[pos: pos + take])
+                pos += take
+            got += n
+        return got
+
+    def _fill_global(self, offset: int, view: memoryview) -> None:
+        if self._file is not None:
+            got = _preadv(self._file.fileno(), [view], offset)
+        elif isinstance(self._inner, CursorSource):
+            got = self._inner._fill_at(offset, [view])
+        else:  # a seekable source of another kind: its range copied in
+            view[:] = self._inner.read_range(offset, len(view))
+            got = len(view)
+        if got != len(view):
+            raise DataLossError(
+                f"file shrank: wanted [{offset}, {offset + len(view)}), "
+                f"got {got} bytes")
+
+    def read_range(self, offset: int, size: int) -> bytearray:
         """Stripe-local random access (serves this stripe's PGETs)."""
         if offset + size > self._size:
             raise DataLossError(
                 f"range [{offset}, {offset + size}) beyond stripe "
                 f"of {self._size}"
             )
-        c, j, k = self._chunk, self._stripe, self._of
-        pieces = []
-        while size > 0:
-            q, r = divmod(offset, c)
-            take = min(c - r, size)
-            pieces.append(self._read_global((q * k + j) * c + r, take))
-            offset += take
-            size -= take
-        return pieces[0] if len(pieces) == 1 else b"".join(pieces)
+        data = bytearray(size)
+        self._fill_at(offset, [memoryview(data)])
+        return data
 
     def close(self) -> None:
         if self._file is not None:

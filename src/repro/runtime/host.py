@@ -306,6 +306,11 @@ class HostChains(Host):
         self._wiring = list(zip(registries, listeners))
         self._evloop = config.data_plane == "evloop"
         super().__init__(name, chain_plan, config, **host)
+        if not self.nodes:
+            # A lone survivor of a re-root: no node takes the listeners
+            # over (and closes them), and nobody will dial them.
+            for listener in listeners:
+                listener.close()
 
     def _make_node(self, label: str, plan: StripePlan, end, **kwargs):
         if self._evloop:

@@ -340,17 +340,16 @@ class SocketStream:
         self.send_message(msg, payload, flush=False)
 
     def cork_run(self, first_offset: int, payloads, wire) -> None:
-        """Queue a run of already-encoded frames by its ``wire`` bytes:
-        the one view :meth:`try_recv_run` returned, or the head's
-        :func:`~repro.core.framing.encode_run` list — an entry per buffer.
+        """Queue a run of already-encoded frames as its ``wire`` bytes:
+        one buffer, the view :meth:`try_recv_run` returned or the
+        segment a head framed in place
+        (:func:`~repro.core.framing.frame_run`).
 
         Queued by reference like any payload; nothing is sent until the
         next :meth:`flush_pending` or flushed :meth:`send_message`.
         """
-        if not isinstance(wire, (list, tuple)):
-            wire = (wire,)
-        self._send_queue += filter(None, wire)  # the non-empty, as _enqueue
-        self.pending_bytes += sum(map(len, wire))
+        self._send_queue.append(wire)
+        self.pending_bytes += len(wire)
         self._stats.frames_sent += len(payloads)
 
     def recv(self, timeout: float):

@@ -244,70 +244,85 @@ def test_run_stops_where_try_pop_must_decide():
 
 
 # ---------------------------------------------------------------------------
-# The sending side: ``encode_run`` frames a run in one pass.
+# The sending side: ``frame_run`` frames a run in place.
 # ---------------------------------------------------------------------------
+
+def framed(first, chunk_size, data):
+    """``data`` read into the slots of frames of ``chunk_size`` (the
+    last one short if need be) and framed from ``first``, as the head
+    does it: ``(chunks, wire)``."""
+    from repro.core.framing import (DATA_HEADER, frame_run, frame_slots,
+                                    framed_size)
+
+    count = -(-len(data) // chunk_size)
+    buf = bytearray(count * (DATA_HEADER + chunk_size))
+    pos = 0
+    for slot in frame_slots(buf, chunk_size, count):
+        piece = data[pos: pos + len(slot)]
+        slot[:len(piece)] = piece
+        pos += len(piece)
+    return frame_run(memoryview(buf)[:framed_size(len(data), chunk_size)],
+                     first, chunk_size)
+
 
 @settings(max_examples=200, deadline=None)
 @given(
     first=st.integers(0, 1 << 48),
-    sizes=st.lists(st.integers(0, 2 * SEGMENT), min_size=0, max_size=40),
+    chunk_size=st.integers(1, 2 * SEGMENT),
+    size=st.integers(1, 40 * SEGMENT),
 )
-def test_an_encoded_run_is_the_per_frame_encoding(first, sizes):
-    from repro.core.framing import encode_run
+def test_an_encoded_run_is_the_per_frame_encoding(first, chunk_size, size):
+    size = min(size, 40 * chunk_size)
+    data = bytes((7 * i) % 251 for i in range(size))
+    chunks, wire = framed(first, chunk_size, data)
+    pieces = [data[pos: pos + chunk_size]
+              for pos in range(0, size, chunk_size)]
+    offsets = [first + pos for pos in range(0, size, chunk_size)]
+    assert bytes(wire) == b"".join(
+        encode_header(Data(o, len(c))) + c for o, c in zip(offsets, pieces))
+    assert [bytes(c) for c in chunks] == pieces
+    # A run of equal chunks is a Run; a short last one makes a list.
+    assert isinstance(chunks, list) == bool(size % chunk_size)
 
-    chunks = [bytes((7 * i + j) % 251 for j in range(size))
-              for i, size in enumerate(sizes)]
-    wire = encode_run(first, chunks)
-    offsets = [first + sum(sizes[:i]) for i in range(len(sizes))]
-    assert b"".join(wire) == b"".join(
-        encode_header(Data(o, len(c))) + c for o, c in zip(offsets, chunks))
-    # Headers and chunks alternate; the chunks are the objects handed in.
-    assert len(wire) == 2 * len(chunks)
-    assert all(given is sent for given, sent in zip(chunks, wire[1::2]))
-
-    # ...and it is what a receiver takes off the stream as runs again
-    # (an empty DATA frame ends a run and comes out of ``try_pop``).
+    # ...and it is what a receiver takes off the stream as runs again:
+    # the same offsets, the same chunks.
     dec = FrameDecoder(stats=PerfStats())
-    dec.feed(b"".join(wire))
+    dec.feed(wire)
     got = []
     while True:
         run = dec.try_pop_run()
-        if run is not None:
-            offset, payloads, raw = run
-            assert offset == first + sum(len(c) for _o, c in got)
-            got.extend((None, bytes(p)) for p in payloads)
-            continue
-        item = dec.try_pop()
-        if item is None:
+        if run is None:
             break
-        got.append(item[0:1] + (bytes(item[1]),))
-    assert [c for _m, c in got] == chunks
-    assert [m for m, _c in got if m is not None] == [
-        Data(o, 0) for o, c in zip(offsets, chunks) if not c]
+        offset, payloads, _raw = run
+        assert offset == first + sum(map(len, got))
+        got.extend(bytes(p) for p in payloads)
+    assert got == pieces and dec.try_pop() is None
 
 
 def test_encoded_run_keeps_views_and_one_header_buffer():
-    from repro.core.framing import encode_run
-
-    segment = memoryview(bytes(range(200)) * 3)
-    chunks = [segment[i: i + 256] for i in range(0, len(segment), 256)]
-    wire = encode_run(4096, chunks)
-    assert [len(b) for b in wire] == [17, 256, 17, 256, 17, 88]
-    assert all(sent is chunk for sent, chunk in zip(wire[1::2], chunks))
-    assert len({id(h.obj) for h in wire[0::2]}) == 1   # packed in one buffer
+    """Headers and chunks share the one buffer the run was read into:
+    the chunks are views of it, and the wire is that buffer."""
+    data = bytes(range(200)) * 3
+    chunks, wire = framed(4096, 256, data)
+    assert [len(c) for c in chunks] == [256, 256, 88]
+    assert len(wire) == len(data) + 3 * 17
+    assert all(c.obj is wire.obj for c in chunks)
+    assert [bytes(wire[pos: pos + 17]) for pos in (0, 273, 546)] == [
+        encode_header(Data(4096 + 256 * i, n))
+        for i, n in enumerate((256, 256, 88))]
 
 
 def test_encoded_run_past_u64_is_a_framing_error():
     import pytest
 
-    from repro.core.framing import encode_run
-
     top = (1 << 64) - 10
-    assert b"".join(encode_run(top, [b"x" * 9])) == (
+    assert bytes(framed(top, 9, b"x" * 9)[1]) == (
         encode_header(Data(top, 9)) + b"x" * 9)
     with pytest.raises(FramingError):
-        encode_run(top, [b"x" * 9, b"y" * 9, b"z"])   # third offset: 2**64 + 8
+        framed(top, 9, b"x" * 19)      # third offset: 2**64 + 8
     with pytest.raises(FramingError):
-        encode_run(1 << 64, [b"x"])
+        framed(top + 5, 9, b"x" * 10)  # the short last one's: 2**64 + 4
+    with pytest.raises(FramingError):
+        framed(1 << 64, 1, b"x")
     with pytest.raises(FramingError):
         encode_header(Data(1 << 64, 1))               # as per frame

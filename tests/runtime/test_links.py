@@ -594,23 +594,25 @@ class TestRelayBurst:
 
 
 def framed_run(first_offset, sizes, fill=0):
-    """A run as the head holds it: chunk views of one source segment and
-    the ``encode_run`` buffer list that is their wire form."""
-    from repro.core.framing import encode_run
+    """A run as the head holds it: chunks of ``sizes[0]`` bytes (the
+    last one may be short) read into the payload slots of one segment
+    and framed in place — ``(first_offset, chunks, wire)``, ``wire`` the
+    one buffer that is their wire form."""
+    from repro.core.framing import DATA_HEADER, frame_run, frame_slots
 
-    segment = memoryview(b"".join(
-        bytes([fill + i]) * size for i, size in enumerate(sizes)))
-    chunks, pos = [], 0
-    for size in sizes:
-        chunks.append(segment[pos: pos + size])
-        pos += size
-    return first_offset, chunks, encode_run(first_offset, chunks)
+    chunk = sizes[0]
+    segment = bytearray(len(sizes) * (DATA_HEADER + chunk))
+    for i, (slot, size) in enumerate(
+            zip(frame_slots(segment, chunk, len(sizes)), sizes)):
+        slot[:size] = bytes([fill + i]) * size
+    wire = memoryview(segment)[:sum(sizes) + len(sizes) * DATA_HEADER]
+    return (first_offset, *frame_run(wire, first_offset, chunk))
 
 
 class TestHeadSendsRuns:
-    """The head's run reaches the link as a list of buffers — headers
-    packed in one pass, chunks as views of the source segment — and is
-    corked, skipped or replayed exactly like a relayed one."""
+    """The head's run reaches the link as one buffer — headers packed in
+    place between the chunks read into it — and is corked, skipped or
+    replayed exactly like a relayed one."""
 
     def test_buffer_list_is_corked_as_it_is(self, monkeypatch):
         from repro.runtime import transport

@@ -65,7 +65,7 @@ class SleepySink(HashingSink):
 
 
 class SleepySource(BytesSource):
-    """A blocking source whose every read takes ``delay``."""
+    """A blocking source whose every read of a run takes ``delay``."""
 
     blocking_io = True
 
@@ -73,9 +73,9 @@ class SleepySource(BytesSource):
         super().__init__(data)
         self.delay = delay
 
-    def read_chunk(self, size: int):
+    def read_run(self, chunk_size: int, count: int):
         time.sleep(self.delay)
-        return super().read_chunk(size)
+        return super().read_run(chunk_size, count)
 
 
 def pattern(size: int) -> bytes:

@@ -296,9 +296,9 @@ class TestSendfilePath:
 
 
 class TestHeadRun:
-    """The head reads a segment, frames it in one pass and corks it as
-    one run.  On the wire that is the per-frame encoding of the same
-    source, byte for byte."""
+    """The head reads a run into its wire layout, frames it in place and
+    corks it as one buffer.  On the wire that is the per-frame encoding
+    of the same source, byte for byte."""
 
     @staticmethod
     def _broadcast(monkeypatch, source, config, receivers=("n2", "n3", "n4")):
@@ -358,10 +358,12 @@ class TestHeadRun:
         out.update(encode_header(Report(len(report))) + report)
         return out.hexdigest()
 
-    # 16 chunks make a run at 4 KiB: whole runs; a short last run with a
-    # short last chunk; less than one run; exactly one chunk over.
+    # 64 chunks make a run at 4 KiB (a segment's worth): part of a run,
+    # with and without a short last chunk; whole runs and a short last
+    # one with a short last chunk; exactly one chunk over a run.
     @pytest.mark.parametrize("size", [
-        32 * CHUNK, 41 * CHUNK + 123, 5 * CHUNK + 1, 16 * CHUNK + CHUNK])
+        32 * CHUNK, 41 * CHUNK + 123, 5 * CHUNK + 1, 16 * CHUNK + CHUNK,
+        129 * CHUNK + 123, 64 * CHUNK + CHUNK])
     def test_wire_is_the_per_frame_encoding(self, monkeypatch, size):
         import hashlib
 
@@ -380,8 +382,8 @@ class TestHeadRun:
             assert sink.hexdigest() == hashlib.sha256(payload).hexdigest()
         # ...and it left the head as runs of a segment's worth of chunks.
         assert [first for first, _sizes in runs] == list(
-            range(0, size, 16 * CHUNK))
-        assert all(len(sizes) == 16 for _first, sizes in runs[:-1])
+            range(0, size, 64 * CHUNK))
+        assert all(len(sizes) == 64 for _first, sizes in runs[:-1])
         assert sum(sum(sizes) for _first, sizes in runs) == size
 
     @pytest.mark.parametrize("chunk_size", [64 * 1024, 256 * 1024])
@@ -412,30 +414,46 @@ class TestHeadRun:
         """A pipe hands over what it has: each short read is framed as
         it came (never padded, never held back for a full chunk) and the
         stream goes on — only an empty read ends it."""
+        import fcntl
         import hashlib
+        import io
+        import os
+        import sys
+        import termios
+        import threading
+        import time
 
         from repro.core import KascadeConfig, StreamSource
 
         reads = [100, CHUNK + 7, 3 * CHUNK, 1, 16 * CHUNK, 5]
         payload = bytes(i % 253 for i in range(sum(reads)))
+        r, w = os.pipe()
 
-        class Pipe:
-            def __init__(self):
-                self.pos, self.reads = 0, iter(reads)
+        def unread() -> int:
+            return int.from_bytes(fcntl.ioctl(
+                r, termios.FIONREAD, b"\0\0\0\0"), sys.byteorder)
 
-            def read(self, size):
-                take = min(size, next(self.reads, 0))
-                piece = payload[self.pos: self.pos + take]
-                self.pos += take
-                return piece
+        def writer():
+            # A burst at a time: the next one only once the head took
+            # this one in (the pipe is empty, and its read has returned).
+            pos = 0
+            with os.fdopen(w, "wb", buffering=0) as pipe:
+                for n in reads:
+                    pipe.write(payload[pos: pos + n])
+                    pos += n
+                    while unread():
+                        time.sleep(0.001)
+                    time.sleep(0.05)
 
-            def close(self):
-                pass
-
+        feeder = threading.Thread(target=writer)
+        feeder.start()
         config = KascadeConfig(chunk_size=CHUNK, buffer_chunks=64,
                                readahead_chunks=0)
-        result, nodes, wire, runs, sinks = self._broadcast(
-            monkeypatch, StreamSource(Pipe()), config)
+        try:
+            result, nodes, wire, runs, sinks = self._broadcast(
+                monkeypatch, StreamSource(io.FileIO(r)), config)
+        finally:
+            feeder.join()
         assert result.ok, result.outcomes
         assert [sizes for _first, sizes in runs] == [
             [100], [CHUNK, 7], [CHUNK] * 3, [1], [CHUNK] * 16, [5]]

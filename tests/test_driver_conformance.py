@@ -104,6 +104,14 @@ SCENARIOS = {
         chain(3), source=pipe(), crashes=(("n3", SIZE // 2, "silent"),),
         config=CFG.with_(buffer_chunks=1, verify_digest=False),
         lost=("n4",), ok=False),
+    # The head's run at small chunks against a ring of 64: a pipe cannot
+    # be re-read, so every replay comes out of a ring.  (The stream fits
+    # a ring whole: how far a relay runs ahead of a dying peer on loopback
+    # TCP — past a ring, on a longer stream — is the threads' timing.)
+    "small_chunk_pipe_mid_chain_close": Scenario(
+        chain(4), source=pipe(200 * 1024),
+        crashes=(("n3", 64 * 1024, "close"),),
+        config=CFG.with_(chunk_size=4096, buffer_chunks=64)),
     "two_stripes": Scenario(chain(4), config=CFG.with_(stripes=2)),
     "hostname_order": Scenario(["n4", "n2", "n5", "n3"], order="hostname"),
     # The host-level gate: n4 dies once its *two* stripes hold SIZE // 4

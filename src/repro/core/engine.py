@@ -47,7 +47,9 @@ A stream: ``recv(timeout)*`` → ``(message, payload)``,
 payload)``, ``cork_run(first_offset, payloads, wire)``,
 ``flush(timeout)*``, ``pending_bytes``, ``wake_reader()`` (end a
 ``recv``, now or next, with ``ConnectionError``), ``close()``, and
-optionally ``send_file(message, source, offset, timeout)*``.
+optionally ``cork_file(message, source, offset)``: a frame whose payload
+the next flush moves from the source's descriptor itself, never read
+here (``DataLossError`` once the file no longer holds it).
 """
 
 from __future__ import annotations
@@ -57,15 +59,15 @@ from typing import Callable, Optional, Set
 
 from . import tracing
 from .config import KascadeConfig
-from .errors import (FramingError, NodeFailedError, ProtocolError, SinkError,
-                     TransferAborted)
+from .errors import (DataLossError, FramingError, NodeFailedError,
+                     ProtocolError, SinkError, TransferAborted)
 from .buffers import DEFAULT_SEGMENT
 from .framing import frame_run, run_nbytes
 from .messages import (Data, End, Forget, Get, Passed, PGet, Ping, Pong, Quit,
                        Report)
 from .node_state import NodeTransferState, Phase
 from .plan import StripePlan
-from .recovery import OfferKind, SourceKind, next_alive
+from .recovery import OfferKind, SourceKind, negotiate_offset, next_alive
 from .report import NodeOutcome, TransferReport
 from .sinks import Sink
 from .sources import Source
@@ -104,6 +106,21 @@ CrashGate = Callable[[int], Optional[str]]
 _HEAD_FLUSH_BYTES = DEFAULT_SEGMENT
 
 
+def keeps_nothing(source: Source, config: KascadeConfig) -> bool:
+    """Whether a head over ``source`` holds no payload: it pushes runs
+    of one (chunks of a quarter segment or more) of a seekable file with
+    a descriptor, and hashes nothing.  On a stream that can send a file
+    range itself (``cork_file``) such a head reads no byte: each chunk's
+    frame leaves from the file, its ring window advances empty, and a
+    GET anywhere below the live edge is served from the file — a head's
+    window over its file is the whole file.  Elsewhere (the simulator's
+    port) it reads and keeps its runs like any head."""
+    return (config.chunk_size >= _HEAD_FLUSH_BYTES // 4
+            and not config.verify_digest
+            and source.kind is SourceKind.SEEKABLE_FILE
+            and hasattr(source, "fileno"))
+
+
 class Link:
     """This node's connection to its (current) downstream neighbour.
 
@@ -135,6 +152,9 @@ class Link:
         #: Downstream deliberately quit (unrecoverable data loss after
         #: FORGET): stop forwarding, do NOT treat as a failure.
         self.downstream_aborted = False
+        #: The file a head that keeps nothing sends from (see
+        #: :func:`keeps_nothing`); ``None`` on every other node.
+        self.file = None
 
     # -- connection management ------------------------------------------
 
@@ -155,6 +175,11 @@ class Link:
                              offset=self.sent_offset, detail=reason,
                              detector=classify_detector(reason))
             logger.info("%s: declared %s dead (%s)", self.owner, node, reason)
+
+    @property
+    def sends_file(self) -> bool:
+        """The stream moves payload from :attr:`file` itself."""
+        return self.file is not None and hasattr(self.stream, "cork_file")
 
     def close(self) -> None:
         if self.stream is not None:
@@ -222,8 +247,11 @@ class Link:
     def _serve_handshake(self, requested: int):
         """Answer a GET(requested): replay from the buffer or send FORGET
         and wait for the receiver's follow-up GET after its PGET fetch."""
+        from_file = self.sends_file
         try:
-            offer = self.state.answer_get(requested)
+            offer = (negotiate_offset(requested, 0, self.state.offset,
+                                      SourceKind.SEEKABLE_FILE)
+                     if from_file else self.state.answer_get(requested))
         except ValueError as exc:
             # The receiver claims bytes beyond our live edge — poisoned
             # state; declare it dead rather than corrupt the stream.
@@ -232,8 +260,10 @@ class Link:
         try:
             if offer.kind is OfferKind.SERVE_FROM_BUFFER:
                 self.sent_offset = offer.resume_at
+                if from_file:
+                    self._replay_file()
                 for off, piece in self.state.buffer.iter_chunks_from(
-                        offer.resume_at):
+                        self.sent_offset):
                     self.stream.cork(Data(off, len(piece)), piece)
                     self.sent_offset = off + len(piece)
                 yield from self._flush_retrying()
@@ -257,6 +287,16 @@ class Link:
                 ProtocolError) as exc:
             self._lost(exc, "handshake-lost: ")
             return False
+
+    def _replay_file(self) -> None:
+        """Cork the file from :attr:`sent_offset` to the live edge, a
+        chunk a frame (the first up to a chunk boundary)."""
+        chunk, end = self.config.chunk_size, self.state.offset
+        pos = self.sent_offset
+        while pos < end:
+            size = min(chunk - pos % chunk, end - pos)
+            self.stream.cork_file(Data(pos, size), self.file, pos)
+            pos = self.sent_offset = pos + size
 
     # -- stall detection: timeout + liveness ping (§III-D1) -------------
 
@@ -411,6 +451,20 @@ class Link:
         self.cork_run(first_offset, payloads, wire)
         return True
 
+    def send_file(self, offset: int, size: int):
+        """:meth:`send_run` for one chunk the stream moves from
+        :attr:`file` itself (unless a replay already did)."""
+        if self.stream is None and not (yield from self._ensure_connected()):
+            return False
+        if self.sent_offset < offset + size:
+            if self.sent_offset != offset:
+                raise ProtocolError(
+                    f"{self.owner}: forward desync: sent {self.sent_offset}, "
+                    f"chunk at {offset}")
+            self.stream.cork_file(Data(offset, size), self.file, offset)
+            self.sent_offset = offset + size
+        return True
+
     @property
     def pending_bytes(self) -> int:
         """Bytes corked in the send queue, awaiting :meth:`flush`."""
@@ -449,7 +503,7 @@ class Link:
             if not (yield from self._ensure_connected()):
                 return "tail"
             try:
-                if self.sent_offset != total:
+                if self.sent_offset != total and not quit_first:
                     raise ProtocolError(
                         f"{self.owner}: finishing at {self.sent_offset}, "
                         f"stream total {total}"
@@ -566,7 +620,12 @@ class Node:
         write = self._write
         if write is not None:
             write(payloads)
-        stored = self.outcome.bytes_received = state.buffer.end_offset
+        self._stored()
+
+    def _stored(self) -> None:
+        """Count what is stored, then ask the crash gate about it."""
+        stored = self.outcome.bytes_received = self.state.buffer.end_offset
+        gate = self.crash_gate
         if gate is not None:
             mode = gate(stored)
             if mode is not None:
@@ -592,6 +651,8 @@ class Head(Node):
         state = NodeTransferState(name, config, source_kind=source.kind)
         super().__init__(name, plan, port, config, state, crash_gate, tracer)
         self.source = source
+        if keeps_nothing(source, config):
+            self.link.file = source
         if resume_offset:
             # Promoted-head resume (head failover): the stream restarts at
             # the live edge — the most-complete survivor's watermark.  The
@@ -614,7 +675,7 @@ class Head(Node):
     def serve_pget(self, stream):
         """Serve a recovery range request from a rerouted receiver.
 
-        A stream that can move a file range by itself (``send_file``:
+        A stream that can move a file range by itself (``cork_file``:
         ``sendfile`` from the page cache to the socket) is given the
         source's descriptor instead of its bytes.
         """
@@ -629,21 +690,21 @@ class Head(Node):
             if offer.kind is OfferKind.FORGET:
                 yield from _say(stream, Forget(offer.resume_at), cfg.io_timeout)
                 return
-            send_file = (getattr(stream, "send_file", None)
+            cork_file = (getattr(stream, "cork_file", None)
                          if hasattr(self.source, "fileno") else None)
             pos = msg.offset
             while pos < msg.until:
                 size = min(cfg.chunk_size, msg.until - pos)
-                if send_file is not None:
-                    yield from send_file(Data(pos, size), self.source, pos,
-                                         cfg.report_timeout)
-                    pos += size
+                if cork_file is not None:
+                    cork_file(Data(pos, size), self.source, pos)
                 else:
                     piece = self.source.read_range(pos, size)
-                    stream.cork(Data(pos, len(piece)), piece)
-                    yield from stream.flush(cfg.report_timeout)
-                    pos += len(piece)
-        except (TimeoutError, ConnectionError, ProtocolError) as exc:
+                    size = len(piece)
+                    stream.cork(Data(pos, size), piece)
+                yield from stream.flush(cfg.report_timeout)
+                pos += size
+        except (TimeoutError, ConnectionError, ProtocolError,
+                DataLossError) as exc:
             logger.info("%s: PGET service aborted: %s", self.name, exc)
         finally:
             stream.close()
@@ -678,36 +739,69 @@ class Head(Node):
         run_bytes = (_HEAD_FLUSH_BYTES if chunk_size < quarter and
                      self.source.kind is SourceKind.SEEKABLE_FILE else quarter)
         count = max(1, min(run_bytes, cfg.buffer_bytes) // chunk_size)
+        source, failure = self.source, None
         while not self.quit_requested:
             # One run is one segment: read into the payload slots of its
             # frames, headers packed in place, stored at once and queued
             # as the one buffer it is.  A large chunk is a run of one:
             # chunk-by-chunk backpressure, as ever.  A short last chunk
             # (the source's last, a pipe's short read) is the run's last
-            # frame, and the run a list of views.
-            wire = self.source.read_run(chunk_size, count)
-            if not wire:
+            # frame, and the run a list of views.  A head that keeps
+            # nothing reads nothing: its stream sends the chunk from the
+            # file — which only a stream can say, so it connects first.
+            try:
+                if link.file is not None and link.stream is None:
+                    yield from link._ensure_connected()
+                unread = link.sends_file
+                if unread:
+                    size = source.skip(chunk_size)
+                else:
+                    wire = source.read_run(chunk_size, count)
+                    size = len(wire)
+                if not size:
+                    break
+                off = state.offset
+                if not unread:
+                    chunks, wire = frame_run(wire, off, chunk_size)
+                    size = run_nbytes(chunks)
+                if bucket is not None:
+                    delay = bucket.reserve(size, port.now())
+                    if delay > 0:
+                        yield from port.sleep(delay)
+                        if self.quit_requested:
+                            break
+                if unread:
+                    state.on_data_spliced(off, size)  # the window, empty
+                    if self.tracer.enabled:
+                        self.tracer.emit(tracing.CHUNK, self.name, offset=off,
+                                         detail=f"read {size}")
+                    self._stored()
+                    sent = yield from link.send_file(off, size)
+                else:
+                    self._store_run(off, chunks)
+                    sent = yield from link.send_run(off, chunks, wire)
+                if not sent:
+                    # Every receiver is dead or aborted: stop streaming.
+                    break
+                yield from link.flush()
+            except DataLossError as exc:
+                # The source failed (a file truncated under the run), not
+                # a peer: nobody is declared dead.  A frame whose header
+                # left without its payload has spoilt its connection,
+                # which is dropped without a word; on a clean one the
+                # receivers are told to QUIT.
+                failure = f"source failure: {exc}"
+                if link.pending_bytes:
+                    link.close()
+                    link.downstream_aborted = True
                 break
-            off = state.offset
-            chunks, wire = frame_run(wire, off, chunk_size)
-            if bucket is not None:
-                delay = bucket.reserve(run_nbytes(chunks), port.now())
-                if delay > 0:
-                    yield from port.sleep(delay)
-                    if self.quit_requested:
-                        break
-            self._store_run(off, chunks)
-            if not (yield from link.send_run(off, chunks, wire)):
-                # Every receiver is dead or aborted: stop streaming.
-                break
-            yield from link.flush()
         yield from link.flush()
         self._source_drained()
         total = state.offset
-        aborting = self.quit_requested
+        aborting = self.quit_requested or failure is not None
         if aborting:
             self.tracer.emit(tracing.QUIT, self.name, offset=total,
-                             detail="user interrupt")
+                             detail=failure or "user interrupt")
             state.on_quit()
         else:
             state.on_end(total)
@@ -720,7 +814,9 @@ class Head(Node):
                 yield from port.sleep(deadline - port.now())
         self.final_report = (self._ring_report
                              if self._ring_report is not None else state.report)
-        if outcome != "passed":
+        if failure is not None:
+            self.outcome.error = failure
+        elif outcome != "passed":
             self.outcome.error = "no downstream completed the transfer"
         self._done(outcome == "passed" and not aborting)
         state.on_passed()

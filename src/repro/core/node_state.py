@@ -111,14 +111,16 @@ class NodeTransferState:
                 self._hasher.update(payload)
 
     def on_data_spliced(self, offset: int, size: int) -> None:
-        """Account for a chunk that was relayed entirely in the kernel.
+        """Account for a chunk that was moved entirely in the kernel.
 
-        The event-loop data plane's ``os.splice`` path moves payload
-        bytes predecessor→successor without them ever entering Python,
-        so there is no buffer to retain (or hash): the ring window
-        advances empty (see :meth:`ChunkRingBuffer.note_advance`).
-        Callers must not enable ``verify_digest`` on a spliced node —
-        there are no bytes to feed the hasher.
+        The event-loop data plane's ``os.splice`` relay moves payload
+        bytes predecessor→successor, and a head that keeps nothing
+        (:func:`~repro.core.engine.keeps_nothing`) sends them from its
+        file, without them ever entering Python, so there is no buffer
+        to retain (or hash): the ring window advances empty (see
+        :meth:`ChunkRingBuffer.note_advance`).  Callers must not enable
+        ``verify_digest`` on such a node — there are no bytes to feed
+        the hasher.
         """
         if self.phase is not Phase.STREAMING:
             raise ProtocolError(
@@ -183,6 +185,11 @@ class NodeTransferState:
     # ------------------------------------------------------------------
     # Integrity (verify_digest mode)
     # ------------------------------------------------------------------
+
+    @property
+    def hasher(self):
+        """The running SHA-256 of the stream (None unless enabled)."""
+        return self._hasher
 
     @property
     def digest(self) -> Optional[bytes]:

@@ -240,12 +240,13 @@ class HashingSink(Sink):
     round an agent's real sink, it gives the supervisor an end-to-end
     digest per node without shipping payload bytes over the control
     plane: survivors of a chaos run prove byte-exactness with one hex
-    string.
+    string.  Given ``hasher``, it goes on with that hash of what came
+    before.
     """
 
-    def __init__(self, inner: Optional[Sink] = None) -> None:
+    def __init__(self, inner: Optional[Sink] = None, *, hasher=None) -> None:
         self.inner = inner
-        self._hash = hashlib.sha256()
+        self._hash = hasher if hasher is not None else hashlib.sha256()
         self.bytes_written = 0
 
     def write_chunk(self, data) -> None:

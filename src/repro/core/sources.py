@@ -150,6 +150,15 @@ class CursorSource(Source):
         """:meth:`_readinto` from stream offset ``offset``, cursor aside."""
         raise NotImplementedError
 
+    def skip(self, size: int) -> int:
+        """Move the cursor past the next ``size`` bytes — fewer at the
+        end — without reading them, and return how many: a head whose
+        stream sends them from the source's descriptor (``fileno``)
+        itself."""
+        n = max(0, min(size, self.size - self._pos))
+        self._pos += n
+        return n
+
 
 class FileSource(CursorSource):
     """Seekable file on disk — supports PGET recovery.
@@ -189,7 +198,13 @@ class FileSource(CursorSource):
         return self._file.fileno()
 
     def _fill_at(self, offset: int, slots: List[memoryview]) -> int:
-        return _preadv(self._file.fileno(), slots, offset)
+        got = _preadv(self._file.fileno(), slots, offset)
+        if got < min(sum(map(len, slots)), self._size - offset):
+            # Truncated under the broadcast: the stream it announced is
+            # gone, which no receiver is to blame for.
+            raise DataLossError(f"file shrank: {self._size} bytes when "
+                                f"opened, {offset + got} now")
+        return got
 
     def _read_block(self, offset: int, size: int) -> Payload:
         view = self._segment(size)[:size]

@@ -228,10 +228,10 @@ def execute_transfer(msg: dict, state: _SessionState, name: str, *,
     stats_before = get_stats().snapshot()
 
     # data_plane travels inside the config: the supervisor's choice
-    # reaches every agent without a new wire field.  Receivers always
-    # wrap their sink in a HashingSink (the supervisor's byte-exactness
-    # proof), which is not a bare NullSink — so evloop agents take the
-    # userspace relay path and digests stay comparable across planes.
+    # reaches every agent without a new wire field.  Every receiver
+    # reports a digest (the supervisor's byte-exactness proof), so its
+    # sink is never a bare NullSink — evloop agents take the userspace
+    # relay path and digests stay comparable across planes.
     digest_sink: Optional[HashingSink] = None
     role: dict = {"gate": _fault_gate(state, name, msg)}
     if name == chain_plan.head:
@@ -243,11 +243,15 @@ def execute_transfer(msg: dict, state: _SessionState, name: str, *,
                        if msg.get("output") else NullSink())
         # The digest hashes the *merged* stream, so it is comparable
         # across any stripe count (and with the head's source digest).
-        digest_sink = HashingSink(inner)
-        top: Sink = digest_sink
+        # A one-stripe receiver that verifies hashes that stream as it
+        # stores it already: its node's hash is the digest (a second
+        # pass would hash every byte twice).
+        top: Sink = inner
+        if chain_plan.stripe_count > 1 or not config.verify_digest:
+            digest_sink = top = HashingSink(inner)
         if state.artifact is not None:
             from ..core.cache import CacheTapSink
-            top = CacheTapSink(digest_sink, cache, state.artifact)
+            top = CacheTapSink(top, cache, state.artifact)
         role["sink"] = top
     host = HostChains(name, chain_plan, registries, listeners, config,
                       tracer=tracer, **role)
@@ -281,7 +285,8 @@ def execute_transfer(msg: dict, state: _SessionState, name: str, *,
         "bytes": int(outcome.bytes_received),
         "crashed": bool(outcome.crashed),
         "error": error,
-        "digest": digest_sink.hexdigest() if digest_sink is not None else None,
+        "digest": (digest_sink.hexdigest() if digest_sink is not None
+                   else _node_digest(host)),
         "report": (final_report.encode().hex()
                    if final_report is not None else None),
         "perfstats": {k_: stats_after[k_] - stats_before.get(k_, 0)
@@ -289,6 +294,26 @@ def execute_transfer(msg: dict, state: _SessionState, name: str, *,
         "trace": tracer.to_jsonl() if tracer.enabled else "",
         "trace_epoch": trace_epoch,
     }
+
+
+def _node_hash(host: HostChains):
+    """The hash a one-stripe receiver's node keeps of what it stored
+    (``verify_digest``), or ``None``."""
+    node = host.nodes.get(host.name)
+    return node.state.hasher if node is not None else None
+
+
+def _node_digest(host: HostChains) -> Optional[str]:
+    """A receiver's status digest when it has no sink of its own hashing
+    (see :func:`execute_transfer`): its node's, or — rebuilt after a head
+    re-root, which verifies nothing — its sink's, which took the hash
+    over (:func:`_follow_control`)."""
+    if host.sink is None:
+        return None  # the head that started the run
+    if isinstance(host.sink, HashingSink):
+        return host.sink.hexdigest()
+    hasher = _node_hash(host)
+    return hasher.hexdigest() if hasher is not None else None
 
 
 def _follow_control(
@@ -371,11 +396,18 @@ def _follow_control(
             # for all of them before it elects), so nobody is still
             # writing to the old host's connections.
             host.close_connections()
+            # A receiver whose node hashed what it stored hands the hash
+            # on to the sink it keeps: the rebuilt node verifies nothing.
+            hasher = _node_hash(host)
+
+            def rebuilt(name, sink, **role):
+                if hasher is not None:
+                    sink = HashingSink(sink, hasher=hasher)
+                return HostChains(name, chain_plan, registries, listeners,
+                                  config, tracer=tracer, sink=sink, **role)
+
             host = host.resume(
-                chain_plan,
-                lambda name, **role: HostChains(
-                    name, chain_plan, registries, listeners, config,
-                    tracer=tracer, **role),
+                chain_plan, rebuilt,
                 source=ctl.get("source") and FileSource(ctl["source"]),
                 gate=gate)
             awaiting_resume = False

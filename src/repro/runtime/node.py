@@ -21,7 +21,7 @@ from typing import List, Optional
 from ..core.config import KascadeConfig
 # CrashGate, InjectedCrash, _HEAD_FLUSH_BYTES: re-exported (host.py, evloop.py)
 from ..core.engine import (DATA_CONN, _HEAD_FLUSH_BYTES, CrashGate,  # noqa: F401
-                           Head, InjectedCrash, Receiver)
+                           Head, InjectedCrash, Receiver, keeps_nothing)
 from ..core.errors import SinkError, TransferAborted
 from ..core.plan import StripePlan
 from ..core.sinks import NullSink, Sink
@@ -198,8 +198,10 @@ class HeadNode(_ThreadNode, Head):
         # sources get a prefetch stage, which reads inline until the
         # reads cost the head more than its sends; in-memory sources
         # gain nothing from one, and readahead_chunks=0 turns it off.
+        # A head that keeps nothing reads nothing (``keeps_nothing``).
         self._readahead: Optional[ReadAheadSource] = None
-        if config.readahead_chunks > 0 and getattr(source, "blocking_io", True):
+        if (config.readahead_chunks > 0 and getattr(source, "blocking_io", True)
+                and not keeps_nothing(source, config)):
             source = ReadAheadSource(source, depth=config.readahead_chunks)
             self._readahead = source
         Head.__init__(self, name, plan, self.port, config, source,

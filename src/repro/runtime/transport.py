@@ -30,8 +30,9 @@ downstream socket with **zero** userspace payload copies, and a stream
 that is closed leaves its segments, mapped and warm, to the next one
 (:mod:`repro.core.buffers`); the
 :mod:`repro.core.perfstats` counters make that invariant testable.
-``send_frame_from_file`` goes one step further for the head's recovery
-service and streams payload bytes kernel-to-kernel with ``os.sendfile``.
+``cork_file`` goes one step further for the head, whose payload is a
+file: the bytes go kernel-to-kernel with ``os.sendfile``, queued in
+order with the buffers and resumable across a stall like them.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from typing import BinaryIO, List, Optional, Tuple
 from ..core.buffers import BufferPool
 # The preamble bytes are the engine's connection kinds (table above).
 from ..core.engine import DATA_CONN, PGET_CONN, PING_CONN, RING_CONN
-from ..core.errors import NodeFailedError, ProtocolError, TransferAborted
+from ..core.errors import (DataLossError, NodeFailedError, ProtocolError,
+                           TransferAborted)
 from ..core.framing import (
     DataRun,
     FrameDecoder,
@@ -65,6 +67,20 @@ _SENDMSG_BATCH = 64
 #: Whether this platform can stream file payloads kernel-to-kernel.
 HAS_SENDFILE = hasattr(os, "sendfile")
 
+#: ``sendmsg`` flag holding a frame's header back for the file range
+#: that carries its payload (Linux; elsewhere the header leaves alone).
+_MSG_MORE = getattr(socket, "MSG_MORE", 0)
+
+
+class _FileRange:
+    """A queued payload still in a file: ``count`` bytes of descriptor
+    ``fd`` from ``offset``, advanced as ``os.sendfile`` moves them."""
+
+    __slots__ = ("fd", "offset", "count")
+
+    def __init__(self, fd: int, offset: int, count: int) -> None:
+        self.fd, self.offset, self.count = fd, offset, count
+
 
 class WriteStalled(TimeoutError):
     """A send did not complete within the I/O timeout (a
@@ -80,7 +96,7 @@ class WriteStalled(TimeoutError):
 class SocketStream:
     """Framed, timeout-aware wrapper around a connected TCP socket, and
     the engine's *stream* on the socket port (:mod:`repro.core.engine`:
-    ``recv``, ``flush``, ``cork``, ``cork_run``, ``send_file``).
+    ``recv``, ``flush``, ``cork``, ``cork_run``, ``cork_file``).
 
     ``port`` is set — by the :class:`~repro.runtime.links.SocketPort`
     that dialled or the acceptor that adopted it — on a stream a node's
@@ -108,6 +124,8 @@ class SocketStream:
         #: of the rest of the head buffer (zero-copy).
         self._send_queue: List[Payload] = []
         self.pending_bytes = 0
+        #: How many queued entries are file ranges (:meth:`cork_file`).
+        self._file_ranges = 0
         self._sendmsg = getattr(sock, "sendmsg", None)
         self._closed = False
         #: Timeout the socket is currently set to: re-arming it costs a
@@ -238,15 +256,27 @@ class SocketStream:
 
         Uses vectored ``sendmsg`` where available so a header + payload
         (plus any backlog) leave in one syscall; falls back to ``send`` of
-        the head buffer otherwise.
+        the head buffer otherwise.  A file range in the queue
+        (:meth:`cork_file`) leaves by ``os.sendfile``, in its place.
         """
         queue = self._send_queue
         while queue:
+            if queue[0].__class__ is _FileRange:
+                self._send_file_range(queue, timeout)
+                continue
             self._set_timeout(timeout)
             batch = queue[:_SENDMSG_BATCH]
+            flags = 0
+            if self._file_ranges:
+                for i, item in enumerate(batch):
+                    if item.__class__ is _FileRange:
+                        # A header waits for the payload its range holds.
+                        batch, flags = batch[:i], _MSG_MORE
+                        break
             try:
                 if self._sendmsg is not None:
-                    sent = self._sendmsg(batch)
+                    sent = (self._sendmsg(batch, (), flags) if flags
+                            else self._sendmsg(batch))
                 else:  # pragma: no cover - platforms without sendmsg
                     sent = self._sock.send(queue[0])
             except socket.timeout:
@@ -255,8 +285,7 @@ class SocketStream:
                 ) from None
             except (BlockingIOError, InterruptedError):
                 # Transient EAGAIN/EINTR: nothing was sent, the queue is
-                # untouched — retry the vectored send (same contract as
-                # the sendfile loop in send_frame_from_file).
+                # untouched — retry the vectored send.
                 continue
             except OSError as exc:
                 raise ConnectionError(f"send failed: {exc}") from exc
@@ -271,28 +300,47 @@ class SocketStream:
             if cut:
                 queue[0] = memoryview(queue[0])[cut:]  # zero-copy resume point
 
-    def send_frame_from_file(
-        self,
-        msg: Message,
-        fileobj: BinaryIO,
-        offset: int,
-        *,
-        timeout: Optional[float] = None,
-    ) -> None:
-        """Send a payload frame whose bytes come straight from a file.
+    def _send_file_range(self, queue: list, timeout: Optional[float]) -> None:
+        """``os.sendfile`` the file range at the head of the queue, or
+        what is left of it; it stays queued, advanced, across a stall."""
+        rng = queue[0]
+        out_fd = self._sock.fileno()
+        while rng.count:
+            # settimeout puts the socket in non-blocking mode, so wait for
+            # writability ourselves; sendfile has no timeout of its own.
+            _, writable, _ = select.select([], [self._sock], [], timeout)
+            if not writable:
+                raise WriteStalled(
+                    f"sendfile stalled with {self.pending_bytes} bytes pending")
+            try:
+                n = os.sendfile(out_fd, rng.fd, rng.offset, rng.count)
+            except (BlockingIOError, InterruptedError):
+                continue
+            except OSError as exc:
+                raise ConnectionError(f"sendfile failed: {exc}") from exc
+            if n == 0:
+                # The frame's header is out: this connection carries
+                # nothing more, and the fault is the source's.
+                raise DataLossError(
+                    f"file ended {rng.count} bytes short of the frame")
+            self._stats.sendfile_syscall(n)
+            rng.offset += n
+            rng.count -= n
+            self.pending_bytes -= n
+        del queue[0]
+        self._file_ranges -= 1
 
-        Flushes the header (and any backlog), then moves the payload with
+    def cork_file(self, msg: Message, fileobj, offset: int) -> None:
+        """Queue a payload frame whose bytes the next flush moves straight
+        from ``fileobj``'s descriptor, from ``offset``, with
         ``os.sendfile`` — kernel to kernel, no userspace pass at all.
-        Falls back to a read + queued send where sendfile is unavailable.
-        Raises :class:`WriteStalled` if the peer stops draining and
-        ``ConnectionError`` if the file cannot supply the promised bytes.
+
+        Raises :class:`DataLossError`, with nothing queued, if the file no
+        longer holds the bytes (truncated since it was opened).  Where
+        sendfile is unavailable the bytes are read (``read_range``) and
+        queued instead.
         """
         need = payload_size(msg)
-        self._enqueue(encode_header(msg))
-        self._stats.frames_sent += 1
-        self.flush_pending(timeout=timeout)
-        if need == 0:
-            return
         if not HAS_SENDFILE or not hasattr(fileobj, "fileno"):
             # Sources expose positional read_range; raw files only seek.
             if hasattr(fileobj, "read_range"):
@@ -301,36 +349,35 @@ class SocketStream:
                 fileobj.seek(offset)
                 data = fileobj.read(need)
             if len(data) != need:
-                raise ConnectionError(
-                    f"file supplied {len(data)} of {need} payload bytes"
-                )
-            self._enqueue(data)
-            self.flush_pending(timeout=timeout)
+                raise DataLossError(
+                    f"file supplied {len(data)} of {need} payload bytes")
+            self.send_message(msg, data, flush=False)
             return
-        out_fd = self._sock.fileno()
-        in_fd = fileobj.fileno()
-        sent_total = 0
-        while sent_total < need:
-            # settimeout puts the socket in non-blocking mode, so wait for
-            # writability ourselves; sendfile has no timeout of its own.
-            _, writable, _ = select.select([], [self._sock], [], timeout)
-            if not writable:
-                raise WriteStalled(
-                    f"sendfile stalled with {need - sent_total} bytes pending"
-                )
-            try:
-                n = os.sendfile(out_fd, in_fd, offset + sent_total,
-                                need - sent_total)
-            except (BlockingIOError, InterruptedError):
-                continue
-            except OSError as exc:
-                raise ConnectionError(f"sendfile failed: {exc}") from exc
-            if n == 0:
-                raise ConnectionError(
-                    f"file ended {need - sent_total} bytes short of the frame"
-                )
-            self._stats.sendfile_syscall(n)
-            sent_total += n
+        fd = fileobj.fileno()
+        held = os.fstat(fd).st_size - offset
+        if held < need:
+            raise DataLossError(
+                f"file ended {need - max(held, 0)} bytes short of the frame")
+        self._enqueue(encode_header(msg))
+        self._stats.frames_sent += 1
+        if need:
+            self._send_queue.append(_FileRange(fd, offset, need))
+            self.pending_bytes += need
+            self._file_ranges += 1
+
+    def send_frame_from_file(
+        self,
+        msg: Message,
+        fileobj: BinaryIO,
+        offset: int,
+        *,
+        timeout: Optional[float] = None,
+    ) -> None:
+        """:meth:`cork_file` and flush: raises :class:`WriteStalled` if
+        the peer stops draining and :class:`DataLossError` if the file
+        cannot supply the promised bytes."""
+        self.cork_file(msg, fileobj, offset)
+        self.flush_pending(timeout=timeout)
 
     # ------------------------------------------------------------------
     # The engine's stream primitives: generators that never yield
@@ -384,14 +431,6 @@ class SocketStream:
         raise TransferAborted(port.stopping)
         yield  # never reached
 
-    if HAS_SENDFILE:
-        def send_file(self, msg: Message, source, offset: int, timeout: float):
-            """Payload from the page cache to the socket, never entering
-            this process (``os.sendfile``)."""
-            return self.send_frame_from_file(msg, source, offset,
-                                             timeout=timeout)
-            yield  # never reached
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -409,7 +448,7 @@ class SocketStream:
             # segments themselves — a ring may pin some a while longer —
             # to the process-wide reserve for the next stream.
             self._send_queue.clear()
-            self.pending_bytes = 0
+            self.pending_bytes = self._file_ranges = 0
             self._decoder.close()
             if self._owns_pool:
                 self._pool.close()

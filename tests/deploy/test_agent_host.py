@@ -168,3 +168,70 @@ class TestFleetReceiversReserve:
         assert "No space left" in n2["error"]
         assert refused == [(size, 0)]  # reserved before its first byte
         assert not (tmp_path / "n2.out").exists()
+
+
+class TestOneHasherPerVerifyingReceiver:
+    def test_a_one_stripe_receiver_hashes_each_byte_once(
+            self, tmp_path, monkeypatch):
+        """With ``verify_digest`` a one-stripe receiving agent hashes the
+        stream once — its node's hash is its status digest — where it
+        used to hash it a second time in a ``HashingSink``."""
+        import hashlib
+
+        size = 1 << 20
+        source = tmp_path / "in.bin"
+        payload = PatternSource(size, seed=7).expected_bytes(0, size)
+        source.write_bytes(payload)
+        plan = ChainPlan.build("n1", ["n2"], stripes=1)
+        listeners = {n: [Listener(host="127.0.0.1", port=0)]
+                     for n in plan.nodes}
+        sent = {}
+        server = DaemonServer(list(plan.nodes),
+                              config=FAST.with_(verify_digest=True))
+        server._coordinator = SimpleNamespace(
+            agent=lambda name: SimpleNamespace(host="127.0.0.1"),
+            send=sent.__setitem__)
+        session = SimpleNamespace(
+            id="s1", output_template=str(tmp_path / "{node}.out"),
+            output_for=lambda name: str(tmp_path / f"{name}.out"),
+            faults={}, pending_joins=[],
+            ports={n: [ls[0].address.port] for n, ls in listeners.items()})
+        server._send_starts(session, "session_start", plan, str(source),
+                            run_timeout=30.0)
+
+        hashed = []
+        real = hashlib.sha256
+
+        class Counting:
+            def __init__(self, data=b""):
+                self._hash = real(data)
+
+            def update(self, data):
+                hashed.append(len(data))
+                self._hash.update(data)
+
+            def digest(self):
+                return self._hash.digest()
+
+            def hexdigest(self):
+                return self._hash.hexdigest()
+
+        monkeypatch.setattr(hashlib, "sha256", Counting)
+        quiet = SimpleNamespace(send=lambda message: True)
+        statuses = {}
+
+        def run(name):
+            state = _SessionState("s1", quiet, listeners[name])
+            statuses[name] = execute_transfer(sent[name], state, name)
+            state.close_listeners()
+
+        head = threading.Thread(target=run, args=("n1",), daemon=True)
+        head.start()
+        run("n2")
+        head.join(timeout=30.0)
+
+        assert statuses["n1"]["ok"] and statuses["n2"]["ok"]
+        assert statuses["n2"]["digest"] == real(payload).hexdigest()
+        assert (tmp_path / "n2.out").read_bytes() == payload
+        # The head's source digest and the receiver's one pass.
+        assert sum(hashed) == 2 * size

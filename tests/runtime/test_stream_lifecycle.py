@@ -168,7 +168,7 @@ def test_a_pget_hole_is_filled_from_the_file_that_was_opened(
     """The head serves a hole by ``read_range`` (no ``sendfile`` here)
     after the path was replaced under it: the receiver still gets the
     bytes of the file the broadcast started with."""
-    monkeypatch.delattr(SocketStream, "send_file", raising=False)
+    monkeypatch.delattr(SocketStream, "cork_file")
     config = KascadeConfig(chunk_size=4096, buffer_chunks=1, io_timeout=0.25,
                            ping_timeout=0.2, connect_timeout=0.5,
                            report_timeout=8.0)

@@ -17,6 +17,7 @@ import gc
 import hashlib
 import io
 import os
+import tempfile
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -25,9 +26,9 @@ from typing import Callable, Optional, Sequence, Tuple
 import pytest
 
 from repro import run_broadcast
-from repro.core import (BufferSink, FileSource, KascadeConfig, KascadeError,
-                        PatternSource, StreamSource)
-from repro.core.tracing import ELECTION, FAILOVER, FORGET
+from repro.core import (BufferSink, FileSink, FileSource, KascadeConfig,
+                        KascadeError, PatternSource, StreamSource)
+from repro.core.tracing import ELECTION, FAILOVER, FORGET, PGET
 from tests import refusals
 from tests.refusals import REFUSALS
 
@@ -48,6 +49,33 @@ def pipe(size=SIZE):
     """A head that cannot seek: stdin, to the protocol."""
     data = bytes((i * 7) % 256 for i in range(size))
     return lambda: StreamSource(io.BytesIO(data))
+
+
+class PayloadFile(FileSource):
+    """A file on disk that knows what a correct transfer delivers."""
+
+    def expected_bytes(self, offset, size):
+        with open(self.path, "rb") as f:
+            f.seek(offset)
+            return f.read(size)
+
+
+_FILES = tempfile.TemporaryDirectory(prefix="kascade-conformance-")
+
+
+def payload_file(size):
+    """A head that reads a file — one that keeps nothing at 1 MiB chunks
+    without a digest: it sends by ``sendfile`` and replays from the file
+    on a socket, and reads as any head on the DES."""
+    path = os.path.join(_FILES.name, f"{size}.bin")
+    if not os.path.exists(path):
+        with open(path, "wb") as f:
+            f.write(PatternSource(size, seed=11).expected_bytes(0, size))
+    return lambda: PayloadFile(path)
+
+
+#: 1 MiB chunks, no digest: the head that keeps nothing.
+FILE_CFG = CFG.with_(chunk_size=1 << 20, verify_digest=False)
 
 
 @dataclass(frozen=True)
@@ -141,6 +169,15 @@ SCENARIOS = {
         chain(1), source=pattern(4 * SIZE),
         crashes=(("n1", 2 * SIZE, "close"),),
         options=(("allow_head_chaos", True),)),
+    # A head that keeps nothing: its successor closed after one chunk,
+    # the head replays n3 from the file (on the DES, from its ring: the
+    # stream fits it), with no FORGET; and a mid-chain close.
+    "file_head_successor_close": Scenario(
+        chain(3), source=payload_file(6 << 20),
+        crashes=(("n2", 1 << 20, "close"),), config=FILE_CFG),
+    "file_mid_chain_close": Scenario(
+        chain(4), source=payload_file(6 << 20),
+        crashes=(("n3", 2 << 20, "close"),), config=FILE_CFG),
     # A late joiner gets a chain of its own from the head, which streams
     # the source again from byte 0 — from mid-stream, or once the push is
     # over; on a striped run too (the join chain is one stripe).
@@ -168,7 +205,8 @@ FLEET_JOIN_ROWS = ("late_join_mid_stream", "late_join_after_end")
 #: finished, are decided by process timing there.
 FLEET_FAULT_ROWS = ("crash_on_a_short_stream", "crash_at_first_byte",
                     "mid_chain_close_crash", "tail_crash",
-                    "late_join_joiner_killed")
+                    "late_join_joiner_killed", "file_head_successor_close",
+                    "file_mid_chain_close")
 
 
 @dataclass
@@ -209,12 +247,13 @@ def tell(scenario: Scenario, driver: str) -> Story:
         sinks[name] = BufferSink()
         return sinks[name]
 
-    result = run_broadcast(
-        scenario.source(), list(scenario.receivers), backend=driver,
-        config=scenario.config, crashes=list(scenario.crashes),
-        order=scenario.order, late_join=list(scenario.late_join),
-        sink_factory=sink_factory, trace=True, timeout=60.0,
-        **dict(scenario.options))
+    with scenario.source() as source:
+        result = run_broadcast(
+            source, list(scenario.receivers), backend=driver,
+            config=scenario.config, crashes=list(scenario.crashes),
+            order=scenario.order, late_join=list(scenario.late_join),
+            sink_factory=sink_factory, trace=True, timeout=60.0,
+            **dict(scenario.options))
     milestones = {}
     for type_, node in result.trace.milestones():
         if type_ not in scenario.timing_decides:
@@ -240,11 +279,11 @@ def tell(scenario: Scenario, driver: str) -> Story:
 
 
 def payload_digest(scenario: Scenario) -> str:
-    source = scenario.source()
-    return hashlib.sha256(
-        source.expected_bytes(0, source.size)
-        if hasattr(source, "expected_bytes") else source._stream.getvalue()
-    ).hexdigest()
+    with scenario.source() as source:
+        return hashlib.sha256(
+            source.expected_bytes(0, source.size)
+            if hasattr(source, "expected_bytes") else source._stream.getvalue()
+        ).hexdigest()
 
 
 def survivors(scenario: Scenario) -> list:
@@ -351,11 +390,12 @@ def test_the_fleet_fires_a_fault_where_the_drivers_do(name, tmp_path):
     the bytes it holds on threads.  Nothing is paced."""
     scenario = SCENARIOS[name]
     local = check(scenario)["local"]
-    result = run_broadcast(
-        scenario.source(), list(scenario.receivers), backend="procs",
-        config=scenario.config, crashes=list(scenario.crashes),
-        late_join=list(scenario.late_join),
-        output_template=str(tmp_path / "{node}.out"), timeout=30.0)
+    with scenario.source() as source:
+        result = run_broadcast(
+            source, list(scenario.receivers), backend="procs",
+            config=scenario.config, crashes=list(scenario.crashes),
+            late_join=list(scenario.late_join),
+            output_template=str(tmp_path / "{node}.out"), timeout=30.0)
     assert result.ok is local.ok, result.outcomes
     for node in survivors(scenario):
         got = hashlib.sha256((tmp_path / f"{node}.out").read_bytes())
@@ -445,3 +485,30 @@ def test_the_simulated_story_is_reproducible():
     """Same scenario, two fresh engines: not equivalent — equal."""
     scenario = SCENARIOS["deep_recovery_via_pget"]
     assert tell(scenario, "simnet") == tell(scenario, "simnet")
+
+
+@pytest.mark.parametrize("driver", ("local", "procs"))
+def test_a_head_that_keeps_nothing_replays_from_its_file(driver, tmp_path):
+    """The head's successor closes after its first chunk: the head
+    declares it dead once and serves n3's GET from the file by
+    ``sendfile`` — no FORGET, no PGET — and every survivor ends with
+    the payload, byte for byte."""
+    scenario = SCENARIOS["file_head_successor_close"]
+    output = str(tmp_path / "{node}.out")
+    where = ({"output_template": output} if driver == "procs" else
+             {"sink_factory": lambda node: FileSink(output.format(node=node))})
+    with scenario.source() as source:
+        result = run_broadcast(
+            source, list(scenario.receivers), backend=driver,
+            config=scenario.config, crashes=list(scenario.crashes),
+            trace=True, timeout=30.0, **where)
+    assert result.ok, result.outcomes
+    want = payload_digest(scenario)
+    for name in survivors(scenario):
+        got = hashlib.sha256((tmp_path / f"{name}.out").read_bytes())
+        assert got.hexdigest() == want, name
+    assert [(e.node, e.peer) for e in result.trace.of_type(FAILOVER)
+            if e.node != "coordinator"] == [("n1", "n2")]
+    assert result.trace.of_type(FORGET) == []
+    assert result.trace.of_type(PGET) == []
+    assert result.perfstats["syscalls_sendfile"] > 0
